@@ -2,8 +2,8 @@
 """Regenerate the shipped default diffusivities.
 
 Runs the exact calibration that produced DEFAULT_DIFFUSIVITIES in
-patina/config.py: reduced-model warm start, D_w tied to D_s, bounds
-[1e-10, 1e-3], budget 200, std-weighted objective, against
+patina/config.py: reduced-model warm start, bounds [1e-10, 1e-3],
+budget 200, std-weighted objective, against
 data/thickness_measures.csv.  Prints the values to paste into config.py
 and writes the full result under out/calibrate_defaults/.
 """
@@ -20,13 +20,12 @@ def main() -> int:
     measurements = load_measurements("data/thickness_measures.csv")
     guess = reduced_model_initial_guess(measurements, cfg)
     print(f"warm start: d_g={guess.d_g:.6g} d_s={guess.d_s:.6g} "
-          f"d_o={guess.d_o:.6g} d_w={guess.d_w:.6g}")
-    result = calibrate(guess, (1e-10, 1e-3), measurements, cfg,
-                       tie_dw_ds=True, budget=200)
+          f"d_o={guess.d_o:.6g}")
+    result = calibrate(guess, (1e-10, 1e-3), measurements, cfg, budget=200)
     d = result.diffusivities
     print(f"calibrated (residual {result.residual:.4g}, "
           f"{result.evaluations} evaluations):")
-    for name in ("d_g", "d_s", "d_o", "d_w"):
+    for name in ("d_g", "d_s", "d_o"):
         shipped = DEFAULT_DIFFUSIVITIES[name]
         value = getattr(d, name)
         marker = "" if abs(value / shipped - 1.0) < 1e-3 else "   <- differs from shipped"

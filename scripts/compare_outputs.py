@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Byte-compare the simulation output of the working tree with a git ref.
+
+Usage (from anywhere inside the repository):
+
+    python3 scripts/compare_outputs.py REF
+
+Extracts REF (a commit, branch or tag) into a temporary directory with
+``git archive`` and runs the same jobs there and in the working tree, each
+in a fresh process that imports patina from its own tree's ``src``:
+
+    chamber     simulate --chamber                        (40 h)
+    cycles      simulate --cycles --horizon-hours 480
+    year        simulate --env <synthetic year> --horizon-hours 8760
+    year-seed1  simulate --env <seeded year> --horizon-hours 8760
+    reference   simulate --chamber --config configs/reference_diffusivities.ini
+
+The synthetic year is the series of scripts/run_year_synthetic.py, the
+seeded year that of the benchmark's year workload at seed 1
+(perfbench/inputs.py); both trees read the same files, written once from
+the working tree.  Each job's simulation.csv is compared byte for byte; for
+a job that differs the first differing line is printed.  Exit code 0 when
+every job matches, 1 when any differs or fails to run.  The reference job
+takes about a minute per tree, the whole comparison a few minutes.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+SCRIPTS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(SCRIPTS)
+# run_year_synthetic imports patina, so the working tree's src goes on the path
+sys.path[:0] = [SCRIPTS, os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
+
+import inputs                     # noqa: E402  (perfbench/inputs.py)
+import run_year_synthetic         # noqa: E402
+
+RUN_CLI = "import sys; from patina.cli import run_main; sys.exit(run_main(sys.argv[1:]))"
+
+
+def jobs(inputs_dir: str) -> dict[str, list[str]]:
+    """Job name -> CLI arguments; writes the two year series into ``inputs_dir``."""
+    synthetic = os.path.join(inputs_dir, "synthetic_year.csv")
+    seeded = os.path.join(inputs_dir, "seeded_year.csv")
+    run_year_synthetic.write_series(synthetic)
+    inputs.write_year_csv(seeded, 1)
+    return {
+        "chamber": ["simulate", "--chamber"],
+        "cycles": ["simulate", "--cycles", "--horizon-hours", "480"],
+        "year": ["simulate", "--env", synthetic, "--horizon-hours", "8760"],
+        "year-seed1": ["simulate", "--env", seeded, "--horizon-hours", "8760"],
+        "reference": ["simulate", "--chamber", "--config",
+                      "configs/reference_diffusivities.ini"],
+    }
+
+
+def run_job(tree: str, argv: list[str], out: str) -> bytes | None:
+    """simulation.csv of one job run in ``tree``, or None when the job fails."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv, "--out", out],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"  exit {proc.returncode} in {tree}: {proc.stderr.strip()}")
+        return None
+    with open(os.path.join(out, "simulation.csv"), "rb") as fh:
+        return fh.read()
+
+
+def first_difference(old: bytes, new: bytes) -> str:
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    for i, (a, b) in enumerate(zip(old_lines, new_lines), start=1):
+        if a != b:
+            return f"line {i}: {a.decode()!r} -> {b.decode()!r}"
+    return (f"line {min(len(old_lines), len(new_lines)) + 1}: "
+            f"{len(old_lines)} lines -> {len(new_lines)} lines")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="git ref to compare the working tree with")
+    ref = parser.parse_args().ref
+    with tempfile.TemporaryDirectory(prefix="patina-compare-") as tmp:
+        base = os.path.join(tmp, "ref")
+        os.mkdir(base)
+        archive = subprocess.run(["git", "-C", ROOT, "archive", ref],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
+        differing = 0
+        todo = jobs(tmp)
+        for name, argv in todo.items():
+            old = run_job(base, argv, os.path.join(tmp, "out-ref", name))
+            new = run_job(ROOT, argv, os.path.join(tmp, "out-tree", name))
+            if old is None or new is None:
+                print(f"{name}: FAILED to run")
+                differing += 1
+            elif old != new:
+                print(f"{name}: DIFFERS at {first_difference(old, new)}")
+                differing += 1
+            else:
+                print(f"{name}: identical ({len(old.splitlines())} lines)")
+    print(f"{differing} of {len(todo)} jobs differ from {ref}"
+          if differing else f"all {len(todo)} jobs identical to {ref}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

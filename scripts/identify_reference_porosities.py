@@ -61,7 +61,7 @@ def quasi_steady_porosities(cfg):
     b = PRINTED_B_CM / scales.lam
     k_b = b / root_tau
     c_p = ((1.0 + sw.omega_p) * a - b) / root_tau
-    s, _, o = forcing_at(cfg.forcing, 0.0)
+    s, o = forcing_at(cfg.forcing, 0.0)
     omega_s = k_b**2 * (1.0 + sw.omega_b) / (2.0 * s / scales.s_r)
     omega_g = (c_p**2 + k_b * c_p) / (2.0 * (1.0 + sw.omega_p) * o / scales.o_r)
     unit = stefan_constants(replace(cfg.materials, n_b=1.0, n_p=1.0),

@@ -16,7 +16,6 @@ from .materials import (
     MaterialTable,
     MoleReport,
     SwellingRatios,
-    layer_thicknesses,
     mole_balance,
     swelling_ratios,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "MaterialTable",
     "MoleReport",
     "SwellingRatios",
-    "layer_thicknesses",
     "mole_balance",
     "swelling_ratios",
     "Diffusivities",

@@ -6,14 +6,16 @@ std-weighted sum of squared deviations of the simulated total thickness
 Parameters are searched in log10 space with a Nelder-Mead simplex; box
 bounds are enforced by reflecting the coordinates back into the box, so the
 objective is continuous and the reported optimum always lies inside.
+Every evaluation is one solver run; the best one is kept, so reporting the
+fit costs no further run.
 
-With total thickness alone the four diffusivities are not identifiable: the
-water field never feeds back (hence the D_w = D_s tie), the oxygen field
-stays near its boundary value for any plausible D_o, and D_g trades off
-against D_s along a flat valley (both layers grow like sqrt(t)).  The
-default initial guess therefore comes from a closed-form quasi-steady
-estimate (``reduced_model_initial_guess``) that fits the sqrt(t) amplitude
-and assigns a configurable share of the patina to the oxide layer.
+With total thickness alone the three diffusivities are not identifiable:
+the oxygen field stays near its boundary value for any plausible D_o, and
+D_g trades off against D_s along a flat valley (both layers grow like
+sqrt(t)).  The default initial guess therefore comes from a closed-form
+quasi-steady estimate (``reduced_model_initial_guess``) that fits the
+sqrt(t) amplitude and assigns a configurable share of the patina to the
+oxide layer.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from scipy import optimize
 
 from .materials import swelling_ratios
 from .pde_core import Diffusivities, stefan_constants
-from .simulation import SimulationConfig, SimulationError, run
+from .simulation import SimulationConfig, SimulationError, SimulationOutput, run
 
 __all__ = [
     "ThicknessMeasurement",
     "CalibrationResult",
+    "Residual",
     "MEASUREMENTS_CSV_HEADER",
     "load_measurements",
     "predict_total_thickness",
@@ -45,8 +48,6 @@ __all__ = [
 log = logging.getLogger("patina.calibration")
 
 MEASUREMENTS_CSV_HEADER = ("time_hours", "thickness_cm", "std_cm")
-
-PARAM_NAMES = ("d_g", "d_s", "d_o", "d_w")
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,18 @@ def load_measurements(path) -> tuple[ThicknessMeasurement, ...]:
     return tuple(rows)
 
 
+def _run_through(d: Diffusivities, cfg: SimulationConfig,
+                 times: np.ndarray) -> SimulationOutput:
+    """One run at ``d``, extended to the last of ``times`` if need be."""
+    horizon = max(cfg.horizon_hours, float(times.max()))
+    return run(replace(cfg, diffusivities=d, horizon_hours=horizon))
+
+
 def predict_total_thickness(d: Diffusivities, cfg: SimulationConfig,
                             times_hours) -> np.ndarray:
     """Simulated total thickness (cm) at the given hours, one run."""
     times = np.asarray(times_hours, dtype=float)
-    horizon = max(cfg.horizon_hours, float(times.max()))
-    out = run(replace(cfg, diffusivities=d, horizon_hours=horizon))
-    return out.thickness_at(times)
+    return _run_through(d, cfg, times).thickness_at(times)
 
 
 def _weights(measurements, weighting: str) -> np.ndarray:
@@ -119,18 +125,34 @@ def weighted_residual(predicted_cm, measurements, weighting: str = "std") -> flo
     return float(np.sum(((np.asarray(predicted_cm) - means) / w) ** 2))
 
 
+class Residual(float):
+    """A weighted residual that also carries the run it scores.
+
+    ``output`` is that run, or None when the run failed and the residual is
+    infinite.
+    """
+
+    output: SimulationOutput | None
+
+    def __new__(cls, value: float, output: SimulationOutput | None = None):
+        self = super().__new__(cls, value)
+        self.output = output
+        return self
+
+
 def residual(d: Diffusivities, measurements, cfg: SimulationConfig,
-             weighting: str = "std") -> float:
+             weighting: str = "std") -> Residual:
     """Weighted residual of one run at ``d``; infinite when the run fails."""
     if not measurements:
         raise ValueError("measurements must be non-empty")
     times = np.array([m.time_hours for m in measurements])
     try:
-        pred = predict_total_thickness(d, cfg, times)
+        out = _run_through(d, cfg, times)
     except (SimulationError, ValueError) as exc:
         log.warning("residual evaluation rejected at %s: %s", d, exc)
-        return math.inf
-    return weighted_residual(pred, measurements, weighting)
+        return Residual(math.inf)
+    return Residual(weighted_residual(out.thickness_at(times), measurements, weighting),
+                    out)
 
 
 def reduced_model_initial_guess(measurements, cfg: SimulationConfig,
@@ -144,7 +166,7 @@ def reduced_model_initial_guess(measurements, cfg: SimulationConfig,
     amplitude is fitted to the measurements by weighted least squares, the
     oxide share of the total is fixed at ``oxide_share``, and the two Stefan
     groups are inverted for D_s and D_g.  D_o keeps its configured value
-    (no measurable effect) and D_w ties to D_s.
+    (no measurable effect).
     """
     if not 0.0 < oxide_share < 1.0:
         raise ValueError("oxide_share must lie in (0, 1)")
@@ -163,7 +185,7 @@ def reduced_model_initial_guess(measurements, cfg: SimulationConfig,
 
     from .simulation import _build_model  # boundary values at t = 0
 
-    s_hat, _, o_hat = _build_model(cfg).forcing_hat(0.0)
+    s_hat, o_hat = _build_model(cfg).forcing_hat(0.0)
     if s_hat <= 0.0 or o_hat <= 0.0:
         raise ValueError("reduced-model guess needs nonzero SO2 and O2 forcing")
 
@@ -171,16 +193,20 @@ def reduced_model_initial_guess(measurements, cfg: SimulationConfig,
     omega_g = (c_p**2 + k_b * c_p) / (2.0 * (1.0 + sw.omega_p) * o_hat)
 
     # Invert the Stefan groups at unit hatted diffusivity to get D_s, D_g.
-    unit = Diffusivities(1.0, 1.0, 1.0, 1.0).hatted(scales)
+    unit = Diffusivities(1.0, 1.0, 1.0).hatted(scales)
     ref = stefan_constants(mat, unit, scales)
     d_s = omega_s / ref.omega_s
     d_g = omega_g / ref.omega_g
-    return Diffusivities(d_g=d_g, d_s=d_s, d_o=cfg.diffusivities.d_o, d_w=d_s)
+    return Diffusivities(d_g=d_g, d_s=d_s, d_o=cfg.diffusivities.d_o)
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Fit outcome: best diffusivities, objective value, per-point comparison."""
+    """Fit outcome: best diffusivities, objective value, per-point comparison.
+
+    ``output`` is the solver run at the best diffusivities, the one the
+    predictions come from.
+    """
 
     diffusivities: Diffusivities
     residual: float
@@ -189,6 +215,7 @@ class CalibrationResult:
     predicted_cm: tuple[float, ...]
     evaluations: int
     converged: bool
+    output: SimulationOutput
 
 
 def _reflect_into(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -198,25 +225,19 @@ def _reflect_into(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + (span - np.abs(t - span))
 
 
-def _to_diffusivities(log_params: np.ndarray, tie_dw_ds: bool) -> Diffusivities:
-    d = 10.0 ** log_params
-    if tie_dw_ds:
-        return Diffusivities(d_g=d[0], d_s=d[1], d_o=d[2], d_w=d[1])
-    return Diffusivities(d_g=d[0], d_s=d[1], d_o=d[2], d_w=d[3])
-
-
 def calibrate(initial: Diffusivities, bounds: tuple[float, float],
               measurements, cfg: SimulationConfig, *,
-              tie_dw_ds: bool = True, budget: int = 200,
-              spread_tol: float = 1e-3, simplex_steps=0.25,
+              budget: int = 200, spread_tol: float = 1e-3, simplex_steps=0.25,
               weighting: str = "std") -> CalibrationResult:
-    """Nelder-Mead over log10 diffusivities with reflective box bounds.
+    """Nelder-Mead over log10 (d_g, d_s, d_o) with reflective box bounds.
 
     Stops when the simplex spread drops below ``spread_tol`` in log space or
     when the evaluation ``budget`` is exhausted (best-so-far returned with
     ``converged=False``).  ``simplex_steps`` sets the initial simplex extent
-    in decades, a scalar or one value per free parameter; a small step
+    in decades, a scalar or one value per parameter; a small step
     effectively holds a parameter that the data carry no information about.
+    The result is the lowest-residual evaluation, the point Nelder-Mead
+    reports on convergence; its run is kept rather than repeated.
     """
     lo, hi = bounds
     if not (0.0 < lo < hi):
@@ -224,16 +245,21 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
     if not measurements:
         raise ValueError("measurements must be non-empty")
     llo, lhi = math.log10(lo), math.log10(hi)
-    init = [initial.d_g, initial.d_s, initial.d_o] + ([] if tie_dw_ds else [initial.d_w])
+    init = [initial.d_g, initial.d_s, initial.d_o]
     for value in init:
         if not (lo <= value <= hi):
             raise ValueError(f"initial diffusivity {value} outside bounds {bounds}")
     x0 = np.log10(np.array(init))
 
+    best, best_d = Residual(math.inf), initial
+
     def objective(x: np.ndarray) -> float:
-        folded = _reflect_into(x, llo, lhi)
-        d = _to_diffusivities(folded, tie_dw_ds)
-        return residual(d, measurements, cfg, weighting=weighting)
+        nonlocal best, best_d
+        d = Diffusivities(*(10.0 ** _reflect_into(x, llo, lhi)))
+        value = residual(d, measurements, cfg, weighting=weighting)
+        if value < best:
+            best, best_d = value, d
+        return value
 
     # Deterministic initial simplex, a fixed number of decades per coordinate.
     n = x0.size
@@ -254,15 +280,16 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
             adaptive=False,
         ),
     )
-    best = _to_diffusivities(_reflect_into(result.x, llo, lhi), tie_dw_ds)
+    if best.output is None:
+        raise SimulationError(f"all {result.nfev} calibration runs failed")
     times = tuple(m.time_hours for m in measurements)
-    predicted = predict_total_thickness(best, cfg, times)
     return CalibrationResult(
-        diffusivities=best,
-        residual=float(result.fun),
+        diffusivities=best_d,
+        residual=float(best),
         times_hours=times,
         measured_cm=tuple(m.mean_cm for m in measurements),
-        predicted_cm=tuple(float(p) for p in predicted),
+        predicted_cm=tuple(float(p) for p in best.output.thickness_at(times)),
         evaluations=int(result.nfev),
         converged=bool(result.success),
+        output=best.output,
     )

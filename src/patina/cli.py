@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .calibration import (
@@ -77,6 +77,15 @@ def _digests(paths) -> dict[str, str]:
     return {str(p): _sha256(p) for p in paths if p}
 
 
+def _input_files(args, cp, cfg) -> list:
+    """Every file a run reads: the config, the materials override file it
+    names and the environment CSV, whether given by --env or by the config."""
+    env = getattr(args, "env", None)
+    if env is None and cfg.forcing.mode == "time-series":
+        env = cp.get("forcing", "env_csv").strip()
+    return [args.config, cp.get("materials", "override_file").strip(), env]
+
+
 def _setup_logging() -> None:
     level_name = os.environ.get("PATINA_LOG", "warn").lower()
     levels = {"error": logging.ERROR, "warn": logging.WARNING,
@@ -100,13 +109,13 @@ def _forcing_mode(args) -> str | None:
     return None
 
 
-def _sim_config(args, horizon=None):
+def _sim_config(args):
     cp = load_settings(args.config)
     return cp, build_simulation_config(
         cp,
         forcing_mode=_forcing_mode(args),
         env_csv=getattr(args, "env", None),
-        horizon_hours=horizon if horizon is not None else getattr(args, "horizon_hours", None),
+        horizon_hours=getattr(args, "horizon_hours", None),
         seed_a=getattr(args, "seed_a", None),
         seed_b=getattr(args, "seed_b", None),
         central_advection=getattr(args, "central_advection", False),
@@ -115,7 +124,7 @@ def _sim_config(args, horizon=None):
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
-    _, cfg = _sim_config(args)
+    cp, cfg = _sim_config(args)
     output = run(cfg)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "simulation.csv")
@@ -134,7 +143,7 @@ def cmd_simulate(args) -> int:
     manifest = RunManifest(
         command="simulate",
         resolved_config=resolved_config_dict(cfg),
-        input_digests=_digests([args.config, args.env]),
+        input_digests=_digests(_input_files(args, cp, cfg)),
     )
     manifest.duration_seconds = time.perf_counter() - started
     manifest.write(os.path.join(args.out, "manifest.json"))
@@ -147,24 +156,21 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     started = time.perf_counter()
     cp, cfg = _sim_config(args)
-    settings = build_calibration_settings(cp, tie_dw_ds=args.tie_dw_ds)
+    settings = build_calibration_settings(cp)
     measurements = load_measurements(args.measurements)
     if len(measurements) == 1:
         print("patina: warning: single measurement point; under-determined fit",
               file=sys.stderr)
     horizon = max(cfg.horizon_hours, max(m.time_hours for m in measurements))
-    cfg = build_simulation_config(
-        cp, forcing_mode=_forcing_mode(args), env_csv=getattr(args, "env", None),
-        horizon_hours=horizon, central_advection=args.central_advection)
+    cfg = replace(cfg, horizon_hours=horizon)
 
     initial = reduced_model_initial_guess(measurements, cfg,
                                           oxide_share=settings.oxide_share)
     lo, hi = settings.bounds
     initial = type(initial)(*(min(max(v, lo), hi) for v in
-                              (initial.d_g, initial.d_s, initial.d_o, initial.d_w)))
+                              (initial.d_g, initial.d_s, initial.d_o)))
     result = calibrate(initial, settings.bounds, measurements, cfg,
-                       tie_dw_ds=settings.tie_dw_ds, budget=settings.budget,
-                       spread_tol=settings.spread_tol,
+                       budget=settings.budget, spread_tol=settings.spread_tol,
                        weighting=settings.weighting)
 
     os.makedirs(args.out, exist_ok=True)
@@ -172,7 +178,7 @@ def cmd_calibrate(args) -> int:
     d = result.diffusivities
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# d_g = {d.d_g:.6g}\n# d_s = {d.d_s:.6g}\n")
-        fh.write(f"# d_o = {d.d_o:.6g}\n# d_w = {d.d_w:.6g}\n")
+        fh.write(f"# d_o = {d.d_o:.6g}\n")
         fh.write(f"# residual = {result.residual:.6g}\n")
         fh.write(f"# evaluations = {result.evaluations}\n")
         fh.write(f"# converged = {str(result.converged).lower()}\n")
@@ -180,12 +186,11 @@ def cmd_calibrate(args) -> int:
         for m, pred in zip(measurements, result.predicted_cm):
             fh.write(f"{m.time_hours:.6g},{m.mean_cm:.6g},{m.std_cm:.6g},{pred:.6g}\n")
 
-    fit_run = run(type(cfg)(**{**cfg.__dict__, "diffusivities": d}))
-    hours = [r.t_hours for r in fit_run.records]
+    fit_records = result.output.records
     write_line_chart(
         os.path.join(args.out, "comparison.svg"),
-        [Series("fitted total thickness", hours,
-                [r.total_cm for r in fit_run.records])],
+        [Series("fitted total thickness", [r.t_hours for r in fit_records],
+                [r.total_cm for r in fit_records])],
         title="Calibrated model vs measurements",
         xlabel="time [h]",
         ylabel="total thickness [cm]",
@@ -196,13 +201,13 @@ def cmd_calibrate(args) -> int:
     manifest = RunManifest(
         command="calibrate",
         resolved_config=resolved_config_dict(cfg),
-        input_digests=_digests([args.config, args.measurements]),
+        input_digests=_digests(_input_files(args, cp, cfg) + [args.measurements]),
     )
     manifest.duration_seconds = time.perf_counter() - started
     manifest.write(os.path.join(args.out, "calibration_manifest.json"))
 
     print(f"calibrated: d_g={d.d_g:.4g} d_s={d.d_s:.4g} d_o={d.d_o:.4g} "
-          f"d_w={d.d_w:.4g} residual={result.residual:.4g} "
+          f"residual={result.residual:.4g} "
           f"({result.evaluations} evaluations) -> {csv_path}")
     if not result.converged:
         print("patina: calibration budget exhausted; result is best-so-far",
@@ -299,9 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--env", metavar="PATH", default=None, help=argparse.SUPPRESS)
     p_cal.add_argument("--chamber", action="store_true")
     p_cal.add_argument("--cycles", action="store_true")
-    p_cal.add_argument("--tie-dw-ds", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="tie the water diffusivity to the SO2 one (default on)")
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_val = sub.add_parser("validate", help="run the stoichiometry gate")

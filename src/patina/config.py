@@ -4,8 +4,9 @@ Understood sections: [scales], [diffusivities], [grid], [seeds], [time],
 [forcing], [calibration], [materials], [validation].  ``#`` starts a
 comment.  Every key has a default, so an empty or missing file yields the
 shipped configuration; unknown sections or keys are an error (typos should
-not pass silently).  A relative ``[materials] override_file`` is taken
-relative to the directory of the config file that names it.
+not pass silently).  A relative ``[materials] override_file`` or
+``[forcing] env_csv`` is taken relative to the directory of the config file
+that names it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from pathlib import Path
 from .environment import (
     AMBIENT_OXYGEN,
     Forcing,
-    actual_vapor_density,
     constant_chamber_forcing,
     cycle_forcing,
     load_timeseries,
@@ -43,7 +43,6 @@ DEFAULT_DIFFUSIVITIES = {
     "d_g": 6.71051e-10,
     "d_s": 4.98071e-06,
     "d_o": 1.74455e-05,
-    "d_w": 4.98071e-06,
 }
 
 DEFAULTS: dict[str, dict[str, str]] = {
@@ -52,7 +51,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "t_r_s": "3600",
         # blank entries are derived from the chamber conditions below
         "s_r_gcm3": "",
-        "w_r_gcm3": "",
         "o_r_gcm3": "",
     },
     "diffusivities": {k: f"{v:g}" for k, v in DEFAULT_DIFFUSIVITIES.items()},
@@ -69,20 +67,16 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "mode": "chamber",           # chamber | cycles | timeseries
         "so2_ppm": "200",
         "temp_c": "40",
-        "rh_percent": "100",
         "oxygen_gcm3": f"{AMBIENT_OXYGEN:g}",
         "wet_hours": "8",
         "dry_hours": "16",
         "dry_so2_gcm3": "0",
-        "dry_temp_c": "25",
-        "dry_rh_percent": "50",
         "env_csv": "",
     },
     "calibration": {
         "bounds_low": "1e-10",
         "bounds_high": "1e-3",
         "budget": "200",
-        "tie_dw_ds": "true",
         "weighting": "std",          # std | raw
         "oxide_share": "0.1",
         "spread_tol": "1e-3",
@@ -92,11 +86,14 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
+# input files a config file names; a relative one lives next to the config file
+_CONFIG_RELATIVE_PATHS = {("materials", "override_file"), ("forcing", "env_csv")}
+
+
 @dataclass(frozen=True)
 class CalibrationSettings:
     bounds: tuple[float, float]
     budget: int
-    tie_dw_ds: bool
     weighting: str
     oxide_share: float
     spread_tol: float
@@ -118,8 +115,7 @@ def load_settings(path=None) -> configparser.ConfigParser:
             for key, value in seen.items(section):
                 if key not in DEFAULTS[section]:
                     raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-                if (section, key) == ("materials", "override_file") and value.strip():
-                    # a relative override file lives next to the config file
+                if (section, key) in _CONFIG_RELATIVE_PATHS and value.strip():
                     value = str(Path(path).parent / value.strip())
                 cp.set(section, key, value)
     return cp
@@ -132,43 +128,34 @@ def _materials_from(cp) -> MaterialTable:
     return DEFAULT_MATERIALS
 
 
-def _chamber_values(cp) -> tuple[float, float, float]:
+def _chamber_values(cp) -> tuple[float, float]:
     so2 = so2_concentration(cp.getfloat("forcing", "so2_ppm"), "ppm",
                             temp_c=cp.getfloat("forcing", "temp_c"))
-    water = actual_vapor_density(cp.getfloat("forcing", "temp_c"),
-                                 cp.getfloat("forcing", "rh_percent"))
     oxygen = cp.getfloat("forcing", "oxygen_gcm3")
-    return so2, water, oxygen
+    return so2, oxygen
 
 
 def _scales_from(cp) -> Scales:
-    so2, _, oxygen = _chamber_values(cp)
+    so2, oxygen = _chamber_values(cp)
     s_r = cp.get("scales", "s_r_gcm3").strip()
-    w_r = cp.get("scales", "w_r_gcm3").strip()
     o_r = cp.get("scales", "o_r_gcm3").strip()
     s_r_v = float(s_r) if s_r else so2
-    # W reference is the saturation density at chamber temperature
-    w_r_v = float(w_r) if w_r else actual_vapor_density(
-        cp.getfloat("forcing", "temp_c"), 100.0)
     o_r_v = float(o_r) if o_r else oxygen
     return Scales(lam=cp.getfloat("scales", "lambda_cm"),
                   t_r=cp.getfloat("scales", "t_r_s"),
-                  s_r=s_r_v, w_r=w_r_v, o_r=o_r_v, g_r=o_r_v)
+                  s_r=s_r_v, o_r=o_r_v, g_r=o_r_v)
 
 
 def _forcing_from(cp, mode: str | None = None, env_csv=None) -> Forcing:
     mode = mode or cp.get("forcing", "mode").strip()
-    so2, water, oxygen = _chamber_values(cp)
+    so2, oxygen = _chamber_values(cp)
     if mode == "chamber":
-        return constant_chamber_forcing(so2, water, oxygen)
+        return constant_chamber_forcing(so2, oxygen)
     if mode == "cycles":
-        dry_water = actual_vapor_density(cp.getfloat("forcing", "dry_temp_c"),
-                                         cp.getfloat("forcing", "dry_rh_percent"))
-        return cycle_forcing(so2, water, oxygen,
+        return cycle_forcing(so2, oxygen,
                              wet_hours=cp.getfloat("forcing", "wet_hours"),
                              dry_hours=cp.getfloat("forcing", "dry_hours"),
-                             dry_so2=cp.getfloat("forcing", "dry_so2_gcm3"),
-                             dry_water=dry_water)
+                             dry_so2=cp.getfloat("forcing", "dry_so2_gcm3"))
     if mode == "timeseries":
         path = env_csv or cp.get("forcing", "env_csv").strip()
         if not path:
@@ -191,7 +178,6 @@ def build_simulation_config(cp, *, forcing_mode: str | None = None,
             d_g=cp.getfloat("diffusivities", "d_g"),
             d_s=cp.getfloat("diffusivities", "d_s"),
             d_o=cp.getfloat("diffusivities", "d_o"),
-            d_w=cp.getfloat("diffusivities", "d_w"),
         ),
         materials=_materials_from(cp),
         forcing=_forcing_from(cp, forcing_mode, env_csv),
@@ -210,13 +196,11 @@ def build_simulation_config(cp, *, forcing_mode: str | None = None,
     )
 
 
-def build_calibration_settings(cp, tie_dw_ds: bool | None = None) -> CalibrationSettings:
-    tie = cp.getboolean("calibration", "tie_dw_ds") if tie_dw_ds is None else tie_dw_ds
+def build_calibration_settings(cp) -> CalibrationSettings:
     return CalibrationSettings(
         bounds=(cp.getfloat("calibration", "bounds_low"),
                 cp.getfloat("calibration", "bounds_high")),
         budget=cp.getint("calibration", "budget"),
-        tie_dw_ds=tie,
         weighting=cp.get("calibration", "weighting").strip(),
         oxide_share=cp.getfloat("calibration", "oxide_share"),
         spread_tol=cp.getfloat("calibration", "spread_tol"),
@@ -227,19 +211,18 @@ def resolved_config_dict(cfg: SimulationConfig) -> dict:
     """Fully materialized configuration for the run manifest."""
     return {
         "scales": {"lambda_cm": cfg.scales.lam, "t_r_s": cfg.scales.t_r,
-                   "s_r_gcm3": cfg.scales.s_r, "w_r_gcm3": cfg.scales.w_r,
-                   "o_r_gcm3": cfg.scales.o_r, "g_r_gcm3": cfg.scales.g_r},
+                   "s_r_gcm3": cfg.scales.s_r, "o_r_gcm3": cfg.scales.o_r,
+                   "g_r_gcm3": cfg.scales.g_r},
         "diffusivities": {"d_g": cfg.diffusivities.d_g, "d_s": cfg.diffusivities.d_s,
-                          "d_o": cfg.diffusivities.d_o, "d_w": cfg.diffusivities.d_w},
+                          "d_o": cfg.diffusivities.d_o},
         "materials": {name: getattr(cfg.materials, name)
                       for name in ("rho_c", "M_c", "rho_p", "M_p", "rho_b", "M_b",
-                                   "rho_s", "M_s", "M_w", "M_o", "n_b", "n_p")},
+                                   "rho_s", "M_s", "M_o", "n_b", "n_p")},
         "forcing": {"mode": cfg.forcing.mode,
                     "samples": int(cfg.forcing.times.size),
                     "wet_hours": cfg.forcing.wet_hours,
                     "dry_hours": cfg.forcing.dry_hours,
-                    "dry_so2": cfg.forcing.dry_so2,
-                    "dry_water": cfg.forcing.dry_water},
+                    "dry_so2": cfg.forcing.dry_so2},
         "grid": {"n_z": cfg.n_z, "n_y": cfg.n_y},
         "seeds": {"a0": cfg.a0, "b0": cfg.b0},
         "time": {"dt_max": cfg.dt_max, "cfl_target": cfg.cfl_target,

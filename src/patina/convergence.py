@@ -85,11 +85,11 @@ def _frozen_model(n_z: int, n_y: int, d: Diffusivities,
     """Model with inert interfaces (zero Stefan constants, zero forcing)."""
     return NondimModel(
         d_hat=d,
-        sc=StefanConstants(0.0, 0.0, 0.0, 0.0),
+        sc=StefanConstants(0.0, 0.0, 0.0),
         sw=SwellingRatios(0.0, 0.0),
         n_z=n_z,
         n_y=n_y,
-        forcing_hat=lambda tau: (0.0, 0.0, 0.0),
+        forcing_hat=lambda tau: (0.0, 0.0),
         scheme=scheme,
     )
 
@@ -105,10 +105,9 @@ def diffusion_mode_relative_error(n: int = 100, dt: float = 1e-4,
                                   d_hat: float = 1.0) -> float:
     """Relative amplitude error of sin(pi z) decay under pure diffusion."""
     z = np.linspace(0.0, 1.0, n + 1)
-    fields = LayerFields(S=np.sin(np.pi * z), W=np.zeros(n + 1),
-                         O=np.zeros(n + 1), G=np.zeros(n + 1))
+    fields = LayerFields(S=np.sin(np.pi * z), O=np.zeros(n + 1), G=np.zeros(n + 1))
     tiny = 1e-30  # effectively switch diffusion off for the bystander species
-    model = _frozen_model(n, n, Diffusivities(tiny, d_hat, tiny, tiny))
+    model = _frozen_model(n, n, Diffusivities(tiny, d_hat, tiny))
     fronts = _unit_width_fronts()
     counters = StepCounters()
     steps = round(tau_end / dt)
@@ -128,9 +127,8 @@ def _advect_bump(n: int, scheme: str, tau_end: float = 0.4,
     z = np.linspace(0.0, 1.0, n + 1)
     bump = np.exp(-(((z - 0.6) / 0.1) ** 2))
     tiny = 1e-30
-    fields = LayerFields(S=bump, W=np.zeros(n + 1), O=np.zeros(n + 1),
-                         G=np.zeros(n + 1))
-    model = _frozen_model(n, n, Diffusivities(tiny, tiny, tiny, tiny), scheme)
+    fields = LayerFields(S=bump, O=np.zeros(n + 1), G=np.zeros(n + 1))
+    model = _frozen_model(n, n, Diffusivities(tiny, tiny, tiny), scheme)
     # gamma_dot - beta_dot = -1 over unit width gives c(z) = -z
     fronts = _unit_width_fronts(gamma_dot=-1.0, beta_dot=0.0)
     counters = StepCounters()

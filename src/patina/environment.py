@@ -1,4 +1,4 @@
-"""Boundary forcing: SO2, water vapor and oxygen concentrations at the patina surface.
+"""Boundary forcing: SO2 and oxygen concentrations at the patina surface.
 
 Three sources are supported:
 
@@ -7,16 +7,16 @@ Three sources are supported:
 * ``time-series``: hourly environmental monitoring data (SO2 in ug/m3,
   temperature in C, relative humidity in percent) converted to g/cm3.
 
-Water vapor content comes from the saturated-vapor-density polynomial fit
-(valid 0-45 C) scaled by relative humidity; SO2 from the ideal gas law when
-given in ppm, or a straight unit conversion when given in ug/m3.
+SO2 comes from the ideal gas law when given in ppm, or a straight unit
+conversion when given in ug/m3.  Water takes no part in the front motion,
+so the temperature and humidity columns of monitoring data are validated
+but feed no boundary value.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +27,6 @@ __all__ = [
     "Forcing",
     "EnvSample",
     "AMBIENT_OXYGEN",
-    "saturated_vapor_density",
-    "actual_vapor_density",
     "so2_concentration",
     "constant_chamber_forcing",
     "cycle_forcing",
@@ -42,35 +40,6 @@ STANDARD_PRESSURE = 101325.0        # Pa
 
 # O2 mass per unit air volume near 40 C (ideal gas, 23% by mass), g/cm3.
 AMBIENT_OXYGEN = 2.6e-4
-
-# Empirical cubic fit of the saturated vapor density curve, g/m3 for T in C.
-SVD_COEFFS = (5.018, 0.32321, 8.1847e-3, 3.1243e-4)
-SVD_VALID_RANGE = (0.0, 45.0)
-
-
-def saturated_vapor_density(temp_c: float) -> float:
-    """Saturated water-vapor density in g/m3 at temperature ``temp_c`` (C).
-
-    The cubic fit is a good approximation between 0 and 45 C; outside that
-    range it is still evaluated but a warning is emitted.
-    """
-    lo, hi = SVD_VALID_RANGE
-    if not (lo <= temp_c <= hi):
-        warnings.warn(
-            f"saturated_vapor_density fit evaluated outside its {lo}-{hi} C "
-            f"validity range (T = {temp_c} C)",
-            stacklevel=2,
-        )
-    c0, c1, c2, c3 = SVD_COEFFS
-    return c0 + c1 * temp_c + c2 * temp_c**2 + c3 * temp_c**3
-
-
-def actual_vapor_density(temp_c: float, rh_percent: float) -> float:
-    """Water-vapor mass concentration in g/cm3 from temperature and RH."""
-    if not (0.0 <= rh_percent <= 100.0):
-        raise ValueError(f"relative humidity must lie in [0, 100], got {rh_percent}")
-    # SVD is in g/m3; 1 g/m3 = 1e-6 g/cm3.
-    return (rh_percent / 100.0) * saturated_vapor_density(temp_c) * 1e-6
 
 
 def so2_concentration(value: float, unit: str, temp_c: float = 25.0,
@@ -114,36 +83,34 @@ class EnvSample:
 class Forcing:
     """Time-dependent boundary concentrations, all in g/cm3, times in hours.
 
-    ``samples`` holds (time, so2, water, oxygen) rows as four parallel
-    arrays.  Constant-chamber forcing is a single row; cycle-schedule keeps
-    the wet-phase values in that row and switches to (dry_so2, dry_water)
-    during the dry phase; time-series mode interpolates linearly and clamps
-    to the first/last row outside the sampled range.
+    The samples are (time, so2, oxygen) rows held as three parallel arrays.
+    Constant-chamber forcing is a single row; cycle-schedule keeps the
+    wet-phase values in that row and switches to ``dry_so2`` during the dry
+    phase; time-series mode interpolates linearly and clamps to the
+    first/last row outside the sampled range.
     """
 
     mode: str
     times: np.ndarray
     so2: np.ndarray
-    water: np.ndarray
     oxygen: np.ndarray
     wet_hours: float = 0.0
     dry_hours: float = 0.0
     dry_so2: float = 0.0
-    dry_water: float = 0.0
 
     def __post_init__(self):
         if self.mode not in ("constant-chamber", "cycle-schedule", "time-series"):
             raise ValueError(f"unknown forcing mode {self.mode!r}")
-        for name in ("times", "so2", "water", "oxygen"):
+        for name in ("times", "so2", "oxygen"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.times.size
         if n == 0:
             raise ValueError("no samples")
-        if any(arr.size != n for arr in (self.so2, self.water, self.oxygen)):
+        if any(arr.size != n for arr in (self.so2, self.oxygen)):
             raise ValueError("sample arrays must have equal length")
         if n > 1 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError("non-monotone time")
-        for name in ("so2", "water", "oxygen"):
+        for name in ("so2", "oxygen"):
             if np.any(getattr(self, name) < 0.0):
                 raise ValueError(f"negative {name} concentration in samples")
         if self.mode == "cycle-schedule":
@@ -151,39 +118,33 @@ class Forcing:
                 raise ValueError("wet_hours must be positive in cycle-schedule mode")
             if self.dry_hours < 0.0:
                 raise ValueError("dry_hours must be non-negative")
-        if self.dry_so2 < 0.0 or self.dry_water < 0.0:
+        if self.dry_so2 < 0.0:
             raise ValueError("dry-phase concentrations must be non-negative")
 
 
-def constant_chamber_forcing(so2: float, water: float,
-                             oxygen: float = AMBIENT_OXYGEN) -> Forcing:
+def constant_chamber_forcing(so2: float, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
     """Fixed chamber concentrations (g/cm3)."""
-    return Forcing("constant-chamber", [0.0], [so2], [water], [oxygen])
+    return Forcing("constant-chamber", [0.0], [so2], [oxygen])
 
 
-def cycle_forcing(wet_so2: float, wet_water: float, oxygen: float = AMBIENT_OXYGEN,
+def cycle_forcing(wet_so2: float, oxygen: float = AMBIENT_OXYGEN,
                   wet_hours: float = 8.0, dry_hours: float = 16.0,
-                  dry_so2: float = 0.0, dry_water: float | None = None) -> Forcing:
-    """Wet/dry cycling: chamber values for ``wet_hours``, room values after.
+                  dry_so2: float = 0.0) -> Forcing:
+    """Wet/dry cycling: chamber SO2 for ``wet_hours``, room SO2 after.
 
-    Room defaults: no SO2, water vapor at 25 C and 50% RH.  Oxygen is the
-    same in both phases.
+    The room default is no SO2.  Oxygen is the same in both phases.
     """
-    if dry_water is None:
-        dry_water = actual_vapor_density(25.0, 50.0)
-    return Forcing("cycle-schedule", [0.0], [wet_so2], [wet_water], [oxygen],
-                   wet_hours=wet_hours, dry_hours=dry_hours,
-                   dry_so2=dry_so2, dry_water=dry_water)
+    return Forcing("cycle-schedule", [0.0], [wet_so2], [oxygen],
+                   wet_hours=wet_hours, dry_hours=dry_hours, dry_so2=dry_so2)
 
 
 def timeseries_forcing(samples: list[EnvSample],
                        oxygen: float = AMBIENT_OXYGEN) -> Forcing:
-    """Forcing from environmental samples; SO2 and water converted to g/cm3."""
+    """Forcing from environmental samples; SO2 converted to g/cm3."""
     times = [s.time_hours for s in samples]
     so2 = [so2_concentration(s.so2_ugm3, "ugm3") for s in samples]
-    water = [actual_vapor_density(s.temp_c, s.rh_percent) for s in samples]
     oxy = [oxygen] * len(samples)
-    return Forcing("time-series", times, so2, water, oxy)
+    return Forcing("time-series", times, so2, oxy)
 
 
 TIMESERIES_HEADER = ("time_hours", "so2_ugm3", "temp_c", "rh_percent")
@@ -231,19 +192,18 @@ def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
     return timeseries_forcing(samples, oxygen=oxygen)
 
 
-def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float, float]:
-    """Boundary (SO2, water, oxygen) in g/cm3 at time ``t_hours``."""
+def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float]:
+    """Boundary (SO2, oxygen) in g/cm3 at time ``t_hours``."""
     if forcing.mode == "constant-chamber":
-        return float(forcing.so2[0]), float(forcing.water[0]), float(forcing.oxygen[0])
+        return float(forcing.so2[0]), float(forcing.oxygen[0])
     if forcing.mode == "cycle-schedule":
         period = forcing.wet_hours + forcing.dry_hours
         phase = t_hours % period if period > 0.0 else 0.0
         oxy = float(forcing.oxygen[0])
         if phase < forcing.wet_hours:
-            return float(forcing.so2[0]), float(forcing.water[0]), oxy
-        return forcing.dry_so2, forcing.dry_water, oxy
+            return float(forcing.so2[0]), oxy
+        return forcing.dry_so2, oxy
     # time-series: linear interpolation, clamped at the endpoints
     s = float(np.interp(t_hours, forcing.times, forcing.so2))
-    w = float(np.interp(t_hours, forcing.times, forcing.water))
     o = float(np.interp(t_hours, forcing.times, forcing.oxygen))
-    return s, w, o
+    return s, o

@@ -8,10 +8,10 @@ Two instantaneous reactions drive the patina:
 Consuming a thickness of the parent phase produces a larger thickness of the
 product phase (swelling).  This module houses the material table (mass
 densities in g/cm3, molar masses in g/mol, layer porosities), the two
-swelling ratios, layer-thickness bookkeeping and the per-area mole-balance
-report used as the stoichiometry oracle: for any kinematically consistent
-front state, two copper moles are wasted per cuprite mole formed and two
-cuprite moles are wasted per brochantite mole formed.
+swelling ratios and the per-area mole-balance report used as the
+stoichiometry oracle: for any kinematically consistent front state, two
+copper moles are wasted per cuprite mole formed and two cuprite moles are
+wasted per brochantite mole formed.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ __all__ = [
     "MaterialTable",
     "SwellingRatios",
     "MoleReport",
-    "LayerThicknesses",
     "DEFAULT_MATERIALS",
     "swelling_ratios",
-    "layer_thicknesses",
     "mole_balance",
     "load_material_overrides",
 ]
@@ -37,7 +35,7 @@ class MaterialTable:
     """Densities (g/cm3), molar masses (g/mol) and layer porosities.
 
     Defaults are solid handbook values for copper, cuprite, brochantite and
-    SO2.  Water and O2 molar masses are standard constants.  Porosities
+    SO2.  The O2 molar mass is a standard constant.  Porosities
     default to 1.0 because they pair with the package's calibrated default
     diffusivities, which absorb the pore structure together with the finite
     reaction time.  Intrinsic literature diffusivities need the layer
@@ -54,14 +52,13 @@ class MaterialTable:
     M_b: float = 452.3
     rho_s: float = 1.46     # SO2 (unused by the equations, kept for completeness)
     M_s: float = 64.07
-    M_w: float = 18.015     # water
     M_o: float = 32.00      # O2
     n_b: float = 1.0        # brochantite-layer porosity, in (0, 1]
     n_p: float = 1.0        # cuprite-layer porosity, in (0, 1]
 
     def __post_init__(self):
         for name in ("rho_c", "M_c", "rho_p", "M_p", "rho_b", "M_b",
-                     "rho_s", "M_s", "M_w", "M_o"):
+                     "rho_s", "M_s", "M_o"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"material parameter {name} must be positive, got {value}")
@@ -113,31 +110,12 @@ def swelling_ratios(mat: MaterialTable) -> SwellingRatios:
     )
 
 
-@dataclass(frozen=True)
-class LayerThicknesses:
-    """Cuprite thickness, brochantite thickness and total patina thickness."""
-
-    h_p: float
-    h_b: float
-    total: float
-
-
 def _check_ordering(fs) -> None:
     if not (fs.gamma <= fs.beta <= fs.a):
         raise ValueError(
             f"front ordering gamma <= beta <= a violated: "
             f"gamma={fs.gamma!r} beta={fs.beta!r} a={fs.a!r}"
         )
-
-
-def layer_thicknesses(fs) -> LayerThicknesses:
-    """Layer thicknesses of a front state, in whatever length unit it carries.
-
-    h_p = a - beta (cuprite), h_b = beta - gamma (brochantite),
-    total = a - gamma.  Rejects states violating gamma <= beta <= a.
-    """
-    _check_ordering(fs)
-    return LayerThicknesses(h_p=fs.a - fs.beta, h_b=fs.beta - fs.gamma, total=fs.a - fs.gamma)
 
 
 @dataclass(frozen=True)

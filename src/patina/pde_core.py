@@ -9,16 +9,16 @@ a is the copper consumption depth, b the cuprite consumption; swelling
 pushes the outer surface outward, gamma_dot = -(omega_p*a_dot +
 omega_b*b_dot) and beta = b - omega_p*a.  Each layer is mapped onto a fixed
 unit interval: z in [0,1] spans brochantite (z=0 at gamma, z=1 at beta) and
-carries SO2 (S), water (W) and oxygen (O); y in [0,1] spans cuprite (y=0 at
-beta, y=1 at a) and carries oxygen (G).  The mapping turns front motion into
+carries SO2 (S) and oxygen (O); y in [0,1] spans cuprite (y=0 at beta, y=1
+at a) and carries oxygen (G).  The mapping turns front motion into
 advection with the coefficients q(z) and f(y) below.
 
-Outer species u in {S, W, O}:
+Outer species u in {S, O}:
 
     du/dtau = D/(beta-gamma)^2 u_zz - (gamma_dot/(beta-gamma) + q(z)) u_z
 
-with S(0)=S_a, S(1)=0, W(0)=W_a, O(0)=O_a and Robin conditions at z=1 for W
-and O carrying the reaction sinks.  Inner oxygen:
+with S(0)=S_a, S(1)=0, O(0)=O_a and a Robin condition at z=1 for O carrying
+its reaction sink.  Inner oxygen:
 
     dG/dtau = D_g/(a-beta)^2 G_yy + (omega_p*a_dot/(a-beta) - f(y)) G_y
 
@@ -27,6 +27,9 @@ speeds from one-sided boundary gradients:
 
     b_dot = -Omega_s/(beta-gamma) * S_z(1)
     a_dot = -Omega_g/(a-beta)    * G_y(1)
+
+The brochantite reaction also consumes water, but water enters neither
+Stefan condition nor any other field, so it is not carried.
 
 All quantities here are dimensionless; lengths scale by lambda, time by
 t_r, concentrations by their reference values.
@@ -54,8 +57,7 @@ __all__ = [
     "rescale_coeff_f",
     "outer_advection_coeff",
     "inner_advection_coeff",
-    "outer_split_rhs",
-    "inner_split_rhs",
+    "split_rhs_interior",
     "boundary_gradient",
     "front_velocities",
     "apply_outer_bcs",
@@ -79,12 +81,11 @@ class Scales:
     lam: float
     t_r: float
     s_r: float
-    w_r: float
     o_r: float
     g_r: float
 
     def __post_init__(self):
-        for name in ("lam", "t_r", "s_r", "w_r", "o_r", "g_r"):
+        for name in ("lam", "t_r", "s_r", "o_r", "g_r"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"scale {name} must be positive, got {value}")
@@ -99,10 +100,9 @@ class Diffusivities:
     d_g: float
     d_s: float
     d_o: float
-    d_w: float
 
     def __post_init__(self):
-        for name in ("d_g", "d_s", "d_o", "d_w"):
+        for name in ("d_g", "d_s", "d_o"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"diffusivity {name} must be positive, got {value}")
@@ -111,7 +111,7 @@ class Diffusivities:
         """Non-dimensional forms D_hat = (t_r/lam^2) * D."""
         factor = scales.t_r / scales.lam**2
         return Diffusivities(self.d_g * factor, self.d_s * factor,
-                             self.d_o * factor, self.d_w * factor)
+                             self.d_o * factor)
 
 
 class FrontVelocities(NamedTuple):
@@ -141,8 +141,7 @@ class FrontState:
 
     @classmethod
     def from_consumption(cls, a: float, b: float, sw: SwellingRatios,
-                         a_dot: float = 0.0, b_dot: float = 0.0,
-                         strict: bool = True) -> "FrontState":
+                         a_dot: float = 0.0, b_dot: float = 0.0) -> "FrontState":
         """Kinematically consistent state from the two consumptions."""
         if a < 0.0 or b < 0.0:
             raise ValueError(f"consumptions must be non-negative, got a={a}, b={b}")
@@ -156,19 +155,13 @@ class FrontState:
             beta_dot=b_dot - sw.omega_p * a_dot,
             gamma_dot=-(sw.omega_p * a_dot + sw.omega_b * b_dot),
         )
-        fs.validate(strict=strict)
+        fs.validate()
         return fs
 
-    def validate(self, strict: bool = True) -> None:
-        if strict:
-            if not (self.gamma < self.beta < self.a):
-                raise ValueError(
-                    f"front ordering gamma < beta < a violated: "
-                    f"gamma={self.gamma!r} beta={self.beta!r} a={self.a!r}"
-                )
-        elif not (self.gamma <= self.beta <= self.a):
+    def validate(self) -> None:
+        if not (self.gamma < self.beta < self.a):
             raise ValueError(
-                f"front ordering gamma <= beta <= a violated: "
+                f"front ordering gamma < beta < a violated: "
                 f"gamma={self.gamma!r} beta={self.beta!r} a={self.a!r}"
             )
 
@@ -197,20 +190,19 @@ class FrontState:
 class LayerFields:
     """Gridded non-dimensional concentrations on the two unit intervals.
 
-    S, W, O live on the outer grid (length n_z+1), G on the inner grid
+    S and O live on the outer grid (length n_z+1), G on the inner grid
     (length n_y+1).
     """
 
     S: np.ndarray
-    W: np.ndarray
     O: np.ndarray
     G: np.ndarray
 
     def copy(self) -> "LayerFields":
-        return LayerFields(self.S.copy(), self.W.copy(), self.O.copy(), self.G.copy())
+        return LayerFields(self.S.copy(), self.O.copy(), self.G.copy())
 
     def min_value(self) -> float:
-        return float(min(self.S.min(), self.W.min(), self.O.min(), self.G.min()))
+        return float(min(self.S.min(), self.O.min(), self.G.min()))
 
 
 @dataclass(frozen=True)
@@ -218,13 +210,12 @@ class StefanConstants:
     """Dimensionless groups of the interface conditions.
 
     omega_s drives the cuprite-consumption Stefan condition, omega_g the
-    copper-consumption one; gamma_w and gamma_o are the reaction-sink
-    coefficients of the water and oxygen Robin conditions at beta.
+    copper-consumption one; gamma_o is the reaction-sink coefficient of the
+    oxygen Robin condition at beta.
     """
 
     omega_s: float
     omega_g: float
-    gamma_w: float
     gamma_o: float
 
 
@@ -234,7 +225,6 @@ def stefan_constants(mat: MaterialTable, d_hat: Diffusivities,
     return StefanConstants(
         omega_s=2.0 * mat.n_b * d_hat.d_s * (mat.M_p / mat.M_s) * (scales.s_r / mat.rho_p),
         omega_g=4.0 * mat.n_p * d_hat.d_g * (mat.M_c / mat.M_o) * (scales.g_r / mat.rho_c),
-        gamma_w=1.5 / mat.n_b * (mat.M_w / mat.M_p) * (mat.rho_p / scales.w_r),
         gamma_o=0.75 / mat.n_b * (mat.M_o / mat.M_p) * (mat.rho_p / scales.o_r),
     )
 
@@ -296,7 +286,7 @@ def split_rhs_interior(u: np.ndarray, d_hat: float, width: float, c: np.ndarray,
     """Advection (H) and diffusion (G) right-hand sides at the interior nodes.
 
     ``c`` is the precomputed advection speed on the interior grid; the hot
-    loop shares it across the three outer species.
+    loop shares it across the two outer species.
     """
     if u.ndim != 1 or u.size < 3:
         raise ValueError(f"field must be a 1-D array with at least 3 nodes, got shape {u.shape}")
@@ -305,36 +295,6 @@ def split_rhs_interior(u: np.ndarray, d_hat: float, width: float, c: np.ndarray,
     h = -c * _upwind_gradient(u, c, dx, scheme)
     g = d_hat / (width * dx) ** 2 * (u[2:] - 2.0 * u[1:-1] + u[:-2])
     return h, g
-
-
-def _full(interior: np.ndarray) -> np.ndarray:
-    out = np.zeros(interior.size + 2)
-    out[1:-1] = interior
-    return out
-
-
-def outer_split_rhs(u: np.ndarray, d_hat: float, fs: FrontState, dz: float,
-                    scheme: str = "upwind") -> tuple[np.ndarray, np.ndarray]:
-    """Explicit (advection) and implicit (diffusion) parts for an outer species.
-
-    Returns full-length arrays with zeros in the boundary slots; only
-    interior nodes carry the split right-hand side.
-    """
-    width = _outer_width(fs)
-    z_int = np.arange(1, u.size - 1) * dz
-    c = np.asarray(outer_advection_coeff(z_int, fs))
-    h, g = split_rhs_interior(u, d_hat, width, c, dz, scheme)
-    return _full(h), _full(g)
-
-
-def inner_split_rhs(g_field: np.ndarray, d_hat_g: float, fs: FrontState, dy: float,
-                    omega_p: float, scheme: str = "upwind") -> tuple[np.ndarray, np.ndarray]:
-    """Explicit/implicit split for the inner oxygen field."""
-    width = _inner_width(fs)
-    y_int = np.arange(1, g_field.size - 1) * dy
-    c = np.asarray(inner_advection_coeff(y_int, fs, omega_p))
-    h, g = split_rhs_interior(g_field, d_hat_g, width, c, dy, scheme)
-    return _full(h), _full(g)
 
 
 def boundary_gradient(u: np.ndarray, dx: float) -> float:
@@ -372,8 +332,7 @@ def front_velocities(fields: LayerFields, fs: FrontState, sc: StefanConstants,
 
 
 def _solve_robin_node(u: np.ndarray, d_hat: float, width: float, dz: float,
-                      gamma_dot: float, b_dot: float, sink_coeff: float,
-                      species: str) -> float:
+                      gamma_dot: float, b_dot: float, sink_coeff: float) -> float:
     """Boundary value at z=1 from D/(width) u_z = (gamma_dot - b_dot) u - sink_coeff*b_dot.
 
     The one-sided stencil makes the condition linear in the unknown u[-1]:
@@ -384,7 +343,7 @@ def _solve_robin_node(u: np.ndarray, d_hat: float, width: float, dz: float,
     denom = 3.0 * k - (gamma_dot - b_dot)
     if abs(denom) < 1e-300 or not math.isfinite(denom):
         raise BoundaryConditionError(
-            f"singular Robin coefficient for {species}: dz={dz}, "
+            f"singular Robin coefficient for O: dz={dz}, "
             f"gamma_dot={gamma_dot}, b_dot={b_dot}, k={k}"
         )
     value = (k * (4.0 * u[-2] - u[-3]) - sink_coeff * b_dot) / denom
@@ -392,25 +351,21 @@ def _solve_robin_node(u: np.ndarray, d_hat: float, width: float, dz: float,
 
 
 def apply_outer_bcs(fields: LayerFields, fs: FrontState, d_hat: Diffusivities,
-                    forcing_values: tuple[float, float, float],
+                    forcing_values: tuple[float, float],
                     sc: StefanConstants, dz: float) -> None:
     """Refresh all outer boundary nodes in place.
 
     Dirichlet at z=0 (environment values, already non-dimensional) and
-    S(1)=0; Robin solves for W(1) and O(1) using the current velocities
-    stored in ``fs``.
+    S(1)=0; a Robin solve for O(1) using the current velocities stored in
+    ``fs``.
     """
-    s_a, w_a, o_a = forcing_values
+    s_a, o_a = forcing_values
     fields.S[0] = s_a
-    fields.W[0] = w_a
     fields.O[0] = o_a
     fields.S[-1] = 0.0
 
-    width = _outer_width(fs)
-    fields.W[-1] = _solve_robin_node(fields.W, d_hat.d_w, width, dz,
-                                     fs.gamma_dot, fs.b_dot, sc.gamma_w, "W")
-    fields.O[-1] = _solve_robin_node(fields.O, d_hat.d_o, width, dz,
-                                     fs.gamma_dot, fs.b_dot, sc.gamma_o, "O")
+    fields.O[-1] = _solve_robin_node(fields.O, d_hat.d_o, _outer_width(fs), dz,
+                                     fs.gamma_dot, fs.b_dot, sc.gamma_o)
 
 
 def apply_inner_bcs(fields: LayerFields) -> None:

@@ -9,7 +9,6 @@ report used by the validation gate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ __all__ = [
     "OutputRecord",
     "SimulationOutput",
     "OUTPUT_CSV_HEADER",
-    "nondimensionalize",
-    "redimensionalize",
     "initialize",
     "run",
     "write_output_csv",
@@ -51,20 +48,6 @@ OUTPUT_CSV_HEADER = "t_hours,a_cm,b_cm,beta_cm,gamma_cm,h_p_cm,h_b_cm,total_cm"
 
 class SimulationError(RuntimeError):
     """Solver failure, annotated with the step index and simulated time."""
-
-
-def nondimensionalize(value: float, scale: float) -> float:
-    """value/scale; the scale must be positive."""
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be positive, got {scale}")
-    return value / scale
-
-
-def redimensionalize(value: float, scale: float) -> float:
-    """value*scale; the scale must be positive."""
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be positive, got {scale}")
-    return value * scale
 
 
 @dataclass(frozen=True)
@@ -156,9 +139,9 @@ def _build_model(cfg: SimulationConfig) -> NondimModel:
     forcing = cfg.forcing
     hours_per_tau = scales.t_r / SECONDS_PER_HOUR
 
-    def forcing_hat(tau: float) -> tuple[float, float, float]:
-        s, w, o = forcing_at(forcing, tau * hours_per_tau)
-        return s / scales.s_r, w / scales.w_r, o / scales.o_r
+    def forcing_hat(tau: float) -> tuple[float, float]:
+        s, o = forcing_at(forcing, tau * hours_per_tau)
+        return s / scales.s_r, o / scales.o_r
 
     return NondimModel(d_hat=d_hat, sc=sc, sw=sw, n_z=cfg.n_z, n_y=cfg.n_y,
                        forcing_hat=forcing_hat, scheme=cfg.advection_scheme)
@@ -169,7 +152,7 @@ def initialize(cfg: SimulationConfig) -> tuple[LayerFields, FrontState, NondimMo
 
     Seeds must give a positive initial brochantite layer: a0 > 0 and
     b0 > omega_p*a0 (and b0 < (1+omega_p)*a0 so some cuprite remains).  The
-    SO2 profile starts linear between its boundary values, water and oxygen
+    SO2 profile starts linear between its boundary values, the outer oxygen
     uniform, and the inner oxygen linear from the interface value to zero.
     """
     model = _build_model(cfg)
@@ -184,16 +167,15 @@ def initialize(cfg: SimulationConfig) -> tuple[LayerFields, FrontState, NondimMo
             f"so that beta(0) > 0, got b0 = {cfg.b0}"
         )
 
-    s_a, w_a, o_a = model.forcing_hat(0.0)
+    s_a, o_a = model.forcing_hat(0.0)
     z = np.linspace(0.0, 1.0, cfg.n_z + 1)
     y = np.linspace(0.0, 1.0, cfg.n_y + 1)
     fields = LayerFields(
         S=s_a * (1.0 - z),
-        W=np.full(cfg.n_z + 1, w_a),
         O=np.full(cfg.n_z + 1, o_a),
         G=o_a * (1.0 - y),
     )
-    fronts, _ = refresh_state(fields, fronts, model, (s_a, w_a, o_a))
+    fronts, _ = refresh_state(fields, fronts, model, (s_a, o_a))
     return fields, fronts, model
 
 

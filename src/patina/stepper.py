@@ -130,7 +130,7 @@ class NondimModel:
     sw: SwellingRatios          # swelling ratios used by the front kinematics
     n_z: int
     n_y: int
-    forcing_hat: Callable[[float], tuple[float, float, float]]
+    forcing_hat: Callable[[float], tuple[float, float]]
     scheme: str = "upwind"
 
     @property
@@ -157,10 +157,6 @@ class StepCounters:
     velocity_clamps: int = 0
     field_clamps: int = 0
 
-    def merge(self, other: "StepCounters") -> None:
-        self.velocity_clamps += other.velocity_clamps
-        self.field_clamps += other.field_clamps
-
 
 def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,
               dt_max: float, omega_p: float) -> float:
@@ -170,7 +166,7 @@ def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,
     the inner speed is linear in y with endpoint values b_dot/width and
     (1+omega_p)*a_dot/width.
     """
-    fs.validate(strict=True)
+    fs.validate()
     c_outer = abs(fs.gamma_dot - fs.beta_dot) / (fs.beta - fs.gamma)
     c_inner = max(abs(fs.b_dot), (1.0 + omega_p) * abs(fs.a_dot)) / (fs.a - fs.beta)
     dt = dt_max
@@ -184,7 +180,7 @@ def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,
 def _clamp_fields(fields: LayerFields) -> int:
     """Floor negative concentrations at zero; returns how many nodes clipped."""
     clipped = 0
-    for arr in (fields.S, fields.W, fields.O, fields.G):
+    for arr in (fields.S, fields.O, fields.G):
         if arr.min() < 0.0:
             mask = arr < 0.0
             clipped += int(np.count_nonzero(mask))
@@ -193,7 +189,7 @@ def _clamp_fields(fields: LayerFields) -> int:
 
 
 def refresh_state(fields: LayerFields, fs: FrontState, model: NondimModel,
-                  forcing_values: tuple[float, float, float]) -> tuple[FrontState, int]:
+                  forcing_values: tuple[float, float]) -> tuple[FrontState, int]:
     """Re-establish boundary values and velocities after the interior moved.
 
     Order matters: the Dirichlet pins S(1)=0 and G(1)=0 feed the Stefan
@@ -232,10 +228,10 @@ def _implicit_stage_solve(u: np.ndarray, h_int: np.ndarray, half_dt: float,
 
 
 def _explicit_parts(fields: LayerFields, fs: FrontState, model: NondimModel):
-    """Interior advection arrays for all four species.
+    """Interior advection arrays for all three species.
 
     The outer advection speed is species-independent, so it is computed once
-    and shared across S, W and O.
+    and shared by S and O.
     """
     c_out = np.asarray(outer_advection_coeff(model.z_interior, fs))
     c_in = np.asarray(inner_advection_coeff(model.y_interior, fs, model.sw.omega_p))
@@ -243,13 +239,11 @@ def _explicit_parts(fields: LayerFields, fs: FrontState, model: NondimModel):
     width_in = fs.a - fs.beta
     h_s, _ = split_rhs_interior(fields.S, model.d_hat.d_s, width_out, c_out,
                                 model.dz, model.scheme)
-    h_w, _ = split_rhs_interior(fields.W, model.d_hat.d_w, width_out, c_out,
-                                model.dz, model.scheme)
     h_o, _ = split_rhs_interior(fields.O, model.d_hat.d_o, width_out, c_out,
                                 model.dz, model.scheme)
     h_g, _ = split_rhs_interior(fields.G, model.d_hat.d_g, width_in, c_in,
                                 model.dy, model.scheme)
-    return h_s, h_w, h_o, h_g
+    return h_s, h_o, h_g
 
 
 def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: float,
@@ -277,11 +271,9 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
     stage = LayerFields(
         S=_implicit_stage_solve(fields.S, h1[0], half, model.d_hat.d_s, outer_w,
                                 model.dz, forcing_mid[0], 0.0),
-        W=_implicit_stage_solve(fields.W, h1[1], half, model.d_hat.d_w, outer_w,
-                                model.dz, forcing_mid[1], float(fields.W[-1])),
-        O=_implicit_stage_solve(fields.O, h1[2], half, model.d_hat.d_o, outer_w,
-                                model.dz, forcing_mid[2], float(fields.O[-1])),
-        G=_implicit_stage_solve(fields.G, h1[3], half, model.d_hat.d_g, inner_w,
+        O=_implicit_stage_solve(fields.O, h1[1], half, model.d_hat.d_o, outer_w,
+                                model.dz, forcing_mid[1], float(fields.O[-1])),
+        G=_implicit_stage_solve(fields.G, h1[2], half, model.d_hat.d_g, inner_w,
                                 model.dy, float(fields.G[0]), 0.0),
     )
     counters.field_clamps += _clamp_fields(stage)
@@ -291,8 +283,8 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
     # boundary refresh below would amplify any boundary adjustment by the
     # stiff factor dt*D/(width*dx)^2.
     g2 = tuple(2.0 * (s[1:-1] - u[1:-1]) / dt - h
-               for s, u, h in zip((stage.S, stage.W, stage.O, stage.G),
-                                  (fields.S, fields.W, fields.O, fields.G), h1))
+               for s, u, h in zip((stage.S, stage.O, stage.G),
+                                  (fields.S, fields.O, fields.G), h1))
 
     if freeze_fronts:
         fs_mid = fs
@@ -305,13 +297,13 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
     # midpoint geometry, diffusion from the stage identity above.
     h2 = _explicit_parts(stage, fs_mid, model)
     new = fields.copy()
-    for arr, h, g in zip((new.S, new.W, new.O, new.G), h2, g2):
+    for arr, h, g in zip((new.S, new.O, new.G), h2, g2):
         arr[1:-1] += dt * (h + g)
     counters.field_clamps += _clamp_fields(new)
 
     forcing_end = model.forcing_hat(tau + dt)
     if freeze_fronts:
-        new.S[0], new.W[0], new.O[0] = forcing_end
+        new.S[0], new.O[0] = forcing_end
         new.S[-1] = 0.0
         new.G[-1] = 0.0
         return new, fs

@@ -33,7 +33,7 @@ from patina.convergence import (
     refinement_delta,
     scalar_imex_errors,
 )
-from patina.environment import load_timeseries, saturated_vapor_density
+from patina.environment import load_timeseries
 from patina.pde_core import Diffusivities
 from patina.simulation import run
 
@@ -70,8 +70,7 @@ def paper_residual(reference_run, measurements):
 @pytest.fixture(scope="session")
 def calibration(default_cfg, measurements):
     guess = reduced_model_initial_guess(measurements, default_cfg)
-    return calibrate(guess, (1e-10, 1e-3), measurements, default_cfg,
-                     tie_dw_ds=True, budget=200)
+    return calibrate(guess, (1e-10, 1e-3), measurements, default_cfg, budget=200)
 
 
 @pytest.fixture(scope="session")
@@ -191,8 +190,8 @@ def test_criterion6_sqrt_t_growth(calibrated_run):
 
 def _synthetic_year_csv(path):
     # deterministic hourly series: seasonal + daily temperature cycles,
-    # anti-correlated humidity, mildly seasonal SO2; temperatures kept
-    # inside the 0-45 C validity range of the vapor-density fit
+    # anti-correlated humidity, mildly seasonal SO2 (only SO2 reaches the
+    # model; temperature and humidity are validated on reading)
     hours = np.arange(8760)
     day = hours / 24.0
     temp = 12.5 + 8.0 * np.sin(2 * np.pi * (day - 105) / 365.0) \
@@ -211,10 +210,6 @@ def _synthetic_year_csv(path):
 
 def test_criterion7_environment_pipeline(tmp_path_factory, calibrated_cfg,
                                          calibrated_run, sw):
-    svd20 = saturated_vapor_density(20.0)
-    svd40 = saturated_vapor_density(40.0)
-    svd_ok = abs(svd20 - 17.2555) <= 1e-3 and abs(svd40 - 51.0374) <= 1e-3
-
     path = tmp_path_factory.mktemp("env") / "year.csv"
     _synthetic_year_csv(path)
     forcing = load_timeseries(path)
@@ -232,13 +227,12 @@ def test_criterion7_environment_pipeline(tmp_path_factory, calibrated_cfg,
     chamber_rate = (chamber_out.records[-1].h_b_cm
                     - chamber_out.records[0].h_b_cm) / 40.0
     rate_ok = year_rate < chamber_rate
-    ok = svd_ok and wall <= 60.0 and rate_ok
+    ok = wall <= 60.0 and rate_ok
     assert report(7, ok,
-                  f"SVD(20)={svd20:.4f}, SVD(40)={svd40:.4f}; year run "
-                  f"{wall:.1f}s (limit 60s), {out.steps} steps; brochantite "
+                  f"year run {wall:.1f}s (limit 60s), {out.steps} steps; brochantite "
                   f"{year_rate:.3g} vs chamber {chamber_rate:.3g} cm/h")
     assert wall <= 60.0
-    assert rate_ok and svd_ok
+    assert rate_ok
 
 
 def test_criterion8_synthetic_recovery(default_cfg):
@@ -249,21 +243,19 @@ def test_criterion8_synthetic_recovery(default_cfg):
     # identifiability gap below the (d_g, d_s) valley floor.  d_o therefore
     # starts at its true value and gets a prior-scale simplex step, which is
     # what a practitioner does with a parameter the data cannot see.
-    truth = Diffusivities(d_g=5e-10, d_s=5e-6, d_o=1e-5, d_w=5e-6)
+    truth = Diffusivities(d_g=5e-10, d_s=5e-6, d_o=1e-5)
     times = [8.0, 24.0, 40.0]
     preds = predict_total_thickness(truth, default_cfg, times)
     from patina.calibration import ThicknessMeasurement
     synthetic = [ThicknessMeasurement(t, float(p), 0.0)
                  for t, p in zip(times, preds)]
-    initial = Diffusivities(d_g=truth.d_g * 2.0, d_s=truth.d_s * 2.0,
-                            d_o=truth.d_o, d_w=truth.d_w * 2.0)
+    initial = Diffusivities(d_g=truth.d_g * 2.0, d_s=truth.d_s * 2.0, d_o=truth.d_o)
     result = calibrate(initial, (1e-10, 1e-3), synthetic, default_cfg,
-                       tie_dw_ds=True, budget=200,
-                       simplex_steps=(0.25, 0.25, 0.02))
+                       budget=200, simplex_steps=(0.25, 0.25, 0.02))
     fit = result.diffusivities
     details = []
     ok = True
-    for name in ("d_g", "d_s", "d_o", "d_w"):
+    for name in ("d_g", "d_s", "d_o"):
         t = getattr(truth, name)
         f = getattr(fit, name)
         err = abs(math.log10(f) - math.log10(t))

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import patina.calibration
 from patina.calibration import (
     ThicknessMeasurement,
     calibrate,
@@ -118,14 +119,14 @@ def test_reduced_model_guess_is_reasonable(default_cfg, table_measurements):
     guess = reduced_model_initial_guess(table_measurements, default_cfg)
     assert 1e-11 < guess.d_g < 1e-7
     assert 1e-7 < guess.d_s < 1e-4
-    assert guess.d_w == guess.d_s
+    assert guess.d_o == default_cfg.diffusivities.d_o
     r = residual(guess, table_measurements, default_cfg)
     assert r < 3.0
 
 
 class TestCalibrate:
     def test_truth_start_converges_immediately(self, cheap_cfg):
-        truth = Diffusivities(d_g=1e-9, d_s=5e-6, d_o=1e-5, d_w=5e-6)
+        truth = Diffusivities(d_g=1e-9, d_s=5e-6, d_o=1e-5)
         pred = predict_total_thickness(truth, cheap_cfg, [4.0, 8.0])
         meas = [ThicknessMeasurement(4.0, float(pred[0]), 0.0),
                 ThicknessMeasurement(8.0, float(pred[1]), 0.0)]
@@ -146,21 +147,35 @@ class TestCalibrate:
         res = calibrate(cheap_cfg.diffusivities, (1e-10, 1e-3), meas,
                         cheap_cfg, budget=25)
         for v in (res.diffusivities.d_g, res.diffusivities.d_s,
-                  res.diffusivities.d_o, res.diffusivities.d_w):
+                  res.diffusivities.d_o):
             assert 1e-10 <= v <= 1e-3
 
-    def test_tie_mode_links_dw_to_ds(self, cheap_cfg):
-        meas = [ThicknessMeasurement(8.0, 9e-4, 1e-4)]
+    def test_one_run_per_evaluation(self, cheap_cfg, monkeypatch):
+        runs = []
+        real_run = patina.calibration.run
+
+        def counting_run(cfg):
+            runs.append(cfg.diffusivities)
+            return real_run(cfg)
+
+        monkeypatch.setattr(patina.calibration, "run", counting_run)
+        meas = [ThicknessMeasurement(4.0, 3e-4, 1e-4),
+                ThicknessMeasurement(8.0, 5e-4, 1e-4)]
         res = calibrate(cheap_cfg.diffusivities, (1e-10, 1e-3), meas,
-                        cheap_cfg, tie_dw_ds=True, budget=20)
-        assert res.diffusivities.d_w == res.diffusivities.d_s
+                        cheap_cfg, budget=15)
+        assert len(runs) == res.evaluations
+        # the kept run is the reported point's: a fresh run repeats it
+        fresh = predict_total_thickness(res.diffusivities, cheap_cfg, res.times_hours)
+        assert res.predicted_cm == tuple(float(p) for p in fresh)
+        assert res.residual == residual(res.diffusivities, meas, cheap_cfg)
+        assert res.output.records[-1].t_hours == pytest.approx(8.0)
 
     def test_rejects_bad_inputs(self, cheap_cfg):
         meas = [ThicknessMeasurement(8.0, 9e-4, 1e-4)]
         with pytest.raises(ValueError, match="bounds"):
             calibrate(cheap_cfg.diffusivities, (1e-3, 1e-10), meas, cheap_cfg)
         with pytest.raises(ValueError, match="outside bounds"):
-            calibrate(Diffusivities(1e-20, 1e-6, 1e-6, 1e-6), (1e-10, 1e-3),
+            calibrate(Diffusivities(1e-20, 1e-6, 1e-6), (1e-10, 1e-3),
                       meas, cheap_cfg)
         with pytest.raises(ValueError, match="non-empty"):
             calibrate(cheap_cfg.diffusivities, (1e-10, 1e-3), [], cheap_cfg)

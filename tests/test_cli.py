@@ -128,8 +128,8 @@ def test_validate_detects_broken_swelling(tmp_path, capsys):
 def test_validate_no_growth(tmp_path, capsys):
     cfgfile = tmp_path / "still.ini"
     cfgfile.write_text(
-        "[scales]\ns_r_gcm3 = 4.99e-7\nw_r_gcm3 = 5.1e-5\no_r_gcm3 = 2.6e-4\n"
-        "[forcing]\nso2_ppm = 0\nrh_percent = 0\noxygen_gcm3 = 0\n"
+        "[scales]\ns_r_gcm3 = 4.99e-7\no_r_gcm3 = 2.6e-4\n"
+        "[forcing]\nso2_ppm = 0\noxygen_gcm3 = 0\n"
     )
     code = run_main(["validate", "--config", str(cfgfile), "--chamber",
                      "--horizon-hours", "1"])
@@ -152,3 +152,46 @@ def test_unknown_config_key(tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("diffusivities", "d_w"), ("scales", "w_r_gcm3"), ("forcing", "rh_percent"),
+    ("forcing", "dry_temp_c"), ("forcing", "dry_rh_percent"),
+    ("calibration", "tie_dw_ds"),
+])
+def test_removed_water_keys_are_unknown(tmp_path, capsys, section, key):
+    cfgfile = tmp_path / "old.ini"
+    cfgfile.write_text(f"[{section}]\n{key} = 1\n")
+    code = run_main(["simulate", "--chamber", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_manifest_digests_follow_the_override_file(tmp_path):
+    mat = tmp_path / "mat.txt"
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[materials]\noverride_file = mat.txt\n")
+    digests = []
+    for n_b in ("0.5", "0.6"):
+        mat.write_text(f"n_b = {n_b}\n")
+        out = tmp_path / f"o{n_b}"
+        assert run_main(["simulate", "--chamber", "--horizon-hours", "0.1",
+                         "--config", str(cfgfile), "--out", str(out)]) == 0
+        digests.append(json.loads((out / "manifest.json").read_text())["input_digests"])
+    assert set(digests[0]) == {str(cfgfile), str(mat)}
+    assert digests[0][str(cfgfile)] == digests[1][str(cfgfile)]
+    assert digests[0][str(mat)] != digests[1][str(mat)]
+
+
+def test_manifest_digests_include_a_config_named_env_csv(tmp_path):
+    env = tmp_path / "env.csv"
+    env.write_text("time_hours,so2_ugm3,temp_c,rh_percent\n0,10,20,60\n1,10,20,60\n")
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[forcing]\nmode = timeseries\nenv_csv = env.csv\n")
+    out = tmp_path / "o"
+    assert run_main(["simulate", "--horizon-hours", "1", "--config", str(cfgfile),
+                     "--out", str(out)]) == 0
+    digests = json.loads((out / "manifest.json").read_text())["input_digests"]
+    assert set(digests) == {str(cfgfile), str(env)}
+

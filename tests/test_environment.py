@@ -5,47 +5,13 @@ from hypothesis import given, strategies as st
 from patina.environment import (
     EnvSample,
     Forcing,
-    actual_vapor_density,
     constant_chamber_forcing,
     cycle_forcing,
     forcing_at,
     load_timeseries,
-    saturated_vapor_density,
     so2_concentration,
     timeseries_forcing,
 )
-
-
-def test_svd_polynomial_values():
-    assert saturated_vapor_density(0.0) == pytest.approx(5.018, abs=1e-12)
-    assert saturated_vapor_density(20.0) == pytest.approx(17.2555, abs=1e-3)
-    assert saturated_vapor_density(40.0) == pytest.approx(51.0374, abs=1e-3)
-
-
-def test_svd_warns_outside_fit_range():
-    with pytest.warns(UserWarning):
-        saturated_vapor_density(-5.0)
-    with pytest.warns(UserWarning):
-        saturated_vapor_density(50.0)
-
-
-def test_svd_strictly_increasing_on_fit_range():
-    t = np.arange(0.0, 45.0 + 1e-9, 0.1)
-    v = np.array([saturated_vapor_density(x) for x in t])
-    assert np.all(np.diff(v) > 0.0)
-
-
-def test_actual_vapor_density_values():
-    assert actual_vapor_density(20.0, 0.0) == 0.0
-    assert actual_vapor_density(20.0, 100.0) == pytest.approx(1.72555e-5, abs=1e-9)
-    assert actual_vapor_density(40.0, 50.0) == pytest.approx(2.5519e-5, abs=1e-9)
-
-
-def test_actual_vapor_density_rejects_bad_rh():
-    with pytest.raises(ValueError):
-        actual_vapor_density(20.0, -1.0)
-    with pytest.raises(ValueError):
-        actual_vapor_density(20.0, 101.0)
 
 
 def test_so2_conversions():
@@ -66,31 +32,30 @@ def test_so2_rejects_bad_input():
 
 
 def test_constant_chamber_forcing():
-    f = constant_chamber_forcing(4.99e-7, 5.1e-5, 2.6e-4)
+    f = constant_chamber_forcing(4.99e-7, 2.6e-4)
     for t in (0.0, 3.7, 1000.0):
-        assert forcing_at(f, t) == (4.99e-7, 5.1e-5, 2.6e-4)
+        assert forcing_at(f, t) == (4.99e-7, 2.6e-4)
 
 
 def test_cycle_forcing_phases():
-    f = cycle_forcing(4.99e-7, 5.1e-5, 2.6e-4, wet_hours=8.0, dry_hours=16.0)
+    f = cycle_forcing(4.99e-7, 2.6e-4, wet_hours=8.0, dry_hours=16.0)
     # 24 h period: t = 8.5 falls in the first dry phase, 24.5 in the next wet
-    s, w, o = forcing_at(f, 8.5)
-    assert s == f.dry_so2 and w == f.dry_water and o == 2.6e-4
-    s, w, o = forcing_at(f, 24.5)
-    assert s == 4.99e-7 and w == 5.1e-5
-    s, _, _ = forcing_at(f, 7.999)
+    s, o = forcing_at(f, 8.5)
+    assert s == f.dry_so2 == 0.0 and o == 2.6e-4
+    s, o = forcing_at(f, 24.5)
+    assert s == 4.99e-7 and o == 2.6e-4
+    s, _ = forcing_at(f, 7.999)
     assert s == 4.99e-7
 
 
 def test_cycle_forcing_validation():
     with pytest.raises(ValueError, match="wet_hours"):
-        Forcing("cycle-schedule", [0.0], [1e-7], [1e-5], [2.6e-4],
+        Forcing("cycle-schedule", [0.0], [1e-7], [2.6e-4],
                 wet_hours=0.0, dry_hours=16.0)
 
 
 def test_timeseries_interpolation_and_clamping():
-    f = Forcing("time-series", [0.0, 2.0], [0.0, 4e-7], [1e-5, 1e-5],
-                [2.6e-4, 2.6e-4])
+    f = Forcing("time-series", [0.0, 2.0], [0.0, 4e-7], [2.6e-4, 2.6e-4])
     assert forcing_at(f, 1.0)[0] == pytest.approx(2e-7, rel=1e-12)
     # exact at sample times, clamped outside
     assert forcing_at(f, 0.0)[0] == 0.0
@@ -100,19 +65,21 @@ def test_timeseries_interpolation_and_clamping():
 
 def test_forcing_validation():
     with pytest.raises(ValueError, match="non-monotone"):
-        Forcing("time-series", [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+        Forcing("time-series", [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError, match="negative"):
-        Forcing("time-series", [0.0], [-1e-9], [0.0], [0.0])
+        Forcing("time-series", [0.0], [-1e-9], [0.0])
     with pytest.raises(ValueError, match="no samples"):
-        Forcing("constant-chamber", [], [], [], [])
+        Forcing("constant-chamber", [], [], [])
     with pytest.raises(ValueError, match="mode"):
-        Forcing("weekly", [0.0], [0.0], [0.0], [0.0])
+        Forcing("weekly", [0.0], [0.0], [0.0])
+    with pytest.raises(ValueError, match="equal length"):
+        Forcing("time-series", [0.0, 1.0], [0.0, 0.0], [0.0])
 
 
 @given(t=st.floats(min_value=0.0, max_value=500.0))
 def test_forcing_at_non_negative(t):
     f = Forcing("time-series", [0.0, 10.0, 20.0], [0.0, 4e-7, 1e-7],
-                [1e-5, 2e-5, 0.0], [2.6e-4, 2.6e-4, 2.6e-4])
+                [2.6e-4, 2.6e-4, 0.0])
     assert all(v >= 0.0 for v in forcing_at(f, t))
 
 
@@ -125,9 +92,9 @@ def test_env_sample_validation():
 
 def test_timeseries_forcing_converts_units():
     f = timeseries_forcing([EnvSample(0.0, 10.0, 20.0, 50.0)])
-    s, w, o = forcing_at(f, 0.0)
+    s, o = forcing_at(f, 0.0)
     assert s == pytest.approx(1e-11, rel=1e-12)
-    assert w == pytest.approx(8.6278e-6, abs=1e-10)
+    assert o == 2.6e-4
 
 
 def _write(tmp_path, text):
@@ -142,7 +109,8 @@ def test_load_timeseries_ok(tmp_path):
     f = load_timeseries(p)
     assert f.mode == "time-series"
     assert f.times.size == 2
-    assert forcing_at(f, 0.0)[1] == pytest.approx(8.6278e-6, abs=1e-10)
+    assert forcing_at(f, 0.0)[0] == pytest.approx(1e-11, rel=1e-12)
+    assert forcing_at(f, 1.0)[0] == pytest.approx(1.2e-11, rel=1e-12)
 
 
 def test_load_timeseries_empty(tmp_path):

@@ -7,7 +7,6 @@ from patina.config import build_simulation_config, load_settings
 from patina.materials import (
     DEFAULT_MATERIALS,
     MaterialTable,
-    layer_thicknesses,
     load_material_overrides,
     mole_balance,
     swelling_ratios,
@@ -59,29 +58,6 @@ def test_swelling_scale_invariance(scale):
     ))
     assert scaled.omega_p == pytest.approx(base.omega_p, rel=1e-12)
     assert scaled.omega_b == pytest.approx(base.omega_b, rel=1e-12)
-
-
-def test_layer_thicknesses_final_state(sw):
-    # printed 40 h front positions: a = 3.1693e-4, gamma = -9.505e-4
-    fs = FrontState(a=3.1693e-4, b=5.2879e-4, beta=3.1408e-4, gamma=-9.505e-4)
-    th = layer_thicknesses(fs)
-    assert th.total == pytest.approx(1.26743e-3, abs=1e-8)
-    assert th.h_p >= 0 and th.h_b >= 0
-
-
-def test_layer_thicknesses_degenerate_and_fresh(sw):
-    fs0 = FrontState(a=0.0, b=0.0, beta=0.0, gamma=0.0)
-    th = layer_thicknesses(fs0)
-    assert th.h_p == th.h_b == th.total == 0.0
-    # fresh cuprite only: b = 0 means h_p = (1+omega_p)*a
-    a = 2.5e-4
-    fs = FrontState.from_consumption(a, 0.0, sw, strict=False)
-    assert layer_thicknesses(fs).h_p == pytest.approx((1 + sw.omega_p) * a, rel=1e-12)
-
-
-def test_layer_thicknesses_rejects_bad_ordering():
-    with pytest.raises(ValueError):
-        layer_thicknesses(FrontState(a=1.0, b=0.0, beta=2.0, gamma=0.0))
 
 
 def test_mole_balance_copper_counts(sw):
@@ -139,7 +115,7 @@ def test_mole_balance_ratios_always_two(a, b_frac):
     # any kinematically consistent state honors both 2:1 stoichiometries
     sw = swelling_ratios(DEFAULT_MATERIALS)
     b = b_frac * (1 + sw.omega_p) * a * 0.999  # keep beta < a
-    fs = FrontState.from_consumption(a, b, sw, strict=False)
+    fs = FrontState.from_consumption(a, b, sw)
     rep = mole_balance(fs, DEFAULT_MATERIALS)
     assert rep.ratio_copper_cuprite == pytest.approx(2.0, rel=1e-9)
     if rep.brochantite_formed > 0:
@@ -172,6 +148,18 @@ def test_config_override_file_is_relative_to_config(tmp_path, monkeypatch):
     mat = build_simulation_config(load_settings(cfgfile)).materials
     assert (mat.n_b, mat.n_p) == (0.5, 0.25)
     assert mat.rho_c == DEFAULT_MATERIALS.rho_c
+
+
+def test_config_env_csv_is_relative_to_config(tmp_path, monkeypatch):
+    (tmp_path / "env.csv").write_text("time_hours,so2_ugm3,temp_c,rh_percent\n"
+                                      "0,10,20,50\n1,30,21,55\n")
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[forcing]\nmode = timeseries\nenv_csv = env.csv\n")
+    monkeypatch.chdir(tmp_path.parent)
+    forcing = build_simulation_config(load_settings(cfgfile)).forcing
+    assert forcing.mode == "time-series"
+    assert list(forcing.times) == [0.0, 1.0]
+    assert forcing.so2[1] == pytest.approx(3e-11, rel=1e-12)
 
 
 def test_material_override_rejects_unknown_key(tmp_path):

@@ -17,11 +17,10 @@ from patina.pde_core import (
     boundary_gradient,
     front_velocities,
     inner_advection_coeff,
-    inner_split_rhs,
     outer_advection_coeff,
-    outer_split_rhs,
     rescale_coeff_f,
     rescale_coeff_q,
+    split_rhs_interior,
     stefan_constants,
 )
 
@@ -40,15 +39,15 @@ def synthetic_fronts(a_dot=0.0, b_dot=0.0, beta_dot=0.0, gamma_dot=0.0,
 class TestScalesAndDiffusivities:
     def test_scales_positive(self):
         with pytest.raises(ValueError):
-            Scales(lam=0.0, t_r=1.0, s_r=1.0, w_r=1.0, o_r=1.0, g_r=1.0)
+            Scales(lam=0.0, t_r=1.0, s_r=1.0, o_r=1.0, g_r=1.0)
 
     def test_scales_interface_copy_constraint(self):
         with pytest.raises(ValueError, match="g_r must equal o_r"):
-            Scales(lam=1.0, t_r=1.0, s_r=1.0, w_r=1.0, o_r=1.0, g_r=2.0)
+            Scales(lam=1.0, t_r=1.0, s_r=1.0, o_r=1.0, g_r=2.0)
 
     def test_hatted_diffusivities(self):
-        scales = Scales(lam=1e-4, t_r=3600.0, s_r=1.0, w_r=1.0, o_r=1.0, g_r=1.0)
-        d = Diffusivities(d_g=9.9e-9, d_s=3.96e-5, d_o=9.9e-6, d_w=3.96e-5)
+        scales = Scales(lam=1e-4, t_r=3600.0, s_r=1.0, o_r=1.0, g_r=1.0)
+        d = Diffusivities(d_g=9.9e-9, d_s=3.96e-5, d_o=9.9e-6)
         hat = d.hatted(scales)
         # (t_r / lam^2) * D = (3600 / 1e-8) * 3.96e-5
         assert hat.d_s == pytest.approx(1.4256e7, rel=1e-12)
@@ -56,7 +55,7 @@ class TestScalesAndDiffusivities:
 
     def test_diffusivities_positive(self):
         with pytest.raises(ValueError):
-            Diffusivities(d_g=0.0, d_s=1.0, d_o=1.0, d_w=1.0)
+            Diffusivities(d_g=0.0, d_s=1.0, d_o=1.0)
 
 
 class TestFrontState:
@@ -122,21 +121,34 @@ class TestRescaleCoefficients:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+def outer_rhs(u, d_hat, fs, dz):
+    """Interior (H, G) of an outer species, as the stepper evaluates them."""
+    c = outer_advection_coeff(np.arange(1, u.size - 1) * dz, fs)
+    return split_rhs_interior(u, d_hat, fs.beta - fs.gamma, np.asarray(c), dz, "upwind")
+
+
+def inner_rhs(u, d_hat, fs, dy):
+    """Interior (H, G) of the inner oxygen, as the stepper evaluates them."""
+    c = inner_advection_coeff(np.arange(1, u.size - 1) * dy, fs, SW.omega_p)
+    return split_rhs_interior(u, d_hat, fs.a - fs.beta, np.asarray(c), dy, "upwind")
+
+
 class TestSplitRhs:
+    # arrays hold the interior nodes only: index k is grid node k + 1
     def test_constant_field_gives_zero(self):
         fs = synthetic_fronts(gamma_dot=-0.5, beta_dot=0.2, a_dot=0.1, b_dot=0.3)
         u = np.full(101, 3.5)
-        h, g = outer_split_rhs(u, 2.0, fs, 0.01)
+        h, g = outer_rhs(u, 2.0, fs, 0.01)
         assert np.all(h == 0.0) and np.all(g == 0.0)
-        h, g = inner_split_rhs(u, 2.0, fs, 0.01, SW.omega_p)
+        h, g = inner_rhs(u, 2.0, fs, 0.01)
         assert np.all(h == 0.0) and np.all(g == 0.0)
 
     def test_linear_profile_has_zero_diffusion(self):
         fs = synthetic_fronts()
         z = np.linspace(0, 1, 101)
-        _, g = outer_split_rhs(1.0 - z, 3.0, fs, 0.01)
+        _, g = outer_rhs(1.0 - z, 3.0, fs, 0.01)
         assert np.max(np.abs(g)) < 1e-10
-        _, g = inner_split_rhs(0.7 * z, 3.0, fs, 0.01, SW.omega_p)
+        _, g = inner_rhs(0.7 * z, 3.0, fs, 0.01)
         assert np.max(np.abs(g)) < 1e-10
 
     def test_manufactured_sine_second_derivative(self):
@@ -144,28 +156,29 @@ class TestSplitRhs:
         dz = 1.0 / n
         z = np.linspace(0, 1, n + 1)
         fs = synthetic_fronts()
-        _, g = outer_split_rhs(np.sin(np.pi * z), 1.0, fs, dz)
+        _, g = outer_rhs(np.sin(np.pi * z), 1.0, fs, dz)
         # -pi^2 sin(pi/2) at z = 0.5 within the O(dz^2) stencil error
-        assert g[n // 2] == pytest.approx(-math.pi**2, abs=math.pi**4 * dz**2)
-        _, g = inner_split_rhs(np.sin(np.pi * z), 1.0, fs, dz, SW.omega_p)
-        assert g[n // 2] == pytest.approx(-math.pi**2, abs=math.pi**4 * dz**2)
+        assert g[n // 2 - 1] == pytest.approx(-math.pi**2, abs=math.pi**4 * dz**2)
+        _, g = inner_rhs(np.sin(np.pi * z), 1.0, fs, dz)
+        assert g[n // 2 - 1] == pytest.approx(-math.pi**2, abs=math.pi**4 * dz**2)
 
     def test_upwind_direction_switches_with_sign(self):
         # c < 0 (forward difference) vs c > 0 (backward difference) on a ramp
         u = np.array([0.0, 1.0, 3.0])
         fs_neg = synthetic_fronts(gamma_dot=-1.0)   # c(z) = -z < 0
-        h, _ = outer_split_rhs(u, 1.0, fs_neg, 0.5)
+        h, _ = outer_rhs(u, 1.0, fs_neg, 0.5)
         c = outer_advection_coeff(0.5, fs_neg)
-        assert h[1] == pytest.approx(-c * (u[2] - u[1]) / 0.5)
+        assert h[0] == pytest.approx(-c * (u[2] - u[1]) / 0.5)
         fs_pos = synthetic_fronts(gamma_dot=1.0)    # c(z) = +z > 0
-        h, _ = outer_split_rhs(u, 1.0, fs_pos, 0.5)
+        h, _ = outer_rhs(u, 1.0, fs_pos, 0.5)
         c = outer_advection_coeff(0.5, fs_pos)
-        assert h[1] == pytest.approx(-c * (u[1] - u[0]) / 0.5)
+        assert h[0] == pytest.approx(-c * (u[1] - u[0]) / 0.5)
 
     def test_rejects_tiny_grids(self):
-        fs = synthetic_fronts()
-        with pytest.raises(ValueError):
-            outer_split_rhs(np.array([1.0, 2.0]), 1.0, fs, 0.5)
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            split_rhs_interior(np.array([1.0, 2.0]), 1.0, 1.0, np.zeros(0), 0.5, "upwind")
+        with pytest.raises(ValueError, match="does not match"):
+            split_rhs_interior(np.zeros(5), 1.0, 1.0, np.zeros(4), 0.25, "upwind")
 
 
 class TestBoundaryGradient:
@@ -178,9 +191,8 @@ class TestBoundaryGradient:
         assert boundary_gradient(u, dx) == pytest.approx(exact, abs=1e-9 * (1 + abs(exact)))
 
 
-def _uniform_fields(n, s=0.0, w=1.0, o=1.0, g=0.5):
-    return LayerFields(S=np.full(n + 1, s), W=np.full(n + 1, w),
-                       O=np.full(n + 1, o), G=np.full(n + 1, g))
+def _uniform_fields(n, s=0.0, o=1.0, g=0.5):
+    return LayerFields(S=np.full(n + 1, s), O=np.full(n + 1, o), G=np.full(n + 1, g))
 
 
 class TestFrontVelocities:
@@ -188,7 +200,7 @@ class TestFrontVelocities:
         n = 100
         fields = _uniform_fields(n, s=0.0, g=0.0)
         fs = synthetic_fronts()
-        sc = StefanConstants(1.0, 1.0, 1.0, 1.0)
+        sc = StefanConstants(1.0, 1.0, 1.0)
         vel, clamped = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
         assert vel == (0.0, 0.0, 0.0, 0.0)
         assert clamped == 0
@@ -201,7 +213,7 @@ class TestFrontVelocities:
         fields.S = 1.0 - z
         fields.G = np.zeros(n + 1)
         fs = synthetic_fronts()
-        sc = StefanConstants(1.0, 1.0, 0.0, 0.0)
+        sc = StefanConstants(1.0, 1.0, 0.0)
         vel, _ = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
         assert vel.b_dot == pytest.approx(1.0, rel=1e-12)
         assert vel.a_dot == 0.0
@@ -215,7 +227,7 @@ class TestFrontVelocities:
         fields.S = np.cos(0.5 * np.pi * x)   # positive inside, 0 at x = 1
         fields.G = 1.0 - x**2
         fs = synthetic_fronts()
-        sc = StefanConstants(0.7, 0.3, 0.0, 0.0)
+        sc = StefanConstants(0.7, 0.3, 0.0)
         vel, clamped = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
         assert vel.a_dot > 0 and vel.b_dot > 0
         assert clamped == 0
@@ -227,7 +239,7 @@ class TestFrontVelocities:
         fields.S = x            # rising toward the front: unphysical direction
         fields.G = x
         fs = synthetic_fronts()
-        sc = StefanConstants(1.0, 1.0, 0.0, 0.0)
+        sc = StefanConstants(1.0, 1.0, 0.0)
         vel, clamped = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
         assert vel.a_dot == 0.0 and vel.b_dot == 0.0
         assert clamped == 2
@@ -240,7 +252,7 @@ class TestFrontVelocities:
         fields.S = s_amp * (1 - x) * (1 + 0.3 * x)
         fields.G = g_amp * (1 - x**2)
         fs = synthetic_fronts()
-        sc = StefanConstants(0.9, 0.4, 0.0, 0.0)
+        sc = StefanConstants(0.9, 0.4, 0.0)
         vel, _ = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
         assert abs(vel.gamma_dot + SW.omega_p * vel.a_dot
                    + SW.omega_b * vel.b_dot) <= 1e-12
@@ -250,43 +262,44 @@ class TestOuterBcs:
     def setup_method(self):
         self.n = 100
         self.dz = 1.0 / self.n
-        self.d = Diffusivities(d_g=1.0, d_s=1.0, d_o=2.0, d_w=2.0)
-        self.sc = StefanConstants(1.0, 1.0, 3.5, 1.5)
+        self.d = Diffusivities(d_g=1.0, d_s=1.0, d_o=2.0)
+        self.sc = StefanConstants(1.0, 1.0, 1.5)
 
     def test_dirichlet_and_homogeneous_robin(self):
-        fields = _uniform_fields(self.n, w=1.0, o=1.0)
-        fields.W[-2], fields.W[-3] = 0.9, 0.7
+        fields = _uniform_fields(self.n, o=1.0)
+        fields.O[-2], fields.O[-3] = 0.9, 0.7
         fs = synthetic_fronts()     # all velocities zero
-        apply_outer_bcs(fields, fs, self.d, (0.42, 1.0, 1.0), self.sc, self.dz)
+        apply_outer_bcs(fields, fs, self.d, (0.42, 0.8), self.sc, self.dz)
         assert fields.S[0] == 0.42
+        assert fields.O[0] == 0.8
         assert fields.S[-1] == 0.0
         # zero-velocity Robin reduces to a zero-gradient extrapolation
-        assert fields.W[-1] == pytest.approx((4 * 0.9 - 0.7) / 3.0, rel=1e-12)
+        assert fields.O[-1] == pytest.approx((4 * 0.9 - 0.7) / 3.0, rel=1e-12)
 
     def test_uniform_field_with_matched_velocities(self):
-        # gamma_dot = b_dot = v: the (gamma_dot - b_dot)*W term drops and the
-        # boundary value shifts by the sink alone: W_N = W_a - Gamma_w*v/(3k)
+        # gamma_dot = b_dot = v: the (gamma_dot - b_dot)*O term drops and the
+        # boundary value shifts by the sink alone: O_N = O_a - Gamma_o*v/(3k)
         v = 0.25
-        fields = _uniform_fields(self.n, w=1.0)
+        fields = _uniform_fields(self.n, o=1.0)
         fs = synthetic_fronts(b_dot=v, gamma_dot=v)
-        apply_outer_bcs(fields, fs, self.d, (1.0, 1.0, 1.0), self.sc, self.dz)
-        k = self.d.d_w / (2 * self.dz * (fs.beta - fs.gamma))
-        assert fields.W[-1] == pytest.approx(1.0 - self.sc.gamma_w * v / (3 * k),
+        apply_outer_bcs(fields, fs, self.d, (1.0, 1.0), self.sc, self.dz)
+        k = self.d.d_o / (2 * self.dz * (fs.beta - fs.gamma))
+        assert fields.O[-1] == pytest.approx(1.0 - self.sc.gamma_o * v / (3 * k),
                                              rel=1e-12)
 
     def test_negative_solution_clamped(self):
-        fields = _uniform_fields(self.n, w=1e-9)
+        fields = _uniform_fields(self.n, o=1e-9)
         fs = synthetic_fronts(b_dot=50.0, gamma_dot=-60.0)
-        apply_outer_bcs(fields, fs, self.d, (1.0, 1e-9, 1.0), self.sc, self.dz)
-        assert fields.W[-1] == 0.0
+        apply_outer_bcs(fields, fs, self.d, (1.0, 1e-9), self.sc, self.dz)
+        assert fields.O[-1] == 0.0
 
     def test_singular_robin_reported(self):
         fields = _uniform_fields(self.n)
         # arrange 3k == gamma_dot - b_dot exactly
-        k = self.d.d_w / (2 * self.dz * 1.0)
+        k = self.d.d_o / (2 * self.dz * 1.0)
         fs = synthetic_fronts(gamma_dot=3 * k, b_dot=0.0)
         with pytest.raises(BoundaryConditionError, match="dz"):
-            apply_outer_bcs(fields, fs, self.d, (1.0, 1.0, 1.0), self.sc, self.dz)
+            apply_outer_bcs(fields, fs, self.d, (1.0, 1.0), self.sc, self.dz)
 
     def test_inner_bcs_copy_interface_value(self):
         fields = _uniform_fields(self.n)
@@ -298,10 +311,8 @@ class TestOuterBcs:
 
 def test_stefan_constants_formulas():
     mat = DEFAULT_MATERIALS
-    scales = Scales(lam=1e-4, t_r=3600.0, s_r=4.99e-7, w_r=5.1e-5,
-                    o_r=2.6e-4, g_r=2.6e-4)
-    d_hat = Diffusivities(d_g=9.9e-9, d_s=3.96e-5, d_o=9.9e-6,
-                          d_w=3.96e-5).hatted(scales)
+    scales = Scales(lam=1e-4, t_r=3600.0, s_r=4.99e-7, o_r=2.6e-4, g_r=2.6e-4)
+    d_hat = Diffusivities(d_g=9.9e-9, d_s=3.96e-5, d_o=9.9e-6).hatted(scales)
     sc = stefan_constants(mat, d_hat, scales)
     assert sc.omega_s == pytest.approx(
         2 * mat.n_b * d_hat.d_s * (mat.M_p / mat.M_s) * (scales.s_r / mat.rho_p),
@@ -309,7 +320,5 @@ def test_stefan_constants_formulas():
     assert sc.omega_g == pytest.approx(
         4 * mat.n_p * d_hat.d_g * (mat.M_c / mat.M_o) * (scales.g_r / mat.rho_c),
         rel=1e-15)
-    assert sc.gamma_w == pytest.approx(
-        1.5 / mat.n_b * (mat.M_w / mat.M_p) * (mat.rho_p / scales.w_r), rel=1e-15)
     assert sc.gamma_o == pytest.approx(
         0.75 / mat.n_b * (mat.M_o / mat.M_p) * (mat.rho_p / scales.o_r), rel=1e-15)

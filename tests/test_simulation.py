@@ -8,13 +8,11 @@ from hypothesis import given, strategies as st
 from conftest import assert_output_invariants
 from patina.config import build_simulation_config, load_settings
 from patina.environment import constant_chamber_forcing, cycle_forcing
-from patina.pde_core import Scales
+from patina.pde_core import FrontState, Scales
 from patina.simulation import (
     OUTPUT_CSV_HEADER,
     SimulationError,
     initialize,
-    nondimensionalize,
-    redimensionalize,
     run,
     write_output_csv,
 )
@@ -26,24 +24,34 @@ def short_run(default_cfg):
 
 
 class TestNondimensionalization:
+    # records re-dimensionalize the fronts with FrontState.scaled(lambda)
     @given(x=st.floats(min_value=-1e6, max_value=1e6),
            scale=st.floats(min_value=1e-9, max_value=1e9))
     def test_round_trip(self, x, scale):
-        assert redimensionalize(nondimensionalize(x, scale), scale) == \
-            pytest.approx(x, rel=1e-15, abs=1e-300)
+        fs = FrontState(a=x, b=x, beta=x, gamma=x, a_dot=x, b_dot=x)
+        back = fs.scaled(scale).scaled(1.0 / scale)
+        for name in ("a", "b", "beta", "gamma"):
+            assert getattr(back, name) == pytest.approx(x, rel=1e-15, abs=1e-300)
+        # velocities stay non-dimensional
+        assert (back.a_dot, back.b_dot) == (x, x)
 
-    def test_front_position_example(self):
-        assert nondimensionalize(3.1693e-4, 1e-4) == pytest.approx(3.1693)
+    def test_front_position_example(self, short_run, default_cfg):
+        lam = default_cfg.scales.lam
+        assert FrontState(a=3.1693, b=0.0, beta=0.0, gamma=0.0).scaled(1e-4).a == \
+            pytest.approx(3.1693e-4)
+        for r in short_run.records:
+            assert (r.a_cm, r.b_cm, r.beta_cm, r.gamma_cm) == \
+                (r.a_nd * lam, r.b_nd * lam, r.beta_nd * lam, r.gamma_nd * lam)
 
     def test_diffusivity_rescaling_arithmetic(self):
         # (t_r/lam^2)*D with t_r = 3600 s, lam = 1e-4 cm, D = 3.96e-5 cm2/s
         assert 3600.0 / 1e-4**2 * 3.96e-5 == pytest.approx(1.4256e7, rel=1e-12)
 
     def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
-            nondimensionalize(1.0, 0.0)
-        with pytest.raises(ValueError):
-            redimensionalize(1.0, -1.0)
+        with pytest.raises(ValueError, match="t_r"):
+            Scales(lam=1e-4, t_r=0.0, s_r=1.0, o_r=1.0, g_r=1.0)
+        with pytest.raises(ValueError, match="s_r"):
+            Scales(lam=1e-4, t_r=1.0, s_r=-1.0, o_r=1.0, g_r=1.0)
 
 
 class TestInitialize:
@@ -55,11 +63,11 @@ class TestInitialize:
 
     def test_field_profiles(self, default_cfg):
         fields, fronts, model = initialize(default_cfg)
-        s_a, w_a, o_a = model.forcing_hat(0.0)
+        s_a, o_a = model.forcing_hat(0.0)
         assert fields.S[0] == pytest.approx(s_a)
         assert fields.S[-1] == 0.0
         assert np.all(np.diff(fields.S) < 0)          # linear decay
-        assert fields.W[0] == pytest.approx(w_a)
+        assert fields.O[0] == pytest.approx(o_a)
         assert fields.G[-1] == 0.0
         assert fields.G[0] == fields.O[-1]            # interface handoff
 
@@ -71,7 +79,7 @@ class TestInitialize:
     def test_zero_forcing_zero_so2_field(self, default_cfg):
         scales = default_cfg.scales
         cfg = replace(default_cfg,
-                      forcing=constant_chamber_forcing(0.0, 0.0, 0.0),
+                      forcing=constant_chamber_forcing(0.0, 0.0),
                       scales=scales)
         fields, _, _ = initialize(cfg)
         assert np.all(fields.S == 0.0)
@@ -94,7 +102,7 @@ class TestRun:
 
     def test_zero_forcing_keeps_seeds(self, default_cfg):
         cfg = replace(default_cfg,
-                      forcing=constant_chamber_forcing(0.0, 0.0, 0.0),
+                      forcing=constant_chamber_forcing(0.0, 0.0),
                       horizon_hours=2.0)
         out = run(cfg)
         first, last = out.records[0], out.records[-1]
@@ -106,7 +114,6 @@ class TestRun:
         chamber = default_cfg.forcing
         cfg = replace(default_cfg,
                       forcing=cycle_forcing(float(chamber.so2[0]),
-                                            float(chamber.water[0]),
                                             float(chamber.oxygen[0])),
                       horizon_hours=26.0)
         out = run(cfg)

@@ -144,11 +144,11 @@ class TestScalarScheme:
 def _frozen_setup(n, d_hat_s, gamma_dot=0.0):
     tiny = 1e-30
     model = NondimModel(
-        d_hat=Diffusivities(tiny, d_hat_s, tiny, tiny),
-        sc=StefanConstants(0.0, 0.0, 0.0, 0.0),
+        d_hat=Diffusivities(tiny, d_hat_s, tiny),
+        sc=StefanConstants(0.0, 0.0, 0.0),
         sw=SwellingRatios(0.0, 0.0),
         n_z=n, n_y=n,
-        forcing_hat=lambda tau: (0.0, 0.0, 0.0),
+        forcing_hat=lambda tau: (0.0, 0.0),
     )
     fronts = FrontState(a=2.0, b=1.0, beta=1.0, gamma=0.0, gamma_dot=gamma_dot)
     return model, fronts
@@ -161,8 +161,7 @@ class TestPdeStep:
         z = np.linspace(0, 1, n + 1)
         bump = np.exp(-((z - 0.5) / 0.2) ** 2)
         bump[0] = bump[-1] = 0.0
-        fields = LayerFields(S=bump.copy(), W=np.zeros(n + 1),
-                             O=np.zeros(n + 1), G=np.zeros(n + 1))
+        fields = LayerFields(S=bump.copy(), O=np.zeros(n + 1), G=np.zeros(n + 1))
         new, _ = imex_midpoint_step(fields, fronts, 0.0, 0.05, model,
                                     freeze_fronts=True)
         assert np.allclose(new.S, bump, atol=1e-25)
@@ -175,8 +174,7 @@ class TestPdeStep:
         n = 50
         model, fronts = _frozen_setup(n, 1e6)
         z = np.linspace(0, 1, n + 1)
-        fields = LayerFields(S=np.sin(np.pi * z), W=np.zeros(n + 1),
-                             O=np.zeros(n + 1), G=np.zeros(n + 1))
+        fields = LayerFields(S=np.sin(np.pi * z), O=np.zeros(n + 1), G=np.zeros(n + 1))
         norm0 = np.linalg.norm(fields.S)
         for k in range(5):
             fields, _ = imex_midpoint_step(fields, fronts, 0.0, 10.0, model,
@@ -188,7 +186,7 @@ class TestPdeStep:
     def test_rejects_non_positive_dt(self):
         n = 10
         model, fronts = _frozen_setup(n, 1.0)
-        fields = LayerFields(*(np.zeros(n + 1) for _ in range(4)))
+        fields = LayerFields(*(np.zeros(n + 1) for _ in range(3)))
         with pytest.raises(ValueError):
             imex_midpoint_step(fields, fronts, 0.0, 0.0, model)
 
@@ -201,8 +199,8 @@ class TestPdeStep:
                             scheme="central")
         z = np.linspace(0, 1, n + 1)
         step_profile = np.where(z < 0.5, 1.0, 0.0)
-        fields = LayerFields(S=step_profile.astype(float), W=np.zeros(n + 1),
-                             O=np.zeros(n + 1), G=np.zeros(n + 1))
+        fields = LayerFields(S=step_profile.astype(float), O=np.zeros(n + 1),
+                             G=np.zeros(n + 1))
         counters = StepCounters()
         for _ in range(10):
             fields, _ = imex_midpoint_step(fields, fronts, 0.0, 0.01, model,
