@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Byte-compare the simulation output of the working tree with a git ref.
+"""Byte-compare the outputs of the working tree with those of a git ref.
 
 Usage (from anywhere inside the repository):
 
@@ -14,14 +14,18 @@ in a fresh process that imports patina from its own tree's ``src``:
     year        simulate --env <synthetic year> --horizon-hours 8760
     year-seed1  simulate --env <seeded year> --horizon-hours 8760
     reference   simulate --chamber --config configs/reference_diffusivities.ini
+    calibrate   calibrate --measurements data/thickness_measures.csv
+                          --config perfbench/calibrate.ini     (grid 25)
 
 The synthetic year is the series of scripts/run_year_synthetic.py, the
 seeded year that of the benchmark's year workload at seed 1
 (perfbench/inputs.py); both trees read the same files, written once from
-the working tree.  Each job's simulation.csv is compared byte for byte; for
-a job that differs the first differing line is printed.  Exit code 0 when
-every job matches, 1 when any differs or fails to run.  The reference job
-takes about a minute per tree, the whole comparison a few minutes.
+the working tree.  Each simulate job's simulation.csv and the calibrate
+job's calibration.csv (fitted values, residual, evaluation count and
+predictions) are compared byte for byte; for a job that differs the first
+differing line is printed.  Exit code 0 when every job matches, 1 when any
+differs or fails to run.  The reference and calibrate jobs take up to a
+minute per tree each, the whole comparison a few minutes.
 """
 
 import argparse
@@ -40,6 +44,9 @@ import run_year_synthetic         # noqa: E402
 
 RUN_CLI = "import sys; from patina.cli import run_main; sys.exit(run_main(sys.argv[1:]))"
 
+# the file each command writes that is compared
+COMPARED = {"simulate": "simulation.csv", "calibrate": "calibration.csv"}
+
 
 def jobs(inputs_dir: str) -> dict[str, list[str]]:
     """Job name -> CLI arguments; writes the two year series into ``inputs_dir``."""
@@ -54,11 +61,13 @@ def jobs(inputs_dir: str) -> dict[str, list[str]]:
         "year-seed1": ["simulate", "--env", seeded, "--horizon-hours", "8760"],
         "reference": ["simulate", "--chamber", "--config",
                       "configs/reference_diffusivities.ini"],
+        "calibrate": ["calibrate", "--measurements", "data/thickness_measures.csv",
+                      "--config", "perfbench/calibrate.ini"],
     }
 
 
 def run_job(tree: str, argv: list[str], out: str) -> bytes | None:
-    """simulation.csv of one job run in ``tree``, or None when the job fails."""
+    """The compared output of one job run in ``tree``, or None when the job fails."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv, "--out", out],
@@ -66,7 +75,7 @@ def run_job(tree: str, argv: list[str], out: str) -> bytes | None:
     if proc.returncode != 0:
         print(f"  exit {proc.returncode} in {tree}: {proc.stderr.strip()}")
         return None
-    with open(os.path.join(out, "simulation.csv"), "rb") as fh:
+    with open(os.path.join(out, COMPARED[argv[0]]), "rb") as fh:
         return fh.read()
 
 

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .materials import swelling_ratios
 from .pde_core import Diffusivities, stefan_constants
@@ -269,6 +268,9 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
     simplex = np.tile(x0, (n + 1, 1))
     for k in range(n):
         simplex[k + 1, k] += steps[k]
+
+    # imported here so that loading the package for a plain run skips it
+    from scipy import optimize
 
     result = optimize.minimize(
         objective, x0, method="Nelder-Mead",

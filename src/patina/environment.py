@@ -73,8 +73,9 @@ class EnvSample:
     rh_percent: float
 
     def __post_init__(self):
-        if not math.isfinite(self.time_hours):
-            raise ValueError("sample time must be finite")
+        for name in ("time_hours", "so2_ugm3", "temp_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"sample {name} must be finite, got {getattr(self, name)}")
         if not (0.0 <= self.rh_percent <= 100.0):
             raise ValueError(f"relative humidity must lie in [0, 100], got {self.rh_percent}")
 
@@ -108,6 +109,9 @@ class Forcing:
             raise ValueError("no samples")
         if any(arr.size != n for arr in (self.so2, self.oxygen)):
             raise ValueError("sample arrays must have equal length")
+        for name in ("times", "so2", "oxygen"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"non-finite {name} in samples")
         if n > 1 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError("non-monotone time")
         for name in ("so2", "oxygen"):

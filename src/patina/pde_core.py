@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -186,23 +187,58 @@ class FrontState:
                           self.a_dot, self.b_dot, self.beta_dot, self.gamma_dot)
 
 
-@dataclass
+def _block_view(name: str, doc: str) -> property:
+    def put(self, values) -> None:
+        getattr(self, name)[...] = values
+
+    return property(attrgetter(name), put, doc=doc)
+
+
 class LayerFields:
     """Gridded non-dimensional concentrations on the two unit intervals.
 
-    S and O live on the outer grid (length n_z+1), G on the inner grid
-    (length n_y+1).
+    The three species share one flat buffer ``u = [S | O | G]``: S and O
+    live on the outer grid (n_z+1 nodes each), G on the inner grid (n_y+1
+    nodes).  ``S``, ``O`` and ``G`` are views into ``u``, so writing through
+    them writes ``u``, and assigning an array to one copies its values into
+    the buffer.  The four nodes where two blocks meet, S(1) | O(0) and
+    O(1) | G(0), are boundary nodes of their own species: no operator
+    couples them across the block edge.
     """
 
-    S: np.ndarray
-    O: np.ndarray
-    G: np.ndarray
+    __slots__ = ("u", "_S", "_O", "_G")
+
+    S = _block_view("_S", "SO2 on the outer grid, a view into u.")
+    O = _block_view("_O", "Oxygen on the outer grid, a view into u.")
+    G = _block_view("_G", "Oxygen on the inner grid, a view into u.")
+
+    def __init__(self, S, O, G):
+        S, O, G = (np.asarray(a, dtype=float) for a in (S, O, G))
+        if S.ndim != 1 or G.ndim != 1 or O.shape != S.shape:
+            raise ValueError(
+                f"S and O need one 1-D outer grid and G a 1-D inner grid, got shapes "
+                f"{S.shape}, {O.shape}, {G.shape}"
+            )
+        self._bind(np.concatenate((S, O, G)), S.size)
+
+    @classmethod
+    def from_buffer(cls, u: np.ndarray, n_outer: int) -> "LayerFields":
+        """Fields viewing the flat buffer ``u`` (not copied); S and O hold n_outer nodes."""
+        fields = cls.__new__(cls)
+        fields._bind(u, n_outer)
+        return fields
+
+    def _bind(self, u: np.ndarray, n_outer: int) -> None:
+        self.u = u
+        self._S = u[:n_outer]
+        self._O = u[n_outer:2 * n_outer]
+        self._G = u[2 * n_outer:]
 
     def copy(self) -> "LayerFields":
-        return LayerFields(self.S.copy(), self.O.copy(), self.G.copy())
+        return LayerFields.from_buffer(self.u.copy(), self._S.size)
 
     def min_value(self) -> float:
-        return float(min(self.S.min(), self.O.min(), self.G.min()))
+        return float(self.u.min())
 
 
 @dataclass(frozen=True)
@@ -269,7 +305,7 @@ def inner_advection_coeff(y, fs: FrontState, omega_p: float):
     return rescale_coeff_f(y, fs) - omega_p * fs.a_dot / _inner_width(fs)
 
 
-def _upwind_gradient(u: np.ndarray, c: np.ndarray, dx: float,
+def _upwind_gradient(u: np.ndarray, c: np.ndarray, dx: np.ndarray,
                      scheme: str) -> np.ndarray:
     """First derivative at interior nodes, biased against the flow for 'upwind'."""
     if scheme == "central":
@@ -281,20 +317,22 @@ def _upwind_gradient(u: np.ndarray, c: np.ndarray, dx: float,
     return np.where(c > 0.0, backward, forward)
 
 
-def split_rhs_interior(u: np.ndarray, d_hat: float, width: float, c: np.ndarray,
-                       dx: float, scheme: str) -> tuple[np.ndarray, np.ndarray]:
-    """Advection (H) and diffusion (G) right-hand sides at the interior nodes.
+def split_rhs_interior(u: np.ndarray, c: np.ndarray, dx: np.ndarray,
+                       scheme: str) -> np.ndarray:
+    """Explicit advection right-hand side -c*u_x at the interior nodes of u.
 
-    ``c`` is the precomputed advection speed on the interior grid; the hot
-    loop shares it across the two outer species.
+    ``u`` is one flat buffer, usually the packed ``[S | O | G]`` of a
+    LayerFields; the result covers nodes 1..N-2.  ``c`` is the advection
+    speed and ``dx`` the grid spacing of each of those nodes, so blocks on
+    different grids go through one pass.  A difference taken across a
+    block edge mixes two species; the stepper gives the block-edge nodes
+    c = 0 and never uses their rows.
     """
     if u.ndim != 1 or u.size < 3:
         raise ValueError(f"field must be a 1-D array with at least 3 nodes, got shape {u.shape}")
-    if c.shape != u[1:-1].shape:
-        raise ValueError("advection coefficient grid does not match the field grid")
-    h = -c * _upwind_gradient(u, c, dx, scheme)
-    g = d_hat / (width * dx) ** 2 * (u[2:] - 2.0 * u[1:-1] + u[:-2])
-    return h, g
+    if c.shape != u[1:-1].shape or dx.shape != c.shape:
+        raise ValueError("advection coefficient or spacing grid does not match the field grid")
+    return -c * _upwind_gradient(u, c, dx, scheme)
 
 
 def boundary_gradient(u: np.ndarray, dx: float) -> float:

@@ -13,6 +13,11 @@ are evaluated on the stage fields at the half-step geometry and applied over
 the full step.  The implicit stage freezes the layer widths at their
 step-start values, which keeps the solve linear and tridiagonal; the O(dt)
 geometry lag is absorbed by the explicit part.
+
+The three species are advanced together in the flat buffer [S | O | G] of
+LayerFields: each explicit stage is one advection pass over it and the
+implicit stage one tridiagonal solve, whose block-edge rows are decoupled
+so that every species is solved exactly as on its own.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ __all__ = [
     "ImexTableau",
     "MIDPOINT_122",
     "NondimModel",
+    "PackedLayout",
     "StepCounters",
     "TridiagonalError",
     "solve_tridiagonal",
@@ -122,6 +128,42 @@ def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class PackedLayout:
+    """Row tables of the flat buffer ``[S | O | G]`` (see LayerFields).
+
+    The rows are flat nodes 1..N-2, row r being node r+1: the unknowns of
+    the stage solve and the nodes of the advection pass.  A species index
+    0, 1, 2 names S, O, G; 3 marks the four block-edge rows S(1), O(0),
+    O(1), G(0), which hold boundary values and couple to no neighbour.
+    """
+
+    n_outer: int             # nodes of S and of O
+    dx: np.ndarray           # grid spacing per row
+    species: np.ndarray      # species index per row, 3 on block edges
+    link: np.ndarray         # species index of the coupling of rows r, r+1; 3 across an edge
+    first: np.ndarray        # first interior row of S, O, G
+    last: np.ndarray         # last interior row of S, O, G
+    bounds: np.ndarray       # flat nodes S(0), S(1), O(0), O(1), G(0), G(1)
+    interior: np.ndarray     # rows that are interior nodes of their species
+
+    @classmethod
+    def build(cls, n_z: int, n_y: int) -> "PackedLayout":
+        n_outer = n_z + 1
+        starts = np.array((0, n_outer, 2 * n_outer))
+        ends = starts + (n_z, n_z, n_y)
+        bounds = np.stack((starts, ends), axis=1).ravel()
+        node_species = np.repeat(np.arange(3), (n_outer, n_outer, n_y + 1))
+        dx = np.array((1.0 / n_z, 1.0 / n_z, 1.0 / n_y))[node_species[1:-1]]
+        node_species[bounds] = 3
+        species = node_species[1:-1]
+        link = np.where(species[:-1] == species[1:], species[:-1], 3)
+        # node k is row k - 1: a block's first interior node start+1 is row start
+        return cls(n_outer=n_outer, dx=dx, species=species, link=link,
+                   first=starts, last=ends - 2, bounds=bounds,
+                   interior=species != 3)
+
+
+@dataclass(frozen=True)
 class NondimModel:
     """Everything the stepper needs besides the state itself."""
 
@@ -148,6 +190,10 @@ class NondimModel:
     @cached_property
     def y_interior(self) -> np.ndarray:
         return np.arange(1, self.n_y) * self.dy
+
+    @cached_property
+    def layout(self) -> PackedLayout:
+        return PackedLayout.build(self.n_z, self.n_y)
 
 
 @dataclass
@@ -179,13 +225,12 @@ def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,
 
 def _clamp_fields(fields: LayerFields) -> int:
     """Floor negative concentrations at zero; returns how many nodes clipped."""
-    clipped = 0
-    for arr in (fields.S, fields.O, fields.G):
-        if arr.min() < 0.0:
-            mask = arr < 0.0
-            clipped += int(np.count_nonzero(mask))
-            arr[mask] = 0.0
-    return clipped
+    u = fields.u
+    if not u.min() < 0.0:
+        return 0
+    mask = u < 0.0
+    u[mask] = 0.0
+    return int(np.count_nonzero(mask))
 
 
 def refresh_state(fields: LayerFields, fs: FrontState, model: NondimModel,
@@ -205,45 +250,54 @@ def refresh_state(fields: LayerFields, fs: FrontState, model: NondimModel,
     return fs, clamped
 
 
+# advection speed of the two block-edge rows between neighbouring blocks
+_EDGE_SPEEDS = np.zeros(2)
+
+
 def _implicit_stage_solve(u: np.ndarray, h_int: np.ndarray, half_dt: float,
-                          d_hat: float, width: float, dx: float,
-                          left: float, right: float) -> np.ndarray:
-    """Solve v = u + half_dt*(H + L v) on the interior with fixed end values."""
-    alpha = half_dt * d_hat / (width * dx) ** 2
-    n_int = u.size - 2
+                          alpha: np.ndarray, bounds: np.ndarray,
+                          lay: PackedLayout) -> np.ndarray:
+    """Solve v = u + half_dt*(H + L v) on every interior node, all blocks at once.
+
+    ``alpha`` holds the S, O, G diffusion numbers half_dt*D/(width*dx)^2 and
+    ``bounds`` the six end values in ``lay.bounds`` order.  The end values
+    enter each block's first and last interior rows; the four block-edge
+    rows are identity rows with zero couplings on both sides.  Elimination
+    then meets a zero factor at every edge, and since the diagonal 1+2*alpha
+    never falls below the coupling alpha no row is interchanged: each block
+    is solved exactly as it would be on its own.
+    """
     rhs = u[1:-1] + half_dt * h_int
-    rhs[0] += alpha * left
-    rhs[-1] += alpha * right
-    sol = solve_tridiagonal(
-        np.full(n_int - 1, -alpha),
-        np.full(n_int, 1.0 + 2.0 * alpha),
-        np.full(n_int - 1, -alpha),
-        rhs,
-    )
+    rhs[lay.first] += alpha * bounds[0::2]
+    rhs[lay.last] += alpha * bounds[1::2]
+    a_s, a_o, a_g = alpha
+    off = np.array((-a_s, -a_o, -a_g, 0.0))[lay.link]
+    diag = np.array((1.0 + 2.0 * a_s, 1.0 + 2.0 * a_o, 1.0 + 2.0 * a_g, 1.0))[lay.species]
     out = np.empty_like(u)
-    out[0] = left
-    out[-1] = right
-    out[1:-1] = sol
+    out[1:-1] = solve_tridiagonal(off, diag, off, rhs)
+    out[lay.bounds] = bounds
     return out
 
 
-def _explicit_parts(fields: LayerFields, fs: FrontState, model: NondimModel):
-    """Interior advection arrays for all three species.
+def _diffusion_numbers(half_dt: float, fs: FrontState, model: NondimModel) -> np.ndarray:
+    """Stage diffusion numbers of S, O and G at the step-start layer widths."""
+    d = model.d_hat
+    outer = (fs.beta - fs.gamma) * model.dz
+    inner = (fs.a - fs.beta) * model.dy
+    return np.array((half_dt * d.d_s / outer ** 2, half_dt * d.d_o / outer ** 2,
+                     half_dt * d.d_g / inner ** 2))
+
+
+def _advection(u: np.ndarray, fs: FrontState, model: NondimModel) -> np.ndarray:
+    """Advection right-hand side of all three species in one pass over u.
 
     The outer advection speed is species-independent, so it is computed once
-    and shared by S and O.
+    and shared by S and O; the block-edge rows get speed zero.
     """
     c_out = np.asarray(outer_advection_coeff(model.z_interior, fs))
     c_in = np.asarray(inner_advection_coeff(model.y_interior, fs, model.sw.omega_p))
-    width_out = fs.beta - fs.gamma
-    width_in = fs.a - fs.beta
-    h_s, _ = split_rhs_interior(fields.S, model.d_hat.d_s, width_out, c_out,
-                                model.dz, model.scheme)
-    h_o, _ = split_rhs_interior(fields.O, model.d_hat.d_o, width_out, c_out,
-                                model.dz, model.scheme)
-    h_g, _ = split_rhs_interior(fields.G, model.d_hat.d_g, width_in, c_in,
-                                model.dy, model.scheme)
-    return h_s, h_o, h_g
+    c = np.concatenate((c_out, _EDGE_SPEEDS, c_out, _EDGE_SPEEDS, c_in))
+    return split_rhs_interior(u, c, model.layout.dx, model.scheme)
 
 
 def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: float,
@@ -251,6 +305,7 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
                        freeze_fronts: bool = False) -> tuple[LayerFields, FrontState]:
     """One step of the implicit-explicit midpoint rule on the coupled system.
 
+    All three species advance together in the packed buffer ``fields.u``.
     With ``freeze_fronts`` the stored front velocities are kept as imposed
     coefficients and the geometry never moves; used by the convergence
     battery to test the operators on manufactured problems.
@@ -260,31 +315,27 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
     if counters is None:
         counters = StepCounters()
 
+    lay = model.layout
+    u = fields.u
     half = 0.5 * dt
-    h1 = _explicit_parts(fields, fs, model)
+    h1 = _advection(u, fs, model)
     forcing_mid = model.forcing_hat(tau + half)
 
     # Stage at tau + dt/2: explicit half-step of H, implicit half-step of the
-    # diffusion, layer widths frozen at the step-start geometry.
-    outer_w = fs.beta - fs.gamma
-    inner_w = fs.a - fs.beta
-    stage = LayerFields(
-        S=_implicit_stage_solve(fields.S, h1[0], half, model.d_hat.d_s, outer_w,
-                                model.dz, forcing_mid[0], 0.0),
-        O=_implicit_stage_solve(fields.O, h1[1], half, model.d_hat.d_o, outer_w,
-                                model.dz, forcing_mid[1], float(fields.O[-1])),
-        G=_implicit_stage_solve(fields.G, h1[2], half, model.d_hat.d_g, inner_w,
-                                model.dy, float(fields.G[0]), 0.0),
-    )
+    # diffusion, layer widths frozen at the step-start geometry.  End values:
+    # the forcing at z=0, S(1) = G(1) = 0, and O(1), G(0) held from u^n.
+    bounds = u[lay.bounds]
+    bounds[[0, 1, 2, 5]] = (forcing_mid[0], 0.0, forcing_mid[1], 0.0)
+    stage = LayerFields.from_buffer(
+        _implicit_stage_solve(u, h1, half, _diffusion_numbers(half, fs, model), bounds, lay),
+        lay.n_outer)
     counters.field_clamps += _clamp_fields(stage)
 
     # Diffusion at the stage comes from the stage identity
     # G(u2) = 2*(u2 - u^n)/dt - H(u^n); re-evaluating the operator after the
     # boundary refresh below would amplify any boundary adjustment by the
     # stiff factor dt*D/(width*dx)^2.
-    g2 = tuple(2.0 * (s[1:-1] - u[1:-1]) / dt - h
-               for s, u, h in zip((stage.S, stage.O, stage.G),
-                                  (fields.S, fields.O, fields.G), h1))
+    g2 = 2.0 * (stage.u[1:-1] - u[1:-1]) / dt - h1
 
     if freeze_fronts:
         fs_mid = fs
@@ -294,11 +345,12 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
         counters.velocity_clamps += clamped
 
     # Full update: advection evaluated on the refreshed stage state at the
-    # midpoint geometry, diffusion from the stage identity above.
-    h2 = _explicit_parts(stage, fs_mid, model)
+    # midpoint geometry, diffusion from the stage identity above.  Block-edge
+    # rows keep their values until the boundary refresh.
+    h2 = _advection(stage.u, fs_mid, model)
     new = fields.copy()
-    for arr, h, g in zip((new.S, new.O, new.G), h2, g2):
-        arr[1:-1] += dt * (h + g)
+    interior = new.u[1:-1]
+    np.add(interior, dt * (h2 + g2), out=interior, where=lay.interior)
     counters.field_clamps += _clamp_fields(new)
 
     forcing_end = model.forcing_hat(tau + dt)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -195,3 +198,10 @@ def test_manifest_digests_include_a_config_named_env_csv(tmp_path):
     digests = json.loads((out / "manifest.json").read_text())["input_digests"]
     assert set(digests) == {str(cfgfile), str(env)}
 
+
+def test_import_leaves_the_optimizer_unloaded():
+    # only calibrate needs scipy.optimize; a plain run should not pay for it
+    code = "import sys, patina.cli; sys.exit('scipy.optimize' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

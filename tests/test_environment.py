@@ -74,6 +74,8 @@ def test_forcing_validation():
         Forcing("weekly", [0.0], [0.0], [0.0])
     with pytest.raises(ValueError, match="equal length"):
         Forcing("time-series", [0.0, 1.0], [0.0, 0.0], [0.0])
+    with pytest.raises(ValueError, match="non-finite so2"):
+        Forcing("time-series", [0.0, 1.0], [0.0, np.nan], [0.0, 0.0])
 
 
 @given(t=st.floats(min_value=0.0, max_value=500.0))
@@ -139,3 +141,10 @@ def test_load_timeseries_bad_rows(tmp_path):
     p3 = _write(tmp_path, "hours,so2,temp,rh\n0,10,20,50\n")
     with pytest.raises(ValueError, match="bad header"):
         load_timeseries(p3)
+    # non-finite SO2 or temperature, in the first data row and in a later one
+    for row, line in (("0,nan,20,50\n", 2), ("0,10,inf,50\n", 2),
+                      ("0,10,20,50\n1,nan,20,50\n", 3),
+                      ("0,10,20,50\n1,-inf,20,50\n", 3)):
+        p4 = _write(tmp_path, "time_hours,so2_ugm3,temp_c,rh_percent\n" + row)
+        with pytest.raises(ValueError, match=f"line {line}: sample .* must be finite"):
+            load_timeseries(p4)

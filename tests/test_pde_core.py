@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +21,7 @@ from patina.pde_core import (
     split_rhs_interior,
     stefan_constants,
 )
+from patina.stepper import NondimModel, _advection
 
 SW = swelling_ratios(DEFAULT_MATERIALS)
 
@@ -121,64 +120,101 @@ class TestRescaleCoefficients:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
-def outer_rhs(u, d_hat, fs, dz):
-    """Interior (H, G) of an outer species, as the stepper evaluates them."""
-    c = outer_advection_coeff(np.arange(1, u.size - 1) * dz, fs)
-    return split_rhs_interior(u, d_hat, fs.beta - fs.gamma, np.asarray(c), dz, "upwind")
+def packed_fields(n_z, n_y, s, o, g):
+    """LayerFields on unequal grids from per-species profiles of the grid coordinate."""
+    z = np.linspace(0, 1, n_z + 1)
+    y = np.linspace(0, 1, n_y + 1)
+    return LayerFields(S=s(z), O=o(z), G=g(y))
 
 
-def inner_rhs(u, d_hat, fs, dy):
-    """Interior (H, G) of the inner oxygen, as the stepper evaluates them."""
-    c = inner_advection_coeff(np.arange(1, u.size - 1) * dy, fs, SW.omega_p)
-    return split_rhs_interior(u, d_hat, fs.a - fs.beta, np.asarray(c), dy, "upwind")
+def packed_rhs(fields, fs, n_z, n_y, scheme="upwind"):
+    """Advection of all three species in one pass, as the stepper evaluates it."""
+    model = NondimModel(d_hat=Diffusivities(1.0, 1.0, 1.0), sc=StefanConstants(0, 0, 0),
+                        sw=SW, n_z=n_z, n_y=n_y, forcing_hat=lambda tau: (0.0, 0.0),
+                        scheme=scheme)
+    return _advection(fields.u, fs, model), model
+
+
+def per_block_reference(fields, fs, n_z, n_y, scheme):
+    """Interior advection of each species on its own, concatenated (the reference)."""
+    out = []
+    for u, n, speed in ((fields.S, n_z, outer_advection_coeff),
+                        (fields.O, n_z, outer_advection_coeff),
+                        (fields.G, n_y, lambda x, fs: inner_advection_coeff(x, fs, SW.omega_p))):
+        dx = 1.0 / n
+        c = np.asarray(speed(np.arange(1, n) * dx, fs))
+        if scheme == "central":
+            grad = (u[2:] - u[:-2]) / (2.0 * dx)
+        else:
+            grad = np.where(c > 0.0, (u[1:-1] - u[:-2]) / dx, (u[2:] - u[1:-1]) / dx)
+        out.append(-c * grad)
+    return np.concatenate(out)
 
 
 class TestSplitRhs:
-    # arrays hold the interior nodes only: index k is grid node k + 1
+    # one pass over the packed [S | O | G] buffer; rows are flat nodes 1..N-2
     def test_constant_field_gives_zero(self):
         fs = synthetic_fronts(gamma_dot=-0.5, beta_dot=0.2, a_dot=0.1, b_dot=0.3)
-        u = np.full(101, 3.5)
-        h, g = outer_rhs(u, 2.0, fs, 0.01)
-        assert np.all(h == 0.0) and np.all(g == 0.0)
-        h, g = inner_rhs(u, 2.0, fs, 0.01)
-        assert np.all(h == 0.0) and np.all(g == 0.0)
-
-    def test_linear_profile_has_zero_diffusion(self):
-        fs = synthetic_fronts()
-        z = np.linspace(0, 1, 101)
-        _, g = outer_rhs(1.0 - z, 3.0, fs, 0.01)
-        assert np.max(np.abs(g)) < 1e-10
-        _, g = inner_rhs(0.7 * z, 3.0, fs, 0.01)
-        assert np.max(np.abs(g)) < 1e-10
-
-    def test_manufactured_sine_second_derivative(self):
-        n = 100
-        dz = 1.0 / n
-        z = np.linspace(0, 1, n + 1)
-        fs = synthetic_fronts()
-        _, g = outer_rhs(np.sin(np.pi * z), 1.0, fs, dz)
-        # -pi^2 sin(pi/2) at z = 0.5 within the O(dz^2) stencil error
-        assert g[n // 2 - 1] == pytest.approx(-math.pi**2, abs=math.pi**4 * dz**2)
-        _, g = inner_rhs(np.sin(np.pi * z), 1.0, fs, dz)
-        assert g[n // 2 - 1] == pytest.approx(-math.pi**2, abs=math.pi**4 * dz**2)
+        fields = packed_fields(30, 17, lambda z: np.full_like(z, 3.5),
+                               lambda z: np.full_like(z, 1.0), lambda y: np.full_like(y, 0.2))
+        h, _ = packed_rhs(fields, fs, 30, 17)
+        assert h.shape == (fields.u.size - 2,)
+        assert np.all(h == 0.0)
 
     def test_upwind_direction_switches_with_sign(self):
-        # c < 0 (forward difference) vs c > 0 (backward difference) on a ramp
-        u = np.array([0.0, 1.0, 3.0])
-        fs_neg = synthetic_fronts(gamma_dot=-1.0)   # c(z) = -z < 0
-        h, _ = outer_rhs(u, 1.0, fs_neg, 0.5)
-        c = outer_advection_coeff(0.5, fs_neg)
-        assert h[0] == pytest.approx(-c * (u[2] - u[1]) / 0.5)
-        fs_pos = synthetic_fronts(gamma_dot=1.0)    # c(z) = +z > 0
-        h, _ = outer_rhs(u, 1.0, fs_pos, 0.5)
-        c = outer_advection_coeff(0.5, fs_pos)
-        assert h[0] == pytest.approx(-c * (u[1] - u[0]) / 0.5)
+        # c < 0 takes the forward difference, c > 0 the backward one, each
+        # inside its own block and with its own grid spacing
+        n_z, n_y = 4, 3
+        fields = packed_fields(n_z, n_y, lambda z: z**2, lambda z: 3.0 - z,
+                               lambda y: 1.0 + y**3)
+        for fs in (synthetic_fronts(gamma_dot=-1.0, a_dot=1.0),     # outer c = -z, inner c < 0
+                   synthetic_fronts(gamma_dot=1.0, beta_dot=-1.0)):  # outer c > 0, inner c > 0
+            h, model = packed_rhs(fields, fs, n_z, n_y)
+            interior = model.layout.interior
+            assert np.array_equal(h[interior],
+                                  per_block_reference(fields, fs, n_z, n_y, "upwind"))
+        c = outer_advection_coeff(0.25, fs)
+        assert c > 0.0 and h[0] == -c * (fields.S[1] - fields.S[0]) / 0.25
+
+    def test_central_scheme_per_block(self):
+        n_z, n_y = 6, 5
+        fields = packed_fields(n_z, n_y, np.sin, np.cos, np.exp)
+        fs = synthetic_fronts(gamma_dot=-0.7, beta_dot=0.3, a_dot=0.4, b_dot=0.2)
+        h, model = packed_rhs(fields, fs, n_z, n_y, scheme="central")
+        assert np.array_equal(h[model.layout.interior],
+                              per_block_reference(fields, fs, n_z, n_y, "central"))
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError, match="at least 3 nodes"):
-            split_rhs_interior(np.array([1.0, 2.0]), 1.0, 1.0, np.zeros(0), 0.5, "upwind")
+            split_rhs_interior(np.array([1.0, 2.0]), np.zeros(0), np.zeros(0), "upwind")
         with pytest.raises(ValueError, match="does not match"):
-            split_rhs_interior(np.zeros(5), 1.0, 1.0, np.zeros(4), 0.25, "upwind")
+            split_rhs_interior(np.zeros(5), np.zeros(4), np.zeros(3), "upwind")
+        with pytest.raises(ValueError, match="does not match"):
+            split_rhs_interior(np.zeros(5), np.zeros(3), np.zeros(4), "upwind")
+
+
+class TestLayerFields:
+    def test_views_write_into_the_buffer(self):
+        fields = LayerFields(S=np.zeros(4), O=np.zeros(4), G=np.zeros(3))
+        fields.S[1] = 1.0
+        fields.O[0] = 2.0
+        fields.G = [4.0, 5.0, 6.0]      # assignment copies into the buffer
+        assert fields.u.tolist() == [0, 1, 0, 0, 2, 0, 0, 0, 4, 5, 6]
+        fields.u[3] = 7.0
+        assert fields.S[-1] == 7.0
+        assert fields.min_value() == 0.0
+
+    def test_copy_shares_no_memory(self):
+        fields = LayerFields(S=np.ones(4), O=np.ones(4), G=np.ones(3))
+        twin = fields.copy()
+        assert not np.shares_memory(twin.u, fields.u)
+        assert np.shares_memory(twin.G, twin.u)
+        twin.G[0] = -1.0
+        assert fields.G[0] == 1.0 and twin.min_value() == -1.0
+
+    def test_rejects_mismatched_outer_grids(self):
+        with pytest.raises(ValueError, match="outer grid"):
+            LayerFields(S=np.zeros(4), O=np.zeros(5), G=np.zeros(3))
 
 
 class TestBoundaryGradient:

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from patina import stepper
 from patina.convergence import (
     diffusion_mode_relative_error,
     observed_orders,
@@ -12,12 +13,15 @@ from patina.convergence import (
 )
 from patina.materials import SwellingRatios
 from patina.pde_core import Diffusivities, FrontState, LayerFields, StefanConstants
+from patina.simulation import initialize
 from patina.stepper import (
     MIDPOINT_122,
     ImexTableau,
     NondimModel,
+    PackedLayout,
     StepCounters,
     TridiagonalError,
+    _implicit_stage_solve,
     imex_midpoint_step,
     select_dt,
     solve_tridiagonal,
@@ -93,6 +97,53 @@ class TestTridiagonal:
         assert np.all(x >= -1e-12)
 
 
+class TestPackedStageSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           alphas=st.tuples(*(st.floats(min_value=1e-3, max_value=1e6),) * 3))
+    def test_matches_per_species_solves_bit_for_bit(self, seed, alphas):
+        n_z, n_y, half = 30, 17, 0.37
+        rng = np.random.default_rng(seed)
+        fields = LayerFields(S=rng.uniform(0, 1, n_z + 1), O=rng.uniform(0, 1, n_z + 1),
+                             G=rng.uniform(0, 1, n_y + 1))
+        h = rng.uniform(-1, 1, fields.u.size - 2)
+        bounds = rng.uniform(0, 1, 6)
+        stage = LayerFields.from_buffer(
+            _implicit_stage_solve(fields.u, h, half, np.array(alphas), bounds,
+                                  PackedLayout.build(n_z, n_y)), n_z + 1)
+        # reference: each species solved on its own, h mapped onto its nodes
+        h_nodes = LayerFields.from_buffer(np.concatenate(([0.0], h, [0.0])), n_z + 1)
+        for k, name in enumerate("SOG"):
+            u, h_k, alpha = getattr(fields, name), getattr(h_nodes, name)[1:-1], alphas[k]
+            left, right = bounds[2 * k], bounds[2 * k + 1]
+            n_int = u.size - 2
+            rhs = u[1:-1] + half * h_k
+            rhs[0] += alpha * left
+            rhs[-1] += alpha * right
+            sol = solve_tridiagonal(np.full(n_int - 1, -alpha), np.full(n_int, 1.0 + 2.0 * alpha),
+                                    np.full(n_int - 1, -alpha), rhs)
+            assert np.array_equal(getattr(stage, name), np.concatenate(([left], sol, [right])))
+
+    def test_one_solve_and_two_advection_passes_per_step(self, monkeypatch, default_cfg):
+        calls = {"solve_tridiagonal": 0, "split_rhs_interior": 0}
+
+        def counted(name):
+            original = getattr(stepper, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(stepper, name, counted(name))
+        fields, fronts, model = initialize(default_cfg)
+        dt = select_dt(fronts, model.dz, model.dy, default_cfg.cfl_target,
+                       default_cfg.dt_max, model.sw.omega_p)
+        imex_midpoint_step(fields, fronts, 0.0, dt, model)
+        assert calls == {"solve_tridiagonal": 1, "split_rhs_interior": 2}
+
+
 class TestSelectDt:
     def test_zero_velocities_give_dt_max(self):
         fs = FrontState(a=2.0, b=1.0, beta=1.0, gamma=0.0)
@@ -165,6 +216,22 @@ class TestPdeStep:
         new, _ = imex_midpoint_step(fields, fronts, 0.0, 0.05, model,
                                     freeze_fronts=True)
         assert np.allclose(new.S, bump, atol=1e-25)
+
+    def test_frozen_step_keeps_interface_values(self):
+        # the update leaves the block-edge nodes alone: with frozen fronts
+        # nothing refreshes O(1) and G(0), so they keep their step-start
+        # values, and O(0) (0.5 at the start, 0 in the forcing) is not
+        # pushed below zero on its way to the forcing value
+        n = 20
+        model, fronts = _frozen_setup(n, 1.0, gamma_dot=-0.5)
+        z = np.linspace(0, 1, n + 1)
+        fields = LayerFields(S=z * (1.0 - z), O=0.5 + 0.3 * z, G=0.8 * (1.0 - z))
+        counters = StepCounters()
+        new, _ = imex_midpoint_step(fields, fronts, 0.0, 0.01, model, counters,
+                                    freeze_fronts=True)
+        assert new.O[-1] == fields.O[-1] and new.G[0] == fields.G[0]
+        assert new.O[0] == 0.0 and counters.field_clamps == 0
+        assert not np.array_equal(new.O[1:-1], fields.O[1:-1])
 
     def test_diffusion_mode_decay(self):
         assert diffusion_mode_relative_error(n=100, dt=1e-4) < 1e-3
