@@ -2,12 +2,14 @@
 """Regenerate the shipped default diffusivities.
 
 Runs ``patina calibrate`` once with the default settings against
-data/thickness_measures.csv: the exact calibration that produced
-DEFAULT_DIFFUSIVITIES in patina/config.py (reduced-model warm start, bounds
-[1e-10, 1e-3], budget 200, std-weighted objective).  The full result goes
-under out/calibrate_defaults/; the fitted values are read back from the
-``# d_*`` lines of its calibration.csv and printed, ready to paste into
-config.py, with a marker on each one that differs from the shipped value.
+data/thickness_measures.csv: reduced-model warm start, bounds [1e-10, 1e-3],
+budget 200, std-weighted objective, Gauss-Newton fit of the parameters the
+starting Jacobian shows the data can determine (``d_s`` on the shipped
+data; ``d_g`` and ``d_o`` keep their warm-start values).  The full result
+goes under out/calibrate_defaults/; the fitted values are read back from
+the ``# d_*`` lines of its calibration.csv and printed, ready to paste into
+config.py, with a marker on each one that differs from the shipped
+DEFAULT_DIFFUSIVITIES by more than 1e-3 relative.
 """
 
 import os

@@ -3,19 +3,25 @@
 The data are a handful of total-thickness measurements; the objective is the
 std-weighted sum of squared deviations of the simulated total thickness
 (a - gamma, what a cross-section actually shows) at the measurement times.
-Parameters are searched in log10 space with a Nelder-Mead simplex; box
-bounds are enforced by reflecting the coordinates back into the box, so the
-objective is continuous and the reported optimum always lies inside.
-Every evaluation is one solver run; the best one is kept, so reporting the
-fit costs no further run.
+Parameters are fitted in log10 space by a bounded Gauss-Newton trust-region
+method (``scipy.optimize.least_squares``, trf) on the weighted residual
+vector, with the box bounds as native bounds.
 
 With total thickness alone the three diffusivities are not identifiable:
 the oxygen field stays near its boundary value for any plausible D_o, and
 D_g trades off against D_s along a flat valley (both layers grow like
-sqrt(t)).  The default initial guess therefore comes from a closed-form
-quasi-steady estimate (``reduced_model_initial_guess``) that fits the
-sqrt(t) amplitude and assigns a configurable share of the patina to the
-oxide layer.
+sqrt(t)).  The fit therefore first measures what the data can see: a
+forward-difference Jacobian at the start point, whose singular values give
+the number of identifiable directions (those above ``RANK_RTOL`` times the
+largest).  That many parameters are fitted, chosen by column-pivoted QR of
+the Jacobian (subset selection); the rest keep their start values.  The
+default start comes from a closed-form quasi-steady estimate
+(``reduced_model_initial_guess``) that fits the sqrt(t) amplitude and
+assigns a configurable share of the patina to the oxide layer.
+
+Every solver run goes through ``residual``; residual vectors are memoised
+by parameter point, so no point is run twice, and the run of the best point
+is kept, so reporting the fit costs no further run.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import linalg
 
 from .materials import swelling_ratios
 from .pde_core import Diffusivities, stefan_constants
@@ -199,12 +206,32 @@ def reduced_model_initial_guess(measurements, cfg: SimulationConfig,
     return Diffusivities(d_g=d_g, d_s=d_s, d_o=cfg.diffusivities.d_o)
 
 
+PARAMETERS = ("d_g", "d_s", "d_o")
+
+# Directions of the starting Jacobian whose singular value is below this
+# fraction of the largest are held.  On the shipped data the singular values
+# are about 8, 1e-3 and 2e-5 (grid 100): total thickness sees the sqrt(t)
+# amplitude of d_g and d_s, not their split, and not d_o.
+RANK_RTOL = 1e-2
+
+# Forward-difference step of the Jacobian, in decades of a diffusivity.  A
+# run's thicknesses between output records carry noise of up to 1e-3 std
+# (grid 25; 1e-4 at grid 100) that a short step turns into a spurious second
+# direction: on the shipped data the second singular value is 2.8e-3 of the
+# largest at this step (grid 25; 1.2e-4 at grid 100), but 6.6e-2 (1.7e-2)
+# at a 1e-3-decade step.
+JACOBIAN_STEP = 0.05
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     """Fit outcome: best diffusivities, objective value, per-point comparison.
 
     ``output`` is the solver run at the best diffusivities, the one the
-    predictions come from.
+    predictions come from.  ``singular_values`` are those of the weighted
+    residual's Jacobian in log10 diffusivities at the start point, largest
+    first; ``fitted`` names the parameters the fit was free to move, the
+    others keep their start values.
     """
 
     diffusivities: Diffusivities
@@ -215,28 +242,47 @@ class CalibrationResult:
     evaluations: int
     converged: bool
     output: SimulationOutput
+    singular_values: tuple[float, ...]
+    fitted: tuple[str, ...]
+
+    @property
+    def condition(self) -> float:
+        """Largest over smallest singular value (inf when one is zero)."""
+        smallest = self.singular_values[-1]
+        return self.singular_values[0] / smallest if smallest > 0.0 else math.inf
 
 
-def _reflect_into(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Fold unconstrained coordinates into [lo, hi] by reflection at the walls."""
-    span = hi - lo
-    t = np.mod(x - lo, 2.0 * span)
-    return lo + (span - np.abs(t - span))
+class _BudgetExhausted(Exception):
+    pass
+
+
+def _identifiable(jac: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Singular values of ``jac`` and the columns to fit, in pivot order.
+
+    The rank is the number of singular values above ``RANK_RTOL`` times the
+    largest; the fitted columns are the first that many pivots of a
+    column-pivoted QR (Golub & Van Loan, subset selection).
+    """
+    sv = linalg.svdvals(jac)
+    rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
+    _, pivots = linalg.qr(jac, mode="r", pivoting=True)
+    return sv, [int(k) for k in pivots[:rank]]
 
 
 def calibrate(initial: Diffusivities, bounds: tuple[float, float],
               measurements, cfg: SimulationConfig, *,
-              budget: int = 200, spread_tol: float = 1e-3, simplex_steps=0.25,
+              budget: int = 200, spread_tol: float = 1e-3,
               weighting: str = "std") -> CalibrationResult:
-    """Nelder-Mead over log10 (d_g, d_s, d_o) with reflective box bounds.
+    """Bounded Gauss-Newton fit of the identifiable log10 diffusivities.
 
-    Stops when the simplex spread drops below ``spread_tol`` in log space or
-    when the evaluation ``budget`` is exhausted (best-so-far returned with
-    ``converged=False``).  ``simplex_steps`` sets the initial simplex extent
-    in decades, a scalar or one value per parameter; a small step
-    effectively holds a parameter that the data carry no information about.
-    The result is the lowest-residual evaluation, the point Nelder-Mead
-    reports on convergence; its run is kept rather than repeated.
+    A forward-difference Jacobian at ``initial`` (one run per parameter
+    beyond the base run) decides which parameters the data determine; only
+    those are fitted by ``least_squares`` (trf) within ``bounds``, the rest
+    keep their ``initial`` values.  The fit stops when a step is shorter
+    than ``spread_tol`` decades, or when ``budget`` solver runs, Jacobian
+    runs included, are spent (best-so-far returned with ``converged=False``).
+    The result is the lowest-residual run that keeps the held parameters at
+    their start values; its run is kept rather than repeated.
     """
     lo, hi = bounds
     if not (0.0 < lo < hi):
@@ -244,54 +290,93 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
     if not measurements:
         raise ValueError("measurements must be non-empty")
     llo, lhi = math.log10(lo), math.log10(hi)
-    init = [initial.d_g, initial.d_s, initial.d_o]
+    init = [getattr(initial, name) for name in PARAMETERS]
     for value in init:
         if not (lo <= value <= hi):
             raise ValueError(f"initial diffusivity {value} outside bounds {bounds}")
+    n = len(PARAMETERS)
+    if budget < n + 1:
+        raise ValueError(f"budget {budget} cannot cover the {n + 1} runs of the "
+                         "starting Jacobian")
     x0 = np.log10(np.array(init))
+    times = np.array([m.time_hours for m in measurements])
+    means = np.array([m.mean_cm for m in measurements])
+    w = _weights(measurements, weighting)
 
+    vectors: dict[bytes, np.ndarray] = {}
     best, best_d = Residual(math.inf), initial
+    # a run can be the result only where every held parameter keeps its start
+    # value; all are held until the starting Jacobian has been measured
+    held = np.ones(n, dtype=bool)
 
-    def objective(x: np.ndarray) -> float:
+    def vector(x: np.ndarray) -> np.ndarray:
+        """Weighted residual vector at log10 point ``x``, one run per point."""
         nonlocal best, best_d
-        d = Diffusivities(*(10.0 ** _reflect_into(x, llo, lhi)))
-        value = residual(d, measurements, cfg, weighting=weighting)
-        if value < best:
-            best, best_d = value, d
-        return value
+        key = x.tobytes()
+        if key not in vectors:
+            if len(vectors) == budget:
+                raise _BudgetExhausted
+            # a coordinate at its start value runs that value exactly
+            d = Diffusivities(*(v if xk == sk else float(10.0 ** xk)
+                                for v, xk, sk in zip(init, x, x0)))
+            value = residual(d, measurements, cfg, weighting=weighting)
+            if value.output is None:
+                vectors[key] = np.full(len(measurements), math.inf)
+            else:
+                vectors[key] = (value.output.thickness_at(times) - means) / w
+            if value < best and np.array_equal(x[held], x0[held]):
+                best, best_d = value, d
+        return vectors[key]
 
-    # Deterministic initial simplex, a fixed number of decades per coordinate.
-    n = x0.size
-    steps = np.broadcast_to(np.asarray(simplex_steps, dtype=float), (n,))
-    if np.any(steps <= 0.0):
-        raise ValueError("simplex_steps must be positive")
-    simplex = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        simplex[k + 1, k] += steps[k]
+    def jacobian(x: np.ndarray, columns) -> np.ndarray:
+        """Forward differences of ``vector`` at ``x`` along ``columns``,
+        stepping down where a step up would leave the box; a column whose
+        run fails is zero, so the fit does not move along it."""
+        base = vector(x)
+        jac = np.zeros((base.size, len(columns)))
+        for j, k in enumerate(columns):
+            h = JACOBIAN_STEP if x[k] + JACOBIAN_STEP <= lhi else -JACOBIAN_STEP
+            xh = x.copy()
+            xh[k] += h
+            column = (vector(xh) - base) / h
+            if np.all(np.isfinite(column)):
+                jac[:, j] = column
+        return jac
 
     # imported here so that loading the package for a plain run skips it
     from scipy import optimize
 
-    result = optimize.minimize(
-        objective, x0, method="Nelder-Mead",
-        options=dict(
-            initial_simplex=simplex,
-            maxfev=budget,
-            xatol=spread_tol,
-            fatol=math.inf,     # spread-only stopping
-            adaptive=False,
-        ),
-    )
-    if best.output is None:
-        raise SimulationError(f"all {result.nfev} calibration runs failed")
-    times = tuple(m.time_hours for m in measurements)
+    if not np.all(np.isfinite(vector(x0))):
+        raise SimulationError(f"calibration start {initial} failed to run")
+    sv, free = _identifiable(jacobian(x0, range(n)))
+    held[free] = False
+
+    def embed(z: np.ndarray) -> np.ndarray:
+        x = x0.copy()
+        x[free] = z
+        return x
+
+    converged = True
+    if free:
+        try:
+            fit = optimize.least_squares(
+                lambda z: vector(embed(z)), x0[free],
+                jac=lambda z: jacobian(embed(z), free),
+                bounds=(llo, lhi), method="trf",
+                xtol=spread_tol / max(float(np.linalg.norm(x0[free])), 1.0),
+                ftol=None, gtol=None, max_nfev=budget)
+            converged = fit.status > 0
+        except _BudgetExhausted:
+            converged = False
     return CalibrationResult(
         diffusivities=best_d,
         residual=float(best),
-        times_hours=times,
-        measured_cm=tuple(m.mean_cm for m in measurements),
+        times_hours=tuple(float(t) for t in times),
+        measured_cm=tuple(float(m) for m in means),
         predicted_cm=tuple(float(p) for p in best.output.thickness_at(times)),
-        evaluations=int(result.nfev),
-        converged=bool(result.success),
+        evaluations=len(vectors),
+        converged=converged,
         output=best.output,
+        singular_values=tuple(float(v) for v in sv),
+        fitted=tuple(PARAMETERS[k] for k in sorted(free)),
     )

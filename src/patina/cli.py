@@ -58,10 +58,14 @@ class RunManifest:
     input_digests: dict[str, str] = field(default_factory=dict)
     tool_version: str = __version__
     duration_seconds: float = 0.0
+    # calibrate only: the starting Jacobian's singular values, its condition
+    # number and the fitted parameters
+    calibration: dict | None = None
 
     def write(self, path) -> None:
+        fields = {k: v for k, v in self.__dict__.items() if v is not None}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
+            json.dump(fields, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -182,6 +186,10 @@ def cmd_calibrate(args) -> int:
         fh.write(f"# residual = {result.residual:.6g}\n")
         fh.write(f"# evaluations = {result.evaluations}\n")
         fh.write(f"# converged = {str(result.converged).lower()}\n")
+        fh.write("# singular_values = "
+                 + " ".join(f"{v:.6g}" for v in result.singular_values) + "\n")
+        fh.write(f"# condition = {result.condition:.6g}\n")
+        fh.write(f"# fitted = {' '.join(result.fitted)}\n")
         fh.write("time_hours,measured_cm,std_cm,predicted_cm\n")
         for m, pred in zip(measurements, result.predicted_cm):
             fh.write(f"{m.time_hours:.6g},{m.mean_cm:.6g},{m.std_cm:.6g},{pred:.6g}\n")
@@ -202,6 +210,9 @@ def cmd_calibrate(args) -> int:
         command="calibrate",
         resolved_config=resolved_config_dict(cfg),
         input_digests=_digests(_input_files(args, cp, cfg) + [args.measurements]),
+        calibration={"singular_values": list(result.singular_values),
+                     "condition": result.condition,
+                     "fitted": list(result.fitted)},
     )
     manifest.duration_seconds = time.perf_counter() - started
     manifest.write(os.path.join(args.out, "calibration_manifest.json"))

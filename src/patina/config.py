@@ -79,7 +79,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "budget": "200",
         "weighting": "std",          # std | raw
         "oxide_share": "0.1",
-        "spread_tol": "1e-3",
+        "spread_tol": "1e-3",        # fit stops at a shorter step, log10 decades
     },
     "materials": {"override_file": ""},
     "validation": {"omega_p_scale": "1", "omega_b_scale": "1"},

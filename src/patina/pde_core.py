@@ -38,7 +38,7 @@ t_r, concentrations by their reference values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -177,8 +177,10 @@ class FrontState:
         )
 
     def with_velocities(self, vel: FrontVelocities) -> "FrontState":
-        return replace(self, a_dot=vel.a_dot, b_dot=vel.b_dot,
-                       beta_dot=vel.beta_dot, gamma_dot=vel.gamma_dot)
+        # positional, the fastest call; FrontVelocities orders gamma_dot
+        # before beta_dot, the reverse of this class
+        return FrontState(self.a, self.b, self.beta, self.gamma,
+                          vel.a_dot, vel.b_dot, vel.beta_dot, vel.gamma_dot)
 
     def scaled(self, factor: float) -> "FrontState":
         """All positions multiplied by factor (e.g. lambda to re-dimensionalize)."""

@@ -236,13 +236,12 @@ def test_criterion7_environment_pipeline(tmp_path_factory, calibrated_cfg,
 
 
 def test_criterion8_synthetic_recovery(default_cfg):
-    # Protocol note: the offsets sit on the parameters the data can identify.
-    # Total thickness carries no usable information about d_o (oxygen never
-    # depletes in the outer layer): measured on this exact setup,
-    # residual(d_o x2) ~ 2e-9 while residual(d_g x1.1) ~ 1.4e-4, a 1e5
-    # identifiability gap below the (d_g, d_s) valley floor.  d_o therefore
-    # starts at its true value and gets a prior-scale simplex step, which is
-    # what a practitioner does with a parameter the data cannot see.
+    # Protocol note: the offsets sit on d_g and d_s.  Total thickness carries
+    # no usable information about d_o (oxygen never depletes in the outer
+    # layer): measured on this exact setup, residual(d_o x2) ~ 2e-9 while
+    # residual(d_g x1.1) ~ 1.4e-4, a 1e5 identifiability gap below the
+    # (d_g, d_s) valley floor.  d_o therefore starts at its true value, and
+    # calibrate's rank rule holds what the data cannot see.
     truth = Diffusivities(d_g=5e-10, d_s=5e-6, d_o=1e-5)
     times = [8.0, 24.0, 40.0]
     preds = predict_total_thickness(truth, default_cfg, times)
@@ -250,8 +249,7 @@ def test_criterion8_synthetic_recovery(default_cfg):
     synthetic = [ThicknessMeasurement(t, float(p), 0.0)
                  for t, p in zip(times, preds)]
     initial = Diffusivities(d_g=truth.d_g * 2.0, d_s=truth.d_s * 2.0, d_o=truth.d_o)
-    result = calibrate(initial, (1e-10, 1e-3), synthetic, default_cfg,
-                       budget=200, simplex_steps=(0.25, 0.25, 0.02))
+    result = calibrate(initial, (1e-10, 1e-3), synthetic, default_cfg, budget=200)
     fit = result.diffusivities
     details = []
     ok = True

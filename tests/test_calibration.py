@@ -1,7 +1,6 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import patina.calibration
@@ -12,11 +11,9 @@ from patina.calibration import (
     predict_total_thickness,
     reduced_model_initial_guess,
     residual,
-    _reflect_into,
 )
 from patina.pde_core import Diffusivities
-
-from hypothesis import given, strategies as st
+from patina.simulation import SimulationError
 
 
 @pytest.fixture(scope="module")
@@ -102,19 +99,6 @@ class TestResidual:
             pytest.approx(1e-10, rel=1e-6)
 
 
-@given(x=st.floats(min_value=-50, max_value=50))
-def test_reflection_stays_inside_bounds(x):
-    lo, hi = -8.0, -3.0
-    v = float(_reflect_into(np.array([x]), lo, hi)[0])
-    assert lo - 1e-12 <= v <= hi + 1e-12
-
-
-def test_reflection_fixes_interior_points():
-    assert float(_reflect_into(np.array([-5.0]), -8.0, -3.0)[0]) == -5.0
-    # one reflection at the upper wall
-    assert float(_reflect_into(np.array([-2.0]), -8.0, -3.0)[0]) == -4.0
-
-
 def test_reduced_model_guess_is_reasonable(default_cfg, table_measurements):
     guess = reduced_model_initial_guess(table_measurements, default_cfg)
     assert 1e-11 < guess.d_g < 1e-7
@@ -122,6 +106,19 @@ def test_reduced_model_guess_is_reasonable(default_cfg, table_measurements):
     assert guess.d_o == default_cfg.diffusivities.d_o
     r = residual(guess, table_measurements, default_cfg)
     assert r < 3.0
+
+
+def count_runs(monkeypatch) -> list:
+    """Diffusivities of every solver run ``calibrate`` makes from now on."""
+    runs = []
+    real_run = patina.calibration.run
+
+    def counting_run(cfg):
+        runs.append(cfg.diffusivities)
+        return real_run(cfg)
+
+    monkeypatch.setattr(patina.calibration, "run", counting_run)
+    return runs
 
 
 class TestCalibrate:
@@ -134,13 +131,20 @@ class TestCalibrate:
         assert res.residual < 1e-4 * len(meas)
         assert res.evaluations <= 60
 
-    def test_budget_exhaustion_flagged(self, cheap_cfg):
+    def test_budget_exhaustion_flagged(self, cheap_cfg, monkeypatch):
+        runs = count_runs(monkeypatch)
         meas = [ThicknessMeasurement(8.0, 9e-4, 1e-4)]
         res = calibrate(cheap_cfg.diffusivities, (1e-10, 1e-3), meas,
                         cheap_cfg, budget=6)
         assert not res.converged
-        assert res.evaluations >= 6
+        assert res.evaluations == len(runs) == 6
         assert len(res.predicted_cm) == 1
+
+    def test_budget_must_cover_the_starting_jacobian(self, cheap_cfg):
+        meas = [ThicknessMeasurement(8.0, 9e-4, 1e-4)]
+        with pytest.raises(ValueError, match="budget 3"):
+            calibrate(cheap_cfg.diffusivities, (1e-10, 1e-3), meas,
+                      cheap_cfg, budget=3)
 
     def test_result_within_bounds(self, cheap_cfg):
         meas = [ThicknessMeasurement(8.0, 9e-4, 1e-4)]
@@ -151,24 +155,42 @@ class TestCalibrate:
             assert 1e-10 <= v <= 1e-3
 
     def test_one_run_per_evaluation(self, cheap_cfg, monkeypatch):
-        runs = []
-        real_run = patina.calibration.run
-
-        def counting_run(cfg):
-            runs.append(cfg.diffusivities)
-            return real_run(cfg)
-
-        monkeypatch.setattr(patina.calibration, "run", counting_run)
+        runs = count_runs(monkeypatch)
         meas = [ThicknessMeasurement(4.0, 3e-4, 1e-4),
                 ThicknessMeasurement(8.0, 5e-4, 1e-4)]
         res = calibrate(cheap_cfg.diffusivities, (1e-10, 1e-3), meas,
                         cheap_cfg, budget=15)
-        assert len(runs) == res.evaluations
+        # every run counts, the four of the starting Jacobian included, and
+        # no parameter point runs twice
+        assert len(runs) == res.evaluations > 4
+        assert len(set(runs)) == len(runs)
         # the kept run is the reported point's: a fresh run repeats it
         fresh = predict_total_thickness(res.diffusivities, cheap_cfg, res.times_hours)
         assert res.predicted_cm == tuple(float(p) for p in fresh)
         assert res.residual == residual(res.diffusivities, meas, cheap_cfg)
         assert res.output.records[-1].t_hours == pytest.approx(8.0)
+
+    def test_shipped_data_fit_the_amplitude_alone(self, cheap_cfg,
+                                                  table_measurements):
+        # total thickness sees the sqrt(t) amplitude, which d_s carries most
+        # of; the d_g/d_s split and d_o stay at their start values
+        cfg = replace(cheap_cfg, horizon_hours=40.0)
+        start = reduced_model_initial_guess(table_measurements, cfg)
+        res = calibrate(start, (1e-10, 1e-3), table_measurements, cfg)
+        assert res.converged
+        assert res.fitted == ("d_s",)
+        assert len(res.singular_values) == 3
+        assert res.singular_values[1] < 1e-2 * res.singular_values[0]
+        assert res.condition > 1e3
+        assert res.diffusivities.d_g == start.d_g
+        assert res.diffusivities.d_o == start.d_o
+        assert res.residual <= residual(start, table_measurements, cfg)
+
+    def test_failed_start_is_a_solver_failure(self, cheap_cfg):
+        cfg = replace(cheap_cfg, max_steps=3)
+        meas = [ThicknessMeasurement(8.0, 9e-4, 1e-4)]
+        with pytest.raises(SimulationError, match="calibration start"):
+            calibrate(cfg.diffusivities, (1e-10, 1e-3), meas, cfg)
 
     def test_rejects_bad_inputs(self, cheap_cfg):
         meas = [ThicknessMeasurement(8.0, 9e-4, 1e-4)]

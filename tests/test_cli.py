@@ -33,6 +33,7 @@ def test_simulate_chamber(tmp_path, capsys):
     assert manifest["tool_version"]
     assert "diffusivities" in manifest["resolved_config"]
     assert manifest["duration_seconds"] > 0
+    assert "calibration" not in manifest
 
 
 def test_simulate_deterministic_output(tmp_path):
@@ -98,8 +99,16 @@ def test_calibrate_cli(tmp_path, capsys):
     data = [ln for ln in lines if not ln.startswith("#")]
     assert data[0] == "time_hours,measured_cm,std_cm,predicted_cm"
     assert len(data) == 2
+    # one measurement gives a 1x3 Jacobian: one direction, one fitted parameter
+    header = dict(ln[2:].split(" = ") for ln in lines if ln.startswith("# "))
+    assert len(header["singular_values"].split()) == 1
+    assert float(header["condition"]) == 1.0
+    fitted = header["fitted"].split()
+    assert len(fitted) == 1 and fitted[0] in ("d_g", "d_s", "d_o")
     _svg_ok(out / "comparison.svg")
-    assert (out / "calibration_manifest.json").exists()
+    manifest = json.loads((out / "calibration_manifest.json").read_text())
+    assert manifest["calibration"]["fitted"] == fitted
+    assert len(manifest["calibration"]["singular_values"]) == 1
 
 
 def test_calibrate_empty_measurements(tmp_path, capsys):

@@ -7,6 +7,7 @@ from patina.pde_core import (
     BoundaryConditionError,
     Diffusivities,
     FrontState,
+    FrontVelocities,
     LayerFields,
     Scales,
     StefanConstants,
@@ -70,6 +71,15 @@ class TestFrontState:
         # more cuprite consumed than ever formed: beta >= a
         with pytest.raises(ValueError, match="ordering"):
             FrontState.from_consumption(1e-2, 2e-2, SW)
+
+    def test_with_velocities_puts_each_speed_in_its_field(self):
+        fs = FrontState.from_consumption(1e-2, 8e-3, SW)
+        vel = FrontVelocities(a_dot=1.0, b_dot=2.0, gamma_dot=3.0, beta_dot=4.0)
+        moved = fs.with_velocities(vel)
+        assert (moved.a, moved.b, moved.beta, moved.gamma) == \
+            (fs.a, fs.b, fs.beta, fs.gamma)
+        assert (moved.a_dot, moved.b_dot, moved.beta_dot, moved.gamma_dot) == \
+            (1.0, 2.0, 4.0, 3.0)
 
     def test_advanced_keeps_consistency(self):
         fs = FrontState.from_consumption(1e-2, 8e-3, SW, a_dot=0.1, b_dot=0.5)
