@@ -37,8 +37,9 @@ from .config import (
 from .convergence import (
     advection_spatial_errors,
     diffusion_mode_relative_error,
+    frozen_front_temporal_errors,
+    moving_front_temporal_errors,
     observed_orders,
-    scalar_imex_errors,
 )
 from .simulation import SimulationError, run, write_output_csv
 from .svgchart import PointSeries, Series, write_line_chart
@@ -122,7 +123,6 @@ def _sim_config(args):
         horizon_hours=getattr(args, "horizon_hours", None),
         seed_a=getattr(args, "seed_a", None),
         seed_b=getattr(args, "seed_b", None),
-        central_advection=getattr(args, "central_advection", False),
     )
 
 
@@ -255,20 +255,24 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_convergence(args) -> int:
-    errors = scalar_imex_errors()
+def _order_table(title: str, label: str, errors) -> list[float]:
+    """Print (h, error) pairs with the observed orders; return the orders."""
     orders = observed_orders(errors)
-    print("scalar split test (u' = -u, H = G = -u/2):")
-    for (dt, err), line_order in zip(errors, [None] + orders):
+    print(title)
+    for (h, err), line_order in zip(errors, [None] + orders):
         suffix = "" if line_order is None else f"  order {line_order:.3f}"
-        print(f"  dt = {dt:<6g} error = {err:.3e}{suffix}")
-    scheme = "central" if args.central_advection else "upwind"
-    adv = advection_spatial_errors(scheme=scheme)
-    adv_orders = observed_orders(adv)
-    print(f"advection bump, {scheme} differencing:")
-    for (h, err), line_order in zip(adv, [None] + adv_orders):
-        suffix = "" if line_order is None else f"  order {line_order:.3f}"
-        print(f"  h = {h:<8g} error = {err:.3e}{suffix}")
+        print(f"  {label} = {h:<8g} error = {err:.3e}{suffix}")
+    return orders
+
+
+def cmd_convergence(args) -> int:
+    cfg = build_simulation_config(load_settings(args.config), forcing_mode="chamber")
+    orders = _order_table("temporal, frozen fronts (S, O, G bumps, n = 50, "
+                          "vs dt/64):", "dt", frozen_front_temporal_errors())
+    orders += _order_table("temporal, moving fronts (chamber run, n = 25, 4 h, "
+                           "step caps / k; change of a, b, gamma to 2k):", "1/k",
+                           moving_front_temporal_errors(cfg))
+    _order_table("advection bump, upwind differencing:", "h", advection_spatial_errors())
     diff_err = diffusion_mode_relative_error()
     print(f"diffusion eigenmode relative error: {diff_err:.3e}")
     min_temporal = min(orders)
@@ -288,15 +292,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"patina {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default):
+    def common(p, writes_output=False):
         p.add_argument("--config", metavar="PATH", default=None,
                        help="config file (defaults built in)")
-        p.add_argument("--out", metavar="DIR", default=out_default)
-        p.add_argument("--central-advection", action="store_true",
-                       help="central differencing instead of upwinding")
+        if writes_output:
+            p.add_argument("--out", metavar="DIR", default="out")
 
     p_sim = sub.add_parser("simulate", help="run the model and write CSV/SVG output")
-    common(p_sim, "out")
+    common(p_sim, writes_output=True)
     group = p_sim.add_mutually_exclusive_group()
     group.add_argument("--chamber", action="store_true",
                        help="constant corrosion-chamber forcing")
@@ -310,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cal = sub.add_parser("calibrate", help="fit diffusivities to thickness data")
-    common(p_cal, "out")
+    common(p_cal, writes_output=True)
     p_cal.add_argument("--measurements", metavar="PATH", required=True)
     p_cal.add_argument("--env", metavar="PATH", default=None, help=argparse.SUPPRESS)
     p_cal.add_argument("--chamber", action="store_true")
@@ -318,15 +321,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_val = sub.add_parser("validate", help="run the stoichiometry gate")
-    common(p_val, "out")
+    common(p_val)
     p_val.add_argument("--chamber", action="store_true")
     p_val.add_argument("--cycles", action="store_true")
     p_val.add_argument("--env", metavar="PATH", default=None)
     p_val.add_argument("--horizon-hours", type=float, default=None)
     p_val.set_defaults(func=cmd_validate)
 
-    p_conv = sub.add_parser("convergence", help="measure scheme orders")
-    common(p_conv, "out")
+    p_conv = sub.add_parser("convergence", help="measure the stepper's orders")
+    common(p_conv)
     p_conv.set_defaults(func=cmd_convergence)
     return parser
 

@@ -1,7 +1,7 @@
 """Plain-text configuration: ``key = value`` lines under bracketed sections.
 
 Understood sections: [scales], [diffusivities], [grid], [seeds], [time],
-[forcing], [calibration], [materials], [validation].  ``#`` starts a
+[forcing], [calibration], [materials].  ``#`` starts a
 comment.  Every key has a default, so an empty or missing file yields the
 shipped configuration; unknown sections or keys are an error (typos should
 not pass silently).  A relative ``[materials] override_file`` or
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .environment import (
@@ -82,7 +82,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "spread_tol": "1e-3",        # fit stops at a shorter step, log10 decades
     },
     "materials": {"override_file": ""},
-    "validation": {"omega_p_scale": "1", "omega_b_scale": "1"},
 }
 
 
@@ -166,8 +165,8 @@ def _forcing_from(cp, mode: str | None = None, env_csv=None) -> Forcing:
 
 def build_simulation_config(cp, *, forcing_mode: str | None = None,
                             env_csv=None, horizon_hours: float | None = None,
-                            seed_a: float | None = None, seed_b: float | None = None,
-                            central_advection: bool = False) -> SimulationConfig:
+                            seed_a: float | None = None,
+                            seed_b: float | None = None) -> SimulationConfig:
     """Assemble a SimulationConfig; keyword arguments are CLI overrides."""
     horizon = cp.getfloat("time", "horizon_hours") if horizon_hours is None else horizon_hours
     if not (math.isfinite(horizon) and horizon > 0.0):
@@ -189,9 +188,6 @@ def build_simulation_config(cp, *, forcing_mode: str | None = None,
         cfl_target=cp.getfloat("time", "cfl_target"),
         horizon_hours=horizon,
         output_stride=cp.getint("time", "output_stride"),
-        advection_scheme="central" if central_advection else "upwind",
-        omega_p_scale=cp.getfloat("validation", "omega_p_scale"),
-        omega_b_scale=cp.getfloat("validation", "omega_b_scale"),
         max_steps=cp.getint("time", "max_steps"),
     )
 
@@ -215,9 +211,7 @@ def resolved_config_dict(cfg: SimulationConfig) -> dict:
                    "g_r_gcm3": cfg.scales.g_r},
         "diffusivities": {"d_g": cfg.diffusivities.d_g, "d_s": cfg.diffusivities.d_s,
                           "d_o": cfg.diffusivities.d_o},
-        "materials": {name: getattr(cfg.materials, name)
-                      for name in ("rho_c", "M_c", "rho_p", "M_p", "rho_b", "M_b",
-                                   "rho_s", "M_s", "M_o", "n_b", "n_p")},
+        "materials": asdict(cfg.materials),
         "forcing": {"mode": cfg.forcing.mode,
                     "samples": int(cfg.forcing.times.size),
                     "wet_hours": cfg.forcing.wet_hours,
@@ -228,7 +222,4 @@ def resolved_config_dict(cfg: SimulationConfig) -> dict:
         "time": {"dt_max": cfg.dt_max, "cfl_target": cfg.cfl_target,
                  "horizon_hours": cfg.horizon_hours,
                  "output_stride": cfg.output_stride, "max_steps": cfg.max_steps},
-        "advection_scheme": cfg.advection_scheme,
-        "validation": {"omega_p_scale": cfg.omega_p_scale,
-                       "omega_b_scale": cfg.omega_b_scale},
     }

@@ -1,12 +1,16 @@
-"""Verification battery: measured orders of the scheme on manufactured problems.
+"""Verification battery: measured orders of the shipped stepper.
 
-Three checks, all cheap:
+Every check drives ``imex_midpoint_step`` itself:
 
-* temporal order on the scalar split problem u' = lam*u with H = G = lam*u/2
-  (exact solution known; the midpoint pair should show order 2);
+* temporal order with frozen fronts: Gaussian bumps of S, O and G advected
+  and diffused on unit layers, each step size against a run at 1/64 of
+  the smallest one;
+* temporal order with moving fronts: the chamber run on a coarse grid with
+  both step caps (cfl_target, dt_max) divided by 1, 2, 4, 8 and 16, the
+  error at each divisor being the change of the fronts at the next one;
 * decay of a diffusion eigenmode against exp(-pi^2 D tau) with frozen fronts;
 * spatial self-convergence of a smooth advection bump under grid refinement
-  (order ~1 with upwinding, ~2 with central differences).
+  (order about 1 with upwinding).
 
 The full-run refinement check (grid doubled, dt halved) lives here too since
 the acceptance gate uses it.
@@ -19,54 +23,20 @@ from dataclasses import replace
 
 import numpy as np
 
-from .pde_core import Diffusivities, FrontState, LayerFields
-from .stepper import MIDPOINT_122, ImexTableau, NondimModel, StepCounters, imex_midpoint_step
-from .simulation import SimulationConfig, run
 from .materials import SwellingRatios
-from .pde_core import StefanConstants
+from .pde_core import Diffusivities, FrontState, LayerFields, StefanConstants
+from .simulation import SimulationConfig, run
+from .stepper import NondimModel, imex_midpoint_step
 
 __all__ = [
-    "scalar_imex_step",
-    "scalar_imex_errors",
     "observed_orders",
+    "frozen_bump_problem",
+    "frozen_front_temporal_errors",
+    "moving_front_temporal_errors",
     "diffusion_mode_relative_error",
     "advection_spatial_errors",
     "refinement_delta",
 ]
-
-
-def scalar_imex_step(u: float, dt: float, h_coef: float, g_coef: float,
-                     tableau: ImexTableau = MIDPOINT_122) -> float:
-    """One DIRK-IMEX step on u' = h_coef*u + g_coef*u (H explicit, G implicit)."""
-    nu = tableau.stages
-    h_vals = [0.0] * nu
-    g_vals = [0.0] * nu
-    for i in range(nu):
-        acc = u
-        for k in range(i):
-            acc += dt * (tableau.a_explicit[i][k] * h_vals[k]
-                         + tableau.a_implicit[i][k] * g_vals[k])
-        denom = 1.0 - dt * tableau.a_implicit[i][i] * g_coef
-        if denom == 0.0:
-            raise ZeroDivisionError("singular implicit stage")
-        u_i = acc / denom
-        h_vals[i] = h_coef * u_i
-        g_vals[i] = g_coef * u_i
-    return u + dt * sum(tableau.w_explicit[i] * h_vals[i]
-                        + tableau.w_implicit[i] * g_vals[i] for i in range(nu))
-
-
-def scalar_imex_errors(dts=(0.1, 0.05, 0.025), lam: float = -1.0,
-                       t_end: float = 1.0, u0: float = 1.0) -> list[tuple[float, float]]:
-    """Global error vs the exact exponential for each step size."""
-    out = []
-    for dt in dts:
-        n = round(t_end / dt)
-        u = u0
-        for _ in range(n):
-            u = scalar_imex_step(u, dt, lam / 2.0, lam / 2.0)
-        out.append((dt, abs(u - u0 * math.exp(lam * n * dt))))
-    return out
 
 
 def observed_orders(errors: list[tuple[float, float]]) -> list[float]:
@@ -80,24 +50,68 @@ def observed_orders(errors: list[tuple[float, float]]) -> list[float]:
     return orders
 
 
-def _frozen_model(n_z: int, n_y: int, d: Diffusivities,
-                  scheme: str = "upwind") -> NondimModel:
-    """Model with inert interfaces (zero Stefan constants, zero forcing)."""
-    return NondimModel(
-        d_hat=d,
-        sc=StefanConstants(0.0, 0.0, 0.0),
-        sw=SwellingRatios(0.0, 0.0),
-        n_z=n_z,
-        n_y=n_y,
-        forcing_hat=lambda tau: (0.0, 0.0),
-        scheme=scheme,
-    )
+def _frozen_model(n: int, d: Diffusivities) -> NondimModel:
+    """Model on n x n grids with inert interfaces (zero Stefan constants, zero forcing)."""
+    return NondimModel(d_hat=d, sc=StefanConstants(0.0, 0.0, 0.0), sw=SwellingRatios(0.0, 0.0),
+                       n_z=n, n_y=n, forcing_hat=lambda tau: (0.0, 0.0))
 
 
 def _unit_width_fronts(gamma_dot: float = 0.0, beta_dot: float = 0.0) -> FrontState:
     # synthetic geometry for operator tests: both layers of unit width
     return FrontState(a=2.0, b=1.0, beta=1.0, gamma=0.0,
                       a_dot=0.0, b_dot=0.0, beta_dot=beta_dot, gamma_dot=gamma_dot)
+
+
+def _march(fields: LayerFields, fronts: FrontState, model: NondimModel,
+           dt: float, steps: int) -> tuple[LayerFields, float]:
+    """``steps`` frozen-front steps of size dt from tau = 0; returns the fields and tau."""
+    tau = 0.0
+    for _ in range(steps):
+        fields, fronts = imex_midpoint_step(fields, fronts, tau, dt, model,
+                                            freeze_fronts=True)
+        tau += dt
+    return fields, tau
+
+
+def frozen_bump_problem() -> tuple[LayerFields, FrontState, NondimModel]:
+    """Gaussian bumps of S, O and G on frozen unit layers (n = 50, d_hat = 1e-2).
+
+    S and O ride the outer flow c(z) = -z (gamma_dot = -1); G only diffuses.
+    """
+    x = np.linspace(0.0, 1.0, 51)
+    bump = np.exp(-(((x - 0.5) / 0.1) ** 2))
+    return (LayerFields(S=bump, O=bump, G=bump), _unit_width_fronts(gamma_dot=-1.0),
+            _frozen_model(50, Diffusivities(1e-2, 1e-2, 1e-2)))
+
+
+def frozen_front_temporal_errors(dts=(0.02, 0.01, 0.005), tau_end: float = 0.2,
+                                 refine: int = 64) -> list[tuple[float, float]]:
+    """Max-norm errors of the bump problem at tau_end against a run at dts[-1]/refine."""
+    def final(dt):
+        fields, fronts, model = frozen_bump_problem()
+        return _march(fields, fronts, model, dt, round(tau_end / dt))[0].u
+
+    ref = final(dts[-1] / refine)
+    return [(dt, float(np.max(np.abs(final(dt) - ref)))) for dt in dts]
+
+
+def moving_front_temporal_errors(cfg: SimulationConfig, divisors=(1, 2, 4, 8, 16),
+                                 n: int = 25, horizon_hours: float = 4.0
+                                 ) -> list[tuple[float, float]]:
+    """(1/k, error) pairs of the coupled run on an n x n grid, fronts moving.
+
+    cfl_target and dt_max are divided by each divisor k; the error at k is
+    the largest relative change of a, b and gamma at the horizon from k to
+    the next divisor.
+    """
+    finals = []
+    for k in divisors:
+        last = run(replace(cfg, n_z=n, n_y=n, horizon_hours=horizon_hours,
+                           cfl_target=cfg.cfl_target / k, dt_max=cfg.dt_max / k,
+                           max_steps=k * cfg.max_steps)).records[-1]
+        finals.append(np.array((last.a_nd, last.b_nd, last.gamma_nd)))
+    return [(1.0 / k, float(np.max(np.abs(coarse - fine) / np.abs(fine))))
+            for k, coarse, fine in zip(divisors, finals, finals[1:])]
 
 
 def diffusion_mode_relative_error(n: int = 100, dt: float = 1e-4,
@@ -107,51 +121,35 @@ def diffusion_mode_relative_error(n: int = 100, dt: float = 1e-4,
     z = np.linspace(0.0, 1.0, n + 1)
     fields = LayerFields(S=np.sin(np.pi * z), O=np.zeros(n + 1), G=np.zeros(n + 1))
     tiny = 1e-30  # effectively switch diffusion off for the bystander species
-    model = _frozen_model(n, n, Diffusivities(tiny, d_hat, tiny))
-    fronts = _unit_width_fronts()
-    counters = StepCounters()
-    steps = round(tau_end / dt)
-    tau = 0.0
-    for _ in range(steps):
-        fields, fronts = imex_midpoint_step(fields, fronts, tau, dt, model,
-                                            counters, freeze_fronts=True)
-        tau += dt
+    model = _frozen_model(n, Diffusivities(tiny, d_hat, tiny))
+    fields, tau = _march(fields, _unit_width_fronts(), model, dt, round(tau_end / dt))
     exact = math.exp(-math.pi**2 * d_hat * tau)
     mid = fields.S[n // 2] / math.sin(math.pi * 0.5)
     return abs(mid - exact) / exact
 
 
-def _advect_bump(n: int, scheme: str, tau_end: float = 0.4,
-                 cfl: float = 0.4) -> np.ndarray:
+def _advect_bump(n: int, tau_end: float = 0.4, cfl: float = 0.4) -> np.ndarray:
     """Advect a Gaussian bump with speed c(z) = -z on a frozen unit layer."""
     z = np.linspace(0.0, 1.0, n + 1)
     bump = np.exp(-(((z - 0.6) / 0.1) ** 2))
     tiny = 1e-30
     fields = LayerFields(S=bump, O=np.zeros(n + 1), G=np.zeros(n + 1))
-    model = _frozen_model(n, n, Diffusivities(tiny, tiny, tiny), scheme)
+    model = _frozen_model(n, Diffusivities(tiny, tiny, tiny))
     # gamma_dot - beta_dot = -1 over unit width gives c(z) = -z
     fronts = _unit_width_fronts(gamma_dot=-1.0, beta_dot=0.0)
-    counters = StepCounters()
     dt = cfl / n  # max |c| = 1
-    steps = round(tau_end / dt)
-    tau = 0.0
-    for _ in range(steps):
-        fields, fronts = imex_midpoint_step(fields, fronts, tau, dt, model,
-                                            counters, freeze_fronts=True)
-        tau += dt
-    return fields.S
+    return _march(fields, fronts, model, dt, round(tau_end / dt))[0].S
 
 
-def advection_spatial_errors(scheme: str = "upwind",
-                             grids=(50, 100, 200),
+def advection_spatial_errors(grids=(50, 100, 200),
                              reference: int = 400) -> list[tuple[float, float]]:
     """Max-norm self-convergence errors against the finest grid."""
-    ref = _advect_bump(reference, scheme)
+    ref = _advect_bump(reference)
     out = []
     for n in grids:
         if reference % n:
             raise ValueError("reference grid must be a multiple of each test grid")
-        u = _advect_bump(n, scheme)
+        u = _advect_bump(n)
         stride = reference // n
         out.append((1.0 / n, float(np.max(np.abs(u - ref[::stride])))))
     return out

@@ -84,17 +84,17 @@ class EnvSample:
 class Forcing:
     """Time-dependent boundary concentrations, all in g/cm3, times in hours.
 
-    The samples are (time, so2, oxygen) rows held as three parallel arrays.
-    Constant-chamber forcing is a single row; cycle-schedule keeps the
-    wet-phase values in that row and switches to ``dry_so2`` during the dry
-    phase; time-series mode interpolates linearly and clamps to the
-    first/last row outside the sampled range.
+    SO2 is sampled as (time, so2) rows held in two parallel arrays; oxygen
+    is one constant in every mode.  Constant-chamber forcing is a single
+    row; cycle-schedule keeps the wet-phase SO2 in that row and switches to
+    ``dry_so2`` during the dry phase; time-series mode interpolates SO2
+    linearly and clamps to the first/last row outside the sampled range.
     """
 
     mode: str
     times: np.ndarray
     so2: np.ndarray
-    oxygen: np.ndarray
+    oxygen: float
     wet_hours: float = 0.0
     dry_hours: float = 0.0
     dry_so2: float = 0.0
@@ -102,21 +102,25 @@ class Forcing:
     def __post_init__(self):
         if self.mode not in ("constant-chamber", "cycle-schedule", "time-series"):
             raise ValueError(f"unknown forcing mode {self.mode!r}")
-        for name in ("times", "so2", "oxygen"):
+        for name in ("times", "so2"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "oxygen", float(self.oxygen))
         n = self.times.size
         if n == 0:
             raise ValueError("no samples")
-        if any(arr.size != n for arr in (self.so2, self.oxygen)):
+        if self.so2.size != n:
             raise ValueError("sample arrays must have equal length")
-        for name in ("times", "so2", "oxygen"):
+        for name in ("times", "so2"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite {name} in samples")
+        if not math.isfinite(self.oxygen):
+            raise ValueError(f"non-finite oxygen concentration {self.oxygen}")
         if n > 1 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError("non-monotone time")
-        for name in ("so2", "oxygen"):
-            if np.any(getattr(self, name) < 0.0):
-                raise ValueError(f"negative {name} concentration in samples")
+        if np.any(self.so2 < 0.0):
+            raise ValueError("negative so2 concentration in samples")
+        if self.oxygen < 0.0:
+            raise ValueError(f"negative oxygen concentration {self.oxygen}")
         if self.mode == "cycle-schedule":
             if self.wet_hours <= 0.0:
                 raise ValueError("wet_hours must be positive in cycle-schedule mode")
@@ -128,7 +132,7 @@ class Forcing:
 
 def constant_chamber_forcing(so2: float, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
     """Fixed chamber concentrations (g/cm3)."""
-    return Forcing("constant-chamber", [0.0], [so2], [oxygen])
+    return Forcing("constant-chamber", [0.0], [so2], oxygen)
 
 
 def cycle_forcing(wet_so2: float, oxygen: float = AMBIENT_OXYGEN,
@@ -138,7 +142,7 @@ def cycle_forcing(wet_so2: float, oxygen: float = AMBIENT_OXYGEN,
 
     The room default is no SO2.  Oxygen is the same in both phases.
     """
-    return Forcing("cycle-schedule", [0.0], [wet_so2], [oxygen],
+    return Forcing("cycle-schedule", [0.0], [wet_so2], oxygen,
                    wet_hours=wet_hours, dry_hours=dry_hours, dry_so2=dry_so2)
 
 
@@ -147,8 +151,7 @@ def timeseries_forcing(samples: list[EnvSample],
     """Forcing from environmental samples; SO2 converted to g/cm3."""
     times = [s.time_hours for s in samples]
     so2 = [so2_concentration(s.so2_ugm3, "ugm3") for s in samples]
-    oxy = [oxygen] * len(samples)
-    return Forcing("time-series", times, so2, oxy)
+    return Forcing("time-series", times, so2, oxygen)
 
 
 TIMESERIES_HEADER = ("time_hours", "so2_ugm3", "temp_c", "rh_percent")
@@ -199,15 +202,12 @@ def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
 def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float]:
     """Boundary (SO2, oxygen) in g/cm3 at time ``t_hours``."""
     if forcing.mode == "constant-chamber":
-        return float(forcing.so2[0]), float(forcing.oxygen[0])
+        return float(forcing.so2[0]), forcing.oxygen
     if forcing.mode == "cycle-schedule":
         period = forcing.wet_hours + forcing.dry_hours
         phase = t_hours % period if period > 0.0 else 0.0
-        oxy = float(forcing.oxygen[0])
         if phase < forcing.wet_hours:
-            return float(forcing.so2[0]), oxy
-        return forcing.dry_so2, oxy
+            return float(forcing.so2[0]), forcing.oxygen
+        return forcing.dry_so2, forcing.oxygen
     # time-series: linear interpolation, clamped at the endpoints
-    s = float(np.interp(t_hours, forcing.times, forcing.so2))
-    o = float(np.interp(t_hours, forcing.times, forcing.oxygen))
-    return s, o
+    return float(np.interp(t_hours, forcing.times, forcing.so2)), forcing.oxygen

@@ -50,15 +50,14 @@ class MaterialTable:
     M_p: float = 143.09
     rho_b: float = 3.97     # brochantite (Cu4SO4(OH)6)
     M_b: float = 452.3
-    rho_s: float = 1.46     # SO2 (unused by the equations, kept for completeness)
-    M_s: float = 64.07
+    M_s: float = 64.07      # SO2
     M_o: float = 32.00      # O2
     n_b: float = 1.0        # brochantite-layer porosity, in (0, 1]
     n_p: float = 1.0        # cuprite-layer porosity, in (0, 1]
 
     def __post_init__(self):
         for name in ("rho_c", "M_c", "rho_p", "M_p", "rho_b", "M_b",
-                     "rho_s", "M_s", "M_o"):
+                     "M_s", "M_o"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"material parameter {name} must be positive, got {value}")
@@ -96,10 +95,6 @@ class SwellingRatios:
 
     omega_p: float
     omega_b: float
-
-    def scaled(self, p_scale: float = 1.0, b_scale: float = 1.0) -> "SwellingRatios":
-        """Scaled copy; used only by the validation fault-injection switch."""
-        return SwellingRatios(self.omega_p * p_scale, self.omega_b * b_scale)
 
 
 def swelling_ratios(mat: MaterialTable) -> SwellingRatios:

@@ -54,8 +54,6 @@ __all__ = [
     "StefanConstants",
     "FrontVelocities",
     "stefan_constants",
-    "rescale_coeff_q",
-    "rescale_coeff_f",
     "outer_advection_coeff",
     "inner_advection_coeff",
     "split_rhs_interior",
@@ -281,60 +279,47 @@ def _inner_width(fs: FrontState) -> float:
     return width
 
 
-def rescale_coeff_q(z, fs: FrontState):
-    """Front-fixing advection coefficient of the outer map, q(z)."""
-    width = _outer_width(fs)
-    return (np.asarray(z) * (fs.gamma_dot - fs.beta_dot) - fs.gamma_dot) / width
-
-
-def rescale_coeff_f(y, fs: FrontState):
-    """Front-fixing advection coefficient of the inner map, f(y)."""
-    width = _inner_width(fs)
-    return (np.asarray(y) * (fs.beta_dot - fs.a_dot) - fs.beta_dot) / width
-
-
 def outer_advection_coeff(z, fs: FrontState):
-    """Total advection speed of the outer equations at grid coordinate z."""
-    return fs.gamma_dot / _outer_width(fs) + rescale_coeff_q(z, fs)
+    """Outer advection speed gamma_dot/width + q(z) at grid coordinates z.
+
+    It equals z*(gamma_dot - beta_dot)/width, largest at z=1 where select_dt
+    bounds it; the two-term form keeps the rounding of the shipped results.
+    """
+    width = _outer_width(fs)
+    gd = fs.gamma_dot
+    return gd / width + (z * (gd - fs.beta_dot) - gd) / width
 
 
 def inner_advection_coeff(y, fs: FrontState, omega_p: float):
-    """Total advection speed of the inner equation at grid coordinate y.
+    """Inner advection speed c = -A(y) = f(y) - omega_p*a_dot/width at grid coordinates y.
 
-    The inner equation reads dG/dtau = diffusion + A(y) G_y; in standard
-    advection form (dG/dtau + c G_y = diffusion) the speed is c = -A(y).
+    Standard advection form dG/dtau + c G_y = diffusion.  For consistent
+    fronts c runs from -b_dot/width at y=0 to -(1+omega_p)*a_dot/width at
+    y=1, the two end speeds select_dt bounds.
     """
-    return rescale_coeff_f(y, fs) - omega_p * fs.a_dot / _inner_width(fs)
+    width = _inner_width(fs)
+    bd = fs.beta_dot
+    return (y * (bd - fs.a_dot) - bd) / width - omega_p * fs.a_dot / width
 
 
-def _upwind_gradient(u: np.ndarray, c: np.ndarray, dx: np.ndarray,
-                     scheme: str) -> np.ndarray:
-    """First derivative at interior nodes, biased against the flow for 'upwind'."""
-    if scheme == "central":
-        return (u[2:] - u[:-2]) / (2.0 * dx)
-    if scheme != "upwind":
-        raise ValueError(f"unknown advection scheme {scheme!r}")
-    backward = (u[1:-1] - u[:-2]) / dx
-    forward = (u[2:] - u[1:-1]) / dx
-    return np.where(c > 0.0, backward, forward)
-
-
-def split_rhs_interior(u: np.ndarray, c: np.ndarray, dx: np.ndarray,
-                       scheme: str) -> np.ndarray:
-    """Explicit advection right-hand side -c*u_x at the interior nodes of u.
+def split_rhs_interior(u: np.ndarray, c: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Explicit upwind advection right-hand side -c*u_x at the interior nodes of u.
 
     ``u`` is one flat buffer, usually the packed ``[S | O | G]`` of a
     LayerFields; the result covers nodes 1..N-2.  ``c`` is the advection
     speed and ``dx`` the grid spacing of each of those nodes, so blocks on
-    different grids go through one pass.  A difference taken across a
-    block edge mixes two species; the stepper gives the block-edge nodes
-    c = 0 and never uses their rows.
+    different grids go through one pass.  The difference is taken against
+    the flow: backward where c > 0, forward elsewhere.  A difference taken
+    across a block edge mixes two species; the stepper gives the block-edge
+    nodes c = 0 and never uses their rows.
     """
     if u.ndim != 1 or u.size < 3:
         raise ValueError(f"field must be a 1-D array with at least 3 nodes, got shape {u.shape}")
     if c.shape != u[1:-1].shape or dx.shape != c.shape:
         raise ValueError("advection coefficient or spacing grid does not match the field grid")
-    return -c * _upwind_gradient(u, c, dx, scheme)
+    backward = (u[1:-1] - u[:-2]) / dx
+    forward = (u[2:] - u[1:-1]) / dx
+    return -c * np.where(c > 0.0, backward, forward)
 
 
 def boundary_gradient(u: np.ndarray, dx: float) -> float:

@@ -17,7 +17,6 @@ from .environment import Forcing, forcing_at
 from .materials import (
     MaterialTable,
     MoleReport,
-    SwellingRatios,
     mole_balance,
     swelling_ratios,
 )
@@ -66,9 +65,6 @@ class SimulationConfig:
     cfl_target: float = 0.8
     horizon_hours: float = 40.0
     output_stride: int = 10
-    advection_scheme: str = "upwind"
-    omega_p_scale: float = 1.0        # fault injection for the stoichiometry gate
-    omega_b_scale: float = 1.0
     max_steps: int = 2_000_000
 
     def __post_init__(self):
@@ -127,14 +123,10 @@ class SimulationOutput:
         return np.interp(np.asarray(t_hours, dtype=float), times, totals)
 
 
-def _kinematic_swelling(cfg: SimulationConfig) -> SwellingRatios:
-    return swelling_ratios(cfg.materials).scaled(cfg.omega_p_scale, cfg.omega_b_scale)
-
-
 def _build_model(cfg: SimulationConfig) -> NondimModel:
     d_hat = cfg.diffusivities.hatted(cfg.scales)
     sc = stefan_constants(cfg.materials, d_hat, cfg.scales)
-    sw = _kinematic_swelling(cfg)
+    sw = swelling_ratios(cfg.materials)
     scales = cfg.scales
     forcing = cfg.forcing
     hours_per_tau = scales.t_r / SECONDS_PER_HOUR
@@ -144,7 +136,7 @@ def _build_model(cfg: SimulationConfig) -> NondimModel:
         return s / scales.s_r, o / scales.o_r
 
     return NondimModel(d_hat=d_hat, sc=sc, sw=sw, n_z=cfg.n_z, n_y=cfg.n_y,
-                       forcing_hat=forcing_hat, scheme=cfg.advection_scheme)
+                       forcing_hat=forcing_hat)
 
 
 def initialize(cfg: SimulationConfig) -> tuple[LayerFields, FrontState, NondimModel]:
@@ -229,7 +221,8 @@ def run(cfg: SimulationConfig) -> SimulationOutput:
             )
     records.append(_record(cfg, tau, fronts, fields, counters))
 
-    final_dim = fronts.scaled(cfg.scales.lam)
+    lam = cfg.scales.lam
+    final_dim = fronts.scaled(lam)
     report = mole_balance(final_dim, cfg.materials)
     return SimulationOutput(
         records=records,

@@ -2,8 +2,9 @@
 
 Advection (front-fixing terms, H) is integrated explicitly; diffusion (G,
 stiff because the hatted diffusivities are huge) implicitly via tridiagonal
-solves.  The scheme is the implicit-explicit midpoint pair with one implicit
-stage and two explicit stages, combined order 2:
+solves.  The scheme is the implicit-explicit midpoint pair (Ascher, Ruuth &
+Spiteri 1997) with one implicit stage and two explicit stages, combined
+order 2 (patina.convergence measures it on this step):
 
     stage:   u(2) = u^n + dt/2 * H(u^n) + dt/2 * G(u(2))
     update:  u^{n+1} = u^n + dt * H(u(2)) + dt * G(u(2))
@@ -22,7 +23,6 @@ so that every species is solved exactly as on its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -45,8 +45,6 @@ from .pde_core import (
 from .materials import SwellingRatios
 
 __all__ = [
-    "ImexTableau",
-    "MIDPOINT_122",
     "NondimModel",
     "PackedLayout",
     "StepCounters",
@@ -60,50 +58,6 @@ __all__ = [
 
 class TridiagonalError(RuntimeError):
     """Raised when the tridiagonal elimination hits a zero pivot."""
-
-
-@dataclass(frozen=True)
-class ImexTableau:
-    """Butcher coefficients of a DIRK-IMEX pair.
-
-    a_implicit is lower triangular (diagonal allowed), a_explicit strictly
-    lower triangular, and each weight vector sums to one.
-    """
-
-    a_implicit: tuple[tuple[float, ...], ...]
-    a_explicit: tuple[tuple[float, ...], ...]
-    w_implicit: tuple[float, ...]
-    w_explicit: tuple[float, ...]
-    order: int
-
-    def __post_init__(self):
-        nu = len(self.w_implicit)
-        if len(self.w_explicit) != nu or len(self.a_implicit) != nu or len(self.a_explicit) != nu:
-            raise ValueError("tableau parts must share the stage count")
-        for i in range(nu):
-            for j in range(nu):
-                if j >= i and self.a_explicit[i][j] != 0.0:
-                    raise ValueError("explicit tableau must be strictly lower triangular")
-                if j > i and self.a_implicit[i][j] != 0.0:
-                    raise ValueError("implicit tableau must be lower triangular")
-        for name, w in (("implicit", self.w_implicit), ("explicit", self.w_explicit)):
-            if not math.isclose(sum(w), 1.0, rel_tol=0.0, abs_tol=1e-14):
-                raise ValueError(f"{name} weights must sum to 1, got {sum(w)}")
-
-    @property
-    def stages(self) -> int:
-        return len(self.w_implicit)
-
-
-# Implicit-Explicit Midpoint(1,2,2): one implicit stage at the half step,
-# two explicit stages, combined order 2.
-MIDPOINT_122 = ImexTableau(
-    a_implicit=((0.0, 0.0), (0.0, 0.5)),
-    a_explicit=((0.0, 0.0), (0.5, 0.0)),
-    w_implicit=(0.0, 1.0),
-    w_explicit=(0.0, 1.0),
-    order=2,
-)
 
 
 def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
@@ -173,7 +127,6 @@ class NondimModel:
     n_z: int
     n_y: int
     forcing_hat: Callable[[float], tuple[float, float]]
-    scheme: str = "upwind"
 
     @property
     def dz(self) -> float:
@@ -294,10 +247,10 @@ def _advection(u: np.ndarray, fs: FrontState, model: NondimModel) -> np.ndarray:
     The outer advection speed is species-independent, so it is computed once
     and shared by S and O; the block-edge rows get speed zero.
     """
-    c_out = np.asarray(outer_advection_coeff(model.z_interior, fs))
-    c_in = np.asarray(inner_advection_coeff(model.y_interior, fs, model.sw.omega_p))
+    c_out = outer_advection_coeff(model.z_interior, fs)
+    c_in = inner_advection_coeff(model.y_interior, fs, model.sw.omega_p)
     c = np.concatenate((c_out, _EDGE_SPEEDS, c_out, _EDGE_SPEEDS, c_in))
-    return split_rhs_interior(u, c, model.layout.dx, model.scheme)
+    return split_rhs_interior(u, c, model.layout.dx)
 
 
 def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: float,
@@ -307,8 +260,9 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
 
     All three species advance together in the packed buffer ``fields.u``.
     With ``freeze_fronts`` the stored front velocities are kept as imposed
-    coefficients and the geometry never moves; used by the convergence
-    battery to test the operators on manufactured problems.
+    coefficients and the geometry never moves; the convergence battery
+    uses it to measure the order of this very step on problems with a
+    known or self-converged answer.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")

@@ -29,9 +29,10 @@ from patina.calibration import (
 )
 from patina.config import build_simulation_config, load_settings
 from patina.convergence import (
+    frozen_front_temporal_errors,
+    moving_front_temporal_errors,
     observed_orders,
     refinement_delta,
-    scalar_imex_errors,
 )
 from patina.environment import load_timeseries
 from patina.pde_core import Diffusivities
@@ -162,7 +163,10 @@ def test_criterion3_endpoint_bands(calibrated_run):
 
 
 def test_criterion4_scheme_order(calibrated_cfg):
-    orders = observed_orders(scalar_imex_errors())
+    # temporal order of imex_midpoint_step itself: frozen fronts against a
+    # fine-step reference, then the coupled run with moving fronts
+    orders = (observed_orders(frozen_front_temporal_errors())
+              + observed_orders(moving_front_temporal_errors(calibrated_cfg)))
     temporal_ok = min(orders) >= 1.9
     delta = refinement_delta(calibrated_cfg)
     spatial_ok = delta < 0.01

@@ -6,7 +6,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import patina.simulation
 from patina.cli import run_main
+from patina.materials import SwellingRatios, swelling_ratios
 
 
 def _svg_ok(path):
@@ -127,11 +129,14 @@ def test_validate_default_gate(tmp_path, capsys):
     assert "copper/cuprite ratio" in captured.out
 
 
-def test_validate_detects_broken_swelling(tmp_path, capsys):
-    cfgfile = tmp_path / "broken.ini"
-    cfgfile.write_text("[validation]\nomega_b_scale = 1.1\n")
-    code = run_main(["validate", "--config", str(cfgfile), "--chamber",
-                     "--horizon-hours", "4"])
+def test_validate_detects_broken_swelling(tmp_path, capsys, monkeypatch):
+    # front kinematics built with an omega_b 10 % off the material table
+    def broken(mat):
+        sw = swelling_ratios(mat)
+        return SwellingRatios(sw.omega_p, 1.1 * sw.omega_b)
+
+    monkeypatch.setattr(patina.simulation, "swelling_ratios", broken)
+    code = run_main(["validate", "--chamber", "--horizon-hours", "4"])
     captured = capsys.readouterr()
     assert code == 3
     assert "FAILED" in captured.err
@@ -152,9 +157,15 @@ def test_validate_no_growth(tmp_path, capsys):
 
 def test_convergence_command(capsys):
     code = run_main(["convergence"])
-    captured = capsys.readouterr()
+    out = capsys.readouterr().out
     assert code == 0
-    assert "order" in captured.out
+    # both temporal tables, each with its order lines
+    frozen = out.index("temporal, frozen fronts")
+    moving = out.index("temporal, moving fronts")
+    bump = out.index("advection bump")
+    assert out[frozen:moving].count("order ") == 2
+    assert out[moving:bump].count("order ") == 3
+    assert "temporal order" in out and ">= 1.9" in out
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -178,6 +189,42 @@ def test_removed_water_keys_are_unknown(tmp_path, capsys, section, key):
                      "--out", str(tmp_path / "o")])
     assert code == 1
     assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("validation", "omega_p_scale"), ("validation", "omega_b_scale"),
+])
+def test_removed_fault_injection_keys_are_unknown(tmp_path, capsys, section, key):
+    cfgfile = tmp_path / "old.ini"
+    cfgfile.write_text(f"[{section}]\n{key} = 1\n")
+    code = run_main(["simulate", "--chamber", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"unknown config section [{section}]" in capsys.readouterr().err
+
+
+def test_removed_material_key_is_unknown(tmp_path, capsys):
+    mat = tmp_path / "mat.txt"
+    mat.write_text("rho_s = 1.46\n")
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[materials]\noverride_file = mat.txt\n")
+    code = run_main(["simulate", "--chamber", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "unknown material key 'rho_s'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--chamber", "--central-advection"],
+    ["convergence", "--central-advection"],
+    ["validate", "--out", "o"],
+    ["convergence", "--out", "o"],
+])
+def test_removed_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_manifest_digests_follow_the_override_file(tmp_path):

@@ -50,38 +50,44 @@ def test_cycle_forcing_phases():
 
 def test_cycle_forcing_validation():
     with pytest.raises(ValueError, match="wet_hours"):
-        Forcing("cycle-schedule", [0.0], [1e-7], [2.6e-4],
+        Forcing("cycle-schedule", [0.0], [1e-7], 2.6e-4,
                 wet_hours=0.0, dry_hours=16.0)
 
 
 def test_timeseries_interpolation_and_clamping():
-    f = Forcing("time-series", [0.0, 2.0], [0.0, 4e-7], [2.6e-4, 2.6e-4])
+    f = Forcing("time-series", [0.0, 2.0], [0.0, 4e-7], 2.6e-4)
     assert forcing_at(f, 1.0)[0] == pytest.approx(2e-7, rel=1e-12)
     # exact at sample times, clamped outside
     assert forcing_at(f, 0.0)[0] == 0.0
     assert forcing_at(f, 2.0)[0] == 4e-7
     assert forcing_at(f, 5.0)[0] == 4e-7
+    # oxygen is one constant, returned as given at every time
+    assert all(forcing_at(f, t)[1] == 2.6e-4 for t in (0.0, 1.0, 5.0))
 
 
 def test_forcing_validation():
     with pytest.raises(ValueError, match="non-monotone"):
-        Forcing("time-series", [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(ValueError, match="negative"):
-        Forcing("time-series", [0.0], [-1e-9], [0.0])
+        Forcing("time-series", [0.0, 0.0], [0.0, 0.0], 0.0)
+    with pytest.raises(ValueError, match="negative so2"):
+        Forcing("time-series", [0.0], [-1e-9], 0.0)
+    with pytest.raises(ValueError, match="negative oxygen"):
+        Forcing("constant-chamber", [0.0], [0.0], -1e-9)
     with pytest.raises(ValueError, match="no samples"):
-        Forcing("constant-chamber", [], [], [])
+        Forcing("constant-chamber", [], [], 0.0)
     with pytest.raises(ValueError, match="mode"):
-        Forcing("weekly", [0.0], [0.0], [0.0])
+        Forcing("weekly", [0.0], [0.0], 0.0)
     with pytest.raises(ValueError, match="equal length"):
-        Forcing("time-series", [0.0, 1.0], [0.0, 0.0], [0.0])
+        Forcing("time-series", [0.0, 1.0], [0.0], 0.0)
     with pytest.raises(ValueError, match="non-finite so2"):
-        Forcing("time-series", [0.0, 1.0], [0.0, np.nan], [0.0, 0.0])
+        Forcing("time-series", [0.0, 1.0], [0.0, np.nan], 0.0)
+    for oxygen in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite oxygen"):
+            Forcing("constant-chamber", [0.0], [0.0], oxygen)
 
 
 @given(t=st.floats(min_value=0.0, max_value=500.0))
 def test_forcing_at_non_negative(t):
-    f = Forcing("time-series", [0.0, 10.0, 20.0], [0.0, 4e-7, 1e-7],
-                [2.6e-4, 2.6e-4, 0.0])
+    f = Forcing("time-series", [0.0, 10.0, 20.0], [0.0, 4e-7, 1e-7], 2.6e-4)
     assert all(v >= 0.0 for v in forcing_at(f, t))
 
 

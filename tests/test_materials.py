@@ -7,6 +7,7 @@ from patina.config import build_simulation_config, load_settings
 from patina.materials import (
     DEFAULT_MATERIALS,
     MaterialTable,
+    SwellingRatios,
     load_material_overrides,
     mole_balance,
     swelling_ratios,
@@ -125,7 +126,7 @@ def test_mole_balance_ratios_always_two(a, b_frac):
 def test_mole_balance_detects_broken_kinematics(sw):
     # a state evolved with a perturbed omega_b has beta-gamma inconsistent
     # with the material table; the geometric count must expose it
-    broken = sw.scaled(b_scale=1.1)
+    broken = SwellingRatios(sw.omega_p, 1.1 * sw.omega_b)
     fs = FrontState.from_consumption(3e-4, 4e-4, broken)
     rep = mole_balance(fs, DEFAULT_MATERIALS)
     assert abs(rep.ratio_cuprite_brochantite / 2.0 - 1.0) > 0.02

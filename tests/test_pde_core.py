@@ -17,12 +17,10 @@ from patina.pde_core import (
     front_velocities,
     inner_advection_coeff,
     outer_advection_coeff,
-    rescale_coeff_f,
-    rescale_coeff_q,
     split_rhs_interior,
     stefan_constants,
 )
-from patina.stepper import NondimModel, _advection
+from patina.stepper import NondimModel, _advection, select_dt
 
 SW = swelling_ratios(DEFAULT_MATERIALS)
 
@@ -89,27 +87,38 @@ class TestFrontState:
 
 
 class TestRescaleCoefficients:
+    # the total speeds, front-fixing terms q(z) and f(y) included
     def test_stationary_fronts_zero(self):
         fs = synthetic_fronts()
         z = np.linspace(0, 1, 11)
-        assert np.all(rescale_coeff_q(z, fs) == 0.0)
-        assert np.all(rescale_coeff_f(z, fs) == 0.0)
+        assert np.all(outer_advection_coeff(z, fs) == 0.0)
+        assert np.all(inner_advection_coeff(z, fs, SW.omega_p) == 0.0)
 
     def test_substitution_examples(self):
-        # gamma_dot = -1, beta_dot = 0, width 1, z = 0 -> q = 1
-        fs = synthetic_fronts(gamma_dot=-1.0)
-        assert rescale_coeff_q(0.0, fs) == pytest.approx(1.0)
-        # beta_dot = 0, a_dot = 1, width 1, y = 1 -> f = -1
-        fs = synthetic_fronts(a_dot=1.0)
-        assert rescale_coeff_f(1.0, fs) == pytest.approx(-1.0)
+        # end values against the peak speeds select_dt bounds: the outer
+        # speed runs from 0 at z = 0 to (gamma_dot - beta_dot)/width at
+        # z = 1, the inner one from -b_dot/width to -(1 + omega_p)*a_dot/width
+        fs = FrontState.from_consumption(3e-2, 2e-2, SW, a_dot=0.7, b_dot=0.4)
+        outer_w, inner_w = fs.beta - fs.gamma, fs.a - fs.beta
+        ends = np.array([0.0, 1.0])
+        c_out = outer_advection_coeff(ends, fs)
+        c_in = inner_advection_coeff(ends, fs, SW.omega_p)
+        assert c_out[0] == 0.0
+        assert c_out[1] == pytest.approx((fs.gamma_dot - fs.beta_dot) / outer_w, rel=1e-12)
+        assert c_in[0] == pytest.approx(-fs.b_dot / inner_w, rel=1e-12)
+        assert c_in[1] == pytest.approx(-(1 + SW.omega_p) * fs.a_dot / inner_w, rel=1e-12)
+        # the speeds are affine, so the ends are the peaks the CFL bound sees
+        dz, dy, cfl = 0.01, 0.02, 0.8
+        expect = min(cfl * dz / np.max(np.abs(c_out)), cfl * dy / np.max(np.abs(c_in)))
+        assert select_dt(fs, dz, dy, cfl, 1e9, SW.omega_p) == pytest.approx(expect, rel=1e-12)
 
     def test_rejects_degenerate_widths(self):
         fs = synthetic_fronts(beta=0.0)  # beta == gamma
         with pytest.raises(ValueError):
-            rescale_coeff_q(0.5, fs)
+            outer_advection_coeff(0.5, fs)
         fs = synthetic_fronts(a=1.0)     # a == beta
         with pytest.raises(ValueError):
-            rescale_coeff_f(0.5, fs)
+            inner_advection_coeff(0.5, fs, SW.omega_p)
 
     @given(z=coords, gd=velocities, bd=velocities)
     def test_outer_coefficient_identity(self, z, gd, bd):
@@ -137,26 +146,22 @@ def packed_fields(n_z, n_y, s, o, g):
     return LayerFields(S=s(z), O=o(z), G=g(y))
 
 
-def packed_rhs(fields, fs, n_z, n_y, scheme="upwind"):
+def packed_rhs(fields, fs, n_z, n_y):
     """Advection of all three species in one pass, as the stepper evaluates it."""
     model = NondimModel(d_hat=Diffusivities(1.0, 1.0, 1.0), sc=StefanConstants(0, 0, 0),
-                        sw=SW, n_z=n_z, n_y=n_y, forcing_hat=lambda tau: (0.0, 0.0),
-                        scheme=scheme)
+                        sw=SW, n_z=n_z, n_y=n_y, forcing_hat=lambda tau: (0.0, 0.0))
     return _advection(fields.u, fs, model), model
 
 
-def per_block_reference(fields, fs, n_z, n_y, scheme):
+def per_block_reference(fields, fs, n_z, n_y):
     """Interior advection of each species on its own, concatenated (the reference)."""
     out = []
     for u, n, speed in ((fields.S, n_z, outer_advection_coeff),
                         (fields.O, n_z, outer_advection_coeff),
                         (fields.G, n_y, lambda x, fs: inner_advection_coeff(x, fs, SW.omega_p))):
         dx = 1.0 / n
-        c = np.asarray(speed(np.arange(1, n) * dx, fs))
-        if scheme == "central":
-            grad = (u[2:] - u[:-2]) / (2.0 * dx)
-        else:
-            grad = np.where(c > 0.0, (u[1:-1] - u[:-2]) / dx, (u[2:] - u[1:-1]) / dx)
+        c = speed(np.arange(1, n) * dx, fs)
+        grad = np.where(c > 0.0, (u[1:-1] - u[:-2]) / dx, (u[2:] - u[1:-1]) / dx)
         out.append(-c * grad)
     return np.concatenate(out)
 
@@ -182,25 +187,17 @@ class TestSplitRhs:
             h, model = packed_rhs(fields, fs, n_z, n_y)
             interior = model.layout.interior
             assert np.array_equal(h[interior],
-                                  per_block_reference(fields, fs, n_z, n_y, "upwind"))
+                                  per_block_reference(fields, fs, n_z, n_y))
         c = outer_advection_coeff(0.25, fs)
         assert c > 0.0 and h[0] == -c * (fields.S[1] - fields.S[0]) / 0.25
 
-    def test_central_scheme_per_block(self):
-        n_z, n_y = 6, 5
-        fields = packed_fields(n_z, n_y, np.sin, np.cos, np.exp)
-        fs = synthetic_fronts(gamma_dot=-0.7, beta_dot=0.3, a_dot=0.4, b_dot=0.2)
-        h, model = packed_rhs(fields, fs, n_z, n_y, scheme="central")
-        assert np.array_equal(h[model.layout.interior],
-                              per_block_reference(fields, fs, n_z, n_y, "central"))
-
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError, match="at least 3 nodes"):
-            split_rhs_interior(np.array([1.0, 2.0]), np.zeros(0), np.zeros(0), "upwind")
+            split_rhs_interior(np.array([1.0, 2.0]), np.zeros(0), np.zeros(0))
         with pytest.raises(ValueError, match="does not match"):
-            split_rhs_interior(np.zeros(5), np.zeros(4), np.zeros(3), "upwind")
+            split_rhs_interior(np.zeros(5), np.zeros(4), np.zeros(3))
         with pytest.raises(ValueError, match="does not match"):
-            split_rhs_interior(np.zeros(5), np.zeros(3), np.zeros(4), "upwind")
+            split_rhs_interior(np.zeros(5), np.zeros(3), np.zeros(4))
 
 
 class TestLayerFields:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import assert_output_invariants
+import patina.simulation
 from patina.config import build_simulation_config, load_settings
 from patina.environment import constant_chamber_forcing, cycle_forcing
+from patina.materials import SwellingRatios, swelling_ratios
 from patina.pde_core import FrontState, Scales
 from patina.simulation import (
     OUTPUT_CSV_HEADER,
@@ -113,8 +115,7 @@ class TestRun:
     def test_cycle_forcing_survives_phase_jumps(self, default_cfg, sw):
         chamber = default_cfg.forcing
         cfg = replace(default_cfg,
-                      forcing=cycle_forcing(float(chamber.so2[0]),
-                                            float(chamber.oxygen[0])),
+                      forcing=cycle_forcing(float(chamber.so2[0]), chamber.oxygen),
                       horizon_hours=26.0)
         out = run(cfg)
         assert_output_invariants(out, sw)
@@ -137,9 +138,14 @@ class TestRun:
         with pytest.raises(SimulationError, match="step"):
             run(cfg)
 
-    def test_fault_injection_breaks_stoichiometry(self, default_cfg):
-        cfg = replace(default_cfg, omega_b_scale=1.1, horizon_hours=4.0)
-        out = run(cfg)
+    def test_fault_injection_breaks_stoichiometry(self, default_cfg, monkeypatch):
+        # fronts moved with an omega_b 10 % off the material table
+        def broken(mat):
+            sw = swelling_ratios(mat)
+            return SwellingRatios(sw.omega_p, 1.1 * sw.omega_b)
+
+        monkeypatch.setattr(patina.simulation, "swelling_ratios", broken)
+        out = run(replace(default_cfg, horizon_hours=4.0))
         dev = abs(out.mole_report.ratio_cuprite_brochantite / 2.0 - 1.0)
         assert dev > 0.02
         # copper/cuprite leg is untouched by an omega_b fault
