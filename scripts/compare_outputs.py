@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Byte-compare the outputs of the working tree with those of a git ref.
+"""Compare the outputs of the working tree with those of a git ref, bit for bit.
 
 Usage (from anywhere inside the repository):
 
@@ -23,9 +23,16 @@ seeded year that of the benchmark's year workload at seed 1
 the working tree.  Each simulate job's simulation.csv and the calibrate
 job's calibration.csv (fitted values, residual, evaluation count and
 predictions) are compared byte for byte; for a job that differs the first
-differing line is printed.  Exit code 0 when every job matches, 1 when any
-differs or fails to run.  The reference and calibrate jobs take up to a
-minute per tree each, the whole comparison a few minutes.
+differing line is printed.
+
+The CSVs print 6 significant digits, so equal bytes do not prove equal
+numbers.  Each child therefore also notes its results at full precision:
+for a simulate job a SHA-256 of every field of every OutputRecord packed as
+IEEE doubles, with the step and clamp counts; for the calibrate job the
+fitted diffusivities and the residual as ``repr``.  Those notes must match
+too.  Exit code 0 when every job matches, 1 when any differs or fails to
+run.  The reference and calibrate jobs take up to a minute per tree each,
+the whole comparison a few minutes.
 """
 
 import argparse
@@ -42,7 +49,35 @@ sys.path[:0] = [SCRIPTS, os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "sr
 import inputs                     # noqa: E402  (perfbench/inputs.py)
 import run_year_synthetic         # noqa: E402
 
-RUN_CLI = "import sys; from patina.cli import run_main; sys.exit(run_main(sys.argv[1:]))"
+# Runs the CLI on sys.argv[2:] and writes the full-precision notes to
+# sys.argv[1], by wrapping the two calls of patina.cli that see the results.
+RUN_CLI = """
+import hashlib, struct, sys
+import patina.cli as cli
+
+notes = []
+write_output_csv, calibrate = cli.write_output_csv, cli.calibrate
+
+def noting_write_output_csv(output, path):
+    values = [float(v) for r in output.records for v in vars(r).values()]
+    packed = struct.pack(f"<{len(values)}d", *values)
+    notes.append(f"records sha256 {hashlib.sha256(packed).hexdigest()}")
+    notes.append(f"{output.steps} steps, clamps {output.field_clamps} field "
+                 f"{output.velocity_clamps} velocity")
+    write_output_csv(output, path)
+
+def noting_calibrate(*args, **kwargs):
+    result = calibrate(*args, **kwargs)
+    d = result.diffusivities
+    notes.append(f"d_g {d.d_g!r} d_s {d.d_s!r} d_o {d.d_o!r} residual {result.residual!r}")
+    return result
+
+cli.write_output_csv, cli.calibrate = noting_write_output_csv, noting_calibrate
+code = cli.run_main(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    fh.write("\\n".join(notes))
+sys.exit(code)
+"""
 
 # the file each command writes that is compared
 COMPARED = {"simulate": "simulation.csv", "calibrate": "calibration.csv"}
@@ -66,17 +101,20 @@ def jobs(inputs_dir: str) -> dict[str, list[str]]:
     }
 
 
-def run_job(tree: str, argv: list[str], out: str) -> bytes | None:
-    """The compared output of one job run in ``tree``, or None when the job fails."""
+def run_job(tree: str, argv: list[str], out: str) -> tuple[bytes, str] | None:
+    """The compared output and the full-precision notes of one job run in
+    ``tree``, or None when the job fails."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv, "--out", out],
+    notes = out + ".notes"
+    proc = subprocess.run([sys.executable, "-c", RUN_CLI, notes, *argv, "--out", out],
                           cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         print(f"  exit {proc.returncode} in {tree}: {proc.stderr.strip()}")
         return None
-    with open(os.path.join(out, COMPARED[argv[0]]), "rb") as fh:
-        return fh.read()
+    with open(os.path.join(out, COMPARED[argv[0]]), "rb") as fh, \
+            open(notes, encoding="utf-8") as notes_fh:
+        return fh.read(), notes_fh.read()
 
 
 def first_difference(old: bytes, new: bytes) -> str:
@@ -106,11 +144,16 @@ def main() -> int:
             if old is None or new is None:
                 print(f"{name}: FAILED to run")
                 differing += 1
-            elif old != new:
-                print(f"{name}: DIFFERS at {first_difference(old, new)}")
+            elif old[0] != new[0]:
+                print(f"{name}: DIFFERS at {first_difference(old[0], new[0])}")
+                differing += 1
+            elif old[1] != new[1]:
+                print(f"{name}: same CSV bytes, DIFFERS at full precision: "
+                      f"{old[1]!r} -> {new[1]!r}")
                 differing += 1
             else:
-                print(f"{name}: identical ({len(old.splitlines())} lines)")
+                print(f"{name}: identical ({len(old[0].splitlines())} lines; "
+                      + "; ".join(old[1].splitlines()) + ")")
     print(f"{differing} of {len(todo)} jobs differ from {ref}"
           if differing else f"all {len(todo)} jobs identical to {ref}")
     return 1 if differing else 0

@@ -267,12 +267,16 @@ def _order_table(title: str, label: str, errors) -> list[float]:
 
 def cmd_convergence(args) -> int:
     cfg = build_simulation_config(load_settings(args.config), forcing_mode="chamber")
-    orders = _order_table("temporal, frozen fronts (S, O, G bumps, n = 50, "
-                          "vs dt/64):", "dt", frozen_front_temporal_errors())
-    orders += _order_table("temporal, moving fronts (chamber run, n = 25, 4 h, "
-                           "step caps / k; change of a, b, gamma to 2k):", "1/k",
-                           moving_front_temporal_errors(cfg))
-    _order_table("advection bump, upwind differencing:", "h", advection_spatial_errors())
+    try:
+        orders = _order_table("temporal, frozen fronts (S, O, G bumps, n = 50, "
+                              "vs dt/64):", "dt", frozen_front_temporal_errors())
+        orders += _order_table("temporal, moving fronts (chamber run, n = 25, 4 h, "
+                               "step caps / k; change of a, b, gamma to 2k):", "1/k",
+                               moving_front_temporal_errors(cfg))
+        _order_table("advection bump, upwind differencing:", "h", advection_spatial_errors())
+    except ValueError as exc:
+        print(f"patina: order not measurable: {exc}", file=sys.stderr)
+        return 3
     diff_err = diffusion_mode_relative_error()
     print(f"diffusion eigenmode relative error: {diff_err:.3e}")
     min_temporal = min(orders)

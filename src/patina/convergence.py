@@ -40,14 +40,17 @@ __all__ = [
 
 
 def observed_orders(errors: list[tuple[float, float]]) -> list[float]:
-    """Richardson order estimates from consecutive (h, error) pairs."""
-    orders = []
-    for (h1, e1), (h2, e2) in zip(errors, errors[1:]):
-        if e1 <= 0.0 or e2 <= 0.0:
-            orders.append(math.inf)
-        else:
-            orders.append(math.log(e1 / e2) / math.log(h1 / h2))
-    return orders
+    """Richardson order estimates from consecutive (h, error) pairs.
+
+    A zero, negative or NaN error has no order: a step that changed
+    nothing would otherwise read as infinitely accurate and pass every
+    order gate.  Such a pair raises ValueError naming it.
+    """
+    for h, e in errors:
+        if not e > 0.0:
+            raise ValueError(f"error {e!r} at h = {h!r} is not positive; no order can be measured")
+    return [math.log(e1 / e2) / math.log(h1 / h2)
+            for (h1, e1), (h2, e2) in zip(errors, errors[1:])]
 
 
 def _frozen_model(n: int, d: Diffusivities) -> NondimModel:

@@ -120,13 +120,14 @@ class FrontVelocities(NamedTuple):
     beta_dot: float
 
 
-@dataclass(frozen=True)
-class FrontState:
+class FrontState(NamedTuple):
     """The four moving quantities and their velocities (non-dimensional).
 
     a: copper consumption; b: cuprite consumption; beta = b - omega_p*a is
     the cuprite/brochantite boundary; gamma = -(omega_p*a + omega_b*b) the
-    outer surface.  Strict ordering gamma < beta < a must hold.
+    outer surface.  Strict ordering gamma < beta < a must hold.  An
+    immutable named tuple: the stepper builds four per step, and a tuple
+    is built several times faster than a frozen dataclass.
     """
 
     a: float
@@ -144,16 +145,9 @@ class FrontState:
         """Kinematically consistent state from the two consumptions."""
         if a < 0.0 or b < 0.0:
             raise ValueError(f"consumptions must be non-negative, got a={a}, b={b}")
-        fs = cls(
-            a=a,
-            b=b,
-            beta=b - sw.omega_p * a,
-            gamma=-(sw.omega_p * a + sw.omega_b * b),
-            a_dot=a_dot,
-            b_dot=b_dot,
-            beta_dot=b_dot - sw.omega_p * a_dot,
-            gamma_dot=-(sw.omega_p * a_dot + sw.omega_b * b_dot),
-        )
+        fs = cls(a, b, b - sw.omega_p * a, -(sw.omega_p * a + sw.omega_b * b),
+                 a_dot, b_dot, b_dot - sw.omega_p * a_dot,
+                 -(sw.omega_p * a_dot + sw.omega_b * b_dot))
         fs.validate()
         return fs
 
@@ -287,7 +281,11 @@ def outer_advection_coeff(z, fs: FrontState):
     """
     width = _outer_width(fs)
     gd = fs.gamma_dot
-    return gd / width + (z * (gd - fs.beta_dot) - gd) / width
+    c = z * (gd - fs.beta_dot)
+    c -= gd
+    c /= width
+    c += gd / width
+    return c
 
 
 def inner_advection_coeff(y, fs: FrontState, omega_p: float):
@@ -299,7 +297,11 @@ def inner_advection_coeff(y, fs: FrontState, omega_p: float):
     """
     width = _inner_width(fs)
     bd = fs.beta_dot
-    return (y * (bd - fs.a_dot) - bd) / width - omega_p * fs.a_dot / width
+    c = y * (bd - fs.a_dot)
+    c -= bd
+    c /= width
+    c -= omega_p * fs.a_dot / width
+    return c
 
 
 def split_rhs_interior(u: np.ndarray, c: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -315,16 +317,20 @@ def split_rhs_interior(u: np.ndarray, c: np.ndarray, dx: np.ndarray) -> np.ndarr
     """
     if u.ndim != 1 or u.size < 3:
         raise ValueError(f"field must be a 1-D array with at least 3 nodes, got shape {u.shape}")
-    if c.shape != u[1:-1].shape or dx.shape != c.shape:
+    if c.shape != (u.size - 2,) or dx.shape != c.shape:
         raise ValueError("advection coefficient or spacing grid does not match the field grid")
-    backward = (u[1:-1] - u[:-2]) / dx
-    forward = (u[2:] - u[1:-1]) / dx
-    return -c * np.where(c > 0.0, backward, forward)
+    # d[k] = u[k+1] - u[k]: node i differences backward with d[i-1], forward with d[i]
+    d = u[1:] - u[:-1]
+    rhs = np.where(c > 0.0, d[:-1], d[1:])
+    rhs /= dx
+    rhs *= c
+    return np.negative(rhs, out=rhs)
 
 
 def boundary_gradient(u: np.ndarray, dx: float) -> float:
     """Second-order one-sided derivative at the last node, exact for quadratics."""
-    return float((3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx))
+    u3, u2, u1 = u[-3:].tolist()
+    return (3.0 * u1 - 4.0 * u2 + u3) / (2.0 * dx)
 
 
 def front_velocities(fields: LayerFields, fs: FrontState, sc: StefanConstants,
@@ -371,7 +377,8 @@ def _solve_robin_node(u: np.ndarray, d_hat: float, width: float, dz: float,
             f"singular Robin coefficient for O: dz={dz}, "
             f"gamma_dot={gamma_dot}, b_dot={b_dot}, k={k}"
         )
-    value = (k * (4.0 * u[-2] - u[-3]) - sink_coeff * b_dot) / denom
+    u3, u2 = u[-3:-1].tolist()
+    value = (k * (4.0 * u2 - u3) - sink_coeff * b_dot) / denom
     return max(value, 0.0)
 
 

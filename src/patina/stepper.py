@@ -66,12 +66,8 @@ def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     Backed by the LAPACK dgtsv elimination; its info code names the row of a
     zero pivot, which is surfaced in the error.
     """
-    diag = np.asarray(diag, dtype=float)
-    sub = np.asarray(sub, dtype=float)
-    sup = np.asarray(sup, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    n = diag.size
-    if sub.size != n - 1 or sup.size != n - 1 or rhs.size != n:
+    n = len(diag)
+    if len(sub) != n - 1 or len(sup) != n - 1 or len(rhs) != n:
         raise ValueError("inconsistent tridiagonal system sizes")
     _, _, _, x, info = dgtsv(sub, diag, sup, rhs, 0, 0, 0, 0)
     if info != 0:
@@ -95,8 +91,7 @@ class PackedLayout:
     dx: np.ndarray           # grid spacing per row
     species: np.ndarray      # species index per row, 3 on block edges
     link: np.ndarray         # species index of the coupling of rows r, r+1; 3 across an edge
-    first: np.ndarray        # first interior row of S, O, G
-    last: np.ndarray         # last interior row of S, O, G
+    end_rows: tuple[int, ...]  # first and last interior row of S, then O, then G
     bounds: np.ndarray       # flat nodes S(0), S(1), O(0), O(1), G(0), G(1)
     interior: np.ndarray     # rows that are interior nodes of their species
 
@@ -111,10 +106,11 @@ class PackedLayout:
         node_species[bounds] = 3
         species = node_species[1:-1]
         link = np.where(species[:-1] == species[1:], species[:-1], 3)
-        # node k is row k - 1: a block's first interior node start+1 is row start
+        # node k is row k - 1: a block's first interior node start+1 is row
+        # start, its last interior node end-1 is row end-2
+        end_rows = tuple(np.stack((starts, ends - 2), axis=1).ravel().tolist())
         return cls(n_outer=n_outer, dx=dx, species=species, link=link,
-                   first=starts, last=ends - 2, bounds=bounds,
-                   interior=species != 3)
+                   end_rows=end_rows, bounds=bounds, interior=species != 3)
 
 
 @dataclass(frozen=True)
@@ -128,11 +124,11 @@ class NondimModel:
     n_y: int
     forcing_hat: Callable[[float], tuple[float, float]]
 
-    @property
+    @cached_property
     def dz(self) -> float:
         return 1.0 / self.n_z
 
-    @property
+    @cached_property
     def dy(self) -> float:
         return 1.0 / self.n_y
 
@@ -203,12 +199,8 @@ def refresh_state(fields: LayerFields, fs: FrontState, model: NondimModel,
     return fs, clamped
 
 
-# advection speed of the two block-edge rows between neighbouring blocks
-_EDGE_SPEEDS = np.zeros(2)
-
-
 def _implicit_stage_solve(u: np.ndarray, h_int: np.ndarray, half_dt: float,
-                          alpha: np.ndarray, bounds: np.ndarray,
+                          alpha: tuple[float, float, float], bounds: np.ndarray,
                           lay: PackedLayout) -> np.ndarray:
     """Solve v = u + half_dt*(H + L v) on every interior node, all blocks at once.
 
@@ -220,37 +212,49 @@ def _implicit_stage_solve(u: np.ndarray, h_int: np.ndarray, half_dt: float,
     never falls below the coupling alpha no row is interchanged: each block
     is solved exactly as it would be on its own.
     """
-    rhs = u[1:-1] + half_dt * h_int
-    rhs[lay.first] += alpha * bounds[0::2]
-    rhs[lay.last] += alpha * bounds[1::2]
+    out = np.empty_like(u)
+    rhs = np.multiply(h_int, half_dt, out=out[1:-1])
+    rhs += u[1:-1]
     a_s, a_o, a_g = alpha
+    s_0, s_1, o_0, o_1, g_0, g_1 = bounds.tolist()
+    r_s0, r_s1, r_o0, r_o1, r_g0, r_g1 = lay.end_rows
+    rhs[r_s0] += a_s * s_0
+    rhs[r_o0] += a_o * o_0
+    rhs[r_g0] += a_g * g_0
+    rhs[r_s1] += a_s * s_1
+    rhs[r_o1] += a_o * o_1
+    rhs[r_g1] += a_g * g_1
     off = np.array((-a_s, -a_o, -a_g, 0.0))[lay.link]
     diag = np.array((1.0 + 2.0 * a_s, 1.0 + 2.0 * a_o, 1.0 + 2.0 * a_g, 1.0))[lay.species]
-    out = np.empty_like(u)
     out[1:-1] = solve_tridiagonal(off, diag, off, rhs)
     out[lay.bounds] = bounds
     return out
 
 
-def _diffusion_numbers(half_dt: float, fs: FrontState, model: NondimModel) -> np.ndarray:
+def _diffusion_numbers(half_dt: float, fs: FrontState,
+                       model: NondimModel) -> tuple[float, float, float]:
     """Stage diffusion numbers of S, O and G at the step-start layer widths."""
     d = model.d_hat
     outer = (fs.beta - fs.gamma) * model.dz
     inner = (fs.a - fs.beta) * model.dy
-    return np.array((half_dt * d.d_s / outer ** 2, half_dt * d.d_o / outer ** 2,
-                     half_dt * d.d_g / inner ** 2))
+    return (half_dt * d.d_s / outer ** 2, half_dt * d.d_o / outer ** 2,
+            half_dt * d.d_g / inner ** 2)
 
 
 def _advection(u: np.ndarray, fs: FrontState, model: NondimModel) -> np.ndarray:
     """Advection right-hand side of all three species in one pass over u.
 
     The outer advection speed is species-independent, so it is computed once
-    and shared by S and O; the block-edge rows get speed zero.
+    and shared by S and O; the block-edge rows keep speed zero.
     """
+    lay = model.layout
+    r_s0, r_s1, r_o0, r_o1, r_g0, _ = lay.end_rows
+    c = np.zeros(lay.dx.size)
     c_out = outer_advection_coeff(model.z_interior, fs)
-    c_in = inner_advection_coeff(model.y_interior, fs, model.sw.omega_p)
-    c = np.concatenate((c_out, _EDGE_SPEEDS, c_out, _EDGE_SPEEDS, c_in))
-    return split_rhs_interior(u, c, model.layout.dx)
+    c[r_s0:r_s1 + 1] = c_out
+    c[r_o0:r_o1 + 1] = c_out
+    c[r_g0:] = inner_advection_coeff(model.y_interior, fs, model.sw.omega_p)
+    return split_rhs_interior(u, c, lay.dx)
 
 
 def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: float,
@@ -279,7 +283,9 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
     # diffusion, layer widths frozen at the step-start geometry.  End values:
     # the forcing at z=0, S(1) = G(1) = 0, and O(1), G(0) held from u^n.
     bounds = u[lay.bounds]
-    bounds[[0, 1, 2, 5]] = (forcing_mid[0], 0.0, forcing_mid[1], 0.0)
+    bounds[0], bounds[2] = forcing_mid
+    bounds[1] = 0.0
+    bounds[5] = 0.0
     stage = LayerFields.from_buffer(
         _implicit_stage_solve(u, h1, half, _diffusion_numbers(half, fs, model), bounds, lay),
         lay.n_outer)
@@ -289,7 +295,10 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
     # G(u2) = 2*(u2 - u^n)/dt - H(u^n); re-evaluating the operator after the
     # boundary refresh below would amplify any boundary adjustment by the
     # stiff factor dt*D/(width*dx)^2.
-    g2 = 2.0 * (stage.u[1:-1] - u[1:-1]) / dt - h1
+    g2 = stage.u[1:-1] - u[1:-1]
+    g2 *= 2.0
+    g2 /= dt
+    g2 -= h1
 
     if freeze_fronts:
         fs_mid = fs
@@ -302,9 +311,11 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
     # midpoint geometry, diffusion from the stage identity above.  Block-edge
     # rows keep their values until the boundary refresh.
     h2 = _advection(stage.u, fs_mid, model)
+    h2 += g2
+    h2 *= dt
     new = fields.copy()
     interior = new.u[1:-1]
-    np.add(interior, dt * (h2 + g2), out=interior, where=lay.interior)
+    np.add(interior, h2, out=interior, where=lay.interior)
     counters.field_clamps += _clamp_fields(new)
 
     forcing_end = model.forcing_hat(tau + dt)

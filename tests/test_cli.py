@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import patina.cli
 import patina.simulation
 from patina.cli import run_main
 from patina.materials import SwellingRatios, swelling_ratios
@@ -166,6 +167,15 @@ def test_convergence_command(capsys):
     assert out[frozen:moving].count("order ") == 2
     assert out[moving:bump].count("order ") == 3
     assert "temporal order" in out and ">= 1.9" in out
+
+
+def test_convergence_command_fails_on_zero_errors(monkeypatch, capsys):
+    # a stepper that changes nothing at any dt has zero error, not order inf
+    monkeypatch.setattr(patina.cli, "frozen_front_temporal_errors",
+                        lambda: [(0.02, 0.0), (0.01, 0.0), (0.005, 0.0)])
+    assert run_main(["convergence"]) == 3
+    err = capsys.readouterr().err
+    assert "order not measurable" in err and "error 0.0 at h = 0.02" in err
 
 
 def test_unknown_config_key(tmp_path, capsys):

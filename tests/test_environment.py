@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from patina.environment import (
     EnvSample,
@@ -83,6 +83,21 @@ def test_forcing_validation():
     for oxygen in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite oxygen"):
             Forcing("constant-chamber", [0.0], [0.0], oxygen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30))
+def test_timeseries_lookup_equals_np_interp(data, n):
+    # bisection must reproduce the np.interp reference to the last bit, on
+    # random times, on every sample time and beyond both ends
+    start = data.draw(st.floats(-1e4, 1e4))
+    gaps = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
+    times = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    so2 = data.draw(st.lists(st.floats(0.0, 1e-6), min_size=n, max_size=n))
+    f = Forcing("time-series", times, so2, 2.6e-4)
+    inside = data.draw(st.lists(st.floats(times[0], times[-1]), max_size=20))
+    for t in [*inside, *times.tolist(), times[0] - 1.0, times[-1] + 1.0]:
+        assert forcing_at(f, t)[0] == float(np.interp(t, times, f.so2))
 
 
 @given(t=st.floats(min_value=0.0, max_value=500.0))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patina import stepper
+from patina import simulation, stepper
 from patina.convergence import (
     diffusion_mode_relative_error,
     frozen_bump_problem,
@@ -99,23 +99,36 @@ class TestPackedStageSolve:
             assert np.array_equal(getattr(stage, name), np.concatenate(([left], sol, [right])))
 
     def test_one_solve_and_two_advection_passes_per_step(self, monkeypatch, default_cfg):
-        calls = {"solve_tridiagonal": 0, "split_rhs_interior": 0}
+        # every per-step function the benchmark traces is reached through the
+        # module attribute it patches, as often as the scheme needs it; a
+        # path that captured one at import or went round it would miss here
+        expected = {
+            (stepper, "solve_tridiagonal"): 1,
+            (stepper, "split_rhs_interior"): 2,
+            (stepper, "outer_advection_coeff"): 2,
+            (stepper, "inner_advection_coeff"): 2,
+            (stepper, "front_velocities"): 2,
+            (stepper, "apply_outer_bcs"): 2,
+            (stepper, "refresh_state"): 2,
+            (simulation, "forcing_at"): 2,
+        }
+        fields, fronts, model = initialize(default_cfg)
+        calls = dict.fromkeys(expected, 0)
 
-        def counted(name):
-            original = getattr(stepper, name)
+        def counted(key):
+            original = getattr(*key)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[key] += 1
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(stepper, name, counted(name))
-        fields, fronts, model = initialize(default_cfg)
+        for key in expected:
+            monkeypatch.setattr(*key, counted(key))
         dt = select_dt(fronts, model.dz, model.dy, default_cfg.cfl_target,
                        default_cfg.dt_max, model.sw.omega_p)
         imex_midpoint_step(fields, fronts, 0.0, dt, model)
-        assert calls == {"solve_tridiagonal": 1, "split_rhs_interior": 2}
+        assert calls == expected
 
 
 class TestSelectDt:
@@ -134,6 +147,19 @@ class TestSelectDt:
         dt1 = select_dt(fs1, 0.01, 0.01, 0.5, 1.0, 0.67)
         dt2 = select_dt(fs2, 0.01, 0.01, 0.5, 1.0, 0.67)
         assert dt2 == pytest.approx(dt1 / 2.0)
+
+
+@pytest.mark.parametrize("errors", [
+    [(0.1, 0.0), (0.05, 0.0)],
+    [(0.1, 0.0), (0.05, 1e-3)],
+    [(0.1, 1e-3), (0.05, -1e-5)],
+    [(0.1, 1e-3), (0.05, math.nan)],
+])
+def test_an_error_that_is_not_positive_has_no_order(errors):
+    # a zero error read as order infinity would pass every order gate
+    bad_h, bad_e = next((h, e) for h, e in errors if not e > 0.0)
+    with pytest.raises(ValueError, match=f"error {bad_e!r} at h = {bad_h!r}"):
+        observed_orders(errors)
 
 
 class TestMidpointOrder:
