@@ -29,7 +29,8 @@ The CSVs print 6 significant digits, so equal bytes do not prove equal
 numbers.  Each child therefore also notes its results at full precision:
 for a simulate job a SHA-256 of every field of every OutputRecord packed as
 IEEE doubles, with the step and clamp counts; for the calibrate job the
-fitted diffusivities and the residual as ``repr``.  Those notes must match
+fitted diffusivities, the residual, the evaluation count, the fitted
+parameters and the singular values as ``repr``.  Those notes must match
 too.  Exit code 0 when every job matches, 1 when any differs or fails to
 run.  The reference and calibrate jobs take up to a minute per tree each,
 the whole comparison a few minutes.
@@ -70,6 +71,8 @@ def noting_calibrate(*args, **kwargs):
     result = calibrate(*args, **kwargs)
     d = result.diffusivities
     notes.append(f"d_g {d.d_g!r} d_s {d.d_s!r} d_o {d.d_o!r} residual {result.residual!r}")
+    notes.append(f"evaluations {result.evaluations!r} fitted {result.fitted!r} "
+                 f"singular_values {result.singular_values!r}")
     return result
 
 cli.write_output_csv, cli.calibrate = noting_write_output_csv, noting_calibrate

@@ -19,9 +19,11 @@ default start comes from a closed-form quasi-steady estimate
 (``reduced_model_initial_guess``) that fits the sqrt(t) amplitude and
 assigns a configurable share of the patina to the oxide layer.
 
-Every solver run goes through ``residual``; residual vectors are memoised
-by parameter point, so no point is run twice, and the run of the best point
-is kept, so reporting the fit costs no further run.
+Every solver run goes through ``residual``, which returns the weighted
+residual together with its deviation vector and its run.  The fit reads
+that vector, memoised by parameter point, so no point is run or scored
+twice, and keeps the run of the best point, so reporting the fit costs no
+further run.  Measurements with no std are weighted by their mean.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg
 
+from .environment import forcing_at
 from .materials import swelling_ratios
 from .pde_core import Diffusivities, stefan_constants
 from .simulation import SimulationConfig, SimulationError, SimulationOutput, run
@@ -44,7 +47,6 @@ __all__ = [
     "Residual",
     "MEASUREMENTS_CSV_HEADER",
     "load_measurements",
-    "predict_total_thickness",
     "weighted_residual",
     "residual",
     "reduced_model_initial_guess",
@@ -65,6 +67,9 @@ class ThicknessMeasurement:
     std_cm: float
 
     def __post_init__(self):
+        for name in ("time_hours", "mean_cm", "std_cm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"measurement {name} must be finite, got {getattr(self, name)}")
         if self.time_hours <= 0.0:
             raise ValueError(f"measurement time must be positive, got {self.time_hours}")
         if self.mean_cm <= 0.0:
@@ -97,68 +102,54 @@ def load_measurements(path) -> tuple[ThicknessMeasurement, ...]:
     return tuple(rows)
 
 
-def _run_through(d: Diffusivities, cfg: SimulationConfig,
-                 times: np.ndarray) -> SimulationOutput:
-    """One run at ``d``, extended to the last of ``times`` if need be."""
-    horizon = max(cfg.horizon_hours, float(times.max()))
-    return run(replace(cfg, diffusivities=d, horizon_hours=horizon))
-
-
-def predict_total_thickness(d: Diffusivities, cfg: SimulationConfig,
-                            times_hours) -> np.ndarray:
-    """Simulated total thickness (cm) at the given hours, one run."""
-    times = np.asarray(times_hours, dtype=float)
-    return _run_through(d, cfg, times).thickness_at(times)
-
-
-def _weights(measurements, weighting: str) -> np.ndarray:
-    if weighting == "std":
-        # fall back to the mean where no std is available
-        return np.array([m.std_cm if m.std_cm > 0.0 else m.mean_cm
-                         for m in measurements])
-    if weighting == "raw":
-        return np.ones(len(measurements))
-    raise ValueError(f"unknown weighting {weighting!r}; expected 'std' or 'raw'")
-
-
-def weighted_residual(predicted_cm, measurements, weighting: str = "std") -> float:
-    """Sum of squared weighted deviations of predicted totals (cm) from the
-    measurements, in measurement order."""
-    if not measurements:
-        raise ValueError("measurements must be non-empty")
-    means = np.array([m.mean_cm for m in measurements])
-    w = _weights(measurements, weighting)
-    return float(np.sum(((np.asarray(predicted_cm) - means) / w) ** 2))
+def _weights(measurements) -> np.ndarray:
+    # fall back to the mean where no std is available
+    return np.array([m.std_cm if m.std_cm > 0.0 else m.mean_cm for m in measurements])
 
 
 class Residual(float):
-    """A weighted residual that also carries the run it scores.
+    """A weighted residual that also carries its deviations and the run it scores.
 
-    ``output`` is that run, or None when the run failed and the residual is
-    infinite.
+    ``deviations`` are the std-weighted deviations of the predicted totals
+    from the measurements, in measurement order, and the value is the sum
+    of their squares.  ``output`` is the run, or None when no run was made
+    or it failed; a failed run's deviations and value are infinite.
     """
 
+    deviations: np.ndarray
     output: SimulationOutput | None
 
-    def __new__(cls, value: float, output: SimulationOutput | None = None):
-        self = super().__new__(cls, value)
+    def __new__(cls, deviations: np.ndarray, output: SimulationOutput | None = None):
+        self = super().__new__(cls, np.sum(deviations ** 2))
+        self.deviations = deviations
         self.output = output
         return self
 
 
-def residual(d: Diffusivities, measurements, cfg: SimulationConfig,
-             weighting: str = "std") -> Residual:
-    """Weighted residual of one run at ``d``; infinite when the run fails."""
+def weighted_residual(predicted_cm, measurements) -> Residual:
+    """Weighted residual of predicted totals (cm), given in measurement
+    order, with its deviation vector and no run."""
+    if not measurements:
+        raise ValueError("measurements must be non-empty")
+    means = np.array([m.mean_cm for m in measurements])
+    return Residual((np.asarray(predicted_cm) - means) / _weights(measurements))
+
+
+def residual(d: Diffusivities, measurements, cfg: SimulationConfig) -> Residual:
+    """Weighted residual of one run at ``d``, extended to the last measurement
+    time if need be; infinite when the run fails."""
     if not measurements:
         raise ValueError("measurements must be non-empty")
     times = np.array([m.time_hours for m in measurements])
+    horizon = max(cfg.horizon_hours, float(times.max()))
     try:
-        out = _run_through(d, cfg, times)
+        out = run(replace(cfg, diffusivities=d, horizon_hours=horizon))
     except (SimulationError, ValueError) as exc:
         log.warning("residual evaluation rejected at %s: %s", d, exc)
-        return Residual(math.inf)
-    return Residual(weighted_residual(out.thickness_at(times), measurements, weighting),
-                    out)
+        return Residual(np.full(len(measurements), math.inf))
+    value = weighted_residual(out.thickness_at(times), measurements)
+    value.output = out
+    return value
 
 
 def reduced_model_initial_guess(measurements, cfg: SimulationConfig,
@@ -183,15 +174,14 @@ def reduced_model_initial_guess(measurements, cfg: SimulationConfig,
     # Weighted LS amplitude of total_nd = C*sqrt(tau) (tau in units of t_r).
     tau = np.array([m.time_hours * 3600.0 / scales.t_r for m in measurements])
     totals_nd = np.array([m.mean_cm / scales.lam for m in measurements])
-    w = _weights(measurements, "std") / scales.lam
+    w = _weights(measurements) / scales.lam
     amplitude = float(np.sum(totals_nd * np.sqrt(tau) / w**2) / np.sum(tau / w**2))
 
     c_p = oxide_share * amplitude
     k_b = (1.0 - oxide_share) * amplitude / (1.0 + sw.omega_b)
 
-    from .simulation import _build_model  # boundary values at t = 0
-
-    s_hat, o_hat = _build_model(cfg).forcing_hat(0.0)
+    s, o = forcing_at(cfg.forcing, 0.0)
+    s_hat, o_hat = s / scales.s_r, o / scales.o_r
     if s_hat <= 0.0 or o_hat <= 0.0:
         raise ValueError("reduced-model guess needs nonzero SO2 and O2 forcing")
 
@@ -221,6 +211,9 @@ RANK_RTOL = 1e-2
 # largest at this step (grid 25; 1.2e-4 at grid 100), but 6.6e-2 (1.7e-2)
 # at a 1e-3-decade step.
 JACOBIAN_STEP = 0.05
+
+# The fit stops when a step is shorter than this, in decades.
+STEP_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -271,15 +264,14 @@ def _identifiable(jac: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def calibrate(initial: Diffusivities, bounds: tuple[float, float],
               measurements, cfg: SimulationConfig, *,
-              budget: int = 200, spread_tol: float = 1e-3,
-              weighting: str = "std") -> CalibrationResult:
+              budget: int = 200) -> CalibrationResult:
     """Bounded Gauss-Newton fit of the identifiable log10 diffusivities.
 
     A forward-difference Jacobian at ``initial`` (one run per parameter
     beyond the base run) decides which parameters the data determine; only
     those are fitted by ``least_squares`` (trf) within ``bounds``, the rest
     keep their ``initial`` values.  The fit stops when a step is shorter
-    than ``spread_tol`` decades, or when ``budget`` solver runs, Jacobian
+    than ``STEP_TOL`` decades, or when ``budget`` solver runs, Jacobian
     runs included, are spent (best-so-far returned with ``converged=False``).
     The result is the lowest-residual run that keeps the held parameters at
     their start values; its run is kept rather than repeated.
@@ -301,10 +293,9 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
     x0 = np.log10(np.array(init))
     times = np.array([m.time_hours for m in measurements])
     means = np.array([m.mean_cm for m in measurements])
-    w = _weights(measurements, weighting)
 
     vectors: dict[bytes, np.ndarray] = {}
-    best, best_d = Residual(math.inf), initial
+    best, best_d = math.inf, initial
     # a run can be the result only where every held parameter keeps its start
     # value; all are held until the starting Jacobian has been measured
     held = np.ones(n, dtype=bool)
@@ -319,11 +310,8 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
             # a coordinate at its start value runs that value exactly
             d = Diffusivities(*(v if xk == sk else float(10.0 ** xk)
                                 for v, xk, sk in zip(init, x, x0)))
-            value = residual(d, measurements, cfg, weighting=weighting)
-            if value.output is None:
-                vectors[key] = np.full(len(measurements), math.inf)
-            else:
-                vectors[key] = (value.output.thickness_at(times) - means) / w
+            value = residual(d, measurements, cfg)
+            vectors[key] = value.deviations
             if value < best and np.array_equal(x[held], x0[held]):
                 best, best_d = value, d
         return vectors[key]
@@ -363,7 +351,7 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
                 lambda z: vector(embed(z)), x0[free],
                 jac=lambda z: jacobian(embed(z), free),
                 bounds=(llo, lhi), method="trf",
-                xtol=spread_tol / max(float(np.linalg.norm(x0[free])), 1.0),
+                xtol=STEP_TOL / max(float(np.linalg.norm(x0[free])), 1.0),
                 ftol=None, gtol=None, max_nfev=budget)
             converged = fit.status > 0
         except _BudgetExhausted:

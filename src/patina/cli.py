@@ -85,7 +85,7 @@ def _digests(paths) -> dict[str, str]:
 def _input_files(args, cp, cfg) -> list:
     """Every file a run reads: the config, the materials override file it
     names and the environment CSV, whether given by --env or by the config."""
-    env = getattr(args, "env", None)
+    env = args.env
     if env is None and cfg.forcing.mode == "time-series":
         env = cp.get("forcing", "env_csv").strip()
     return [args.config, cp.get("materials", "override_file").strip(), env]
@@ -105,11 +105,11 @@ def _setup_logging() -> None:
 
 
 def _forcing_mode(args) -> str | None:
-    if getattr(args, "env", None):
+    if args.env:
         return "timeseries"
-    if getattr(args, "chamber", False):
+    if args.chamber:
         return "chamber"
-    if getattr(args, "cycles", False):
+    if args.cycles:
         return "cycles"
     return None
 
@@ -119,7 +119,7 @@ def _sim_config(args):
     return cp, build_simulation_config(
         cp,
         forcing_mode=_forcing_mode(args),
-        env_csv=getattr(args, "env", None),
+        env_csv=args.env,
         horizon_hours=getattr(args, "horizon_hours", None),
         seed_a=getattr(args, "seed_a", None),
         seed_b=getattr(args, "seed_b", None),
@@ -174,8 +174,7 @@ def cmd_calibrate(args) -> int:
     initial = type(initial)(*(min(max(v, lo), hi) for v in
                               (initial.d_g, initial.d_s, initial.d_o)))
     result = calibrate(initial, settings.bounds, measurements, cfg,
-                       budget=settings.budget, spread_tol=settings.spread_tol,
-                       weighting=settings.weighting)
+                       budget=settings.budget)
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "calibration.csv")
@@ -302,15 +301,18 @@ def _build_parser() -> argparse.ArgumentParser:
         if writes_output:
             p.add_argument("--out", metavar="DIR", default="out")
 
+    def forcing(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--chamber", action="store_true",
+                           help="constant corrosion-chamber forcing")
+        group.add_argument("--cycles", action="store_true",
+                           help="wet/dry cycle forcing")
+        group.add_argument("--env", metavar="PATH", default=None,
+                           help="environmental time-series CSV")
+
     p_sim = sub.add_parser("simulate", help="run the model and write CSV/SVG output")
     common(p_sim, writes_output=True)
-    group = p_sim.add_mutually_exclusive_group()
-    group.add_argument("--chamber", action="store_true",
-                       help="constant corrosion-chamber forcing")
-    group.add_argument("--cycles", action="store_true",
-                       help="wet/dry cycle forcing")
-    group.add_argument("--env", metavar="PATH", default=None,
-                       help="environmental time-series CSV")
+    forcing(p_sim)
     p_sim.add_argument("--horizon-hours", type=float, default=None)
     p_sim.add_argument("--seed-a", type=float, default=None)
     p_sim.add_argument("--seed-b", type=float, default=None)
@@ -319,16 +321,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="fit diffusivities to thickness data")
     common(p_cal, writes_output=True)
     p_cal.add_argument("--measurements", metavar="PATH", required=True)
-    p_cal.add_argument("--env", metavar="PATH", default=None, help=argparse.SUPPRESS)
-    p_cal.add_argument("--chamber", action="store_true")
-    p_cal.add_argument("--cycles", action="store_true")
+    forcing(p_cal)
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_val = sub.add_parser("validate", help="run the stoichiometry gate")
     common(p_val)
-    p_val.add_argument("--chamber", action="store_true")
-    p_val.add_argument("--cycles", action="store_true")
-    p_val.add_argument("--env", metavar="PATH", default=None)
+    forcing(p_val)
     p_val.add_argument("--horizon-hours", type=float, default=None)
     p_val.set_defaults(func=cmd_validate)
 

@@ -77,9 +77,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "bounds_low": "1e-10",
         "bounds_high": "1e-3",
         "budget": "200",
-        "weighting": "std",          # std | raw
         "oxide_share": "0.1",
-        "spread_tol": "1e-3",        # fit stops at a shorter step, log10 decades
     },
     "materials": {"override_file": ""},
 }
@@ -93,9 +91,7 @@ _CONFIG_RELATIVE_PATHS = {("materials", "override_file"), ("forcing", "env_csv")
 class CalibrationSettings:
     bounds: tuple[float, float]
     budget: int
-    weighting: str
     oxide_share: float
-    spread_tol: float
 
 
 def load_settings(path=None) -> configparser.ConfigParser:
@@ -197,9 +193,7 @@ def build_calibration_settings(cp) -> CalibrationSettings:
         bounds=(cp.getfloat("calibration", "bounds_low"),
                 cp.getfloat("calibration", "bounds_high")),
         budget=cp.getint("calibration", "budget"),
-        weighting=cp.get("calibration", "weighting").strip(),
         oxide_share=cp.getfloat("calibration", "oxide_share"),
-        spread_tol=cp.getfloat("calibration", "spread_tol"),
     )
 
 
@@ -213,7 +207,7 @@ def resolved_config_dict(cfg: SimulationConfig) -> dict:
                           "d_o": cfg.diffusivities.d_o},
         "materials": asdict(cfg.materials),
         "forcing": {"mode": cfg.forcing.mode,
-                    "samples": int(cfg.forcing.times.size),
+                    "samples": len(cfg.forcing.times),
                     "wet_hours": cfg.forcing.wet_hours,
                     "dry_hours": cfg.forcing.dry_hours,
                     "dry_so2": cfg.forcing.dry_so2},

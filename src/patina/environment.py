@@ -6,8 +6,9 @@ Three sources are supported:
 * ``cycle-schedule``: wet/dry cycling between chamber values and room values.
 * ``time-series``: hourly environmental monitoring data (SO2 in ug/m3,
   temperature in C, relative humidity in percent) converted to g/cm3 and
-  interpolated linearly in time.  The lookup bisects the sample times and
-  reproduces ``np.interp`` bit for bit at about half its per-call cost.
+  interpolated linearly in time.  The lookup bisects the list of sample
+  times and reproduces ``np.interp`` bit for bit at about half its per-call
+  cost.
 
 SO2 comes from the ideal gas law when given in ppm, or a straight unit
 conversion when given in ug/m3.  Water takes no part in the front motion,
@@ -22,18 +23,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .materials import DEFAULT_MATERIALS
 
 __all__ = [
     "Forcing",
-    "EnvSample",
     "AMBIENT_OXYGEN",
     "so2_concentration",
     "constant_chamber_forcing",
     "cycle_forcing",
-    "timeseries_forcing",
     "load_timeseries",
     "forcing_at",
 ]
@@ -67,38 +64,20 @@ def so2_concentration(value: float, unit: str, temp_c: float = 25.0,
 
 
 @dataclass(frozen=True)
-class EnvSample:
-    """One row of environmental monitoring data."""
-
-    time_hours: float
-    so2_ugm3: float
-    temp_c: float
-    rh_percent: float
-
-    def __post_init__(self):
-        for name in ("time_hours", "so2_ugm3", "temp_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"sample {name} must be finite, got {getattr(self, name)}")
-        if not (0.0 <= self.rh_percent <= 100.0):
-            raise ValueError(f"relative humidity must lie in [0, 100], got {self.rh_percent}")
-
-
-@dataclass(frozen=True)
 class Forcing:
     """Time-dependent boundary concentrations, all in g/cm3, times in hours.
 
-    SO2 is sampled as (time, so2) rows held in two parallel arrays; oxygen
-    is one constant in every mode.  Constant-chamber forcing is a single
-    row; cycle-schedule keeps the wet-phase SO2 in that row and switches to
-    ``dry_so2`` during the dry phase; time-series mode interpolates SO2
-    linearly and clamps to the first/last row outside the sampled range.
-    The samples are also held as Python lists, which ``forcing_at``
-    bisects once per call.
+    SO2 is sampled as (time, so2) rows held in two parallel lists of
+    floats, which ``forcing_at`` bisects; oxygen is one constant in every
+    mode.  Constant-chamber forcing is a single row; cycle-schedule keeps
+    the wet-phase SO2 in that row and switches to ``dry_so2`` during the
+    dry phase; time-series mode interpolates SO2 linearly and clamps to the
+    first/last row outside the sampled range.
     """
 
     mode: str
-    times: np.ndarray
-    so2: np.ndarray
+    times: list[float]
+    so2: list[float]
     oxygen: float
     wet_hours: float = 0.0
     dry_hours: float = 0.0
@@ -108,21 +87,21 @@ class Forcing:
         if self.mode not in ("constant-chamber", "cycle-schedule", "time-series"):
             raise ValueError(f"unknown forcing mode {self.mode!r}")
         for name in ("times", "so2"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, list(map(float, getattr(self, name))))
         object.__setattr__(self, "oxygen", float(self.oxygen))
-        n = self.times.size
-        if n == 0:
+        if not self.times:
             raise ValueError("no samples")
-        if self.so2.size != n:
-            raise ValueError("sample arrays must have equal length")
+        if len(self.so2) != len(self.times):
+            raise ValueError("sample lists must have equal length")
         for name in ("times", "so2"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not all(map(math.isfinite, getattr(self, name))):
                 raise ValueError(f"non-finite {name} in samples")
-        if not math.isfinite(self.oxygen):
-            raise ValueError(f"non-finite oxygen concentration {self.oxygen}")
-        if n > 1 and not np.all(np.diff(self.times) > 0.0):
+        for name in ("oxygen", "wet_hours", "dry_hours", "dry_so2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"non-finite {name} {getattr(self, name)}")
+        if any(later <= earlier for earlier, later in zip(self.times, self.times[1:])):
             raise ValueError("non-monotone time")
-        if np.any(self.so2 < 0.0):
+        if min(self.so2) < 0.0:
             raise ValueError("negative so2 concentration in samples")
         if self.oxygen < 0.0:
             raise ValueError(f"negative oxygen concentration {self.oxygen}")
@@ -133,8 +112,6 @@ class Forcing:
                 raise ValueError("dry_hours must be non-negative")
         if self.dry_so2 < 0.0:
             raise ValueError("dry-phase concentrations must be non-negative")
-        object.__setattr__(self, "_time_list", self.times.tolist())
-        object.__setattr__(self, "_so2_list", self.so2.tolist())
 
 
 def constant_chamber_forcing(so2: float, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
@@ -153,14 +130,6 @@ def cycle_forcing(wet_so2: float, oxygen: float = AMBIENT_OXYGEN,
                    wet_hours=wet_hours, dry_hours=dry_hours, dry_so2=dry_so2)
 
 
-def timeseries_forcing(samples: list[EnvSample],
-                       oxygen: float = AMBIENT_OXYGEN) -> Forcing:
-    """Forcing from environmental samples; SO2 converted to g/cm3."""
-    times = [s.time_hours for s in samples]
-    so2 = [so2_concentration(s.so2_ugm3, "ugm3") for s in samples]
-    return Forcing("time-series", times, so2, oxygen)
-
-
 TIMESERIES_HEADER = ("time_hours", "so2_ugm3", "temp_c", "rh_percent")
 
 
@@ -168,14 +137,13 @@ def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
     """Read an environment CSV into a time-series Forcing.
 
     Expected header: ``time_hours,so2_ugm3,temp_c,rh_percent``.  Lines
-    starting with ``#`` are ignored.  Malformed rows, non-monotone times and
-    out-of-range RH are reported with their file line number.
+    starting with ``#`` are ignored.  Malformed rows, non-monotone times,
+    non-finite values, negative SO2 and out-of-range RH are reported with
+    their file line number.
     """
-    samples: list[EnvSample] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        filtered = ((lineno, line) for lineno, line in enumerate(fh, start=1)
-                    if not line.lstrip().startswith("#") and line.strip())
-        rows = list(filtered)
+        rows = [(lineno, line) for lineno, line in enumerate(fh, start=1)
+                if not line.lstrip().startswith("#") and line.strip()]
     if not rows:
         raise ValueError(f"{path}: no samples")
     header_line = rows[0][1]
@@ -185,25 +153,32 @@ def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
             f"{path}: line {rows[0][0]}: bad header {header_line.strip()!r}; "
             f"expected {','.join(TIMESERIES_HEADER)!r}"
         )
-    last_time = None
+    times: list[float] = []
+    so2: list[float] = []
     for lineno, line in rows[1:]:
         parts = next(csv.reader([line]))
         if len(parts) != 4:
             raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
         try:
-            t, so2, temp, rh = (float(p) for p in parts)
+            values = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: malformed row {line.strip()!r}") from exc
-        if last_time is not None and t <= last_time:
-            raise ValueError(f"{path}: line {lineno}: non-monotone time {t}")
-        last_time = t
+        t, so2_ugm3, _, rh = values
         try:
-            samples.append(EnvSample(t, so2, temp, rh))
+            if times and t <= times[-1]:
+                raise ValueError(f"non-monotone time {t}")
+            for name, value in zip(TIMESERIES_HEADER[:3], values):
+                if not math.isfinite(value):
+                    raise ValueError(f"sample {name} must be finite, got {value}")
+            if not 0.0 <= rh <= 100.0:
+                raise ValueError(f"relative humidity must lie in [0, 100], got {rh}")
+            so2.append(so2_concentration(so2_ugm3, "ugm3"))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    if not samples:
+        times.append(t)
+    if not times:
         raise ValueError(f"{path}: no samples")
-    return timeseries_forcing(samples, oxygen=oxygen)
+    return Forcing("time-series", times, so2, oxygen)
 
 
 def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float]:
@@ -215,7 +190,7 @@ def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float]:
     value at its exact time, and ``slope*(t - t_j) + s_j`` with
     ``slope = (s_{j+1} - s_j)/(t_{j+1} - t_j)`` between samples j and j+1.
     """
-    so2 = forcing._so2_list
+    so2 = forcing.so2
     if forcing.mode == "constant-chamber":
         return so2[0], forcing.oxygen
     if forcing.mode == "cycle-schedule":
@@ -224,7 +199,7 @@ def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float]:
         if phase < forcing.wet_hours:
             return so2[0], forcing.oxygen
         return forcing.dry_so2, forcing.oxygen
-    times = forcing._time_list
+    times = forcing.times
     j = bisect_right(times, t_hours) - 1
     if j < 0:
         return so2[0], forcing.oxygen

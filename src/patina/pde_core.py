@@ -52,7 +52,6 @@ __all__ = [
     "FrontState",
     "LayerFields",
     "StefanConstants",
-    "FrontVelocities",
     "stefan_constants",
     "outer_advection_coeff",
     "inner_advection_coeff",
@@ -113,13 +112,6 @@ class Diffusivities:
                              self.d_o * factor)
 
 
-class FrontVelocities(NamedTuple):
-    a_dot: float
-    b_dot: float
-    gamma_dot: float
-    beta_dot: float
-
-
 class FrontState(NamedTuple):
     """The four moving quantities and their velocities (non-dimensional).
 
@@ -168,12 +160,6 @@ class FrontState(NamedTuple):
             b_dot=self.b_dot,
         )
 
-    def with_velocities(self, vel: FrontVelocities) -> "FrontState":
-        # positional, the fastest call; FrontVelocities orders gamma_dot
-        # before beta_dot, the reverse of this class
-        return FrontState(self.a, self.b, self.beta, self.gamma,
-                          vel.a_dot, vel.b_dot, vel.beta_dot, vel.gamma_dot)
-
     def scaled(self, factor: float) -> "FrontState":
         """All positions multiplied by factor (e.g. lambda to re-dimensionalize)."""
         return FrontState(self.a * factor, self.b * factor,
@@ -181,30 +167,22 @@ class FrontState(NamedTuple):
                           self.a_dot, self.b_dot, self.beta_dot, self.gamma_dot)
 
 
-def _block_view(name: str, doc: str) -> property:
-    def put(self, values) -> None:
-        getattr(self, name)[...] = values
-
-    return property(attrgetter(name), put, doc=doc)
-
-
 class LayerFields:
     """Gridded non-dimensional concentrations on the two unit intervals.
 
     The three species share one flat buffer ``u = [S | O | G]``: S and O
     live on the outer grid (n_z+1 nodes each), G on the inner grid (n_y+1
-    nodes).  ``S``, ``O`` and ``G`` are views into ``u``, so writing through
-    them writes ``u``, and assigning an array to one copies its values into
-    the buffer.  The four nodes where two blocks meet, S(1) | O(0) and
+    nodes).  ``S``, ``O`` and ``G`` are read-only views into ``u``, so
+    writing through them (``fields.S[:] = ...``) writes ``u``.  The four nodes where two blocks meet, S(1) | O(0) and
     O(1) | G(0), are boundary nodes of their own species: no operator
     couples them across the block edge.
     """
 
     __slots__ = ("u", "_S", "_O", "_G")
 
-    S = _block_view("_S", "SO2 on the outer grid, a view into u.")
-    O = _block_view("_O", "Oxygen on the outer grid, a view into u.")
-    G = _block_view("_G", "Oxygen on the inner grid, a view into u.")
+    S = property(attrgetter("_S"), doc="SO2 on the outer grid, a view into u.")
+    O = property(attrgetter("_O"), doc="Oxygen on the outer grid, a view into u.")
+    G = property(attrgetter("_G"), doc="Oxygen on the inner grid, a view into u.")
 
     def __init__(self, S, O, G):
         S, O, G = (np.asarray(a, dtype=float) for a in (S, O, G))
@@ -335,13 +313,13 @@ def boundary_gradient(u: np.ndarray, dx: float) -> float:
 
 def front_velocities(fields: LayerFields, fs: FrontState, sc: StefanConstants,
                      dz: float, dy: float,
-                     sw: SwellingRatios) -> tuple[FrontVelocities, int]:
-    """Front speeds from the two Stefan conditions.
+                     sw: SwellingRatios) -> tuple[FrontState, int]:
+    """``fs`` with its front speeds set from the two Stefan conditions.
 
     b_dot comes from the SO2 gradient at beta, a_dot from the inner oxygen
     gradient at a; both use the one-sided second-order stencil.  Transiently
     negative speeds (discretization noise; the reactions are irreversible)
-    are clamped to zero and counted.  Returns (velocities, clamp count).
+    are clamped to zero and counted.  Returns (fronts, clamp count).
     """
     outer_width = _outer_width(fs)
     inner_width = _inner_width(fs)
@@ -357,9 +335,10 @@ def front_velocities(fields: LayerFields, fs: FrontState, sc: StefanConstants,
         a_dot = 0.0
         clamped += 1
 
-    gamma_dot = -(sw.omega_p * a_dot + sw.omega_b * b_dot)
-    beta_dot = b_dot - sw.omega_p * a_dot
-    return FrontVelocities(a_dot, b_dot, gamma_dot, beta_dot), clamped
+    # positional, the fastest way to build the tuple
+    return FrontState(fs.a, fs.b, fs.beta, fs.gamma, a_dot, b_dot,
+                      b_dot - sw.omega_p * a_dot,
+                      -(sw.omega_p * a_dot + sw.omega_b * b_dot)), clamped
 
 
 def _solve_robin_node(u: np.ndarray, d_hat: float, width: float, dz: float,

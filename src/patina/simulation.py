@@ -9,6 +9,7 @@ report used by the validation gate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,8 @@ class SimulationConfig:
             raise ValueError("grids need at least 3 intervals")
         if self.a0 <= 0.0 or self.b0 <= 0.0:
             raise ValueError("seeds must be positive")
-        if self.dt_max <= 0.0 or self.cfl_target <= 0.0:
-            raise ValueError("dt_max and cfl_target must be positive")
+        if not (0.0 < self.dt_max < math.inf and 0.0 < self.cfl_target < math.inf):
+            raise ValueError("dt_max and cfl_target must be positive and finite")
         if self.output_stride < 1:
             raise ValueError("output stride must be at least 1")
 

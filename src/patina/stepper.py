@@ -192,8 +192,7 @@ def refresh_state(fields: LayerFields, fs: FrontState, model: NondimModel,
     """
     fields.S[-1] = 0.0
     fields.G[-1] = 0.0
-    vel, clamped = front_velocities(fields, fs, model.sc, model.dz, model.dy, model.sw)
-    fs = fs.with_velocities(vel)
+    fs, clamped = front_velocities(fields, fs, model.sc, model.dz, model.dy, model.sw)
     apply_outer_bcs(fields, fs, model.d_hat, forcing_values, model.sc, model.dz)
     apply_inner_bcs(fields)
     return fs, clamped

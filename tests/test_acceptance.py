@@ -23,7 +23,6 @@ from conftest import assert_output_invariants
 from patina.calibration import (
     calibrate,
     load_measurements,
-    predict_total_thickness,
     reduced_model_initial_guess,
     weighted_residual,
 )
@@ -217,7 +216,7 @@ def test_criterion7_environment_pipeline(tmp_path_factory, calibrated_cfg,
     path = tmp_path_factory.mktemp("env") / "year.csv"
     _synthetic_year_csv(path)
     forcing = load_timeseries(path)
-    assert forcing.times.size == 8760
+    assert len(forcing.times) == 8760
     cfg = replace(calibrated_cfg, forcing=forcing, horizon_hours=8760.0,
                   output_stride=200, max_steps=5_000_000)
     started = time.perf_counter()
@@ -248,7 +247,7 @@ def test_criterion8_synthetic_recovery(default_cfg):
     # calibrate's rank rule holds what the data cannot see.
     truth = Diffusivities(d_g=5e-10, d_s=5e-6, d_o=1e-5)
     times = [8.0, 24.0, 40.0]
-    preds = predict_total_thickness(truth, default_cfg, times)
+    preds = run(replace(default_cfg, diffusivities=truth)).thickness_at(times)
     from patina.calibration import ThicknessMeasurement
     synthetic = [ThicknessMeasurement(t, float(p), 0.0)
                  for t, p in zip(times, preds)]

@@ -8,12 +8,16 @@ from patina.calibration import (
     ThicknessMeasurement,
     calibrate,
     load_measurements,
-    predict_total_thickness,
     reduced_model_initial_guess,
     residual,
 )
 from patina.pde_core import Diffusivities
-from patina.simulation import SimulationError
+from patina.simulation import SimulationError, run
+
+
+def predict_total_thickness(d, cfg, times_hours):
+    """Simulated total thickness (cm) at the given hours, one run at ``d``."""
+    return run(replace(cfg, diffusivities=d)).thickness_at(times_hours)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +52,10 @@ def test_load_rejects_bad_files(tmp_path):
     neg.write_text("time_hours,thickness_cm,std_cm\n-8,1e-4,1e-5\n")
     with pytest.raises(ValueError, match="line 2"):
         load_measurements(neg)
+    nan = tmp_path / "nan.csv"
+    nan.write_text("time_hours,thickness_cm,std_cm\n8,1e-4,1e-5\n24,nan,1e-5\n")
+    with pytest.raises(ValueError, match=f"{nan}: line 3: measurement mean_cm must be finite"):
+        load_measurements(nan)
 
 
 def test_measurement_validation():
@@ -55,6 +63,14 @@ def test_measurement_validation():
         ThicknessMeasurement(8.0, -1e-4, 1e-5)
     with pytest.raises(ValueError):
         ThicknessMeasurement(8.0, 1e-4, -1e-5)
+
+
+@pytest.mark.parametrize("row", [(math.nan, 1e-4, 1e-5), (math.inf, 1e-4, 1e-5),
+                                 (8.0, math.nan, 1e-5), (8.0, math.inf, 1e-5),
+                                 (8.0, 1e-4, math.nan), (8.0, 1e-4, math.inf)])
+def test_measurement_rejects_non_finite_values(row):
+    with pytest.raises(ValueError, match="must be finite"):
+        ThicknessMeasurement(*row)
 
 
 class TestResidual:
@@ -70,7 +86,12 @@ class TestResidual:
         pred = float(predict_total_thickness(d, cheap_cfg, [8.0])[0])
         std = 2e-5
         meas = [ThicknessMeasurement(8.0, pred - std, std)]
-        assert residual(d, meas, cheap_cfg) == pytest.approx(1.0, rel=1e-9)
+        r = residual(d, meas, cheap_cfg)
+        assert r == pytest.approx(1.0, rel=1e-9)
+        # the value is the sum of squares of the deviations it carries
+        assert r.deviations.tolist() == [pytest.approx(1.0, rel=1e-9)]
+        assert r == float(sum(r.deviations ** 2))
+        assert r.output.thickness_at([8.0])[0] == pred
 
     def test_reorder_invariance(self, cheap_cfg, table_measurements):
         d = cheap_cfg.diffusivities
@@ -89,14 +110,9 @@ class TestResidual:
     def test_failure_becomes_infinite(self, cheap_cfg):
         cfg = replace(cheap_cfg, max_steps=3)
         meas = [ThicknessMeasurement(8.0, 1e-4, 1e-5)]
-        assert math.isinf(residual(cfg.diffusivities, meas, cfg))
-
-    def test_raw_weighting_flag(self, cheap_cfg):
-        d = cheap_cfg.diffusivities
-        pred = float(predict_total_thickness(d, cheap_cfg, [8.0])[0])
-        meas = [ThicknessMeasurement(8.0, pred - 1e-5, 42.0)]
-        assert residual(d, meas, cheap_cfg, weighting="raw") == \
-            pytest.approx(1e-10, rel=1e-6)
+        r = residual(cfg.diffusivities, meas, cfg)
+        assert math.isinf(r) and math.isinf(r.deviations[0])
+        assert r.output is None
 
 
 def test_reduced_model_guess_is_reasonable(default_cfg, table_measurements):

@@ -201,6 +201,43 @@ def test_removed_water_keys_are_unknown(tmp_path, capsys, section, key):
     assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["weighting", "spread_tol"])
+def test_removed_calibration_keys_are_unknown(tmp_path, capsys, key):
+    cfgfile = tmp_path / "old.ini"
+    cfgfile.write_text(f"[calibration]\n{key} = 1\n")
+    code = run_main(["calibrate", "--measurements", "data/thickness_measures.csv",
+                     "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, flag", [
+    ("time", "dt_max", "--chamber"), ("time", "cfl_target", "--chamber"),
+    ("forcing", "wet_hours", "--cycles"), ("forcing", "dry_hours", "--cycles"),
+    ("forcing", "dry_so2_gcm3", "--cycles"),
+])
+def test_non_finite_setting_is_an_input_error(tmp_path, capsys, section, key, flag):
+    cfgfile = tmp_path / "nan.ini"
+    cfgfile.write_text(f"[{section}]\n{key} = nan\n")
+    code = run_main(["simulate", flag, "--horizon-hours", "48", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["calibrate", "--measurements", "data/thickness_measures.csv"],
+])
+@pytest.mark.parametrize("flags", [
+    ["--chamber", "--cycles"], ["--chamber", "--env", "e.csv"], ["--cycles", "--env", "e.csv"],
+])
+def test_forcing_flags_are_mutually_exclusive(command, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_main(command + flags)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key", [
     ("validation", "omega_p_scale"), ("validation", "omega_b_scale"),
 ])

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patina.environment import (
-    EnvSample,
     Forcing,
     constant_chamber_forcing,
     cycle_forcing,
     forcing_at,
     load_timeseries,
     so2_concentration,
-    timeseries_forcing,
 )
 
 
@@ -52,6 +50,13 @@ def test_cycle_forcing_validation():
     with pytest.raises(ValueError, match="wet_hours"):
         Forcing("cycle-schedule", [0.0], [1e-7], 2.6e-4,
                 wet_hours=0.0, dry_hours=16.0)
+
+
+@pytest.mark.parametrize("key", ["wet_hours", "dry_hours", "dry_so2"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_cycle_forcing_rejects_non_finite_settings(key, value):
+    with pytest.raises(ValueError, match=f"non-finite {key}"):
+        cycle_forcing(1e-7, 2.6e-4, **{key: value})
 
 
 def test_timeseries_interpolation_and_clamping():
@@ -106,24 +111,26 @@ def test_forcing_at_non_negative(t):
     assert all(v >= 0.0 for v in forcing_at(f, t))
 
 
-def test_env_sample_validation():
-    with pytest.raises(ValueError):
-        EnvSample(0.0, 1.0, 20.0, 150.0)
-    with pytest.raises(ValueError):
-        EnvSample(float("nan"), 1.0, 20.0, 50.0)
-
-
-def test_timeseries_forcing_converts_units():
-    f = timeseries_forcing([EnvSample(0.0, 10.0, 20.0, 50.0)])
-    s, o = forcing_at(f, 0.0)
-    assert s == pytest.approx(1e-11, rel=1e-12)
-    assert o == 2.6e-4
-
-
 def _write(tmp_path, text):
     p = tmp_path / "env.csv"
     p.write_text(text)
     return p
+
+
+def test_env_sample_validation(tmp_path):
+    # each row is checked as it is read: RH within [0, 100], a finite time
+    for row in ("0,1,20,150\n", "nan,1,20,50\n"):
+        p = _write(tmp_path, "time_hours,so2_ugm3,temp_c,rh_percent\n" + row)
+        with pytest.raises(ValueError, match="line 2: (relative humidity|sample time_hours)"):
+            load_timeseries(p)
+
+
+def test_timeseries_forcing_converts_units(tmp_path):
+    f = load_timeseries(_write(tmp_path, "time_hours,so2_ugm3,temp_c,rh_percent\n"
+                                         "0,10,20,50\n"))
+    s, o = forcing_at(f, 0.0)
+    assert s == pytest.approx(1e-11, rel=1e-12)
+    assert o == 2.6e-4
 
 
 def test_load_timeseries_ok(tmp_path):
@@ -131,7 +138,7 @@ def test_load_timeseries_ok(tmp_path):
                          "0,10,20,50\n1,12,21,55\n")
     f = load_timeseries(p)
     assert f.mode == "time-series"
-    assert f.times.size == 2
+    assert f.times == [0.0, 1.0]
     assert forcing_at(f, 0.0)[0] == pytest.approx(1e-11, rel=1e-12)
     assert forcing_at(f, 1.0)[0] == pytest.approx(1.2e-11, rel=1e-12)
 
@@ -169,3 +176,10 @@ def test_load_timeseries_bad_rows(tmp_path):
         p4 = _write(tmp_path, "time_hours,so2_ugm3,temp_c,rh_percent\n" + row)
         with pytest.raises(ValueError, match=f"line {line}: sample .* must be finite"):
             load_timeseries(p4)
+
+
+def test_load_timeseries_negative_so2_names_its_line(tmp_path):
+    p = _write(tmp_path, "time_hours,so2_ugm3,temp_c,rh_percent\n"
+                         "0,10,20,50\n1,-1,20,50\n")
+    with pytest.raises(ValueError, match="line 3: SO2 concentration must be non-negative"):
+        load_timeseries(p)

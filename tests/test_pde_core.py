@@ -7,7 +7,6 @@ from patina.pde_core import (
     BoundaryConditionError,
     Diffusivities,
     FrontState,
-    FrontVelocities,
     LayerFields,
     Scales,
     StefanConstants,
@@ -69,15 +68,6 @@ class TestFrontState:
         # more cuprite consumed than ever formed: beta >= a
         with pytest.raises(ValueError, match="ordering"):
             FrontState.from_consumption(1e-2, 2e-2, SW)
-
-    def test_with_velocities_puts_each_speed_in_its_field(self):
-        fs = FrontState.from_consumption(1e-2, 8e-3, SW)
-        vel = FrontVelocities(a_dot=1.0, b_dot=2.0, gamma_dot=3.0, beta_dot=4.0)
-        moved = fs.with_velocities(vel)
-        assert (moved.a, moved.b, moved.beta, moved.gamma) == \
-            (fs.a, fs.b, fs.beta, fs.gamma)
-        assert (moved.a_dot, moved.b_dot, moved.beta_dot, moved.gamma_dot) == \
-            (1.0, 2.0, 4.0, 3.0)
 
     def test_advanced_keeps_consistency(self):
         fs = FrontState.from_consumption(1e-2, 8e-3, SW, a_dot=0.1, b_dot=0.5)
@@ -205,8 +195,10 @@ class TestLayerFields:
         fields = LayerFields(S=np.zeros(4), O=np.zeros(4), G=np.zeros(3))
         fields.S[1] = 1.0
         fields.O[0] = 2.0
-        fields.G = [4.0, 5.0, 6.0]      # assignment copies into the buffer
+        fields.G[:] = [4.0, 5.0, 6.0]
         assert fields.u.tolist() == [0, 1, 0, 0, 2, 0, 0, 0, 4, 5, 6]
+        with pytest.raises(AttributeError):
+            fields.S = np.ones(4)       # rebinding would detach S from u
         fields.u[3] = 7.0
         assert fields.S[-1] == 7.0
         assert fields.min_value() == 0.0
@@ -244,8 +236,8 @@ class TestFrontVelocities:
         fields = _uniform_fields(n, s=0.0, g=0.0)
         fs = synthetic_fronts()
         sc = StefanConstants(1.0, 1.0, 1.0)
-        vel, clamped = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
-        assert vel == (0.0, 0.0, 0.0, 0.0)
+        moved, clamped = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
+        assert moved == fs._replace(a_dot=0.0, b_dot=0.0, beta_dot=0.0, gamma_dot=0.0)
         assert clamped == 0
 
     def test_linear_profile_unit_velocity(self):
@@ -253,38 +245,53 @@ class TestFrontVelocities:
         n = 100
         z = np.linspace(0, 1, n + 1)
         fields = _uniform_fields(n)
-        fields.S = 1.0 - z
-        fields.G = np.zeros(n + 1)
+        fields.S[:] = 1.0 - z
+        fields.G[:] = np.zeros(n + 1)
         fs = synthetic_fronts()
         sc = StefanConstants(1.0, 1.0, 0.0)
-        vel, _ = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
-        assert vel.b_dot == pytest.approx(1.0, rel=1e-12)
-        assert vel.a_dot == 0.0
-        assert vel.gamma_dot == pytest.approx(-SW.omega_b, rel=1e-12)
-        assert vel.beta_dot == pytest.approx(1.0, rel=1e-12)
+        moved, _ = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
+        assert moved.b_dot == pytest.approx(1.0, rel=1e-12)
+        assert moved.a_dot == 0.0
+        assert moved.gamma_dot == pytest.approx(-SW.omega_b, rel=1e-12)
+        assert moved.beta_dot == pytest.approx(1.0, rel=1e-12)
 
     def test_positive_when_fields_positive(self):
         n = 100
         x = np.linspace(0, 1, n + 1)
         fields = _uniform_fields(n)
-        fields.S = np.cos(0.5 * np.pi * x)   # positive inside, 0 at x = 1
-        fields.G = 1.0 - x**2
+        fields.S[:] = np.cos(0.5 * np.pi * x)   # positive inside, 0 at x = 1
+        fields.G[:] = 1.0 - x**2
         fs = synthetic_fronts()
         sc = StefanConstants(0.7, 0.3, 0.0)
-        vel, clamped = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
-        assert vel.a_dot > 0 and vel.b_dot > 0
+        moved, clamped = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
+        assert moved.a_dot > 0 and moved.b_dot > 0
         assert clamped == 0
+
+    def test_each_speed_lands_in_its_field(self):
+        n = 100
+        x = np.linspace(0, 1, n + 1)
+        fields = _uniform_fields(n)
+        fields.S[:] = 2.0 * (1.0 - x)
+        fields.G[:] = 1.0 - x**2
+        fs = synthetic_fronts(a_dot=9.0, b_dot=9.0, beta_dot=9.0, gamma_dot=9.0)
+        moved, _ = front_velocities(fields, fs, StefanConstants(1.0, 1.0, 0.0),
+                                    1 / n, 1 / n, SW)
+        assert moved[:4] == fs[:4]
+        assert moved.b_dot == pytest.approx(2.0, rel=1e-12)
+        assert moved.a_dot == pytest.approx(2.0, rel=1e-12)
+        assert moved.beta_dot == moved.b_dot - SW.omega_p * moved.a_dot
+        assert moved.gamma_dot == -(SW.omega_p * moved.a_dot + SW.omega_b * moved.b_dot)
 
     def test_negative_gradient_clamped(self):
         n = 10
         x = np.linspace(0, 1, n + 1)
         fields = _uniform_fields(n)
-        fields.S = x            # rising toward the front: unphysical direction
-        fields.G = x
+        fields.S[:] = x            # rising toward the front: unphysical direction
+        fields.G[:] = x
         fs = synthetic_fronts()
         sc = StefanConstants(1.0, 1.0, 0.0)
-        vel, clamped = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
-        assert vel.a_dot == 0.0 and vel.b_dot == 0.0
+        moved, clamped = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
+        assert moved.a_dot == 0.0 and moved.b_dot == 0.0
         assert clamped == 2
 
     @given(s_amp=st.floats(0.1, 2.0), g_amp=st.floats(0.1, 2.0))
@@ -292,13 +299,13 @@ class TestFrontVelocities:
         n = 50
         x = np.linspace(0, 1, n + 1)
         fields = _uniform_fields(n)
-        fields.S = s_amp * (1 - x) * (1 + 0.3 * x)
-        fields.G = g_amp * (1 - x**2)
+        fields.S[:] = s_amp * (1 - x) * (1 + 0.3 * x)
+        fields.G[:] = g_amp * (1 - x**2)
         fs = synthetic_fronts()
         sc = StefanConstants(0.9, 0.4, 0.0)
-        vel, _ = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
-        assert abs(vel.gamma_dot + SW.omega_p * vel.a_dot
-                   + SW.omega_b * vel.b_dot) <= 1e-12
+        moved, _ = front_velocities(fields, fs, sc, 1 / n, 1 / n, SW)
+        assert abs(moved.gamma_dot + SW.omega_p * moved.a_dot
+                   + SW.omega_b * moved.b_dot) <= 1e-12
 
 
 class TestOuterBcs:
