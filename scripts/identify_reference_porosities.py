@@ -20,8 +20,9 @@ configuration's own grid and step settings.  Each run takes about 45 s
 (the printed state has a cuprite layer only 2.8e-6 cm thick, which keeps
 the advective steps small), so the whole identification takes 10-15 minutes.
 
-Prints the values to write into configs/reference_materials.txt, the 40 h
-state they reproduce and the totals at the measurement times.
+Prints the values to write into [materials] of
+configs/reference_diffusivities.ini, the 40 h state they reproduce and the
+totals at the measurement times.
 
 Run from the repository root:  PYTHONPATH=src python scripts/identify_reference_porosities.py
 """
@@ -91,7 +92,7 @@ def main() -> int:
     fit = optimize.least_squares(misfit, np.log(start), bounds=(-np.inf, 0.0),
                                  diff_step=1e-5, xtol=1e-10, ftol=1e-12,
                                  gtol=1e-12, max_nfev=30)
-    # the file carries five significant digits; check what it will carry
+    # the config carries five significant digits; check what it will carry
     n_b, n_p = (float(f"{n:.5g}") for n in np.exp(fit.x))
     print(f"identified (least_squares status {fit.status}, {fit.njev} Jacobians):")
     print(f"    n_b = {n_b:.5g}")

@@ -44,8 +44,6 @@ from .convergence import (
 from .simulation import SimulationError, run, write_output_csv
 from .svgchart import PointSeries, Series, write_line_chart
 
-log = logging.getLogger("patina.cli")
-
 STOICHIOMETRY_TOLERANCE = 5e-3   # both mole ratios must sit within 0.5% of 2
 MIN_TEMPORAL_ORDER = 1.9
 
@@ -82,13 +80,11 @@ def _digests(paths) -> dict[str, str]:
     return {str(p): _sha256(p) for p in paths if p}
 
 
-def _input_files(args, cp, cfg) -> list:
-    """Every file a run reads: the config, the materials override file it
-    names and the environment CSV, whether given by --env or by the config."""
-    env = args.env
-    if env is None and cfg.forcing.mode == "time-series":
-        env = cp.get("forcing", "env_csv").strip()
-    return [args.config, cp.get("materials", "override_file").strip(), env]
+def _input_files(args, cp) -> list:
+    """Every file a run reads: the config and, in time-series mode, the
+    environment CSV, whether given by --env or by the config."""
+    timeseries = cp.get("forcing", "mode") == "timeseries"
+    return [args.config, cp.get("forcing", "env_csv") if timeseries else None]
 
 
 def _setup_logging() -> None:
@@ -104,26 +100,25 @@ def _setup_logging() -> None:
                         stream=sys.stderr)
 
 
-def _forcing_mode(args) -> str | None:
-    if args.env:
-        return "timeseries"
-    if args.chamber:
-        return "chamber"
-    if args.cycles:
-        return "cycles"
-    return None
+# (flag, section, key) of the numeric flags a command may take
+_NUMBER_FLAGS = (("horizon_hours", "time", "horizon_hours"),
+                 ("seed_a", "seeds", "a0"), ("seed_b", "seeds", "b0"))
 
 
 def _sim_config(args):
+    """The parsed settings with the command-line flags written in, and the
+    run configuration built from them; an empty flag counts as absent."""
     cp = load_settings(args.config)
-    return cp, build_simulation_config(
-        cp,
-        forcing_mode=_forcing_mode(args),
-        env_csv=args.env,
-        horizon_hours=getattr(args, "horizon_hours", None),
-        seed_a=getattr(args, "seed_a", None),
-        seed_b=getattr(args, "seed_b", None),
-    )
+    if args.env:
+        cp.set("forcing", "mode", "timeseries")
+        cp.set("forcing", "env_csv", args.env)
+    elif args.chamber or args.cycles:
+        cp.set("forcing", "mode", "chamber" if args.chamber else "cycles")
+    for flag, section, key in _NUMBER_FLAGS:
+        value = getattr(args, flag, None)
+        if value is not None:
+            cp.set(section, key, str(value))   # str(float) round-trips
+    return cp, build_simulation_config(cp)
 
 
 def cmd_simulate(args) -> int:
@@ -147,7 +142,7 @@ def cmd_simulate(args) -> int:
     manifest = RunManifest(
         command="simulate",
         resolved_config=resolved_config_dict(cfg),
-        input_digests=_digests(_input_files(args, cp, cfg)),
+        input_digests=_digests(_input_files(args, cp)),
     )
     manifest.duration_seconds = time.perf_counter() - started
     manifest.write(os.path.join(args.out, "manifest.json"))
@@ -208,7 +203,7 @@ def cmd_calibrate(args) -> int:
     manifest = RunManifest(
         command="calibrate",
         resolved_config=resolved_config_dict(cfg),
-        input_digests=_digests(_input_files(args, cp, cfg) + [args.measurements]),
+        input_digests=_digests(_input_files(args, cp) + [args.measurements]),
         calibration={"singular_values": list(result.singular_values),
                      "condition": result.condition,
                      "fitted": list(result.fitted)},
@@ -265,7 +260,9 @@ def _order_table(title: str, label: str, errors) -> list[float]:
 
 
 def cmd_convergence(args) -> int:
-    cfg = build_simulation_config(load_settings(args.config), forcing_mode="chamber")
+    cp = load_settings(args.config)
+    cp.set("forcing", "mode", "chamber")
+    cfg = build_simulation_config(cp)
     try:
         orders = _order_table("temporal, frozen fronts (S, O, G bumps, n = 50, "
                               "vs dt/64):", "dt", frozen_front_temporal_errors())

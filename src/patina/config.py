@@ -4,16 +4,18 @@ Understood sections: [scales], [diffusivities], [grid], [seeds], [time],
 [forcing], [calibration], [materials].  ``#`` starts a
 comment.  Every key has a default, so an empty or missing file yields the
 shipped configuration; unknown sections or keys are an error (typos should
-not pass silently).  A relative ``[materials] override_file`` or
-``[forcing] env_csv`` is taken relative to the directory of the config file
-that names it.
+not pass silently), and so is a value that is not a number where a number
+is read.  ``[materials]`` holds one key per :class:`MaterialTable` field.
+A relative ``[forcing] env_csv`` is taken relative to the directory of the
+config file that names it.  The command line writes its flags into the
+parsed settings (``cli``), so :func:`build_simulation_config` reads nothing
+else.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .environment import (
@@ -24,7 +26,7 @@ from .environment import (
     load_timeseries,
     so2_concentration,
 )
-from .materials import DEFAULT_MATERIALS, MaterialTable, load_material_overrides
+from .materials import DEFAULT_MATERIALS, MaterialTable
 from .pde_core import Diffusivities, Scales
 from .simulation import SimulationConfig
 
@@ -79,12 +81,13 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "budget": "200",
         "oxide_share": "0.1",
     },
-    "materials": {"override_file": ""},
+    # repr round-trips, so the defaults are DEFAULT_MATERIALS bit for bit
+    "materials": {k: repr(v) for k, v in asdict(DEFAULT_MATERIALS).items()},
 }
 
-
-# input files a config file names; a relative one lives next to the config file
-_CONFIG_RELATIVE_PATHS = {("materials", "override_file"), ("forcing", "env_csv")}
+# keys read as text and keys read as int; every other key is a float
+_TEXT_KEYS = {"mode", "env_csv"}
+_INT_KEYS = {"n_z", "n_y", "output_stride", "max_steps", "budget"}
 
 
 @dataclass(frozen=True)
@@ -94,106 +97,108 @@ class CalibrationSettings:
     oxide_share: float
 
 
+def _parser() -> configparser.ConfigParser:
+    # no interpolation: a '%' in a value (a file name, say) is plain text
+    return configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                     comment_prefixes=("#",), interpolation=None)
+
+
+def _number(cp, section: str, key: str):
+    return (int if key in _INT_KEYS else float)(cp.get(section, key))
+
+
 def load_settings(path=None) -> configparser.ConfigParser:
-    """Parse a config file over the defaults; validate section/key names."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                   comment_prefixes=("#",))
+    """Parse a config file over the defaults; validate names and numbers."""
+    cp = _parser()
     cp.read_dict(DEFAULTS)
     if path is not None:
-        seen = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                         comment_prefixes=("#",))
+        seen = _parser()
         with open(path, "r", encoding="utf-8") as fh:
             seen.read_file(fh, source=str(path))
         for section in seen.sections():
             if section not in DEFAULTS:
                 raise ValueError(f"{path}: unknown config section [{section}]")
             for key, value in seen.items(section):
-                if key not in DEFAULTS[section]:
+                if not cp.has_option(section, key):
                     raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-                if (section, key) in _CONFIG_RELATIVE_PATHS and value.strip():
-                    value = str(Path(path).parent / value.strip())
+                # a number may be blank only where its default is (the derived scales)
+                if key not in _TEXT_KEYS and (value or cp.get(section, key)):
+                    try:
+                        _number(seen, section, key)
+                    except ValueError:
+                        raise ValueError(f"{path}: [{section}] {key}: "
+                                         f"bad number {value!r}") from None
+                if key == "env_csv" and value:
+                    value = str(Path(path).parent / value)
                 cp.set(section, key, value)
     return cp
 
 
 def _materials_from(cp) -> MaterialTable:
-    override = cp.get("materials", "override_file").strip()
-    if override:
-        return load_material_overrides(override)
-    return DEFAULT_MATERIALS
+    return MaterialTable(**{f.name: _number(cp, "materials", f.name)
+                            for f in fields(MaterialTable)})
 
 
 def _chamber_values(cp) -> tuple[float, float]:
-    so2 = so2_concentration(cp.getfloat("forcing", "so2_ppm"), "ppm",
-                            temp_c=cp.getfloat("forcing", "temp_c"))
-    oxygen = cp.getfloat("forcing", "oxygen_gcm3")
-    return so2, oxygen
+    so2 = so2_concentration(_number(cp, "forcing", "so2_ppm"), "ppm",
+                            temp_c=_number(cp, "forcing", "temp_c"))
+    return so2, _number(cp, "forcing", "oxygen_gcm3")
 
 
 def _scales_from(cp) -> Scales:
     so2, oxygen = _chamber_values(cp)
-    s_r = cp.get("scales", "s_r_gcm3").strip()
-    o_r = cp.get("scales", "o_r_gcm3").strip()
-    s_r_v = float(s_r) if s_r else so2
-    o_r_v = float(o_r) if o_r else oxygen
-    return Scales(lam=cp.getfloat("scales", "lambda_cm"),
-                  t_r=cp.getfloat("scales", "t_r_s"),
-                  s_r=s_r_v, o_r=o_r_v, g_r=o_r_v)
+    s_r, o_r = cp.get("scales", "s_r_gcm3"), cp.get("scales", "o_r_gcm3")
+    return Scales(lam=_number(cp, "scales", "lambda_cm"), t_r=_number(cp, "scales", "t_r_s"),
+                  s_r=float(s_r) if s_r else so2, o_r=float(o_r) if o_r else oxygen)
 
 
-def _forcing_from(cp, mode: str | None = None, env_csv=None) -> Forcing:
-    mode = mode or cp.get("forcing", "mode").strip()
+def _forcing_from(cp) -> Forcing:
+    mode = cp.get("forcing", "mode")
     so2, oxygen = _chamber_values(cp)
     if mode == "chamber":
         return constant_chamber_forcing(so2, oxygen)
     if mode == "cycles":
         return cycle_forcing(so2, oxygen,
-                             wet_hours=cp.getfloat("forcing", "wet_hours"),
-                             dry_hours=cp.getfloat("forcing", "dry_hours"),
-                             dry_so2=cp.getfloat("forcing", "dry_so2_gcm3"))
+                             wet_hours=_number(cp, "forcing", "wet_hours"),
+                             dry_hours=_number(cp, "forcing", "dry_hours"),
+                             dry_so2=_number(cp, "forcing", "dry_so2_gcm3"))
     if mode == "timeseries":
-        path = env_csv or cp.get("forcing", "env_csv").strip()
+        path = cp.get("forcing", "env_csv")
         if not path:
             raise ValueError("timeseries forcing needs env_csv (or --env PATH)")
         return load_timeseries(path, oxygen=oxygen)
     raise ValueError(f"unknown forcing mode {mode!r}")
 
 
-def build_simulation_config(cp, *, forcing_mode: str | None = None,
-                            env_csv=None, horizon_hours: float | None = None,
-                            seed_a: float | None = None,
-                            seed_b: float | None = None) -> SimulationConfig:
-    """Assemble a SimulationConfig; keyword arguments are CLI overrides."""
-    horizon = cp.getfloat("time", "horizon_hours") if horizon_hours is None else horizon_hours
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError("horizon must be positive")
+def build_simulation_config(cp) -> SimulationConfig:
+    """Assemble a SimulationConfig from the parsed settings alone."""
     return SimulationConfig(
         scales=_scales_from(cp),
         diffusivities=Diffusivities(
-            d_g=cp.getfloat("diffusivities", "d_g"),
-            d_s=cp.getfloat("diffusivities", "d_s"),
-            d_o=cp.getfloat("diffusivities", "d_o"),
+            d_g=_number(cp, "diffusivities", "d_g"),
+            d_s=_number(cp, "diffusivities", "d_s"),
+            d_o=_number(cp, "diffusivities", "d_o"),
         ),
         materials=_materials_from(cp),
-        forcing=_forcing_from(cp, forcing_mode, env_csv),
-        n_z=cp.getint("grid", "n_z"),
-        n_y=cp.getint("grid", "n_y"),
-        a0=cp.getfloat("seeds", "a0") if seed_a is None else seed_a,
-        b0=cp.getfloat("seeds", "b0") if seed_b is None else seed_b,
-        dt_max=cp.getfloat("time", "dt_max"),
-        cfl_target=cp.getfloat("time", "cfl_target"),
-        horizon_hours=horizon,
-        output_stride=cp.getint("time", "output_stride"),
-        max_steps=cp.getint("time", "max_steps"),
+        forcing=_forcing_from(cp),
+        n_z=_number(cp, "grid", "n_z"),
+        n_y=_number(cp, "grid", "n_y"),
+        a0=_number(cp, "seeds", "a0"),
+        b0=_number(cp, "seeds", "b0"),
+        dt_max=_number(cp, "time", "dt_max"),
+        cfl_target=_number(cp, "time", "cfl_target"),
+        horizon_hours=_number(cp, "time", "horizon_hours"),
+        output_stride=_number(cp, "time", "output_stride"),
+        max_steps=_number(cp, "time", "max_steps"),
     )
 
 
 def build_calibration_settings(cp) -> CalibrationSettings:
     return CalibrationSettings(
-        bounds=(cp.getfloat("calibration", "bounds_low"),
-                cp.getfloat("calibration", "bounds_high")),
-        budget=cp.getint("calibration", "budget"),
-        oxide_share=cp.getfloat("calibration", "oxide_share"),
+        bounds=(_number(cp, "calibration", "bounds_low"),
+                _number(cp, "calibration", "bounds_high")),
+        budget=_number(cp, "calibration", "budget"),
+        oxide_share=_number(cp, "calibration", "oxide_share"),
     )
 
 
@@ -201,8 +206,7 @@ def resolved_config_dict(cfg: SimulationConfig) -> dict:
     """Fully materialized configuration for the run manifest."""
     return {
         "scales": {"lambda_cm": cfg.scales.lam, "t_r_s": cfg.scales.t_r,
-                   "s_r_gcm3": cfg.scales.s_r, "o_r_gcm3": cfg.scales.o_r,
-                   "g_r_gcm3": cfg.scales.g_r},
+                   "s_r_gcm3": cfg.scales.s_r, "o_r_gcm3": cfg.scales.o_r},
         "diffusivities": {"d_g": cfg.diffusivities.d_g, "d_s": cfg.diffusivities.d_s,
                           "d_o": cfg.diffusivities.d_o},
         "materials": asdict(cfg.materials),

@@ -17,7 +17,7 @@ wasted per brochantite mole formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace, fields as dataclass_fields
+from dataclasses import dataclass
 
 __all__ = [
     "MaterialTable",
@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_MATERIALS",
     "swelling_ratios",
     "mole_balance",
-    "load_material_overrides",
 ]
 
 
@@ -39,9 +38,10 @@ class MaterialTable:
     default to 1.0 because they pair with the package's calibrated default
     diffusivities, which absorb the pore structure together with the finite
     reaction time.  Intrinsic literature diffusivities need the layer
-    porosities instead; configs/reference_materials.txt holds the pair
-    identified from the paper's printed 40 h chamber state for the
-    literature set in configs/reference_diffusivities.ini.
+    porosities instead: the ``[materials]`` section of
+    configs/reference_diffusivities.ini holds the pair identified from the
+    paper's printed 40 h chamber state for that literature set.  A config
+    file sets any field as a ``[materials]`` key of the same name.
     """
 
     rho_c: float = 8.94     # copper mass density
@@ -164,32 +164,3 @@ def mole_balance(fs, mat: MaterialTable) -> MoleReport:
         ratio_copper_cuprite=ratio_cc,
         ratio_cuprite_brochantite=ratio_cb,
     )
-
-
-_OVERRIDE_KEYS = {f.name for f in dataclass_fields(MaterialTable)}
-
-
-def load_material_overrides(path, base: MaterialTable = DEFAULT_MATERIALS) -> MaterialTable:
-    """Material table from a plain ``key = value`` override file.
-
-    Keys must be field names of :class:`MaterialTable` (rho_c, M_c, ...,
-    n_b, n_p); unknown keys are an error.  Blank lines and ``#`` comments
-    are ignored.  Unlisted keys keep the values of ``base``.
-    """
-    updates: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _OVERRIDE_KEYS:
-                raise ValueError(f"{path}: line {lineno}: unknown material key {key!r}")
-            try:
-                updates[key] = float(value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad number {value.strip()!r}") from exc
-    return replace(base, **updates)

@@ -73,22 +73,20 @@ class Scales:
     """Reference scales that non-dimensionalize the model.
 
     lam: length (cm), t_r: time (s), the rest concentrations (g/cm3).
-    g_r must equal o_r so the oxygen handoff at beta is a plain value copy.
+    O and G share the scale o_r, so the oxygen handoff at beta is a plain
+    value copy.
     """
 
     lam: float
     t_r: float
     s_r: float
     o_r: float
-    g_r: float
 
     def __post_init__(self):
-        for name in ("lam", "t_r", "s_r", "o_r", "g_r"):
+        for name in ("lam", "t_r", "s_r", "o_r"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"scale {name} must be positive, got {value}")
-        if self.g_r != self.o_r:
-            raise ValueError("g_r must equal o_r (interface condition is a value copy)")
 
 
 @dataclass(frozen=True)
@@ -232,7 +230,7 @@ def stefan_constants(mat: MaterialTable, d_hat: Diffusivities,
     """Interface constants from materials, hatted diffusivities and scales."""
     return StefanConstants(
         omega_s=2.0 * mat.n_b * d_hat.d_s * (mat.M_p / mat.M_s) * (scales.s_r / mat.rho_p),
-        omega_g=4.0 * mat.n_p * d_hat.d_g * (mat.M_c / mat.M_o) * (scales.g_r / mat.rho_c),
+        omega_g=4.0 * mat.n_p * d_hat.d_g * (mat.M_c / mat.M_o) * (scales.o_r / mat.rho_c),
         gamma_o=0.75 / mat.n_b * (mat.M_o / mat.M_p) * (mat.rho_p / scales.o_r),
     )
 

@@ -69,8 +69,8 @@ class SimulationConfig:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if self.horizon_hours <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon_hours < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.n_z < 3 or self.n_y < 3:
             raise ValueError("grids need at least 3 intervals")
         if self.a0 <= 0.0 or self.b0 <= 0.0:

@@ -251,14 +251,96 @@ def test_removed_fault_injection_keys_are_unknown(tmp_path, capsys, section, key
 
 
 def test_removed_material_key_is_unknown(tmp_path, capsys):
-    mat = tmp_path / "mat.txt"
-    mat.write_text("rho_s = 1.46\n")
+    # rho_s left the table; override_file named the former material file format
     cfgfile = tmp_path / "run.ini"
-    cfgfile.write_text("[materials]\noverride_file = mat.txt\n")
+    for key, value in (("rho_s", "1.46"), ("override_file", "mat.txt")):
+        cfgfile.write_text(f"[materials]\n{key} = {value}\n")
+        code = run_main(["simulate", "--chamber", "--config", str(cfgfile),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"unknown key {key!r} in [materials]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("grid", "n_z"), ("materials", "rho_b"),
+                                          ("scales", "s_r_gcm3")])
+def test_bad_number_names_file_section_and_key(tmp_path, capsys, section, key):
+    cfgfile = tmp_path / "bad.ini"
+    cfgfile.write_text(f"[{section}]\n{key} = ten\n")
     code = run_main(["simulate", "--chamber", "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "unknown material key 'rho_s'" in capsys.readouterr().err
+    assert f"{cfgfile}: [{section}] {key}: bad number 'ten'" in capsys.readouterr().err
+
+
+def test_blank_scale_is_derived_and_blank_number_is_bad(tmp_path, capsys):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[scales]\ns_r_gcm3 =\n")
+    assert run_main(["simulate", "--chamber", "--horizon-hours", "0.1",
+                     "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    cfgfile.write_text("[time]\ndt_max =\n")
+    assert run_main(["simulate", "--chamber", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "[time] dt_max: bad number ''" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, section, key, value", [
+    (["simulate", "--chamber"], "forcing", "mode", "chamber"),
+    (["simulate", "--cycles"], "forcing", "mode", "cycles"),
+    (["simulate", "--env", "e%1.csv"], "forcing", "mode", "timeseries"),
+    (["simulate", "--env", "e%1.csv"], "forcing", "env_csv", "e%1.csv"),
+    (["simulate", "--env", ""], "forcing", "mode", "timeseries"),
+    (["simulate", "--horizon-hours", "12.5"], "time", "horizon_hours", "12.5"),
+    (["simulate", "--seed-a", "0.1"], "seeds", "a0", "0.1"),
+    (["simulate", "--seed-b", "3e-2"], "seeds", "b0", "0.03"),
+    (["validate", "--horizon-hours", "1e-3"], "time", "horizon_hours", "0.001"),
+    (["calibrate", "--measurements", "m.csv", "--cycles"], "forcing", "mode", "cycles"),
+])
+def test_flags_are_written_into_the_settings(tmp_path, monkeypatch, argv, section, key,
+                                            value):
+    # the config's mode differs from every forcing flag's
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[forcing]\nmode = timeseries\nenv_csv = x.csv\n")
+    built = []
+    monkeypatch.setattr(patina.cli, "build_simulation_config", built.append)
+    args = patina.cli._build_parser().parse_args(argv + ["--config", str(cfgfile)])
+    cp, _ = patina.cli._sim_config(args)
+    assert built == [cp]
+    assert cp.get(section, key) == value
+
+
+def test_flags_land_in_the_built_config():
+    args = patina.cli._build_parser().parse_args(
+        ["simulate", "--cycles", "--horizon-hours", "0.1", "--seed-a", "0.1",
+         "--seed-b", "0.2"])
+    _, cfg = patina.cli._sim_config(args)
+    assert (cfg.forcing.mode, cfg.horizon_hours, cfg.a0, cfg.b0) == \
+        ("cycle-schedule", 0.1, 0.1, 0.2)
+
+
+def test_convergence_runs_the_chamber_mode_of_its_config(tmp_path, monkeypatch):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[forcing]\nmode = cycles\n")
+    modes = []
+    errors = [(0.02, 4e-4), (0.01, 1e-4)]
+    monkeypatch.setattr(patina.cli, "frozen_front_temporal_errors", lambda: errors)
+    monkeypatch.setattr(patina.cli, "advection_spatial_errors", lambda: errors)
+    monkeypatch.setattr(patina.cli, "moving_front_temporal_errors",
+                        lambda cfg: modes.append(cfg.forcing.mode) or errors)
+    assert run_main(["convergence", "--config", str(cfgfile)]) == 0
+    assert modes == ["constant-chamber"]
+
+
+def test_percent_in_a_file_name_is_plain_text(tmp_path):
+    # config values and --env paths are not interpolated
+    env = tmp_path / "env%1.csv"
+    env.write_text("time_hours,so2_ugm3,temp_c,rh_percent\n0,10,20,60\n1,10,20,60\n")
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[forcing]\nmode = timeseries\nenv_csv = env%1.csv\n")
+    for argv in (["--config", str(cfgfile)], ["--env", str(env)]):
+        out = tmp_path / "o"
+        assert run_main(["simulate", "--horizon-hours", "1", "--out", str(out)] + argv) == 0
+        digests = json.loads((out / "manifest.json").read_text())["input_digests"]
+        assert str(env) in digests
 
 
 @pytest.mark.parametrize("argv", [
@@ -272,22 +354,6 @@ def test_removed_flags_are_rejected(argv, capsys):
         run_main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_manifest_digests_follow_the_override_file(tmp_path):
-    mat = tmp_path / "mat.txt"
-    cfgfile = tmp_path / "run.ini"
-    cfgfile.write_text("[materials]\noverride_file = mat.txt\n")
-    digests = []
-    for n_b in ("0.5", "0.6"):
-        mat.write_text(f"n_b = {n_b}\n")
-        out = tmp_path / f"o{n_b}"
-        assert run_main(["simulate", "--chamber", "--horizon-hours", "0.1",
-                         "--config", str(cfgfile), "--out", str(out)]) == 0
-        digests.append(json.loads((out / "manifest.json").read_text())["input_digests"])
-    assert set(digests[0]) == {str(cfgfile), str(mat)}
-    assert digests[0][str(cfgfile)] == digests[1][str(cfgfile)]
-    assert digests[0][str(mat)] != digests[1][str(mat)]
 
 
 def test_manifest_digests_include_a_config_named_env_csv(tmp_path):

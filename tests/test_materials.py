@@ -8,7 +8,6 @@ from patina.materials import (
     DEFAULT_MATERIALS,
     MaterialTable,
     SwellingRatios,
-    load_material_overrides,
     mole_balance,
     swelling_ratios,
 )
@@ -132,23 +131,19 @@ def test_mole_balance_detects_broken_kinematics(sw):
     assert abs(rep.ratio_cuprite_brochantite / 2.0 - 1.0) > 0.02
 
 
-def test_material_override_roundtrip(tmp_path):
-    p = tmp_path / "mat.txt"
-    p.write_text("# custom brochantite density\nrho_b = 4.1\nn_b = 0.8\n")
-    mat = load_material_overrides(p)
-    assert mat.rho_b == 4.1
-    assert mat.n_b == 0.8
-    assert mat.rho_c == DEFAULT_MATERIALS.rho_c
-
-
-def test_config_override_file_is_relative_to_config(tmp_path, monkeypatch):
-    (tmp_path / "mat.txt").write_text("n_b = 0.5\nn_p = 0.25\n")
+def _materials(tmp_path, text):
     cfgfile = tmp_path / "run.ini"
-    cfgfile.write_text("[materials]\noverride_file = mat.txt\n")
-    monkeypatch.chdir(tmp_path.parent)
-    mat = build_simulation_config(load_settings(cfgfile)).materials
-    assert (mat.n_b, mat.n_p) == (0.5, 0.25)
+    cfgfile.write_text("[materials]\n" + text)
+    return build_simulation_config(load_settings(cfgfile)).materials
+
+
+def test_material_override_roundtrip(tmp_path):
+    mat = _materials(tmp_path, "# custom brochantite density\n"
+                               "rho_b = 4.1\nn_b = 0.8\nM_c = 63.546\n")
+    assert (mat.rho_b, mat.n_b, mat.M_c) == (4.1, 0.8, 63.546)
     assert mat.rho_c == DEFAULT_MATERIALS.rho_c
+    # the defaults are the table itself, bit for bit
+    assert build_simulation_config(load_settings()).materials == DEFAULT_MATERIALS
 
 
 def test_config_env_csv_is_relative_to_config(tmp_path, monkeypatch):
@@ -164,14 +159,10 @@ def test_config_env_csv_is_relative_to_config(tmp_path, monkeypatch):
 
 
 def test_material_override_rejects_unknown_key(tmp_path):
-    p = tmp_path / "mat.txt"
-    p.write_text("rho_x = 1.0\n")
-    with pytest.raises(ValueError, match="unknown material key"):
-        load_material_overrides(p)
+    with pytest.raises(ValueError, match=r"unknown key 'rho_x' in \[materials\]"):
+        _materials(tmp_path, "rho_x = 1.0\n")
 
 
 def test_material_override_rejects_bad_number(tmp_path):
-    p = tmp_path / "mat.txt"
-    p.write_text("rho_b = four\n")
-    with pytest.raises(ValueError, match="bad number"):
-        load_material_overrides(p)
+    with pytest.raises(ValueError, match=r"run.ini: \[materials\] rho_b: bad number 'four'"):
+        _materials(tmp_path, "rho_b = four\n")

@@ -36,14 +36,10 @@ def synthetic_fronts(a_dot=0.0, b_dot=0.0, beta_dot=0.0, gamma_dot=0.0,
 class TestScalesAndDiffusivities:
     def test_scales_positive(self):
         with pytest.raises(ValueError):
-            Scales(lam=0.0, t_r=1.0, s_r=1.0, o_r=1.0, g_r=1.0)
-
-    def test_scales_interface_copy_constraint(self):
-        with pytest.raises(ValueError, match="g_r must equal o_r"):
-            Scales(lam=1.0, t_r=1.0, s_r=1.0, o_r=1.0, g_r=2.0)
+            Scales(lam=0.0, t_r=1.0, s_r=1.0, o_r=1.0)
 
     def test_hatted_diffusivities(self):
-        scales = Scales(lam=1e-4, t_r=3600.0, s_r=1.0, o_r=1.0, g_r=1.0)
+        scales = Scales(lam=1e-4, t_r=3600.0, s_r=1.0, o_r=1.0)
         d = Diffusivities(d_g=9.9e-9, d_s=3.96e-5, d_o=9.9e-6)
         hat = d.hatted(scales)
         # (t_r / lam^2) * D = (3600 / 1e-8) * 3.96e-5
@@ -361,14 +357,14 @@ class TestOuterBcs:
 
 def test_stefan_constants_formulas():
     mat = DEFAULT_MATERIALS
-    scales = Scales(lam=1e-4, t_r=3600.0, s_r=4.99e-7, o_r=2.6e-4, g_r=2.6e-4)
+    scales = Scales(lam=1e-4, t_r=3600.0, s_r=4.99e-7, o_r=2.6e-4)
     d_hat = Diffusivities(d_g=9.9e-9, d_s=3.96e-5, d_o=9.9e-6).hatted(scales)
     sc = stefan_constants(mat, d_hat, scales)
     assert sc.omega_s == pytest.approx(
         2 * mat.n_b * d_hat.d_s * (mat.M_p / mat.M_s) * (scales.s_r / mat.rho_p),
         rel=1e-15)
     assert sc.omega_g == pytest.approx(
-        4 * mat.n_p * d_hat.d_g * (mat.M_c / mat.M_o) * (scales.g_r / mat.rho_c),
+        4 * mat.n_p * d_hat.d_g * (mat.M_c / mat.M_o) * (scales.o_r / mat.rho_c),
         rel=1e-15)
     assert sc.gamma_o == pytest.approx(
         0.75 / mat.n_b * (mat.M_o / mat.M_p) * (mat.rho_p / scales.o_r), rel=1e-15)

@@ -51,9 +51,9 @@ class TestNondimensionalization:
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError, match="t_r"):
-            Scales(lam=1e-4, t_r=0.0, s_r=1.0, o_r=1.0, g_r=1.0)
+            Scales(lam=1e-4, t_r=0.0, s_r=1.0, o_r=1.0)
         with pytest.raises(ValueError, match="s_r"):
-            Scales(lam=1e-4, t_r=1.0, s_r=-1.0, o_r=1.0, g_r=1.0)
+            Scales(lam=1e-4, t_r=1.0, s_r=-1.0, o_r=1.0)
 
 
 class TestInitialize:
@@ -91,6 +91,12 @@ class TestInitialize:
             replace(default_cfg, horizon_hours=0.0)
         with pytest.raises(ValueError, match="stride"):
             replace(default_cfg, output_stride=0)
+
+    @pytest.mark.parametrize("hours", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, default_cfg, hours):
+        # a NaN horizon used to give a run of 0 steps
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            replace(default_cfg, horizon_hours=hours)
 
 
 class TestRun:
