@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Seeded-defect (mutation) check: does the test suite catch each defect?
+
+Usage (from anywhere inside the repository):
+
+    python3 scripts/mutation_check.py [PYTEST_ARGS...]
+
+Each entry of DEFECTS names one seeded defect as a (file, old, new) string
+triple: ``old`` must occur exactly once in ``src/patina/<file>`` and is
+replaced by ``new``.  For each defect the script copies ``src/`` into a
+temporary directory, applies the defect there (the checkout is never
+touched) and runs the tier-1 suite of the checkout, stopping at the first
+failure, with the copy first on PYTHONPATH.  It prints one line per defect
+with the first failing test, TIMEOUT when the suite has not finished after
+TIMEOUT_S (it takes about a minute on a 2-core machine, so a defect that
+stalls the runs counts as caught), or SURVIVED when every test passes.
+Extra arguments go to pytest, e.g. a test file to run instead of the whole
+suite.  Exit code 0 when every defect is caught, 1 otherwise.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 600
+
+DEFECTS = {
+    "g2 weight 1 instead of 2": (
+        "stepper.py", "g2 *= 2.0", "g2 *= 1.0"),
+    "stage diffusion numbers at dt": (
+        "stepper.py", "_diffusion_numbers(half, fs, model)", "_diffusion_numbers(dt, fs, model)"),
+    "cuprite diffusion number at the outer width": (
+        "stepper.py", "half_dt * d.d_g / inner ** 2", "half_dt * d.d_g / outer ** 2"),
+    "stage forcing at tau": (
+        "stepper.py", "model.forcing_hat(tau + half)", "model.forcing_hat(tau)"),
+    "end forcing at tau": (
+        "stepper.py", "model.forcing_hat(tau + dt)", "model.forcing_hat(tau)"),
+    "stage geometry at the step start": (
+        "stepper.py", "fs.advanced(half, model.sw)", "fs.advanced(0.0, model.sw)"),
+    "update advection at (u^n, fronts^n)": (
+        "stepper.py", "_advection(stage.u, fs_mid, model)", "_advection(u, fs, model)"),
+    "update advection speeds at the step-start fronts": (
+        "stepper.py", "_advection(stage.u, fs_mid, model)", "_advection(stage.u, fs, model)"),
+    "stepper advection switched off": (
+        "stepper.py", "split_rhs_interior(u, c, lay.dx)", "split_rhs_interior(u, 0.0 * c, lay.dx)"),
+    "fronts advance at the step-start a speed": (
+        "stepper.py", "fs.a + dt * fs_mid.a_dot,", "fs.a + dt * fs.a_dot,"),
+    "inner CFL bound doubled": (
+        "stepper.py", "cfl_target * dy / c_inner", "2.0 * cfl_target * dy / c_inner"),
+    "downwind advection": (
+        "pde_core.py", "np.where(c > 0.0, d[:-1], d[1:])", "np.where(c > 0.0, d[1:], d[:-1])"),
+    "Robin sink dropped": (
+        "pde_core.py", "(k * (4.0 * u2 - u3) - sink_coeff * b_dot) / denom",
+        "k * (4.0 * u2 - u3) / denom"),
+    "first-order Stefan gradient": (
+        "pde_core.py", "(3.0 * u1 - 4.0 * u2 + u3) / (2.0 * dx)", "(u1 - u2) / dx"),
+    "G(0) handed O(0) instead of O(1)": (
+        "pde_core.py", "fields.G[0] = fields.O[-1]", "fields.G[0] = fields.O[0]"),
+}
+
+
+def first_failure(src: str, pytest_args: list[str]) -> str | None:
+    """First failing test of the suite run against the sources in ``src``,
+    TIMEOUT, or None when every test passes."""
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors", *pytest_args],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"TIMEOUT after {TIMEOUT_S} s"
+    if proc.returncode == 0:
+        return None
+    found = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    return found.group(1) if found else f"pytest exit {proc.returncode}"
+
+
+def main() -> int:
+    survived = 0
+    for name, (file, old, new) in DEFECTS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            src = os.path.join(tmp, "src")
+            shutil.copytree(os.path.join(ROOT, "src"), src,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            path = os.path.join(src, "patina", file)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            if text.count(old) != 1:
+                raise SystemExit(f"{name}: {old!r} occurs {text.count(old)} times in {file}")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text.replace(old, new))
+            failure = first_failure(src, sys.argv[1:])
+        survived += failure is None
+        print(f"{name:50s} {failure or 'SURVIVED'}", flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

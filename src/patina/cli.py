@@ -35,8 +35,7 @@ from .config import (
     resolved_config_dict,
 )
 from .convergence import (
-    advection_spatial_errors,
-    diffusion_mode_relative_error,
+    exact_front_errors,
     frozen_front_temporal_errors,
     moving_front_temporal_errors,
     observed_orders,
@@ -269,12 +268,12 @@ def cmd_convergence(args) -> int:
         orders += _order_table("temporal, moving fronts (chamber run, n = 25, 4 h, "
                                "step caps / k; change of a, b, gamma to 2k):", "1/k",
                                moving_front_temporal_errors(cfg))
-        _order_table("advection bump, upwind differencing:", "h", advection_spatial_errors())
     except ValueError as exc:
         print(f"patina: order not measurable: {exc}", file=sys.stderr)
         return 3
-    diff_err = diffusion_mode_relative_error()
-    print(f"diffusion eigenmode relative error: {diff_err:.3e}")
+    err_a, err_b, err_total = exact_front_errors(cfg, run(cfg).records[-1])
+    print(f"chamber run against the exact solution at {cfg.horizon_hours:g} h: relative "
+          f"error a {err_a:+.3e}, b {err_b:+.3e}, total {err_total:+.3e}")
     min_temporal = min(orders)
     if min_temporal < MIN_TEMPORAL_ORDER:
         print(f"patina: temporal order {min_temporal:.3f} below "

@@ -88,6 +88,8 @@ DEFAULTS: dict[str, dict[str, str]] = {
 # keys read as text and keys read as int; every other key is a float
 _TEXT_KEYS = {"mode", "env_csv"}
 _INT_KEYS = {"n_z", "n_y", "output_stride", "max_steps", "budget"}
+# configparser lowercases keys; messages spell a material field as MaterialTable does
+_SPELLING = {f.name.lower(): f.name for f in fields(MaterialTable)}
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ def load_settings(path=None) -> configparser.ConfigParser:
                     try:
                         _number(seen, section, key)
                     except ValueError:
-                        raise ValueError(f"{path}: [{section}] {key}: "
+                        raise ValueError(f"{path}: [{section}] {_SPELLING.get(key, key)}: "
                                          f"bad number {value!r}") from None
                 if key == "env_csv" and value:
                     value = str(Path(path).parent / value)

@@ -1,19 +1,28 @@
-"""Verification battery: measured orders of the shipped stepper.
+"""Verification battery: the exact chamber solution and measured orders of the shipped stepper.
 
-Every check drives ``imex_midpoint_step`` itself:
+Under constant forcing the double free boundary has a similarity solution
+(Neumann's Stefan solution with two fronts; Carslaw & Jaeger, *Conduction
+of Heat in Solids*, 1959, section 11.2): a = K_a*sqrt(tau) and
+b = K_b*sqrt(tau), and the front-fixed profiles are steady.  With layer
+widths W*sqrt(tau), W = (1+omega_b)*K_b, and V*sqrt(tau),
+V = (1+omega_p)*K_a - K_b, the equations of ``pde_core`` become
+
+    U'' = -z*W^2/(2*D)*U'                  (S and O on z in [0, 1])
+    G'' = -(V^2*y + V*K_b)/(2*D_g)*G'      (G on y in [0, 1])
+
+whose profiles are integrals of exp(-phi), evaluated by one fixed
+Gauss-Legendre rule (the exponents are small).  The SO2 Stefan condition
+alone fixes K_b, the O Robin condition O(beta), and the cuprite Stefan
+condition K_a: two bisections.
+
+The order checks drive ``imex_midpoint_step`` itself:
 
 * temporal order with frozen fronts: Gaussian bumps of S, O and G advected
   and diffused on unit layers, each step size against a run at 1/64 of
   the smallest one;
 * temporal order with moving fronts: the chamber run on a coarse grid with
   both step caps (cfl_target, dt_max) divided by 1, 2, 4, 8 and 16, the
-  error at each divisor being the change of the fronts at the next one;
-* decay of a diffusion eigenmode against exp(-pi^2 D tau) with frozen fronts;
-* spatial self-convergence of a smooth advection bump under grid refinement
-  (order about 1 with upwinding).
-
-The full-run refinement check (grid doubled, dt halved) lives here too since
-the acceptance gate uses it.
+  error at each divisor being the change of the fronts at the next one.
 """
 
 from __future__ import annotations
@@ -23,20 +32,86 @@ from dataclasses import replace
 
 import numpy as np
 
-from .materials import SwellingRatios
-from .pde_core import Diffusivities, FrontState, LayerFields, StefanConstants
-from .simulation import SimulationConfig, run
+from .materials import SwellingRatios, swelling_ratios
+from .pde_core import Diffusivities, FrontState, LayerFields, StefanConstants, stefan_constants
+from .simulation import SECONDS_PER_HOUR, OutputRecord, SimulationConfig, run
 from .stepper import NondimModel, imex_midpoint_step
 
 __all__ = [
+    "similarity",
+    "exact_front_errors",
     "observed_orders",
     "frozen_bump_problem",
     "frozen_front_temporal_errors",
     "moving_front_temporal_errors",
-    "diffusion_mode_relative_error",
-    "advection_spatial_errors",
-    "refinement_delta",
 ]
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f between lo (f < 0) and hi (f >= 0), to the last bit."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return mid
+
+
+def similarity(cfg: SimulationConfig) -> tuple[float, float]:
+    """(K_a, K_b) of the exact solution a = K_a*sqrt(tau), b = K_b*sqrt(tau), non-dimensional.
+
+    Only constant forcing with SO2 and oxygen has one; any other forcing,
+    or oxygen used up at beta by its reaction sink, raises ValueError.
+    """
+    forcing = cfg.forcing
+    if forcing.mode != "constant-chamber":
+        raise ValueError(f"the exact solution needs constant forcing, not {forcing.mode}")
+    s_a, o_a = forcing.so2[0] / cfg.scales.s_r, forcing.oxygen / cfg.scales.o_r
+    if not (s_a > 0.0 and o_a > 0.0):
+        raise ValueError("the exact solution needs nonzero SO2 and O2 forcing")
+    d = cfg.diffusivities.hatted(cfg.scales)
+    sc = stefan_constants(cfg.materials, d, cfg.scales)
+    sw = swelling_ratios(cfg.materials)
+    # built per call: at import its eigenvalue solve would cost every command
+    # about 1 MB of resident memory
+    nodes, weights = np.polynomial.legendre.leggauss(32)   # on [-1, 1]
+
+    def flux(phi) -> float:
+        """-U'(1) of the profile U' ~ exp(-phi) that falls from 1 at 0 to 0 at 1."""
+        return 2.0 * math.exp(-phi(1.0)) / float(weights @ np.exp(-phi(0.5 * (nodes + 1.0))))
+
+    def outer_flux(w, d_hat):
+        return flux(lambda z: (w * z) ** 2 / (4.0 * d_hat))
+
+    # SO2 Stefan condition K_b/2 = Omega_s/W * S_a * flux, where flux <= 1
+    k_b = _bisect(lambda k: (1.0 + sw.omega_b) * k * k / 2.0
+                  - sc.omega_s * s_a * outer_flux((1.0 + sw.omega_b) * k, d.d_s),
+                  0.0, math.sqrt(2.0 * sc.omega_s * s_a / (1.0 + sw.omega_b)))
+    w = (1.0 + sw.omega_b) * k_b
+    # the O Robin condition D_o/W*O'(1) = -(omega_p*K_a + W)/2*O(1) - gamma_o*K_b/2
+    # is linear in O(beta) = O(1) and gives it in closed form
+    m = 2.0 * d.d_o * outer_flux(w, d.d_o) / w
+    if m * o_a <= sc.gamma_o * k_b:
+        raise ValueError("oxygen is used up at beta: no similarity solution")
+
+    def cuprite(k_a):
+        v = (1.0 + sw.omega_p) * k_a - k_b
+        o_beta = (m * o_a - sc.gamma_o * k_b) / (m + sw.omega_p * k_a + w)
+        return k_a * v / 2.0 - sc.omega_g * o_beta * flux(
+            lambda y: (v * v * y * y / 2.0 + v * k_b * y) / (2.0 * d.d_g))
+
+    # V = 0 at lo; at hi K_a*V/2 exceeds Omega_g*o_a, the largest the flux term can be
+    lo = k_b / (1.0 + sw.omega_p)
+    return _bisect(cuprite, lo, lo + math.sqrt(2.0 * sc.omega_g * o_a / (1.0 + sw.omega_p))), k_b
+
+
+def exact_front_errors(cfg: SimulationConfig, record: OutputRecord) -> tuple[float, float, float]:
+    """Signed relative errors of a, b and the total thickness of ``record``
+    against the exact solution at the record's time."""
+    k_a, k_b = similarity(cfg)
+    sw = swelling_ratios(cfg.materials)
+    root = math.sqrt(record.t_hours * SECONDS_PER_HOUR / cfg.scales.t_r)
+    a, b = k_a * root, k_b * root
+    exact = (a, b, (1.0 + sw.omega_p) * a + sw.omega_b * b)
+    got = (record.a_nd, record.b_nd, record.a_nd - record.gamma_nd)
+    return tuple(g / e - 1.0 for g, e in zip(got, exact))
 
 
 def observed_orders(errors: list[tuple[float, float]]) -> list[float]:
@@ -53,29 +128,6 @@ def observed_orders(errors: list[tuple[float, float]]) -> list[float]:
             for (h1, e1), (h2, e2) in zip(errors, errors[1:])]
 
 
-def _frozen_model(n: int, d: Diffusivities) -> NondimModel:
-    """Model on n x n grids with inert interfaces (zero Stefan constants, zero forcing)."""
-    return NondimModel(d_hat=d, sc=StefanConstants(0.0, 0.0, 0.0), sw=SwellingRatios(0.0, 0.0),
-                       n_z=n, n_y=n, forcing_hat=lambda tau: (0.0, 0.0))
-
-
-def _unit_width_fronts(gamma_dot: float = 0.0, beta_dot: float = 0.0) -> FrontState:
-    # synthetic geometry for operator tests: both layers of unit width
-    return FrontState(a=2.0, b=1.0, beta=1.0, gamma=0.0,
-                      a_dot=0.0, b_dot=0.0, beta_dot=beta_dot, gamma_dot=gamma_dot)
-
-
-def _march(fields: LayerFields, fronts: FrontState, model: NondimModel,
-           dt: float, steps: int) -> tuple[LayerFields, float]:
-    """``steps`` frozen-front steps of size dt from tau = 0; returns the fields and tau."""
-    tau = 0.0
-    for _ in range(steps):
-        fields, fronts = imex_midpoint_step(fields, fronts, tau, dt, model,
-                                            freeze_fronts=True)
-        tau += dt
-    return fields, tau
-
-
 def frozen_bump_problem() -> tuple[LayerFields, FrontState, NondimModel]:
     """Gaussian bumps of S, O and G on frozen unit layers (n = 50, d_hat = 1e-2).
 
@@ -83,8 +135,12 @@ def frozen_bump_problem() -> tuple[LayerFields, FrontState, NondimModel]:
     """
     x = np.linspace(0.0, 1.0, 51)
     bump = np.exp(-(((x - 0.5) / 0.1) ** 2))
-    return (LayerFields(S=bump, O=bump, G=bump), _unit_width_fronts(gamma_dot=-1.0),
-            _frozen_model(50, Diffusivities(1e-2, 1e-2, 1e-2)))
+    # inert interfaces: zero Stefan constants, swelling and forcing
+    model = NondimModel(d_hat=Diffusivities(1e-2, 1e-2, 1e-2), sc=StefanConstants(0.0, 0.0, 0.0),
+                        sw=SwellingRatios(0.0, 0.0), n_z=50, n_y=50,
+                        forcing_hat=lambda tau: (0.0, 0.0))
+    fronts = FrontState(a=2.0, b=1.0, beta=1.0, gamma=0.0, gamma_dot=-1.0)
+    return LayerFields(S=bump, O=bump, G=bump), fronts, model
 
 
 def frozen_front_temporal_errors(dts=(0.02, 0.01, 0.005), tau_end: float = 0.2,
@@ -92,7 +148,11 @@ def frozen_front_temporal_errors(dts=(0.02, 0.01, 0.005), tau_end: float = 0.2,
     """Max-norm errors of the bump problem at tau_end against a run at dts[-1]/refine."""
     def final(dt):
         fields, fronts, model = frozen_bump_problem()
-        return _march(fields, fronts, model, dt, round(tau_end / dt))[0].u
+        tau = 0.0
+        for _ in range(round(tau_end / dt)):
+            fields, _ = imex_midpoint_step(fields, fronts, tau, dt, model, freeze_fronts=True)
+            tau += dt
+        return fields.u
 
     ref = final(dts[-1] / refine)
     return [(dt, float(np.max(np.abs(final(dt) - ref)))) for dt in dts]
@@ -115,58 +175,3 @@ def moving_front_temporal_errors(cfg: SimulationConfig, divisors=(1, 2, 4, 8, 16
         finals.append(np.array((last.a_nd, last.b_nd, last.gamma_nd)))
     return [(1.0 / k, float(np.max(np.abs(coarse - fine) / np.abs(fine))))
             for k, coarse, fine in zip(divisors, finals, finals[1:])]
-
-
-def diffusion_mode_relative_error(n: int = 100, dt: float = 1e-4,
-                                  tau_end: float = 0.05,
-                                  d_hat: float = 1.0) -> float:
-    """Relative amplitude error of sin(pi z) decay under pure diffusion."""
-    z = np.linspace(0.0, 1.0, n + 1)
-    fields = LayerFields(S=np.sin(np.pi * z), O=np.zeros(n + 1), G=np.zeros(n + 1))
-    tiny = 1e-30  # effectively switch diffusion off for the bystander species
-    model = _frozen_model(n, Diffusivities(tiny, d_hat, tiny))
-    fields, tau = _march(fields, _unit_width_fronts(), model, dt, round(tau_end / dt))
-    exact = math.exp(-math.pi**2 * d_hat * tau)
-    mid = fields.S[n // 2] / math.sin(math.pi * 0.5)
-    return abs(mid - exact) / exact
-
-
-def _advect_bump(n: int, tau_end: float = 0.4, cfl: float = 0.4) -> np.ndarray:
-    """Advect a Gaussian bump with speed c(z) = -z on a frozen unit layer."""
-    z = np.linspace(0.0, 1.0, n + 1)
-    bump = np.exp(-(((z - 0.6) / 0.1) ** 2))
-    tiny = 1e-30
-    fields = LayerFields(S=bump, O=np.zeros(n + 1), G=np.zeros(n + 1))
-    model = _frozen_model(n, Diffusivities(tiny, tiny, tiny))
-    # gamma_dot - beta_dot = -1 over unit width gives c(z) = -z
-    fronts = _unit_width_fronts(gamma_dot=-1.0, beta_dot=0.0)
-    dt = cfl / n  # max |c| = 1
-    return _march(fields, fronts, model, dt, round(tau_end / dt))[0].S
-
-
-def advection_spatial_errors(grids=(50, 100, 200),
-                             reference: int = 400) -> list[tuple[float, float]]:
-    """Max-norm self-convergence errors against the finest grid."""
-    ref = _advect_bump(reference)
-    out = []
-    for n in grids:
-        if reference % n:
-            raise ValueError("reference grid must be a multiple of each test grid")
-        u = _advect_bump(n)
-        stride = reference // n
-        out.append((1.0 / n, float(np.max(np.abs(u - ref[::stride])))))
-    return out
-
-
-def refinement_delta(cfg: SimulationConfig) -> float:
-    """Relative change of the final total thickness after one refinement.
-
-    The refined run doubles both grids and halves the step caps.
-    """
-    coarse = run(cfg)
-    fine = run(replace(cfg, n_z=2 * cfg.n_z, n_y=2 * cfg.n_y,
-                       dt_max=cfg.dt_max / 2.0, cfl_target=cfg.cfl_target / 2.0,
-                       max_steps=4 * cfg.max_steps))
-    t_c = coarse.records[-1].total_cm
-    t_f = fine.records[-1].total_cm
-    return abs(t_f - t_c) / t_f

@@ -127,13 +127,6 @@ class MoleReport:
     ratio_copper_cuprite: float
     ratio_cuprite_brochantite: float
 
-    def max_ratio_deviation(self) -> float:
-        """Largest relative deviation of the defined ratios from 2."""
-        devs = [abs(r / 2.0 - 1.0)
-                for r in (self.ratio_copper_cuprite, self.ratio_cuprite_brochantite)
-                if math.isfinite(r)]
-        return max(devs) if devs else math.nan
-
 
 def mole_balance(fs, mat: MaterialTable) -> MoleReport:
     """Stoichiometry oracle over a front state with lengths in cm.

@@ -77,8 +77,8 @@ class SimulationConfig:
             raise ValueError("seeds must be positive")
         if not (0.0 < self.dt_max < math.inf and 0.0 < self.cfl_target < math.inf):
             raise ValueError("dt_max and cfl_target must be positive and finite")
-        if self.output_stride < 1:
-            raise ValueError("output stride must be at least 1")
+        if self.output_stride < 1 or self.max_steps < 1:
+            raise ValueError("output_stride and max_steps must be at least 1")
 
 
 @dataclass(frozen=True)

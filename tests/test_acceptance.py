@@ -8,8 +8,9 @@ exercises the exact code a user runs.
 Criterion 2 compares against the paper's model: the literature parameter
 set in configs/reference_diffusivities.ini, i.e. the printed diffusivities
 with the layer porosities identified from the paper's printed 40 h chamber
-state.  One session-scoped run of that configuration serves 2b, 2c and the
-check that it still reproduces the printed state.
+state.  One session-scoped run of that configuration serves 2b, 2c, the
+check that it still reproduces the printed state, and criterion 4's bound
+against the exact sqrt(t) solution.
 """
 
 import math
@@ -28,10 +29,10 @@ from patina.calibration import (
 )
 from patina.config import build_simulation_config, load_settings
 from patina.convergence import (
+    exact_front_errors,
     frozen_front_temporal_errors,
     moving_front_temporal_errors,
     observed_orders,
-    refinement_delta,
 )
 from patina.environment import load_timeseries
 from patina.pde_core import Diffusivities
@@ -56,9 +57,14 @@ def measurements():
 
 
 @pytest.fixture(scope="session")
-def reference_run():
+def reference_cfg():
+    return build_simulation_config(load_settings(REFERENCE_CONFIG))
+
+
+@pytest.fixture(scope="session")
+def reference_run(reference_cfg):
     """One 40 h run of the literature parameter set (about 134k steps)."""
-    return run(build_simulation_config(load_settings(REFERENCE_CONFIG)))
+    return run(reference_cfg)
 
 
 @pytest.fixture(scope="session")
@@ -89,10 +95,12 @@ def test_criterion1_stoichiometry_and_runtime(calibrated_run, default_cfg):
     out, wall = calibrated_run
     grown = out.final_fronts_cm.a > default_cfg.a0 * default_cfg.scales.lam
     rep = out.mole_report
-    dev = rep.max_ratio_deviation()
-    ok = grown and dev <= 5e-3 and wall <= 10.0
+    dev_cc = rep.ratio_copper_cuprite / 2.0 - 1.0
+    dev_cb = rep.ratio_cuprite_brochantite / 2.0 - 1.0
+    ok = grown and abs(dev_cc) <= 5e-3 and abs(dev_cb) <= 5e-3 and wall <= 10.0
     assert report(1, ok,
-                  f"ratio deviation {dev:.2e} (tol 5e-3), runtime {wall:.2f}s "
+                  f"ratio deviations {dev_cc:+.2e} copper/cuprite, {dev_cb:+.2e} "
+                  f"cuprite/brochantite (tol 5e-3), runtime {wall:.2f}s "
                   f"(limit 10s), growth {grown}")
     assert rep.ratio_copper_cuprite == pytest.approx(2.0, rel=5e-3)
     assert rep.ratio_cuprite_brochantite == pytest.approx(2.0, rel=5e-3)
@@ -161,18 +169,28 @@ def test_criterion3_endpoint_bands(calibrated_run):
                   f"gamma(40h) = {final.gamma_cm:.4e} in [-1.15e-3, -7.6e-4]: {g_ok}")
 
 
-def test_criterion4_scheme_order(calibrated_cfg):
+def test_criterion4_scheme_order(calibrated_cfg, calibrated_run, reference_cfg,
+                                 reference_run):
     # temporal order of imex_midpoint_step itself: frozen fronts against a
     # fine-step reference, then the coupled run with moving fronts
     orders = (observed_orders(frozen_front_temporal_errors())
               + observed_orders(moving_front_temporal_errors(calibrated_cfg)))
     temporal_ok = min(orders) >= 1.9
-    delta = refinement_delta(calibrated_cfg)
-    spatial_ok = delta < 0.01
-    ok = temporal_ok and spatial_ok
+    # largest relative error of a, b and the total at 40 h against the exact
+    # sqrt(tau) solution; bounds from the measured 5.60e-4, 1.34e-6, 6.23e-6
+    half_cfl = replace(calibrated_cfg, cfl_target=calibrated_cfg.cfl_target / 2)
+    runs = {"calibrated": (calibrated_cfg, calibrated_run[0], 6e-4),
+            "calibrated at cfl_target/2": (half_cfl, run(half_cfl), 2e-6),
+            "literature set": (reference_cfg, reference_run, 1e-5)}
+    errors = {name: max(map(abs, exact_front_errors(cfg, out.records[-1])))
+              for name, (cfg, out, _) in runs.items()}
+    exact_ok = all(errors[name] <= bound for name, (_, _, bound) in runs.items())
+    ok = temporal_ok and exact_ok
     assert report(4, ok,
                   f"temporal orders {[f'{o:.3f}' for o in orders]} (>= 1.9); "
-                  f"refinement change {delta:.2%} (< 1%)")
+                  "error against exact " + ", ".join(
+                      f"{name} {errors[name]:.2e} (<= {bound:.0e})"
+                      for name, (_, _, bound) in runs.items()))
 
 
 def test_criterion5_property_suite(calibrated_run, sw):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -160,12 +161,15 @@ def test_convergence_command(capsys):
     code = run_main(["convergence"])
     out = capsys.readouterr().out
     assert code == 0
-    # both temporal tables, each with its order lines
+    # both temporal tables, each with its order lines, then the shipped
+    # chamber run against the exact solution
     frozen = out.index("temporal, frozen fronts")
     moving = out.index("temporal, moving fronts")
-    bump = out.index("advection bump")
+    exact = out.index("chamber run against the exact solution at 40 h")
     assert out[frozen:moving].count("order ") == 2
-    assert out[moving:bump].count("order ") == 3
+    assert out[moving:exact].count("order ") == 3
+    errors = re.search(r"error a (\S+), b (\S+), total (\S+)\n", out[exact:]).groups()
+    assert max(abs(float(e)) for e in errors) < 6e-4
     assert "temporal order" in out and ">= 1.9" in out
 
 
@@ -262,14 +266,24 @@ def test_removed_material_key_is_unknown(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section, key", [("grid", "n_z"), ("materials", "rho_b"),
-                                          ("scales", "s_r_gcm3")])
+                                          ("materials", "M_c"), ("scales", "s_r_gcm3")])
 def test_bad_number_names_file_section_and_key(tmp_path, capsys, section, key):
+    # configparser lowercases keys; the message spells M_c as MaterialTable does
     cfgfile = tmp_path / "bad.ini"
     cfgfile.write_text(f"[{section}]\n{key} = ten\n")
     code = run_main(["simulate", "--chamber", "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")])
     assert code == 1
     assert f"{cfgfile}: [{section}] {key}: bad number 'ten'" in capsys.readouterr().err
+
+
+def test_step_budget_below_one_is_an_input_error(tmp_path, capsys):
+    # a budget of 0 used to exit 2 with "step budget 0 exhausted"
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[time]\nmax_steps = 0\n")
+    assert run_main(["simulate", "--chamber", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "max_steps must be at least 1" in capsys.readouterr().err
 
 
 def test_blank_scale_is_derived_and_blank_number_is_bad(tmp_path, capsys):
@@ -323,7 +337,6 @@ def test_convergence_runs_the_chamber_mode_of_its_config(tmp_path, monkeypatch):
     modes = []
     errors = [(0.02, 4e-4), (0.01, 1e-4)]
     monkeypatch.setattr(patina.cli, "frozen_front_temporal_errors", lambda: errors)
-    monkeypatch.setattr(patina.cli, "advection_spatial_errors", lambda: errors)
     monkeypatch.setattr(patina.cli, "moving_front_temporal_errors",
                         lambda cfg: modes.append(cfg.forcing.mode) or errors)
     assert run_main(["convergence", "--config", str(cfgfile)]) == 0

@@ -98,6 +98,12 @@ class TestInitialize:
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             replace(default_cfg, horizon_hours=hours)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_step_budget_below_one_rejected(self, default_cfg, steps):
+        # a budget of 0 used to take a step and fail as a solver error
+        with pytest.raises(ValueError, match="max_steps must be at least 1"):
+            replace(default_cfg, max_steps=steps)
+
 
 class TestRun:
     def test_invariants_on_chamber_run(self, short_run, sw):

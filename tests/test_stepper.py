@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from patina import simulation, stepper
 from patina.convergence import (
-    diffusion_mode_relative_error,
     frozen_bump_problem,
     frozen_front_temporal_errors,
     observed_orders,
@@ -101,7 +100,9 @@ class TestPackedStageSolve:
     def test_one_solve_and_two_advection_passes_per_step(self, monkeypatch, default_cfg):
         # every per-step function the benchmark traces is reached through the
         # module attribute it patches, as often as the scheme needs it; a
-        # path that captured one at import or went round it would miss here
+        # path that captured one at import or went round it would miss here.
+        # The forcing is read at the stage time tau + dt/2, then at tau + dt;
+        # no other test notices either read at tau.
         expected = {
             (stepper, "solve_tridiagonal"): 1,
             (stepper, "split_rhs_interior"): 2,
@@ -114,12 +115,15 @@ class TestPackedStageSolve:
         }
         fields, fronts, model = initialize(default_cfg)
         calls = dict.fromkeys(expected, 0)
+        forcing_hours = []
 
         def counted(key):
             original = getattr(*key)
 
             def wrapper(*args, **kwargs):
                 calls[key] += 1
+                if key == (simulation, "forcing_at"):
+                    forcing_hours.append(args[1])
                 return original(*args, **kwargs)
             return wrapper
 
@@ -127,8 +131,12 @@ class TestPackedStageSolve:
             monkeypatch.setattr(*key, counted(key))
         dt = select_dt(fronts, model.dz, model.dy, default_cfg.cfl_target,
                        default_cfg.dt_max, model.sw.omega_p)
-        imex_midpoint_step(fields, fronts, 0.0, dt, model)
+        tau = 0.75
+        imex_midpoint_step(fields, fronts, tau, dt, model)
         assert calls == expected
+        hours_per_tau = default_cfg.scales.t_r / simulation.SECONDS_PER_HOUR
+        assert forcing_hours == [pytest.approx((tau + dt / 2) * hours_per_tau, rel=1e-15),
+                                 pytest.approx((tau + dt) * hours_per_tau, rel=1e-15)]
 
 
 class TestSelectDt:
@@ -238,9 +246,6 @@ class TestPdeStep:
         assert new.O[-1] == fields.O[-1] and new.G[0] == fields.G[0]
         assert new.O[0] == 0.0 and counters.field_clamps == 0
         assert not np.array_equal(new.O[1:-1], fields.O[1:-1])
-
-    def test_diffusion_mode_decay(self):
-        assert diffusion_mode_relative_error(n=100, dt=1e-4) < 1e-3
 
     def test_unconditional_stability_of_diffusion(self):
         # stiff diffusion, huge dt, no advection: norm must not grow
