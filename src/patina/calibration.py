@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
 from .environment import forcing_at
 from .materials import swelling_ratios
@@ -249,19 +248,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _identifiable(jac: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Singular values of ``jac`` and the columns to fit, in pivot order.
-
-    The rank is the number of singular values above ``RANK_RTOL`` times the
-    largest; the fitted columns are the first that many pivots of a
-    column-pivoted QR (Golub & Van Loan, subset selection).
-    """
-    sv = linalg.svdvals(jac)
-    rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
-    _, pivots = linalg.qr(jac, mode="r", pivoting=True)
-    return sv, [int(k) for k in pivots[:rank]]
-
-
 def calibrate(initial: Diffusivities, bounds: tuple[float, float],
               measurements, cfg: SimulationConfig, *,
               budget: int = 200) -> CalibrationResult:
@@ -331,12 +317,20 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
                 jac[:, j] = column
         return jac
 
-    # imported here so that loading the package for a plain run skips it
-    from scipy import optimize
+    # imported here, ahead of the first run, so that loading the package for a
+    # plain run skips them
+    from scipy import linalg, optimize
 
     if not np.all(np.isfinite(vector(x0))):
         raise SimulationError(f"calibration start {initial} failed to run")
-    sv, free = _identifiable(jacobian(x0, range(n)))
+    # the rank is the number of singular values above RANK_RTOL times the
+    # largest; the fitted columns are the first that many pivots of a
+    # column-pivoted QR (Golub & Van Loan, subset selection)
+    jac = jacobian(x0, range(n))
+    sv = linalg.svdvals(jac)
+    rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
+    _, pivots = linalg.qr(jac, mode="r", pivoting=True)
+    free = [int(k) for k in pivots[:rank]]
     held[free] = False
 
     def embed(z: np.ndarray) -> np.ndarray:

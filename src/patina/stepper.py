@@ -23,12 +23,15 @@ so that every species is solved exactly as on its own.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .pde_core import (
     Diffusivities,
@@ -56,6 +59,34 @@ __all__ = [
 ]
 
 
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded without the scipy.linalg package.
+
+    The package's __init__ pulls in imports (numpy.f2py, numpy.testing, ...)
+    that take longer than a short run and that one LAPACK routine does not
+    need; the top-level ``import scipy`` still runs, so its bundled
+    BLAS/LAPACK is set up as for any scipy import.  The module is registered
+    under its own name before it runs, so a later ``import scipy.linalg``
+    reuses this extension object.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(p, "linalg") for p in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"cannot find {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgtsv = _flapack.dgtsv
+
+
 class TridiagonalError(RuntimeError):
     """Raised when the tridiagonal elimination hits a zero pivot."""
 
@@ -64,7 +95,10 @@ def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     """Solve a tridiagonal system (sub/super diagonals one shorter than diag).
 
     Backed by the LAPACK dgtsv elimination; its info code names the row of a
-    zero pivot, which is surfaced in the error.
+    zero pivot, which is surfaced in the error.  dgtsv is the routine
+    scipy.linalg.lapack exposes, taken from scipy's compiled module
+    scipy.linalg._flapack by ``_load_flapack`` so that a run does not pay
+    for importing the scipy.linalg package.
     """
     n = len(diag)
     if len(sub) != n - 1 or len(sup) != n - 1 or len(rhs) != n:

@@ -381,9 +381,16 @@ def test_manifest_digests_include_a_config_named_env_csv(tmp_path):
     assert set(digests) == {str(cfgfile), str(env)}
 
 
-def test_import_leaves_the_optimizer_unloaded():
-    # only calibrate needs scipy.optimize; a plain run should not pay for it
-    code = "import sys, patina.cli; sys.exit('scipy.optimize' in sys.modules)"
+def test_simulate_leaves_scipy_linalg_and_optimize_unloaded(tmp_path):
+    # only calibrate needs the scipy.linalg package and scipy.optimize; a
+    # plain run takes dgtsv from the LAPACK extension alone
+    code = ("import sys, patina.cli\n"
+            "code = patina.cli.run_main(['simulate', '--chamber', '--horizon-hours', '1',"
+            " '--out', sys.argv[1]])\n"
+            "loaded = [m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules]\n"
+            "sys.exit(f'exit {code}, loaded {loaded}' if code or loaded else 0)\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

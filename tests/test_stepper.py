@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +71,22 @@ class TestTridiagonal:
         x = solve_tridiagonal(np.full(n - 1, -alpha), np.full(n, 1 + 2 * alpha),
                               np.full(n - 1, -alpha), rhs)
         assert np.all(x >= -1e-12)
+
+
+@pytest.mark.parametrize("imports", [
+    "import patina.stepper, scipy.linalg.lapack",
+    "import scipy.linalg.lapack, patina.stepper",
+], ids=["stepper_first", "scipy_linalg_first"])
+def test_one_lapack_extension_in_either_import_order(imports):
+    # the stepper's loader and scipy.linalg must share one _flapack module
+    code = (f"import sys\n{imports}\n"
+            "assert patina.stepper.dgtsv is scipy.linalg.lapack.dgtsv\n"
+            "assert sys.modules['scipy.linalg._flapack'] is patina.stepper._flapack\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestPackedStageSolve:
