@@ -27,8 +27,10 @@ differing line is printed.
 
 The CSVs print 6 significant digits, so equal bytes do not prove equal
 numbers.  Each child therefore also notes its results at full precision:
-for a simulate job a SHA-256 of every field of every OutputRecord packed as
-IEEE doubles, with the step and clamp counts; for the calibrate job the
+for a simulate job a SHA-256 of the eight CSV columns of every record,
+read by name and packed as IEEE doubles, with the step and clamp counts
+(so trees whose records carry different extra fields compare by what their
+CSVs print); for the calibrate job the
 fitted diffusivities, the residual, the evaluation count, the fitted
 parameters and the singular values as ``repr``.  Those notes must match
 too.  Exit code 0 when every job matches, 1 when any differs or fails to
@@ -55,12 +57,14 @@ import run_year_synthetic         # noqa: E402
 RUN_CLI = """
 import hashlib, struct, sys
 import patina.cli as cli
+from patina.simulation import OUTPUT_CSV_HEADER
 
 notes = []
 write_output_csv, calibrate = cli.write_output_csv, cli.calibrate
+columns = OUTPUT_CSV_HEADER.split(",")
 
 def noting_write_output_csv(output, path):
-    values = [float(v) for r in output.records for v in vars(r).values()]
+    values = [float(getattr(r, c)) for r in output.records for c in columns]
     packed = struct.pack(f"<{len(values)}d", *values)
     notes.append(f"records sha256 {hashlib.sha256(packed).hexdigest()}")
     notes.append(f"{output.steps} steps, clamps {output.field_clamps} field "

@@ -81,8 +81,8 @@ def main() -> int:
         return replace(cfg, materials=replace(cfg.materials, n_b=n_b, n_p=n_p))
 
     def misfit(log_n):
-        fronts = run(with_porosities(log_n)).final_fronts_cm
-        rel = np.array([fronts.a / PRINTED_A_CM - 1.0, fronts.b / PRINTED_B_CM - 1.0])
+        final = run(with_porosities(log_n)).records[-1]
+        rel = np.array([final.a_cm / PRINTED_A_CM - 1.0, final.b_cm / PRINTED_B_CM - 1.0])
         print(f"  n_b={math.exp(log_n[0]):.8g} n_p={math.exp(log_n[1]):.8g} "
               f"relative misfit a={rel[0]:+.3e} b={rel[1]:+.3e}", flush=True)
         return rel
@@ -99,11 +99,11 @@ def main() -> int:
     print(f"    n_p = {n_p:.5g}")
 
     out = run(with_porosities(np.log([n_b, n_p])))
-    f = out.final_fronts_cm
+    f = out.records[-1]
     measurements = load_measurements("data/thickness_measures.csv")
     pred = out.thickness_at([m.time_hours for m in measurements])
-    print(f"40 h state at these values: a={f.a:.6g} b={f.b:.6g} "
-          f"gamma={f.gamma:.6g} cm ({out.steps} steps)")
+    print(f"40 h state at these values: a={f.a_cm:.6g} b={f.b_cm:.6g} "
+          f"gamma={f.gamma_cm:.6g} cm ({out.steps} steps)")
     for m, p in zip(measurements, pred):
         print(f"t={m.time_hours:g} h: predicted total {p:.5g} cm, "
               f"measured {m.mean_cm:.5g} +- {m.std_cm:.5g} cm")

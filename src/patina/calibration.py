@@ -29,8 +29,8 @@ further run.  Measurements with no std are weighted by their mean.
 from __future__ import annotations
 
 import csv
-import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,8 +51,6 @@ __all__ = [
     "reduced_model_initial_guess",
     "calibrate",
 ]
-
-log = logging.getLogger("patina.calibration")
 
 MEASUREMENTS_CSV_HEADER = ("time_hours", "thickness_cm", "std_cm")
 
@@ -144,7 +142,8 @@ def residual(d: Diffusivities, measurements, cfg: SimulationConfig) -> Residual:
     try:
         out = run(replace(cfg, diffusivities=d, horizon_hours=horizon))
     except (SimulationError, ValueError) as exc:
-        log.warning("residual evaluation rejected at %s: %s", d, exc)
+        print(f"patina: warning: residual evaluation rejected at {d}: {exc}",
+              file=sys.stderr)
         return Residual(np.full(len(measurements), math.inf))
     value = weighted_residual(out.thickness_at(times), measurements)
     value.output = out

@@ -1,8 +1,9 @@
 """Command-line surface: simulate, calibrate, validate, convergence.
 
-Every simulation output is accompanied by a manifest (resolved
-configuration, input digests, tool version, wall-clock duration) so a run
-can be reproduced bit for bit.  Messages go to stderr; files to --out.
+Every simulation output is accompanied by a manifest (the parsed settings
+with the command-line flags written in, input digests, tool version,
+wall-clock duration) so a run can be reproduced bit for bit.  Messages go
+to stderr; files to --out.
 
 Exit codes: 0 ok; 1 input/validation error; 2 solver failure or calibration
 budget exhaustion; 3 failed verification gate (stoichiometry or scheme
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import math
 import os
 import sys
@@ -32,7 +32,6 @@ from .config import (
     build_calibration_settings,
     build_simulation_config,
     load_settings,
-    resolved_config_dict,
 )
 from .convergence import (
     exact_front_errors,
@@ -40,6 +39,7 @@ from .convergence import (
     moving_front_temporal_errors,
     observed_orders,
 )
+from .materials import mole_balance
 from .simulation import SimulationError, run, write_output_csv
 from .svgchart import PointSeries, Series, write_line_chart
 
@@ -86,17 +86,9 @@ def _input_files(args, cp) -> list:
     return [args.config, cp.get("forcing", "env_csv") if timeseries else None]
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("PATINA_LOG", "warn").lower()
-    levels = {"error": logging.ERROR, "warn": logging.WARNING,
-              "info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
-        print(f"patina: unknown PATINA_LOG level {level_name!r}; using warn",
-              file=sys.stderr)
-        level_name = "warn"
-    logging.basicConfig(level=levels[level_name],
-                        format="%(levelname)s %(name)s: %(message)s",
-                        stream=sys.stderr)
+def _settings(cp) -> dict:
+    """The parsed settings, flags written in, as the manifest records them."""
+    return {section: dict(cp[section]) for section in cp.sections()}
 
 
 # (flag, section, key) of the numeric flags a command may take
@@ -140,7 +132,7 @@ def cmd_simulate(args) -> int:
     )
     manifest = RunManifest(
         command="simulate",
-        resolved_config=resolved_config_dict(cfg),
+        resolved_config=_settings(cp),
         input_digests=_digests(_input_files(args, cp)),
     )
     manifest.duration_seconds = time.perf_counter() - started
@@ -160,6 +152,7 @@ def cmd_calibrate(args) -> int:
         print("patina: warning: single measurement point; under-determined fit",
               file=sys.stderr)
     horizon = max(cfg.horizon_hours, max(m.time_hours for m in measurements))
+    cp.set("time", "horizon_hours", str(horizon))   # the runs read it, so does the manifest
     cfg = replace(cfg, horizon_hours=horizon)
 
     initial = reduced_model_initial_guess(measurements, cfg,
@@ -201,7 +194,7 @@ def cmd_calibrate(args) -> int:
     )
     manifest = RunManifest(
         command="calibrate",
-        resolved_config=resolved_config_dict(cfg),
+        resolved_config=_settings(cp),
         input_digests=_digests(_input_files(args, cp) + [args.measurements]),
         calibration={"singular_values": list(result.singular_values),
                      "condition": result.condition,
@@ -222,10 +215,11 @@ def cmd_calibrate(args) -> int:
 
 def cmd_validate(args) -> int:
     _, cfg = _sim_config(args)
-    output = run(cfg)
-    grown = ((output.final_fronts_cm.a - cfg.a0 * cfg.scales.lam)
-             + (output.final_fronts_cm.b - cfg.b0 * cfg.scales.lam))
-    report = output.mole_report
+    final = run(cfg).records[-1]
+    grown = ((final.a_cm - cfg.a0 * cfg.scales.lam)
+             + (final.b_cm - cfg.b0 * cfg.scales.lam))
+    report = mole_balance(final.a_cm, final.b_cm, final.beta_cm, final.gamma_cm,
+                          cfg.materials)
     if grown <= 1e-12 * cfg.scales.lam:
         print("no growth; ratios undefined")
         print("patina: warning: forcing produced no front motion", file=sys.stderr)
@@ -333,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_main(argv=None) -> int:
-    _setup_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -36,7 +36,6 @@ __all__ = [
     "load_settings",
     "build_simulation_config",
     "build_calibration_settings",
-    "resolved_config_dict",
 ]
 
 # Diffusivities produced by this repo's own calibration against
@@ -202,24 +201,3 @@ def build_calibration_settings(cp) -> CalibrationSettings:
         budget=_number(cp, "calibration", "budget"),
         oxide_share=_number(cp, "calibration", "oxide_share"),
     )
-
-
-def resolved_config_dict(cfg: SimulationConfig) -> dict:
-    """Fully materialized configuration for the run manifest."""
-    return {
-        "scales": {"lambda_cm": cfg.scales.lam, "t_r_s": cfg.scales.t_r,
-                   "s_r_gcm3": cfg.scales.s_r, "o_r_gcm3": cfg.scales.o_r},
-        "diffusivities": {"d_g": cfg.diffusivities.d_g, "d_s": cfg.diffusivities.d_s,
-                          "d_o": cfg.diffusivities.d_o},
-        "materials": asdict(cfg.materials),
-        "forcing": {"mode": cfg.forcing.mode,
-                    "samples": len(cfg.forcing.times),
-                    "wet_hours": cfg.forcing.wet_hours,
-                    "dry_hours": cfg.forcing.dry_hours,
-                    "dry_so2": cfg.forcing.dry_so2},
-        "grid": {"n_z": cfg.n_z, "n_y": cfg.n_y},
-        "seeds": {"a0": cfg.a0, "b0": cfg.b0},
-        "time": {"dt_max": cfg.dt_max, "cfl_target": cfg.cfl_target,
-                 "horizon_hours": cfg.horizon_hours,
-                 "output_stride": cfg.output_stride, "max_steps": cfg.max_steps},
-    }

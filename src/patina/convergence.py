@@ -110,8 +110,8 @@ def exact_front_errors(cfg: SimulationConfig, record: OutputRecord) -> tuple[flo
     root = math.sqrt(record.t_hours * SECONDS_PER_HOUR / cfg.scales.t_r)
     a, b = k_a * root, k_b * root
     exact = (a, b, (1.0 + sw.omega_p) * a + sw.omega_b * b)
-    got = (record.a_nd, record.b_nd, record.a_nd - record.gamma_nd)
-    return tuple(g / e - 1.0 for g, e in zip(got, exact))
+    got = (record.a_cm, record.b_cm, record.total_cm)
+    return tuple(g / cfg.scales.lam / e - 1.0 for g, e in zip(got, exact))
 
 
 def observed_orders(errors: list[tuple[float, float]]) -> list[float]:
@@ -172,6 +172,6 @@ def moving_front_temporal_errors(cfg: SimulationConfig, divisors=(1, 2, 4, 8, 16
         last = run(replace(cfg, n_z=n, n_y=n, horizon_hours=horizon_hours,
                            cfl_target=cfg.cfl_target / k, dt_max=cfg.dt_max / k,
                            max_steps=k * cfg.max_steps)).records[-1]
-        finals.append(np.array((last.a_nd, last.b_nd, last.gamma_nd)))
+        finals.append(np.array((last.a_cm, last.b_cm, last.gamma_cm)))
     return [(1.0 / k, float(np.max(np.abs(coarse - fine) / np.abs(fine))))
             for k, coarse, fine in zip(divisors, finals, finals[1:])]

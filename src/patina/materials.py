@@ -105,14 +105,6 @@ def swelling_ratios(mat: MaterialTable) -> SwellingRatios:
     )
 
 
-def _check_ordering(fs) -> None:
-    if not (fs.gamma <= fs.beta <= fs.a):
-        raise ValueError(
-            f"front ordering gamma <= beta <= a violated: "
-            f"gamma={fs.gamma!r} beta={fs.beta!r} a={fs.a!r}"
-        )
-
-
 @dataclass(frozen=True)
 class MoleReport:
     """Per-unit-area mole counts (mol/cm2) and the two stoichiometric ratios.
@@ -128,8 +120,9 @@ class MoleReport:
     ratio_cuprite_brochantite: float
 
 
-def mole_balance(fs, mat: MaterialTable) -> MoleReport:
-    """Stoichiometry oracle over a front state with lengths in cm.
+def mole_balance(a: float, b: float, beta: float, gamma: float,
+                 mat: MaterialTable) -> MoleReport:
+    """Stoichiometry oracle over the four front positions in cm.
 
     Counts are taken from the geometry, not from the closed forms, so a
     simulation whose front kinematics disagree with the material table is
@@ -138,14 +131,16 @@ def mole_balance(fs, mat: MaterialTable) -> MoleReport:
     times its molar density.  For consistent states these equal
     (1 + omega_p)*a*mu_p and b*mu_p/2 and both ratios are exactly 2.
     """
-    _check_ordering(fs)
-    if fs.a < 0.0 or fs.b < 0.0:
-        raise ValueError(f"consumptions must be non-negative, got a={fs.a}, b={fs.b}")
+    if not (gamma <= beta <= a):
+        raise ValueError(f"front ordering gamma <= beta <= a violated: "
+                         f"gamma={gamma!r} beta={beta!r} a={a!r}")
+    if a < 0.0 or b < 0.0:
+        raise ValueError(f"consumptions must be non-negative, got a={a}, b={b}")
 
-    copper_wasted = fs.a * mat.mu_c
-    cuprite_formed = ((fs.a - fs.beta) + fs.b) * mat.mu_p
-    cuprite_wasted = fs.b * mat.mu_p
-    brochantite_formed = (fs.beta - fs.gamma) * mat.mu_b
+    copper_wasted = a * mat.mu_c
+    cuprite_formed = ((a - beta) + b) * mat.mu_p
+    cuprite_wasted = b * mat.mu_p
+    brochantite_formed = (beta - gamma) * mat.mu_b
 
     ratio_cc = copper_wasted / cuprite_formed if cuprite_formed > 0.0 else math.nan
     ratio_cb = cuprite_wasted / brochantite_formed if brochantite_formed > 0.0 else math.nan

@@ -158,12 +158,6 @@ class FrontState(NamedTuple):
             b_dot=self.b_dot,
         )
 
-    def scaled(self, factor: float) -> "FrontState":
-        """All positions multiplied by factor (e.g. lambda to re-dimensionalize)."""
-        return FrontState(self.a * factor, self.b * factor,
-                          self.beta * factor, self.gamma * factor,
-                          self.a_dot, self.b_dot, self.beta_dot, self.gamma_dot)
-
 
 class LayerFields:
     """Gridded non-dimensional concentrations on the two unit intervals.

@@ -2,25 +2,22 @@
 
 A run non-dimensionalizes the boundary forcing each step, advances the
 coupled field/front system with the IMEX midpoint stepper under an advective
-CFL bound, and emits records of the front positions (cm), layer thicknesses
-(cm) and diagnostic counters.  The final record carries the stoichiometry
-report used by the validation gate.
+CFL bound, and emits one record per output row: the front positions and
+layer thicknesses in cm, exactly the columns of ``simulation.csv``.  The
+run totals (steps, clamp counts, lowest concentration) are kept once, on
+the :class:`SimulationOutput`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .environment import Forcing, forcing_at
-from .materials import (
-    MaterialTable,
-    MoleReport,
-    mole_balance,
-    swelling_ratios,
-)
+from .materials import MaterialTable, swelling_ratios
 from .pde_core import (
     Diffusivities,
     FrontState,
@@ -43,8 +40,6 @@ __all__ = [
 
 SECONDS_PER_HOUR = 3600.0
 
-OUTPUT_CSV_HEADER = "t_hours,a_cm,b_cm,beta_cm,gamma_cm,h_p_cm,h_b_cm,total_cm"
-
 
 class SimulationError(RuntimeError):
     """Solver failure, annotated with the step index and simulated time."""
@@ -58,15 +53,15 @@ class SimulationConfig:
     diffusivities: Diffusivities
     materials: MaterialTable
     forcing: Forcing
-    n_z: int = 100
-    n_y: int = 100
-    a0: float = 1e-2                  # copper consumption seed, non-dim
-    b0: float = 8e-3                  # cuprite consumption seed, non-dim
-    dt_max: float = 0.25
-    cfl_target: float = 0.8
-    horizon_hours: float = 40.0
-    output_stride: int = 10
-    max_steps: int = 2_000_000
+    n_z: int
+    n_y: int
+    a0: float                  # copper consumption seed, non-dim
+    b0: float                  # cuprite consumption seed, non-dim
+    dt_max: float
+    cfl_target: float
+    horizon_hours: float
+    output_stride: int
+    max_steps: int
 
     def __post_init__(self):
         if not 0.0 < self.horizon_hours < math.inf:
@@ -81,9 +76,9 @@ class SimulationConfig:
             raise ValueError("output_stride and max_steps must be at least 1")
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One output row; positions in cm, velocities non-dimensional."""
+class OutputRecord(NamedTuple):
+    """One row of ``simulation.csv``: time in hours, positions and layer
+    thicknesses in cm."""
 
     t_hours: float
     a_cm: float
@@ -93,29 +88,24 @@ class OutputRecord:
     h_p_cm: float
     h_b_cm: float
     total_cm: float
-    a_nd: float
-    b_nd: float
-    beta_nd: float
-    gamma_nd: float
-    a_dot: float
-    b_dot: float
-    beta_dot: float
-    gamma_dot: float
-    min_concentration: float
-    velocity_clamps: int
-    field_clamps: int
+
+
+OUTPUT_CSV_HEADER = ",".join(OutputRecord._fields)
 
 
 @dataclass
 class SimulationOutput:
-    """Ordered records plus end-of-run diagnostics."""
+    """Ordered records plus the run totals.
+
+    ``min_concentration`` is the lowest concentration over the recorded
+    states: the initial one, every ``output_stride``-th step and the final one.
+    """
 
     records: list[OutputRecord]
-    mole_report: MoleReport
-    final_fronts_cm: FrontState
     steps: int
     velocity_clamps: int
     field_clamps: int
+    min_concentration: float
 
     def thickness_at(self, t_hours) -> np.ndarray:
         """Total patina thickness (cm) interpolated at the given hours."""
@@ -172,22 +162,12 @@ def initialize(cfg: SimulationConfig) -> tuple[LayerFields, FrontState, NondimMo
     return fields, fronts, model
 
 
-def _record(cfg: SimulationConfig, tau: float, fronts: FrontState,
-            fields: LayerFields, counters: StepCounters) -> OutputRecord:
+def _record(cfg: SimulationConfig, tau: float, fronts: FrontState) -> OutputRecord:
+    # positions go to cm first, thicknesses are differences of the cm values
     lam = cfg.scales.lam
-    dim = fronts.scaled(lam)
-    return OutputRecord(
-        t_hours=tau * cfg.scales.t_r / SECONDS_PER_HOUR,
-        a_cm=dim.a, b_cm=dim.b, beta_cm=dim.beta, gamma_cm=dim.gamma,
-        h_p_cm=dim.a - dim.beta, h_b_cm=dim.beta - dim.gamma,
-        total_cm=dim.a - dim.gamma,
-        a_nd=fronts.a, b_nd=fronts.b, beta_nd=fronts.beta, gamma_nd=fronts.gamma,
-        a_dot=fronts.a_dot, b_dot=fronts.b_dot,
-        beta_dot=fronts.beta_dot, gamma_dot=fronts.gamma_dot,
-        min_concentration=fields.min_value(),
-        velocity_clamps=counters.velocity_clamps,
-        field_clamps=counters.field_clamps,
-    )
+    a, b, beta, gamma = fronts.a * lam, fronts.b * lam, fronts.beta * lam, fronts.gamma * lam
+    return OutputRecord(tau * cfg.scales.t_r / SECONDS_PER_HOUR, a, b, beta, gamma,
+                        a - beta, beta - gamma, a - gamma)
 
 
 def run(cfg: SimulationConfig) -> SimulationOutput:
@@ -195,7 +175,8 @@ def run(cfg: SimulationConfig) -> SimulationOutput:
     fields, fronts, model = initialize(cfg)
     counters = StepCounters()
     tau_end = cfg.horizon_hours * SECONDS_PER_HOUR / cfg.scales.t_r
-    records = [_record(cfg, 0.0, fronts, fields, counters)]
+    records = [_record(cfg, 0.0, fronts)]
+    min_concentration = fields.min_value()
 
     tau = 0.0
     step_index = 0
@@ -214,24 +195,20 @@ def run(cfg: SimulationConfig) -> SimulationOutput:
         tau += dt
         step_index += 1
         if step_index % cfg.output_stride == 0 and tau < tau_end:
-            records.append(_record(cfg, tau, fronts, fields, counters))
+            records.append(_record(cfg, tau, fronts))
+            min_concentration = min(min_concentration, fields.min_value())
         if step_index >= cfg.max_steps:
             t_hours = tau * cfg.scales.t_r / SECONDS_PER_HOUR
             raise SimulationError(
                 f"step budget {cfg.max_steps} exhausted at t = {t_hours:.6g} h"
             )
-    records.append(_record(cfg, tau, fronts, fields, counters))
-
-    lam = cfg.scales.lam
-    final_dim = fronts.scaled(lam)
-    report = mole_balance(final_dim, cfg.materials)
+    records.append(_record(cfg, tau, fronts))
     return SimulationOutput(
         records=records,
-        mole_report=report,
-        final_fronts_cm=final_dim,
         steps=step_index,
         velocity_clamps=counters.velocity_clamps,
         field_clamps=counters.field_clamps,
+        min_concentration=min(min_concentration, fields.min_value()),
     )
 
 
@@ -239,7 +216,5 @@ def write_output_csv(output: SimulationOutput, path) -> None:
     """Write the fixed 8-column output CSV with 6-significant-digit formatting."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(OUTPUT_CSV_HEADER + "\n")
-        for r in output.records:
-            row = (r.t_hours, r.a_cm, r.b_cm, r.beta_cm, r.gamma_cm,
-                   r.h_p_cm, r.h_b_cm, r.total_cm)
+        for row in output.records:
             fh.write(",".join(f"{v:.6g}" for v in row) + "\n")

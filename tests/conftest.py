@@ -15,26 +15,24 @@ def sw():
     return swelling_ratios(DEFAULT_MATERIALS)
 
 
-def assert_output_invariants(output, sw, check_velocity_identity=True):
-    """Shared contract checks for any simulation output.
+def assert_output_invariants(output, sw, lam):
+    """Shared contract checks for any simulation output, rows in cm.
 
-    Ordering gamma < beta < a, monotone consumptions, the kinematic
-    identities, and non-negative concentrations at every record.
+    Ordering gamma < beta < a, beta = b - omega_p*a, monotone consumptions,
+    surface and total, and non-negative concentrations over the run.
     """
     records = output.records
     times = np.array([r.t_hours for r in records])
     assert np.all(np.diff(times) > 0.0), "record times not strictly increasing"
     prev = None
     for r in records:
-        assert r.gamma_nd < r.beta_nd < r.a_nd
+        assert r.gamma_cm < r.beta_cm < r.a_cm
         assert r.total_cm == pytest.approx(r.a_cm - r.gamma_cm, rel=0, abs=1e-18)
-        assert abs(r.beta_nd - (r.b_nd - sw.omega_p * r.a_nd)) <= 1e-12
-        if check_velocity_identity:
-            assert abs(r.gamma_dot + sw.omega_p * r.a_dot + sw.omega_b * r.b_dot) <= 1e-12
-        assert r.min_concentration >= 0.0
+        assert abs(r.beta_cm - (r.b_cm - sw.omega_p * r.a_cm)) <= 1e-12 * lam
         if prev is not None:
-            assert r.a_nd >= prev.a_nd
-            assert r.b_nd >= prev.b_nd
-            assert r.gamma_nd <= prev.gamma_nd
+            assert r.a_cm >= prev.a_cm
+            assert r.b_cm >= prev.b_cm
+            assert r.gamma_cm <= prev.gamma_cm
             assert r.total_cm >= prev.total_cm
         prev = r
+    assert output.min_concentration >= 0.0

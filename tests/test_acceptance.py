@@ -35,6 +35,7 @@ from patina.convergence import (
     observed_orders,
 )
 from patina.environment import load_timeseries
+from patina.materials import mole_balance
 from patina.pde_core import Diffusivities
 from patina.simulation import run
 
@@ -93,8 +94,10 @@ def calibrated_run(calibrated_cfg):
 
 def test_criterion1_stoichiometry_and_runtime(calibrated_run, default_cfg):
     out, wall = calibrated_run
-    grown = out.final_fronts_cm.a > default_cfg.a0 * default_cfg.scales.lam
-    rep = out.mole_report
+    final = out.records[-1]
+    grown = final.a_cm > default_cfg.a0 * default_cfg.scales.lam
+    rep = mole_balance(final.a_cm, final.b_cm, final.beta_cm, final.gamma_cm,
+                       default_cfg.materials)
     dev_cc = rep.ratio_copper_cuprite / 2.0 - 1.0
     dev_cb = rep.ratio_cuprite_brochantite / 2.0 - 1.0
     ok = grown and abs(dev_cc) <= 5e-3 and abs(dev_cb) <= 5e-3 and wall <= 10.0
@@ -193,13 +196,12 @@ def test_criterion4_scheme_order(calibrated_cfg, calibrated_run, reference_cfg,
                       for name, (_, _, bound) in runs.items()))
 
 
-def test_criterion5_property_suite(calibrated_run, sw):
+def test_criterion5_property_suite(calibrated_cfg, calibrated_run, sw):
     out, _ = calibrated_run
-    assert_output_invariants(out, sw)
-    final = out.records[-1]
+    assert_output_invariants(out, sw, calibrated_cfg.scales.lam)
     assert report(5, True,
                   f"{len(out.records)} records checked; "
-                  f"min concentration {final.min_concentration:.3g} >= 0")
+                  f"min concentration {out.min_concentration:.3g} >= 0")
 
 
 def test_criterion6_sqrt_t_growth(calibrated_run):
@@ -240,7 +242,7 @@ def test_criterion7_environment_pipeline(tmp_path_factory, calibrated_cfg,
     started = time.perf_counter()
     out = run(cfg)
     wall = time.perf_counter() - started
-    assert_output_invariants(out, sw)
+    assert_output_invariants(out, sw, cfg.scales.lam)
 
     # low ambient SO2 must grow brochantite slower than the chamber, per hour
     year_rate = (out.records[-1].h_b_cm - out.records[0].h_b_cm) / 8760.0

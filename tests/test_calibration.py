@@ -114,6 +114,13 @@ class TestResidual:
         assert math.isinf(r) and math.isinf(r.deviations[0])
         assert r.output is None
 
+    def test_rejected_evaluation_prints_a_warning(self, cheap_cfg, capsys):
+        cfg = replace(cheap_cfg, max_steps=3)
+        residual(cfg.diffusivities, [ThicknessMeasurement(8.0, 1e-4, 1e-5)], cfg)
+        err = capsys.readouterr().err
+        assert err.startswith("patina: warning: residual evaluation rejected at ")
+        assert "step budget 3 exhausted" in err
+
 
 def test_reduced_model_guess_is_reasonable(default_cfg, table_measurements):
     guess = reduced_model_initial_guess(table_measurements, default_cfg)

@@ -35,9 +35,26 @@ def test_simulate_chamber(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["tool_version"]
-    assert "diffusivities" in manifest["resolved_config"]
+    assert manifest["resolved_config"]["diffusivities"]["d_s"] == "4.98071e-06"
+    assert manifest["resolved_config"]["time"]["horizon_hours"] == "2.0"
     assert manifest["duration_seconds"] > 0
     assert "calibration" not in manifest
+
+
+def test_manifest_records_the_settings_that_built_the_run(tmp_path):
+    # with s_r fixed, the SO2 level changes the run but no derived scale
+    manifests, csvs = [], []
+    for ppm in ("100", "150"):
+        cfgfile = tmp_path / f"so2_{ppm}.ini"
+        cfgfile.write_text(f"[scales]\ns_r_gcm3 = 4.99e-7\n[forcing]\nso2_ppm = {ppm}\n")
+        out = tmp_path / ppm
+        assert run_main(["simulate", "--chamber", "--horizon-hours", "1",
+                         "--config", str(cfgfile), "--out", str(out)]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text())["resolved_config"])
+        csvs.append((out / "simulation.csv").read_bytes())
+    assert csvs[0] != csvs[1]
+    assert [m["forcing"]["so2_ppm"] for m in manifests] == ["100", "150"]
+    assert manifests[0]["forcing"]["mode"] == "chamber"
 
 
 def test_simulate_deterministic_output(tmp_path):
@@ -112,6 +129,8 @@ def test_calibrate_cli(tmp_path, capsys):
     _svg_ok(out / "comparison.svg")
     manifest = json.loads((out / "calibration_manifest.json").read_text())
     assert manifest["calibration"]["fitted"] == fitted
+    assert manifest["resolved_config"]["calibration"]["budget"] == "25"
+    assert manifest["resolved_config"]["grid"] == {"n_z": "40", "n_y": "40"}
     assert len(manifest["calibration"]["singular_values"]) == 1
 
 
@@ -383,11 +402,13 @@ def test_manifest_digests_include_a_config_named_env_csv(tmp_path):
 
 def test_simulate_leaves_scipy_linalg_and_optimize_unloaded(tmp_path):
     # only calibrate needs the scipy.linalg package and scipy.optimize; a
-    # plain run takes dgtsv from the LAPACK extension alone
+    # plain run takes dgtsv from the LAPACK extension alone, and the package
+    # prints its warnings without the logging module
     code = ("import sys, patina.cli\n"
             "code = patina.cli.run_main(['simulate', '--chamber', '--horizon-hours', '1',"
             " '--out', sys.argv[1]])\n"
-            "loaded = [m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules]\n"
+            "loaded = [m for m in ('scipy.linalg', 'scipy.optimize', 'logging')"
+            " if m in sys.modules]\n"
             "sys.exit(f'exit {code}, loaded {loaded}' if code or loaded else 0)\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

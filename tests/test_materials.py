@@ -63,7 +63,7 @@ def test_swelling_scale_invariance(scale):
 def test_mole_balance_copper_counts(sw):
     # 40 h chamber endpoint: a = 3.1693e-4 cm
     fs = FrontState.from_consumption(3.1693e-4, 5.2879e-4, sw)
-    rep = mole_balance(fs, DEFAULT_MATERIALS)
+    rep = mole_balance(*fs[:4], DEFAULT_MATERIALS)
     assert rep.copper_wasted == pytest.approx(4.45846e-5, rel=1e-4)
     assert rep.cuprite_formed == pytest.approx(2.22923e-5, rel=1e-4)
     assert rep.ratio_copper_cuprite == pytest.approx(2.0, rel=1e-12)
@@ -76,7 +76,7 @@ def test_mole_balance_cuprite_counts(sw):
     # reproduces every printed count.
     b = 5.2879e-4
     fs = FrontState.from_consumption(3.1693e-4, b, sw)
-    rep = mole_balance(fs, DEFAULT_MATERIALS)
+    rep = mole_balance(*fs[:4], DEFAULT_MATERIALS)
     assert rep.cuprite_wasted == pytest.approx(2.21731e-5, rel=1e-4)
     assert rep.brochantite_formed == pytest.approx(1.10865e-5, rel=1e-4)
     assert rep.ratio_cuprite_brochantite == pytest.approx(2.0, rel=1e-12)
@@ -93,8 +93,7 @@ def test_mole_balance_gamma_reconstruction(sw):
 
 
 def test_mole_balance_zero_state(sw):
-    rep = mole_balance(FrontState(a=0.0, b=0.0, beta=0.0, gamma=0.0),
-                       DEFAULT_MATERIALS)
+    rep = mole_balance(0.0, 0.0, 0.0, 0.0, DEFAULT_MATERIALS)
     assert rep.copper_wasted == 0.0
     assert rep.cuprite_formed == 0.0
     assert rep.cuprite_wasted == 0.0
@@ -104,9 +103,11 @@ def test_mole_balance_zero_state(sw):
 
 
 def test_mole_balance_rejects_negative_consumption():
-    with pytest.raises(ValueError):
-        mole_balance(FrontState(a=-1e-4, b=0.0, beta=0.0, gamma=-1e-5),
-                     DEFAULT_MATERIALS)
+    with pytest.raises(ValueError, match="ordering"):
+        mole_balance(-1e-4, 0.0, 0.0, -1e-5, DEFAULT_MATERIALS)
+    # ordered fronts, negative b
+    with pytest.raises(ValueError, match="consumptions must be non-negative"):
+        mole_balance(1e-4, -1e-5, 5e-5, -1e-4, DEFAULT_MATERIALS)
 
 
 @given(a=st.floats(min_value=1e-8, max_value=1e-1),
@@ -116,7 +117,7 @@ def test_mole_balance_ratios_always_two(a, b_frac):
     sw = swelling_ratios(DEFAULT_MATERIALS)
     b = b_frac * (1 + sw.omega_p) * a * 0.999  # keep beta < a
     fs = FrontState.from_consumption(a, b, sw)
-    rep = mole_balance(fs, DEFAULT_MATERIALS)
+    rep = mole_balance(*fs[:4], DEFAULT_MATERIALS)
     assert rep.ratio_copper_cuprite == pytest.approx(2.0, rel=1e-9)
     if rep.brochantite_formed > 0:
         assert rep.ratio_cuprite_brochantite == pytest.approx(2.0, rel=1e-9)
@@ -127,7 +128,7 @@ def test_mole_balance_detects_broken_kinematics(sw):
     # with the material table; the geometric count must expose it
     broken = SwellingRatios(sw.omega_p, 1.1 * sw.omega_b)
     fs = FrontState.from_consumption(3e-4, 4e-4, broken)
-    rep = mole_balance(fs, DEFAULT_MATERIALS)
+    rep = mole_balance(*fs[:4], DEFAULT_MATERIALS)
     assert abs(rep.ratio_cuprite_brochantite / 2.0 - 1.0) > 0.02
 
 

@@ -3,16 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from conftest import assert_output_invariants
 import patina.simulation
 from patina.config import build_simulation_config, load_settings
 from patina.environment import constant_chamber_forcing, cycle_forcing
-from patina.materials import SwellingRatios, swelling_ratios
-from patina.pde_core import FrontState, Scales
+from patina.materials import DEFAULT_MATERIALS, SwellingRatios, mole_balance, swelling_ratios
+from patina.pde_core import Scales
 from patina.simulation import (
     OUTPUT_CSV_HEADER,
+    OutputRecord,
     SimulationError,
     initialize,
     run,
@@ -26,24 +26,17 @@ def short_run(default_cfg):
 
 
 class TestNondimensionalization:
-    # records re-dimensionalize the fronts with FrontState.scaled(lambda)
-    @given(x=st.floats(min_value=-1e6, max_value=1e6),
-           scale=st.floats(min_value=1e-9, max_value=1e9))
-    def test_round_trip(self, x, scale):
-        fs = FrontState(a=x, b=x, beta=x, gamma=x, a_dot=x, b_dot=x)
-        back = fs.scaled(scale).scaled(1.0 / scale)
-        for name in ("a", "b", "beta", "gamma"):
-            assert getattr(back, name) == pytest.approx(x, rel=1e-15, abs=1e-300)
-        # velocities stay non-dimensional
-        assert (back.a_dot, back.b_dot) == (x, x)
-
     def test_front_position_example(self, short_run, default_cfg):
+        # the first row is the seed state: positions are the non-dimensional
+        # fronts times lambda, thicknesses differences of those cm values
         lam = default_cfg.scales.lam
-        assert FrontState(a=3.1693, b=0.0, beta=0.0, gamma=0.0).scaled(1e-4).a == \
-            pytest.approx(3.1693e-4)
-        for r in short_run.records:
-            assert (r.a_cm, r.b_cm, r.beta_cm, r.gamma_cm) == \
-                (r.a_nd * lam, r.b_nd * lam, r.beta_nd * lam, r.gamma_nd * lam)
+        _, fronts, _ = initialize(default_cfg)
+        first = short_run.records[0]
+        a, b, beta, gamma = (fronts.a * lam, fronts.b * lam, fronts.beta * lam,
+                             fronts.gamma * lam)
+        assert first == OutputRecord(0.0, a, b, beta, gamma, a - beta, beta - gamma,
+                                     a - gamma)
+        assert first.a_cm == default_cfg.a0 * lam
 
     def test_diffusivity_rescaling_arithmetic(self):
         # (t_r/lam^2)*D with t_r = 3600 s, lam = 1e-4 cm, D = 3.96e-5 cm2/s
@@ -106,11 +99,13 @@ class TestInitialize:
 
 
 class TestRun:
-    def test_invariants_on_chamber_run(self, short_run, sw):
-        assert_output_invariants(short_run, sw)
+    def test_invariants_on_chamber_run(self, short_run, sw, default_cfg):
+        assert_output_invariants(short_run, sw, default_cfg.scales.lam)
 
     def test_stoichiometry_at_final_record(self, short_run):
-        rep = short_run.mole_report
+        final = short_run.records[-1]
+        rep = mole_balance(final.a_cm, final.b_cm, final.beta_cm, final.gamma_cm,
+                           DEFAULT_MATERIALS)
         assert rep.ratio_copper_cuprite == pytest.approx(2.0, rel=1e-9)
         assert rep.ratio_cuprite_brochantite == pytest.approx(2.0, rel=1e-9)
 
@@ -120,8 +115,9 @@ class TestRun:
                       horizon_hours=2.0)
         out = run(cfg)
         first, last = out.records[0], out.records[-1]
-        assert last.a_nd == first.a_nd == cfg.a0
-        assert last.b_nd == first.b_nd == cfg.b0
+        lam = cfg.scales.lam
+        assert last.a_cm == first.a_cm == cfg.a0 * lam
+        assert last.b_cm == first.b_cm == cfg.b0 * lam
         assert last.t_hours == pytest.approx(2.0, rel=1e-9)
 
     def test_cycle_forcing_survives_phase_jumps(self, default_cfg, sw):
@@ -130,7 +126,7 @@ class TestRun:
                       forcing=cycle_forcing(float(chamber.so2[0]), chamber.oxygen),
                       horizon_hours=26.0)
         out = run(cfg)
-        assert_output_invariants(out, sw)
+        assert_output_invariants(out, sw, cfg.scales.lam)
         # growth happens but less than under continuous chamber forcing
         chamber_out = run(replace(default_cfg, horizon_hours=26.0))
         assert 0.0 < (out.records[-1].total_cm - out.records[0].total_cm)
@@ -157,11 +153,13 @@ class TestRun:
             return SwellingRatios(sw.omega_p, 1.1 * sw.omega_b)
 
         monkeypatch.setattr(patina.simulation, "swelling_ratios", broken)
-        out = run(replace(default_cfg, horizon_hours=4.0))
-        dev = abs(out.mole_report.ratio_cuprite_brochantite / 2.0 - 1.0)
+        final = run(replace(default_cfg, horizon_hours=4.0)).records[-1]
+        rep = mole_balance(final.a_cm, final.b_cm, final.beta_cm, final.gamma_cm,
+                           default_cfg.materials)
+        dev = abs(rep.ratio_cuprite_brochantite / 2.0 - 1.0)
         assert dev > 0.02
         # copper/cuprite leg is untouched by an omega_b fault
-        assert out.mole_report.ratio_copper_cuprite == pytest.approx(2.0, rel=1e-9)
+        assert rep.ratio_copper_cuprite == pytest.approx(2.0, rel=1e-9)
 
 
 class TestOutputCsv:

@@ -297,8 +297,6 @@ class TestPdeStep:
                       forcing=cycle_forcing(float(chamber.so2[0]), chamber.oxygen))
         out = run(cfg)
         assert out.field_clamps > 0 and out.velocity_clamps > 0
-        assert out.records[-1].field_clamps == out.field_clamps
-        assert out.records[-1].velocity_clamps == out.velocity_clamps
-        assert min(r.min_concentration for r in out.records) >= 0.0
-        before_switch = [r for r in out.records if r.t_hours <= 8.0]
-        assert before_switch[-1].field_clamps == 0
+        assert out.min_concentration >= 0.0
+        # nothing is clamped before the first switch
+        assert run(replace(cfg, horizon_hours=8.0)).field_clamps == 0
