@@ -60,6 +60,15 @@ DEFECTS = {
         "pde_core.py", "(3.0 * u1 - 4.0 * u2 + u3) / (2.0 * dx)", "(u1 - u2) / dx"),
     "G(0) handed O(0) instead of O(1)": (
         "pde_core.py", "fields.G[0] = fields.O[-1]", "fields.G[0] = fields.O[0]"),
+    "fit step not clipped to the box": (
+        "calibration.py", "trial = np.clip(z + step, llo, lhi)", "trial = z + step"),
+    "fit keeps a step that raises the residual": (
+        "calibration.py", "< np.sum(f ** 2)", "< math.inf"),
+    "first pivot by argmin": (
+        "calibration.py", "np.argmax(np.linalg.norm(rest, axis=0))",
+        "np.argmin(np.linalg.norm(rest, axis=0))"),
+    "fit stops on a step relative to |log10 D|": (
+        "calibration.py", "< STEP_TOL\n", "< STEP_TOL * np.linalg.norm(z)\n"),
 }
 
 

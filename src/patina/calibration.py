@@ -3,9 +3,10 @@
 The data are a handful of total-thickness measurements; the objective is the
 std-weighted sum of squared deviations of the simulated total thickness
 (a - gamma, what a cross-section actually shows) at the measurement times.
-Parameters are fitted in log10 space by a bounded Gauss-Newton trust-region
-method (``scipy.optimize.least_squares``, trf) on the weighted residual
-vector, with the box bounds as native bounds.
+Parameters are fitted in log10 space by a projected Gauss-Newton method on
+the weighted residual vector: each step solves the linearised problem on a
+forward-difference Jacobian and is clipped to the box bounds, and a step
+that raises the residual is halved.  numpy is all the fit needs.
 
 With total thickness alone the three diffusivities are not identifiable:
 the oxygen field stays near its boundary value for any plausible D_o, and
@@ -13,9 +14,9 @@ D_g trades off against D_s along a flat valley (both layers grow like
 sqrt(t)).  The fit therefore first measures what the data can see: a
 forward-difference Jacobian at the start point, whose singular values give
 the number of identifiable directions (those above ``RANK_RTOL`` times the
-largest).  That many parameters are fitted, chosen by column-pivoted QR of
-the Jacobian (subset selection); the rest keep their start values.  The
-default start comes from a closed-form quasi-steady estimate
+largest).  That many parameters are fitted, chosen by greedy column
+pivoting of the Jacobian (subset selection); the rest keep their start
+values.  The default start comes from a closed-form quasi-steady estimate
 (``reduced_model_initial_guess``) that fits the sqrt(t) amplitude and
 assigns a configurable share of the patina to the oxide layer.
 
@@ -210,8 +211,29 @@ RANK_RTOL = 1e-2
 # at a 1e-3-decade step.
 JACOBIAN_STEP = 0.05
 
-# The fit stops when a step is shorter than this, in decades.
+# The fit stops once it has run a step shorter than this, in decades.
 STEP_TOL = 1e-3
+
+
+def subset_selection(jac: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Singular values of ``jac``, largest first, and the columns it determines.
+
+    The rank is the number of singular values above ``RANK_RTOL`` times the
+    largest.  That many columns are chosen by greedy column pivoting, the
+    Businger-Golub rule of a column-pivoted QR (Golub & Van Loan, subset
+    selection): take the column of largest norm, remove its direction from
+    the others, and repeat.
+    """
+    sv = np.linalg.svd(jac, compute_uv=False)
+    rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
+    rest = np.array(jac, dtype=float)
+    columns = []
+    for _ in range(rank):
+        k = int(np.argmax(np.linalg.norm(rest, axis=0)))
+        q = rest[:, k] / np.linalg.norm(rest[:, k])
+        rest -= np.outer(q, q @ rest)
+        columns.append(k)
+    return sv, columns
 
 
 @dataclass(frozen=True)
@@ -250,16 +272,20 @@ class _BudgetExhausted(Exception):
 def calibrate(initial: Diffusivities, bounds: tuple[float, float],
               measurements, cfg: SimulationConfig, *,
               budget: int = 200) -> CalibrationResult:
-    """Bounded Gauss-Newton fit of the identifiable log10 diffusivities.
+    """Projected Gauss-Newton fit of the identifiable log10 diffusivities.
 
     A forward-difference Jacobian at ``initial`` (one run per parameter
-    beyond the base run) decides which parameters the data determine; only
-    those are fitted by ``least_squares`` (trf) within ``bounds``, the rest
-    keep their ``initial`` values.  The fit stops when a step is shorter
-    than ``STEP_TOL`` decades, or when ``budget`` solver runs, Jacobian
-    runs included, are spent (best-so-far returned with ``converged=False``).
-    The result is the lowest-residual run that keeps the held parameters at
-    their start values; its run is kept rather than repeated.
+    beyond the base run) decides which parameters the data determine
+    (``subset_selection``); only those are fitted within ``bounds``, the
+    rest keep their ``initial`` values.  Each step is the least-squares
+    solution on the forward-difference Jacobian at the current point,
+    clipped to the box; the step point is kept only if it lowers the
+    residual, and a longer step that does not is halved.  The fit stops once
+    it has run a step shorter than ``STEP_TOL`` decades, or when ``budget``
+    solver runs, Jacobian runs included, are spent (best-so-far returned
+    with ``converged=False``).  The result is the lowest-residual run that
+    keeps the held parameters at their start values; its run is kept rather
+    than repeated.
     """
     lo, hi = bounds
     if not (0.0 < lo < hi):
@@ -316,20 +342,9 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
                 jac[:, j] = column
         return jac
 
-    # imported here, ahead of the first run, so that loading the package for a
-    # plain run skips them
-    from scipy import linalg, optimize
-
     if not np.all(np.isfinite(vector(x0))):
         raise SimulationError(f"calibration start {initial} failed to run")
-    # the rank is the number of singular values above RANK_RTOL times the
-    # largest; the fitted columns are the first that many pivots of a
-    # column-pivoted QR (Golub & Van Loan, subset selection)
-    jac = jacobian(x0, range(n))
-    sv = linalg.svdvals(jac)
-    rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
-    _, pivots = linalg.qr(jac, mode="r", pivoting=True)
-    free = [int(k) for k in pivots[:rank]]
+    sv, free = subset_selection(jacobian(x0, range(n)))
     held[free] = False
 
     def embed(z: np.ndarray) -> np.ndarray:
@@ -338,17 +353,24 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
         return x
 
     converged = True
-    if free:
-        try:
-            fit = optimize.least_squares(
-                lambda z: vector(embed(z)), x0[free],
-                jac=lambda z: jacobian(embed(z), free),
-                bounds=(llo, lhi), method="trf",
-                xtol=STEP_TOL / max(float(np.linalg.norm(x0[free])), 1.0),
-                ftol=None, gtol=None, max_nfev=budget)
-            converged = fit.status > 0
-        except _BudgetExhausted:
-            converged = False
+    try:
+        z = x0[free]
+        while free:
+            f = vector(embed(z))
+            step = np.linalg.lstsq(jacobian(embed(z), free), -f, rcond=None)[0]
+            trial = np.clip(z + step, llo, lhi)
+            while True:
+                lower = np.sum(vector(embed(trial)) ** 2) < np.sum(f ** 2)
+                short = np.linalg.norm(trial - z) < STEP_TOL
+                if lower or short:
+                    break
+                trial = 0.5 * (z + trial)
+            if lower:
+                z = trial
+            if short:
+                break
+    except _BudgetExhausted:
+        converged = False
     return CalibrationResult(
         diffusivities=best_d,
         residual=float(best),

@@ -1,15 +1,22 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy import linalg
 
 import patina.calibration
 from patina.calibration import (
+    JACOBIAN_STEP,
+    STEP_TOL,
+    Residual,
     ThicknessMeasurement,
     calibrate,
     load_measurements,
     reduced_model_initial_guess,
     residual,
+    subset_selection,
 )
 from patina.pde_core import Diffusivities
 from patina.simulation import SimulationError, run
@@ -224,3 +231,130 @@ class TestCalibrate:
                       meas, cheap_cfg)
         with pytest.raises(ValueError, match="non-empty"):
             calibrate(cheap_cfg.diffusivities, (1e-10, 1e-3), [], cheap_cfg)
+
+
+# columns d_g, d_s, d_o shaped like the shipped data's Jacobian: d_g and d_s
+# nearly parallel with d_s the larger, d_o almost invisible
+SHIPPED_LIKE = np.array([[1.10, 7.90, 1.0e-4],
+                         [0.52, 3.75, -2.0e-4],
+                         [0.31, 2.26, 3.0e-4]])
+
+
+@pytest.mark.parametrize("jac", [
+    np.array([[1.0, 0.2, 0.3], [0.1, 2.0, -0.4], [0.5, 0.3, 0.7], [0.2, -0.6, 0.1]]),
+    SHIPPED_LIKE,
+    np.array([[1.0, 1.0, 0.3], [2.0, 2.0, -0.1], [0.5, 0.5, 0.9]]),
+], ids=["full rank", "rank 1", "duplicate columns"])
+def test_subset_selection_agrees_with_pivoted_qr(jac):
+    sv, columns = subset_selection(jac)
+    expected = linalg.svdvals(jac)
+    assert sv == pytest.approx(expected, rel=1e-12)
+    rank = int(np.count_nonzero(expected > patina.calibration.RANK_RTOL * expected[0]))
+    _, pivots = linalg.qr(jac, mode="r", pivoting=True)
+    assert columns == [int(k) for k in pivots[:rank]]
+
+
+def test_subset_selection_of_a_zero_jacobian_is_empty():
+    sv, columns = subset_selection(np.zeros((3, 3)))
+    assert sv.tolist() == [0.0, 0.0, 0.0]
+    assert columns == []
+
+
+def fake_residual(monkeypatch, deviations_of) -> list:
+    """Replace the solver run of ``residual`` by deviations that depend on
+    log10 d_s alone; returns the list of (diffusivities, residual) of every
+    call made from now on."""
+    calls = []
+    output = SimpleNamespace(thickness_at=lambda times: np.zeros(len(times)))
+
+    def fake(d, measurements, cfg):
+        value = Residual(np.asarray(deviations_of(math.log10(d.d_s)), dtype=float), output)
+        calls.append((d, float(value)))
+        return value
+
+    monkeypatch.setattr(patina.calibration, "residual", fake)
+    return calls
+
+
+BOUNDS = (1e-10, 1e-3)
+TWO_POINTS = [ThicknessMeasurement(4.0, 3e-4, 1e-4), ThicknessMeasurement(8.0, 5e-4, 1e-4)]
+
+
+def start_at(log_d_s):
+    return Diffusivities(d_g=1e-9, d_s=10.0 ** log_d_s, d_o=1e-5)
+
+
+def quadratic(target):
+    # on the upper side of ``target`` every forward-difference Gauss-Newton
+    # step halves the distance, so the steps shrink by half each time
+    def deviations(x):
+        e = x - target
+        g = e + 20.0 * e ** 2
+        return [g, 0.5 * g]
+    return deviations
+
+
+class TestFitRules:
+    """The fit's stop rules on residuals with no solver run behind them."""
+
+    def test_converges_within_step_tol(self, default_cfg, monkeypatch):
+        calls = fake_residual(monkeypatch, quadratic(-8.5))
+        res = calibrate(start_at(-7.8), BOUNDS, TWO_POINTS, default_cfg)
+        assert res.converged and res.fitted == ("d_s",)
+        # a relative step rule (1e-3 of |log10 d_s|, 8.5e-3 decades here)
+        # would stop 5e-3 decades short
+        assert abs(math.log10(res.diffusivities.d_s) + 8.5) < STEP_TOL
+        assert res.diffusivities.d_g == 1e-9 and res.diffusivities.d_o == 1e-5
+        assert res.residual == min(r for _, r in calls)
+        points = [d for d, _ in calls]
+        assert len(points) == len(set(points)) == res.evaluations
+
+    def test_optimum_outside_the_box_ends_on_the_bound(self, default_cfg, monkeypatch):
+        calls = fake_residual(monkeypatch, lambda x: [x + 2.0])
+        res = calibrate(start_at(-6.0), BOUNDS, TWO_POINTS[:1], default_cfg)
+        assert res.converged
+        assert math.log10(res.diffusivities.d_s) == pytest.approx(-3.0, abs=1e-12)
+        assert all(BOUNDS[0] <= d.d_s <= BOUNDS[1] * (1 + 1e-12) for d, _ in calls)
+        points = [d for d, _ in calls]
+        assert len(points) == len(set(points)) == res.evaluations
+
+    def test_a_step_that_raises_the_residual_is_not_kept(self, default_cfg, monkeypatch):
+        # linear below the optimum and saturating above it: from above, the
+        # first step overshoots to the lower bound, where the residual is 9
+        def deviations(x):
+            e = x + 7.0
+            return [e if e <= 0.0 else math.atan(3.0 * e) / 3.0]
+
+        calls = fake_residual(monkeypatch, deviations)
+        res = calibrate(start_at(-5.5), BOUNDS, TWO_POINTS[:1], default_cfg)
+        assert res.converged
+        assert abs(math.log10(res.diffusivities.d_s) + 7.0) < STEP_TOL
+        assert max(r for _, r in calls) > 10.0 * calls[0][1]
+        # the points the fit differentiates in d_s at, in order, are the ones
+        # it kept: each lowers the residual
+        fit = [(math.log10(d.d_s), r) for d, r in calls if (d.d_g, d.d_o) == (1e-9, 1e-5)]
+        kept = [r for i, (x, r) in enumerate(fit)
+                if any(abs(x + JACOBIAN_STEP - y) < 1e-9 for y, _ in fit[i + 1:])]
+        assert kept[0] == calls[0][1] and len(kept) > 2
+        assert all(b < a for a, b in zip(kept, kept[1:]))
+
+    def test_one_run_too_few_is_not_converged(self, default_cfg, monkeypatch):
+        calls = fake_residual(monkeypatch, quadratic(-8.5))
+        full = calibrate(start_at(-7.8), BOUNDS, TWO_POINTS, default_cfg)
+        assert full.converged and full.evaluations == len(calls)
+        short = calibrate(start_at(-7.8), BOUNDS, TWO_POINTS, default_cfg,
+                          budget=full.evaluations - 1)
+        assert not short.converged
+        assert short.evaluations == full.evaluations - 1
+        exact = calibrate(start_at(-7.8), BOUNDS, TWO_POINTS, default_cfg,
+                          budget=full.evaluations)
+        assert exact.converged and exact.diffusivities == full.diffusivities
+
+    def test_a_flat_residual_fits_nothing(self, default_cfg, monkeypatch):
+        calls = fake_residual(monkeypatch, lambda x: [0.5, -0.5])
+        res = calibrate(start_at(-6.0), BOUNDS, TWO_POINTS, default_cfg)
+        assert res.converged and res.fitted == ()
+        assert res.singular_values == (0.0, 0.0)
+        # the base run and one per parameter, then no fit
+        assert res.evaluations == len(calls) == 4
+        assert res.diffusivities == start_at(-6.0)

@@ -400,18 +400,37 @@ def test_manifest_digests_include_a_config_named_env_csv(tmp_path):
     assert set(digests) == {str(cfgfile), str(env)}
 
 
-def test_simulate_leaves_scipy_linalg_and_optimize_unloaded(tmp_path):
-    # only calibrate needs the scipy.linalg package and scipy.optimize; a
-    # plain run takes dgtsv from the LAPACK extension alone, and the package
-    # prints its warnings without the logging module
+def _run_in_fresh_process(argv, modules):
+    """Exit code and stderr of ``run_main(argv)`` in a new interpreter, which
+    fails if any of ``modules`` is loaded after the run."""
     code = ("import sys, patina.cli\n"
-            "code = patina.cli.run_main(['simulate', '--chamber', '--horizon-hours', '1',"
-            " '--out', sys.argv[1]])\n"
-            "loaded = [m for m in ('scipy.linalg', 'scipy.optimize', 'logging')"
-            " if m in sys.modules]\n"
+            "code = patina.cli.run_main(sys.argv[2:])\n"
+            "loaded = [m for m in sys.argv[1].split(',') if m in sys.modules]\n"
             "sys.exit(f'exit {code}, loaded {loaded}' if code or loaded else 0)\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-c", code, ",".join(modules), *argv],
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+def test_simulate_leaves_scipy_linalg_and_optimize_unloaded(tmp_path):
+    # a run takes dgtsv from scipy's LAPACK extension alone, and the package
+    # prints its warnings without the logging module
+    code, err = _run_in_fresh_process(
+        ["simulate", "--chamber", "--horizon-hours", "1", "--out", str(tmp_path / "run")],
+        ("scipy.linalg", "scipy.optimize", "logging"))
+    assert code == 0, err
+
+
+def test_calibrate_leaves_scipy_linalg_and_optimize_unloaded(tmp_path):
+    # the fit needs numpy alone: singular values, subset selection and the
+    # Gauss-Newton steps all come from numpy.linalg
+    cfgfile = tmp_path / "grid.ini"
+    cfgfile.write_text("[grid]\nn_z = 10\nn_y = 10\n")
+    data = os.path.join(os.path.dirname(__file__), os.pardir, "data", "thickness_measures.csv")
+    code, err = _run_in_fresh_process(
+        ["calibrate", "--measurements", os.path.abspath(data), "--config", str(cfgfile),
+         "--out", str(tmp_path / "cal")],
+        ("scipy.linalg", "scipy.optimize"))
+    assert code == 0, err
