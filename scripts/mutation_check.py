@@ -69,6 +69,13 @@ DEFECTS = {
         "np.argmin(np.linalg.norm(rest, axis=0))"),
     "fit stops on a step relative to |log10 D|": (
         "calibration.py", "< STEP_TOL\n", "< STEP_TOL * np.linalg.norm(z)\n"),
+    "exact porosities: gamma_o at unit porosity": (
+        "convergence.py", "omega_g(k_b, unit.gamma_o / n_b)", "omega_g(k_b, unit.gamma_o)"),
+    "SO2 condition: outer width W without (1+omega_b)": (
+        "convergence.py", "w = (1.0 + sw.omega_b) * k_b\n        return w * k_b",
+        "w = k_b\n        return w * k_b"),
+    "cuprite condition: o_a in place of O(beta)": (
+        "convergence.py", "2.0 * o_beta * flux(", "2.0 * o_a * flux("),
 }
 
 

@@ -13,7 +13,10 @@ V = (1+omega_p)*K_a - K_b, the equations of ``pde_core`` become
 whose profiles are integrals of exp(-phi), evaluated by one fixed
 Gauss-Legendre rule (the exponents are small).  The SO2 Stefan condition
 alone fixes K_b, the O Robin condition O(beta), and the cuprite Stefan
-condition K_a: two bisections.
+condition K_a: two bisections (``similarity``).  The Stefan groups are
+linear in the layer porosities (Omega_s in n_b, Omega_g in n_p, gamma_o in
+1/n_b), so the same conditions at given K's yield the porosities of a
+given state in closed form (``exact_porosities``).
 
 The order checks drive ``imex_midpoint_step`` itself:
 
@@ -39,6 +42,7 @@ from .stepper import NondimModel, imex_midpoint_step
 
 __all__ = [
     "similarity",
+    "exact_porosities",
     "exact_front_errors",
     "observed_orders",
     "frozen_bump_problem",
@@ -54,11 +58,13 @@ def _bisect(f, lo: float, hi: float) -> float:
     return mid
 
 
-def similarity(cfg: SimulationConfig) -> tuple[float, float]:
-    """(K_a, K_b) of the exact solution a = K_a*sqrt(tau), b = K_b*sqrt(tau), non-dimensional.
+def _stefan_groups(cfg: SimulationConfig):
+    """The two Stefan conditions of the exact solution, each solved for its group.
 
-    Only constant forcing with SO2 and oxygen has one; any other forcing,
-    or oxygen used up at beta by its reaction sink, raises ValueError.
+    Returns the non-dimensional forcing S_a, O_a and two functions:
+    omega_s(K_b), the Omega_s under which the SO2 condition holds at K_b,
+    and omega_g(K_b, gamma_o), the function K_a -> Omega_g of the cuprite
+    condition.  Raises the ValueErrors of ``similarity``.
     """
     forcing = cfg.forcing
     if forcing.mode != "constant-chamber":
@@ -67,7 +73,6 @@ def similarity(cfg: SimulationConfig) -> tuple[float, float]:
     if not (s_a > 0.0 and o_a > 0.0):
         raise ValueError("the exact solution needs nonzero SO2 and O2 forcing")
     d = cfg.diffusivities.hatted(cfg.scales)
-    sc = stefan_constants(cfg.materials, d, cfg.scales)
     sw = swelling_ratios(cfg.materials)
     # built per call: at import its eigenvalue solve would cost every command
     # about 1 MB of resident memory
@@ -80,26 +85,65 @@ def similarity(cfg: SimulationConfig) -> tuple[float, float]:
     def outer_flux(w, d_hat):
         return flux(lambda z: (w * z) ** 2 / (4.0 * d_hat))
 
-    # SO2 Stefan condition K_b/2 = Omega_s/W * S_a * flux, where flux <= 1
-    k_b = _bisect(lambda k: (1.0 + sw.omega_b) * k * k / 2.0
-                  - sc.omega_s * s_a * outer_flux((1.0 + sw.omega_b) * k, d.d_s),
+    def omega_s(k_b):
+        # SO2 Stefan condition K_b/2 = Omega_s/W * S_a * flux
+        w = (1.0 + sw.omega_b) * k_b
+        return w * k_b / (2.0 * s_a * outer_flux(w, d.d_s))
+
+    def omega_g(k_b, gamma_o):
+        w = (1.0 + sw.omega_b) * k_b
+        # the O Robin condition D_o/W*O'(1) = -(omega_p*K_a + W)/2*O(1) - gamma_o*K_b/2
+        # is linear in O(beta) = O(1) and gives it in closed form
+        m = 2.0 * d.d_o * outer_flux(w, d.d_o) / w
+        if m * o_a <= gamma_o * k_b:
+            raise ValueError("oxygen is used up at beta: no similarity solution")
+
+        def cuprite(k_a):
+            # cuprite Stefan condition K_a*V/2 = Omega_g * O(beta) * flux
+            v = (1.0 + sw.omega_p) * k_a - k_b
+            o_beta = (m * o_a - gamma_o * k_b) / (m + sw.omega_p * k_a + w)
+            return k_a * v / (2.0 * o_beta * flux(
+                lambda y: (v * v * y * y / 2.0 + v * k_b * y) / (2.0 * d.d_g)))
+        return cuprite
+
+    return s_a, o_a, omega_s, omega_g
+
+
+def similarity(cfg: SimulationConfig) -> tuple[float, float]:
+    """(K_a, K_b) of the exact solution a = K_a*sqrt(tau), b = K_b*sqrt(tau), non-dimensional.
+
+    Only constant forcing with SO2 and oxygen has one; any other forcing,
+    or oxygen used up at beta by its reaction sink, raises ValueError.
+    """
+    s_a, o_a, omega_s, omega_g = _stefan_groups(cfg)
+    sc = stefan_constants(cfg.materials, cfg.diffusivities.hatted(cfg.scales), cfg.scales)
+    sw = swelling_ratios(cfg.materials)
+    # omega_s(K_b) >= (1+omega_b)*K_b^2/(2*S_a) at hi, since the flux is at most 1
+    k_b = _bisect(lambda k: omega_s(k) - sc.omega_s,
                   0.0, math.sqrt(2.0 * sc.omega_s * s_a / (1.0 + sw.omega_b)))
-    w = (1.0 + sw.omega_b) * k_b
-    # the O Robin condition D_o/W*O'(1) = -(omega_p*K_a + W)/2*O(1) - gamma_o*K_b/2
-    # is linear in O(beta) = O(1) and gives it in closed form
-    m = 2.0 * d.d_o * outer_flux(w, d.d_o) / w
-    if m * o_a <= sc.gamma_o * k_b:
-        raise ValueError("oxygen is used up at beta: no similarity solution")
-
-    def cuprite(k_a):
-        v = (1.0 + sw.omega_p) * k_a - k_b
-        o_beta = (m * o_a - sc.gamma_o * k_b) / (m + sw.omega_p * k_a + w)
-        return k_a * v / 2.0 - sc.omega_g * o_beta * flux(
-            lambda y: (v * v * y * y / 2.0 + v * k_b * y) / (2.0 * d.d_g))
-
+    cuprite = omega_g(k_b, sc.gamma_o)
     # V = 0 at lo; at hi K_a*V/2 exceeds Omega_g*o_a, the largest the flux term can be
     lo = k_b / (1.0 + sw.omega_p)
-    return _bisect(cuprite, lo, lo + math.sqrt(2.0 * sc.omega_g * o_a / (1.0 + sw.omega_p))), k_b
+    return _bisect(lambda k: cuprite(k) - sc.omega_g,
+                   lo, lo + math.sqrt(2.0 * sc.omega_g * o_a / (1.0 + sw.omega_p))), k_b
+
+
+def exact_porosities(cfg: SimulationConfig, a_cm: float, b_cm: float,
+                     hours: float) -> tuple[float, float]:
+    """(n_b, n_p) under which the exact solution passes through a_cm and b_cm at ``hours``.
+
+    The inverse of ``similarity``: the SO2 condition at K_b yields n_b, then
+    the cuprite condition at K_a, with gamma_o taken at that n_b, yields
+    n_p.  The porosities of ``cfg`` are not read.  Raises the ValueErrors
+    of ``similarity``.
+    """
+    _, _, omega_s, omega_g = _stefan_groups(cfg)
+    unit = stefan_constants(replace(cfg.materials, n_b=1.0, n_p=1.0),
+                            cfg.diffusivities.hatted(cfg.scales), cfg.scales)
+    root = math.sqrt(hours * SECONDS_PER_HOUR / cfg.scales.t_r) * cfg.scales.lam
+    k_a, k_b = a_cm / root, b_cm / root
+    n_b = omega_s(k_b) / unit.omega_s
+    return n_b, omega_g(k_b, unit.gamma_o / n_b)(k_a) / unit.omega_g
 
 
 def exact_front_errors(cfg: SimulationConfig, record: OutputRecord) -> tuple[float, float, float]:

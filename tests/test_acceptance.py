@@ -144,9 +144,12 @@ def test_criterion2_reference_reproduces_printed_state(reference_run, sw):
     # Anchor: the literature set must reproduce the printed 40 h state its
     # porosities were identified from.  a and b pin n_b; n_p is pinned by
     # the 2.8e-6 cm cuprite layer (1+omega_p)*a - b, which a 5 % error in
-    # n_p moves by 4.7 % but a by only 2.4e-4.  The 1e-2 on that layer is
-    # about what the printed digits of a and b resolve of so small a
-    # difference; gamma keeps the 2e-3 of the mole-balance reconstruction.
+    # n_p moves by 4.7 % but a by only 2.4e-4.  The porosities are those of
+    # the exact solution through the printed state, so the run's layer
+    # error (+9.3e-4) is the solver's own error against that solution.  The
+    # 1e-2 on that layer is about what the printed digits of a and b
+    # resolve of so small a difference; gamma keeps the 2e-3 of the
+    # mole-balance reconstruction.
     final = reference_run.records[-1]
     printed = dict(PRINTED_40H, h_p=(1.0 + sw.omega_p) * PRINTED_40H["a"]
                    - PRINTED_40H["b"])

@@ -10,11 +10,16 @@ import pytest
 from patina import stepper
 from patina.calibration import ThicknessMeasurement, reduced_model_initial_guess
 from patina.config import build_simulation_config, load_settings
-from patina.convergence import exact_front_errors, similarity
+from patina.convergence import exact_front_errors, exact_porosities, similarity
 from patina.environment import Forcing, constant_chamber_forcing, cycle_forcing
 from patina.materials import swelling_ratios
 from patina.pde_core import Diffusivities
 from patina.simulation import run
+
+REFERENCE_CONFIG = "configs/reference_diffusivities.ini"
+# the paper's printed 40 h chamber state, cm; b is reconstructed from the
+# printed mole counts (tests/test_materials.py)
+PRINTED_A_CM, PRINTED_B_CM = 3.1693e-4, 5.2879e-4
 
 
 def test_default_set_constants(default_cfg):
@@ -26,14 +31,31 @@ def test_default_set_constants(default_cfg):
 
 
 def test_literature_set_at_40_hours():
-    cfg = build_simulation_config(load_settings("configs/reference_diffusivities.ini"))
+    # the printed a and b, up to the five-digit rounding of the porosities
+    cfg = build_simulation_config(load_settings(REFERENCE_CONFIG))
     sw = swelling_ratios(cfg.materials)
     k_a, k_b = similarity(cfg)
     a, b = (k * math.sqrt(40.0) * cfg.scales.lam for k in (k_a, k_b))
-    assert a == pytest.approx(3.16925e-4, rel=0, abs=5e-10)
+    assert a == pytest.approx(3.16927e-4, rel=0, abs=5e-10)
     assert b == pytest.approx(5.28784e-4, rel=0, abs=5e-10)
-    assert -(sw.omega_p * a + sw.omega_b * b) == pytest.approx(-9.48985e-4, rel=0, abs=5e-10)
-    assert (1.0 + sw.omega_p) * a - b == pytest.approx(2.84201e-6, rel=0, abs=5e-12)
+    assert -(sw.omega_p * a + sw.omega_b * b) == pytest.approx(-9.48986e-4, rel=0, abs=5e-10)
+    assert (1.0 + sw.omega_p) * a - b == pytest.approx(2.84469e-6, rel=0, abs=5e-12)
+
+
+def test_reference_porosities_are_the_inverse_of_the_printed_state():
+    # the config carries five significant digits of the exact identification
+    cfg = build_simulation_config(load_settings(REFERENCE_CONFIG))
+    n_b, n_p = exact_porosities(cfg, PRINTED_A_CM, PRINTED_B_CM, 40.0)
+    assert (cfg.materials.n_b, cfg.materials.n_p) == (float(f"{n_b:.5g}"), float(f"{n_p:.5g}"))
+
+
+@pytest.mark.parametrize("path", [None, REFERENCE_CONFIG], ids=["default", "literature"])
+def test_exact_porosities_invert_similarity(path):
+    cfg = build_simulation_config(load_settings(path))
+    a, b = (k * math.sqrt(40.0) * cfg.scales.lam for k in similarity(cfg))
+    n_b, n_p = exact_porosities(cfg, a, b, 40.0)
+    assert n_b == pytest.approx(cfg.materials.n_b, rel=1e-12)
+    assert n_p == pytest.approx(cfg.materials.n_p, rel=1e-12)
 
 
 @pytest.mark.parametrize("forcing", [
@@ -42,8 +64,11 @@ def test_literature_set_at_40_hours():
     constant_chamber_forcing(0.0, 2.6e-4),
 ], ids=["cycles", "time-series", "zero-so2"])
 def test_no_exact_solution_is_an_error(default_cfg, forcing):
+    cfg = replace(default_cfg, forcing=forcing)
     with pytest.raises(ValueError, match="exact solution needs"):
-        similarity(replace(default_cfg, forcing=forcing))
+        similarity(cfg)
+    with pytest.raises(ValueError, match="exact solution needs"):
+        exact_porosities(cfg, PRINTED_A_CM, PRINTED_B_CM, 40.0)
 
 
 def test_calibration_box(default_cfg):
