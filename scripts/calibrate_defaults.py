@@ -2,10 +2,12 @@
 """Regenerate the shipped default diffusivities.
 
 Runs ``patina calibrate`` once with the default settings against
-data/thickness_measures.csv: reduced-model warm start, bounds [1e-10, 1e-3],
-budget 200, std-weighted objective, Gauss-Newton fit of the parameters the
-starting Jacobian shows the data can determine (``d_s`` on the shipped
-data; ``d_g`` and ``d_o`` keep their warm-start values).  The full result
+data/thickness_measures.csv: the exact solution's warm start (the weighted
+sqrt(t) amplitude split by ``oxide_share``), bounds [1e-10, 1e-3], budget
+200, std-weighted objective, Gauss-Newton fit on the exact totals of the
+parameters the starting Jacobian shows the data can determine (``d_s`` on
+the shipped data; ``d_g`` and ``d_o`` keep their warm-start values), then
+one solver run at the result.  The full result
 goes under out/calibrate_defaults/; the fitted values are read back from
 the ``# d_*`` lines of its calibration.csv and printed, ready to paste into
 config.py, with a marker on each one that differs from the shipped

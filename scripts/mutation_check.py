@@ -76,6 +76,23 @@ DEFECTS = {
         "w = k_b\n        return w * k_b"),
     "cuprite condition: o_a in place of O(beta)": (
         "convergence.py", "2.0 * o_beta * flux(", "2.0 * o_a * flux("),
+    "warm start: oxide split swapped": (
+        "calibration.py",
+        "k_b = (1.0 - oxide_share) * amplitude / (1.0 + sw.omega_b)\n"
+        "    k_a = (oxide_share * amplitude + k_b)",
+        "k_b = oxide_share * amplitude / (1.0 + sw.omega_b)\n"
+        "    k_a = ((1.0 - oxide_share) * amplitude + k_b)"),
+    "warm start: amplitude weighted by w, not w**2": (
+        "calibration.py", "np.sum(means * np.sqrt(tau) / w**2) / np.sum(tau / w**2)",
+        "np.sum(means * np.sqrt(tau) / w) / np.sum(tau / w)"),
+    "exact diffusivities: fixed point stopped after one iteration": (
+        "convergence.py", "while d not in seen:", "for _ in range(1):"),
+    "exact total without the omega_b*b term": (
+        "convergence.py", "(1.0 + sw.omega_p) * a + sw.omega_b * b", "(1.0 + sw.omega_p) * a"),
+    "constant-forcing predictions from the exact totals": (
+        "calibration.py", "predicted_cm=tuple(float(p) for p in best.output.thickness_at(times)),",
+        "predicted_cm=tuple(float(p) for p in (best.output.thickness_at(times) if score is residual"
+        " else exact_fronts(replace(cfg, diffusivities=best_d), times)[2])),"),
 }
 
 

@@ -1,30 +1,18 @@
 """Least-squares fit of the diffusivities to measured patina thicknesses.
 
-The data are a handful of total-thickness measurements; the objective is the
-std-weighted sum of squared deviations of the simulated total thickness
-(a - gamma, what a cross-section actually shows) at the measurement times.
-Parameters are fitted in log10 space by a projected Gauss-Newton method on
-the weighted residual vector: each step solves the linearised problem on a
-forward-difference Jacobian and is clipped to the box bounds, and a step
-that raises the residual is halved.  numpy is all the fit needs.
-
-With total thickness alone the three diffusivities are not identifiable:
-the oxygen field stays near its boundary value for any plausible D_o, and
-D_g trades off against D_s along a flat valley (both layers grow like
-sqrt(t)).  The fit therefore first measures what the data can see: a
-forward-difference Jacobian at the start point, whose singular values give
-the number of identifiable directions (those above ``RANK_RTOL`` times the
-largest).  That many parameters are fitted, chosen by greedy column
-pivoting of the Jacobian (subset selection); the rest keep their start
-values.  The default start comes from a closed-form quasi-steady estimate
-(``reduced_model_initial_guess``) that fits the sqrt(t) amplitude and
-assigns a configurable share of the patina to the oxide layer.
-
-Every solver run goes through ``residual``, which returns the weighted
-residual together with its deviation vector and its run.  The fit reads
-that vector, memoised by parameter point, so no point is run or scored
-twice, and keeps the run of the best point, so reporting the fit costs no
-further run.  Measurements with no std are weighted by their mean.
+The objective is the std-weighted sum of squared deviations of the total
+thickness (a - gamma, what a cross-section shows) at the measurement times;
+measurements with no std are weighted by their mean.  Total thickness alone
+cannot identify the three diffusivities: the oxygen field stays near its
+boundary value for any plausible D_o, and D_g trades off against D_s (both
+layers grow like sqrt(t)).  So ``calibrate``, a projected Gauss-Newton fit
+in log10 diffusivities on numpy alone, first measures the singular values
+of a forward-difference Jacobian at the start point and fits only the
+parameters they show the data determine (``subset_selection``).  Under
+constant forcing it scores points by the exact sqrt(t) solution's totals
+and makes one solver run at the result; under any other forcing each point
+is a solver run (``residual``).  The default start (``warm_start``) is the
+exact solution's fit to the data, with a configurable oxide share.
 """
 
 from __future__ import annotations
@@ -36,10 +24,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .environment import forcing_at
+from .convergence import exact_diffusivities, exact_fronts
+from .environment import constant_chamber_forcing, forcing_at
 from .materials import swelling_ratios
-from .pde_core import Diffusivities, stefan_constants
-from .simulation import SimulationConfig, SimulationError, SimulationOutput, run
+from .pde_core import Diffusivities
+from .simulation import SECONDS_PER_HOUR, SimulationConfig, SimulationError, SimulationOutput, run
 
 __all__ = [
     "ThicknessMeasurement",
@@ -49,7 +38,7 @@ __all__ = [
     "load_measurements",
     "weighted_residual",
     "residual",
-    "reduced_model_initial_guess",
+    "warm_start",
     "calibrate",
 ]
 
@@ -133,6 +122,11 @@ def weighted_residual(predicted_cm, measurements) -> Residual:
     return Residual((np.asarray(predicted_cm) - means) / _weights(measurements))
 
 
+def _rejected(d: Diffusivities, measurements, exc: Exception) -> Residual:
+    print(f"patina: warning: residual evaluation rejected at {d}: {exc}", file=sys.stderr)
+    return Residual(np.full(len(measurements), math.inf))
+
+
 def residual(d: Diffusivities, measurements, cfg: SimulationConfig) -> Residual:
     """Weighted residual of one run at ``d``, extended to the last measurement
     time if need be; infinite when the run fails."""
@@ -143,75 +137,59 @@ def residual(d: Diffusivities, measurements, cfg: SimulationConfig) -> Residual:
     try:
         out = run(replace(cfg, diffusivities=d, horizon_hours=horizon))
     except (SimulationError, ValueError) as exc:
-        print(f"patina: warning: residual evaluation rejected at {d}: {exc}",
-              file=sys.stderr)
-        return Residual(np.full(len(measurements), math.inf))
-    value = weighted_residual(out.thickness_at(times), measurements)
-    value.output = out
-    return value
+        return _rejected(d, measurements, exc)
+    return Residual(weighted_residual(out.thickness_at(times), measurements).deviations, out)
 
 
-def reduced_model_initial_guess(measurements, cfg: SimulationConfig,
-                                oxide_share: float = 0.1) -> Diffusivities:
-    """Warm start from the quasi-steady sqrt(t) growth law.
+def _exact_residual(d: Diffusivities, measurements, cfg: SimulationConfig) -> Residual:
+    """Weighted residual of the exact solution's totals at ``d``; infinite where it has none."""
+    hours = [m.time_hours for m in measurements]
+    try:
+        totals = exact_fronts(replace(cfg, diffusivities=d), hours)[2]
+    except ValueError as exc:
+        return _rejected(d, measurements, exc)
+    return weighted_residual(totals, measurements)
 
-    Quasi-steady profiles make both layers grow like sqrt(t):
-    total(t) ~ (c_p + (1+omega_b)*k_b) * sqrt(tau) with
-    b = k_b*sqrt(tau) set by Omega_s and the oxide thickness c_p*sqrt(tau)
-    set by Omega_g through c_p^2 + k_b*c_p = 2*(1+omega_p)*Omega_g.  The
-    amplitude is fitted to the measurements by weighted least squares, the
-    oxide share of the total is fixed at ``oxide_share``, and the two Stefan
-    groups are inverted for D_s and D_g.  D_o keeps its configured value
-    (no measurable effect).
+
+def warm_start(measurements, cfg: SimulationConfig, oxide_share: float = 0.1) -> Diffusivities:
+    """The exact solution's weighted least-squares fit; raises the ValueErrors of ``similarity``.
+
+    Its totals are K*sqrt(tau), K the sum of the cuprite layer (1+omega_p)*K_a - K_b,
+    which takes ``oxide_share`` of K, and the brochantite layer (1+omega_b)*K_b.
+    D_o keeps its configured value; non-constant forcing is taken at t = 0.
     """
     if not 0.0 < oxide_share < 1.0:
         raise ValueError("oxide_share must lie in (0, 1)")
+    tau = np.array([m.time_hours * SECONDS_PER_HOUR / cfg.scales.t_r for m in measurements])
+    means, w = np.array([m.mean_cm for m in measurements]), _weights(measurements)
+    amplitude = float(np.sum(means * np.sqrt(tau) / w**2) / np.sum(tau / w**2)) / cfg.scales.lam
     sw = swelling_ratios(cfg.materials)
-    scales = cfg.scales
-    mat = cfg.materials
-
-    # Weighted LS amplitude of total_nd = C*sqrt(tau) (tau in units of t_r).
-    tau = np.array([m.time_hours * 3600.0 / scales.t_r for m in measurements])
-    totals_nd = np.array([m.mean_cm / scales.lam for m in measurements])
-    w = _weights(measurements) / scales.lam
-    amplitude = float(np.sum(totals_nd * np.sqrt(tau) / w**2) / np.sum(tau / w**2))
-
-    c_p = oxide_share * amplitude
     k_b = (1.0 - oxide_share) * amplitude / (1.0 + sw.omega_b)
-
-    s, o = forcing_at(cfg.forcing, 0.0)
-    s_hat, o_hat = s / scales.s_r, o / scales.o_r
-    if s_hat <= 0.0 or o_hat <= 0.0:
-        raise ValueError("reduced-model guess needs nonzero SO2 and O2 forcing")
-
-    omega_s = k_b**2 * (1.0 + sw.omega_b) / (2.0 * s_hat)
-    omega_g = (c_p**2 + k_b * c_p) / (2.0 * (1.0 + sw.omega_p) * o_hat)
-
-    # Invert the Stefan groups at unit hatted diffusivity to get D_s, D_g.
-    unit = Diffusivities(1.0, 1.0, 1.0).hatted(scales)
-    ref = stefan_constants(mat, unit, scales)
-    d_s = omega_s / ref.omega_s
-    d_g = omega_g / ref.omega_g
-    return Diffusivities(d_g=d_g, d_s=d_s, d_o=cfg.diffusivities.d_o)
+    k_a = (oxide_share * amplitude + k_b) / (1.0 + sw.omega_p)
+    chamber = replace(cfg, forcing=constant_chamber_forcing(*forcing_at(cfg.forcing, 0.0)))
+    return exact_diffusivities(chamber, k_a, k_b)
 
 
 PARAMETERS = ("d_g", "d_s", "d_o")
 
 # Directions of the starting Jacobian whose singular value is below this
-# fraction of the largest are held.  On the shipped data the singular values
-# are about 8, 1e-3 and 2e-5 (grid 100): total thickness sees the sqrt(t)
-# amplitude of d_g and d_s, not their split, and not d_o.
+# fraction of the largest are held.  Under constant forcing the exact totals
+# are K*sqrt(tau), so every column of their Jacobian is a multiple of
+# sqrt(tau)/std: on the shipped data the singular values are 8.16, 2.4e-14
+# and 2.1e-15 (rounding).  Total thickness sees the sqrt(t) amplitude, not the split of d_g
+# and d_s, and not d_o.
 RANK_RTOL = 1e-2
 
-# Forward-difference step of the Jacobian, in decades of a diffusivity.  A
+# Forward-difference step of the Jacobian, in decades of a diffusivity.  The
+# exact totals are smooth; for a solver-run fit (non-constant forcing) a
 # run's thicknesses between output records carry noise of up to 1e-3 std
 # (grid 25; 1e-4 at grid 100) that a short step turns into a spurious second
 # direction: on the shipped data the second singular value is 2.8e-3 of the
 # largest at this step (grid 25; 1.2e-4 at grid 100), but 6.6e-2 (1.7e-2)
-# at a 1e-3-decade step.
+# at a 1e-3-decade step (both measured on solver runs of chamber data).
 JACOBIAN_STEP = 0.05
 
-# The fit stops once it has run a step shorter than this, in decades.
+# The fit stops once it has scored a step shorter than this, in decades.
 STEP_TOL = 1e-3
 
 
@@ -238,10 +216,12 @@ def subset_selection(jac: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Fit outcome: best diffusivities, objective value, per-point comparison.
+    """Fit outcome: best diffusivities, objective value, predictions in measurement order.
 
     ``output`` is the solver run at the best diffusivities, the one the
-    predictions come from.  ``singular_values`` are those of the weighted
+    predictions and the residual come from.  ``evaluations`` counts the
+    points the fit scored: exact solutions under constant forcing, solver
+    runs otherwise.  ``singular_values`` are those of the weighted
     residual's Jacobian in log10 diffusivities at the start point, largest
     first; ``fitted`` names the parameters the fit was free to move, the
     others keep their start values.
@@ -249,8 +229,6 @@ class CalibrationResult:
 
     diffusivities: Diffusivities
     residual: float
-    times_hours: tuple[float, ...]
-    measured_cm: tuple[float, ...]
     predicted_cm: tuple[float, ...]
     evaluations: int
     converged: bool
@@ -274,18 +252,18 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
               budget: int = 200) -> CalibrationResult:
     """Projected Gauss-Newton fit of the identifiable log10 diffusivities.
 
-    A forward-difference Jacobian at ``initial`` (one run per parameter
-    beyond the base run) decides which parameters the data determine
-    (``subset_selection``); only those are fitted within ``bounds``, the
-    rest keep their ``initial`` values.  Each step is the least-squares
+    A forward-difference Jacobian at ``initial`` (one evaluation per
+    parameter beyond the base point) decides which parameters the data
+    determine (``subset_selection``); only those are fitted within
+    ``bounds``, the rest keep their ``initial`` values.  Each step is the least-squares
     solution on the forward-difference Jacobian at the current point,
     clipped to the box; the step point is kept only if it lowers the
     residual, and a longer step that does not is halved.  The fit stops once
-    it has run a step shorter than ``STEP_TOL`` decades, or when ``budget``
-    solver runs, Jacobian runs included, are spent (best-so-far returned
-    with ``converged=False``).  The result is the lowest-residual run that
-    keeps the held parameters at their start values; its run is kept rather
-    than repeated.
+    it has scored a step shorter than ``STEP_TOL`` decades, or when
+    ``budget`` evaluations, the Jacobian's included, are spent (best-so-far
+    returned with ``converged=False``).  The result is the lowest-residual
+    point that keeps the held parameters at their start values, with its
+    solver run: the one scored, or one made at the end.
     """
     lo, hi = bounds
     if not (0.0 < lo < hi):
@@ -299,20 +277,20 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
             raise ValueError(f"initial diffusivity {value} outside bounds {bounds}")
     n = len(PARAMETERS)
     if budget < n + 1:
-        raise ValueError(f"budget {budget} cannot cover the {n + 1} runs of the "
+        raise ValueError(f"budget {budget} cannot cover the {n + 1} evaluations of the "
                          "starting Jacobian")
     x0 = np.log10(np.array(init))
     times = np.array([m.time_hours for m in measurements])
-    means = np.array([m.mean_cm for m in measurements])
 
+    score = _exact_residual if cfg.forcing.mode == "constant-chamber" else residual
     vectors: dict[bytes, np.ndarray] = {}
     best, best_d = math.inf, initial
-    # a run can be the result only where every held parameter keeps its start
+    # a point can be the result only where every held parameter keeps its start
     # value; all are held until the starting Jacobian has been measured
     held = np.ones(n, dtype=bool)
 
     def vector(x: np.ndarray) -> np.ndarray:
-        """Weighted residual vector at log10 point ``x``, one run per point."""
+        """Weighted residual vector at log10 point ``x``, scored once per point."""
         nonlocal best, best_d
         key = x.tobytes()
         if key not in vectors:
@@ -321,7 +299,7 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
             # a coordinate at its start value runs that value exactly
             d = Diffusivities(*(v if xk == sk else float(10.0 ** xk)
                                 for v, xk, sk in zip(init, x, x0)))
-            value = residual(d, measurements, cfg)
+            value = score(d, measurements, cfg)
             vectors[key] = value.deviations
             if value < best and np.array_equal(x[held], x0[held]):
                 best, best_d = value, d
@@ -330,7 +308,7 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
     def jacobian(x: np.ndarray, columns) -> np.ndarray:
         """Forward differences of ``vector`` at ``x`` along ``columns``,
         stepping down where a step up would leave the box; a column whose
-        run fails is zero, so the fit does not move along it."""
+        evaluation fails is zero, so the fit does not move along it."""
         base = vector(x)
         jac = np.zeros((base.size, len(columns)))
         for j, k in enumerate(columns):
@@ -343,7 +321,7 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
         return jac
 
     if not np.all(np.isfinite(vector(x0))):
-        raise SimulationError(f"calibration start {initial} failed to run")
+        raise SimulationError(f"calibration start {initial} has no finite residual")
     sv, free = subset_selection(jacobian(x0, range(n)))
     held[free] = False
 
@@ -371,11 +349,13 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
                 break
     except _BudgetExhausted:
         converged = False
+    if score is _exact_residual:
+        best = residual(best_d, measurements, cfg)
+        if best.output is None:
+            raise SimulationError(f"calibration result {best_d} failed to run")
     return CalibrationResult(
         diffusivities=best_d,
         residual=float(best),
-        times_hours=tuple(float(t) for t in times),
-        measured_cm=tuple(float(m) for m in means),
         predicted_cm=tuple(float(p) for p in best.output.thickness_at(times)),
         evaluations=len(vectors),
         converged=converged,

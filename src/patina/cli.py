@@ -25,8 +25,7 @@ from . import __version__
 from .calibration import (
     calibrate,
     load_measurements,
-    reduced_model_initial_guess,
-    residual,
+    warm_start,
 )
 from .config import (
     build_calibration_settings,
@@ -155,8 +154,7 @@ def cmd_calibrate(args) -> int:
     cp.set("time", "horizon_hours", str(horizon))   # the runs read it, so does the manifest
     cfg = replace(cfg, horizon_hours=horizon)
 
-    initial = reduced_model_initial_guess(measurements, cfg,
-                                          oxide_share=settings.oxide_share)
+    initial = warm_start(measurements, cfg, oxide_share=settings.oxide_share)
     lo, hi = settings.bounds
     initial = type(initial)(*(min(max(v, lo), hi) for v in
                               (initial.d_g, initial.d_s, initial.d_o)))
@@ -344,3 +342,7 @@ def run_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -15,17 +15,14 @@ Gauss-Legendre rule (the exponents are small).  The SO2 Stefan condition
 alone fixes K_b, the O Robin condition O(beta), and the cuprite Stefan
 condition K_a: two bisections (``similarity``).  The Stefan groups are
 linear in the layer porosities (Omega_s in n_b, Omega_g in n_p, gamma_o in
-1/n_b), so the same conditions at given K's yield the porosities of a
-given state in closed form (``exact_porosities``).
+1/n_b) and in d_s and d_g, so the same conditions at given K's yield the
+porosities of a given state in closed form (``exact_porosities``) and its
+d_s and d_g by a fixed point (``exact_diffusivities``, calibration's warm
+start).  Calibration also scores chamber data by ``exact_fronts``.
 
-The order checks drive ``imex_midpoint_step`` itself:
-
-* temporal order with frozen fronts: Gaussian bumps of S, O and G advected
-  and diffused on unit layers, each step size against a run at 1/64 of
-  the smallest one;
-* temporal order with moving fronts: the chamber run on a coarse grid with
-  both step caps (cfl_target, dt_max) divided by 1, 2, 4, 8 and 16, the
-  error at each divisor being the change of the fronts at the next one.
+The temporal order checks, with frozen fronts and with moving ones
+(``frozen_front_temporal_errors``, ``moving_front_temporal_errors``), drive
+``imex_midpoint_step`` itself.
 """
 
 from __future__ import annotations
@@ -43,6 +40,8 @@ from .stepper import NondimModel, imex_midpoint_step
 __all__ = [
     "similarity",
     "exact_porosities",
+    "exact_diffusivities",
+    "exact_fronts",
     "exact_front_errors",
     "observed_orders",
     "frozen_bump_problem",
@@ -146,16 +145,36 @@ def exact_porosities(cfg: SimulationConfig, a_cm: float, b_cm: float,
     return n_b, omega_g(k_b, unit.gamma_o / n_b)(k_a) / unit.omega_g
 
 
-def exact_front_errors(cfg: SimulationConfig, record: OutputRecord) -> tuple[float, float, float]:
-    """Signed relative errors of a, b and the total thickness of ``record``
-    against the exact solution at the record's time."""
+def exact_diffusivities(cfg: SimulationConfig, k_a: float, k_b: float) -> Diffusivities:
+    """The inverse of ``similarity`` in d_s and d_g, d_o kept; raises its ValueErrors.
+
+    Omega_s is linear in d_s and Omega_g in d_g; their fluxes, taken at the
+    config's diffusivities first, are updated until these stop changing.
+    """
+    unit = stefan_constants(cfg.materials, Diffusivities(1.0, 1.0, 1.0).hatted(cfg.scales),
+                            cfg.scales)
+    d, seen = cfg.diffusivities, set()
+    while d not in seen:
+        seen.add(d)
+        _, _, omega_s, omega_g = _stefan_groups(replace(cfg, diffusivities=d))
+        d = replace(d, d_s=omega_s(k_b) / unit.omega_s,
+                    d_g=omega_g(k_b, unit.gamma_o)(k_a) / unit.omega_g)
+    return d
+
+
+def exact_fronts(cfg: SimulationConfig, hours):
+    """Exact a, b and total (1+omega_p)*a + omega_b*b in cm at ``hours`` (number or array)."""
     k_a, k_b = similarity(cfg)
     sw = swelling_ratios(cfg.materials)
-    root = math.sqrt(record.t_hours * SECONDS_PER_HOUR / cfg.scales.t_r)
-    a, b = k_a * root, k_b * root
-    exact = (a, b, (1.0 + sw.omega_p) * a + sw.omega_b * b)
+    root = np.sqrt(np.asarray(hours, dtype=float) * SECONDS_PER_HOUR / cfg.scales.t_r)
+    a, b = k_a * root * cfg.scales.lam, k_b * root * cfg.scales.lam
+    return a, b, (1.0 + sw.omega_p) * a + sw.omega_b * b
+
+
+def exact_front_errors(cfg: SimulationConfig, record: OutputRecord) -> tuple[float, float, float]:
+    """Signed relative errors of a, b and the total of ``record`` against the exact solution."""
     got = (record.a_cm, record.b_cm, record.total_cm)
-    return tuple(g / cfg.scales.lam / e - 1.0 for g, e in zip(got, exact))
+    return tuple(float(g / e - 1.0) for g, e in zip(got, exact_fronts(cfg, record.t_hours)))
 
 
 def observed_orders(errors: list[tuple[float, float]]) -> list[float]:

@@ -24,7 +24,7 @@ from conftest import assert_output_invariants
 from patina.calibration import (
     calibrate,
     load_measurements,
-    reduced_model_initial_guess,
+    warm_start,
     weighted_residual,
 )
 from patina.config import build_simulation_config, load_settings
@@ -76,7 +76,7 @@ def paper_residual(reference_run, measurements):
 
 @pytest.fixture(scope="session")
 def calibration(default_cfg, measurements):
-    guess = reduced_model_initial_guess(measurements, default_cfg)
+    guess = warm_start(measurements, default_cfg)
     return calibrate(guess, (1e-10, 1e-3), measurements, default_cfg, budget=200)
 
 

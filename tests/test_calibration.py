@@ -7,6 +7,7 @@ import pytest
 from scipy import linalg
 
 import patina.calibration
+import patina.convergence
 from patina.calibration import (
     JACOBIAN_STEP,
     STEP_TOL,
@@ -14,10 +15,12 @@ from patina.calibration import (
     ThicknessMeasurement,
     calibrate,
     load_measurements,
-    reduced_model_initial_guess,
     residual,
     subset_selection,
+    warm_start,
+    weighted_residual,
 )
+from patina.environment import cycle_forcing, forcing_at
 from patina.pde_core import Diffusivities
 from patina.simulation import SimulationError, run
 
@@ -32,6 +35,14 @@ def cheap_cfg(default_cfg):
     # coarse grids and a short horizon keep optimizer tests fast
     return replace(default_cfg, n_z=40, n_y=40, horizon_hours=8.0,
                    output_stride=5)
+
+
+@pytest.fixture(scope="module")
+def cycles_cfg(cheap_cfg):
+    # the SO2 stops at 6 h, within the 8 h horizon: no exact solution, so
+    # every point calibrate scores is a solver run
+    return replace(cheap_cfg, forcing=cycle_forcing(*forcing_at(cheap_cfg.forcing, 0.0),
+                                                    wet_hours=6.0, dry_hours=18.0))
 
 
 @pytest.fixture(scope="module")
@@ -129,15 +140,6 @@ class TestResidual:
         assert "step budget 3 exhausted" in err
 
 
-def test_reduced_model_guess_is_reasonable(default_cfg, table_measurements):
-    guess = reduced_model_initial_guess(table_measurements, default_cfg)
-    assert 1e-11 < guess.d_g < 1e-7
-    assert 1e-7 < guess.d_s < 1e-4
-    assert guess.d_o == default_cfg.diffusivities.d_o
-    r = residual(guess, table_measurements, default_cfg)
-    assert r < 3.0
-
-
 def count_runs(monkeypatch) -> list:
     """Diffusivities of every solver run ``calibrate`` makes from now on."""
     runs = []
@@ -152,23 +154,32 @@ def count_runs(monkeypatch) -> list:
 
 
 class TestCalibrate:
-    def test_truth_start_converges_immediately(self, cheap_cfg):
+    """The fit over solver runs (non-constant forcing) and its exact-solution
+    form (constant forcing)."""
+
+    def test_truth_start_converges_immediately(self, cycles_cfg):
         truth = Diffusivities(d_g=1e-9, d_s=5e-6, d_o=1e-5)
-        pred = predict_total_thickness(truth, cheap_cfg, [4.0, 8.0])
+        pred = predict_total_thickness(truth, cycles_cfg, [4.0, 8.0])
         meas = [ThicknessMeasurement(4.0, float(pred[0]), 0.0),
                 ThicknessMeasurement(8.0, float(pred[1]), 0.0)]
-        res = calibrate(truth, (1e-10, 1e-3), meas, cheap_cfg, budget=60)
+        res = calibrate(truth, (1e-10, 1e-3), meas, cycles_cfg, budget=60)
         assert res.residual < 1e-4 * len(meas)
         assert res.evaluations <= 60
 
-    def test_budget_exhaustion_flagged(self, cheap_cfg, monkeypatch):
+    def test_budget_exhaustion_flagged(self, cycles_cfg, cheap_cfg, monkeypatch):
         runs = count_runs(monkeypatch)
         meas = [ThicknessMeasurement(8.0, 9e-4, 1e-4)]
-        res = calibrate(cheap_cfg.diffusivities, (1e-10, 1e-3), meas,
-                        cheap_cfg, budget=6)
+        res = calibrate(cycles_cfg.diffusivities, (1e-10, 1e-3), meas,
+                        cycles_cfg, budget=6)
         assert not res.converged
         assert res.evaluations == len(runs) == 6
         assert len(res.predicted_cm) == 1
+        # under constant forcing the budget counts exact evaluations, and one
+        # run at the best of them reports the result
+        runs.clear()
+        res = calibrate(cheap_cfg.diffusivities, (1e-10, 1e-3), meas, cheap_cfg, budget=6)
+        assert not res.converged and res.evaluations == 6
+        assert runs == [res.diffusivities]
 
     def test_budget_must_cover_the_starting_jacobian(self, cheap_cfg):
         meas = [ThicknessMeasurement(8.0, 9e-4, 1e-4)]
@@ -176,51 +187,89 @@ class TestCalibrate:
             calibrate(cheap_cfg.diffusivities, (1e-10, 1e-3), meas,
                       cheap_cfg, budget=3)
 
-    def test_result_within_bounds(self, cheap_cfg):
+    def test_result_within_bounds(self, cycles_cfg):
         meas = [ThicknessMeasurement(8.0, 9e-4, 1e-4)]
-        res = calibrate(cheap_cfg.diffusivities, (1e-10, 1e-3), meas,
-                        cheap_cfg, budget=25)
+        res = calibrate(cycles_cfg.diffusivities, (1e-10, 1e-3), meas,
+                        cycles_cfg, budget=25)
         for v in (res.diffusivities.d_g, res.diffusivities.d_s,
                   res.diffusivities.d_o):
             assert 1e-10 <= v <= 1e-3
 
-    def test_one_run_per_evaluation(self, cheap_cfg, monkeypatch):
+    def test_one_run_per_evaluation(self, cycles_cfg, monkeypatch):
         runs = count_runs(monkeypatch)
         meas = [ThicknessMeasurement(4.0, 3e-4, 1e-4),
                 ThicknessMeasurement(8.0, 5e-4, 1e-4)]
-        res = calibrate(cheap_cfg.diffusivities, (1e-10, 1e-3), meas,
-                        cheap_cfg, budget=15)
+        res = calibrate(cycles_cfg.diffusivities, (1e-10, 1e-3), meas,
+                        cycles_cfg, budget=15)
         # every run counts, the four of the starting Jacobian included, and
         # no parameter point runs twice
         assert len(runs) == res.evaluations > 4
         assert len(set(runs)) == len(runs)
         # the kept run is the reported point's: a fresh run repeats it
-        fresh = predict_total_thickness(res.diffusivities, cheap_cfg, res.times_hours)
+        fresh = predict_total_thickness(res.diffusivities, cycles_cfg, [m.time_hours for m in meas])
         assert res.predicted_cm == tuple(float(p) for p in fresh)
-        assert res.residual == residual(res.diffusivities, meas, cheap_cfg)
+        assert res.residual == residual(res.diffusivities, meas, cycles_cfg)
         assert res.output.records[-1].t_hours == pytest.approx(8.0)
 
-    def test_shipped_data_fit_the_amplitude_alone(self, cheap_cfg,
-                                                  table_measurements):
-        # total thickness sees the sqrt(t) amplitude, which d_s carries most
-        # of; the d_g/d_s split and d_o stay at their start values
-        cfg = replace(cheap_cfg, horizon_hours=40.0)
-        start = reduced_model_initial_guess(table_measurements, cfg)
-        res = calibrate(start, (1e-10, 1e-3), table_measurements, cfg)
-        assert res.converged
-        assert res.fitted == ("d_s",)
-        assert len(res.singular_values) == 3
-        assert res.singular_values[1] < 1e-2 * res.singular_values[0]
-        assert res.condition > 1e3
-        assert res.diffusivities.d_g == start.d_g
-        assert res.diffusivities.d_o == start.d_o
-        assert res.residual <= residual(start, table_measurements, cfg)
+    def test_shipped_data_fit_the_amplitude_alone(self, default_cfg, table_measurements,
+                                                  monkeypatch):
+        # the exact totals are K*sqrt(t): the Jacobian has rank 1, d_s carries
+        # most of K, and the warm start already minimises the exact residual,
+        # so the fit stops after the starting Jacobian and runs the solver
+        # once, on the benchmark's grid and on the shipped one
+        runs = count_runs(monkeypatch)
+        for n in (25, 100):
+            cfg = replace(default_cfg, n_z=n, n_y=n)
+            start = warm_start(table_measurements, cfg)
+            runs.clear()
+            res = calibrate(start, (1e-10, 1e-3), table_measurements, cfg)
+            assert runs == [start]
+            assert res.converged and res.evaluations == 4
+            assert res.fitted == ("d_s",)
+            assert len(res.singular_values) == 3
+            assert res.singular_values[1] < 1e-12 * res.singular_values[0]
+            assert res.diffusivities == start
+            assert res.diffusivities.d_s == pytest.approx(4.980994e-6, rel=1e-6)
+            assert res.diffusivities.d_g == pytest.approx(6.712671e-10, rel=1e-6)
+            # predictions and residual come from the one solver run
+            predicted = res.output.thickness_at([m.time_hours for m in table_measurements])
+            assert res.predicted_cm == tuple(float(p) for p in predicted)
+            assert res.residual == weighted_residual(predicted, table_measurements)
 
-    def test_failed_start_is_a_solver_failure(self, cheap_cfg):
-        cfg = replace(cheap_cfg, max_steps=3)
+    def test_failed_start_is_a_solver_failure(self, cycles_cfg, cheap_cfg):
         meas = [ThicknessMeasurement(8.0, 9e-4, 1e-4)]
+        cfg = replace(cycles_cfg, max_steps=3)
         with pytest.raises(SimulationError, match="calibration start"):
             calibrate(cfg.diffusivities, (1e-10, 1e-3), meas, cfg)
+        # under constant forcing the start is scored without a run, and the
+        # run at the result fails
+        cfg = replace(cheap_cfg, max_steps=3)
+        with pytest.raises(SimulationError, match="calibration result"):
+            calibrate(cfg.diffusivities, (1e-10, 1e-3), meas, cfg)
+
+    def test_no_exact_solution_is_an_infinite_residual(self, cheap_cfg, table_measurements,
+                                                       monkeypatch, capsys):
+        runs = count_runs(monkeypatch)
+        starved = replace(cheap_cfg.diffusivities, d_o=1e-10)
+        with pytest.raises(SimulationError, match="calibration start"):
+            calibrate(starved, (1e-10, 1e-3), table_measurements, cheap_cfg)
+        assert runs == []
+        assert "oxygen is used up at beta" in capsys.readouterr().err
+        # inside the fit: with no solution above the start's d_s, the d_s
+        # column is zero and d_g carries the amplitude instead
+        start = warm_start(table_measurements, cheap_cfg)
+        similarity = patina.convergence.similarity
+
+        def starved_above_start(cfg):
+            if cfg.diffusivities.d_s > start.d_s:
+                raise ValueError("oxygen is used up at beta: no similarity solution")
+            return similarity(cfg)
+
+        monkeypatch.setattr(patina.convergence, "similarity", starved_above_start)
+        res = calibrate(start, (1e-10, 1e-3), table_measurements, cheap_cfg)
+        assert res.converged and res.fitted == ("d_g",)
+        assert runs == [res.diffusivities]
+        assert "oxygen is used up at beta" in capsys.readouterr().err
 
     def test_rejects_bad_inputs(self, cheap_cfg):
         meas = [ThicknessMeasurement(8.0, 9e-4, 1e-4)]
@@ -295,11 +344,13 @@ def quadratic(target):
 
 
 class TestFitRules:
-    """The fit's stop rules on residuals with no solver run behind them."""
+    """The fit's stop rules on residuals with no solver run behind them.
 
-    def test_converges_within_step_tol(self, default_cfg, monkeypatch):
+    The forcing cycles, so the fit scores every point with ``residual``."""
+
+    def test_converges_within_step_tol(self, cycles_cfg, monkeypatch):
         calls = fake_residual(monkeypatch, quadratic(-8.5))
-        res = calibrate(start_at(-7.8), BOUNDS, TWO_POINTS, default_cfg)
+        res = calibrate(start_at(-7.8), BOUNDS, TWO_POINTS, cycles_cfg)
         assert res.converged and res.fitted == ("d_s",)
         # a relative step rule (1e-3 of |log10 d_s|, 8.5e-3 decades here)
         # would stop 5e-3 decades short
@@ -309,16 +360,16 @@ class TestFitRules:
         points = [d for d, _ in calls]
         assert len(points) == len(set(points)) == res.evaluations
 
-    def test_optimum_outside_the_box_ends_on_the_bound(self, default_cfg, monkeypatch):
+    def test_optimum_outside_the_box_ends_on_the_bound(self, cycles_cfg, monkeypatch):
         calls = fake_residual(monkeypatch, lambda x: [x + 2.0])
-        res = calibrate(start_at(-6.0), BOUNDS, TWO_POINTS[:1], default_cfg)
+        res = calibrate(start_at(-6.0), BOUNDS, TWO_POINTS[:1], cycles_cfg)
         assert res.converged
         assert math.log10(res.diffusivities.d_s) == pytest.approx(-3.0, abs=1e-12)
         assert all(BOUNDS[0] <= d.d_s <= BOUNDS[1] * (1 + 1e-12) for d, _ in calls)
         points = [d for d, _ in calls]
         assert len(points) == len(set(points)) == res.evaluations
 
-    def test_a_step_that_raises_the_residual_is_not_kept(self, default_cfg, monkeypatch):
+    def test_a_step_that_raises_the_residual_is_not_kept(self, cycles_cfg, monkeypatch):
         # linear below the optimum and saturating above it: from above, the
         # first step overshoots to the lower bound, where the residual is 9
         def deviations(x):
@@ -326,7 +377,7 @@ class TestFitRules:
             return [e if e <= 0.0 else math.atan(3.0 * e) / 3.0]
 
         calls = fake_residual(monkeypatch, deviations)
-        res = calibrate(start_at(-5.5), BOUNDS, TWO_POINTS[:1], default_cfg)
+        res = calibrate(start_at(-5.5), BOUNDS, TWO_POINTS[:1], cycles_cfg)
         assert res.converged
         assert abs(math.log10(res.diffusivities.d_s) + 7.0) < STEP_TOL
         assert max(r for _, r in calls) > 10.0 * calls[0][1]
@@ -338,21 +389,21 @@ class TestFitRules:
         assert kept[0] == calls[0][1] and len(kept) > 2
         assert all(b < a for a, b in zip(kept, kept[1:]))
 
-    def test_one_run_too_few_is_not_converged(self, default_cfg, monkeypatch):
+    def test_one_run_too_few_is_not_converged(self, cycles_cfg, monkeypatch):
         calls = fake_residual(monkeypatch, quadratic(-8.5))
-        full = calibrate(start_at(-7.8), BOUNDS, TWO_POINTS, default_cfg)
+        full = calibrate(start_at(-7.8), BOUNDS, TWO_POINTS, cycles_cfg)
         assert full.converged and full.evaluations == len(calls)
-        short = calibrate(start_at(-7.8), BOUNDS, TWO_POINTS, default_cfg,
+        short = calibrate(start_at(-7.8), BOUNDS, TWO_POINTS, cycles_cfg,
                           budget=full.evaluations - 1)
         assert not short.converged
         assert short.evaluations == full.evaluations - 1
-        exact = calibrate(start_at(-7.8), BOUNDS, TWO_POINTS, default_cfg,
+        exact = calibrate(start_at(-7.8), BOUNDS, TWO_POINTS, cycles_cfg,
                           budget=full.evaluations)
         assert exact.converged and exact.diffusivities == full.diffusivities
 
-    def test_a_flat_residual_fits_nothing(self, default_cfg, monkeypatch):
+    def test_a_flat_residual_fits_nothing(self, cycles_cfg, monkeypatch):
         calls = fake_residual(monkeypatch, lambda x: [0.5, -0.5])
-        res = calibrate(start_at(-6.0), BOUNDS, TWO_POINTS, default_cfg)
+        res = calibrate(start_at(-6.0), BOUNDS, TWO_POINTS, cycles_cfg)
         assert res.converged and res.fitted == ()
         assert res.singular_values == (0.0, 0.0)
         # the base run and one per parameter, then no fit

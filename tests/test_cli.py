@@ -7,6 +7,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import patina
+import patina.calibration
 import patina.cli
 import patina.simulation
 from patina.cli import run_main
@@ -132,6 +134,20 @@ def test_calibrate_cli(tmp_path, capsys):
     assert manifest["resolved_config"]["calibration"]["budget"] == "25"
     assert manifest["resolved_config"]["grid"] == {"n_z": "40", "n_y": "40"}
     assert len(manifest["calibration"]["singular_values"]) == 1
+
+
+def test_calibrate_oxygen_starved_start_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    # the warm start has no exact solution when oxygen is used up at beta,
+    # so the command stops there instead of stepping a collapsing run
+    runs = []
+    monkeypatch.setattr(patina.calibration, "run", runs.append)
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text("[diffusivities]\nd_o = 1e-10\n")
+    code = run_main(["calibrate", "--config", str(cfgfile), "--measurements",
+                     "data/thickness_measures.csv", "--out", str(tmp_path / "cal")])
+    assert code == 1
+    assert "oxygen is used up at beta" in capsys.readouterr().err
+    assert runs == []
 
 
 def test_calibrate_empty_measurements(tmp_path, capsys):
@@ -434,3 +450,13 @@ def test_calibrate_leaves_scipy_linalg_and_optimize_unloaded(tmp_path):
          "--out", str(tmp_path / "cal")],
         ("scipy.linalg", "scipy.optimize"))
     assert code == 0, err
+
+
+@pytest.mark.parametrize("module", ["patina", "patina.cli"])
+def test_python_m_runs_the_command_line(module):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", module, "--version"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"patina {patina.__version__}\n"

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from patina import stepper
-from patina.calibration import ThicknessMeasurement, reduced_model_initial_guess
+from patina.calibration import ThicknessMeasurement, warm_start
 from patina.config import build_simulation_config, load_settings
-from patina.convergence import exact_front_errors, exact_porosities, similarity
+from patina.convergence import (
+    exact_diffusivities,
+    exact_front_errors,
+    exact_fronts,
+    exact_porosities,
+    similarity,
+)
 from patina.environment import Forcing, constant_chamber_forcing, cycle_forcing
 from patina.materials import swelling_ratios
 from patina.pde_core import Diffusivities
@@ -58,6 +64,21 @@ def test_exact_porosities_invert_similarity(path):
     assert n_p == pytest.approx(cfg.materials.n_p, rel=1e-12)
 
 
+def elsewhere(d: Diffusivities) -> Diffusivities:
+    """A start for the inverse's fixed point away from ``d`` (d_o kept)."""
+    return Diffusivities(d_g=10.0 * d.d_g, d_s=0.1 * d.d_s, d_o=d.d_o)
+
+
+@pytest.mark.parametrize("path", [None, REFERENCE_CONFIG], ids=["default", "literature"])
+def test_exact_diffusivities_invert_similarity(path):
+    cfg = build_simulation_config(load_settings(path))
+    d = exact_diffusivities(replace(cfg, diffusivities=elsewhere(cfg.diffusivities)),
+                            *similarity(cfg))
+    assert d.d_s == pytest.approx(cfg.diffusivities.d_s, rel=1e-12)
+    assert d.d_g == pytest.approx(cfg.diffusivities.d_g, rel=1e-12)
+    assert d.d_o == cfg.diffusivities.d_o
+
+
 @pytest.mark.parametrize("forcing", [
     cycle_forcing(5e-7, 2.6e-4),
     Forcing("time-series", [0.0, 1.0], [5e-7, 5e-7], 2.6e-4),
@@ -69,6 +90,8 @@ def test_no_exact_solution_is_an_error(default_cfg, forcing):
         similarity(cfg)
     with pytest.raises(ValueError, match="exact solution needs"):
         exact_porosities(cfg, PRINTED_A_CM, PRINTED_B_CM, 40.0)
+    with pytest.raises(ValueError, match="exact solution needs"):
+        exact_diffusivities(cfg, 1.0, 1.0)
 
 
 def test_calibration_box(default_cfg):
@@ -91,18 +114,19 @@ def test_calibration_box(default_cfg):
 
 
 def test_warm_start_inverts_the_exact_totals(default_cfg):
-    # reduced_model_initial_guess is the solution's linear-profile limit:
-    # fed the exact totals and oxide share it returns the diffusivities
+    # fed the exact totals and the exact oxide share, the warm start returns
+    # the diffusivities, from a fixed-point start away from them
     sw = swelling_ratios(default_cfg.materials)
     k_a, k_b = similarity(default_cfg)
     oxide, outer = (1.0 + sw.omega_p) * k_a - k_b, (1.0 + sw.omega_b) * k_b
-    totals = [(oxide + outer) * math.sqrt(t) * default_cfg.scales.lam for t in (8.0, 24.0, 40.0)]
+    hours = (8.0, 24.0, 40.0)
     measurements = [ThicknessMeasurement(t, total, 0.1 * total)
-                    for t, total in zip((8.0, 24.0, 40.0), totals)]
-    guess = reduced_model_initial_guess(measurements, default_cfg,
-                                        oxide_share=oxide / (oxide + outer))
-    assert guess.d_s == pytest.approx(default_cfg.diffusivities.d_s, rel=1e-6)
-    assert guess.d_g == pytest.approx(default_cfg.diffusivities.d_g, rel=1e-3)
+                    for t, total in zip(hours, exact_fronts(default_cfg, hours)[2])]
+    start = replace(default_cfg, diffusivities=elsewhere(default_cfg.diffusivities))
+    guess = warm_start(measurements, start, oxide_share=oxide / (oxide + outer))
+    assert guess.d_s == pytest.approx(default_cfg.diffusivities.d_s, rel=1e-12)
+    assert guess.d_g == pytest.approx(default_cfg.diffusivities.d_g, rel=1e-12)
+    assert guess.d_o == default_cfg.diffusivities.d_o
 
 
 def test_half_step_run_meets_the_exact_solution_and_advection_matters(default_cfg,
