@@ -3,7 +3,7 @@
 
 Usage (from anywhere inside the repository):
 
-    python3 scripts/mutation_check.py [PYTEST_ARGS...]
+    python3 scripts/mutation_check.py [--defect NAME]... [PYTEST_ARGS...]
 
 Each entry of DEFECTS names one seeded defect as a (file, old, new) string
 triple: ``old`` must occur exactly once in ``src/patina/<file>`` and is
@@ -14,10 +14,13 @@ failure, with the copy first on PYTHONPATH.  It prints one line per defect
 with the first failing test, TIMEOUT when the suite has not finished after
 TIMEOUT_S (it takes about a minute on a 2-core machine, so a defect that
 stalls the runs counts as caught), or SURVIVED when every test passes.
-Extra arguments go to pytest, e.g. a test file to run instead of the whole
-suite.  Exit code 0 when every defect is caught, 1 otherwise.
+Each ``--defect NAME`` (a key of DEFECTS, quoted) runs that defect alone;
+without one every defect runs, each a suite run of up to a minute.  Other
+arguments go to pytest, e.g. a test file to run instead of the whole suite.
+Exit code 0 when every defect run is caught, 1 otherwise.
 """
 
+import argparse
 import os
 import re
 import shutil
@@ -93,6 +96,16 @@ DEFECTS = {
         "calibration.py", "predicted_cm=tuple(float(p) for p in best.output.thickness_at(times)),",
         "predicted_cm=tuple(float(p) for p in (best.output.thickness_at(times) if score is residual"
         " else exact_fronts(replace(cfg, diffusivities=best_d), times)[2])),"),
+    "landing skipped on cycle switches": (
+        "environment.py", 'if forcing.mode == "constant-chamber" or',
+        'if forcing.mode == "cycle-schedule" or'),
+    "landing skipped on samples": (
+        "environment.py", "return times[bisect_right(times, 0.0):bisect_left(times, horizon_hours)]",
+        "return []"),
+    "sliver split dropped": (
+        "simulation.py", "elif remaining < 2.0 * dt:", "elif False:"),
+    "derived dt_max ignored (always 0.25)": (
+        "config.py", "else default_dt_max(forcing, scales.t_r)", "else CHAMBER_DT_MAX"),
 }
 
 
@@ -114,8 +127,13 @@ def first_failure(src: str, pytest_args: list[str]) -> str | None:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(allow_abbrev=False, description=__doc__.split("\n")[0])
+    parser.add_argument("--defect", action="append", choices=list(DEFECTS), metavar="NAME",
+                        help="run only this defect (repeatable)")
+    args, pytest_args = parser.parse_known_args()
     survived = 0
-    for name, (file, old, new) in DEFECTS.items():
+    for name in args.defect or DEFECTS:
+        file, old, new = DEFECTS[name]
         with tempfile.TemporaryDirectory() as tmp:
             src = os.path.join(tmp, "src")
             shutil.copytree(os.path.join(ROOT, "src"), src,
@@ -127,7 +145,7 @@ def main() -> int:
                 raise SystemExit(f"{name}: {old!r} occurs {text.count(old)} times in {file}")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text.replace(old, new))
-            failure = first_failure(src, sys.argv[1:])
+            failure = first_failure(src, pytest_args)
         survived += failure is None
         print(f"{name:50s} {failure or 'SURVIVED'}", flush=True)
     return 1 if survived else 0

@@ -114,6 +114,7 @@ def _sim_config(args):
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     cp, cfg = _sim_config(args)
+    cp.set("time", "dt_max", str(cfg.dt_max))   # derived when blank; the manifest records it
     output = run(cfg)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "simulation.csv")
@@ -152,6 +153,7 @@ def cmd_calibrate(args) -> int:
               file=sys.stderr)
     horizon = max(cfg.horizon_hours, max(m.time_hours for m in measurements))
     cp.set("time", "horizon_hours", str(horizon))   # the runs read it, so does the manifest
+    cp.set("time", "dt_max", str(cfg.dt_max))
     cfg = replace(cfg, horizon_hours=horizon)
 
     initial = warm_start(measurements, cfg, oxide_share=settings.oxide_share)

@@ -28,7 +28,7 @@ from .environment import (
 )
 from .materials import DEFAULT_MATERIALS, MaterialTable
 from .pde_core import Diffusivities, Scales
-from .simulation import SimulationConfig
+from .simulation import SECONDS_PER_HOUR, SimulationConfig
 
 __all__ = [
     "CalibrationSettings",
@@ -36,6 +36,7 @@ __all__ = [
     "load_settings",
     "build_simulation_config",
     "build_calibration_settings",
+    "default_dt_max",
 ]
 
 # Diffusivities produced by this repo's own calibration against
@@ -58,7 +59,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "grid": {"n_z": "100", "n_y": "100"},
     "seeds": {"a0": "1e-2", "b0": "8e-3"},
     "time": {
-        "dt_max": "0.25",
+        "dt_max": "",                # blank: derived from the forcing (default_dt_max)
         "cfl_target": "0.8",
         "horizon_hours": "40",
         "output_stride": "10",
@@ -83,6 +84,9 @@ DEFAULTS: dict[str, dict[str, str]] = {
     # repr round-trips, so the defaults are DEFAULT_MATERIALS bit for bit
     "materials": {k: repr(v) for k, v in asdict(DEFAULT_MATERIALS).items()},
 }
+
+# the step cap, non-dimensional, of a blank dt_max under chamber and cycles forcing
+CHAMBER_DT_MAX = 0.25
 
 # keys read as text and keys read as int; every other key is a float
 _TEXT_KEYS = {"mode", "env_csv"}
@@ -122,7 +126,7 @@ def load_settings(path=None) -> configparser.ConfigParser:
             for key, value in seen.items(section):
                 if not cp.has_option(section, key):
                     raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-                # a number may be blank only where its default is (the derived scales)
+                # a number may be blank only where its default is (the derived entries)
                 if key not in _TEXT_KEYS and (value or cp.get(section, key)):
                     try:
                         _number(seen, section, key)
@@ -171,22 +175,38 @@ def _forcing_from(cp) -> Forcing:
     raise ValueError(f"unknown forcing mode {mode!r}")
 
 
+def default_dt_max(forcing: Forcing, t_r: float) -> float:
+    """The step cap, non-dimensional, that a blank ``[time] dt_max`` stands for.
+
+    A time series of two or more samples steps at most from one sample to
+    the next, so its cap is the longest interval between samples (1 h for
+    hourly data); every other forcing takes CHAMBER_DT_MAX.
+    """
+    times = forcing.times
+    if forcing.mode != "time-series" or len(times) < 2:
+        return CHAMBER_DT_MAX
+    return max(later - earlier for earlier, later in zip(times, times[1:])) * SECONDS_PER_HOUR / t_r
+
+
 def build_simulation_config(cp) -> SimulationConfig:
     """Assemble a SimulationConfig from the parsed settings alone."""
+    scales = _scales_from(cp)
+    forcing = _forcing_from(cp)
+    dt_max = cp.get("time", "dt_max")
     return SimulationConfig(
-        scales=_scales_from(cp),
+        scales=scales,
         diffusivities=Diffusivities(
             d_g=_number(cp, "diffusivities", "d_g"),
             d_s=_number(cp, "diffusivities", "d_s"),
             d_o=_number(cp, "diffusivities", "d_o"),
         ),
         materials=_materials_from(cp),
-        forcing=_forcing_from(cp),
+        forcing=forcing,
         n_z=_number(cp, "grid", "n_z"),
         n_y=_number(cp, "grid", "n_y"),
         a0=_number(cp, "seeds", "a0"),
         b0=_number(cp, "seeds", "b0"),
-        dt_max=_number(cp, "time", "dt_max"),
+        dt_max=float(dt_max) if dt_max else default_dt_max(forcing, scales.t_r),
         cfl_target=_number(cp, "time", "cfl_target"),
         horizon_hours=_number(cp, "time", "horizon_hours"),
         output_stride=_number(cp, "time", "output_stride"),

@@ -14,13 +14,16 @@ SO2 comes from the ideal gas law when given in ppm, or a straight unit
 conversion when given in ug/m3.  Water takes no part in the front motion,
 so the temperature and humidity columns of monitoring data are validated
 but feed no boundary value.
+
+:func:`breakpoints` lists where the forcing breaks (cycle switches, sample
+times), so that the time loop can end a step on each.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .materials import DEFAULT_MATERIALS
@@ -33,6 +36,7 @@ __all__ = [
     "cycle_forcing",
     "load_timeseries",
     "forcing_at",
+    "breakpoints",
 ]
 
 GAS_CONSTANT = 8.314462618          # J/(mol K)
@@ -208,3 +212,23 @@ def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float]:
         return so2[j], forcing.oxygen
     slope = (so2[j + 1] - so2[j]) / (times[j + 1] - t_j)
     return slope * (t_hours - t_j) + so2[j], forcing.oxygen
+
+
+def breakpoints(forcing: Forcing, horizon_hours: float) -> list[float]:
+    """Times in (0, ``horizon_hours``), in hours and increasing, at which the
+    forcing breaks.
+
+    These are the switches of a cycle schedule, where SO2 jumps, and the
+    sample times of a time series, where its slope jumps.  Constant forcing
+    has none, and neither has a cycle schedule without a dry phase.
+    """
+    if forcing.mode == "time-series":
+        times = forcing.times
+        return times[bisect_right(times, 0.0):bisect_left(times, horizon_hours)]
+    if forcing.mode == "constant-chamber" or forcing.dry_hours == 0.0:
+        return []
+    period = forcing.wet_hours + forcing.dry_hours
+    switches = []
+    for k in range(math.ceil(horizon_hours / period)):
+        switches += [k * period + forcing.wet_hours, (k + 1) * period]
+    return [t for t in switches if t < horizon_hours]

@@ -6,6 +6,16 @@ CFL bound, and emits one record per output row: the front positions and
 layer thicknesses in cm, exactly the columns of ``simulation.csv``.  The
 run totals (steps, clamp counts, lowest concentration) are kept once, on
 the :class:`SimulationOutput`.
+
+Step control.  Each step is the CFL bound capped by ``dt_max`` and by the
+horizon.  No step crosses a breakpoint of the forcing (a cycle switch or a
+time-series sample, :func:`patina.environment.breakpoints`): a step that
+would reach one ends on it, and time is set to the breakpoint itself.  When
+the next breakpoint lies between one and two steps ahead, the step covers
+half the distance, so no sliver step is left before it: the midpoint stage
+is not L-stable, and a sliver followed by a long step lets the stiff modes
+ring.  The horizon gets no such split, as no step follows it.  Under
+constant forcing there are no breakpoints.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .environment import Forcing, forcing_at
+from .environment import Forcing, breakpoints, forcing_at
 from .materials import MaterialTable, swelling_ratios
 from .pde_core import (
     Diffusivities,
@@ -178,6 +188,10 @@ def run(cfg: SimulationConfig) -> SimulationOutput:
     records = [_record(cfg, 0.0, fronts)]
     min_concentration = fields.min_value()
 
+    # where the forcing breaks, latest first, so the next one is breaks[-1]
+    breaks = [t * SECONDS_PER_HOUR / cfg.scales.t_r
+              for t in reversed(breakpoints(cfg.forcing, cfg.horizon_hours))]
+
     tau = 0.0
     step_index = 0
     tau_stop = tau_end * (1.0 - 1e-12)
@@ -185,6 +199,14 @@ def run(cfg: SimulationConfig) -> SimulationOutput:
         dt = select_dt(fronts, model.dz, model.dy, cfg.cfl_target, cfg.dt_max,
                        model.sw.omega_p)
         dt = min(dt, tau_end - tau)
+        lands = False
+        if breaks:
+            remaining = breaks[-1] - tau
+            lands = remaining <= dt
+            if lands:
+                dt = remaining
+            elif remaining < 2.0 * dt:
+                dt = 0.5 * remaining     # no sliver step before the break
         try:
             fields, fronts = imex_midpoint_step(fields, fronts, tau, dt, model, counters)
         except Exception as exc:
@@ -192,7 +214,7 @@ def run(cfg: SimulationConfig) -> SimulationOutput:
             raise SimulationError(
                 f"step {step_index} at t = {t_hours:.6g} h (dt = {dt:.3g}): {exc}"
             ) from exc
-        tau += dt
+        tau = breaks.pop() if lands else tau + dt
         step_index += 1
         if step_index % cfg.output_stride == 0 and tau < tau_end:
             records.append(_record(cfg, tau, fronts))

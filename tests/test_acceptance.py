@@ -27,7 +27,7 @@ from patina.calibration import (
     warm_start,
     weighted_residual,
 )
-from patina.config import build_simulation_config, load_settings
+from patina.config import build_simulation_config, default_dt_max, load_settings
 from patina.convergence import (
     exact_front_errors,
     frozen_front_temporal_errors,
@@ -240,12 +240,20 @@ def test_criterion7_environment_pipeline(tmp_path_factory, calibrated_cfg,
     _synthetic_year_csv(path)
     forcing = load_timeseries(path)
     assert len(forcing.times) == 8760
+    # the dt_max a blank config entry gives this series: its 1 h sampling
     cfg = replace(calibrated_cfg, forcing=forcing, horizon_hours=8760.0,
+                  dt_max=default_dt_max(forcing, calibrated_cfg.scales.t_r),
                   output_stride=200, max_steps=5_000_000)
+    assert cfg.dt_max == 1.0
     started = time.perf_counter()
     out = run(cfg)
     wall = time.perf_counter() - started
     assert_output_invariants(out, sw, cfg.scales.lam)
+    # one step per sample, and the CFL-limited steps of the first hours
+    # (9633 steps measured, 1.10 per hour)
+    steps_per_hour = out.steps / 8760.0
+    assert steps_per_hour <= 1.15
+    assert out.field_clamps == out.velocity_clamps == 0
 
     # low ambient SO2 must grow brochantite slower than the chamber, per hour
     year_rate = (out.records[-1].h_b_cm - out.records[0].h_b_cm) / 8760.0

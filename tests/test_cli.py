@@ -133,6 +133,7 @@ def test_calibrate_cli(tmp_path, capsys):
     assert manifest["calibration"]["fitted"] == fitted
     assert manifest["resolved_config"]["calibration"]["budget"] == "25"
     assert manifest["resolved_config"]["grid"] == {"n_z": "40", "n_y": "40"}
+    assert manifest["resolved_config"]["time"]["dt_max"] == "0.25"
     assert len(manifest["calibration"]["singular_values"]) == 1
 
 
@@ -326,10 +327,24 @@ def test_blank_scale_is_derived_and_blank_number_is_bad(tmp_path, capsys):
     cfgfile.write_text("[scales]\ns_r_gcm3 =\n")
     assert run_main(["simulate", "--chamber", "--horizon-hours", "0.1",
                      "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
-    cfgfile.write_text("[time]\ndt_max =\n")
+    cfgfile.write_text("[time]\ncfl_target =\n")
     assert run_main(["simulate", "--chamber", "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")]) == 1
-    assert "[time] dt_max: bad number ''" in capsys.readouterr().err
+    assert "[time] cfl_target: bad number ''" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("forcing, dt_max", [
+    (["--chamber"], "0.25"), (["--env", "env.csv"], "1.0"),
+    (["--env", "env.csv", "--config", "capped.ini"], "0.5"),
+])
+def test_manifest_records_the_dt_max_the_run_used(tmp_path, monkeypatch, forcing, dt_max):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "env.csv").write_text(
+        "time_hours,so2_ugm3,temp_c,rh_percent\n0,10,20,60\n1,10,20,60\n")
+    (tmp_path / "capped.ini").write_text("[time]\ndt_max = 0.5\n")
+    assert run_main(["simulate", "--horizon-hours", "0.5", "--out", "o"] + forcing) == 0
+    settings = json.loads((tmp_path / "o" / "manifest.json").read_text())["resolved_config"]
+    assert settings["time"]["dt_max"] == dt_max
 
 
 @pytest.mark.parametrize("argv, section, key, value", [

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from patina.environment import (
     Forcing,
+    breakpoints,
     constant_chamber_forcing,
     cycle_forcing,
     forcing_at,
@@ -44,6 +45,21 @@ def test_cycle_forcing_phases():
     assert s == 4.99e-7 and o == 2.6e-4
     s, _ = forcing_at(f, 7.999)
     assert s == 4.99e-7
+
+
+def test_breakpoints_are_the_switches_and_samples_inside_the_horizon():
+    assert breakpoints(constant_chamber_forcing(4.99e-7), 100.0) == []
+    cycles = cycle_forcing(4.99e-7, wet_hours=8.0, dry_hours=16.0)
+    assert breakpoints(cycles, 48.0) == [8.0, 24.0, 32.0]
+    assert breakpoints(cycles, 50.0) == [8.0, 24.0, 32.0, 48.0]
+    # without a dry phase the SO2 never switches
+    assert breakpoints(cycle_forcing(4.99e-7, wet_hours=8.0, dry_hours=0.0), 50.0) == []
+    series = Forcing("time-series", [-1.0, 0.0, 0.5, 2.5, 4.0], [1e-11] * 5, 2.6e-4)
+    assert breakpoints(series, 2.5) == [0.5]
+    assert breakpoints(series, 10.0) == [0.5, 2.5, 4.0]
+    # the switch times are those at which forcing_at changes value
+    for t in breakpoints(cycles, 100.0):
+        assert forcing_at(cycles, t * (1 - 1e-12)) != forcing_at(cycles, t * (1 + 1e-12))
 
 
 def test_cycle_forcing_validation():

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import assert_output_invariants
 import patina.simulation
-from patina.config import build_simulation_config, load_settings
-from patina.environment import constant_chamber_forcing, cycle_forcing
+from patina.config import build_simulation_config, default_dt_max, load_settings
+from patina.environment import Forcing, breakpoints, constant_chamber_forcing, cycle_forcing
 from patina.materials import DEFAULT_MATERIALS, SwellingRatios, mole_balance, swelling_ratios
 from patina.pde_core import Scales
 from patina.simulation import (
@@ -160,6 +160,83 @@ class TestRun:
         assert dev > 0.02
         # copper/cuprite leg is untouched by an omega_b fault
         assert rep.ratio_copper_cuprite == pytest.approx(2.0, rel=1e-9)
+
+
+def _recorded_steps(cfg, monkeypatch):
+    """The run's output and the (tau, dt) of each of its steps, taken where
+    the time loop calls the stepper."""
+    steps = []
+    step = patina.simulation.imex_midpoint_step
+
+    def recording(fields, fs, tau, dt, *args, **kwargs):
+        steps.append((tau, dt))
+        return step(fields, fs, tau, dt, *args, **kwargs)
+
+    monkeypatch.setattr(patina.simulation, "imex_midpoint_step", recording)
+    return run(cfg), steps
+
+
+class TestStepControl:
+    @pytest.mark.parametrize("forcing", [
+        cycle_forcing(4.99e-7, wet_hours=2.5, dry_hours=1.5),
+        Forcing("time-series", [0.0, 0.4, 1.0, 2.7, 3.0, 5.5, 9.0, 20.0],
+                [4e-11, 1e-10, 2e-11, 3e-10, 0.0, 8e-11, 5e-11, 1e-10], 2.6e-4),
+    ], ids=["cycles", "time-series"])
+    def test_steps_land_on_every_breakpoint(self, default_cfg, forcing, monkeypatch):
+        # t_r is one hour, so tau reads in hours
+        cfg = replace(default_cfg, forcing=forcing, horizon_hours=12.0, n_z=25, n_y=25)
+        assert cfg.scales.t_r == 3600.0
+        breaks = breakpoints(forcing, cfg.horizon_hours)
+        assert len(breaks) >= 5
+        out, steps = _recorded_steps(cfg, monkeypatch)
+        starts = [tau for tau, _ in steps]
+        for b in breaks:
+            # the step that follows starts on the break itself, not near it
+            k = starts.index(b)
+            tau, dt = steps[k - 1]
+            assert tau + dt == pytest.approx(b, rel=1e-14)
+            # no sliver: the landing step is at least half of the one before
+            assert dt >= 0.5 * steps[k - 2][1]
+        assert not [(tau, dt) for tau, dt in steps for b in breaks
+                    if tau < b < (tau + dt) * (1.0 - 1e-14)]
+        assert out.records[-1].t_hours == pytest.approx(12.0, rel=1e-12)
+
+    def test_cycles_match_a_refined_run(self, default_cfg):
+        # 48 h of 8 h wet / 16 h dry cycles on a 25 x 25 grid, against the
+        # same run at cfl_target and dt_max / 8 (7315 steps, also landing).
+        # Measured: a +1.19e-4, b +5.8e-6; a run whose steps cross the
+        # switches is -5.8e-4 and -1.0e-3 off.
+        cfg = replace(default_cfg, forcing=cycle_forcing(float(default_cfg.forcing.so2[0]),
+                                                         default_cfg.forcing.oxygen),
+                      horizon_hours=48.0, n_z=25, n_y=25)
+        fine = run(replace(cfg, cfl_target=cfg.cfl_target / 8, dt_max=cfg.dt_max / 8)).records[-1]
+        shipped = run(cfg).records[-1]
+        assert abs(shipped.a_cm / fine.a_cm - 1.0) <= 1.5e-4
+        assert abs(shipped.b_cm / fine.b_cm - 1.0) <= 1e-5
+
+    @pytest.mark.parametrize("t_r, mode, csv_times, expected", [
+        ("3600", "chamber", None, 0.25),
+        ("3600", "cycles", None, 0.25),
+        ("3600", "timeseries", [0, 1, 2, 3], 1.0),
+        ("3600", "timeseries", [0, 1, 3.5, 4], 2.5),
+        ("1800", "timeseries", [0, 1, 2, 3], 2.0),   # tau counts half hours
+        ("3600", "timeseries", [0], 0.25),
+    ])
+    def test_blank_dt_max_is_derived_from_the_forcing(self, tmp_path, t_r, mode,
+                                                      csv_times, expected):
+        text = f"[scales]\nt_r_s = {t_r}\n[forcing]\nmode = {mode}\n"
+        if csv_times is not None:
+            (tmp_path / "env.csv").write_text(
+                "time_hours,so2_ugm3,temp_c,rh_percent\n"
+                + "".join(f"{t},10,20,60\n" for t in csv_times))
+            text += "env_csv = env.csv\n"
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(text)
+        cfg = build_simulation_config(load_settings(cfgfile))
+        assert cfg.dt_max == expected == default_dt_max(cfg.forcing, cfg.scales.t_r)
+        # a number in the config caps every forcing
+        cfgfile.write_text(text + "[time]\ndt_max = 0.1\n")
+        assert build_simulation_config(load_settings(cfgfile)).dt_max == 0.1
 
 
 class TestOutputCsv:
