@@ -23,7 +23,7 @@ seeded year that of the benchmark's year workload at seed 1
 the working tree.  Each simulate job's simulation.csv and the calibrate
 job's calibration.csv (fitted values, residual, evaluation count and
 predictions) are compared byte for byte; for a job that differs the first
-differing line is printed.
+differing line and the number of differing lines are printed.
 
 The CSVs print 6 significant digits, so equal bytes do not prove equal
 numbers.  Each child therefore also notes its results at full precision:
@@ -33,8 +33,10 @@ read by name and packed as IEEE doubles, with the step and clamp counts
 CSVs print); for the calibrate job the
 fitted diffusivities, the residual, the evaluation count, the fitted
 parameters and the singular values as ``repr``.  Those notes must match
-too.  Exit code 0 when every job matches, 1 when any differs or fails to
-run.  The reference and calibrate jobs take up to a minute per tree each,
+too.  When a simulate job's records differ, the largest relative
+difference of each CSV column is printed, and whether the step and clamp
+counts match.  Exit code 0 when every job matches, 1 when any differs or
+fails to run.  The reference and calibrate jobs take up to a minute per tree each,
 the whole comparison a few minutes.
 """
 
@@ -49,8 +51,10 @@ ROOT = os.path.dirname(SCRIPTS)
 # run_year_synthetic imports patina, so the working tree's src goes on the path
 sys.path[:0] = [SCRIPTS, os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 
+import numpy as np                # noqa: E402
 import inputs                     # noqa: E402  (perfbench/inputs.py)
 import run_year_synthetic         # noqa: E402
+from patina.simulation import OUTPUT_CSV_HEADER  # noqa: E402
 
 # Runs the CLI on sys.argv[2:] and writes the full-precision notes to
 # sys.argv[1], by wrapping the two calls of patina.cli that see the results.
@@ -67,6 +71,8 @@ def noting_write_output_csv(output, path):
     values = [float(getattr(r, c)) for r in output.records for c in columns]
     packed = struct.pack(f"<{len(values)}d", *values)
     notes.append(f"records sha256 {hashlib.sha256(packed).hexdigest()}")
+    with open(sys.argv[1] + ".records", "wb") as fh:
+        fh.write(packed)
     notes.append(f"{output.steps} steps, clamps {output.field_clamps} field "
                  f"{output.velocity_clamps} velocity")
     write_output_csv(output, path)
@@ -88,6 +94,7 @@ sys.exit(code)
 
 # the file each command writes that is compared
 COMPARED = {"simulate": "simulation.csv", "calibrate": "calibration.csv"}
+COLUMNS = OUTPUT_CSV_HEADER.split(",")
 
 
 def jobs(inputs_dir: str) -> dict[str, list[str]]:
@@ -108,9 +115,10 @@ def jobs(inputs_dir: str) -> dict[str, list[str]]:
     }
 
 
-def run_job(tree: str, argv: list[str], out: str) -> tuple[bytes, str] | None:
-    """The compared output and the full-precision notes of one job run in
-    ``tree``, or None when the job fails."""
+def run_job(tree: str, argv: list[str], out: str) -> tuple[bytes, str, np.ndarray | None] | None:
+    """The compared output, the full-precision notes and the records (rows
+    of the CSV columns; None for calibrate) of one job run in ``tree``, or
+    None when the job fails."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     notes = out + ".notes"
@@ -119,18 +127,40 @@ def run_job(tree: str, argv: list[str], out: str) -> tuple[bytes, str] | None:
     if proc.returncode != 0:
         print(f"  exit {proc.returncode} in {tree}: {proc.stderr.strip()}")
         return None
+    records = None
+    if os.path.exists(notes + ".records"):
+        records = np.fromfile(notes + ".records", dtype="<f8").reshape(-1, len(COLUMNS))
     with open(os.path.join(out, COMPARED[argv[0]]), "rb") as fh, \
             open(notes, encoding="utf-8") as notes_fh:
-        return fh.read(), notes_fh.read()
+        return fh.read(), notes_fh.read(), records
 
 
 def first_difference(old: bytes, new: bytes) -> str:
     old_lines, new_lines = old.splitlines(), new.splitlines()
+    count = sum(a != b for a, b in zip(old_lines, new_lines))
     for i, (a, b) in enumerate(zip(old_lines, new_lines), start=1):
         if a != b:
-            return f"line {i}: {a.decode()!r} -> {b.decode()!r}"
+            return f"line {i}: {a.decode()!r} -> {b.decode()!r} ({count} lines differ)"
     return (f"line {min(len(old_lines), len(new_lines)) + 1}: "
             f"{len(old_lines)} lines -> {len(new_lines)} lines")
+
+
+def record_differences(old: tuple, new: tuple) -> list[str]:
+    """Lines on how two simulate jobs' records differ: step and clamp counts
+    (the second line of the notes) and the largest relative difference of
+    each CSV column."""
+    old_counts, new_counts = old[1].splitlines()[1:2], new[1].splitlines()[1:2]
+    lines = ["  steps and clamps: " + (f"match ({old_counts[0]})" if old_counts == new_counts
+                                       else f"DIFFER: {old_counts} -> {new_counts}")]
+    a, b = old[2], new[2]
+    if a.shape != b.shape:
+        lines.append(f"  records: {len(a)} -> {len(b)} rows, not compared")
+        return lines
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(a == b, 0.0, np.abs(b - a) / np.abs(a))
+    lines.append("  largest relative difference: " + ", ".join(
+        f"{c} {r:.2g}" for c, r in zip(COLUMNS, rel.max(axis=0))))
+    return lines
 
 
 def main() -> int:
@@ -151,12 +181,14 @@ def main() -> int:
             if old is None or new is None:
                 print(f"{name}: FAILED to run")
                 differing += 1
-            elif old[0] != new[0]:
-                print(f"{name}: DIFFERS at {first_difference(old[0], new[0])}")
-                differing += 1
-            elif old[1] != new[1]:
-                print(f"{name}: same CSV bytes, DIFFERS at full precision: "
-                      f"{old[1]!r} -> {new[1]!r}")
+            elif old[0] != new[0] or old[1] != new[1]:
+                if old[0] != new[0]:
+                    print(f"{name}: DIFFERS at {first_difference(old[0], new[0])}")
+                else:
+                    print(f"{name}: same CSV bytes, DIFFERS at full precision: "
+                          f"{old[1]!r} -> {new[1]!r}")
+                if old[2] is not None and new[2] is not None:
+                    print("\n".join(record_differences(old, new)))
                 differing += 1
             else:
                 print(f"{name}: identical ({len(old[0].splitlines())} lines; "

@@ -49,20 +49,35 @@ DEFECTS = {
     "update advection speeds at the step-start fronts": (
         "stepper.py", "_advection(stage.u, fs_mid, model)", "_advection(stage.u, fs, model)"),
     "stepper advection switched off": (
-        "stepper.py", "split_rhs_interior(u, c, lay.dx)", "split_rhs_interior(u, 0.0 * c, lay.dx)"),
+        "stepper.py", "split_rhs_interior(u, rate)", "split_rhs_interior(u, 0.0 * rate)"),
+    "a block-edge row gets its neighbour's rate": (
+        "stepper.py", "edges = [(0, 0, 0)] * 2", "edges = [(-n_z, 0, 0)] * 2"),
+    "inner constant rate m_i dropped": (
+        "stepper.py", "[(0, -k, -n_y) for k", "[(0, -k, 0) for k"),
+    "outer basis divided by the inner dx": (
+        "stepper.py", "outer = [(-k, 0, 0) for k", "outer = [(-k * n_y / n_z, 0, 0) for k"),
+    "inner slope sign flipped in the rates": (
+        "pde_core.py", "(bd - fs.a_dot) / inner", "(fs.a_dot - bd) / inner"),
+    "stage solve: one array as sub and sup": (
+        "stepper.py", "solve_tridiagonal(sub, diag, sub.copy(), rhs, overwrite=True)",
+        "solve_tridiagonal(sub, diag, sub, rhs, overwrite=True)"),
+    "tridiagonal solver consumes its inputs by default": (
+        "stepper.py", "rhs, overwrite: bool = False)", "rhs, overwrite: bool = True)"),
+    "Stefan and Robin stencils one node inward": (
+        "stepper.py", "np.stack((ends - 2, ends - 1), axis=1)", "np.stack((ends - 3, ends - 2), axis=1)"),
     "fronts advance at the step-start a speed": (
         "stepper.py", "fs.a + dt * fs_mid.a_dot,", "fs.a + dt * fs.a_dot,"),
     "inner CFL bound doubled": (
         "stepper.py", "cfl_target * dy / c_inner", "2.0 * cfl_target * dy / c_inner"),
     "downwind advection": (
-        "pde_core.py", "np.where(c > 0.0, d[:-1], d[1:])", "np.where(c > 0.0, d[1:], d[:-1])"),
+        "pde_core.py", "np.where(rate < 0.0, d[:-1], d[1:])", "np.where(rate < 0.0, d[1:], d[:-1])"),
     "Robin sink dropped": (
-        "pde_core.py", "(k * (4.0 * u2 - u3) - sink_coeff * b_dot) / denom",
+        "pde_core.py", "(k * (4.0 * u2 - u3) - sc.gamma_o * fs.b_dot) / denom",
         "k * (4.0 * u2 - u3) / denom"),
     "first-order Stefan gradient": (
         "pde_core.py", "(3.0 * u1 - 4.0 * u2 + u3) / (2.0 * dx)", "(u1 - u2) / dx"),
     "G(0) handed O(0) instead of O(1)": (
-        "pde_core.py", "fields.G[0] = fields.O[-1]", "fields.G[0] = fields.O[0]"),
+        "pde_core.py", "fields.G[0] = o_beta", "fields.G[0] = fields.O[0]"),
     "fit step not clipped to the box": (
         "calibration.py", "trial = np.clip(z + step, llo, lhi)", "trial = z + step"),
     "fit keeps a step that raises the residual": (

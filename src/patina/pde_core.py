@@ -53,6 +53,7 @@ __all__ = [
     "LayerFields",
     "StefanConstants",
     "stefan_constants",
+    "advection_rates",
     "outer_advection_coeff",
     "inner_advection_coeff",
     "split_rhs_interior",
@@ -61,11 +62,17 @@ __all__ = [
     "apply_outer_bcs",
     "apply_inner_bcs",
     "BoundaryConditionError",
+    "CONSUMED",
 ]
 
 
 class BoundaryConditionError(RuntimeError):
     """Raised when a Robin boundary solve degenerates."""
+
+
+# S at beta and G at a: each species is used up at the front that consumes
+# it, the Dirichlet conditions S(1) = G(1) = 0
+CONSUMED = 0.0
 
 
 @dataclass(frozen=True)
@@ -243,81 +250,77 @@ def _inner_width(fs: FrontState) -> float:
     return width
 
 
-def outer_advection_coeff(z, fs: FrontState):
-    """Outer advection speed gamma_dot/width + q(z) at grid coordinates z.
+def advection_rates(fs: FrontState, omega_p: float) -> tuple[float, float, float]:
+    """The advection speeds as straight lines in the mapped coordinate.
 
-    It equals z*(gamma_dot - beta_dot)/width, largest at z=1 where select_dt
-    bounds it; the two-term form keeps the rounding of the shipped results.
+    Returns (s_o, s_i, m_i): the outer speed gamma_dot/width + q(z) is
+    z*s_o on S and O, and the inner speed c = -A(y) = f(y) -
+    omega_p*a_dot/width is y*s_i + m_i on G.  For consistent fronts the
+    inner speed runs from m_i = -b_dot/width at y=0 to s_i + m_i =
+    -(1+omega_p)*a_dot/width at y=1; these end speeds and s_o are the
+    peaks select_dt bounds.
     """
-    width = _outer_width(fs)
-    gd = fs.gamma_dot
-    c = z * (gd - fs.beta_dot)
-    c -= gd
-    c /= width
-    c += gd / width
-    return c
+    outer = _outer_width(fs)
+    inner = _inner_width(fs)
+    bd = fs.beta_dot
+    return ((fs.gamma_dot - bd) / outer, (bd - fs.a_dot) / inner,
+            -(bd + omega_p * fs.a_dot) / inner)
+
+
+def outer_advection_coeff(z, fs: FrontState):
+    """Outer advection speed z*s_o at grid coordinates z (see advection_rates)."""
+    return z * advection_rates(fs, 0.0)[0]
 
 
 def inner_advection_coeff(y, fs: FrontState, omega_p: float):
-    """Inner advection speed c = -A(y) = f(y) - omega_p*a_dot/width at grid coordinates y.
-
-    Standard advection form dG/dtau + c G_y = diffusion.  For consistent
-    fronts c runs from -b_dot/width at y=0 to -(1+omega_p)*a_dot/width at
-    y=1, the two end speeds select_dt bounds.
-    """
-    width = _inner_width(fs)
-    bd = fs.beta_dot
-    c = y * (bd - fs.a_dot)
-    c -= bd
-    c /= width
-    c -= omega_p * fs.a_dot / width
-    return c
+    """Inner advection speed c = y*s_i + m_i of dG/dtau + c G_y = diffusion (advection_rates)."""
+    _, s_i, m_i = advection_rates(fs, omega_p)
+    return y * s_i + m_i
 
 
-def split_rhs_interior(u: np.ndarray, c: np.ndarray, dx: np.ndarray) -> np.ndarray:
+def split_rhs_interior(u: np.ndarray, rate: np.ndarray) -> np.ndarray:
     """Explicit upwind advection right-hand side -c*u_x at the interior nodes of u.
 
     ``u`` is one flat buffer, usually the packed ``[S | O | G]`` of a
-    LayerFields; the result covers nodes 1..N-2.  ``c`` is the advection
-    speed and ``dx`` the grid spacing of each of those nodes, so blocks on
+    LayerFields; the result covers nodes 1..N-2.  ``rate`` is -c/dx at each
+    of those nodes, the advection speed over the grid spacing, so blocks on
     different grids go through one pass.  The difference is taken against
-    the flow: backward where c > 0, forward elsewhere.  A difference taken
-    across a block edge mixes two species; the stepper gives the block-edge
-    nodes c = 0 and never uses their rows.
+    the flow: backward where c > 0 (rate < 0), forward elsewhere.  A
+    difference taken across a block edge mixes two species; the stepper
+    gives the block-edge nodes rate 0 and never uses their rows.
     """
     if u.ndim != 1 or u.size < 3:
         raise ValueError(f"field must be a 1-D array with at least 3 nodes, got shape {u.shape}")
-    if c.shape != (u.size - 2,) or dx.shape != c.shape:
-        raise ValueError("advection coefficient or spacing grid does not match the field grid")
+    if rate.shape != (u.size - 2,):
+        raise ValueError("advection rate grid does not match the field grid")
     # d[k] = u[k+1] - u[k]: node i differences backward with d[i-1], forward with d[i]
     d = u[1:] - u[:-1]
-    rhs = np.where(c > 0.0, d[:-1], d[1:])
-    rhs /= dx
-    rhs *= c
-    return np.negative(rhs, out=rhs)
+    rhs = np.where(rate < 0.0, d[:-1], d[1:])
+    rhs *= rate
+    return rhs
 
 
-def boundary_gradient(u: np.ndarray, dx: float) -> float:
-    """Second-order one-sided derivative at the last node, exact for quadratics."""
-    u3, u2, u1 = u[-3:].tolist()
+def boundary_gradient(u, dx: float) -> float:
+    """Second-order one-sided derivative at the last of the nodes u, exact for quadratics."""
+    u3, u2, u1 = u[-3:]
     return (3.0 * u1 - 4.0 * u2 + u3) / (2.0 * dx)
 
 
-def front_velocities(fields: LayerFields, fs: FrontState, sc: StefanConstants,
-                     dz: float, dy: float,
+def front_velocities(s, g, fs: FrontState, sc: StefanConstants, dz: float, dy: float,
                      sw: SwellingRatios) -> tuple[FrontState, int]:
     """``fs`` with its front speeds set from the two Stefan conditions.
 
     b_dot comes from the SO2 gradient at beta, a_dot from the inner oxygen
-    gradient at a; both use the one-sided second-order stencil.  Transiently
-    negative speeds (discretization noise; the reactions are irreversible)
-    are clamped to zero and counted.  Returns (fronts, clamp count).
+    gradient at a; both use the one-sided second-order stencil on the last
+    three nodes of ``s`` (S) and ``g`` (G).  Transiently negative speeds
+    (discretization noise; the reactions are irreversible) are clamped to
+    zero and counted.  Returns (fronts, clamp count).
     """
     outer_width = _outer_width(fs)
     inner_width = _inner_width(fs)
 
-    b_dot = -sc.omega_s / outer_width * boundary_gradient(fields.S, dz)
-    a_dot = -sc.omega_g / inner_width * boundary_gradient(fields.G, dy)
+    b_dot = -sc.omega_s / outer_width * boundary_gradient(s, dz)
+    a_dot = -sc.omega_g / inner_width * boundary_gradient(g, dy)
 
     clamped = 0
     if b_dot < 0.0:
@@ -333,45 +336,35 @@ def front_velocities(fields: LayerFields, fs: FrontState, sc: StefanConstants,
                       -(sw.omega_p * a_dot + sw.omega_b * b_dot)), clamped
 
 
-def _solve_robin_node(u: np.ndarray, d_hat: float, width: float, dz: float,
-                      gamma_dot: float, b_dot: float, sink_coeff: float) -> float:
-    """Boundary value at z=1 from D/(width) u_z = (gamma_dot - b_dot) u - sink_coeff*b_dot.
+def apply_outer_bcs(fields: LayerFields, o_in, fs: FrontState, d_hat: Diffusivities,
+                    forcing_values: tuple[float, float],
+                    sc: StefanConstants, dz: float) -> float:
+    """Write all outer boundary nodes in place; returns O(1).
 
-    The one-sided stencil makes the condition linear in the unknown u[-1]:
-    k*(3 u[-1] - 4 u[-2] + u[-3]) = (gamma_dot - b_dot) u[-1] - sink_coeff*b_dot
-    with k = D/(2 dz width).  Negative solutions are clamped to zero.
+    Dirichlet at z=0 (environment values, already non-dimensional) and
+    S(1)=0.  O(1) solves the Robin condition
+    D/width O_z = (gamma_dot - b_dot) O - gamma_o*b_dot at the velocities
+    stored in ``fs``.  The one-sided stencil on ``o_in`` = (O(-3), O(-2))
+    makes it linear in O(1):
+    k*(3 O(1) - 4 O(-2) + O(-3)) = (gamma_dot - b_dot) O(1) - gamma_o*b_dot
+    with k = D/(2 dz width).  A negative solution is clamped to zero.
     """
-    k = d_hat / (2.0 * dz * width)
-    denom = 3.0 * k - (gamma_dot - b_dot)
+    k = d_hat.d_o / (2.0 * dz * _outer_width(fs))
+    denom = 3.0 * k - (fs.gamma_dot - fs.b_dot)
     if abs(denom) < 1e-300 or not math.isfinite(denom):
         raise BoundaryConditionError(
             f"singular Robin coefficient for O: dz={dz}, "
-            f"gamma_dot={gamma_dot}, b_dot={b_dot}, k={k}"
+            f"gamma_dot={fs.gamma_dot}, b_dot={fs.b_dot}, k={k}"
         )
-    u3, u2 = u[-3:-1].tolist()
-    value = (k * (4.0 * u2 - u3) - sink_coeff * b_dot) / denom
-    return max(value, 0.0)
+    u3, u2 = o_in
+    o_beta = max((k * (4.0 * u2 - u3) - sc.gamma_o * fs.b_dot) / denom, 0.0)
+    fields.S[0], fields.O[0] = forcing_values
+    fields.S[-1] = CONSUMED
+    fields.O[-1] = o_beta
+    return o_beta
 
 
-def apply_outer_bcs(fields: LayerFields, fs: FrontState, d_hat: Diffusivities,
-                    forcing_values: tuple[float, float],
-                    sc: StefanConstants, dz: float) -> None:
-    """Refresh all outer boundary nodes in place.
-
-    Dirichlet at z=0 (environment values, already non-dimensional) and
-    S(1)=0; a Robin solve for O(1) using the current velocities stored in
-    ``fs``.
-    """
-    s_a, o_a = forcing_values
-    fields.S[0] = s_a
-    fields.O[0] = o_a
-    fields.S[-1] = 0.0
-
-    fields.O[-1] = _solve_robin_node(fields.O, d_hat.d_o, _outer_width(fs), dz,
-                                     fs.gamma_dot, fs.b_dot, sc.gamma_o)
-
-
-def apply_inner_bcs(fields: LayerFields) -> None:
+def apply_inner_bcs(fields: LayerFields, o_beta: float) -> None:
     """Inner oxygen boundary nodes: G(1)=0 and the value handoff G(0)=O(beta)."""
-    fields.G[-1] = 0.0
-    fields.G[0] = fields.O[-1]
+    fields.G[0] = o_beta
+    fields.G[-1] = CONSUMED

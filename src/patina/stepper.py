@@ -18,7 +18,11 @@ geometry lag is absorbed by the explicit part.
 The three species are advanced together in the flat buffer [S | O | G] of
 LayerFields: each explicit stage is one advection pass over it and the
 implicit stage one tridiagonal solve, whose block-edge rows are decoupled
-so that every species is solved exactly as on its own.
+so that every species is solved exactly as on its own.  The front-fixing
+advection speed is affine in the mapped coordinate, z*s_o on S and O and
+y*s_i + m_i on G (``advection_rates``), so each pass gets its per-row
+rate -c/dx as one matvec of the layout's fixed rate basis -[z | y | 1]/dx
+with those three rates; the basis is zero on the block-edge rows.
 """
 
 from __future__ import annotations
@@ -34,15 +38,15 @@ from typing import Callable
 import numpy as np
 
 from .pde_core import (
+    CONSUMED,
     Diffusivities,
     FrontState,
     LayerFields,
     StefanConstants,
+    advection_rates,
     apply_inner_bcs,
     apply_outer_bcs,
     front_velocities,
-    inner_advection_coeff,
-    outer_advection_coeff,
     split_rhs_interior,
 )
 from .materials import SwellingRatios
@@ -91,11 +95,14 @@ class TridiagonalError(RuntimeError):
     """Raised when the tridiagonal elimination hits a zero pivot."""
 
 
-def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
+def solve_tridiagonal(sub, diag, sup, rhs, overwrite: bool = False) -> np.ndarray:
     """Solve a tridiagonal system (sub/super diagonals one shorter than diag).
 
     Backed by the LAPACK dgtsv elimination; its info code names the row of a
-    zero pivot, which is surfaced in the error.  dgtsv is the routine
+    zero pivot, which is surfaced in the error.  The inputs are left as
+    they are unless ``overwrite`` lets dgtsv consume all four (``sub`` and
+    ``sup`` must then not share memory); it then solves in the storage of
+    ``rhs`` if that is a contiguous float64 array.  dgtsv is the routine
     scipy.linalg.lapack exposes, taken from scipy's compiled module
     scipy.linalg._flapack by ``_load_flapack`` so that a run does not pay
     for importing the scipy.linalg package.
@@ -103,7 +110,7 @@ def solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     n = len(diag)
     if len(sub) != n - 1 or len(sup) != n - 1 or len(rhs) != n:
         raise ValueError("inconsistent tridiagonal system sizes")
-    _, _, _, x, info = dgtsv(sub, diag, sup, rhs, 0, 0, 0, 0)
+    _, _, _, x, info = dgtsv(sub, diag, sup, rhs, overwrite, overwrite, overwrite, overwrite)
     if info != 0:
         if info > 0:
             raise TridiagonalError(f"zero pivot at row {info - 1}")
@@ -119,14 +126,19 @@ class PackedLayout:
     the stage solve and the nodes of the advection pass.  A species index
     0, 1, 2 names S, O, G; 3 marks the four block-edge rows S(1), O(0),
     O(1), G(0), which hold boundary values and couple to no neighbour.
+
+    ``rate_basis`` @ ``advection_rates(...)`` is the per-row -c/dx of the
+    advection pass: its columns are -z/dz on S and O, -y/dy and -1/dy on G
+    (at node k of a block on n cells, the exact -k and -n), zero elsewhere.
     """
 
     n_outer: int             # nodes of S and of O
-    dx: np.ndarray           # grid spacing per row
+    rate_basis: np.ndarray   # rows x 3: -[z | y | 1]/dx, zero on block edges
     species: np.ndarray      # species index per row, 3 on block edges
     link: np.ndarray         # species index of the coupling of rows r, r+1; 3 across an edge
     end_rows: tuple[int, ...]  # first and last interior row of S, then O, then G
     bounds: np.ndarray       # flat nodes S(0), S(1), O(0), O(1), G(0), G(1)
+    stencils: np.ndarray     # flat nodes S(-3), S(-2), O(-3), O(-2), G(-3), G(-2)
     interior: np.ndarray     # rows that are interior nodes of their species
 
     @classmethod
@@ -136,15 +148,22 @@ class PackedLayout:
         ends = starts + (n_z, n_z, n_y)
         bounds = np.stack((starts, ends), axis=1).ravel()
         node_species = np.repeat(np.arange(3), (n_outer, n_outer, n_y + 1))
-        dx = np.array((1.0 / n_z, 1.0 / n_z, 1.0 / n_y))[node_species[1:-1]]
         node_species[bounds] = 3
         species = node_species[1:-1]
+        # rows S, S(1), O(0), O, O(1), G(0), G; built from lists, because a
+        # build from masked numpy writes measured 0.25 MB more peak RSS
+        outer = [(-k, 0, 0) for k in range(1, n_z)]
+        edges = [(0, 0, 0)] * 2
+        rate_basis = np.array(outer + edges + outer + edges
+                              + [(0, -k, -n_y) for k in range(1, n_y)], dtype=float)
         link = np.where(species[:-1] == species[1:], species[:-1], 3)
         # node k is row k - 1: a block's first interior node start+1 is row
         # start, its last interior node end-1 is row end-2
         end_rows = tuple(np.stack((starts, ends - 2), axis=1).ravel().tolist())
-        return cls(n_outer=n_outer, dx=dx, species=species, link=link,
-                   end_rows=end_rows, bounds=bounds, interior=species != 3)
+        return cls(n_outer=n_outer, rate_basis=rate_basis, species=species, link=link,
+                   end_rows=end_rows, bounds=bounds,
+                   stencils=np.stack((ends - 2, ends - 1), axis=1).ravel(),
+                   interior=species != 3)
 
 
 @dataclass(frozen=True)
@@ -165,14 +184,6 @@ class NondimModel:
     @cached_property
     def dy(self) -> float:
         return 1.0 / self.n_y
-
-    @cached_property
-    def z_interior(self) -> np.ndarray:
-        return np.arange(1, self.n_z) * self.dz
-
-    @cached_property
-    def y_interior(self) -> np.ndarray:
-        return np.arange(1, self.n_y) * self.dy
 
     @cached_property
     def layout(self) -> PackedLayout:
@@ -220,20 +231,23 @@ def refresh_state(fields: LayerFields, fs: FrontState, model: NondimModel,
                   forcing_values: tuple[float, float]) -> tuple[FrontState, int]:
     """Re-establish boundary values and velocities after the interior moved.
 
-    Order matters: the Dirichlet pins S(1)=0 and G(1)=0 feed the Stefan
-    gradients, the velocities feed the Robin solves, and the Robin-updated
-    O(1) feeds the interface copy G(0).
+    The stencil nodes of both Stefan gradients and of the Robin solve are
+    interior nodes, so they are read once, up front.  Order matters: the
+    Dirichlet pins S(1) = G(1) = CONSUMED enter the Stefan gradients, the
+    velocities feed the Robin solve for O(1), and O(1) is handed to G(0).
+    Each boundary node is written once.
     """
-    fields.S[-1] = 0.0
-    fields.G[-1] = 0.0
-    fs, clamped = front_velocities(fields, fs, model.sc, model.dz, model.dy, model.sw)
-    apply_outer_bcs(fields, fs, model.d_hat, forcing_values, model.sc, model.dz)
-    apply_inner_bcs(fields)
+    s3, s2, o3, o2, g3, g2 = fields.u[model.layout.stencils].tolist()
+    fs, clamped = front_velocities((s3, s2, CONSUMED), (g3, g2, CONSUMED), fs, model.sc,
+                                   model.dz, model.dy, model.sw)
+    o_beta = apply_outer_bcs(fields, (o3, o2), fs, model.d_hat, forcing_values,
+                             model.sc, model.dz)
+    apply_inner_bcs(fields, o_beta)
     return fs, clamped
 
 
 def _implicit_stage_solve(u: np.ndarray, h_int: np.ndarray, half_dt: float,
-                          alpha: tuple[float, float, float], bounds: np.ndarray,
+                          alpha: tuple[float, float, float], bounds: tuple[float, ...],
                           lay: PackedLayout) -> np.ndarray:
     """Solve v = u + half_dt*(H + L v) on every interior node, all blocks at once.
 
@@ -243,13 +257,14 @@ def _implicit_stage_solve(u: np.ndarray, h_int: np.ndarray, half_dt: float,
     rows are identity rows with zero couplings on both sides.  Elimination
     then meets a zero factor at every edge, and since the diagonal 1+2*alpha
     never falls below the coupling alpha no row is interchanged: each block
-    is solved exactly as it would be on its own.
+    is solved exactly as it would be on its own.  The solve runs in place
+    on the interior of the returned buffer.
     """
     out = np.empty_like(u)
     rhs = np.multiply(h_int, half_dt, out=out[1:-1])
     rhs += u[1:-1]
     a_s, a_o, a_g = alpha
-    s_0, s_1, o_0, o_1, g_0, g_1 = bounds.tolist()
+    s_0, s_1, o_0, o_1, g_0, g_1 = bounds
     r_s0, r_s1, r_o0, r_o1, r_g0, r_g1 = lay.end_rows
     rhs[r_s0] += a_s * s_0
     rhs[r_o0] += a_o * o_0
@@ -257,9 +272,11 @@ def _implicit_stage_solve(u: np.ndarray, h_int: np.ndarray, half_dt: float,
     rhs[r_s1] += a_s * s_1
     rhs[r_o1] += a_o * o_1
     rhs[r_g1] += a_g * g_1
-    off = np.array((-a_s, -a_o, -a_g, 0.0))[lay.link]
+    sub = np.array((-a_s, -a_o, -a_g, 0.0))[lay.link]
     diag = np.array((1.0 + 2.0 * a_s, 1.0 + 2.0 * a_o, 1.0 + 2.0 * a_g, 1.0))[lay.species]
-    out[1:-1] = solve_tridiagonal(off, diag, off, rhs)
+    x = solve_tridiagonal(sub, diag, sub.copy(), rhs, overwrite=True)
+    if x is not rhs:    # dgtsv solved a copy, so the solution is not in out yet
+        rhs[:] = x
     out[lay.bounds] = bounds
     return out
 
@@ -277,17 +294,11 @@ def _diffusion_numbers(half_dt: float, fs: FrontState,
 def _advection(u: np.ndarray, fs: FrontState, model: NondimModel) -> np.ndarray:
     """Advection right-hand side of all three species in one pass over u.
 
-    The outer advection speed is species-independent, so it is computed once
-    and shared by S and O; the block-edge rows keep speed zero.
+    The per-row rate -c/dx is one matvec of the layout's rate basis with
+    the three rates of the fronts.
     """
-    lay = model.layout
-    r_s0, r_s1, r_o0, r_o1, r_g0, _ = lay.end_rows
-    c = np.zeros(lay.dx.size)
-    c_out = outer_advection_coeff(model.z_interior, fs)
-    c[r_s0:r_s1 + 1] = c_out
-    c[r_o0:r_o1 + 1] = c_out
-    c[r_g0:] = inner_advection_coeff(model.y_interior, fs, model.sw.omega_p)
-    return split_rhs_interior(u, c, lay.dx)
+    rate = np.dot(model.layout.rate_basis, advection_rates(fs, model.sw.omega_p))
+    return split_rhs_interior(u, rate)
 
 
 def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: float,
@@ -315,12 +326,11 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
     # Stage at tau + dt/2: explicit half-step of H, implicit half-step of the
     # diffusion, layer widths frozen at the step-start geometry.  End values:
     # the forcing at z=0, S(1) = G(1) = 0, and O(1), G(0) held from u^n.
-    bounds = u[lay.bounds]
-    bounds[0], bounds[2] = forcing_mid
-    bounds[1] = 0.0
-    bounds[5] = 0.0
+    s_mid, o_mid = forcing_mid
     stage = LayerFields.from_buffer(
-        _implicit_stage_solve(u, h1, half, _diffusion_numbers(half, fs, model), bounds, lay),
+        _implicit_stage_solve(u, h1, half, _diffusion_numbers(half, fs, model),
+                              (s_mid, CONSUMED, o_mid, fields.O[-1], fields.G[0], CONSUMED),
+                              lay),
         lay.n_outer)
     counters.field_clamps += _clamp_fields(stage)
 
@@ -354,8 +364,7 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
     forcing_end = model.forcing_hat(tau + dt)
     if freeze_fronts:
         new.S[0], new.O[0] = forcing_end
-        new.S[-1] = 0.0
-        new.G[-1] = 0.0
+        new.S[-1] = new.G[-1] = CONSUMED
         return new, fs
 
     # fronts advance over the full step at the stage velocities

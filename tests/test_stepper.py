@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patina import simulation, stepper
+from patina import pde_core, simulation, stepper
 from patina.convergence import (
     frozen_bump_problem,
     frozen_front_temporal_errors,
@@ -35,6 +36,18 @@ class TestTridiagonal:
         rhs = np.array([3.0, -1.0, 2.0, 7.0])
         x = solve_tridiagonal(np.zeros(3), np.ones(4), np.zeros(3), rhs)
         assert np.allclose(x, rhs, rtol=0, atol=0)
+
+    def test_inputs_kept_unless_overwritten(self):
+        # {diag 2, off -1} with rhs (1, 0, 1) has solution (1, 1, 1)
+        system = [np.array(v) for v in ([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0],
+                                        [1.0, 0.0, 1.0])]
+        kept = [v.copy() for v in system]
+        x = solve_tridiagonal(*system)
+        assert all(np.array_equal(v, k) for v, k in zip(system, kept))
+        rhs = system[3]
+        assert solve_tridiagonal(*system, overwrite=True) is rhs
+        assert np.allclose(rhs, x, rtol=0, atol=1e-14)
+        assert np.allclose(x, [1.0, 1.0, 1.0], atol=1e-14)
 
     def test_hand_solved_system(self):
         # {diag 2, off -1} with rhs (1, 0, 1) has solution (1, 1, 1)
@@ -89,6 +102,32 @@ def test_one_lapack_extension_in_either_import_order(imports):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("signs", list(itertools.product((1.0, -1.0), repeat=3)))
+def test_rate_basis_gives_minus_c_over_dx(signs):
+    # each sign of the outer slope s_o, the inner slope s_i and the inner
+    # constant m_i; the rates are rebuilt from fronts of widths 1 and 0.5
+    n_z, n_y, omega_p = 30, 17, 0.67
+    lay = PackedLayout.build(n_z, n_y)
+    z, y = np.arange(1, n_z) / n_z, np.arange(1, n_y) / n_y
+    rng = np.random.default_rng(18)
+    for _ in range(100):
+        s_o, s_i, m_i = np.array(signs) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
+        beta_dot = 0.5 * (omega_p * s_i - m_i) / (1.0 + omega_p)
+        fs = FrontState(a=1.5, b=1.0, beta=1.0, gamma=0.0, a_dot=beta_dot - 0.5 * s_i,
+                        beta_dot=beta_dot, gamma_dot=beta_dot + s_o)
+        rates = pde_core.advection_rates(fs, omega_p)
+        assert np.all(np.sign(rates) == signs)
+        rate = np.dot(lay.rate_basis, rates)
+        # zero on S(1), O(0), O(1), G(0), so those rows keep speed 0
+        assert np.array_equal(rate[~lay.interior], np.zeros(4))
+        c_out = -pde_core.outer_advection_coeff(z, fs) / (1.0 / n_z)
+        c_in = -pde_core.inner_advection_coeff(y, fs, omega_p) / (1.0 / n_y)
+        # within 2 ulps of the block's largest rate (measured: 2)
+        for got, expect in ((rate[lay.species == 0], c_out), (rate[lay.species == 1], c_out),
+                            (rate[lay.species == 2], c_in)):
+            assert np.all(np.abs(got - expect) <= 2.0 * np.spacing(np.max(np.abs(expect))))
+
+
 class TestPackedStageSolve:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -122,11 +161,14 @@ class TestPackedStageSolve:
         # path that captured one at import or went round it would miss here.
         # The forcing is read at the stage time tau + dt/2, then at tau + dt;
         # no other test notices either read at tau.
+        # Each advection pass takes its rates from advection_rates; the
+        # coefficient profiles are left to the tests and are never called.
         expected = {
             (stepper, "solve_tridiagonal"): 1,
             (stepper, "split_rhs_interior"): 2,
-            (stepper, "outer_advection_coeff"): 2,
-            (stepper, "inner_advection_coeff"): 2,
+            (stepper, "advection_rates"): 2,
+            (pde_core, "outer_advection_coeff"): 0,
+            (pde_core, "inner_advection_coeff"): 0,
             (stepper, "front_velocities"): 2,
             (stepper, "apply_outer_bcs"): 2,
             (stepper, "refresh_state"): 2,
