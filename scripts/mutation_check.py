@@ -48,6 +48,11 @@ DEFECTS = {
         "stepper.py", "_advection(stage.u, fs_mid, model)", "_advection(u, fs, model)"),
     "update advection speeds at the step-start fronts": (
         "stepper.py", "_advection(stage.u, fs_mid, model)", "_advection(stage.u, fs, model)"),
+    "midpoint frozen at the step-start fronts": (
+        "stepper.py",
+        "    fs_mid = fs.advanced(half, model.sw)\n"
+        "    fs_mid, clamped = refresh_state(stage, fs_mid, model, forcing_mid)\n",
+        "    fs_mid, clamped = fs, 0\n"),
     "stepper advection switched off": (
         "stepper.py", "split_rhs_interior(u, rate)", "split_rhs_interior(u, 0.0 * rate)"),
     "a block-edge row gets its neighbour's rate": (

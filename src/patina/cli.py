@@ -33,8 +33,8 @@ from .config import (
     load_settings,
 )
 from .convergence import (
+    MIN_TEMPORAL_ORDER,
     exact_front_errors,
-    frozen_front_temporal_errors,
     moving_front_temporal_errors,
     observed_orders,
 )
@@ -43,7 +43,6 @@ from .simulation import SimulationError, run, write_output_csv
 from .svgchart import PointSeries, Series, write_line_chart
 
 STOICHIOMETRY_TOLERANCE = 5e-3   # both mole ratios must sit within 0.5% of 2
-MIN_TEMPORAL_ORDER = 1.9
 
 
 @dataclass
@@ -257,11 +256,9 @@ def cmd_convergence(args) -> int:
     cp.set("forcing", "mode", "chamber")
     cfg = build_simulation_config(cp)
     try:
-        orders = _order_table("temporal, frozen fronts (S, O, G bumps, n = 50, "
-                              "vs dt/64):", "dt", frozen_front_temporal_errors())
-        orders += _order_table("temporal, moving fronts (chamber run, n = 25, 4 h, "
-                               "step caps / k; change of a, b, gamma to 2k):", "1/k",
-                               moving_front_temporal_errors(cfg))
+        orders = _order_table("temporal, moving fronts (chamber run, n = 25, 4 h, "
+                              "step caps / k; change of a, b, gamma to 2k):", "1/k",
+                              moving_front_temporal_errors(cfg))
     except ValueError as exc:
         print(f"patina: order not measurable: {exc}", file=sys.stderr)
         return 3

@@ -302,15 +302,14 @@ def _advection(u: np.ndarray, fs: FrontState, model: NondimModel) -> np.ndarray:
 
 
 def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: float,
-                       model: NondimModel, counters: StepCounters | None = None,
-                       freeze_fronts: bool = False) -> tuple[LayerFields, FrontState]:
+                       model: NondimModel, counters: StepCounters | None = None
+                       ) -> tuple[LayerFields, FrontState]:
     """One step of the implicit-explicit midpoint rule on the coupled system.
 
-    All three species advance together in the packed buffer ``fields.u``.
-    With ``freeze_fronts`` the stored front velocities are kept as imposed
-    coefficients and the geometry never moves; the convergence battery
-    uses it to measure the order of this very step on problems with a
-    known or self-converged answer.
+    All three species advance together in the packed buffer ``fields.u``,
+    and the fronts with them.  With zero Stefan constants and swelling
+    ratios the fronts stay where they are at zero speed, and the step is
+    the midpoint rule on fixed layers.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -343,12 +342,9 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
     g2 /= dt
     g2 -= h1
 
-    if freeze_fronts:
-        fs_mid = fs
-    else:
-        fs_mid = fs.advanced(half, model.sw)
-        fs_mid, clamped = refresh_state(stage, fs_mid, model, forcing_mid)
-        counters.velocity_clamps += clamped
+    fs_mid = fs.advanced(half, model.sw)
+    fs_mid, clamped = refresh_state(stage, fs_mid, model, forcing_mid)
+    counters.velocity_clamps += clamped
 
     # Full update: advection evaluated on the refreshed stage state at the
     # midpoint geometry, diffusion from the stage identity above.  Block-edge
@@ -361,12 +357,6 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
     np.add(interior, h2, out=interior, where=lay.interior)
     counters.field_clamps += _clamp_fields(new)
 
-    forcing_end = model.forcing_hat(tau + dt)
-    if freeze_fronts:
-        new.S[0], new.O[0] = forcing_end
-        new.S[-1] = new.G[-1] = CONSUMED
-        return new, fs
-
     # fronts advance over the full step at the stage velocities
     fs_new = FrontState.from_consumption(
         fs.a + dt * fs_mid.a_dot,
@@ -375,6 +365,6 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
         a_dot=fs_mid.a_dot,
         b_dot=fs_mid.b_dot,
     )
-    fs_new, clamped = refresh_state(new, fs_new, model, forcing_end)
+    fs_new, clamped = refresh_state(new, fs_new, model, model.forcing_hat(tau + dt))
     counters.velocity_clamps += clamped
     return new, fs_new

@@ -12,6 +12,7 @@ import patina.calibration
 import patina.cli
 import patina.simulation
 from patina.cli import run_main
+from patina.convergence import MIN_TEMPORAL_ORDER
 from patina.materials import SwellingRatios, swelling_ratios
 
 
@@ -197,25 +198,24 @@ def test_convergence_command(capsys):
     code = run_main(["convergence"])
     out = capsys.readouterr().out
     assert code == 0
-    # both temporal tables, each with its order lines, then the shipped
-    # chamber run against the exact solution
-    frozen = out.index("temporal, frozen fronts")
+    # one temporal ladder with its order lines, then the shipped chamber
+    # run against the exact solution
     moving = out.index("temporal, moving fronts")
     exact = out.index("chamber run against the exact solution at 40 h")
-    assert out[frozen:moving].count("order ") == 2
+    assert out.count("temporal, ") == 1
     assert out[moving:exact].count("order ") == 3
     errors = re.search(r"error a (\S+), b (\S+), total (\S+)\n", out[exact:]).groups()
     assert max(abs(float(e)) for e in errors) < 6e-4
-    assert "temporal order" in out and ">= 1.9" in out
+    assert "temporal order" in out and f">= {MIN_TEMPORAL_ORDER}" in out
 
 
 def test_convergence_command_fails_on_zero_errors(monkeypatch, capsys):
     # a stepper that changes nothing at any dt has zero error, not order inf
-    monkeypatch.setattr(patina.cli, "frozen_front_temporal_errors",
-                        lambda: [(0.02, 0.0), (0.01, 0.0), (0.005, 0.0)])
+    monkeypatch.setattr(patina.cli, "moving_front_temporal_errors",
+                        lambda cfg: [(1.0, 0.0), (0.5, 0.0), (0.25, 0.0)])
     assert run_main(["convergence"]) == 3
     err = capsys.readouterr().err
-    assert "order not measurable" in err and "error 0.0 at h = 0.02" in err
+    assert "order not measurable" in err and "error 0.0 at h = 1.0" in err
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -386,7 +386,6 @@ def test_convergence_runs_the_chamber_mode_of_its_config(tmp_path, monkeypatch):
     cfgfile.write_text("[forcing]\nmode = cycles\n")
     modes = []
     errors = [(0.02, 4e-4), (0.01, 1e-4)]
-    monkeypatch.setattr(patina.cli, "frozen_front_temporal_errors", lambda: errors)
     monkeypatch.setattr(patina.cli, "moving_front_temporal_errors",
                         lambda cfg: modes.append(cfg.forcing.mode) or errors)
     assert run_main(["convergence", "--config", str(cfgfile)]) == 0
