@@ -45,14 +45,14 @@ DEFECTS = {
     "stage geometry at the step start": (
         "stepper.py", "fs.advanced(half, model.sw)", "fs.advanced(0.0, model.sw)"),
     "update advection at (u^n, fronts^n)": (
-        "stepper.py", "_advection(stage.u, fs_mid, model)", "_advection(u, fs, model)"),
+        "stepper.py", "_advection(stage, fs_mid, model)", "_advection(u, fs, model)"),
     "update advection speeds at the step-start fronts": (
-        "stepper.py", "_advection(stage.u, fs_mid, model)", "_advection(stage.u, fs, model)"),
+        "stepper.py", "_advection(stage, fs_mid, model)", "_advection(stage, fs, model)"),
     "midpoint frozen at the step-start fronts": (
         "stepper.py",
         "    fs_mid = fs.advanced(half, model.sw)\n"
-        "    fs_mid, clamped = refresh_state(stage, fs_mid, model, forcing_mid)\n",
-        "    fs_mid, clamped = fs, 0\n"),
+        "    fs_mid, velocity_clamps = refresh_state(stage, fs_mid, model, forcing_mid)\n",
+        "    fs_mid, velocity_clamps = fs, 0\n"),
     "stepper advection switched off": (
         "stepper.py", "split_rhs_interior(u, rate)", "split_rhs_interior(u, 0.0 * rate)"),
     "a block-edge row gets its neighbour's rate": (
@@ -82,7 +82,11 @@ DEFECTS = {
     "first-order Stefan gradient": (
         "pde_core.py", "(3.0 * u1 - 4.0 * u2 + u3) / (2.0 * dx)", "(u1 - u2) / dx"),
     "G(0) handed O(0) instead of O(1)": (
-        "pde_core.py", "fields.G[0] = o_beta", "fields.G[0] = fields.O[0]"),
+        "stepper.py", "(s_a, CONSUMED, o_a, o_beta, o_beta, CONSUMED)",
+        "(s_a, CONSUMED, o_a, o_beta, o_a, CONSUMED)"),
+    "S(1) pin dropped": (
+        "stepper.py", "(s_a, CONSUMED, o_a, o_beta, o_beta, CONSUMED)",
+        "(s_a, u[lay.bounds[1]], o_a, o_beta, o_beta, CONSUMED)"),
     "fit step not clipped to the box": (
         "calibration.py", "trial = np.clip(z + step, llo, lhi)", "trial = z + step"),
     "fit keeps a step that raises the residual": (

@@ -19,7 +19,7 @@ from .materials import (
     mole_balance,
     swelling_ratios,
 )
-from .pde_core import Diffusivities, FrontState, LayerFields, Scales, StefanConstants
+from .pde_core import Diffusivities, FrontState, Scales, StefanConstants
 from .environment import Forcing, forcing_at, load_timeseries
 from .simulation import SimulationConfig, SimulationOutput, initialize, run
 from .calibration import CalibrationResult, ThicknessMeasurement, calibrate, residual
@@ -34,7 +34,6 @@ __all__ = [
     "swelling_ratios",
     "Diffusivities",
     "FrontState",
-    "LayerFields",
     "Scales",
     "StefanConstants",
     "Forcing",

@@ -198,8 +198,7 @@ def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float]:
     if forcing.mode == "constant-chamber":
         return so2[0], forcing.oxygen
     if forcing.mode == "cycle-schedule":
-        period = forcing.wet_hours + forcing.dry_hours
-        phase = t_hours % period if period > 0.0 else 0.0
+        phase = t_hours % (forcing.wet_hours + forcing.dry_hours)
         if phase < forcing.wet_hours:
             return so2[0], forcing.oxygen
         return forcing.dry_so2, forcing.oxygen

@@ -33,13 +33,18 @@ Stefan condition nor any other field, so it is not carried.
 
 All quantities here are dimensionless; lengths scale by lambda, time by
 t_r, concentrations by their reference values.
+
+The functions here take per-species nodes, flat arrays and scalars: the
+front kinematics, the advection rates, the upwind pass, the Stefan
+gradients and the Robin solve for O(1).  None of them writes a boundary
+node.  How the three species share one buffer, and where its end values
+sit, is described once, by ``stepper.PackedLayout``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +55,6 @@ __all__ = [
     "Scales",
     "Diffusivities",
     "FrontState",
-    "LayerFields",
     "StefanConstants",
     "stefan_constants",
     "advection_rates",
@@ -60,7 +64,6 @@ __all__ = [
     "boundary_gradient",
     "front_velocities",
     "apply_outer_bcs",
-    "apply_inner_bcs",
     "BoundaryConditionError",
     "CONSUMED",
 ]
@@ -166,52 +169,6 @@ class FrontState(NamedTuple):
         )
 
 
-class LayerFields:
-    """Gridded non-dimensional concentrations on the two unit intervals.
-
-    The three species share one flat buffer ``u = [S | O | G]``: S and O
-    live on the outer grid (n_z+1 nodes each), G on the inner grid (n_y+1
-    nodes).  ``S``, ``O`` and ``G`` are read-only views into ``u``, so
-    writing through them (``fields.S[:] = ...``) writes ``u``.  The four nodes where two blocks meet, S(1) | O(0) and
-    O(1) | G(0), are boundary nodes of their own species: no operator
-    couples them across the block edge.
-    """
-
-    __slots__ = ("u", "_S", "_O", "_G")
-
-    S = property(attrgetter("_S"), doc="SO2 on the outer grid, a view into u.")
-    O = property(attrgetter("_O"), doc="Oxygen on the outer grid, a view into u.")
-    G = property(attrgetter("_G"), doc="Oxygen on the inner grid, a view into u.")
-
-    def __init__(self, S, O, G):
-        S, O, G = (np.asarray(a, dtype=float) for a in (S, O, G))
-        if S.ndim != 1 or G.ndim != 1 or O.shape != S.shape:
-            raise ValueError(
-                f"S and O need one 1-D outer grid and G a 1-D inner grid, got shapes "
-                f"{S.shape}, {O.shape}, {G.shape}"
-            )
-        self._bind(np.concatenate((S, O, G)), S.size)
-
-    @classmethod
-    def from_buffer(cls, u: np.ndarray, n_outer: int) -> "LayerFields":
-        """Fields viewing the flat buffer ``u`` (not copied); S and O hold n_outer nodes."""
-        fields = cls.__new__(cls)
-        fields._bind(u, n_outer)
-        return fields
-
-    def _bind(self, u: np.ndarray, n_outer: int) -> None:
-        self.u = u
-        self._S = u[:n_outer]
-        self._O = u[n_outer:2 * n_outer]
-        self._G = u[2 * n_outer:]
-
-    def copy(self) -> "LayerFields":
-        return LayerFields.from_buffer(self.u.copy(), self._S.size)
-
-    def min_value(self) -> float:
-        return float(self.u.min())
-
-
 @dataclass(frozen=True)
 class StefanConstants:
     """Dimensionless groups of the interface conditions.
@@ -281,10 +238,10 @@ def inner_advection_coeff(y, fs: FrontState, omega_p: float):
 def split_rhs_interior(u: np.ndarray, rate: np.ndarray) -> np.ndarray:
     """Explicit upwind advection right-hand side -c*u_x at the interior nodes of u.
 
-    ``u`` is one flat buffer, usually the packed ``[S | O | G]`` of a
-    LayerFields; the result covers nodes 1..N-2.  ``rate`` is -c/dx at each
-    of those nodes, the advection speed over the grid spacing, so blocks on
-    different grids go through one pass.  The difference is taken against
+    ``u`` is one flat buffer, usually the packed ``[S | O | G]`` of
+    ``stepper.PackedLayout``; the result covers nodes 1..N-2.  ``rate`` is
+    -c/dx at each of those nodes, the advection speed over the grid
+    spacing, so blocks on different grids go through one pass.  The difference is taken against
     the flow: backward where c > 0 (rate < 0), forward elsewhere.  A
     difference taken across a block edge mixes two species; the stepper
     gives the block-edge nodes rate 0 and never uses their rows.
@@ -336,16 +293,13 @@ def front_velocities(s, g, fs: FrontState, sc: StefanConstants, dz: float, dy: f
                       -(sw.omega_p * a_dot + sw.omega_b * b_dot)), clamped
 
 
-def apply_outer_bcs(fields: LayerFields, o_in, fs: FrontState, d_hat: Diffusivities,
-                    forcing_values: tuple[float, float],
-                    sc: StefanConstants, dz: float) -> float:
-    """Write all outer boundary nodes in place; returns O(1).
+def apply_outer_bcs(o_in, fs: FrontState, d_hat: Diffusivities, sc: StefanConstants,
+                    dz: float) -> float:
+    """O(1), the outer oxygen at beta, from its Robin condition; writes nothing.
 
-    Dirichlet at z=0 (environment values, already non-dimensional) and
-    S(1)=0.  O(1) solves the Robin condition
-    D/width O_z = (gamma_dot - b_dot) O - gamma_o*b_dot at the velocities
-    stored in ``fs``.  The one-sided stencil on ``o_in`` = (O(-3), O(-2))
-    makes it linear in O(1):
+    The condition D/width O_z = (gamma_dot - b_dot) O - gamma_o*b_dot holds
+    at the velocities stored in ``fs``.  The one-sided stencil on ``o_in`` =
+    (O(-3), O(-2)) makes it linear in O(1):
     k*(3 O(1) - 4 O(-2) + O(-3)) = (gamma_dot - b_dot) O(1) - gamma_o*b_dot
     with k = D/(2 dz width).  A negative solution is clamped to zero.
     """
@@ -357,14 +311,4 @@ def apply_outer_bcs(fields: LayerFields, o_in, fs: FrontState, d_hat: Diffusivit
             f"gamma_dot={fs.gamma_dot}, b_dot={fs.b_dot}, k={k}"
         )
     u3, u2 = o_in
-    o_beta = max((k * (4.0 * u2 - u3) - sc.gamma_o * fs.b_dot) / denom, 0.0)
-    fields.S[0], fields.O[0] = forcing_values
-    fields.S[-1] = CONSUMED
-    fields.O[-1] = o_beta
-    return o_beta
-
-
-def apply_inner_bcs(fields: LayerFields, o_beta: float) -> None:
-    """Inner oxygen boundary nodes: G(1)=0 and the value handoff G(0)=O(beta)."""
-    fields.G[0] = o_beta
-    fields.G[-1] = CONSUMED
+    return max((k * (4.0 * u2 - u3) - sc.gamma_o * fs.b_dot) / denom, 0.0)

@@ -4,8 +4,9 @@ A run non-dimensionalizes the boundary forcing each step, advances the
 coupled field/front system with the IMEX midpoint stepper under an advective
 CFL bound, and emits one record per output row: the front positions and
 layer thicknesses in cm, exactly the columns of ``simulation.csv``.  The
-run totals (steps, clamp counts, lowest concentration) are kept once, on
-the :class:`SimulationOutput`.
+run state is the packed buffer of :class:`patina.stepper.PackedLayout` and
+a :class:`FrontState`; the run totals (steps and the clamp counts each
+step returns) are kept once, on the :class:`SimulationOutput`.
 
 Step control.  Each step is the CFL bound capped by ``dt_max`` and by the
 horizon.  No step crosses a breakpoint of the forcing (a cycle switch or a
@@ -31,11 +32,10 @@ from .materials import MaterialTable, swelling_ratios
 from .pde_core import (
     Diffusivities,
     FrontState,
-    LayerFields,
     Scales,
     stefan_constants,
 )
-from .stepper import NondimModel, StepCounters, imex_midpoint_step, refresh_state, select_dt
+from .stepper import NondimModel, imex_midpoint_step, refresh_state, select_dt
 
 __all__ = [
     "SimulationConfig",
@@ -105,17 +105,12 @@ OUTPUT_CSV_HEADER = ",".join(OutputRecord._fields)
 
 @dataclass
 class SimulationOutput:
-    """Ordered records plus the run totals.
-
-    ``min_concentration`` is the lowest concentration over the recorded
-    states: the initial one, every ``output_stride``-th step and the final one.
-    """
+    """Ordered records plus the run totals."""
 
     records: list[OutputRecord]
     steps: int
     velocity_clamps: int
     field_clamps: int
-    min_concentration: float
 
     def thickness_at(self, t_hours) -> np.ndarray:
         """Total patina thickness (cm) interpolated at the given hours."""
@@ -140,8 +135,8 @@ def _build_model(cfg: SimulationConfig) -> NondimModel:
                        forcing_hat=forcing_hat)
 
 
-def initialize(cfg: SimulationConfig) -> tuple[LayerFields, FrontState, NondimModel]:
-    """Seed fronts and fields.
+def initialize(cfg: SimulationConfig) -> tuple[np.ndarray, FrontState, NondimModel]:
+    """Seed fronts and fields: the packed buffer ``u``, the fronts and the model.
 
     Seeds must give a positive initial brochantite layer: a0 > 0 and
     b0 > omega_p*a0 (and b0 < (1+omega_p)*a0 so some cuprite remains).  The
@@ -163,13 +158,9 @@ def initialize(cfg: SimulationConfig) -> tuple[LayerFields, FrontState, NondimMo
     s_a, o_a = model.forcing_hat(0.0)
     z = np.linspace(0.0, 1.0, cfg.n_z + 1)
     y = np.linspace(0.0, 1.0, cfg.n_y + 1)
-    fields = LayerFields(
-        S=s_a * (1.0 - z),
-        O=np.full(cfg.n_z + 1, o_a),
-        G=o_a * (1.0 - y),
-    )
-    fronts, _ = refresh_state(fields, fronts, model, (s_a, o_a))
-    return fields, fronts, model
+    u = np.concatenate((s_a * (1.0 - z), np.full(cfg.n_z + 1, o_a), o_a * (1.0 - y)))
+    fronts, _ = refresh_state(u, fronts, model, (s_a, o_a))
+    return u, fronts, model
 
 
 def _record(cfg: SimulationConfig, tau: float, fronts: FrontState) -> OutputRecord:
@@ -182,11 +173,10 @@ def _record(cfg: SimulationConfig, tau: float, fronts: FrontState) -> OutputReco
 
 def run(cfg: SimulationConfig) -> SimulationOutput:
     """Integrate from the seeds to the horizon and collect output records."""
-    fields, fronts, model = initialize(cfg)
-    counters = StepCounters()
+    u, fronts, model = initialize(cfg)
+    field_clamps = velocity_clamps = 0
     tau_end = cfg.horizon_hours * SECONDS_PER_HOUR / cfg.scales.t_r
     records = [_record(cfg, 0.0, fronts)]
-    min_concentration = fields.min_value()
 
     # where the forcing breaks, latest first, so the next one is breaks[-1]
     breaks = [t * SECONDS_PER_HOUR / cfg.scales.t_r
@@ -208,30 +198,27 @@ def run(cfg: SimulationConfig) -> SimulationOutput:
             elif remaining < 2.0 * dt:
                 dt = 0.5 * remaining     # no sliver step before the break
         try:
-            fields, fronts = imex_midpoint_step(fields, fronts, tau, dt, model, counters)
+            u, fronts, fields_clamped, fronts_clamped = imex_midpoint_step(
+                u, fronts, tau, dt, model)
         except Exception as exc:
             t_hours = tau * cfg.scales.t_r / SECONDS_PER_HOUR
             raise SimulationError(
                 f"step {step_index} at t = {t_hours:.6g} h (dt = {dt:.3g}): {exc}"
             ) from exc
+        field_clamps += fields_clamped
+        velocity_clamps += fronts_clamped
         tau = breaks.pop() if lands else tau + dt
         step_index += 1
         if step_index % cfg.output_stride == 0 and tau < tau_end:
             records.append(_record(cfg, tau, fronts))
-            min_concentration = min(min_concentration, fields.min_value())
         if step_index >= cfg.max_steps:
             t_hours = tau * cfg.scales.t_r / SECONDS_PER_HOUR
             raise SimulationError(
                 f"step budget {cfg.max_steps} exhausted at t = {t_hours:.6g} h"
             )
     records.append(_record(cfg, tau, fronts))
-    return SimulationOutput(
-        records=records,
-        steps=step_index,
-        velocity_clamps=counters.velocity_clamps,
-        field_clamps=counters.field_clamps,
-        min_concentration=min(min_concentration, fields.min_value()),
-    )
+    return SimulationOutput(records=records, steps=step_index,
+                            velocity_clamps=velocity_clamps, field_clamps=field_clamps)
 
 
 def write_output_csv(output: SimulationOutput, path) -> None:

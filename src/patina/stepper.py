@@ -15,10 +15,11 @@ the full step.  The implicit stage freezes the layer widths at their
 step-start values, which keeps the solve linear and tridiagonal; the O(dt)
 geometry lag is absorbed by the explicit part.
 
-The three species are advanced together in the flat buffer [S | O | G] of
-LayerFields: each explicit stage is one advection pass over it and the
-implicit stage one tridiagonal solve, whose block-edge rows are decoupled
-so that every species is solved exactly as on its own.  The front-fixing
+The run state is a plain float64 buffer holding the three species, laid out
+as ``PackedLayout`` describes, and a ``FrontState``.  The species advance
+together in that buffer: each explicit stage is one advection pass over it
+and the implicit stage one tridiagonal solve, whose block-edge rows are
+decoupled so that every species is solved exactly as on its own.  The front-fixing
 advection speed is affine in the mapped coordinate, z*s_o on S and O and
 y*s_i + m_i on G (``advection_rates``), so each pass gets its per-row
 rate -c/dx as one matvec of the layout's fixed rate basis -[z | y | 1]/dx
@@ -41,10 +42,8 @@ from .pde_core import (
     CONSUMED,
     Diffusivities,
     FrontState,
-    LayerFields,
     StefanConstants,
     advection_rates,
-    apply_inner_bcs,
     apply_outer_bcs,
     front_velocities,
     split_rhs_interior,
@@ -54,7 +53,6 @@ from .materials import SwellingRatios
 __all__ = [
     "NondimModel",
     "PackedLayout",
-    "StepCounters",
     "TridiagonalError",
     "solve_tridiagonal",
     "select_dt",
@@ -120,7 +118,16 @@ def solve_tridiagonal(sub, diag, sup, rhs, overwrite: bool = False) -> np.ndarra
 
 @dataclass(frozen=True)
 class PackedLayout:
-    """Row tables of the flat buffer ``[S | O | G]`` (see LayerFields).
+    """The flat buffer ``u = [S | O | G]`` of the run state, and its row tables.
+
+    This is the one description of the buffer.  S and O live on the outer
+    grid, n_z+1 nodes each from z=0 to z=1, and G on the inner grid, n_y+1
+    nodes from y=0 to y=1; each block follows the one before it.  ``bounds``
+    holds the flat nodes of the six end values S(0), S(1), O(0), O(1),
+    G(0), G(1).  The four where two blocks meet, S(1) | O(0) and
+    O(1) | G(0), are boundary nodes of their own species: no operator
+    couples them across the block edge.  ``refresh_state`` writes all six
+    in one assignment.
 
     The rows are flat nodes 1..N-2, row r being node r+1: the unknowns of
     the stage solve and the nodes of the advection pass.  A species index
@@ -132,7 +139,6 @@ class PackedLayout:
     (at node k of a block on n cells, the exact -k and -n), zero elsewhere.
     """
 
-    n_outer: int             # nodes of S and of O
     rate_basis: np.ndarray   # rows x 3: -[z | y | 1]/dx, zero on block edges
     species: np.ndarray      # species index per row, 3 on block edges
     link: np.ndarray         # species index of the coupling of rows r, r+1; 3 across an edge
@@ -160,7 +166,7 @@ class PackedLayout:
         # node k is row k - 1: a block's first interior node start+1 is row
         # start, its last interior node end-1 is row end-2
         end_rows = tuple(np.stack((starts, ends - 2), axis=1).ravel().tolist())
-        return cls(n_outer=n_outer, rate_basis=rate_basis, species=species, link=link,
+        return cls(rate_basis=rate_basis, species=species, link=link,
                    end_rows=end_rows, bounds=bounds,
                    stencils=np.stack((ends - 2, ends - 1), axis=1).ravel(),
                    interior=species != 3)
@@ -190,14 +196,6 @@ class NondimModel:
         return PackedLayout.build(self.n_z, self.n_y)
 
 
-@dataclass
-class StepCounters:
-    """Diagnostic clamp totals accumulated over a run."""
-
-    velocity_clamps: int = 0
-    field_clamps: int = 0
-
-
 def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,
               dt_max: float, omega_p: float) -> float:
     """Advective CFL step bound; diffusion imposes none (it is implicit).
@@ -217,9 +215,8 @@ def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,
     return dt
 
 
-def _clamp_fields(fields: LayerFields) -> int:
+def _clamp_fields(u: np.ndarray) -> int:
     """Floor negative concentrations at zero; returns how many nodes clipped."""
-    u = fields.u
     if not u.min() < 0.0:
         return 0
     mask = u < 0.0
@@ -227,22 +224,25 @@ def _clamp_fields(fields: LayerFields) -> int:
     return int(np.count_nonzero(mask))
 
 
-def refresh_state(fields: LayerFields, fs: FrontState, model: NondimModel,
+def refresh_state(u: np.ndarray, fs: FrontState, model: NondimModel,
                   forcing_values: tuple[float, float]) -> tuple[FrontState, int]:
-    """Re-establish boundary values and velocities after the interior moved.
+    """Re-establish the end values of ``u`` and the velocities after the interior moved.
 
     The stencil nodes of both Stefan gradients and of the Robin solve are
     interior nodes, so they are read once, up front.  Order matters: the
     Dirichlet pins S(1) = G(1) = CONSUMED enter the Stefan gradients, the
     velocities feed the Robin solve for O(1), and O(1) is handed to G(0).
-    Each boundary node is written once.
+    The six end values are then written in one assignment, in
+    ``lay.bounds`` order: S(0) and O(0) take the forcing, S(1) = G(1) =
+    CONSUMED, O(1) the Robin value and G(0) = O(1).
     """
-    s3, s2, o3, o2, g3, g2 = fields.u[model.layout.stencils].tolist()
+    lay = model.layout
+    s3, s2, o3, o2, g3, g2 = u[lay.stencils].tolist()
     fs, clamped = front_velocities((s3, s2, CONSUMED), (g3, g2, CONSUMED), fs, model.sc,
                                    model.dz, model.dy, model.sw)
-    o_beta = apply_outer_bcs(fields, (o3, o2), fs, model.d_hat, forcing_values,
-                             model.sc, model.dz)
-    apply_inner_bcs(fields, o_beta)
+    o_beta = apply_outer_bcs((o3, o2), fs, model.d_hat, model.sc, model.dz)
+    s_a, o_a = forcing_values
+    u[lay.bounds] = (s_a, CONSUMED, o_a, o_beta, o_beta, CONSUMED)
     return fs, clamped
 
 
@@ -301,23 +301,20 @@ def _advection(u: np.ndarray, fs: FrontState, model: NondimModel) -> np.ndarray:
     return split_rhs_interior(u, rate)
 
 
-def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: float,
-                       model: NondimModel, counters: StepCounters | None = None
-                       ) -> tuple[LayerFields, FrontState]:
+def imex_midpoint_step(u: np.ndarray, fs: FrontState, tau: float, dt: float,
+                       model: NondimModel) -> tuple[np.ndarray, FrontState, int, int]:
     """One step of the implicit-explicit midpoint rule on the coupled system.
 
-    All three species advance together in the packed buffer ``fields.u``,
-    and the fronts with them.  With zero Stefan constants and swelling
-    ratios the fronts stay where they are at zero speed, and the step is
-    the midpoint rule on fixed layers.
+    All three species advance together in the packed buffer ``u``, which
+    is left as it is, and the fronts with them.  Returns the new buffer,
+    the new fronts and the step's field and velocity clamp counts.  With
+    zero Stefan constants and swelling ratios the fronts stay where they
+    are at zero speed, and the step is the midpoint rule on fixed layers.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if counters is None:
-        counters = StepCounters()
 
     lay = model.layout
-    u = fields.u
     half = 0.5 * dt
     h1 = _advection(u, fs, model)
     forcing_mid = model.forcing_hat(tau + half)
@@ -326,36 +323,33 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
     # diffusion, layer widths frozen at the step-start geometry.  End values:
     # the forcing at z=0, S(1) = G(1) = 0, and O(1), G(0) held from u^n.
     s_mid, o_mid = forcing_mid
-    stage = LayerFields.from_buffer(
-        _implicit_stage_solve(u, h1, half, _diffusion_numbers(half, fs, model),
-                              (s_mid, CONSUMED, o_mid, fields.O[-1], fields.G[0], CONSUMED),
-                              lay),
-        lay.n_outer)
-    counters.field_clamps += _clamp_fields(stage)
+    o_1, g_0 = u[lay.bounds[3:5]].tolist()
+    stage = _implicit_stage_solve(u, h1, half, _diffusion_numbers(half, fs, model),
+                                  (s_mid, CONSUMED, o_mid, o_1, g_0, CONSUMED), lay)
+    field_clamps = _clamp_fields(stage)
 
     # Diffusion at the stage comes from the stage identity
     # G(u2) = 2*(u2 - u^n)/dt - H(u^n); re-evaluating the operator after the
     # boundary refresh below would amplify any boundary adjustment by the
     # stiff factor dt*D/(width*dx)^2.
-    g2 = stage.u[1:-1] - u[1:-1]
+    g2 = stage[1:-1] - u[1:-1]
     g2 *= 2.0
     g2 /= dt
     g2 -= h1
 
     fs_mid = fs.advanced(half, model.sw)
-    fs_mid, clamped = refresh_state(stage, fs_mid, model, forcing_mid)
-    counters.velocity_clamps += clamped
+    fs_mid, velocity_clamps = refresh_state(stage, fs_mid, model, forcing_mid)
 
     # Full update: advection evaluated on the refreshed stage state at the
     # midpoint geometry, diffusion from the stage identity above.  Block-edge
     # rows keep their values until the boundary refresh.
-    h2 = _advection(stage.u, fs_mid, model)
+    h2 = _advection(stage, fs_mid, model)
     h2 += g2
     h2 *= dt
-    new = fields.copy()
-    interior = new.u[1:-1]
+    new = u.copy()
+    interior = new[1:-1]
     np.add(interior, h2, out=interior, where=lay.interior)
-    counters.field_clamps += _clamp_fields(new)
+    field_clamps += _clamp_fields(new)
 
     # fronts advance over the full step at the stage velocities
     fs_new = FrontState.from_consumption(
@@ -366,5 +360,4 @@ def imex_midpoint_step(fields: LayerFields, fs: FrontState, tau: float, dt: floa
         b_dot=fs_mid.b_dot,
     )
     fs_new, clamped = refresh_state(new, fs_new, model, model.forcing_hat(tau + dt))
-    counters.velocity_clamps += clamped
-    return new, fs_new
+    return new, fs_new, field_clamps, velocity_clamps + clamped

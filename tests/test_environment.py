@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from patina.environment import (
     Forcing,
@@ -60,6 +60,15 @@ def test_breakpoints_are_the_switches_and_samples_inside_the_horizon():
     # the switch times are those at which forcing_at changes value
     for t in breakpoints(cycles, 100.0):
         assert forcing_at(cycles, t * (1 - 1e-12)) != forcing_at(cycles, t * (1 + 1e-12))
+
+
+@given(t=st.floats(min_value=0.0, max_value=1e6))
+@example(t=8.0)
+@example(t=24.0 * (1 - 1e-12))
+def test_cycle_forcing_without_a_dry_phase_stays_wet(t):
+    # the period is wet_hours, which validation keeps positive
+    f = cycle_forcing(4.99e-7, 2.6e-4, wet_hours=8.0, dry_hours=0.0, dry_so2=1e-9)
+    assert forcing_at(f, t) == (4.99e-7, 2.6e-4)
 
 
 def test_cycle_forcing_validation():

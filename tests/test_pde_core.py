@@ -7,10 +7,8 @@ from patina.pde_core import (
     BoundaryConditionError,
     Diffusivities,
     FrontState,
-    LayerFields,
     Scales,
     StefanConstants,
-    apply_inner_bcs,
     apply_outer_bcs,
     boundary_gradient,
     front_velocities,
@@ -19,7 +17,7 @@ from patina.pde_core import (
     split_rhs_interior,
     stefan_constants,
 )
-from patina.stepper import NondimModel, _advection, select_dt
+from patina.stepper import NondimModel, _advection, refresh_state, select_dt
 
 SW = swelling_ratios(DEFAULT_MATERIALS)
 
@@ -126,30 +124,32 @@ class TestRescaleCoefficients:
 
 
 def packed_fields(n_z, n_y, s, o, g):
-    """LayerFields on unequal grids from per-species profiles of the grid coordinate."""
+    """The packed buffer [S | O | G] on unequal grids from per-species profiles
+    of the grid coordinate."""
     z = np.linspace(0, 1, n_z + 1)
     y = np.linspace(0, 1, n_y + 1)
-    return LayerFields(S=s(z), O=o(z), G=g(y))
+    return np.concatenate((s(z), o(z), g(y)))
 
 
-def packed_rhs(fields, fs, n_z, n_y):
+def packed_rhs(u, fs, n_z, n_y):
     """Advection of all three species in one pass, as the stepper evaluates it."""
     model = NondimModel(d_hat=Diffusivities(1.0, 1.0, 1.0), sc=StefanConstants(0, 0, 0),
                         sw=SW, n_z=n_z, n_y=n_y, forcing_hat=lambda tau: (0.0, 0.0))
-    return _advection(fields.u, fs, model), model
+    return _advection(u, fs, model), model
 
 
-def per_block_reference(fields, fs, n_z, n_y):
+def per_block_reference(u, fs, n_z, n_y):
     """Interior advection of each species on its own, concatenated (the reference).
 
     The speeds are written out as in the coefficient identity tests, not
     taken from the code under test.
     """
     outer_w, inner_w, bd = fs.beta - fs.gamma, fs.a - fs.beta, fs.beta_dot
+    s, o, g = np.split(u, [n_z + 1, 2 * (n_z + 1)])
     out = []
-    for u, n, speed in ((fields.S, n_z, lambda z: z * (fs.gamma_dot - bd) / outer_w),
-                        (fields.O, n_z, lambda z: z * (fs.gamma_dot - bd) / outer_w),
-                        (fields.G, n_y, lambda y: (y * (bd - fs.a_dot) - bd
+    for u, n, speed in ((s, n_z, lambda z: z * (fs.gamma_dot - bd) / outer_w),
+                        (o, n_z, lambda z: z * (fs.gamma_dot - bd) / outer_w),
+                        (g, n_y, lambda y: (y * (bd - fs.a_dot) - bd
                                                    - SW.omega_p * fs.a_dot) / inner_w)):
         dx = 1.0 / n
         c = speed(np.arange(1, n) * dx)
@@ -162,10 +162,10 @@ class TestSplitRhs:
     # one pass over the packed [S | O | G] buffer; rows are flat nodes 1..N-2
     def test_constant_field_gives_zero(self):
         fs = synthetic_fronts(gamma_dot=-0.5, beta_dot=0.2, a_dot=0.1, b_dot=0.3)
-        fields = packed_fields(30, 17, lambda z: np.full_like(z, 3.5),
-                               lambda z: np.full_like(z, 1.0), lambda y: np.full_like(y, 0.2))
-        h, _ = packed_rhs(fields, fs, 30, 17)
-        assert h.shape == (fields.u.size - 2,)
+        u = packed_fields(30, 17, lambda z: np.full_like(z, 3.5),
+                          lambda z: np.full_like(z, 1.0), lambda y: np.full_like(y, 0.2))
+        h, _ = packed_rhs(u, fs, 30, 17)
+        assert h.shape == (u.size - 2,)
         assert np.all(h == 0.0)
 
     def test_upwind_direction_switches_with_sign(self):
@@ -175,48 +175,22 @@ class TestSplitRhs:
         # reference divides by dx and multiplies by c, so the two may round
         # apart: measured 1 ulp, on two G rows of the second case.
         n_z, n_y = 4, 3
-        fields = packed_fields(n_z, n_y, lambda z: z**2, lambda z: 3.0 - z,
-                               lambda y: 1.0 + y**3)
+        u = packed_fields(n_z, n_y, lambda z: z**2, lambda z: 3.0 - z,
+                          lambda y: 1.0 + y**3)
         for fs in (synthetic_fronts(gamma_dot=-1.0, a_dot=1.0),     # outer c = -z, inner c < 0
                    synthetic_fronts(gamma_dot=1.0, beta_dot=-1.0)):  # outer c > 0, inner c > 0
-            h, model = packed_rhs(fields, fs, n_z, n_y)
+            h, model = packed_rhs(u, fs, n_z, n_y)
             interior = model.layout.interior
-            expect = per_block_reference(fields, fs, n_z, n_y)
+            expect = per_block_reference(u, fs, n_z, n_y)
             assert np.all(np.abs(h[interior] - expect) <= np.spacing(np.abs(expect)))
         c = 0.25 * (fs.gamma_dot - fs.beta_dot) / (fs.beta - fs.gamma)
-        assert c > 0.0 and h[0] == -c * (fields.S[1] - fields.S[0]) / 0.25
+        assert c > 0.0 and h[0] == -c * (u[1] - u[0]) / 0.25
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError, match="at least 3 nodes"):
             split_rhs_interior(np.array([1.0, 2.0]), np.zeros(0))
         with pytest.raises(ValueError, match="does not match"):
             split_rhs_interior(np.zeros(5), np.zeros(4))
-
-
-class TestLayerFields:
-    def test_views_write_into_the_buffer(self):
-        fields = LayerFields(S=np.zeros(4), O=np.zeros(4), G=np.zeros(3))
-        fields.S[1] = 1.0
-        fields.O[0] = 2.0
-        fields.G[:] = [4.0, 5.0, 6.0]
-        assert fields.u.tolist() == [0, 1, 0, 0, 2, 0, 0, 0, 4, 5, 6]
-        with pytest.raises(AttributeError):
-            fields.S = np.ones(4)       # rebinding would detach S from u
-        fields.u[3] = 7.0
-        assert fields.S[-1] == 7.0
-        assert fields.min_value() == 0.0
-
-    def test_copy_shares_no_memory(self):
-        fields = LayerFields(S=np.ones(4), O=np.ones(4), G=np.ones(3))
-        twin = fields.copy()
-        assert not np.shares_memory(twin.u, fields.u)
-        assert np.shares_memory(twin.G, twin.u)
-        twin.G[0] = -1.0
-        assert fields.G[0] == 1.0 and twin.min_value() == -1.0
-
-    def test_rejects_mismatched_outer_grids(self):
-        with pytest.raises(ValueError, match="outer grid"):
-            LayerFields(S=np.zeros(4), O=np.zeros(5), G=np.zeros(3))
 
 
 class TestBoundaryGradient:
@@ -229,17 +203,13 @@ class TestBoundaryGradient:
         assert boundary_gradient(u, dx) == pytest.approx(exact, abs=1e-9 * (1 + abs(exact)))
 
 
-def _uniform_fields(n, s=0.0, o=1.0, g=0.5):
-    return LayerFields(S=np.full(n + 1, s), O=np.full(n + 1, o), G=np.full(n + 1, g))
-
-
 class TestFrontVelocities:
     def test_zero_fields_zero_velocities(self):
         n = 100
-        fields = _uniform_fields(n, s=0.0, g=0.0)
+        zeros = np.zeros(n + 1)
         fs = synthetic_fronts()
         sc = StefanConstants(1.0, 1.0, 1.0)
-        moved, clamped = front_velocities(fields.S, fields.G, fs, sc, 1 / n, 1 / n, SW)
+        moved, clamped = front_velocities(zeros, zeros, fs, sc, 1 / n, 1 / n, SW)
         assert moved == fs._replace(a_dot=0.0, b_dot=0.0, beta_dot=0.0, gamma_dot=0.0)
         assert clamped == 0
 
@@ -247,12 +217,9 @@ class TestFrontVelocities:
         # S falling 1 -> 0 over unit width with Omega_s = 1 gives b_dot = 1
         n = 100
         z = np.linspace(0, 1, n + 1)
-        fields = _uniform_fields(n)
-        fields.S[:] = 1.0 - z
-        fields.G[:] = np.zeros(n + 1)
         fs = synthetic_fronts()
         sc = StefanConstants(1.0, 1.0, 0.0)
-        moved, _ = front_velocities(fields.S, fields.G, fs, sc, 1 / n, 1 / n, SW)
+        moved, _ = front_velocities(1.0 - z, np.zeros(n + 1), fs, sc, 1 / n, 1 / n, SW)
         assert moved.b_dot == pytest.approx(1.0, rel=1e-12)
         assert moved.a_dot == 0.0
         assert moved.gamma_dot == pytest.approx(-SW.omega_b, rel=1e-12)
@@ -261,24 +228,19 @@ class TestFrontVelocities:
     def test_positive_when_fields_positive(self):
         n = 100
         x = np.linspace(0, 1, n + 1)
-        fields = _uniform_fields(n)
-        fields.S[:] = np.cos(0.5 * np.pi * x)   # positive inside, 0 at x = 1
-        fields.G[:] = 1.0 - x**2
+        s = np.cos(0.5 * np.pi * x)   # positive inside, 0 at x = 1
         fs = synthetic_fronts()
         sc = StefanConstants(0.7, 0.3, 0.0)
-        moved, clamped = front_velocities(fields.S, fields.G, fs, sc, 1 / n, 1 / n, SW)
+        moved, clamped = front_velocities(s, 1.0 - x**2, fs, sc, 1 / n, 1 / n, SW)
         assert moved.a_dot > 0 and moved.b_dot > 0
         assert clamped == 0
 
     def test_each_speed_lands_in_its_field(self):
         n = 100
         x = np.linspace(0, 1, n + 1)
-        fields = _uniform_fields(n)
-        fields.S[:] = 2.0 * (1.0 - x)
-        fields.G[:] = 1.0 - x**2
         fs = synthetic_fronts(a_dot=9.0, b_dot=9.0, beta_dot=9.0, gamma_dot=9.0)
-        moved, _ = front_velocities(fields.S, fields.G, fs, StefanConstants(1.0, 1.0, 0.0),
-                                    1 / n, 1 / n, SW)
+        moved, _ = front_velocities(2.0 * (1.0 - x), 1.0 - x**2, fs,
+                                    StefanConstants(1.0, 1.0, 0.0), 1 / n, 1 / n, SW)
         assert moved[:4] == fs[:4]
         assert moved.b_dot == pytest.approx(2.0, rel=1e-12)
         assert moved.a_dot == pytest.approx(2.0, rel=1e-12)
@@ -288,12 +250,10 @@ class TestFrontVelocities:
     def test_negative_gradient_clamped(self):
         n = 10
         x = np.linspace(0, 1, n + 1)
-        fields = _uniform_fields(n)
-        fields.S[:] = x            # rising toward the front: unphysical direction
-        fields.G[:] = x
         fs = synthetic_fronts()
         sc = StefanConstants(1.0, 1.0, 0.0)
-        moved, clamped = front_velocities(fields.S, fields.G, fs, sc, 1 / n, 1 / n, SW)
+        # S and G rising toward the front: the unphysical direction
+        moved, clamped = front_velocities(x, x, fs, sc, 1 / n, 1 / n, SW)
         assert moved.a_dot == 0.0 and moved.b_dot == 0.0
         assert clamped == 2
 
@@ -301,12 +261,10 @@ class TestFrontVelocities:
     def test_kinematic_identity(self, s_amp, g_amp):
         n = 50
         x = np.linspace(0, 1, n + 1)
-        fields = _uniform_fields(n)
-        fields.S[:] = s_amp * (1 - x) * (1 + 0.3 * x)
-        fields.G[:] = g_amp * (1 - x**2)
         fs = synthetic_fronts()
         sc = StefanConstants(0.9, 0.4, 0.0)
-        moved, _ = front_velocities(fields.S, fields.G, fs, sc, 1 / n, 1 / n, SW)
+        moved, _ = front_velocities(s_amp * (1 - x) * (1 + 0.3 * x), g_amp * (1 - x**2), fs,
+                                    sc, 1 / n, 1 / n, SW)
         assert abs(moved.gamma_dot + SW.omega_p * moved.a_dot
                    + SW.omega_b * moved.b_dot) <= 1e-12
 
@@ -319,48 +277,43 @@ class TestOuterBcs:
         self.sc = StefanConstants(1.0, 1.0, 1.5)
 
     def test_dirichlet_and_homogeneous_robin(self):
-        fields = _uniform_fields(self.n, o=1.0)
-        fields.O[-2], fields.O[-3] = 0.9, 0.7
-        fs = synthetic_fronts()     # all velocities zero
-        o_beta = apply_outer_bcs(fields, fields.O[-3:-1], fs, self.d, (0.42, 0.8), self.sc,
-                                 self.dz)
-        assert fields.O[-1] == o_beta
-        assert fields.S[0] == 0.42
-        assert fields.O[0] == 0.8
-        assert fields.S[-1] == 0.0
+        # zero S and G keep the fronts at rest, so refresh_state makes the
+        # zero-velocity Robin solve; the end nodes start at 5.0 to show that
+        # it writes all six
+        model = NondimModel(d_hat=self.d, sc=self.sc, sw=SW, n_z=self.n, n_y=self.n,
+                            forcing_hat=lambda tau: (0.0, 0.0))
+        lay = model.layout
+        u = np.zeros(3 * (self.n + 1))
+        u[lay.bounds] = 5.0
+        u[lay.stencils[2:4]] = 0.7, 0.9     # O(-3), O(-2)
+        fs, _ = refresh_state(u, synthetic_fronts(), model, (0.42, 0.8))
+        assert fs == synthetic_fronts()
+        o_beta = apply_outer_bcs((0.7, 0.9), fs, self.d, self.sc, self.dz)
         # zero-velocity Robin reduces to a zero-gradient extrapolation
-        assert fields.O[-1] == pytest.approx((4 * 0.9 - 0.7) / 3.0, rel=1e-12)
+        assert o_beta == pytest.approx((4 * 0.9 - 0.7) / 3.0, rel=1e-12)
+        # S(0), S(1), O(0), O(1), G(0), G(1): the forcing, S(1) = 0, the Robin
+        # value handed to G(0), G(1) = 0
+        assert u[lay.bounds].tolist() == [0.42, 0.0, 0.8, o_beta, o_beta, 0.0]
 
     def test_uniform_field_with_matched_velocities(self):
         # gamma_dot = b_dot = v: the (gamma_dot - b_dot)*O term drops and the
         # boundary value shifts by the sink alone: O_N = O_a - Gamma_o*v/(3k)
         v = 0.25
-        fields = _uniform_fields(self.n, o=1.0)
         fs = synthetic_fronts(b_dot=v, gamma_dot=v)
-        apply_outer_bcs(fields, fields.O[-3:-1], fs, self.d, (1.0, 1.0), self.sc, self.dz)
+        o_beta = apply_outer_bcs((1.0, 1.0), fs, self.d, self.sc, self.dz)
         k = self.d.d_o / (2 * self.dz * (fs.beta - fs.gamma))
-        assert fields.O[-1] == pytest.approx(1.0 - self.sc.gamma_o * v / (3 * k),
-                                             rel=1e-12)
+        assert o_beta == pytest.approx(1.0 - self.sc.gamma_o * v / (3 * k), rel=1e-12)
 
     def test_negative_solution_clamped(self):
-        fields = _uniform_fields(self.n, o=1e-9)
         fs = synthetic_fronts(b_dot=50.0, gamma_dot=-60.0)
-        apply_outer_bcs(fields, fields.O[-3:-1], fs, self.d, (1.0, 1e-9), self.sc, self.dz)
-        assert fields.O[-1] == 0.0
+        assert apply_outer_bcs((1e-9, 1e-9), fs, self.d, self.sc, self.dz) == 0.0
 
     def test_singular_robin_reported(self):
-        fields = _uniform_fields(self.n)
         # arrange 3k == gamma_dot - b_dot exactly
         k = self.d.d_o / (2 * self.dz * 1.0)
         fs = synthetic_fronts(gamma_dot=3 * k, b_dot=0.0)
         with pytest.raises(BoundaryConditionError, match="dz"):
-            apply_outer_bcs(fields, fields.O[-3:-1], fs, self.d, (1.0, 1.0), self.sc, self.dz)
-
-    def test_inner_bcs_copy_interface_value(self):
-        fields = _uniform_fields(self.n)
-        apply_inner_bcs(fields, 0.77)
-        assert fields.G[0] == 0.77
-        assert fields.G[-1] == 0.0
+            apply_outer_bcs((1.0, 1.0), fs, self.d, self.sc, self.dz)
 
 
 def test_stefan_constants_formulas():

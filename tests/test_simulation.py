@@ -51,20 +51,23 @@ class TestNondimensionalization:
 
 class TestInitialize:
     def test_default_seed_geometry(self, default_cfg, sw):
-        fields, fronts, model = initialize(default_cfg)
+        _, fronts, _ = initialize(default_cfg)
         assert fronts.beta == pytest.approx(1.2255e-3, abs=1e-6)
         assert fronts.gamma == pytest.approx(-1.78835e-2, abs=1e-6)
         assert fronts.gamma < fronts.beta < fronts.a
 
     def test_field_profiles(self, default_cfg):
-        fields, fronts, model = initialize(default_cfg)
+        u, fronts, model = initialize(default_cfg)
         s_a, o_a = model.forcing_hat(0.0)
-        assert fields.S[0] == pytest.approx(s_a)
-        assert fields.S[-1] == 0.0
-        assert np.all(np.diff(fields.S) < 0)          # linear decay
-        assert fields.O[0] == pytest.approx(o_a)
-        assert fields.G[-1] == 0.0
-        assert fields.G[0] == fields.O[-1]            # interface handoff
+        n_outer = default_cfg.n_z + 1
+        s, o, g = u[:n_outer], u[n_outer:2 * n_outer], u[2 * n_outer:]
+        assert g.size == default_cfg.n_y + 1
+        assert s[0] == pytest.approx(s_a)
+        assert s[-1] == 0.0
+        assert np.all(np.diff(s) < 0)          # linear decay
+        assert o[0] == pytest.approx(o_a)
+        assert g[-1] == 0.0
+        assert g[0] == o[-1]            # interface handoff
 
     def test_seed_ordering_violation(self, default_cfg):
         bad = replace(default_cfg, a0=1e-2, b0=1e-3)   # beta(0) < 0
@@ -76,8 +79,8 @@ class TestInitialize:
         cfg = replace(default_cfg,
                       forcing=constant_chamber_forcing(0.0, 0.0),
                       scales=scales)
-        fields, _, _ = initialize(cfg)
-        assert np.all(fields.S == 0.0)
+        u, _, _ = initialize(cfg)
+        assert np.all(u[:cfg.n_z + 1] == 0.0)
 
     def test_config_validation(self, default_cfg):
         with pytest.raises(ValueError, match="horizon"):
@@ -168,9 +171,9 @@ def _recorded_steps(cfg, monkeypatch):
     steps = []
     step = patina.simulation.imex_midpoint_step
 
-    def recording(fields, fs, tau, dt, *args, **kwargs):
+    def recording(u, fs, tau, dt, *args, **kwargs):
         steps.append((tau, dt))
-        return step(fields, fs, tau, dt, *args, **kwargs)
+        return step(u, fs, tau, dt, *args, **kwargs)
 
     monkeypatch.setattr(patina.simulation, "imex_midpoint_step", recording)
     return run(cfg), steps

@@ -13,7 +13,7 @@ from patina import pde_core, simulation, stepper
 from patina.convergence import observed_orders
 from patina.environment import cycle_forcing
 from patina.materials import SwellingRatios
-from patina.pde_core import Diffusivities, FrontState, LayerFields, StefanConstants
+from patina.pde_core import Diffusivities, FrontState, StefanConstants
 from patina.simulation import initialize, run
 from patina.stepper import (
     NondimModel,
@@ -130,25 +130,25 @@ class TestPackedStageSolve:
     def test_matches_per_species_solves_bit_for_bit(self, seed, alphas):
         n_z, n_y, half = 30, 17, 0.37
         rng = np.random.default_rng(seed)
-        fields = LayerFields(S=rng.uniform(0, 1, n_z + 1), O=rng.uniform(0, 1, n_z + 1),
-                             G=rng.uniform(0, 1, n_y + 1))
-        h = rng.uniform(-1, 1, fields.u.size - 2)
+        u = rng.uniform(0, 1, 2 * (n_z + 1) + n_y + 1)
+        h = rng.uniform(-1, 1, u.size - 2)
         bounds = rng.uniform(0, 1, 6)
-        stage = LayerFields.from_buffer(
-            _implicit_stage_solve(fields.u, h, half, np.array(alphas), bounds,
-                                  PackedLayout.build(n_z, n_y)), n_z + 1)
+        stage = _implicit_stage_solve(u, h, half, np.array(alphas), bounds,
+                                      PackedLayout.build(n_z, n_y))
         # reference: each species solved on its own, h mapped onto its nodes
-        h_nodes = LayerFields.from_buffer(np.concatenate(([0.0], h, [0.0])), n_z + 1)
-        for k, name in enumerate("SOG"):
-            u, h_k, alpha = getattr(fields, name), getattr(h_nodes, name)[1:-1], alphas[k]
+        blocks = [n_z + 1, 2 * (n_z + 1)]
+        for k, (u_k, h_k, got) in enumerate(zip(
+                np.split(u, blocks), np.split(np.concatenate(([0.0], h, [0.0])), blocks),
+                np.split(stage, blocks))):
+            h_k, alpha = h_k[1:-1], alphas[k]
             left, right = bounds[2 * k], bounds[2 * k + 1]
-            n_int = u.size - 2
-            rhs = u[1:-1] + half * h_k
+            n_int = u_k.size - 2
+            rhs = u_k[1:-1] + half * h_k
             rhs[0] += alpha * left
             rhs[-1] += alpha * right
             sol = solve_tridiagonal(np.full(n_int - 1, -alpha), np.full(n_int, 1.0 + 2.0 * alpha),
                                     np.full(n_int - 1, -alpha), rhs)
-            assert np.array_equal(getattr(stage, name), np.concatenate(([left], sol, [right])))
+            assert np.array_equal(got, np.concatenate(([left], sol, [right])))
 
     def test_one_solve_and_two_advection_passes_per_step(self, monkeypatch, default_cfg):
         # every per-step function the benchmark traces is reached through the
@@ -169,7 +169,7 @@ class TestPackedStageSolve:
             (stepper, "refresh_state"): 2,
             (simulation, "forcing_at"): 2,
         }
-        fields, fronts, model = initialize(default_cfg)
+        u, fronts, model = initialize(default_cfg)
         calls = dict.fromkeys(expected, 0)
         forcing_hours = []
 
@@ -188,7 +188,7 @@ class TestPackedStageSolve:
         dt = select_dt(fronts, model.dz, model.dy, default_cfg.cfl_target,
                        default_cfg.dt_max, model.sw.omega_p)
         tau = 0.75
-        imex_midpoint_step(fields, fronts, tau, dt, model)
+        imex_midpoint_step(u, fronts, tau, dt, model)
         assert calls == expected
         hours_per_tau = default_cfg.scales.t_r / simulation.SECONDS_PER_HOUR
         assert forcing_hours == [pytest.approx((tau + dt / 2) * hours_per_tau, rel=1e-15),
@@ -236,13 +236,13 @@ class TestMidpointOrder:
         model, fronts = _inert_setup(n, d_hat)
         z = np.linspace(0, 1, n + 1)
         mode = np.sin(np.pi * z)
-        fields = LayerFields(S=mode, O=np.zeros(n + 1), G=np.zeros(n + 1))
+        u = _packed(mode, n)
         lam = -4.0 * d_hat * n**2 * math.sin(0.5 * math.pi / n) ** 2
         zeta = lam * dt
-        new, fs = imex_midpoint_step(fields, fronts, 0.0, dt, model)
+        new, fs, _, _ = imex_midpoint_step(u, fronts, 0.0, dt, model)
         expect = mode * (1 + zeta / 2) / (1 - zeta / 2)
-        assert np.allclose(new.S, expect, rtol=0, atol=1e-14)
-        assert not np.allclose(new.S, mode * math.exp(zeta), rtol=0, atol=1e-6)
+        assert np.allclose(new[:n + 1], expect, rtol=0, atol=1e-14)
+        assert not np.allclose(new[:n + 1], mode * math.exp(zeta), rtol=0, atol=1e-6)
         # the inert interfaces keep the fronts in place at zero speed, which
         # the other single-step tests on this setup rely on
         assert (fs.a, fs.b) == (fronts.a, fronts.b)
@@ -264,6 +264,11 @@ def _inert_setup(n, d_hat_s):
     return model, fronts
 
 
+def _packed(s, n):
+    """The buffer [S | O | G] on n cells per layer with S = s and O = G = 0."""
+    return np.concatenate((s, np.zeros(2 * (n + 1))))
+
+
 class TestPdeStep:
     def test_zero_rhs_leaves_state_unchanged(self):
         n = 40
@@ -271,40 +276,54 @@ class TestPdeStep:
         z = np.linspace(0, 1, n + 1)
         bump = np.exp(-((z - 0.5) / 0.2) ** 2)
         bump[0] = bump[-1] = 0.0
-        fields = LayerFields(S=bump.copy(), O=np.zeros(n + 1), G=np.zeros(n + 1))
-        new, _ = imex_midpoint_step(fields, fronts, 0.0, 0.05, model)
-        assert np.allclose(new.S, bump, atol=1e-25)
+        new, *_ = imex_midpoint_step(_packed(bump, n), fronts, 0.0, 0.05, model)
+        assert np.allclose(new[:n + 1], bump, atol=1e-25)
 
     def test_unconditional_stability_of_diffusion(self):
         # stiff diffusion, huge dt, no advection: norm must not grow
         n = 50
         model, fronts = _inert_setup(n, 1e6)
         z = np.linspace(0, 1, n + 1)
-        fields = LayerFields(S=np.sin(np.pi * z), O=np.zeros(n + 1), G=np.zeros(n + 1))
-        norm0 = np.linalg.norm(fields.S)
+        u = _packed(np.sin(np.pi * z), n)
+        norm0 = np.linalg.norm(u[:n + 1])
         for k in range(5):
-            fields, _ = imex_midpoint_step(fields, fronts, 0.0, 10.0, model)
-            norm = np.linalg.norm(fields.S)
+            u, *_ = imex_midpoint_step(u, fronts, 0.0, 10.0, model)
+            norm = np.linalg.norm(u[:n + 1])
             assert norm <= norm0 + 1e-12
             norm0 = norm
 
     def test_rejects_non_positive_dt(self):
         n = 10
         model, fronts = _inert_setup(n, 1.0)
-        fields = LayerFields(*(np.zeros(n + 1) for _ in range(3)))
         with pytest.raises(ValueError):
-            imex_midpoint_step(fields, fronts, 0.0, 0.0, model)
+            imex_midpoint_step(np.zeros(3 * (n + 1)), fronts, 0.0, 0.0, model)
 
-    def test_counters_accumulate_field_clamps(self, default_cfg):
+    def test_counters_accumulate_field_clamps(self, default_cfg, monkeypatch):
         # at the switch to the dry phase (8 h) the SO2 at z = 0 drops to zero:
         # the fields undershoot below zero, and as the layer drains the SO2
         # gradient at beta reverses; the clamps floor both and count them
-        # (126 field and 25 velocity clamps on the default grid)
+        # (126 field and 26 velocity clamps on the default grid).  Each step
+        # returns its counts with a buffer that has no negative node; the
+        # step from the switch is the first to clamp (99 nodes), and the
+        # run's totals are the sums of the step counts.
         chamber = default_cfg.forcing
         cfg = replace(default_cfg, horizon_hours=24.0,
                       forcing=cycle_forcing(float(chamber.so2[0]), chamber.oxygen))
+        switch = 8.0 * simulation.SECONDS_PER_HOUR / cfg.scales.t_r
+        step = simulation.imex_midpoint_step
+        steps = []
+
+        def recording(u, fs, tau, dt, model):
+            new, fs_new, field_clamps, velocity_clamps = step(u, fs, tau, dt, model)
+            steps.append((tau, new.min(), field_clamps, velocity_clamps))
+            return new, fs_new, field_clamps, velocity_clamps
+
+        monkeypatch.setattr(simulation, "imex_midpoint_step", recording)
         out = run(cfg)
         assert out.field_clamps > 0 and out.velocity_clamps > 0
-        assert out.min_concentration >= 0.0
+        assert all(lowest >= 0.0 for _, lowest, _, _ in steps)
+        assert next(tau for tau, _, clamps, _ in steps if clamps > 0) == switch
+        assert out.field_clamps == sum(s[2] for s in steps)
+        assert out.velocity_clamps == sum(s[3] for s in steps)
         # nothing is clamped before the first switch
         assert run(replace(cfg, horizon_hours=8.0)).field_clamps == 0
