@@ -43,15 +43,18 @@ DEFECTS = {
     "end forcing at tau": (
         "stepper.py", "model.forcing_hat(tau + dt)", "model.forcing_hat(tau)"),
     "stage geometry at the step start": (
-        "stepper.py", "fs.advanced(half, model.sw)", "fs.advanced(0.0, model.sw)"),
+        "stepper.py",
+        "refresh_state(stage, fs.a + half * fs.a_dot,\n"
+        "                                            fs.b + half * fs.b_dot,",
+        "refresh_state(stage, fs.a, fs.b,"),
     "update advection at (u^n, fronts^n)": (
         "stepper.py", "_advection(stage, fs_mid, model)", "_advection(u, fs, model)"),
     "update advection speeds at the step-start fronts": (
         "stepper.py", "_advection(stage, fs_mid, model)", "_advection(stage, fs, model)"),
     "midpoint frozen at the step-start fronts": (
         "stepper.py",
-        "    fs_mid = fs.advanced(half, model.sw)\n"
-        "    fs_mid, velocity_clamps = refresh_state(stage, fs_mid, model, forcing_mid)\n",
+        "    fs_mid, velocity_clamps = refresh_state(stage, fs.a + half * fs.a_dot,\n"
+        "                                            fs.b + half * fs.b_dot, model, forcing_mid)\n",
         "    fs_mid, velocity_clamps = fs, 0\n"),
     "stepper advection switched off": (
         "stepper.py", "split_rhs_interior(u, rate)", "split_rhs_interior(u, 0.0 * rate)"),
@@ -63,9 +66,8 @@ DEFECTS = {
         "stepper.py", "outer = [(-k, 0, 0) for k", "outer = [(-k * n_y / n_z, 0, 0) for k"),
     "inner slope sign flipped in the rates": (
         "pde_core.py", "(bd - fs.a_dot) / inner", "(fs.a_dot - bd) / inner"),
-    "stage solve: one array as sub and sup": (
-        "stepper.py", "solve_tridiagonal(sub, diag, sub.copy(), rhs, overwrite=True)",
-        "solve_tridiagonal(sub, diag, sub, rhs, overwrite=True)"),
+    "stage solve: couplings +alpha instead of -alpha": (
+        "stepper.py", "np.array((-a_s, -a_o, -a_g, 0.0))", "np.array((a_s, a_o, a_g, 0.0))"),
     "tridiagonal solver consumes its inputs by default": (
         "stepper.py", "rhs, overwrite: bool = False)", "rhs, overwrite: bool = True)"),
     "Stefan and Robin stencils one node inward": (
@@ -74,13 +76,16 @@ DEFECTS = {
         "stepper.py", "fs.a + dt * fs_mid.a_dot,", "fs.a + dt * fs.a_dot,"),
     "inner CFL bound doubled": (
         "stepper.py", "cfl_target * dy / c_inner", "2.0 * cfl_target * dy / c_inner"),
-    "downwind advection": (
-        "pde_core.py", "np.where(rate < 0.0, d[:-1], d[1:])", "np.where(rate < 0.0, d[1:], d[:-1])"),
+    # every rate is >= 0, so the downwind difference is the backward one
+    "advection pass takes the backward difference": (
+        "pde_core.py", "rhs = u[2:] - u[1:-1]", "rhs = u[1:-1] - u[:-2]"),
     "Robin sink dropped": (
-        "pde_core.py", "(k * (4.0 * u2 - u3) - sc.gamma_o * fs.b_dot) / denom",
-        "k * (4.0 * u2 - u3) / denom"),
+        "pde_core.py", "(k * (4.0 * o_2 - o_3) - sc.gamma_o * b_dot) / denom",
+        "k * (4.0 * o_2 - o_3) / denom"),
     "first-order Stefan gradient": (
-        "pde_core.py", "(3.0 * u1 - 4.0 * u2 + u3) / (2.0 * dx)", "(u1 - u2) / dx"),
+        "pde_core.py", "((s_3 - 4.0 * s_2) / (2.0 * dz))", "(-s_2 / dz)"),
+    "refresh skips the ordering check": (
+        "stepper.py", "    check_ordering(a, beta, gamma)\n", ""),
     "G(0) handed O(0) instead of O(1)": (
         "stepper.py", "(s_a, CONSUMED, o_a, o_beta, o_beta, CONSUMED)",
         "(s_a, CONSUMED, o_a, o_beta, o_a, CONSUMED)"),

@@ -54,6 +54,9 @@ class RunManifest:
     input_digests: dict[str, str] = field(default_factory=dict)
     tool_version: str = __version__
     duration_seconds: float = 0.0
+    # simulate only: the run totals of SimulationOutput (steps, landings,
+    # splits and the clamp counts)
+    run: dict | None = None
     # calibrate only: the starting Jacobian's singular values, its condition
     # number and the fitted parameters
     calibration: dict | None = None
@@ -133,6 +136,9 @@ def cmd_simulate(args) -> int:
         command="simulate",
         resolved_config=_settings(cp),
         input_digests=_digests(_input_files(args, cp)),
+        run={"steps": output.steps, "landings": output.landings, "splits": output.splits,
+             "field_clamps": output.field_clamps,
+             "velocity_clamps": output.velocity_clamps},
     )
     manifest.duration_seconds = time.perf_counter() - started
     manifest.write(os.path.join(args.out, "manifest.json"))

@@ -34,11 +34,17 @@ Stefan condition nor any other field, so it is not carried.
 All quantities here are dimensionless; lengths scale by lambda, time by
 t_r, concentrations by their reference values.
 
-The functions here take per-species nodes, flat arrays and scalars: the
-front kinematics, the advection rates, the upwind pass, the Stefan
-gradients and the Robin solve for O(1).  None of them writes a boundary
-node.  How the three species share one buffer, and where its end values
-sit, is described once, by ``stepper.PackedLayout``.
+The functions here take flat arrays and plain floats: the front
+kinematics, the advection rates, the upwind pass, the Stefan speeds and
+the Robin solve for O(1).  None of them writes a boundary node.  How the
+three species share one buffer, and where its end values sit, is
+described once, by ``stepper.PackedLayout``.
+
+For consistent fronts with clamped speeds a_dot, b_dot >= 0 every
+advection speed is <= 0: z*s_o with s_o = -(1+omega_b)*b_dot/width outside,
+from -b_dot/width to -(1+omega_p)*a_dot/width inside, where 1+omega_b =
+mu_p/(2 mu_b) > 0 and 1+omega_p = mu_c/(2 mu_p) > 0.  So the upwind
+difference is always the forward one.
 """
 
 from __future__ import annotations
@@ -55,13 +61,13 @@ __all__ = [
     "Scales",
     "Diffusivities",
     "FrontState",
+    "check_ordering",
     "StefanConstants",
     "stefan_constants",
     "advection_rates",
     "outer_advection_coeff",
     "inner_advection_coeff",
     "split_rhs_interior",
-    "boundary_gradient",
     "front_velocities",
     "apply_outer_bcs",
     "BoundaryConditionError",
@@ -126,8 +132,8 @@ class FrontState(NamedTuple):
     a: copper consumption; b: cuprite consumption; beta = b - omega_p*a is
     the cuprite/brochantite boundary; gamma = -(omega_p*a + omega_b*b) the
     outer surface.  Strict ordering gamma < beta < a must hold.  An
-    immutable named tuple: the stepper builds four per step, and a tuple
-    is built several times faster than a frozen dataclass.
+    immutable named tuple: the stepper builds one per boundary refresh,
+    and a tuple is built several times faster than a frozen dataclass.
     """
 
     a: float
@@ -145,27 +151,18 @@ class FrontState(NamedTuple):
         """Kinematically consistent state from the two consumptions."""
         if a < 0.0 or b < 0.0:
             raise ValueError(f"consumptions must be non-negative, got a={a}, b={b}")
-        fs = cls(a, b, b - sw.omega_p * a, -(sw.omega_p * a + sw.omega_b * b),
-                 a_dot, b_dot, b_dot - sw.omega_p * a_dot,
-                 -(sw.omega_p * a_dot + sw.omega_b * b_dot))
-        fs.validate()
-        return fs
+        beta, gamma = b - sw.omega_p * a, -(sw.omega_p * a + sw.omega_b * b)
+        check_ordering(a, beta, gamma)
+        return cls(a, b, beta, gamma, a_dot, b_dot, b_dot - sw.omega_p * a_dot,
+                   -(sw.omega_p * a_dot + sw.omega_b * b_dot))
 
-    def validate(self) -> None:
-        if not (self.gamma < self.beta < self.a):
-            raise ValueError(
-                f"front ordering gamma < beta < a violated: "
-                f"gamma={self.gamma!r} beta={self.beta!r} a={self.a!r}"
-            )
 
-    def advanced(self, dt: float, sw: SwellingRatios) -> "FrontState":
-        """Consumptions moved by dt at the stored velocities; geometry rederived."""
-        return FrontState.from_consumption(
-            self.a + dt * self.a_dot,
-            self.b + dt * self.b_dot,
-            sw,
-            a_dot=self.a_dot,
-            b_dot=self.b_dot,
+def check_ordering(a: float, beta: float, gamma: float) -> None:
+    """Raise ValueError unless gamma < beta < a: both layers have positive width."""
+    if not gamma < beta < a:
+        raise ValueError(
+            f"front ordering gamma < beta < a violated: "
+            f"gamma={gamma!r} beta={beta!r} a={a!r}"
         )
 
 
@@ -193,20 +190,6 @@ def stefan_constants(mat: MaterialTable, d_hat: Diffusivities,
     )
 
 
-def _outer_width(fs: FrontState) -> float:
-    width = fs.beta - fs.gamma
-    if width == 0.0:
-        raise ValueError("degenerate brochantite layer: beta == gamma")
-    return width
-
-
-def _inner_width(fs: FrontState) -> float:
-    width = fs.a - fs.beta
-    if width == 0.0:
-        raise ValueError("degenerate cuprite layer: a == beta")
-    return width
-
-
 def advection_rates(fs: FrontState, omega_p: float) -> tuple[float, float, float]:
     """The advection speeds as straight lines in the mapped coordinate.
 
@@ -215,10 +198,11 @@ def advection_rates(fs: FrontState, omega_p: float) -> tuple[float, float, float
     omega_p*a_dot/width is y*s_i + m_i on G.  For consistent fronts the
     inner speed runs from m_i = -b_dot/width at y=0 to s_i + m_i =
     -(1+omega_p)*a_dot/width at y=1; these end speeds and s_o are the
-    peaks select_dt bounds.
+    peaks select_dt bounds.  ``fs`` is a ``FrontState``, whose ordering
+    keeps both widths positive.
     """
-    outer = _outer_width(fs)
-    inner = _inner_width(fs)
+    outer = fs.beta - fs.gamma
+    inner = fs.a - fs.beta
     bd = fs.beta_dot
     return ((fs.gamma_dot - bd) / outer, (bd - fs.a_dot) / inner,
             -(bd + omega_p * fs.a_dot) / inner)
@@ -241,43 +225,37 @@ def split_rhs_interior(u: np.ndarray, rate: np.ndarray) -> np.ndarray:
     ``u`` is one flat buffer, usually the packed ``[S | O | G]`` of
     ``stepper.PackedLayout``; the result covers nodes 1..N-2.  ``rate`` is
     -c/dx at each of those nodes, the advection speed over the grid
-    spacing, so blocks on different grids go through one pass.  The difference is taken against
-    the flow: backward where c > 0 (rate < 0), forward elsewhere.  A
-    difference taken across a block edge mixes two species; the stepper
-    gives the block-edge nodes rate 0 and never uses their rows.
+    spacing, so blocks on different grids go through one pass.  Every rate
+    must be >= 0 (c <= 0, see the module docstring), so the upwind
+    difference is the forward one, u[i+1] - u[i].  A difference taken
+    across a block edge mixes two species; the stepper gives the block-edge
+    nodes rate 0 and never uses their rows.
     """
     if u.ndim != 1 or u.size < 3:
         raise ValueError(f"field must be a 1-D array with at least 3 nodes, got shape {u.shape}")
     if rate.shape != (u.size - 2,):
         raise ValueError("advection rate grid does not match the field grid")
-    # d[k] = u[k+1] - u[k]: node i differences backward with d[i-1], forward with d[i]
-    d = u[1:] - u[:-1]
-    rhs = np.where(rate < 0.0, d[:-1], d[1:])
+    rhs = u[2:] - u[1:-1]
     rhs *= rate
     return rhs
 
 
-def boundary_gradient(u, dx: float) -> float:
-    """Second-order one-sided derivative at the last of the nodes u, exact for quadratics."""
-    u3, u2, u1 = u[-3:]
-    return (3.0 * u1 - 4.0 * u2 + u3) / (2.0 * dx)
-
-
-def front_velocities(s, g, fs: FrontState, sc: StefanConstants, dz: float, dy: float,
-                     sw: SwellingRatios) -> tuple[FrontState, int]:
-    """``fs`` with its front speeds set from the two Stefan conditions.
+def front_velocities(s_3: float, s_2: float, g_3: float, g_2: float, outer: float,
+                     inner: float, sc: StefanConstants, dz: float,
+                     dy: float) -> tuple[float, float, int]:
+    """The front speeds (a_dot, b_dot) from the two Stefan conditions, and a clamp count.
 
     b_dot comes from the SO2 gradient at beta, a_dot from the inner oxygen
-    gradient at a; both use the one-sided second-order stencil on the last
-    three nodes of ``s`` (S) and ``g`` (G).  Transiently negative speeds
-    (discretization noise; the reactions are irreversible) are clamped to
-    zero and counted.  Returns (fronts, clamp count).
+    gradient at a; both use the one-sided second-order stencil, exact for
+    quadratics, on the last three nodes of a species.  The last node is the
+    Dirichlet pin S(1) = G(1) = CONSUMED, so only the two before it are
+    passed: (s_3, s_2) = (S(-3), S(-2)) and (g_3, g_2) = (G(-3), G(-2)).
+    ``outer`` and ``inner`` are the layer widths beta - gamma and a - beta.
+    Transiently negative speeds (discretization noise; the reactions are
+    irreversible) are clamped to zero and counted.
     """
-    outer_width = _outer_width(fs)
-    inner_width = _inner_width(fs)
-
-    b_dot = -sc.omega_s / outer_width * boundary_gradient(s, dz)
-    a_dot = -sc.omega_g / inner_width * boundary_gradient(g, dy)
+    b_dot = -sc.omega_s / outer * ((s_3 - 4.0 * s_2) / (2.0 * dz))
+    a_dot = -sc.omega_g / inner * ((g_3 - 4.0 * g_2) / (2.0 * dy))
 
     clamped = 0
     if b_dot < 0.0:
@@ -286,29 +264,25 @@ def front_velocities(s, g, fs: FrontState, sc: StefanConstants, dz: float, dy: f
     if a_dot < 0.0:
         a_dot = 0.0
         clamped += 1
-
-    # positional, the fastest way to build the tuple
-    return FrontState(fs.a, fs.b, fs.beta, fs.gamma, a_dot, b_dot,
-                      b_dot - sw.omega_p * a_dot,
-                      -(sw.omega_p * a_dot + sw.omega_b * b_dot)), clamped
+    return a_dot, b_dot, clamped
 
 
-def apply_outer_bcs(o_in, fs: FrontState, d_hat: Diffusivities, sc: StefanConstants,
-                    dz: float) -> float:
+def apply_outer_bcs(o_3: float, o_2: float, outer: float, gamma_dot: float, b_dot: float,
+                    d_hat: Diffusivities, sc: StefanConstants, dz: float) -> float:
     """O(1), the outer oxygen at beta, from its Robin condition; writes nothing.
 
     The condition D/width O_z = (gamma_dot - b_dot) O - gamma_o*b_dot holds
-    at the velocities stored in ``fs``.  The one-sided stencil on ``o_in`` =
-    (O(-3), O(-2)) makes it linear in O(1):
+    at the front speeds ``gamma_dot`` and ``b_dot``, ``outer`` being the
+    width beta - gamma.  The one-sided stencil on (o_3, o_2) = (O(-3),
+    O(-2)) makes it linear in O(1):
     k*(3 O(1) - 4 O(-2) + O(-3)) = (gamma_dot - b_dot) O(1) - gamma_o*b_dot
     with k = D/(2 dz width).  A negative solution is clamped to zero.
     """
-    k = d_hat.d_o / (2.0 * dz * _outer_width(fs))
-    denom = 3.0 * k - (fs.gamma_dot - fs.b_dot)
+    k = d_hat.d_o / (2.0 * dz * outer)
+    denom = 3.0 * k - (gamma_dot - b_dot)
     if abs(denom) < 1e-300 or not math.isfinite(denom):
         raise BoundaryConditionError(
             f"singular Robin coefficient for O: dz={dz}, "
-            f"gamma_dot={fs.gamma_dot}, b_dot={fs.b_dot}, k={k}"
+            f"gamma_dot={gamma_dot}, b_dot={b_dot}, k={k}"
         )
-    u3, u2 = o_in
-    return max((k * (4.0 * u2 - u3) - sc.gamma_o * fs.b_dot) / denom, 0.0)
+    return max((k * (4.0 * o_2 - o_3) - sc.gamma_o * b_dot) / denom, 0.0)

@@ -5,8 +5,9 @@ coupled field/front system with the IMEX midpoint stepper under an advective
 CFL bound, and emits one record per output row: the front positions and
 layer thicknesses in cm, exactly the columns of ``simulation.csv``.  The
 run state is the packed buffer of :class:`patina.stepper.PackedLayout` and
-a :class:`FrontState`; the run totals (steps and the clamp counts each
-step returns) are kept once, on the :class:`SimulationOutput`.
+a :class:`FrontState`; the run totals (steps, the clamp counts each step
+returns, and the landings and splits of the step control below) are kept
+once, on the :class:`SimulationOutput`.
 
 Step control.  Each step is the CFL bound capped by ``dt_max`` and by the
 horizon.  No step crosses a breakpoint of the forcing (a cycle switch or a
@@ -16,7 +17,8 @@ the next breakpoint lies between one and two steps ahead, the step covers
 half the distance, so no sliver step is left before it: the midpoint stage
 is not L-stable, and a sliver followed by a long step lets the stiff modes
 ring.  The horizon gets no such split, as no step follows it.  Under
-constant forcing there are no breakpoints.
+constant forcing there are no breakpoints.  A run counts the steps that
+end on a breakpoint (landings) and the steps it halved (splits).
 """
 
 from __future__ import annotations
@@ -105,12 +107,14 @@ OUTPUT_CSV_HEADER = ",".join(OutputRecord._fields)
 
 @dataclass
 class SimulationOutput:
-    """Ordered records plus the run totals."""
+    """Ordered records plus the run totals (landings and splits: see the module docstring)."""
 
     records: list[OutputRecord]
     steps: int
     velocity_clamps: int
     field_clamps: int
+    landings: int
+    splits: int
 
     def thickness_at(self, t_hours) -> np.ndarray:
         """Total patina thickness (cm) interpolated at the given hours."""
@@ -159,7 +163,7 @@ def initialize(cfg: SimulationConfig) -> tuple[np.ndarray, FrontState, NondimMod
     z = np.linspace(0.0, 1.0, cfg.n_z + 1)
     y = np.linspace(0.0, 1.0, cfg.n_y + 1)
     u = np.concatenate((s_a * (1.0 - z), np.full(cfg.n_z + 1, o_a), o_a * (1.0 - y)))
-    fronts, _ = refresh_state(u, fronts, model, (s_a, o_a))
+    fronts, _ = refresh_state(u, cfg.a0, cfg.b0, model, (s_a, o_a))
     return u, fronts, model
 
 
@@ -174,7 +178,7 @@ def _record(cfg: SimulationConfig, tau: float, fronts: FrontState) -> OutputReco
 def run(cfg: SimulationConfig) -> SimulationOutput:
     """Integrate from the seeds to the horizon and collect output records."""
     u, fronts, model = initialize(cfg)
-    field_clamps = velocity_clamps = 0
+    field_clamps = velocity_clamps = landings = splits = 0
     tau_end = cfg.horizon_hours * SECONDS_PER_HOUR / cfg.scales.t_r
     records = [_record(cfg, 0.0, fronts)]
 
@@ -195,8 +199,10 @@ def run(cfg: SimulationConfig) -> SimulationOutput:
             lands = remaining <= dt
             if lands:
                 dt = remaining
+                landings += 1
             elif remaining < 2.0 * dt:
                 dt = 0.5 * remaining     # no sliver step before the break
+                splits += 1
         try:
             u, fronts, fields_clamped, fronts_clamped = imex_midpoint_step(
                 u, fronts, tau, dt, model)
@@ -218,7 +224,8 @@ def run(cfg: SimulationConfig) -> SimulationOutput:
             )
     records.append(_record(cfg, tau, fronts))
     return SimulationOutput(records=records, steps=step_index,
-                            velocity_clamps=velocity_clamps, field_clamps=field_clamps)
+                            velocity_clamps=velocity_clamps, field_clamps=field_clamps,
+                            landings=landings, splits=splits)
 
 
 def write_output_csv(output: SimulationOutput, path) -> None:

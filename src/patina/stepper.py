@@ -19,11 +19,14 @@ The run state is a plain float64 buffer holding the three species, laid out
 as ``PackedLayout`` describes, and a ``FrontState``.  The species advance
 together in that buffer: each explicit stage is one advection pass over it
 and the implicit stage one tridiagonal solve, whose block-edge rows are
-decoupled so that every species is solved exactly as on its own.  The front-fixing
-advection speed is affine in the mapped coordinate, z*s_o on S and O and
-y*s_i + m_i on G (``advection_rates``), so each pass gets its per-row
-rate -c/dx as one matvec of the layout's fixed rate basis -[z | y | 1]/dx
-with those three rates; the basis is zero on the block-edge rows.
+decoupled so that every species is solved exactly as on its own.  The
+stage matrix is symmetric positive definite, so the solve is LAPACK's
+dptsv.  The front-fixing advection speed is affine in the mapped
+coordinate, z*s_o on S and O and y*s_i + m_i on G (``advection_rates``),
+so each pass gets its per-row rate -c/dx as one matvec of the layout's
+fixed rate basis -[z | y | 1]/dx with those three rates; the basis is zero
+on the block-edge rows.  Every rate is >= 0 for the fronts a refresh
+builds (``patina.pde_core``), so each pass is one forward difference.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .pde_core import (
     StefanConstants,
     advection_rates,
     apply_outer_bcs,
+    check_ordering,
     front_velocities,
     split_rhs_interior,
 )
@@ -86,32 +90,33 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgtsv = _flapack.dgtsv
+dptsv = _flapack.dptsv
 
 
 class TridiagonalError(RuntimeError):
-    """Raised when the tridiagonal elimination hits a zero pivot."""
+    """Raised when the tridiagonal matrix is not positive definite."""
 
 
-def solve_tridiagonal(sub, diag, sup, rhs, overwrite: bool = False) -> np.ndarray:
-    """Solve a tridiagonal system (sub/super diagonals one shorter than diag).
+def solve_tridiagonal(diag, off, rhs, overwrite: bool = False) -> np.ndarray:
+    """Solve a symmetric positive definite tridiagonal system.
 
-    Backed by the LAPACK dgtsv elimination; its info code names the row of a
-    zero pivot, which is surfaced in the error.  The inputs are left as
-    they are unless ``overwrite`` lets dgtsv consume all four (``sub`` and
-    ``sup`` must then not share memory); it then solves in the storage of
-    ``rhs`` if that is a contiguous float64 array.  dgtsv is the routine
-    scipy.linalg.lapack exposes, taken from scipy's compiled module
-    scipy.linalg._flapack by ``_load_flapack`` so that a run does not pay
-    for importing the scipy.linalg package.
+    ``off`` is both the sub- and the super-diagonal, one shorter than
+    ``diag``.  Backed by LAPACK dptsv, an L*D*L^T factorization without
+    pivoting; its info code names the first row whose leading minor is not
+    positive definite, which is surfaced in the error.  The inputs are left
+    as they are unless ``overwrite`` lets dptsv consume all three; it then
+    solves in the storage of ``rhs`` if that is a contiguous float64 array.
+    dptsv is the routine scipy.linalg.lapack exposes, taken from scipy's
+    compiled module scipy.linalg._flapack by ``_load_flapack`` so that a run
+    does not pay for importing the scipy.linalg package.
     """
     n = len(diag)
-    if len(sub) != n - 1 or len(sup) != n - 1 or len(rhs) != n:
+    if len(off) != n - 1 or len(rhs) != n:
         raise ValueError("inconsistent tridiagonal system sizes")
-    _, _, _, x, info = dgtsv(sub, diag, sup, rhs, overwrite, overwrite, overwrite, overwrite)
+    _, _, x, info = dptsv(diag, off, rhs, overwrite, overwrite, overwrite)
     if info != 0:
         if info > 0:
-            raise TridiagonalError(f"zero pivot at row {info - 1}")
+            raise TridiagonalError(f"matrix not positive definite at row {info - 1}")
         raise TridiagonalError(f"bad argument {-info} to the tridiagonal solver")
     return x
 
@@ -200,13 +205,12 @@ def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,
               dt_max: float, omega_p: float) -> float:
     """Advective CFL step bound; diffusion imposes none (it is implicit).
 
-    The outer advection speed peaks at z=1 with |gamma_dot - beta_dot|/width;
-    the inner speed is linear in y with endpoint values b_dot/width and
-    (1+omega_p)*a_dot/width.
+    For ``fs`` from ``refresh_state`` (a_dot, b_dot >= 0) the outer speed
+    peaks at z=1 with (beta_dot - gamma_dot)/width; the inner speed is
+    linear in y with endpoint values b_dot/width and (1+omega_p)*a_dot/width.
     """
-    fs.validate()
-    c_outer = abs(fs.gamma_dot - fs.beta_dot) / (fs.beta - fs.gamma)
-    c_inner = max(abs(fs.b_dot), (1.0 + omega_p) * abs(fs.a_dot)) / (fs.a - fs.beta)
+    c_outer = (fs.beta_dot - fs.gamma_dot) / (fs.beta - fs.gamma)
+    c_inner = max(fs.b_dot, (1.0 + omega_p) * fs.a_dot) / (fs.a - fs.beta)
     dt = dt_max
     if c_outer > 0.0:
         dt = min(dt, cfl_target * dz / c_outer)
@@ -224,26 +228,34 @@ def _clamp_fields(u: np.ndarray) -> int:
     return int(np.count_nonzero(mask))
 
 
-def refresh_state(u: np.ndarray, fs: FrontState, model: NondimModel,
+def refresh_state(u: np.ndarray, a: float, b: float, model: NondimModel,
                   forcing_values: tuple[float, float]) -> tuple[FrontState, int]:
-    """Re-establish the end values of ``u`` and the velocities after the interior moved.
+    """The one ``FrontState`` at consumptions (a, b), and a clamp count; writes u's end values.
 
-    The stencil nodes of both Stefan gradients and of the Robin solve are
-    interior nodes, so they are read once, up front.  Order matters: the
-    Dirichlet pins S(1) = G(1) = CONSUMED enter the Stefan gradients, the
-    velocities feed the Robin solve for O(1), and O(1) is handed to G(0).
-    The six end values are then written in one assignment, in
-    ``lay.bounds`` order: S(0) and O(0) take the forcing, S(1) = G(1) =
-    CONSUMED, O(1) the Robin value and G(0) = O(1).
+    Checks the ordering gamma < beta < a once, then reads the interior
+    stencil nodes of the Stefan and Robin conditions.  Order matters: the
+    pins S(1) = G(1) = CONSUMED enter the Stefan speeds, the speeds feed
+    the Robin solve for O(1), and O(1) is handed to G(0).  The end values
+    go in one assignment, in ``lay.bounds`` order: the forcing S, CONSUMED,
+    the forcing O, O(1), G(0) = O(1), CONSUMED.
     """
+    sw = model.sw
+    omega_p, omega_b = sw.omega_p, sw.omega_b
+    beta = b - omega_p * a
+    gamma = -(omega_p * a + omega_b * b)
+    check_ordering(a, beta, gamma)
+    outer = beta - gamma
     lay = model.layout
     s3, s2, o3, o2, g3, g2 = u[lay.stencils].tolist()
-    fs, clamped = front_velocities((s3, s2, CONSUMED), (g3, g2, CONSUMED), fs, model.sc,
-                                   model.dz, model.dy, model.sw)
-    o_beta = apply_outer_bcs((o3, o2), fs, model.d_hat, model.sc, model.dz)
+    a_dot, b_dot, clamped = front_velocities(s3, s2, g3, g2, outer, a - beta, model.sc,
+                                             model.dz, model.dy)
+    gamma_dot = -(omega_p * a_dot + omega_b * b_dot)
+    o_beta = apply_outer_bcs(o3, o2, outer, gamma_dot, b_dot, model.d_hat, model.sc, model.dz)
     s_a, o_a = forcing_values
     u[lay.bounds] = (s_a, CONSUMED, o_a, o_beta, o_beta, CONSUMED)
-    return fs, clamped
+    # positional, the fastest way to build the tuple
+    return FrontState(a, b, beta, gamma, a_dot, b_dot, b_dot - omega_p * a_dot,
+                      gamma_dot), clamped
 
 
 def _implicit_stage_solve(u: np.ndarray, h_int: np.ndarray, half_dt: float,
@@ -254,11 +266,13 @@ def _implicit_stage_solve(u: np.ndarray, h_int: np.ndarray, half_dt: float,
     ``alpha`` holds the S, O, G diffusion numbers half_dt*D/(width*dx)^2 and
     ``bounds`` the six end values in ``lay.bounds`` order.  The end values
     enter each block's first and last interior rows; the four block-edge
-    rows are identity rows with zero couplings on both sides.  Elimination
-    then meets a zero factor at every edge, and since the diagonal 1+2*alpha
-    never falls below the coupling alpha no row is interchanged: each block
-    is solved exactly as it would be on its own.  The solve runs in place
-    on the interior of the returned buffer.
+    rows are identity rows with zero couplings on both sides, so the
+    matrix is symmetric and diagonally dominant, positive definite.  Its
+    L*D*L^T factorization meets a zero multiplier at every edge, so each
+    block is solved exactly as it would be on its own, in place on the
+    interior of the returned buffer.  Of the end values only S(0) and G(1),
+    outside the solve, are written: the block-edge rows keep u's values
+    (zero advection there), and the refresh after the stage writes all six.
     """
     out = np.empty_like(u)
     rhs = np.multiply(h_int, half_dt, out=out[1:-1])
@@ -272,12 +286,12 @@ def _implicit_stage_solve(u: np.ndarray, h_int: np.ndarray, half_dt: float,
     rhs[r_s1] += a_s * s_1
     rhs[r_o1] += a_o * o_1
     rhs[r_g1] += a_g * g_1
-    sub = np.array((-a_s, -a_o, -a_g, 0.0))[lay.link]
+    off = np.array((-a_s, -a_o, -a_g, 0.0))[lay.link]
     diag = np.array((1.0 + 2.0 * a_s, 1.0 + 2.0 * a_o, 1.0 + 2.0 * a_g, 1.0))[lay.species]
-    x = solve_tridiagonal(sub, diag, sub.copy(), rhs, overwrite=True)
-    if x is not rhs:    # dgtsv solved a copy, so the solution is not in out yet
+    x = solve_tridiagonal(diag, off, rhs, overwrite=True)
+    if x is not rhs:    # dptsv solved a copy, so the solution is not in out yet
         rhs[:] = x
-    out[lay.bounds] = bounds
+    out[0], out[-1] = s_0, g_1
     return out
 
 
@@ -337,8 +351,8 @@ def imex_midpoint_step(u: np.ndarray, fs: FrontState, tau: float, dt: float,
     g2 /= dt
     g2 -= h1
 
-    fs_mid = fs.advanced(half, model.sw)
-    fs_mid, velocity_clamps = refresh_state(stage, fs_mid, model, forcing_mid)
+    fs_mid, velocity_clamps = refresh_state(stage, fs.a + half * fs.a_dot,
+                                            fs.b + half * fs.b_dot, model, forcing_mid)
 
     # Full update: advection evaluated on the refreshed stage state at the
     # midpoint geometry, diffusion from the stage identity above.  Block-edge
@@ -352,12 +366,6 @@ def imex_midpoint_step(u: np.ndarray, fs: FrontState, tau: float, dt: float,
     field_clamps += _clamp_fields(new)
 
     # fronts advance over the full step at the stage velocities
-    fs_new = FrontState.from_consumption(
-        fs.a + dt * fs_mid.a_dot,
-        fs.b + dt * fs_mid.b_dot,
-        model.sw,
-        a_dot=fs_mid.a_dot,
-        b_dot=fs_mid.b_dot,
-    )
-    fs_new, clamped = refresh_state(new, fs_new, model, model.forcing_hat(tau + dt))
+    fs_new, clamped = refresh_state(new, fs.a + dt * fs_mid.a_dot, fs.b + dt * fs_mid.b_dot,
+                                    model, model.forcing_hat(tau + dt))
     return new, fs_new, field_clamps, velocity_clamps + clamped

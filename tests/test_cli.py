@@ -42,6 +42,20 @@ def test_simulate_chamber(tmp_path, capsys):
     assert manifest["resolved_config"]["time"]["horizon_hours"] == "2.0"
     assert manifest["duration_seconds"] > 0
     assert "calibration" not in manifest
+    # constant forcing has no breakpoint to land on or to split before
+    steps = int(capsys.readouterr().out.split(" in ")[1].split()[0])
+    assert manifest["run"] == {"steps": steps, "landings": 0, "splits": 0,
+                               "field_clamps": 0, "velocity_clamps": 0}
+
+
+def test_simulate_manifest_counts_a_landing_on_every_cycle_switch(tmp_path):
+    # 480 h of 8 h wet / 16 h dry cycles switch 39 times before the horizon
+    out = tmp_path / "run"
+    assert run_main(["simulate", "--cycles", "--horizon-hours", "480",
+                     "--out", str(out)]) == 0
+    totals = json.loads((out / "manifest.json").read_text())["run"]
+    assert totals["landings"] == 39
+    assert totals["field_clamps"] > 0
 
 
 def test_manifest_records_the_settings_that_built_the_run(tmp_path):
@@ -94,6 +108,8 @@ def test_simulate_env_timeseries(tmp_path):
                      "--out", str(out)])
     assert code == 0
     assert (out / "simulation.csv").exists()
+    # one landing on each sample inside the horizon: 1, 2 and 3 h
+    assert json.loads((out / "manifest.json").read_text())["run"]["landings"] == 3
 
 
 def test_simulate_seed_flags_reject_bad_ordering(tmp_path, capsys):
@@ -450,7 +466,7 @@ def _run_in_fresh_process(argv, modules):
 
 
 def test_simulate_leaves_scipy_linalg_and_optimize_unloaded(tmp_path):
-    # a run takes dgtsv from scipy's LAPACK extension alone, and the package
+    # a run takes dptsv from scipy's LAPACK extension alone, and the package
     # prints its warnings without the logging module
     code, err = _run_in_fresh_process(
         ["simulate", "--chamber", "--horizon-hours", "1", "--out", str(tmp_path / "run")],

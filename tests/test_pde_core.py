@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from patina.materials import DEFAULT_MATERIALS, swelling_ratios
+from patina.materials import DEFAULT_MATERIALS, SwellingRatios, swelling_ratios
 from patina.pde_core import (
     BoundaryConditionError,
     Diffusivities,
     FrontState,
     Scales,
     StefanConstants,
+    advection_rates,
     apply_outer_bcs,
-    boundary_gradient,
     front_velocities,
     inner_advection_coeff,
     outer_advection_coeff,
@@ -63,11 +63,15 @@ class TestFrontState:
         with pytest.raises(ValueError, match="ordering"):
             FrontState.from_consumption(1e-2, 2e-2, SW)
 
-    def test_advanced_keeps_consistency(self):
-        fs = FrontState.from_consumption(1e-2, 8e-3, SW, a_dot=0.1, b_dot=0.5)
-        fs2 = fs.advanced(1e-3, SW)
-        assert fs2.a == pytest.approx(1e-2 + 1e-4)
-        assert fs2.beta == pytest.approx(fs2.b - SW.omega_p * fs2.a, abs=1e-18)
+    def test_rejects_degenerate_widths(self):
+        # b = 0 gives beta == gamma; with omega_p = 0.5, b = 1.5*a gives
+        # a == beta exactly
+        with pytest.raises(ValueError, match="ordering"):
+            FrontState.from_consumption(1.0, 0.0, SW)
+        half = SwellingRatios(omega_p=0.5, omega_b=0.5)
+        assert 1.5 - half.omega_p * 1.0 == 1.0
+        with pytest.raises(ValueError, match="ordering"):
+            FrontState.from_consumption(1.0, 1.5, half)
 
 
 class TestRescaleCoefficients:
@@ -96,14 +100,6 @@ class TestRescaleCoefficients:
         expect = min(cfl * dz / np.max(np.abs(c_out)), cfl * dy / np.max(np.abs(c_in)))
         assert select_dt(fs, dz, dy, cfl, 1e9, SW.omega_p) == pytest.approx(expect, rel=1e-12)
 
-    def test_rejects_degenerate_widths(self):
-        fs = synthetic_fronts(beta=0.0)  # beta == gamma
-        with pytest.raises(ValueError):
-            outer_advection_coeff(0.5, fs)
-        fs = synthetic_fronts(a=1.0)     # a == beta
-        with pytest.raises(ValueError):
-            inner_advection_coeff(0.5, fs, SW.omega_p)
-
     @given(z=coords, gd=velocities, bd=velocities)
     def test_outer_coefficient_identity(self, z, gd, bd):
         # gamma_dot/(beta-gamma) + q(z) simplifies to z*(gamma_dot-beta_dot)/width
@@ -131,18 +127,19 @@ def packed_fields(n_z, n_y, s, o, g):
     return np.concatenate((s(z), o(z), g(y)))
 
 
-def packed_rhs(u, fs, n_z, n_y):
+def packed_rhs(u, fs, n_z, n_y, sw=SW):
     """Advection of all three species in one pass, as the stepper evaluates it."""
     model = NondimModel(d_hat=Diffusivities(1.0, 1.0, 1.0), sc=StefanConstants(0, 0, 0),
-                        sw=SW, n_z=n_z, n_y=n_y, forcing_hat=lambda tau: (0.0, 0.0))
+                        sw=sw, n_z=n_z, n_y=n_y, forcing_hat=lambda tau: (0.0, 0.0))
     return _advection(u, fs, model), model
 
 
-def per_block_reference(u, fs, n_z, n_y):
+def per_block_reference(u, fs, n_z, n_y, omega_p=SW.omega_p):
     """Interior advection of each species on its own, concatenated (the reference).
 
     The speeds are written out as in the coefficient identity tests, not
-    taken from the code under test.
+    taken from the code under test.  The difference is the forward one,
+    upwind for the speeds c <= 0 of ordered fronts with a_dot, b_dot >= 0.
     """
     outer_w, inner_w, bd = fs.beta - fs.gamma, fs.a - fs.beta, fs.beta_dot
     s, o, g = np.split(u, [n_z + 1, 2 * (n_z + 1)])
@@ -150,12 +147,18 @@ def per_block_reference(u, fs, n_z, n_y):
     for u, n, speed in ((s, n_z, lambda z: z * (fs.gamma_dot - bd) / outer_w),
                         (o, n_z, lambda z: z * (fs.gamma_dot - bd) / outer_w),
                         (g, n_y, lambda y: (y * (bd - fs.a_dot) - bd
-                                                   - SW.omega_p * fs.a_dot) / inner_w)):
+                                                   - omega_p * fs.a_dot) / inner_w)):
         dx = 1.0 / n
         c = speed(np.arange(1, n) * dx)
-        grad = np.where(c > 0.0, (u[1:-1] - u[:-2]) / dx, (u[2:] - u[1:-1]) / dx)
-        out.append(-c * grad)
+        out.append(-c * ((u[2:] - u[1:-1]) / dx))
     return np.concatenate(out)
+
+
+# molar densities (mol/cm3) of copper, cuprite and brochantite
+molar_densities = st.floats(min_value=1e-2, max_value=1e2)
+# clamped front speeds: zero, or normal numbers (a subnormal speed's
+# products lose the relative precision the comparison below relies on)
+front_speeds = st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e3))
 
 
 class TestSplitRhs:
@@ -169,22 +172,55 @@ class TestSplitRhs:
         assert np.all(h == 0.0)
 
     def test_upwind_direction_switches_with_sign(self):
-        # c < 0 takes the forward difference, c > 0 the backward one, each
-        # inside its own block and with its own grid spacing.  The stepper
+        # c < 0 takes the forward difference inside each block, with its
+        # own grid spacing; ordered fronts with clamped speeds have no c > 0
+        # (test_consistent_fronts_give_non_negative_rates).  The stepper
         # multiplies the difference by -c/dx from the rate basis and the
         # reference divides by dx and multiplies by c, so the two may round
-        # apart: measured 1 ulp, on two G rows of the second case.
+        # apart by 1 ulp.
         n_z, n_y = 4, 3
         u = packed_fields(n_z, n_y, lambda z: z**2, lambda z: 3.0 - z,
                           lambda y: 1.0 + y**3)
-        for fs in (synthetic_fronts(gamma_dot=-1.0, a_dot=1.0),     # outer c = -z, inner c < 0
-                   synthetic_fronts(gamma_dot=1.0, beta_dot=-1.0)):  # outer c > 0, inner c > 0
-            h, model = packed_rhs(u, fs, n_z, n_y)
-            interior = model.layout.interior
-            expect = per_block_reference(u, fs, n_z, n_y)
-            assert np.all(np.abs(h[interior] - expect) <= np.spacing(np.abs(expect)))
+        fs = synthetic_fronts(gamma_dot=-1.0, a_dot=1.0)     # outer c = -z, inner c < 0
+        h, model = packed_rhs(u, fs, n_z, n_y)
+        interior = model.layout.interior
+        expect = per_block_reference(u, fs, n_z, n_y)
+        assert np.all(np.abs(h[interior] - expect) <= np.spacing(np.abs(expect)))
         c = 0.25 * (fs.gamma_dot - fs.beta_dot) / (fs.beta - fs.gamma)
-        assert c > 0.0 and h[0] == -c * (u[1] - u[0]) / 0.25
+        assert c < 0.0 and h[0] == -c * (u[2] - u[1]) / 0.25
+
+    @given(mu=st.tuples(molar_densities, molar_densities, molar_densities),
+           a=st.floats(min_value=1e-6, max_value=1e2),
+           share=st.floats(min_value=1e-3, max_value=0.999),
+           a_dot=front_speeds, b_dot=front_speeds, seed=st.integers(0, 2**32 - 1))
+    def test_consistent_fronts_give_non_negative_rates(self, mu, a, share, a_dot, b_dot,
+                                                       seed):
+        # for any positive molar densities 1 + omega_b and 1 + omega_p are
+        # positive, so ordered fronts with a_dot, b_dot >= 0 move every
+        # speed toward smaller coordinates: every rate row -c/dx is >= 0,
+        # exactly, and the forward difference of the pass is upwind
+        mu_c, mu_p, mu_b = mu
+        sw = SwellingRatios(omega_p=mu_c / (2.0 * mu_p) - 1.0,
+                            omega_b=mu_p / (2.0 * mu_b) - 1.0)
+        # b in (0, (1 + omega_p)*a) keeps gamma < beta < a
+        fs = FrontState.from_consumption(a, share * (1.0 + sw.omega_p) * a, sw,
+                                         a_dot=a_dot, b_dot=b_dot)
+        n_z, n_y = 30, 17
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.0, 1.0, 2 * (n_z + 1) + n_y + 1)
+        h, model = packed_rhs(u, fs, n_z, n_y, sw)
+        rate = np.dot(model.layout.rate_basis, advection_rates(fs, sw.omega_p))
+        assert np.all(rate >= 0.0)
+        # the reference forms each speed by another sum of the same terms,
+        # which cancel when 1 + omega_p or 1 + omega_b is small; the two
+        # agree to a few ulps of the largest summand over its grid spacing
+        # times the largest difference (measured: 3 in 30 000 draws)
+        expect = per_block_reference(u, fs, n_z, n_y, sw.omega_p)
+        terms = max((abs(fs.gamma_dot) + abs(fs.beta_dot)) * n_z / (fs.beta - fs.gamma),
+                    (abs(fs.beta_dot) + (1.0 + abs(sw.omega_p)) * a_dot) * n_y
+                    / (fs.a - fs.beta))
+        scale = terms * np.max(np.abs(np.diff(u)))
+        assert np.all(np.abs(h[model.layout.interior] - expect) <= 4.0 * np.spacing(scale))
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError, match="at least 3 nodes"):
@@ -193,33 +229,53 @@ class TestSplitRhs:
             split_rhs_interior(np.zeros(5), np.zeros(4))
 
 
+UNIT = StefanConstants(1.0, 1.0, 0.0)
+
+
+def speeds(s, g, sc):
+    """(a_dot, b_dot, clamped) of ``front_velocities`` for S = s and G = g on
+    unit layer widths; the nodes S(1) and G(1) are the pin, zero."""
+    n = len(s) - 1
+    return front_velocities(s[-3], s[-2], g[-3], g[-2], 1.0, 1.0, sc, 1 / n, 1 / n)
+
+
+def refreshed(s, g, sc):
+    """``refresh_state`` on S = s, O = 0 and G = g for fronts of unit layer
+    widths (to rounding): the new fronts and the clamp count."""
+    n = len(s) - 1
+    b = 1.0 / (1.0 + SW.omega_b)
+    a = (1.0 + b) / (1.0 + SW.omega_p)
+    model = NondimModel(d_hat=Diffusivities(1.0, 1.0, 1.0), sc=sc, sw=SW, n_z=n, n_y=n,
+                        forcing_hat=lambda tau: (0.0, 0.0))
+    return refresh_state(np.concatenate((s, np.zeros(n + 1), g)), a, b, model, (0.0, 0.0))
+
+
 class TestBoundaryGradient:
-    @given(a=st.floats(-5, 5), b=st.floats(-5, 5), c=st.floats(-5, 5))
-    def test_exact_for_quadratics(self, a, b, c):
-        dx = 0.01
+    @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
+    def test_exact_for_quadratics(self, a, b):
+        # the Stefan stencil on u = a x^2 + b x - (a + b), which meets the
+        # pin u(1) = 0, gives u'(1) = 2a + b; Omega_s = -1 and Omega_g = 1
+        # turn it into b_dot = max(u'(1), 0) and a_dot = max(-u'(1), 0)
         x = np.linspace(0, 1, 101)
-        u = a * x**2 + b * x + c
+        u = a * x**2 + b * x - (a + b)
         exact = 2 * a + b
-        assert boundary_gradient(u, dx) == pytest.approx(exact, abs=1e-9 * (1 + abs(exact)))
+        a_dot, b_dot, _ = speeds(u, u, StefanConstants(-1.0, 1.0, 0.0))
+        assert b_dot - a_dot == pytest.approx(exact, abs=1e-9 * (1 + abs(exact)))
 
 
 class TestFrontVelocities:
     def test_zero_fields_zero_velocities(self):
-        n = 100
-        zeros = np.zeros(n + 1)
-        fs = synthetic_fronts()
-        sc = StefanConstants(1.0, 1.0, 1.0)
-        moved, clamped = front_velocities(zeros, zeros, fs, sc, 1 / n, 1 / n, SW)
-        assert moved == fs._replace(a_dot=0.0, b_dot=0.0, beta_dot=0.0, gamma_dot=0.0)
+        zeros = np.zeros(101)
+        assert speeds(zeros, zeros, StefanConstants(1.0, 1.0, 1.0)) == (0.0, 0.0, 0)
+        moved, clamped = refreshed(zeros, zeros, StefanConstants(1.0, 1.0, 1.0))
+        assert moved[4:] == (0.0, 0.0, 0.0, 0.0)
         assert clamped == 0
 
     def test_linear_profile_unit_velocity(self):
         # S falling 1 -> 0 over unit width with Omega_s = 1 gives b_dot = 1
         n = 100
         z = np.linspace(0, 1, n + 1)
-        fs = synthetic_fronts()
-        sc = StefanConstants(1.0, 1.0, 0.0)
-        moved, _ = front_velocities(1.0 - z, np.zeros(n + 1), fs, sc, 1 / n, 1 / n, SW)
+        moved, _ = refreshed(1.0 - z, np.zeros(n + 1), UNIT)
         assert moved.b_dot == pytest.approx(1.0, rel=1e-12)
         assert moved.a_dot == 0.0
         assert moved.gamma_dot == pytest.approx(-SW.omega_b, rel=1e-12)
@@ -229,19 +285,14 @@ class TestFrontVelocities:
         n = 100
         x = np.linspace(0, 1, n + 1)
         s = np.cos(0.5 * np.pi * x)   # positive inside, 0 at x = 1
-        fs = synthetic_fronts()
-        sc = StefanConstants(0.7, 0.3, 0.0)
-        moved, clamped = front_velocities(s, 1.0 - x**2, fs, sc, 1 / n, 1 / n, SW)
-        assert moved.a_dot > 0 and moved.b_dot > 0
+        a_dot, b_dot, clamped = speeds(s, 1.0 - x**2, StefanConstants(0.7, 0.3, 0.0))
+        assert a_dot > 0 and b_dot > 0
         assert clamped == 0
 
     def test_each_speed_lands_in_its_field(self):
         n = 100
         x = np.linspace(0, 1, n + 1)
-        fs = synthetic_fronts(a_dot=9.0, b_dot=9.0, beta_dot=9.0, gamma_dot=9.0)
-        moved, _ = front_velocities(2.0 * (1.0 - x), 1.0 - x**2, fs,
-                                    StefanConstants(1.0, 1.0, 0.0), 1 / n, 1 / n, SW)
-        assert moved[:4] == fs[:4]
+        moved, _ = refreshed(2.0 * (1.0 - x), 1.0 - x**2, UNIT)
         assert moved.b_dot == pytest.approx(2.0, rel=1e-12)
         assert moved.a_dot == pytest.approx(2.0, rel=1e-12)
         assert moved.beta_dot == moved.b_dot - SW.omega_p * moved.a_dot
@@ -250,21 +301,17 @@ class TestFrontVelocities:
     def test_negative_gradient_clamped(self):
         n = 10
         x = np.linspace(0, 1, n + 1)
-        fs = synthetic_fronts()
-        sc = StefanConstants(1.0, 1.0, 0.0)
         # S and G rising toward the front: the unphysical direction
-        moved, clamped = front_velocities(x, x, fs, sc, 1 / n, 1 / n, SW)
-        assert moved.a_dot == 0.0 and moved.b_dot == 0.0
+        a_dot, b_dot, clamped = speeds(x - 1.0, x - 1.0, UNIT)
+        assert a_dot == 0.0 and b_dot == 0.0
         assert clamped == 2
 
     @given(s_amp=st.floats(0.1, 2.0), g_amp=st.floats(0.1, 2.0))
     def test_kinematic_identity(self, s_amp, g_amp):
         n = 50
         x = np.linspace(0, 1, n + 1)
-        fs = synthetic_fronts()
         sc = StefanConstants(0.9, 0.4, 0.0)
-        moved, _ = front_velocities(s_amp * (1 - x) * (1 + 0.3 * x), g_amp * (1 - x**2), fs,
-                                    sc, 1 / n, 1 / n, SW)
+        moved, _ = refreshed(s_amp * (1 - x) * (1 + 0.3 * x), g_amp * (1 - x**2), sc)
         assert abs(moved.gamma_dot + SW.omega_p * moved.a_dot
                    + SW.omega_b * moved.b_dot) <= 1e-12
 
@@ -286,9 +333,10 @@ class TestOuterBcs:
         u = np.zeros(3 * (self.n + 1))
         u[lay.bounds] = 5.0
         u[lay.stencils[2:4]] = 0.7, 0.9     # O(-3), O(-2)
-        fs, _ = refresh_state(u, synthetic_fronts(), model, (0.42, 0.8))
-        assert fs == synthetic_fronts()
-        o_beta = apply_outer_bcs((0.7, 0.9), fs, self.d, self.sc, self.dz)
+        fs, _ = refresh_state(u, 2.0, 1.0, model, (0.42, 0.8))
+        assert fs == FrontState.from_consumption(2.0, 1.0, SW)
+        o_beta = apply_outer_bcs(0.7, 0.9, fs.beta - fs.gamma, 0.0, 0.0, self.d, self.sc,
+                                 self.dz)
         # zero-velocity Robin reduces to a zero-gradient extrapolation
         assert o_beta == pytest.approx((4 * 0.9 - 0.7) / 3.0, rel=1e-12)
         # S(0), S(1), O(0), O(1), G(0), G(1): the forcing, S(1) = 0, the Robin
@@ -299,21 +347,18 @@ class TestOuterBcs:
         # gamma_dot = b_dot = v: the (gamma_dot - b_dot)*O term drops and the
         # boundary value shifts by the sink alone: O_N = O_a - Gamma_o*v/(3k)
         v = 0.25
-        fs = synthetic_fronts(b_dot=v, gamma_dot=v)
-        o_beta = apply_outer_bcs((1.0, 1.0), fs, self.d, self.sc, self.dz)
-        k = self.d.d_o / (2 * self.dz * (fs.beta - fs.gamma))
+        o_beta = apply_outer_bcs(1.0, 1.0, 1.0, v, v, self.d, self.sc, self.dz)
+        k = self.d.d_o / (2 * self.dz * 1.0)
         assert o_beta == pytest.approx(1.0 - self.sc.gamma_o * v / (3 * k), rel=1e-12)
 
     def test_negative_solution_clamped(self):
-        fs = synthetic_fronts(b_dot=50.0, gamma_dot=-60.0)
-        assert apply_outer_bcs((1e-9, 1e-9), fs, self.d, self.sc, self.dz) == 0.0
+        assert apply_outer_bcs(1e-9, 1e-9, 1.0, -60.0, 50.0, self.d, self.sc, self.dz) == 0.0
 
     def test_singular_robin_reported(self):
         # arrange 3k == gamma_dot - b_dot exactly
         k = self.d.d_o / (2 * self.dz * 1.0)
-        fs = synthetic_fronts(gamma_dot=3 * k, b_dot=0.0)
         with pytest.raises(BoundaryConditionError, match="dz"):
-            apply_outer_bcs((1.0, 1.0), fs, self.d, self.sc, self.dz)
+            apply_outer_bcs(1.0, 1.0, 1.0, 3 * k, 0.0, self.d, self.sc, self.dz)
 
 
 def test_stefan_constants_formulas():

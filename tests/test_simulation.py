@@ -166,17 +166,23 @@ class TestRun:
 
 
 def _recorded_steps(cfg, monkeypatch):
-    """The run's output and the (tau, dt) of each of its steps, taken where
-    the time loop calls the stepper."""
-    steps = []
+    """The run's output, the (tau, dt) of each of its steps, taken where the
+    time loop calls the stepper, and the CFL bound select_dt gave each."""
+    steps, bounds = [], []
     step = patina.simulation.imex_midpoint_step
+    select_dt = patina.simulation.select_dt
 
     def recording(u, fs, tau, dt, *args, **kwargs):
         steps.append((tau, dt))
         return step(u, fs, tau, dt, *args, **kwargs)
 
+    def recording_bound(*args, **kwargs):
+        bounds.append(select_dt(*args, **kwargs))
+        return bounds[-1]
+
     monkeypatch.setattr(patina.simulation, "imex_midpoint_step", recording)
-    return run(cfg), steps
+    monkeypatch.setattr(patina.simulation, "select_dt", recording_bound)
+    return run(cfg), steps, bounds
 
 
 class TestStepControl:
@@ -191,7 +197,7 @@ class TestStepControl:
         assert cfg.scales.t_r == 3600.0
         breaks = breakpoints(forcing, cfg.horizon_hours)
         assert len(breaks) >= 5
-        out, steps = _recorded_steps(cfg, monkeypatch)
+        out, steps, bounds = _recorded_steps(cfg, monkeypatch)
         starts = [tau for tau, _ in steps]
         for b in breaks:
             # the step that follows starts on the break itself, not near it
@@ -203,6 +209,13 @@ class TestStepControl:
         assert not [(tau, dt) for tau, dt in steps for b in breaks
                     if tau < b < (tau + dt) * (1.0 - 1e-14)]
         assert out.records[-1].t_hours == pytest.approx(12.0, rel=1e-12)
+        # the run counts one landing per break, and as splits the steps cut
+        # below their bound that end short of a break
+        landing = [any(tau + dt == pytest.approx(b, rel=1e-14) for b in breaks)
+                   for tau, dt in steps]
+        assert out.landings == sum(landing) == len(breaks)
+        cut = [dt < min(bound, 12.0 - tau) for (tau, dt), bound in zip(steps, bounds)]
+        assert out.splits == sum(c and not lands for c, lands in zip(cut, landing)) > 0
 
     def test_cycles_match_a_refined_run(self, default_cfg):
         # 48 h of 8 h wet / 16 h dry cycles on a 25 x 25 grid, against the

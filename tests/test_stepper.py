@@ -27,47 +27,48 @@ from patina.stepper import (
 
 
 class TestTridiagonal:
+    # symmetric positive definite systems: diag, then off (sub = super)
     def test_identity(self):
         rhs = np.array([3.0, -1.0, 2.0, 7.0])
-        x = solve_tridiagonal(np.zeros(3), np.ones(4), np.zeros(3), rhs)
+        x = solve_tridiagonal(np.ones(4), np.zeros(3), rhs)
         assert np.allclose(x, rhs, rtol=0, atol=0)
 
     def test_inputs_kept_unless_overwritten(self):
         # {diag 2, off -1} with rhs (1, 0, 1) has solution (1, 1, 1)
-        system = [np.array(v) for v in ([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0],
-                                        [1.0, 0.0, 1.0])]
+        system = [np.array(v) for v in ([2.0, 2.0, 2.0], [-1.0, -1.0], [1.0, 0.0, 1.0])]
         kept = [v.copy() for v in system]
         x = solve_tridiagonal(*system)
         assert all(np.array_equal(v, k) for v, k in zip(system, kept))
-        rhs = system[3]
+        rhs = system[2]
         assert solve_tridiagonal(*system, overwrite=True) is rhs
         assert np.allclose(rhs, x, rtol=0, atol=1e-14)
         assert np.allclose(x, [1.0, 1.0, 1.0], atol=1e-14)
 
     def test_hand_solved_system(self):
         # {diag 2, off -1} with rhs (1, 0, 1) has solution (1, 1, 1)
-        x = solve_tridiagonal([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0],
-                              [1.0, 0.0, 1.0])
+        x = solve_tridiagonal([2.0, 2.0, 2.0], [-1.0, -1.0], [1.0, 0.0, 1.0])
         assert np.allclose(x, [1.0, 1.0, 1.0], atol=1e-14)
 
     def test_zero_pivot_reports_index(self):
-        with pytest.raises(TridiagonalError, match="row 0"):
-            solve_tridiagonal([0.0], [0.0, 1.0], [0.0], [1.0, 1.0])
+        with pytest.raises(TridiagonalError, match="not positive definite at row 0"):
+            solve_tridiagonal([0.0, 1.0], [0.0], [1.0, 1.0])
+        # the second leading minor, 1*1 - 2*2, is negative
+        with pytest.raises(TridiagonalError, match="not positive definite at row 1"):
+            solve_tridiagonal([1.0, 1.0, 1.0], [2.0, 0.0], [1.0, 1.0, 1.0])
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            solve_tridiagonal([1.0], [1.0, 1.0, 1.0], [1.0], [1.0, 1.0, 1.0])
+            solve_tridiagonal([1.0, 1.0, 1.0], [1.0], [1.0, 1.0, 1.0])
 
     @given(st.integers(min_value=3, max_value=40), st.integers(0, 2**32 - 1))
     def test_matches_dense_solver(self, n, seed):
         rng = np.random.default_rng(seed)
-        sub = rng.uniform(-1, 1, n - 1)
-        sup = rng.uniform(-1, 1, n - 1)
-        diag = 2.5 + rng.uniform(0, 1, n)   # diagonally dominant
+        off = rng.uniform(-1, 1, n - 1)
+        diag = 2.5 + rng.uniform(0, 1, n)   # diagonally dominant, so positive definite
         rhs = rng.uniform(-5, 5, n)
-        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
         expect = np.linalg.solve(dense, rhs)
-        got = solve_tridiagonal(sub, diag, sup, rhs)
+        got = solve_tridiagonal(diag, off, rhs)
         assert np.allclose(got, expect, rtol=1e-10, atol=1e-12)
 
     @given(st.integers(min_value=3, max_value=30), st.integers(0, 2**32 - 1),
@@ -76,8 +77,7 @@ class TestTridiagonal:
         # (1 + 2a, -a, -a) systems keep non-negative data non-negative
         rng = np.random.default_rng(seed)
         rhs = rng.uniform(0, 10, n)
-        x = solve_tridiagonal(np.full(n - 1, -alpha), np.full(n, 1 + 2 * alpha),
-                              np.full(n - 1, -alpha), rhs)
+        x = solve_tridiagonal(np.full(n, 1 + 2 * alpha), np.full(n - 1, -alpha), rhs)
         assert np.all(x >= -1e-12)
 
 
@@ -88,7 +88,7 @@ class TestTridiagonal:
 def test_one_lapack_extension_in_either_import_order(imports):
     # the stepper's loader and scipy.linalg must share one _flapack module
     code = (f"import sys\n{imports}\n"
-            "assert patina.stepper.dgtsv is scipy.linalg.lapack.dgtsv\n"
+            "assert patina.stepper.dptsv is scipy.linalg.lapack.dptsv\n"
             "assert sys.modules['scipy.linalg._flapack'] is patina.stepper._flapack\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -133,8 +133,10 @@ class TestPackedStageSolve:
         u = rng.uniform(0, 1, 2 * (n_z + 1) + n_y + 1)
         h = rng.uniform(-1, 1, u.size - 2)
         bounds = rng.uniform(0, 1, 6)
-        stage = _implicit_stage_solve(u, h, half, np.array(alphas), bounds,
-                                      PackedLayout.build(n_z, n_y))
+        lay = PackedLayout.build(n_z, n_y)
+        # the stepper's advection is zero on the block-edge rows
+        h[~lay.interior] = 0.0
+        stage = _implicit_stage_solve(u, h, half, np.array(alphas), bounds, lay)
         # reference: each species solved on its own, h mapped onto its nodes
         blocks = [n_z + 1, 2 * (n_z + 1)]
         for k, (u_k, h_k, got) in enumerate(zip(
@@ -146,9 +148,15 @@ class TestPackedStageSolve:
             rhs = u_k[1:-1] + half * h_k
             rhs[0] += alpha * left
             rhs[-1] += alpha * right
-            sol = solve_tridiagonal(np.full(n_int - 1, -alpha), np.full(n_int, 1.0 + 2.0 * alpha),
-                                    np.full(n_int - 1, -alpha), rhs)
-            assert np.array_equal(got, np.concatenate(([left], sol, [right])))
+            sol = solve_tridiagonal(np.full(n_int, 1.0 + 2.0 * alpha), np.full(n_int - 1, -alpha),
+                                    rhs)
+            assert np.array_equal(got[1:-1], sol)
+        # the stage writes S(0) and G(1); the block-edge nodes keep u's
+        # values, for the boundary refresh that follows it to write
+        ends = np.zeros(u.size, dtype=bool)
+        ends[lay.bounds] = True
+        assert (stage[0], stage[-1]) == (bounds[0], bounds[5])
+        assert np.array_equal(stage[ends][1:-1], u[ends][1:-1])
 
     def test_one_solve_and_two_advection_passes_per_step(self, monkeypatch, default_cfg):
         # every per-step function the benchmark traces is reached through the
@@ -193,6 +201,16 @@ class TestPackedStageSolve:
         hours_per_tau = default_cfg.scales.t_r / simulation.SECONDS_PER_HOUR
         assert forcing_hours == [pytest.approx((tau + dt / 2) * hours_per_tau, rel=1e-15),
                                  pytest.approx((tau + dt) * hours_per_tau, rel=1e-15)]
+
+
+def test_refresh_rejects_disordered_fronts(default_cfg):
+    # b = 0 leaves no brochantite (beta == gamma), b = (1 + omega_p)*a no
+    # cuprite (a == beta, to rounding), b above that puts beta beyond a
+    u, fronts, model = initialize(default_cfg)
+    omega_p = model.sw.omega_p
+    for b in (0.0, (1.0 + omega_p) * fronts.a, 2.0 * (1.0 + omega_p) * fronts.a):
+        with pytest.raises(ValueError, match="ordering"):
+            stepper.refresh_state(u.copy(), fronts.a, b, model, (0.0, 0.0))
 
 
 class TestSelectDt:
