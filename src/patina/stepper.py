@@ -147,7 +147,7 @@ class PackedLayout:
     rate_basis: np.ndarray   # rows x 3: -[z | y | 1]/dx, zero on block edges
     species: np.ndarray      # species index per row, 3 on block edges
     link: np.ndarray         # species index of the coupling of rows r, r+1; 3 across an edge
-    end_rows: tuple[int, ...]  # first and last interior row of S, then O, then G
+    end_rows: tuple[int, ...]  # first interior row of S, first and last of O, first of G
     bounds: np.ndarray       # flat nodes S(0), S(1), O(0), O(1), G(0), G(1)
     stencils: np.ndarray     # flat nodes S(-3), S(-2), O(-3), O(-2), G(-3), G(-2)
     interior: np.ndarray     # rows that are interior nodes of their species
@@ -169,8 +169,9 @@ class PackedLayout:
                               + [(0, -k, -n_y) for k in range(1, n_y)], dtype=float)
         link = np.where(species[:-1] == species[1:], species[:-1], 3)
         # node k is row k - 1: a block's first interior node start+1 is row
-        # start, its last interior node end-1 is row end-2
-        end_rows = tuple(np.stack((starts, ends - 2), axis=1).ravel().tolist())
+        # start, its last interior node end-1 is row end-2; the last rows of
+        # S and G are left out, as S(1) = G(1) = CONSUMED adds nothing there
+        end_rows = (int(starts[0]), int(starts[1]), int(ends[1]) - 2, int(starts[2]))
         return cls(rate_basis=rate_basis, species=species, link=link,
                    end_rows=end_rows, bounds=bounds,
                    stencils=np.stack((ends - 2, ends - 1), axis=1).ravel(),
@@ -264,8 +265,9 @@ def _implicit_stage_solve(u: np.ndarray, h_int: np.ndarray, half_dt: float,
     """Solve v = u + half_dt*(H + L v) on every interior node, all blocks at once.
 
     ``alpha`` holds the S, O, G diffusion numbers half_dt*D/(width*dx)^2 and
-    ``bounds`` the six end values in ``lay.bounds`` order.  The end values
-    enter each block's first and last interior rows; the four block-edge
+    ``bounds`` the four end values S(0), O(0), O(1), G(0); the other two are
+    the pins S(1) = G(1) = CONSUMED, which add nothing to their rows.  The
+    end values enter the first and last interior rows; the four block-edge
     rows are identity rows with zero couplings on both sides, so the
     matrix is symmetric and diagonally dominant, positive definite.  Its
     L*D*L^T factorization meets a zero multiplier at every edge, so each
@@ -278,20 +280,18 @@ def _implicit_stage_solve(u: np.ndarray, h_int: np.ndarray, half_dt: float,
     rhs = np.multiply(h_int, half_dt, out=out[1:-1])
     rhs += u[1:-1]
     a_s, a_o, a_g = alpha
-    s_0, s_1, o_0, o_1, g_0, g_1 = bounds
-    r_s0, r_s1, r_o0, r_o1, r_g0, r_g1 = lay.end_rows
+    s_0, o_0, o_1, g_0 = bounds
+    r_s0, r_o0, r_o1, r_g0 = lay.end_rows
     rhs[r_s0] += a_s * s_0
     rhs[r_o0] += a_o * o_0
     rhs[r_g0] += a_g * g_0
-    rhs[r_s1] += a_s * s_1
     rhs[r_o1] += a_o * o_1
-    rhs[r_g1] += a_g * g_1
     off = np.array((-a_s, -a_o, -a_g, 0.0))[lay.link]
     diag = np.array((1.0 + 2.0 * a_s, 1.0 + 2.0 * a_o, 1.0 + 2.0 * a_g, 1.0))[lay.species]
     x = solve_tridiagonal(diag, off, rhs, overwrite=True)
     if x is not rhs:    # dptsv solved a copy, so the solution is not in out yet
         rhs[:] = x
-    out[0], out[-1] = s_0, g_1
+    out[0], out[-1] = s_0, CONSUMED
     return out
 
 
@@ -339,7 +339,7 @@ def imex_midpoint_step(u: np.ndarray, fs: FrontState, tau: float, dt: float,
     s_mid, o_mid = forcing_mid
     o_1, g_0 = u[lay.bounds[3:5]].tolist()
     stage = _implicit_stage_solve(u, h1, half, _diffusion_numbers(half, fs, model),
-                                  (s_mid, CONSUMED, o_mid, o_1, g_0, CONSUMED), lay)
+                                  (s_mid, o_mid, o_1, g_0), lay)
     field_clamps = _clamp_fields(stage)
 
     # Diffusion at the stage comes from the stage identity
