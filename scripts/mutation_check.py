@@ -107,7 +107,7 @@ DEFECTS = {
         "convergence.py", "w = (1.0 + sw.omega_b) * k_b\n        return w * k_b",
         "w = k_b\n        return w * k_b"),
     "cuprite condition: o_a in place of O(beta)": (
-        "convergence.py", "2.0 * o_beta * flux(", "2.0 * o_a * flux("),
+        "convergence.py", "2.0 * o_beta(k_a) * _flux(", "2.0 * o_a * _flux("),
     "warm start: oxide split swapped": (
         "calibration.py",
         "k_b = (1.0 - oxide_share) * amplitude / (1.0 + sw.omega_b)\n"
@@ -125,6 +125,18 @@ DEFECTS = {
         "calibration.py", "predicted_cm=tuple(float(p) for p in best.output.thickness_at(times)),",
         "predicted_cm=tuple(float(p) for p in (best.output.thickness_at(times) if score is residual"
         " else exact_fronts(replace(cfg, diffusivities=best_d), times)[2])),"),
+    "seed: G from O_a instead of O(beta)": (
+        "convergence.py", "[o_beta * _falling(p_g, q_g, yk) for yk in y]",
+        "[o_a * _falling(p_g, q_g, yk) for yk in y]"),
+    "seed: outer profiles linear": (
+        "convergence.py",
+        "[s_a * _falling(p_s, 0.0, zk) for zk in z]\n"
+        "                 + [o_beta + (o_a - o_beta) * _falling(p_o, 0.0, zk) for zk in z]",
+        "[s_a * (1.0 - zk) for zk in z]\n"
+        "                 + [o_beta + (o_a - o_beta) * (1.0 - zk) for zk in z]"),
+    "exact front errors without the seed offset": (
+        "convergence.py", "exact_fronts(cfg, record.t_hours + SEED_HOURS)",
+        "exact_fronts(cfg, record.t_hours)"),
     "landing skipped on cycle switches": (
         "environment.py", 'if forcing.mode == "constant-chamber" or',
         'if forcing.mode == "cycle-schedule" or'),

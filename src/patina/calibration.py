@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .convergence import exact_diffusivities, exact_fronts
-from .environment import constant_chamber_forcing, forcing_at
+from .convergence import chamber_at_start, exact_diffusivities, exact_fronts
 from .materials import swelling_ratios
 from .pde_core import Diffusivities
 from .simulation import SECONDS_PER_HOUR, SimulationConfig, SimulationError, SimulationOutput, run
@@ -166,8 +165,7 @@ def warm_start(measurements, cfg: SimulationConfig, oxide_share: float = 0.1) ->
     sw = swelling_ratios(cfg.materials)
     k_b = (1.0 - oxide_share) * amplitude / (1.0 + sw.omega_b)
     k_a = (oxide_share * amplitude + k_b) / (1.0 + sw.omega_p)
-    chamber = replace(cfg, forcing=constant_chamber_forcing(*forcing_at(cfg.forcing, 0.0)))
-    return exact_diffusivities(chamber, k_a, k_b)
+    return exact_diffusivities(chamber_at_start(cfg), k_a, k_b)
 
 
 PARAMETERS = ("d_g", "d_s", "d_o")

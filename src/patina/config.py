@@ -1,6 +1,6 @@
 """Plain-text configuration: ``key = value`` lines under bracketed sections.
 
-Understood sections: [scales], [diffusivities], [grid], [seeds], [time],
+Understood sections: [scales], [diffusivities], [grid], [time],
 [forcing], [calibration], [materials].  ``#`` starts a
 comment.  Every key has a default, so an empty or missing file yields the
 shipped configuration; unknown sections or keys are an error (typos should
@@ -57,7 +57,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
     "diffusivities": {k: f"{v:g}" for k, v in DEFAULT_DIFFUSIVITIES.items()},
     "grid": {"n_z": "100", "n_y": "100"},
-    "seeds": {"a0": "1e-2", "b0": "8e-3"},
     "time": {
         "dt_max": "",                # blank: derived from the forcing (default_dt_max)
         "cfl_target": "0.8",
@@ -204,8 +203,6 @@ def build_simulation_config(cp) -> SimulationConfig:
         forcing=forcing,
         n_z=_number(cp, "grid", "n_z"),
         n_y=_number(cp, "grid", "n_y"),
-        a0=_number(cp, "seeds", "a0"),
-        b0=_number(cp, "seeds", "b0"),
         dt_max=float(dt_max) if dt_max else default_dt_max(forcing, scales.t_r),
         cfl_target=_number(cp, "time", "cfl_target"),
         horizon_hours=_number(cp, "time", "horizon_hours"),

@@ -72,6 +72,7 @@ __all__ = [
     "apply_outer_bcs",
     "BoundaryConditionError",
     "CONSUMED",
+    "SECONDS_PER_HOUR",
 ]
 
 
@@ -82,6 +83,8 @@ class BoundaryConditionError(RuntimeError):
 # S at beta and G at a: each species is used up at the front that consumes
 # it, the Dirichlet conditions S(1) = G(1) = 0
 CONSUMED = 0.0
+
+SECONDS_PER_HOUR = 3600.0
 
 
 @dataclass(frozen=True)

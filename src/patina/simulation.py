@@ -1,13 +1,16 @@
 """Full simulation runs: seeding, the time loop, re-dimensionalized output.
 
-A run non-dimensionalizes the boundary forcing each step, advances the
-coupled field/front system with the IMEX midpoint stepper under an advective
-CFL bound, and emits one record per output row: the front positions and
-layer thicknesses in cm, exactly the columns of ``simulation.csv``.  The
-run state is the packed buffer of :class:`patina.stepper.PackedLayout` and
-a :class:`FrontState`; the run totals (steps, the clamp counts each step
-returns, and the landings and splits of the step control below) are kept
-once, on the :class:`SimulationOutput`.
+Every run starts on the exact solution at ``convergence.SEED_HOURS`` of its
+forcing at t = 0 (``convergence.exact_seed``), so a forcing without one is
+an input error raised before any step.  A run non-dimensionalizes the
+boundary forcing each step, advances the coupled field/front system with the
+IMEX midpoint stepper under an advective CFL bound, and emits one record per
+output row: the front positions and layer thicknesses in cm, exactly the
+columns of ``simulation.csv``.  The run state is the packed buffer of
+:class:`patina.stepper.PackedLayout` and a :class:`FrontState`; the run
+totals (steps, the clamp counts each step returns, and the landings and
+splits of the step control below) are kept once, on the
+:class:`SimulationOutput`.
 
 Step control.  Each step is the CFL bound capped by ``dt_max`` and by the
 horizon.  No step crosses a breakpoint of the forcing (a cycle switch or a
@@ -24,14 +27,16 @@ end on a breakpoint (landings) and the steps it halved (splits).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from .convergence import exact_front_errors, exact_seed
 from .environment import Forcing, breakpoints, forcing_at
 from .materials import MaterialTable, swelling_ratios
 from .pde_core import (
+    SECONDS_PER_HOUR,
     Diffusivities,
     FrontState,
     Scales,
@@ -48,9 +53,8 @@ __all__ = [
     "initialize",
     "run",
     "write_output_csv",
+    "exact_temporal_errors",
 ]
-
-SECONDS_PER_HOUR = 3600.0
 
 
 class SimulationError(RuntimeError):
@@ -67,8 +71,6 @@ class SimulationConfig:
     forcing: Forcing
     n_z: int
     n_y: int
-    a0: float                  # copper consumption seed, non-dim
-    b0: float                  # cuprite consumption seed, non-dim
     dt_max: float
     cfl_target: float
     horizon_hours: float
@@ -80,8 +82,6 @@ class SimulationConfig:
             raise ValueError("horizon must be positive and finite")
         if self.n_z < 3 or self.n_y < 3:
             raise ValueError("grids need at least 3 intervals")
-        if self.a0 <= 0.0 or self.b0 <= 0.0:
-            raise ValueError("seeds must be positive")
         if not (0.0 < self.dt_max < math.inf and 0.0 < self.cfl_target < math.inf):
             raise ValueError("dt_max and cfl_target must be positive and finite")
         if self.output_stride < 1 or self.max_steps < 1:
@@ -140,30 +140,10 @@ def _build_model(cfg: SimulationConfig) -> NondimModel:
 
 
 def initialize(cfg: SimulationConfig) -> tuple[np.ndarray, FrontState, NondimModel]:
-    """Seed fronts and fields: the packed buffer ``u``, the fronts and the model.
-
-    Seeds must give a positive initial brochantite layer: a0 > 0 and
-    b0 > omega_p*a0 (and b0 < (1+omega_p)*a0 so some cuprite remains).  The
-    SO2 profile starts linear between its boundary values, the outer oxygen
-    uniform, and the inner oxygen linear from the interface value to zero.
-    """
+    """The packed buffer ``u`` and the fronts of ``convergence.exact_seed``, and the model."""
     model = _build_model(cfg)
-    sw = model.sw
-    try:
-        fronts = FrontState.from_consumption(cfg.a0, cfg.b0, sw)
-    except ValueError as exc:
-        raise ValueError(f"seed violation of front ordering: {exc}") from exc
-    if fronts.beta <= 0.0:
-        raise ValueError(
-            f"seed violation: b0 must exceed omega_p*a0 = {sw.omega_p * cfg.a0:.6g} "
-            f"so that beta(0) > 0, got b0 = {cfg.b0}"
-        )
-
-    s_a, o_a = model.forcing_hat(0.0)
-    z = np.linspace(0.0, 1.0, cfg.n_z + 1)
-    y = np.linspace(0.0, 1.0, cfg.n_y + 1)
-    u = np.concatenate((s_a * (1.0 - z), np.full(cfg.n_z + 1, o_a), o_a * (1.0 - y)))
-    fronts, _ = refresh_state(u, cfg.a0, cfg.b0, model, (s_a, o_a))
+    u, a0, b0 = exact_seed(cfg)
+    fronts, _ = refresh_state(u, a0, b0, model, model.forcing_hat(0.0))
     return u, fronts, model
 
 
@@ -176,7 +156,7 @@ def _record(cfg: SimulationConfig, tau: float, fronts: FrontState) -> OutputReco
 
 
 def run(cfg: SimulationConfig) -> SimulationOutput:
-    """Integrate from the seeds to the horizon and collect output records."""
+    """Integrate from the seed to the horizon and collect output records."""
     u, fronts, model = initialize(cfg)
     field_clamps = velocity_clamps = landings = splits = 0
     tau_end = cfg.horizon_hours * SECONDS_PER_HOUR / cfg.scales.t_r
@@ -234,3 +214,17 @@ def write_output_csv(output: SimulationOutput, path) -> None:
         fh.write(OUTPUT_CSV_HEADER + "\n")
         for row in output.records:
             fh.write(",".join(f"{v:.6g}" for v in row) + "\n")
+
+
+def exact_temporal_errors(cfg: SimulationConfig, divisors=(1, 2, 4, 8, 16),
+                          n: int = 25, horizon_hours: float = 4.0
+                          ) -> list[tuple[float, float]]:
+    """(1/k, error) of chamber runs on an n x n grid with cfl_target and dt_max over k.
+
+    The error is the largest of ``exact_front_errors`` at the horizon.
+    """
+    rungs = [replace(cfg, n_z=n, n_y=n, horizon_hours=horizon_hours,
+                     cfl_target=cfg.cfl_target / k, dt_max=cfg.dt_max / k,
+                     max_steps=k * cfg.max_steps) for k in divisors]
+    return [(1.0 / k, max(map(abs, exact_front_errors(rung, run(rung).records[-1]))))
+            for k, rung in zip(divisors, rungs)]

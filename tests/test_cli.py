@@ -112,12 +112,37 @@ def test_simulate_env_timeseries(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["run"]["landings"] == 3
 
 
-def test_simulate_seed_flags_reject_bad_ordering(tmp_path, capsys):
-    code = run_main(["simulate", "--chamber", "--horizon-hours", "1",
-                     "--seed-a", "1e-2", "--seed-b", "1e-3",
-                     "--out", str(tmp_path / "o")])
+# configs whose forcing at t = 0 has no exact solution to seed on, and the
+# message each gives: no SO2 (s_r set, as a blank one is the chamber SO2),
+# and oxygen used up at beta by a d_o too small to resupply it
+NO_SEED = {
+    "no_so2": ("[scales]\ns_r_gcm3 = 4.99e-7\n[forcing]\nso2_ppm = 0\n",
+               "needs nonzero SO2"),
+    "oxygen_used_up": ("[diffusivities]\nd_o = 1e-10\n", "oxygen is used up at beta"),
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    ("simulate", "no_so2"), ("simulate", "oxygen_used_up"),
+    ("validate", "no_so2"), ("validate", "oxygen_used_up"),
+    ("convergence", "no_so2"),
+], ids=lambda v: v)
+def test_rejects_forcing_without_exact_solution(tmp_path, monkeypatch, capsys, command, case):
+    # an input error (exit 1) raised by the seed, before any step: the
+    # oxygen-starved run used to step through its whole budget
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(patina.simulation, "imex_midpoint_step", no_step)
+    text, message = NO_SEED[case]
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text)
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfgfile)]
+    code = run_main(argv + (["--out", str(out)] if command == "simulate" else []))
     assert code == 1
-    assert "seed violation" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_cli(tmp_path, capsys):
@@ -197,25 +222,12 @@ def test_validate_detects_broken_swelling(tmp_path, capsys, monkeypatch):
     assert "FAILED" in captured.err
 
 
-def test_validate_no_growth(tmp_path, capsys):
-    cfgfile = tmp_path / "still.ini"
-    cfgfile.write_text(
-        "[scales]\ns_r_gcm3 = 4.99e-7\no_r_gcm3 = 2.6e-4\n"
-        "[forcing]\nso2_ppm = 0\noxygen_gcm3 = 0\n"
-    )
-    code = run_main(["validate", "--config", str(cfgfile), "--chamber",
-                     "--horizon-hours", "1"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "no growth" in captured.out
-
-
 def test_convergence_command(monkeypatch, capsys):
     # the ladder's pairs as measured on the default config (criterion 4 runs
     # the real ladder); the shipped chamber run against the exact solution
     # is run here
-    monkeypatch.setattr(patina.cli, "moving_front_temporal_errors", lambda cfg: [
-        (1.0, 2.232e-3), (0.5, 3.734e-6), (0.25, 4.383e-7), (0.125, 7.342e-8)])
+    monkeypatch.setattr(patina.cli, "exact_temporal_errors", lambda cfg: [
+        (1.0, 5.176e-4), (0.5, 4.237e-6), (0.25, 5.122e-7), (0.125, 8.955e-8)])
     code = run_main(["convergence"])
     out = capsys.readouterr().out
     assert code == 0
@@ -232,7 +244,7 @@ def test_convergence_command(monkeypatch, capsys):
 
 def test_convergence_command_fails_on_zero_errors(monkeypatch, capsys):
     # a stepper that changes nothing at any dt has zero error, not order inf
-    monkeypatch.setattr(patina.cli, "moving_front_temporal_errors",
+    monkeypatch.setattr(patina.cli, "exact_temporal_errors",
                         lambda cfg: [(1.0, 0.0), (0.5, 0.0), (0.25, 0.0)])
     assert run_main(["convergence"]) == 3
     err = capsys.readouterr().err
@@ -375,8 +387,8 @@ def test_manifest_records_the_dt_max_the_run_used(tmp_path, monkeypatch, forcing
     (["simulate", "--env", "e%1.csv"], "forcing", "env_csv", "e%1.csv"),
     (["simulate", "--env", ""], "forcing", "mode", "timeseries"),
     (["simulate", "--horizon-hours", "12.5"], "time", "horizon_hours", "12.5"),
-    (["simulate", "--seed-a", "0.1"], "seeds", "a0", "0.1"),
-    (["simulate", "--seed-b", "3e-2"], "seeds", "b0", "0.03"),
+    (["validate", "--chamber"], "forcing", "mode", "chamber"),
+    (["calibrate", "--measurements", "m.csv", "--env", "e.csv"], "forcing", "env_csv", "e.csv"),
     (["validate", "--horizon-hours", "1e-3"], "time", "horizon_hours", "0.001"),
     (["calibrate", "--measurements", "m.csv", "--cycles"], "forcing", "mode", "cycles"),
 ])
@@ -395,11 +407,9 @@ def test_flags_are_written_into_the_settings(tmp_path, monkeypatch, argv, sectio
 
 def test_flags_land_in_the_built_config():
     args = patina.cli._build_parser().parse_args(
-        ["simulate", "--cycles", "--horizon-hours", "0.1", "--seed-a", "0.1",
-         "--seed-b", "0.2"])
+        ["simulate", "--cycles", "--horizon-hours", "0.1"])
     _, cfg = patina.cli._sim_config(args)
-    assert (cfg.forcing.mode, cfg.horizon_hours, cfg.a0, cfg.b0) == \
-        ("cycle-schedule", 0.1, 0.1, 0.2)
+    assert (cfg.forcing.mode, cfg.horizon_hours) == ("cycle-schedule", 0.1)
 
 
 def test_convergence_runs_the_chamber_mode_of_its_config(tmp_path, monkeypatch):
@@ -407,7 +417,7 @@ def test_convergence_runs_the_chamber_mode_of_its_config(tmp_path, monkeypatch):
     cfgfile.write_text("[forcing]\nmode = cycles\n")
     modes = []
     errors = [(0.02, 4e-4), (0.01, 1e-4)]
-    monkeypatch.setattr(patina.cli, "moving_front_temporal_errors",
+    monkeypatch.setattr(patina.cli, "exact_temporal_errors",
                         lambda cfg: modes.append(cfg.forcing.mode) or errors)
     assert run_main(["convergence", "--config", str(cfgfile)]) == 0
     assert modes == ["constant-chamber"]
@@ -430,6 +440,8 @@ def test_percent_in_a_file_name_is_plain_text(tmp_path):
     ["simulate", "--chamber", "--central-advection"],
     ["convergence", "--central-advection"],
     ["validate", "--out", "o"],
+    ["simulate", "--seed-a", "0.1"],
+    ["simulate", "--seed-b", "3e-2"],
     ["convergence", "--out", "o"],
 ])
 def test_removed_flags_are_rejected(argv, capsys):

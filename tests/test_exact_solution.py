@@ -7,25 +7,98 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from patina import stepper
+from patina import convergence, stepper
 from patina.calibration import ThicknessMeasurement, warm_start
 from patina.config import build_simulation_config, load_settings
 from patina.convergence import (
+    SEED_HOURS,
     exact_diffusivities,
     exact_front_errors,
     exact_fronts,
     exact_porosities,
+    exact_seed,
     similarity,
 )
 from patina.environment import Forcing, constant_chamber_forcing, cycle_forcing
 from patina.materials import swelling_ratios
-from patina.pde_core import Diffusivities
+from patina.pde_core import SECONDS_PER_HOUR, Diffusivities, stefan_constants
 from patina.simulation import run
 
 REFERENCE_CONFIG = "configs/reference_diffusivities.ini"
 # the paper's printed 40 h chamber state, cm; b is reconstructed from the
 # printed mole counts (tests/test_materials.py)
 PRINTED_A_CM, PRINTED_B_CM = 3.1693e-4, 5.2879e-4
+
+# The reference of the closed forms: a 32-point Gauss-Legendre rule, which
+# the exact solution used before them (the exponents are small, so the rule
+# is exact to rounding on every config below).
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def gl_integral(p, q, y0):
+    """Integral of exp(-(p*y^2 + q*y)) over [y0, 1] by the Gauss-Legendre rule."""
+    y = y0 + 0.5 * (1.0 - y0) * (GL_NODES + 1.0)
+    return 0.5 * (1.0 - y0) * float(GL_WEIGHTS @ np.exp(-(p * y * y + q * y)))
+
+
+def gl_flux(p, q=0.0):
+    return math.exp(-(p + q)) / gl_integral(p, q, 0.0)
+
+
+def gl_falling(p, q, y):
+    return gl_integral(p, q, y) / gl_integral(p, q, 0.0)
+
+
+def box_corner(d_g, d_s):
+    """The default config at a corner of the calibration box in (d_g, d_s)."""
+    cfg = build_simulation_config(load_settings())
+    return replace(cfg, diffusivities=replace(cfg.diffusivities, d_g=d_g, d_s=d_s))
+
+
+CLOSED_FORM_CASES = {
+    "default": lambda: build_simulation_config(load_settings()),
+    "literature": lambda: build_simulation_config(load_settings(REFERENCE_CONFIG)),
+    **{f"corner-{d_g:g}-{d_s:g}": (lambda d_g=d_g, d_s=d_s: box_corner(d_g, d_s))
+       for d_g in (1e-10, 1e-3) for d_s in (1e-10, 1e-3)},
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSED_FORM_CASES))
+def test_closed_forms_match_gauss_legendre(case, monkeypatch):
+    # measured: within 5.6e-16 on every case
+    cfg = CLOSED_FORM_CASES[case]()
+    closed = similarity(cfg)
+    monkeypatch.setattr(convergence, "_flux", gl_flux)
+    quadrature = similarity(cfg)
+    assert max(abs(c / g - 1.0) for c, g in zip(closed, quadrature)) <= 1e-14
+
+
+@pytest.mark.parametrize("path", [None, REFERENCE_CONFIG], ids=["default", "literature"])
+def test_seed_is_the_exact_solution_at_seed_hours(path):
+    # the fronts K*sqrt(tau0), and on every node the profiles of the exact
+    # solution, rebuilt here by quadrature with O(beta) from the O Robin
+    # condition (measured: within 2.6e-14 of the boundary value of a species,
+    # on G of the literature set; a linear S is 9e-9 off, G from O_a 4e-4)
+    cfg = replace(build_simulation_config(load_settings(path)), n_z=20, n_y=15)
+    u, a0, b0 = exact_seed(cfg)
+    k_a, k_b = similarity(cfg)
+    root = math.sqrt(SEED_HOURS * SECONDS_PER_HOUR / cfg.scales.t_r)
+    assert (a0, b0) == (k_a * root, k_b * root)
+    sw = swelling_ratios(cfg.materials)
+    d = cfg.diffusivities.hatted(cfg.scales)
+    s_a, o_a = cfg.forcing.so2[0] / cfg.scales.s_r, cfg.forcing.oxygen / cfg.scales.o_r
+    gamma_o = stefan_constants(cfg.materials, d, cfg.scales).gamma_o
+    w, v = (1.0 + sw.omega_b) * k_b, (1.0 + sw.omega_p) * k_a - k_b
+    m = 2.0 * d.d_o * gl_flux(w * w / (4.0 * d.d_o)) / w
+    o_beta = (m * o_a - gamma_o * k_b) / (m + sw.omega_p * k_a + w)
+    z, y = np.linspace(0.0, 1.0, cfg.n_z + 1), np.linspace(0.0, 1.0, cfg.n_y + 1)
+    expected = np.concatenate((
+        [s_a * gl_falling(w * w / (4.0 * d.d_s), 0.0, zk) for zk in z],
+        [o_beta + (o_a - o_beta) * gl_falling(w * w / (4.0 * d.d_o), 0.0, zk) for zk in z],
+        [o_beta * gl_falling(v * v / (4.0 * d.d_g), v * k_b / (2.0 * d.d_g), yk) for yk in y]))
+    blocks = np.split(np.abs(u - expected), [z.size, 2 * z.size])
+    for deviation, scale in zip(blocks, (s_a, o_a, o_a)):
+        assert np.max(deviation) <= 1e-13 * scale
 
 
 def test_default_set_constants(default_cfg):

@@ -318,15 +318,16 @@ class TestPdeStep:
             imex_midpoint_step(np.zeros(3 * (n + 1)), fronts, 0.0, 0.0, model)
 
     def test_counters_accumulate_field_clamps(self, default_cfg, monkeypatch):
-        # at the switch to the dry phase (8 h) the SO2 at z = 0 drops to zero:
-        # the fields undershoot below zero, and as the layer drains the SO2
-        # gradient at beta reverses; the clamps floor both and count them
-        # (126 field and 26 velocity clamps on the default grid).  Each step
-        # returns its counts with a buffer that has no negative node; the
-        # step from the switch is the first to clamp (99 nodes), and the
-        # run's totals are the sums of the step counts.
+        # at the switch to the dry phase (8 h) the SO2 at z = 0 drops to zero
+        # and the fields undershoot below zero; in the first steps of the
+        # next wet phase (24 h) a front speed turns negative.  The clamps
+        # floor both and count them (99 field and 4 velocity clamps on the
+        # default grid, all velocity clamps after 24 h).  Each step returns
+        # its counts with a buffer that has no negative node; the step from
+        # the switch is the first to clamp (99 nodes), and the run's totals
+        # are the sums of the step counts.
         chamber = default_cfg.forcing
-        cfg = replace(default_cfg, horizon_hours=24.0,
+        cfg = replace(default_cfg, horizon_hours=26.0,
                       forcing=cycle_forcing(float(chamber.so2[0]), chamber.oxygen))
         switch = 8.0 * simulation.SECONDS_PER_HOUR / cfg.scales.t_r
         step = simulation.imex_midpoint_step
