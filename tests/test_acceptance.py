@@ -59,7 +59,7 @@ def reference_cfg():
 
 @pytest.fixture(scope="session")
 def reference_run(reference_cfg):
-    """One 40 h run of the literature parameter set (about 134k steps)."""
+    """One 40 h run of the literature parameter set (about 103k steps)."""
     return run(reference_cfg)
 
 
@@ -141,7 +141,7 @@ def test_criterion2_reference_reproduces_printed_state(reference_run, sw):
     # the 2.8e-6 cm cuprite layer (1+omega_p)*a - b, which a 5 % error in
     # n_p moves by 4.7 % but a by only 2.4e-4.  The porosities are those of
     # the exact solution through the printed state, so the run's layer
-    # error (+9.3e-4) is the solver's own error against that solution.  The
+    # error against that solution (-7.2e-4) is the solver's own.  The
     # 1e-2 on that layer is about what the printed digits of a and b
     # resolve of so small a difference; gamma keeps the 2e-3 of the
     # mole-balance reconstruction.

@@ -226,9 +226,10 @@ class TestStepControl:
 
     def test_cycles_match_a_refined_run(self, default_cfg):
         # 48 h of 8 h wet / 16 h dry cycles on a 25 x 25 grid, against the
-        # same run at cfl_target and dt_max / 8 (7315 steps, also landing).
-        # Measured: a +1.19e-4, b +5.8e-6; a run whose steps cross the
-        # switches is -5.8e-4 and -1.0e-3 off.
+        # same run at cfl_target and dt_max / 8 (4652 steps, also landing).
+        # Measured: a -9.2e-5, b +9.99e-6 (from the linear-profile start,
+        # a +1.19e-4 and b +5.8e-6, and a run whose steps crossed the
+        # switches -5.8e-4 and -1.0e-3).
         cfg = replace(default_cfg, forcing=cycle_forcing(float(default_cfg.forcing.so2[0]),
                                                          default_cfg.forcing.oxygen),
                       horizon_hours=48.0, n_z=25, n_y=25)
