@@ -12,10 +12,10 @@ temporary directory, applies the defect there (the checkout is never
 touched) and runs the tier-1 suite of the checkout, stopping at the first
 failure, with the copy first on PYTHONPATH.  It prints one line per defect
 with the first failing test, TIMEOUT when the suite has not finished after
-TIMEOUT_S (it takes about a minute on a 2-core machine, so a defect that
+TIMEOUT_S (it takes about 10 s on a 2-core machine, so a defect that
 stalls the runs counts as caught), or SURVIVED when every test passes.
 Each ``--defect NAME`` (a key of DEFECTS, quoted) runs that defect alone;
-without one every defect runs, each a suite run of up to a minute.  Other
+without one every defect runs, each a suite run of up to 10 s.  Other
 arguments go to pytest, e.g. a test file to run instead of the whole suite.
 Exit code 0 when every defect run is caught, 1 otherwise.
 """
@@ -32,50 +32,81 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 600
 
 DEFECTS = {
-    "g2 weight 1 instead of 2": (
-        "stepper.py", "g2 *= 2.0", "g2 *= 1.0"),
-    "stage diffusion numbers at dt": (
-        "stepper.py", "_diffusion_numbers(half, fs, model)", "_diffusion_numbers(dt, fs, model)"),
+    "extrapolation weights swapped": (
+        "stepper.py", "new = second + second\n    new -= full", "new = full + full\n    new -= second"),
+    "fronts advanced at end-of-step speeds": (
+        "stepper.py",
+        "    fs_new, clamped = refresh_state(new, fs.a + dt * fs_mid.a_dot, fs.b + dt * fs_mid.b_dot,\n"
+        "                                    model, forcing_end)\n",
+        "    fs_new, clamped = refresh_state(new, fs.a + dt * fs_mid.a_dot, fs.b + dt * fs_mid.b_dot,\n"
+        "                                    model, forcing_end)\n"
+        "    fs_new, clamped = refresh_state(new, fs.a + dt * fs_new.a_dot, fs.b + dt * fs_new.b_dot,\n"
+        "                                    model, forcing_end)\n"),
+    "advection sign flipped in the matrix": (
+        "stepper.py", "h_outer * s_o, h_inner * s_i, h_inner * m_i",
+        "-h_outer * s_o, -h_inner * s_i, -h_inner * m_i"),
+    # the start values of u, S(0) and O(0), are the forcing at t
+    "forcing taken at t instead of t + h": (
+        "stepper.py",
+        "(s_end, o_end, held), model)\n"
+        "                        + _coefficients(half, fs, rates, (s_mid, o_mid, held), model)",
+        "(u[0], u[model.layout.bounds[2]], held), model)\n"
+        "                        + _coefficients(half, fs, rates, (u[0], u[model.layout.bounds[2]], held),"
+        " model)"),
+    "h_p dropped from the error norm": (
+        "stepper.py",
+        "max(abs(d_a) / fs_new.a, abs(d_b) / fs_new.b, abs(d_h) / (fs_new.a - fs_new.beta))",
+        "max(abs(d_a) / fs_new.a, abs(d_b) / fs_new.b)"),
+    "a landing shrinks the controller's dt": (
+        "simulation.py", "dt = grown if step == dt else max(dt, grown)", "dt = grown"),
+    "a front overshoot is not retried": (
+        "simulation.py", "except (ValueError, TridiagonalError) as exc:",
+        "except TridiagonalError as exc:"),
+    "rows counted on steps a breakpoint cut short": (
+        "simulation.py", "counted += not cut\n            if (not cut and counted",
+        "counted += 1\n            if (counted"),
+    "no step on the measurement times": (
+        "simulation.py", "kept = {t * tau_per_hour for t in record_hours if 0.0 < t < cfg.horizon_hours}",
+        "kept = set()"),
     "cuprite diffusion number at the outer width": (
-        "stepper.py", "half_dt * d.d_g / inner ** 2", "half_dt * d.d_g / outer ** 2"),
-    "stage forcing at tau": (
+        "stepper.py", "alpha_inner = h / (inner * model.dy) ** 2",
+        "alpha_inner = h / (outer * model.dy) ** 2"),
+    "diffusion numbers at the step-start widths": (
+        "stepper.py", "alpha_outer = h / (outer * model.dz) ** 2",
+        "alpha_outer = h / ((fs.beta - fs.gamma) * model.dz) ** 2"),
+    "half-step forcing at tau": (
         "stepper.py", "model.forcing_hat(tau + half)", "model.forcing_hat(tau)"),
     "end forcing at tau": (
         "stepper.py", "model.forcing_hat(tau + dt)", "model.forcing_hat(tau)"),
-    "stage geometry at the step start": (
+    "half-step geometry at the step start": (
         "stepper.py",
-        "refresh_state(stage, fs.a + half * fs.a_dot,\n"
+        "refresh_state(mid, fs.a + half * fs.a_dot,\n"
         "                                            fs.b + half * fs.b_dot,",
-        "refresh_state(stage, fs.a, fs.b,"),
-    "update advection at (u^n, fronts^n)": (
-        "stepper.py", "_advection(stage, fs_mid, model)", "_advection(u, fs, model)"),
-    "update advection speeds at the step-start fronts": (
-        "stepper.py", "_advection(stage, fs_mid, model)", "_advection(stage, fs, model)"),
+        "refresh_state(mid, fs.a, fs.b,"),
+    "second half-step at the step-start speeds": (
+        "stepper.py", "advection_rates(fs_mid, model.sw.omega_p)", "advection_rates(fs, model.sw.omega_p)"),
     "midpoint frozen at the step-start fronts": (
         "stepper.py",
-        "    fs_mid, velocity_clamps = refresh_state(stage, fs.a + half * fs.a_dot,\n"
+        "    fs_mid, velocity_clamps = refresh_state(mid, fs.a + half * fs.a_dot,\n"
         "                                            fs.b + half * fs.b_dot, model, forcing_mid)\n",
         "    fs_mid, velocity_clamps = fs, 0\n"),
     "stepper advection switched off": (
-        "stepper.py", "split_rhs_interior(u, rate)", "split_rhs_interior(u, 0.0 * rate)"),
-    "a block-edge row gets its neighbour's rate": (
-        "stepper.py", "edges = [(0, 0, 0)] * 2", "edges = [(-n_z, 0, 0)] * 2"),
+        "stepper.py", "h_outer * s_o, h_inner * s_i, h_inner * m_i", "0.0, 0.0, 0.0"),
     "inner constant rate m_i dropped": (
-        "stepper.py", "[(0, -k, -n_y) for k", "[(0, -k, 0) for k"),
+        "stepper.py", "table[6, 2 * n_outer + k_inner] = -n_y", "table[6, 2 * n_outer + k_inner] = 0.0"),
     "outer basis divided by the inner dx": (
-        "stepper.py", "outer = [(-k, 0, 0) for k", "outer = [(-k * n_y / n_z, 0, 0) for k"),
+        "stepper.py", "table[4, k_outer] = table[4, n_outer + k_outer] = -k_outer",
+        "table[4, k_outer] = table[4, n_outer + k_outer] = -k_outer * n_y / n_z"),
     "inner slope sign flipped in the rates": (
         "pde_core.py", "(bd - fs.a_dot) / inner", "(fs.a_dot - bd) / inner"),
-    "stage solve: couplings +alpha instead of -alpha": (
-        "stepper.py", "np.array((-a_s, -a_o, -a_g, 0.0))", "np.array((a_s, a_o, a_g, 0.0))"),
+    "substep: sub-diagonal +alpha instead of -alpha": (
+        "stepper.py", "single[1:4, 1] = first - species", "single[1:4, 1] = species - first"),
     "tridiagonal solver consumes its inputs by default": (
         "stepper.py", "rhs, overwrite: bool = False)", "rhs, overwrite: bool = True)"),
     "Stefan and Robin stencils one node inward": (
         "stepper.py", "np.stack((ends - 2, ends - 1), axis=1)", "np.stack((ends - 3, ends - 2), axis=1)"),
     "fronts advance at the step-start a speed": (
         "stepper.py", "fs.a + dt * fs_mid.a_dot,", "fs.a + dt * fs.a_dot,"),
-    "inner CFL bound doubled": (
-        "stepper.py", "cfl_target * dy / c_inner", "2.0 * cfl_target * dy / c_inner"),
     # every rate is >= 0, so the downwind difference is the backward one
     "advection pass takes the backward difference": (
         "pde_core.py", "rhs = u[2:] - u[1:-1]", "rhs = u[1:-1] - u[:-2]"),
@@ -85,7 +116,11 @@ DEFECTS = {
     "first-order Stefan gradient": (
         "pde_core.py", "((s_3 - 4.0 * s_2) / (2.0 * dz))", "(-s_2 / dz)"),
     "refresh skips the ordering check": (
-        "stepper.py", "    check_ordering(a, beta, gamma)\n", ""),
+        "stepper.py", "-(omega_p * a + omega_b * b)\n    check_ordering(a, beta, gamma)\n",
+        "-(omega_p * a + omega_b * b)\n"),
+    "substep skips the ordering check": (
+        "stepper.py", "-(sw.omega_p * a + sw.omega_b * b)\n    check_ordering(a, beta, gamma)\n",
+        "-(sw.omega_p * a + sw.omega_b * b)\n"),
     "G(0) handed O(0) instead of O(1)": (
         "stepper.py", "(s_a, CONSUMED, o_a, o_beta, o_beta, CONSUMED)",
         "(s_a, CONSUMED, o_a, o_beta, o_a, CONSUMED)"),
@@ -144,7 +179,7 @@ DEFECTS = {
         "environment.py", "return times[bisect_right(times, 0.0):bisect_left(times, horizon_hours)]",
         "return []"),
     "sliver split dropped": (
-        "simulation.py", "elif remaining < 2.0 * dt:", "elif False:"),
+        "simulation.py", "elif remaining < 2.0 * step:", "elif False:"),
     "derived dt_max ignored (always 0.25)": (
         "config.py", "else default_dt_max(forcing, scales.t_r)", "else CHAMBER_DT_MAX"),
 }

@@ -128,13 +128,16 @@ def _rejected(d: Diffusivities, measurements, exc: Exception) -> Residual:
 
 def residual(d: Diffusivities, measurements, cfg: SimulationConfig) -> Residual:
     """Weighted residual of one run at ``d``, extended to the last measurement
-    time if need be; infinite when the run fails."""
+    time if need be; infinite when the run fails.  The run lands on the
+    measurement times and keeps a record at each, so its predictions are its
+    own values there, whatever the output stride."""
     if not measurements:
         raise ValueError("measurements must be non-empty")
     times = np.array([m.time_hours for m in measurements])
     horizon = max(cfg.horizon_hours, float(times.max()))
     try:
-        out = run(replace(cfg, diffusivities=d, horizon_hours=horizon))
+        out = run(replace(cfg, diffusivities=d, horizon_hours=horizon),
+                  record_hours=times.tolist())
     except (SimulationError, ValueError) as exc:
         return _rejected(d, measurements, exc)
     return Residual(weighted_residual(out.thickness_at(times), measurements).deviations, out)
@@ -179,12 +182,13 @@ PARAMETERS = ("d_g", "d_s", "d_o")
 RANK_RTOL = 1e-2
 
 # Forward-difference step of the Jacobian, in decades of a diffusivity.  The
-# exact totals are smooth; for a solver-run fit (non-constant forcing) a
-# run's thicknesses between output records carry noise of up to 1e-3 std
-# (grid 25; 1e-4 at grid 100) that a short step turns into a spurious second
-# direction: on the shipped data the second singular value is 2.8e-3 of the
-# largest at this step (grid 25; 1.2e-4 at grid 100), but 6.6e-2 (1.7e-2)
-# at a 1e-3-decade step (both measured on solver runs of chamber data).
+# exact totals are smooth, and a solver run (non-constant forcing) lands on
+# the measurement times, so its totals there carry no interpolation noise
+# between output records, which once made a short step show a spurious
+# second direction.  On solver runs of the shipped chamber data the second
+# singular value is 2.1e-9 of the largest at this step and 2.2e-9 at a
+# 1e-3-decade step (grid 25; 1.9e-8 and 2.0e-8 at grid 100), against 2.8e-3
+# and 6.6e-2 when the totals were read between records.
 JACOBIAN_STEP = 0.05
 
 # The fit stops once it has scored a step shorter than this, in decades.

@@ -49,8 +49,8 @@ class RunManifest:
     input_digests: dict[str, str] = field(default_factory=dict)
     tool_version: str = __version__
     duration_seconds: float = 0.0
-    # simulate only: the run totals of SimulationOutput (steps, landings,
-    # splits and the clamp counts)
+    # simulate only: the run totals of SimulationOutput (steps, rejected
+    # steps, landings, splits and the clamp counts)
     run: dict | None = None
     # calibrate only: the starting Jacobian's singular values, its condition
     # number and the fitted parameters
@@ -124,14 +124,16 @@ def cmd_simulate(args) -> int:
         command="simulate",
         resolved_config=_settings(cp),
         input_digests=_digests(_input_files(args, cp)),
-        run={"steps": output.steps, "landings": output.landings, "splits": output.splits,
+        run={"steps": output.steps, "rejected": output.rejected,
+             "landings": output.landings, "splits": output.splits,
              "field_clamps": output.field_clamps,
              "velocity_clamps": output.velocity_clamps},
     )
     manifest.duration_seconds = time.perf_counter() - started
     manifest.write(os.path.join(args.out, "manifest.json"))
     final = output.records[-1]
-    print(f"simulated {final.t_hours:.6g} h in {output.steps} steps; "
+    print(f"simulated {final.t_hours:.6g} h in {output.steps} steps "
+          f"({output.rejected} rejected); "
           f"total thickness {final.total_cm:.6g} cm -> {csv_path}")
     return 0
 
@@ -246,7 +248,7 @@ def cmd_convergence(args) -> int:
     errors = exact_temporal_errors(cfg)
     try:
         orders = _order_table("temporal, moving fronts (chamber run, n = 25, 4 h, "
-                              "step caps / k; error of a, b, total against exact):",
+                              "fixed steps of 0.05/k; error of a, b, total against exact):",
                               "1/k", errors)
     except ValueError as exc:
         print(f"patina: order not measurable: {exc}", file=sys.stderr)

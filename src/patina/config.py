@@ -56,10 +56,10 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "o_r_gcm3": "",
     },
     "diffusivities": {k: f"{v:g}" for k, v in DEFAULT_DIFFUSIVITIES.items()},
-    "grid": {"n_z": "100", "n_y": "100"},
+    "grid": {"n_z": "25", "n_y": "25"},
     "time": {
         "dt_max": "",                # blank: derived from the forcing (default_dt_max)
-        "cfl_target": "0.8",
+        "tolerance": "1e-4",         # local error of a step, relative, in a, b and a - beta
         "horizon_hours": "40",
         "output_stride": "10",
         "max_steps": "2000000",
@@ -84,7 +84,12 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "materials": {k: repr(v) for k, v in asdict(DEFAULT_MATERIALS).items()},
 }
 
-# the step cap, non-dimensional, of a blank dt_max under chamber and cycles forcing
+# The step cap, non-dimensional, of a blank dt_max under chamber and cycles
+# forcing.  It stays under the error-controlled step for a measured reason:
+# without it the 480 h cycles run ends with a and b 1.7e-5 from the
+# converged run (2.4e-6 and 3.3e-6 with it), and the 48 h cycles run's b
+# 1.02e-5 from a refined one, over the 1e-5 of
+# test_cycles_match_a_refined_run (8.7e-6 with it).
 CHAMBER_DT_MAX = 0.25
 
 # keys read as text and keys read as int; every other key is a float
@@ -204,7 +209,7 @@ def build_simulation_config(cp) -> SimulationConfig:
         n_z=_number(cp, "grid", "n_z"),
         n_y=_number(cp, "grid", "n_y"),
         dt_max=float(dt_max) if dt_max else default_dt_max(forcing, scales.t_r),
-        cfl_target=_number(cp, "time", "cfl_target"),
+        tolerance=_number(cp, "time", "tolerance"),
         horizon_hours=_number(cp, "time", "horizon_hours"),
         output_stride=_number(cp, "time", "output_stride"),
         max_steps=_number(cp, "time", "max_steps"),

@@ -54,9 +54,9 @@ __all__ = [
 ]
 
 # Exposure, in hours, at which every run starts on the exact solution.  Row
-# t of a run is the exposure t + SEED_HOURS.  Earlier starts cost steps, as
-# the front speeds grow like 1/sqrt(t): at 0.003 h and 0.01 h the 40 h
-# chamber run takes 3471 and 3031 steps, against 2629 here.  Later starts
+# t of a run is the exposure t + SEED_HOURS.  Earlier starts cost a few
+# steps, as the front speeds grow like 1/sqrt(t): at 0.003 h and 0.01 h the
+# 40 h chamber run takes 751 and 737 steps, against 737 here.  Later starts
 # shift the rows: at 0.1 h criterion 2d's a reads +1.2e-3 from the printed
 # state, over its 1e-3 tolerance.
 SEED_HOURS = 0.03

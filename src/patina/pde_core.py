@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .materials import MaterialTable, SwellingRatios
+from .materials import MaterialTable
 
 __all__ = [
     "Scales",
@@ -148,17 +148,6 @@ class FrontState(NamedTuple):
     beta_dot: float = 0.0
     gamma_dot: float = 0.0
 
-    @classmethod
-    def from_consumption(cls, a: float, b: float, sw: SwellingRatios,
-                         a_dot: float = 0.0, b_dot: float = 0.0) -> "FrontState":
-        """Kinematically consistent state from the two consumptions."""
-        if a < 0.0 or b < 0.0:
-            raise ValueError(f"consumptions must be non-negative, got a={a}, b={b}")
-        beta, gamma = b - sw.omega_p * a, -(sw.omega_p * a + sw.omega_b * b)
-        check_ordering(a, beta, gamma)
-        return cls(a, b, beta, gamma, a_dot, b_dot, b_dot - sw.omega_p * a_dot,
-                   -(sw.omega_p * a_dot + sw.omega_b * b_dot))
-
 
 def check_ordering(a: float, beta: float, gamma: float) -> None:
     """Raise ValueError unless gamma < beta < a: both layers have positive width."""
@@ -231,8 +220,9 @@ def split_rhs_interior(u: np.ndarray, rate: np.ndarray) -> np.ndarray:
     spacing, so blocks on different grids go through one pass.  Every rate
     must be >= 0 (c <= 0, see the module docstring), so the upwind
     difference is the forward one, u[i+1] - u[i].  A difference taken
-    across a block edge mixes two species; the stepper gives the block-edge
-    nodes rate 0 and never uses their rows.
+    across a block edge mixes two species, so those rows need rate 0.  The
+    stepper puts the same difference into its implicit matrix and does not
+    call this explicit form.
     """
     if u.ndim != 1 or u.size < 3:
         raise ValueError(f"field must be a 1-D array with at least 3 nodes, got shape {u.shape}")

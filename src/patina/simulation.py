@@ -2,26 +2,34 @@
 
 Every run starts on the exact solution at ``convergence.SEED_HOURS`` of its
 forcing at t = 0 (``convergence.exact_seed``), so a forcing without one is
-an input error raised before any step.  A run non-dimensionalizes the
-boundary forcing each step, advances the coupled field/front system with the
-IMEX midpoint stepper under an advective CFL bound, and emits one record per
-output row: the front positions and layer thicknesses in cm, exactly the
-columns of ``simulation.csv``.  The run state is the packed buffer of
-:class:`patina.stepper.PackedLayout` and a :class:`FrontState`; the run
-totals (steps, the clamp counts each step returns, and the landings and
-splits of the step control below) are kept once, on the
+an input error raised before any step.  A run advances the packed buffer
+of :class:`patina.stepper.PackedLayout` and a :class:`FrontState` with
+the extrapolated implicit Euler step of :mod:`patina.stepper` and emits
+one record per output row: the front positions and layer thicknesses in
+cm, exactly the columns of ``simulation.csv``.  The run totals (steps
+attempted and rejected, clamps, landings and splits) are kept once, on the
 :class:`SimulationOutput`.
 
-Step control.  Each step is the CFL bound capped by ``dt_max`` and by the
-horizon.  No step crosses a breakpoint of the forcing (a cycle switch or a
-time-series sample, :func:`patina.environment.breakpoints`): a step that
-would reach one ends on it, and time is set to the breakpoint itself.  When
-the next breakpoint lies between one and two steps ahead, the step covers
-half the distance, so no sliver step is left before it: the midpoint stage
-is not L-stable, and a sliver followed by a long step lets the stiff modes
-ring.  The horizon gets no such split, as no step follows it.  Under
-constant forcing there are no breakpoints.  A run counts the steps that
-end on a breakpoint (landings) and the steps it halved (splits).
+Step control.  A step is accepted when its error estimate, the largest
+relative difference of a, b and the cuprite layer a - beta between its two
+results, is at most ``tolerance``; the next step is then
+dt*min(2, 0.9*(tol/err)^(1/2)).  A rejected step, or one whose fronts
+overshoot or whose solve fails, is retried at dt*max(0.2,
+0.9*(tol/err)^(1/2)).  The first step is ``select_dt``'s advective CFL
+step, and every step is capped by ``dt_max``, by ``MAX_STEP_FRACTION`` of
+the exposure and by the horizon.  No step
+crosses a breakpoint of the forcing (a cycle switch or a time-series
+sample, :func:`patina.environment.breakpoints`) or a time the caller asks
+a record at: a step that would reach one ends on it (a landing), with time
+set to the breakpoint itself.  When the next breakpoint lies between one
+and two steps ahead, the step covers half the distance (a split), so no
+sliver step is left before it.  A step cut short by a landing, a split or
+the cap leaves the controller's dt as it was, so the controller depends on
+the run's own history, never on the breakpoints ahead.  A row is kept
+every ``output_stride`` accepted steps that no breakpoint cut short, so
+two runs that agree up to a breakpoint print the same rows up to it.  A
+run whose step control cuts dt below ``MIN_STEP_FRACTION`` of the
+exposure fails at once.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convergence import exact_front_errors, exact_seed
+from .convergence import SEED_HOURS, exact_front_errors, exact_seed
 from .environment import Forcing, breakpoints, forcing_at
 from .materials import MaterialTable, swelling_ratios
 from .pde_core import (
@@ -42,7 +50,13 @@ from .pde_core import (
     Scales,
     stefan_constants,
 )
-from .stepper import NondimModel, imex_midpoint_step, refresh_state, select_dt
+from .stepper import (
+    NondimModel,
+    TridiagonalError,
+    imex_midpoint_step,
+    refresh_state,
+    select_dt,
+)
 
 __all__ = [
     "SimulationConfig",
@@ -55,6 +69,38 @@ __all__ = [
     "write_output_csv",
     "exact_temporal_errors",
 ]
+
+
+# Step control of ``run`` (see the module docstring).  The first step is
+# select_dt's advective CFL step at this Courant number.
+FIRST_STEP_CFL = 0.8
+# An accepted step lets the next grow by at most MAX_GROWTH, a rejected one
+# is retried at no less than MIN_SHRINK of its length.
+MAX_GROWTH = 2.0
+MIN_SHRINK = 0.2
+SAFETY = 0.9
+# No step is longer than this fraction of the exposure (the run's time plus
+# SEED_HOURS).  The fronts grow like sqrt(t), so such a step moves them by
+# about 0.5 %.  The error estimate sees the fronts only, and under constant
+# forcing it lets a step grow to 3.6 % of the exposure at tolerance 1e-4:
+# the chamber run then ends 1.25e-5 from exact, but is 3.6e-5 off at 8 h,
+# and a cycles run keeps that error once its first dry phase stops the
+# growth, so the 48 h cycles run's b ends 2.6e-5 from a refined run, over
+# the 1e-5 of test_cycles_match_a_refined_run.  At 1 % it ends 8.7e-6 off,
+# the chamber run 2.7e-6, for 446 more chamber steps and 414 more on the
+# benchmark's seed-1 year.  A tolerance of 3e-5 without this cap reaches
+# 8.4e-6 too, but takes 1732 more steps on that year (18 %).
+MAX_STEP_FRACTION = 0.01
+# A run fails once a rejected step leaves dt below this fraction of the
+# exposure.  The shipped jobs' smallest step
+# is 1.1e-4 of it (the year runs, a landing) and their smallest rejected one
+# 8.1e-4, so this lies four decades below any step a healthy run takes; at
+# MIN_SHRINK per rejection, a run that rejects every step fails within about
+# a dozen attempts rather than spending its whole max_steps budget.
+MIN_STEP_FRACTION = 1e-8
+
+# the step of the first rung of exact_temporal_errors' fixed-step ladder
+LADDER_DT = 0.05
 
 
 class SimulationError(RuntimeError):
@@ -72,7 +118,7 @@ class SimulationConfig:
     n_z: int
     n_y: int
     dt_max: float
-    cfl_target: float
+    tolerance: float
     horizon_hours: float
     output_stride: int
     max_steps: int
@@ -82,8 +128,8 @@ class SimulationConfig:
             raise ValueError("horizon must be positive and finite")
         if self.n_z < 3 or self.n_y < 3:
             raise ValueError("grids need at least 3 intervals")
-        if not (0.0 < self.dt_max < math.inf and 0.0 < self.cfl_target < math.inf):
-            raise ValueError("dt_max and cfl_target must be positive and finite")
+        if not (0.0 < self.dt_max < math.inf and 0.0 < self.tolerance < math.inf):
+            raise ValueError("dt_max and tolerance must be positive and finite")
         if self.output_stride < 1 or self.max_steps < 1:
             raise ValueError("output_stride and max_steps must be at least 1")
 
@@ -107,10 +153,15 @@ OUTPUT_CSV_HEADER = ",".join(OutputRecord._fields)
 
 @dataclass
 class SimulationOutput:
-    """Ordered records plus the run totals (landings and splits: see the module docstring)."""
+    """Ordered records plus the run totals (see the module docstring).
+
+    ``steps`` counts every step attempted, ``rejected`` those of them the
+    step control rejected.
+    """
 
     records: list[OutputRecord]
     steps: int
+    rejected: int
     velocity_clamps: int
     field_clamps: int
     landings: int
@@ -155,55 +206,91 @@ def _record(cfg: SimulationConfig, tau: float, fronts: FrontState) -> OutputReco
                         a - beta, beta - gamma, a - gamma)
 
 
-def run(cfg: SimulationConfig) -> SimulationOutput:
-    """Integrate from the seed to the horizon and collect output records."""
+def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
+    """Integrate from the seed to the horizon and collect output records.
+
+    Steps also land on each of ``record_hours`` inside the run, and a record
+    is kept there, so the records hold the run's own values at those times.
+    """
     u, fronts, model = initialize(cfg)
-    field_clamps = velocity_clamps = landings = splits = 0
-    tau_end = cfg.horizon_hours * SECONDS_PER_HOUR / cfg.scales.t_r
+    field_clamps = velocity_clamps = landings = splits = rejected = 0
+    tau_per_hour = SECONDS_PER_HOUR / cfg.scales.t_r
+    tau_end = cfg.horizon_hours * tau_per_hour
     records = [_record(cfg, 0.0, fronts)]
 
-    # where the forcing breaks, latest first, so the next one is breaks[-1]
-    breaks = [t * SECONDS_PER_HOUR / cfg.scales.t_r
-              for t in reversed(breakpoints(cfg.forcing, cfg.horizon_hours))]
+    # where the forcing breaks or a record is asked for, latest first, so the
+    # next one is breaks[-1]
+    kept = {t * tau_per_hour for t in record_hours if 0.0 < t < cfg.horizon_hours}
+    breaks = sorted(kept.union(t * tau_per_hour
+                               for t in breakpoints(cfg.forcing, cfg.horizon_hours)),
+                    reverse=True)
+    tol = cfg.tolerance
+    # the exposure the seed stands for, so that the collapse test holds at tau = 0
+    seed_tau = SEED_HOURS * tau_per_hour
 
     tau = 0.0
-    step_index = 0
+    step_index = counted = 0
     tau_stop = tau_end * (1.0 - 1e-12)
+    dt = select_dt(fronts, model.dz, model.dy, FIRST_STEP_CFL, cfg.dt_max, model.sw.omega_p)
     while tau < tau_stop:
-        dt = select_dt(fronts, model.dz, model.dy, cfg.cfl_target, cfg.dt_max,
-                       model.sw.omega_p)
-        dt = min(dt, tau_end - tau)
-        lands = False
+        step = min(dt, cfg.dt_max, tau_end - tau, MAX_STEP_FRACTION * (tau + seed_tau))
+        lands = split = cut = False
         if breaks:
             remaining = breaks[-1] - tau
-            lands = remaining <= dt
+            lands = remaining <= step
             if lands:
-                dt = remaining
-                landings += 1
-            elif remaining < 2.0 * dt:
-                dt = 0.5 * remaining     # no sliver step before the break
-                splits += 1
-        try:
-            u, fronts, fields_clamped, fronts_clamped = imex_midpoint_step(
-                u, fronts, tau, dt, model)
-        except Exception as exc:
-            t_hours = tau * cfg.scales.t_r / SECONDS_PER_HOUR
-            raise SimulationError(
-                f"step {step_index} at t = {t_hours:.6g} h (dt = {dt:.3g}): {exc}"
-            ) from exc
-        field_clamps += fields_clamped
-        velocity_clamps += fronts_clamped
-        tau = breaks.pop() if lands else tau + dt
+                cut = remaining < step
+                step = remaining
+            elif remaining < 2.0 * step:
+                # No sliver step before the break.  The L-stable step stays
+                # stable without the split (the 480 h cycles run moves by
+                # 8e-9), but it saves rejected steps: without it the
+                # benchmark's seed-1 year takes 10 094 steps (172 rejected)
+                # against 10 047 (126).
+                step = 0.5 * remaining
+                split = cut = True
         step_index += 1
-        if step_index % cfg.output_stride == 0 and tau < tau_end:
-            records.append(_record(cfg, tau, fronts))
-        if step_index >= cfg.max_steps:
-            t_hours = tau * cfg.scales.t_r / SECONDS_PER_HOUR
+        failure = None
+        try:
+            new, fronts_new, error, fields_clamped, fronts_clamped = imex_midpoint_step(
+                u, fronts, tau, step, model)
+        except (ValueError, TridiagonalError) as exc:
+            error, failure = math.inf, exc    # a front overshoot or a singular solve
+        except Exception as exc:
             raise SimulationError(
-                f"step budget {cfg.max_steps} exhausted at t = {t_hours:.6g} h"
+                f"step {step_index} at t = {tau / tau_per_hour:.6g} h (dt = {step:.3g}): {exc}"
+            ) from exc
+        if error <= tol:
+            u, fronts = new, fronts_new
+            field_clamps += fields_clamped
+            velocity_clamps += fronts_clamped
+            landings += lands
+            splits += split
+            tau = breaks.pop() if lands else tau + step
+            # the local error goes as step^2; a step cut short by a landing, a
+            # split or the cap leaves dt as it was
+            grown = step * (min(MAX_GROWTH, SAFETY * math.sqrt(tol / error)) if error > 0.0
+                            else MAX_GROWTH)
+            dt = grown if step == dt else max(dt, grown)
+            # a row every output_stride steps that no breakpoint cut short, so
+            # runs that agree up to a breakpoint print the same rows up to it
+            counted += not cut
+            if (not cut and counted % cfg.output_stride == 0
+                    or lands and tau in kept) and tau < tau_end:
+                records.append(_record(cfg, tau, fronts))
+        else:
+            rejected += 1
+            dt = step * max(MIN_SHRINK, SAFETY * math.sqrt(tol / error))
+            if dt < MIN_STEP_FRACTION * (tau + seed_tau):
+                raise SimulationError(
+                    f"step collapse at t = {tau / tau_per_hour:.6g} h: the step control "
+                    f"cut dt to {dt / tau_per_hour:.3g} h") from failure
+        if step_index >= cfg.max_steps:
+            raise SimulationError(
+                f"step budget {cfg.max_steps} exhausted at t = {tau / tau_per_hour:.6g} h"
             )
     records.append(_record(cfg, tau, fronts))
-    return SimulationOutput(records=records, steps=step_index,
+    return SimulationOutput(records=records, steps=step_index, rejected=rejected,
                             velocity_clamps=velocity_clamps, field_clamps=field_clamps,
                             landings=landings, splits=splits)
 
@@ -217,14 +304,25 @@ def write_output_csv(output: SimulationOutput, path) -> None:
 
 
 def exact_temporal_errors(cfg: SimulationConfig, divisors=(1, 2, 4, 8, 16),
-                          n: int = 25, horizon_hours: float = 4.0
+                          n: int = 25, horizon_hours: float = 4.0, dt: float = LADDER_DT
                           ) -> list[tuple[float, float]]:
-    """(1/k, error) of chamber runs on an n x n grid with cfl_target and dt_max over k.
+    """(1/k, error) of chamber runs on an n x n grid in fixed steps of about dt/k.
 
-    The error is the largest of ``exact_front_errors`` at the horizon.
+    Each rung steps ``imex_midpoint_step`` itself, without step control,
+    from the seed to the horizon in equal steps, the fewest of at most
+    dt/k (non-dimensional) that end on it.  The error is the largest of
+    ``exact_front_errors`` at the horizon.
     """
-    rungs = [replace(cfg, n_z=n, n_y=n, horizon_hours=horizon_hours,
-                     cfl_target=cfg.cfl_target / k, dt_max=cfg.dt_max / k,
-                     max_steps=k * cfg.max_steps) for k in divisors]
-    return [(1.0 / k, max(map(abs, exact_front_errors(rung, run(rung).records[-1]))))
-            for k, rung in zip(divisors, rungs)]
+    rung = replace(cfg, n_z=n, n_y=n, horizon_hours=horizon_hours)
+    seed, seed_fronts, model = initialize(rung)
+    tau_end = horizon_hours * SECONDS_PER_HOUR / cfg.scales.t_r
+    errors = []
+    for k in divisors:
+        count = math.ceil(k * tau_end / dt * (1.0 - 1e-12))
+        h = tau_end / count
+        u, fronts = seed, seed_fronts
+        for i in range(count):
+            u, fronts, *_ = imex_midpoint_step(u, fronts, i * h, h, model)
+        errors.append((1.0 / k, max(map(abs, exact_front_errors(
+            rung, _record(rung, tau_end, fronts))))))
+    return errors

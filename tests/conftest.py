@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from patina.config import build_simulation_config, load_settings
-from patina.materials import DEFAULT_MATERIALS, swelling_ratios
+from patina.materials import DEFAULT_MATERIALS, SwellingRatios, swelling_ratios
+from patina.pde_core import FrontState, check_ordering
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +37,14 @@ def assert_output_invariants(output, sw, lam):
             assert r.gamma_cm <= prev.gamma_cm
             assert r.total_cm >= prev.total_cm
         prev = r
+
+
+def consistent_fronts(a: float, b: float, sw: SwellingRatios,
+                      a_dot: float = 0.0, b_dot: float = 0.0) -> FrontState:
+    """Kinematically consistent fronts from the two consumptions, as a refresh builds them."""
+    if a < 0.0 or b < 0.0:
+        raise ValueError(f"consumptions must be non-negative, got a={a}, b={b}")
+    beta, gamma = b - sw.omega_p * a, -(sw.omega_p * a + sw.omega_b * b)
+    check_ordering(a, beta, gamma)
+    return FrontState(a, b, beta, gamma, a_dot, b_dot, b_dot - sw.omega_p * a_dot,
+                      -(sw.omega_p * a_dot + sw.omega_b * b_dot))

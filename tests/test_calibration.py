@@ -26,8 +26,9 @@ from patina.simulation import SimulationError, run
 
 
 def predict_total_thickness(d, cfg, times_hours):
-    """Simulated total thickness (cm) at the given hours, one run at ``d``."""
-    return run(replace(cfg, diffusivities=d)).thickness_at(times_hours)
+    """Simulated total thickness (cm) at the given hours, one run at ``d``
+    that keeps a record at each of them."""
+    return run(replace(cfg, diffusivities=d), record_hours=times_hours).thickness_at(times_hours)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,21 @@ class TestResidual:
                 ThicknessMeasurement(8.0, float(pred[1]), 1e-5)]
         assert residual(d, meas, cheap_cfg) == pytest.approx(0.0, abs=1e-12)
 
+    def test_predictions_do_not_depend_on_the_output_stride(self, default_cfg,
+                                                             table_measurements):
+        # the run lands on the measurement times and keeps a record at each,
+        # so its predictions are its own values there; interpolated between
+        # records, stride 10 read 7.1e-6 low at 8 h and 1.3e-5 low at 24 h
+        # against stride 1 on the default chamber run
+        d = default_cfg.diffusivities
+        predicted = [residual(d, table_measurements,
+                              replace(default_cfg, output_stride=stride)).output.thickness_at(
+                                  [m.time_hours for m in table_measurements])
+                     for stride in (1, 10)]
+        assert np.array_equal(*predicted)
+        out = residual(d, table_measurements, default_cfg).output
+        assert {8.0, 24.0, 40.0} <= {r.t_hours for r in out.records}
+
     def test_one_std_off_gives_one(self, cheap_cfg):
         d = cheap_cfg.diffusivities
         pred = float(predict_total_thickness(d, cheap_cfg, [8.0])[0])
@@ -145,9 +161,9 @@ def count_runs(monkeypatch) -> list:
     runs = []
     real_run = patina.calibration.run
 
-    def counting_run(cfg):
+    def counting_run(cfg, **kwargs):
         runs.append(cfg.diffusivities)
-        return real_run(cfg)
+        return real_run(cfg, **kwargs)
 
     monkeypatch.setattr(patina.calibration, "run", counting_run)
     return runs

@@ -44,7 +44,7 @@ def test_simulate_chamber(tmp_path, capsys):
     assert "calibration" not in manifest
     # constant forcing has no breakpoint to land on or to split before
     steps = int(capsys.readouterr().out.split(" in ")[1].split()[0])
-    assert manifest["run"] == {"steps": steps, "landings": 0, "splits": 0,
+    assert manifest["run"] == {"steps": steps, "rejected": 0, "landings": 0, "splits": 0,
                                "field_clamps": 0, "velocity_clamps": 0}
 
 
@@ -56,6 +56,27 @@ def test_simulate_manifest_counts_a_landing_on_every_cycle_switch(tmp_path):
     totals = json.loads((out / "manifest.json").read_text())["run"]
     assert totals["landings"] == 39
     assert totals["field_clamps"] > 0
+
+
+def test_a_collapsing_step_fails_fast(tmp_path, monkeypatch, capsys):
+    # every step's error estimate above the tolerance: the step control
+    # shrinks dt by MIN_SHRINK per attempt and gives up once it falls below
+    # MIN_STEP_FRACTION of the exposure, long before the max_steps budget
+    step = patina.simulation.imex_midpoint_step
+    attempts = []
+
+    def rejected(u, fs, tau, dt, model):
+        new, fs_new, _, fields, fronts = step(u, fs, tau, dt, model)
+        attempts.append(dt)
+        return new, fs_new, 1.0, fields, fronts
+
+    monkeypatch.setattr(patina.simulation, "imex_midpoint_step", rejected)
+    code = run_main(["simulate", "--cycles", "--horizon-hours", "48",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "step collapse at t = 0 h" in capsys.readouterr().err
+    assert len(attempts) <= 24
+    assert all(later <= 0.2 * earlier for earlier, later in zip(attempts, attempts[1:]))
 
 
 def test_manifest_records_the_settings_that_built_the_run(tmp_path):
@@ -285,7 +306,7 @@ def test_removed_calibration_keys_are_unknown(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("section, key, flag", [
-    ("time", "dt_max", "--chamber"), ("time", "cfl_target", "--chamber"),
+    ("time", "dt_max", "--chamber"), ("time", "tolerance", "--chamber"),
     ("forcing", "wet_hours", "--cycles"), ("forcing", "dry_hours", "--cycles"),
     ("forcing", "dry_so2_gcm3", "--cycles"),
 ])
@@ -360,10 +381,10 @@ def test_blank_scale_is_derived_and_blank_number_is_bad(tmp_path, capsys):
     cfgfile.write_text("[scales]\ns_r_gcm3 =\n")
     assert run_main(["simulate", "--chamber", "--horizon-hours", "0.1",
                      "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
-    cfgfile.write_text("[time]\ncfl_target =\n")
+    cfgfile.write_text("[time]\ntolerance =\n")
     assert run_main(["simulate", "--chamber", "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")]) == 1
-    assert "[time] cfl_target: bad number ''" in capsys.readouterr().err
+    assert "[time] tolerance: bad number ''" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("forcing, dt_max", [
@@ -478,7 +499,7 @@ def _run_in_fresh_process(argv, modules):
 
 
 def test_simulate_leaves_scipy_linalg_and_optimize_unloaded(tmp_path):
-    # a run takes dptsv from scipy's LAPACK extension alone, and the package
+    # a run takes dgtsv from scipy's LAPACK extension alone, and the package
     # prints its warnings without the logging module
     code, err = _run_in_fresh_process(
         ["simulate", "--chamber", "--horizon-hours", "1", "--out", str(tmp_path / "run")],

@@ -202,12 +202,12 @@ def test_warm_start_inverts_the_exact_totals(default_cfg):
     assert guess.d_o == default_cfg.diffusivities.d_o
 
 
-def test_half_step_run_meets_the_exact_solution_and_advection_matters(default_cfg,
-                                                                      monkeypatch):
+def test_refined_run_meets_the_exact_solution_and_advection_matters(default_cfg,
+                                                                   monkeypatch):
     # the fronts' advection of the fields moves the 40 h state by about
-    # 3e-5, far above the 2e-6 the half-step run reaches, so the exact
-    # solution sees the stepper's advection switched off
-    cfg = replace(default_cfg, cfl_target=default_cfg.cfl_target / 2)
+    # 3e-5, far above the 1.24e-6 the run at tolerance 3e-6 reaches, so the
+    # exact solution sees the stepper's advection switched off
+    cfg = replace(default_cfg, tolerance=3e-6)
     assert max(map(abs, exact_front_errors(cfg, run(cfg).records[-1]))) <= 2e-6
-    monkeypatch.setattr(stepper, "split_rhs_interior", lambda u, rate: np.zeros(rate.size))
-    assert max(map(abs, exact_front_errors(cfg, run(cfg).records[-1]))) > 2e-6
+    monkeypatch.setattr(stepper, "advection_rates", lambda fs, omega_p: (0.0, 0.0, 0.0))
+    assert max(map(abs, exact_front_errors(cfg, run(cfg).records[-1]))) > 2e-5

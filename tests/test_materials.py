@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import consistent_fronts
 from patina.config import build_simulation_config, load_settings
 from patina.materials import (
     DEFAULT_MATERIALS,
@@ -11,7 +12,6 @@ from patina.materials import (
     mole_balance,
     swelling_ratios,
 )
-from patina.pde_core import FrontState
 
 # Expected values computed directly from the default table
 # (mu_c = 8.94/63.55, mu_p = 6.00/143.09, mu_b = 3.97/452.3).
@@ -62,7 +62,7 @@ def test_swelling_scale_invariance(scale):
 
 def test_mole_balance_copper_counts(sw):
     # 40 h chamber endpoint: a = 3.1693e-4 cm
-    fs = FrontState.from_consumption(3.1693e-4, 5.2879e-4, sw)
+    fs = consistent_fronts(3.1693e-4, 5.2879e-4, sw)
     rep = mole_balance(*fs[:4], DEFAULT_MATERIALS)
     assert rep.copper_wasted == pytest.approx(4.45846e-5, rel=1e-4)
     assert rep.cuprite_formed == pytest.approx(2.22923e-5, rel=1e-4)
@@ -75,7 +75,7 @@ def test_mole_balance_cuprite_counts(sw):
     # (7.9916e-4 * mu_p = 3.351e-5), while b = 2.2173e-5/mu_p = 5.28789e-4
     # reproduces every printed count.
     b = 5.2879e-4
-    fs = FrontState.from_consumption(3.1693e-4, b, sw)
+    fs = consistent_fronts(3.1693e-4, b, sw)
     rep = mole_balance(*fs[:4], DEFAULT_MATERIALS)
     assert rep.cuprite_wasted == pytest.approx(2.21731e-5, rel=1e-4)
     assert rep.brochantite_formed == pytest.approx(1.10865e-5, rel=1e-4)
@@ -116,7 +116,7 @@ def test_mole_balance_ratios_always_two(a, b_frac):
     # any kinematically consistent state honors both 2:1 stoichiometries
     sw = swelling_ratios(DEFAULT_MATERIALS)
     b = b_frac * (1 + sw.omega_p) * a * 0.999  # keep beta < a
-    fs = FrontState.from_consumption(a, b, sw)
+    fs = consistent_fronts(a, b, sw)
     rep = mole_balance(*fs[:4], DEFAULT_MATERIALS)
     assert rep.ratio_copper_cuprite == pytest.approx(2.0, rel=1e-9)
     if rep.brochantite_formed > 0:
@@ -127,7 +127,7 @@ def test_mole_balance_detects_broken_kinematics(sw):
     # a state evolved with a perturbed omega_b has beta-gamma inconsistent
     # with the material table; the geometric count must expose it
     broken = SwellingRatios(sw.omega_p, 1.1 * sw.omega_b)
-    fs = FrontState.from_consumption(3e-4, 4e-4, broken)
+    fs = consistent_fronts(3e-4, 4e-4, broken)
     rep = mole_balance(*fs[:4], DEFAULT_MATERIALS)
     assert abs(rep.ratio_cuprite_brochantite / 2.0 - 1.0) > 0.02
 

@@ -17,7 +17,8 @@ from patina.pde_core import (
     split_rhs_interior,
     stefan_constants,
 )
-from patina.stepper import NondimModel, _advection, refresh_state, select_dt
+from conftest import consistent_fronts
+from patina.stepper import NondimModel, refresh_state, select_dt
 
 SW = swelling_ratios(DEFAULT_MATERIALS)
 
@@ -50,8 +51,10 @@ class TestScalesAndDiffusivities:
 
 
 class TestFrontState:
+    # the kinematics of the consistent fronts that the tests build (conftest),
+    # as refresh_state builds them in a run
     def test_from_consumption_identities(self):
-        fs = FrontState.from_consumption(1e-2, 8e-3, SW, a_dot=0.3, b_dot=0.7)
+        fs = consistent_fronts(1e-2, 8e-3, SW, a_dot=0.3, b_dot=0.7)
         assert fs.beta == 8e-3 - SW.omega_p * 1e-2
         assert fs.gamma == -(SW.omega_p * 1e-2 + SW.omega_b * 8e-3)
         assert fs.beta_dot == 0.7 - SW.omega_p * 0.3
@@ -61,17 +64,17 @@ class TestFrontState:
     def test_ordering_violation_raises(self):
         # more cuprite consumed than ever formed: beta >= a
         with pytest.raises(ValueError, match="ordering"):
-            FrontState.from_consumption(1e-2, 2e-2, SW)
+            consistent_fronts(1e-2, 2e-2, SW)
 
     def test_rejects_degenerate_widths(self):
         # b = 0 gives beta == gamma; with omega_p = 0.5, b = 1.5*a gives
         # a == beta exactly
         with pytest.raises(ValueError, match="ordering"):
-            FrontState.from_consumption(1.0, 0.0, SW)
+            consistent_fronts(1.0, 0.0, SW)
         half = SwellingRatios(omega_p=0.5, omega_b=0.5)
         assert 1.5 - half.omega_p * 1.0 == 1.0
         with pytest.raises(ValueError, match="ordering"):
-            FrontState.from_consumption(1.0, 1.5, half)
+            consistent_fronts(1.0, 1.5, half)
 
 
 class TestRescaleCoefficients:
@@ -86,7 +89,7 @@ class TestRescaleCoefficients:
         # end values against the peak speeds select_dt bounds: the outer
         # speed runs from 0 at z = 0 to (gamma_dot - beta_dot)/width at
         # z = 1, the inner one from -b_dot/width to -(1 + omega_p)*a_dot/width
-        fs = FrontState.from_consumption(3e-2, 2e-2, SW, a_dot=0.7, b_dot=0.4)
+        fs = consistent_fronts(3e-2, 2e-2, SW, a_dot=0.7, b_dot=0.4)
         outer_w, inner_w = fs.beta - fs.gamma, fs.a - fs.beta
         ends = np.array([0.0, 1.0])
         c_out = outer_advection_coeff(ends, fs)
@@ -128,10 +131,21 @@ def packed_fields(n_z, n_y, s, o, g):
 
 
 def packed_rhs(u, fs, n_z, n_y, sw=SW):
-    """Advection of all three species in one pass, as the stepper evaluates it."""
+    """Advection of all three species in one pass, at the per-node rates -c/dx
+    of the layout's table (the rates the stepper's matrix holds), and the model."""
     model = NondimModel(d_hat=Diffusivities(1.0, 1.0, 1.0), sc=StefanConstants(0, 0, 0),
                         sw=sw, n_z=n_z, n_y=n_y, forcing_hat=lambda tau: (0.0, 0.0))
-    return _advection(u, fs, model), model
+    return split_rhs_interior(u, node_rates(fs, model)[1:-1]), model
+
+
+def node_rates(fs, model):
+    """The per-node advection rate -c/dx of the layout's table."""
+    return np.dot(advection_rates(fs, model.sw.omega_p), model.layout.table[4:])
+
+
+def interior_rows(model):
+    """The rows 1..N-2 that are interior nodes of their species."""
+    return model.layout.table[1:4].any(axis=0)[1:-1]
 
 
 def per_block_reference(u, fs, n_z, n_y, omega_p=SW.omega_p):
@@ -183,7 +197,7 @@ class TestSplitRhs:
                           lambda y: 1.0 + y**3)
         fs = synthetic_fronts(gamma_dot=-1.0, a_dot=1.0)     # outer c = -z, inner c < 0
         h, model = packed_rhs(u, fs, n_z, n_y)
-        interior = model.layout.interior
+        interior = interior_rows(model)
         expect = per_block_reference(u, fs, n_z, n_y)
         assert np.all(np.abs(h[interior] - expect) <= np.spacing(np.abs(expect)))
         c = 0.25 * (fs.gamma_dot - fs.beta_dot) / (fs.beta - fs.gamma)
@@ -203,14 +217,13 @@ class TestSplitRhs:
         sw = SwellingRatios(omega_p=mu_c / (2.0 * mu_p) - 1.0,
                             omega_b=mu_p / (2.0 * mu_b) - 1.0)
         # b in (0, (1 + omega_p)*a) keeps gamma < beta < a
-        fs = FrontState.from_consumption(a, share * (1.0 + sw.omega_p) * a, sw,
-                                         a_dot=a_dot, b_dot=b_dot)
+        fs = consistent_fronts(a, share * (1.0 + sw.omega_p) * a, sw,
+                               a_dot=a_dot, b_dot=b_dot)
         n_z, n_y = 30, 17
         rng = np.random.default_rng(seed)
         u = rng.uniform(0.0, 1.0, 2 * (n_z + 1) + n_y + 1)
         h, model = packed_rhs(u, fs, n_z, n_y, sw)
-        rate = np.dot(model.layout.rate_basis, advection_rates(fs, sw.omega_p))
-        assert np.all(rate >= 0.0)
+        assert np.all(node_rates(fs, model) >= 0.0)
         # the reference forms each speed by another sum of the same terms,
         # which cancel when 1 + omega_p or 1 + omega_b is small; the two
         # agree to a few ulps of the largest summand over its grid spacing
@@ -220,7 +233,7 @@ class TestSplitRhs:
                     (abs(fs.beta_dot) + (1.0 + abs(sw.omega_p)) * a_dot) * n_y
                     / (fs.a - fs.beta))
         scale = terms * np.max(np.abs(np.diff(u)))
-        assert np.all(np.abs(h[model.layout.interior] - expect) <= 4.0 * np.spacing(scale))
+        assert np.all(np.abs(h[interior_rows(model)] - expect) <= 4.0 * np.spacing(scale))
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError, match="at least 3 nodes"):
@@ -334,7 +347,7 @@ class TestOuterBcs:
         u[lay.bounds] = 5.0
         u[lay.stencils[2:4]] = 0.7, 0.9     # O(-3), O(-2)
         fs, _ = refresh_state(u, 2.0, 1.0, model, (0.42, 0.8))
-        assert fs == FrontState.from_consumption(2.0, 1.0, SW)
+        assert fs == consistent_fronts(2.0, 1.0, SW)
         o_beta = apply_outer_bcs(0.7, 0.9, fs.beta - fs.gamma, 0.0, 0.0, self.d, self.sc,
                                  self.dz)
         # zero-velocity Robin reduces to a zero-gradient extrapolation

@@ -142,8 +142,8 @@ class TestRun:
 
     def test_output_does_not_depend_on_the_length_scale(self, default_cfg):
         # lambda_cm only scales the non-dimensional problem: the records in cm
-        # and the steps agree for every lambda (measured: within 6.7e-15, 2123
-        # steps each at 10 h; the linear-profile start moved them by 2.2e-5)
+        # and the steps agree for every lambda (measured: identical, 585 steps
+        # each at 10 h; the linear-profile start moved them by 2.2e-5)
         outs = [run(replace(default_cfg, scales=replace(default_cfg.scales, lam=lam),
                             horizon_hours=10.0)) for lam in (5e-5, 1e-4, 2e-4)]
         assert len({out.steps for out in outs}) == 1
@@ -172,24 +172,20 @@ class TestRun:
         assert rep.ratio_copper_cuprite == pytest.approx(2.0, rel=1e-9)
 
 
-def _recorded_steps(cfg, monkeypatch):
-    """The run's output, the (tau, dt) of each of its steps, taken where the
-    time loop calls the stepper, and the CFL bound select_dt gave each."""
-    steps, bounds = [], []
+def _recorded_steps(cfg, monkeypatch, **kwargs):
+    """The run's output and the (tau, dt) of each of its accepted steps,
+    taken where the time loop calls the stepper."""
+    steps = []
     step = patina.simulation.imex_midpoint_step
-    select_dt = patina.simulation.select_dt
 
-    def recording(u, fs, tau, dt, *args, **kwargs):
-        steps.append((tau, dt))
-        return step(u, fs, tau, dt, *args, **kwargs)
-
-    def recording_bound(*args, **kwargs):
-        bounds.append(select_dt(*args, **kwargs))
-        return bounds[-1]
+    def recording(u, fs, tau, dt, *args):
+        result = step(u, fs, tau, dt, *args)
+        if result[2] <= cfg.tolerance:
+            steps.append((tau, dt))
+        return result
 
     monkeypatch.setattr(patina.simulation, "imex_midpoint_step", recording)
-    monkeypatch.setattr(patina.simulation, "select_dt", recording_bound)
-    return run(cfg), steps, bounds
+    return run(cfg, **kwargs), steps
 
 
 class TestStepControl:
@@ -200,40 +196,110 @@ class TestStepControl:
     ], ids=["cycles", "time-series"])
     def test_steps_land_on_every_breakpoint(self, default_cfg, forcing, monkeypatch):
         # t_r is one hour, so tau reads in hours
-        cfg = replace(default_cfg, forcing=forcing, horizon_hours=12.0, n_z=25, n_y=25)
+        cfg = replace(default_cfg, forcing=forcing, horizon_hours=12.0)
         assert cfg.scales.t_r == 3600.0
         breaks = breakpoints(forcing, cfg.horizon_hours)
         assert len(breaks) >= 5
-        out, steps, bounds = _recorded_steps(cfg, monkeypatch)
+        out, steps = _recorded_steps(cfg, monkeypatch)
         starts = [tau for tau, _ in steps]
         for b in breaks:
             # the step that follows starts on the break itself, not near it
             k = starts.index(b)
             tau, dt = steps[k - 1]
             assert tau + dt == pytest.approx(b, rel=1e-14)
-            # no sliver: the landing step is at least half of the one before
-            assert dt >= 0.5 * steps[k - 2][1]
         assert not [(tau, dt) for tau, dt in steps for b in breaks
                     if tau < b < (tau + dt) * (1.0 - 1e-14)]
         assert out.records[-1].t_hours == pytest.approx(12.0, rel=1e-12)
-        # the run counts one landing per break, and as splits the steps cut
-        # below their bound that end short of a break
+        # the run counts one landing per break, and as splits the steps
+        # that cover half the distance to the next break
         landing = [any(tau + dt == pytest.approx(b, rel=1e-14) for b in breaks)
                    for tau, dt in steps]
+        halved = [any(tau + 2.0 * dt == pytest.approx(b, rel=1e-14) for b in breaks)
+                  for tau, dt in steps]
         assert out.landings == sum(landing) == len(breaks)
-        cut = [dt < min(bound, 12.0 - tau) for (tau, dt), bound in zip(steps, bounds)]
-        assert out.splits == sum(c and not lands for c, lands in zip(cut, landing)) > 0
+        assert out.splits == sum(halved) > 0
+
+    def test_rows_before_the_first_switch_are_the_chamber_rows(self, default_cfg):
+        # a row every output_stride steps that no breakpoint cut short: up to
+        # its first switch a cycles run takes the chamber run's steps and
+        # prints its rows, though it splits and lands before the switch;
+        # at a stride of 1 a row on either cut step would show
+        chamber = replace(default_cfg, horizon_hours=12.0, output_stride=1)
+        cycles = replace(chamber, forcing=cycle_forcing(float(chamber.forcing.so2[0]),
+                                                        chamber.forcing.oxygen))
+        out = run(cycles)
+        before = [r for r in out.records if r.t_hours <= 8.0]
+        assert len(before) > 3 and out.splits > 0
+        assert before == run(chamber).records[:len(before)]
+
+    def test_a_landing_does_not_shrink_the_controllers_dt(self, default_cfg, monkeypatch):
+        # a step whose error estimate is zero lets dt double up to dt_max
+        # (the cap by exposure lifted); samples 0.001 h apart cut one step to
+        # 0.001 h, and the next step is at dt_max again, not at twice the cut
+        # step
+        forcing = Forcing("time-series", [0.0, 2.0, 2.001, 8.0], [1e-10] * 4, 2.6e-4)
+        cfg = replace(default_cfg, forcing=forcing, horizon_hours=8.0, dt_max=1.0)
+        monkeypatch.setattr(patina.simulation, "MAX_STEP_FRACTION", math.inf)
+        steps = []
+
+        def exact(u, fs, tau, dt, model):
+            steps.append((tau, dt))
+            return u, fs, 0.0, 0, 0
+
+        monkeypatch.setattr(patina.simulation, "imex_midpoint_step", exact)
+        out = run(cfg)
+        k = [tau for tau, _ in steps].index(2.0)
+        assert steps[k][1] == pytest.approx(0.001, rel=1e-9)
+        assert steps[k + 1] == (2.001, pytest.approx(1.0))
+        assert out.landings == 2 and out.rejected == 0
+
+    def test_a_front_overshoot_is_rejected_and_retried(self, default_cfg, monkeypatch):
+        # the first step, the whole 2000 h horizon, puts beta beyond a; the
+        # run retries it at a fifth and goes on to the horizon
+        cfg = replace(default_cfg, horizon_hours=2000.0, dt_max=1e9)
+        monkeypatch.setattr(patina.simulation, "FIRST_STEP_CFL", 1e12)
+        monkeypatch.setattr(patina.simulation, "MAX_STEP_FRACTION", math.inf)
+        step = patina.simulation.imex_midpoint_step
+        attempts = []
+
+        def recording(u, fs, tau, dt, model):
+            attempts.append((tau, dt))
+            try:
+                return step(u, fs, tau, dt, model)
+            except ValueError as exc:
+                attempts[-1] += (str(exc),)
+                raise
+
+        monkeypatch.setattr(patina.simulation, "imex_midpoint_step", recording)
+        out = run(cfg)
+        assert attempts[0][:2] == (0.0, 2000.0) and "ordering" in attempts[0][2]
+        assert attempts[1][:2] == (0.0, 400.0)
+        assert out.rejected >= 1 and out.records[-1].t_hours == pytest.approx(2000.0)
+        assert_output_invariants(out, swelling_ratios(cfg.materials), cfg.scales.lam)
+
+    def test_uncapped_literature_run_keeps_the_cuprite_layer(self, monkeypatch):
+        # with both caps lifted, dt_max and MAX_STEP_FRACTION, only the error
+        # norm guards the cuprite layer a - beta, 1 % of a here: it ends
+        # -6.3e-5 from exact, and -8.7e-3 with it dropped from the norm
+        # (-3.1e-6 either way under the cap by exposure)
+        cfg = replace(build_simulation_config(load_settings(
+            "configs/reference_diffusivities.ini")), dt_max=1e9)
+        monkeypatch.setattr(patina.simulation, "MAX_STEP_FRACTION", math.inf)
+        final = run(cfg).records[-1]
+        sw = swelling_ratios(cfg.materials)
+        a, b, _ = exact_fronts(cfg, final.t_hours + patina.convergence.SEED_HOURS)
+        assert abs(final.h_p_cm / ((1.0 + sw.omega_p) * a - b) - 1.0) <= 1e-4
 
     def test_cycles_match_a_refined_run(self, default_cfg):
-        # 48 h of 8 h wet / 16 h dry cycles on a 25 x 25 grid, against the
-        # same run at cfl_target and dt_max / 8 (4652 steps, also landing).
-        # Measured: a -9.2e-5, b +9.99e-6 (from the linear-profile start,
-        # a +1.19e-4 and b +5.8e-6, and a run whose steps crossed the
-        # switches -5.8e-4 and -1.0e-3).
+        # 48 h of 8 h wet / 16 h dry cycles, against the same run at a
+        # hundredth of the tolerance and dt_max / 8 (3108 steps, also
+        # landing).  Measured: a -8.9e-6, b -8.7e-6 (on the midpoint step
+        # a -9.2e-5 and b +9.99e-6; without MAX_STEP_FRACTION, b -2.6e-5)
         cfg = replace(default_cfg, forcing=cycle_forcing(float(default_cfg.forcing.so2[0]),
                                                          default_cfg.forcing.oxygen),
-                      horizon_hours=48.0, n_z=25, n_y=25)
-        fine = run(replace(cfg, cfl_target=cfg.cfl_target / 8, dt_max=cfg.dt_max / 8)).records[-1]
+                      horizon_hours=48.0)
+        fine = run(replace(cfg, tolerance=cfg.tolerance / 100,
+                           dt_max=cfg.dt_max / 8)).records[-1]
         shipped = run(cfg).records[-1]
         assert abs(shipped.a_cm / fine.a_cm - 1.0) <= 1.5e-4
         assert abs(shipped.b_cm / fine.b_cm - 1.0) <= 1e-5
