@@ -226,7 +226,7 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
     breaks += [t for t in kept if t not in breaks]
     breaks.sort(reverse=True)
     tol = cfg.tolerance
-    # the exposure the seed stands for, so that the collapse test holds at tau = 0
+    # the exposure at tau = 0, which the exposure cap and the collapse test read
     seed_tau = SEED_HOURS * tau_per_hour
 
     tau = 0.0
