@@ -81,15 +81,25 @@ MIN_SHRINK = 0.2
 SAFETY = 0.9
 # No step is longer than this fraction of the exposure (the run's time plus
 # SEED_HOURS).  The fronts grow like sqrt(t), so such a step moves them by
-# about 0.5 %.  The error estimate sees the fronts only, and under constant
-# forcing it lets a step grow to 3.6 % of the exposure at tolerance 1e-4:
-# the chamber run then ends 1.25e-5 from exact, but is 3.6e-5 off at 8 h,
-# and a cycles run keeps that error once its first dry phase stops the
-# growth, so the 48 h cycles run's b ends 2.6e-5 from a refined run, over
-# the 1e-5 of test_cycles_match_a_refined_run.  At 1 % it ends 8.7e-6 off,
-# the chamber run 2.7e-6, for 446 more chamber steps and 414 more on the
-# benchmark's seed-1 year.  A tolerance of 3e-5 without this cap reaches
-# 8.4e-6 too, but takes 1732 more steps on that year (18 %).
+# about 0.5 %.  Under constant forcing the error estimate lets a step grow
+# to 3.6 % of the exposure at tolerance 1e-4: the chamber run then ends
+# 1.25e-5 from exact, but is 3.6e-5 off at 8 h, and a cycles run keeps that
+# error once its first dry phase stops the growth, so the 48 h cycles run's
+# b ends 2.6e-5 from a refined run, over the 1e-5 of
+# test_cycles_match_a_refined_run.  At 1 % it ends 8.7e-6 off, the chamber
+# run 2.7e-6, for 446 more chamber steps and 414 more on the benchmark's
+# seed-1 year.  A tolerance of 3e-5 without this cap reaches 8.4e-6 too, but
+# takes 1732 more steps on that year (18 %).  Nor does the fields' part of
+# the estimate do it, the largest interior difference of the two results'
+# fields, put into the norm beside the fronts' terms: under constant forcing
+# it stays at 1/195 of them (3.9e-7 against 7.6e-5), so without this cap
+# the chamber run takes the same 291 steps and the 48 h cycles run's b still
+# ends 2.6e-5 off; scaled up until it binds, it is a tighter front
+# tolerance.  And at a
+# dry switch it reads 1.0e-5 for every step from 0.25 down to 1e-6, because
+# the full substep holds O(1) and G(0) from the step start where the halves
+# refresh them at the midpoint, so the refined run at tolerance 1e-6
+# collapses there.
 MAX_STEP_FRACTION = 0.01
 # A run fails once a rejected step leaves dt below this fraction of the
 # exposure.  The shipped jobs' smallest step
@@ -305,13 +315,13 @@ def write_output_csv(output: SimulationOutput, path) -> None:
 
 
 def exact_temporal_errors(cfg: SimulationConfig, divisors=(1, 2, 4, 8, 16),
-                          n: int = 25, horizon_hours: float = 4.0, dt: float = LADDER_DT
+                          n: int = 25, horizon_hours: float = 4.0
                           ) -> list[tuple[float, float]]:
-    """(1/k, error) of chamber runs on an n x n grid in fixed steps of about dt/k.
+    """(1/k, error) of chamber runs on an n x n grid in fixed steps of about LADDER_DT/k.
 
     Each rung steps ``imex_midpoint_step`` itself, without step control,
     from the seed to the horizon in equal steps, the fewest of at most
-    dt/k (non-dimensional) that end on it.  The error is the largest of
+    LADDER_DT/k (non-dimensional) that end on it.  The error is the largest of
     ``exact_front_errors`` at the horizon.
     """
     rung = replace(cfg, n_z=n, n_y=n, horizon_hours=horizon_hours)
@@ -319,7 +329,7 @@ def exact_temporal_errors(cfg: SimulationConfig, divisors=(1, 2, 4, 8, 16),
     tau_end = horizon_hours * SECONDS_PER_HOUR / cfg.scales.t_r
     errors = []
     for k in divisors:
-        count = math.ceil(k * tau_end / dt * (1.0 - 1e-12))
+        count = math.ceil(k * tau_end / LADDER_DT * (1.0 - 1e-12))
         h = tau_end / count
         u, fronts = seed, seed_fronts
         for i in range(count):

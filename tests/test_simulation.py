@@ -207,6 +207,8 @@ class TestStepControl:
             k = starts.index(b)
             tau, dt = steps[k - 1]
             assert tau + dt == pytest.approx(b, rel=1e-14)
+            # no sliver: the landing step is at least half of the one before
+            assert dt >= 0.5 * steps[k - 2][1]
         assert not [(tau, dt) for tau, dt in steps for b in breaks
                     if tau < b < (tau + dt) * (1.0 - 1e-14)]
         assert out.records[-1].t_hours == pytest.approx(12.0, rel=1e-12)
