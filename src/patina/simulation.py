@@ -95,11 +95,10 @@ SAFETY = 0.9
 # it stays at 1/195 of them (3.9e-7 against 7.6e-5), so without this cap
 # the chamber run takes the same 291 steps and the 48 h cycles run's b still
 # ends 2.6e-5 off; scaled up until it binds, it is a tighter front
-# tolerance.  And at a
-# dry switch it reads 1.0e-5 for every step from 0.25 down to 1e-6, because
-# the full substep holds O(1) and G(0) from the step start where the halves
-# refresh them at the midpoint, so the refined run at tolerance 1e-6
-# collapses there.
+# tolerance.  And at a dry switch it reads 1.0e-5 for every step from 0.25
+# down to 1e-6, because the full substep holds O(1) and G(0) from the step
+# start where the halves refresh them at the midpoint, so the refined run at
+# tolerance 1e-6 collapses there.
 MAX_STEP_FRACTION = 0.01
 # A run fails once a rejected step leaves dt below this fraction of the
 # exposure.  The shipped jobs' smallest step
@@ -321,8 +320,8 @@ def exact_temporal_errors(cfg: SimulationConfig, divisors=(1, 2, 4, 8, 16),
 
     Each rung steps ``imex_midpoint_step`` itself, without step control,
     from the seed to the horizon in equal steps, the fewest of at most
-    LADDER_DT/k (non-dimensional) that end on it.  The error is the largest of
-    ``exact_front_errors`` at the horizon.
+    LADDER_DT/k (non-dimensional) that end on it.  The error is the largest
+    of ``exact_front_errors`` at the horizon.
     """
     rung = replace(cfg, n_z=n, n_y=n, horizon_hours=horizon_hours)
     seed, seed_fronts, model = initialize(rung)
