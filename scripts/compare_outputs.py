@@ -57,14 +57,18 @@ import run_year_synthetic         # noqa: E402
 from patina.simulation import OUTPUT_CSV_HEADER  # noqa: E402
 
 # Runs the CLI on sys.argv[2:] and writes the full-precision notes to
-# sys.argv[1], by wrapping the two calls of patina.cli that see the results.
+# sys.argv[1], by wrapping the two calls that see the results.  A tree whose
+# patina.cli binds ``calibrate`` has it wrapped there; a tree whose
+# ``cmd_calibrate`` imports it when it runs has it wrapped on
+# patina.calibration.
 RUN_CLI = """
-import hashlib, struct, sys
+import hashlib, importlib, struct, sys
 import patina.cli as cli
 from patina.simulation import OUTPUT_CSV_HEADER
 
 notes = []
-write_output_csv, calibrate = cli.write_output_csv, cli.calibrate
+fit_owner = cli if hasattr(cli, "calibrate") else importlib.import_module("patina.calibration")
+write_output_csv, calibrate = cli.write_output_csv, fit_owner.calibrate
 columns = OUTPUT_CSV_HEADER.split(",")
 
 def noting_write_output_csv(output, path):
@@ -85,7 +89,7 @@ def noting_calibrate(*args, **kwargs):
                  f"singular_values {result.singular_values!r}")
     return result
 
-cli.write_output_csv, cli.calibrate = noting_write_output_csv, noting_calibrate
+cli.write_output_csv, fit_owner.calibrate = noting_write_output_csv, noting_calibrate
 code = cli.run_main(sys.argv[2:])
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
     fh.write("\\n".join(notes))

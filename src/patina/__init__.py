@@ -22,7 +22,10 @@ from .materials import (
 from .pde_core import Diffusivities, FrontState, Scales, StefanConstants
 from .environment import Forcing, forcing_at, load_timeseries
 from .simulation import SimulationConfig, SimulationOutput, initialize, run
-from .calibration import CalibrationResult, ThicknessMeasurement, calibrate, residual
+
+# served from patina.calibration on first use (PEP 562), so that a simulate
+# job does not load the calibration layer
+_CALIBRATION_NAMES = ("CalibrationResult", "ThicknessMeasurement", "calibrate", "residual")
 
 __all__ = [
     "__version__",
@@ -48,3 +51,14 @@ __all__ = [
     "calibrate",
     "residual",
 ]
+
+
+def __getattr__(name):
+    if name in _CALIBRATION_NAMES:
+        from . import calibration
+        return getattr(calibration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_CALIBRATION_NAMES))

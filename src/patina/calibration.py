@@ -194,6 +194,21 @@ JACOBIAN_STEP = 0.05
 # The fit stops once it has scored a step shorter than this, in decades.
 STEP_TOL = 1e-3
 
+# Longest Gauss-Newton step, in decades of any one diffusivity; a longer
+# step is scaled down along its direction.  The linear model of the
+# forward-difference Jacobian held to about 0.1 decade where it was
+# measured (grid 40, 8 h, 3e-4 cm at 4 h and 5e-4 cm at 8 h): on 6 h wet /
+# 18 h dry cycles the uncapped steps were 2.9-6.0 decades, each halved about
+# ten times before it lowered the residual, and no step above 0.125 decades
+# lowered it at any cap.  Uncapped, that fit stopped at a residual of 0.783
+# after 181 evaluations, when halving reached STEP_TOL; capped, it converged
+# to 0.742 (247 evaluations at 0.5, 209 at 0.25, 166 at 0.125).  A small cap
+# costs steps where the model holds: fits one and two decades from their
+# optimum took 15 and 23 evaluations uncapped, 14 and 23 at 0.5, 20 and 35
+# at 0.25, 32 and 56 at 0.125.  The chamber fit's step (3e-16) and those on
+# 2 h / 2 h cycles (at most 0.071) are below any of these caps.
+MAX_STEP_DECADES = 0.5
+
 
 def subset_selection(jac: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Singular values of ``jac``, largest first, and the columns it determines.
@@ -259,7 +274,8 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
     determine (``subset_selection``); only those are fitted within
     ``bounds``, the rest keep their ``initial`` values.  Each step is the least-squares
     solution on the forward-difference Jacobian at the current point,
-    clipped to the box; the step point is kept only if it lowers the
+    scaled down to at most ``MAX_STEP_DECADES`` in any parameter and clipped
+    to the box; the step point is kept only if it lowers the
     residual, and a longer step that does not is halved.  The fit stops once
     it has scored a step shorter than ``STEP_TOL`` decades, or when
     ``budget`` evaluations, the Jacobian's included, are spent (best-so-far
@@ -338,6 +354,9 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
         while free:
             f = vector(embed(z))
             step = np.linalg.lstsq(jacobian(embed(z), free), -f, rcond=None)[0]
+            longest = np.max(np.abs(step))
+            if longest > MAX_STEP_DECADES:
+                step *= MAX_STEP_DECADES / longest
             trial = np.clip(z + step, llo, lhi)
             while True:
                 lower = np.sum(vector(embed(trial)) ** 2) < np.sum(f ** 2)

@@ -13,7 +13,6 @@ order).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -22,11 +21,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .calibration import (
-    calibrate,
-    load_measurements,
-    warm_start,
-)
 from .config import (
     build_calibration_settings,
     build_simulation_config,
@@ -38,6 +32,17 @@ from .simulation import SimulationError, exact_temporal_errors, run, write_outpu
 from .svgchart import PointSeries, Series, write_line_chart
 
 STOICHIOMETRY_TOLERANCE = 5e-3   # both mole ratios must sit within 0.5% of 2
+
+# hashlib loads OpenSSL's libcrypto (3.5 MB of resident memory) for two file
+# digests; the interpreter's builtin module has the same sha256, and
+# random.py takes its sha512 the same way
+try:
+    from _sha2 import sha256          # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256    # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 @dataclass
@@ -64,7 +69,7 @@ class RunManifest:
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
@@ -139,6 +144,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    # imported here, so that no other command loads the calibration layer
+    from .calibration import calibrate, load_measurements, warm_start
+
     started = time.perf_counter()
     cp, cfg = _sim_config(args)
     settings = build_calibration_settings(cp)

@@ -145,41 +145,43 @@ def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
     non-finite values, negative SO2 and out-of-range RH are reported with
     their file line number.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [(lineno, line) for lineno, line in enumerate(fh, start=1)
-                if not line.lstrip().startswith("#") and line.strip()]
-    if not rows:
-        raise ValueError(f"{path}: no samples")
-    header_line = rows[0][1]
-    header = tuple(h.strip() for h in header_line.strip().split(","))
-    if header != TIMESERIES_HEADER:
-        raise ValueError(
-            f"{path}: line {rows[0][0]}: bad header {header_line.strip()!r}; "
-            f"expected {','.join(TIMESERIES_HEADER)!r}"
-        )
     times: list[float] = []
     so2: list[float] = []
-    for lineno, line in rows[1:]:
-        parts = next(csv.reader([line]))
-        if len(parts) != 4:
-            raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: malformed row {line.strip()!r}") from exc
-        t, so2_ugm3, _, rh = values
-        try:
-            if times and t <= times[-1]:
-                raise ValueError(f"non-monotone time {t}")
-            for name, value in zip(TIMESERIES_HEADER[:3], values):
-                if not math.isfinite(value):
-                    raise ValueError(f"sample {name} must be finite, got {value}")
-            if not 0.0 <= rh <= 100.0:
-                raise ValueError(f"relative humidity must lie in [0, 100], got {rh}")
-            so2.append(so2_concentration(so2_ugm3, "ugm3"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-        times.append(t)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        # read line by line: no list of the file's lines is held
+        rows = ((lineno, line) for lineno, line in enumerate(fh, start=1)
+                if not line.lstrip().startswith("#") and line.strip())
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: no samples")
+        header_lineno, header_line = first
+        header = tuple(h.strip() for h in header_line.strip().split(","))
+        if header != TIMESERIES_HEADER:
+            raise ValueError(
+                f"{path}: line {header_lineno}: bad header {header_line.strip()!r}; "
+                f"expected {','.join(TIMESERIES_HEADER)!r}"
+            )
+        for lineno, line in rows:
+            parts = next(csv.reader([line]))
+            if len(parts) != 4:
+                raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
+            try:
+                values = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: malformed row {line.strip()!r}") from exc
+            t, so2_ugm3, _, rh = values
+            try:
+                if times and t <= times[-1]:
+                    raise ValueError(f"non-monotone time {t}")
+                for name, value in zip(TIMESERIES_HEADER[:3], values):
+                    if not math.isfinite(value):
+                        raise ValueError(f"sample {name} must be finite, got {value}")
+                if not 0.0 <= rh <= 100.0:
+                    raise ValueError(f"relative humidity must lie in [0, 100], got {rh}")
+                so2.append(so2_concentration(so2_ugm3, "ugm3"))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            times.append(t)
     if not times:
         raise ValueError(f"{path}: no samples")
     return Forcing("time-series", times, so2, oxygen)

@@ -80,26 +80,42 @@ __all__ = [
 
 
 def _load_flapack():
-    """scipy's compiled LAPACK module, loaded without the scipy.linalg package.
+    """scipy's compiled LAPACK module, loaded without running any scipy package.
 
-    The package's __init__ pulls in imports (numpy.f2py, numpy.testing, ...)
-    that take longer than a short run and that one LAPACK routine does not
-    need; the top-level ``import scipy`` still runs, so its bundled
-    BLAS/LAPACK is set up as for any scipy import.  The module is registered
-    under its own name before it runs, so a later ``import scipy.linalg``
-    reuses this extension object.
+    Neither ``scipy/__init__`` nor ``scipy/linalg/__init__`` runs: the
+    extension is found in the directory ``importlib.util.find_spec`` names
+    for scipy and loaded on its own.  The packages' imports (numpy.f2py,
+    numpy.testing, scipy._lib, ...) cost more memory and time than a short
+    run, and one LAPACK routine needs none of them; the Linux wheel's
+    extension finds its bundled OpenBLAS through its own RPATH.
+    Only if that bare load raises ImportError does ``import scipy`` run, as
+    on Windows wheels, whose ``__init__`` adds the DLL directory, and the
+    load is tried again.  The module is registered under its own name, so a
+    later ``import scipy.linalg`` reuses this extension object.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None:
+        try:
+            return _load_extension(name, spec.submodule_search_locations)
+        except ImportError:
+            pass
     import scipy
+    return _load_extension(name, scipy.__path__)
+
+
+def _load_extension(name: str, scipy_path):
+    """The extension module ``name`` of scipy.linalg, found under ``scipy_path``
+    and registered in ``sys.modules`` once it has loaded."""
     spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(p, "linalg") for p in scipy.__path__])
+        name, [os.path.join(p, "linalg") for p in scipy_path])
     if spec is None:
         raise ImportError(f"cannot find {name}", name=name)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
     spec.loader.exec_module(module)
+    sys.modules[name] = module
     return module
 
 
@@ -122,7 +138,7 @@ def solve_tridiagonal(lower, diag, upper, rhs, overwrite: bool = False) -> np.nd
     solves in the storage of ``rhs`` if that is a contiguous float64 array.
     dgtsv is the routine scipy.linalg.lapack exposes, taken from scipy's
     compiled module scipy.linalg._flapack by ``_load_flapack`` so that a run
-    does not pay for importing the scipy.linalg package.
+    does not pay for importing the scipy and scipy.linalg packages.
     """
     n = len(diag)
     if len(lower) != n - 1 or len(upper) != n - 1 or len(rhs) != n:

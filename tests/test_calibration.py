@@ -10,6 +10,7 @@ import patina.calibration
 import patina.convergence
 from patina.calibration import (
     JACOBIAN_STEP,
+    MAX_STEP_DECADES,
     STEP_TOL,
     Residual,
     ThicknessMeasurement,
@@ -227,6 +228,33 @@ class TestCalibrate:
         assert res.residual == residual(res.diffusivities, meas, cycles_cfg)
         assert res.output.records[-1].t_hours == pytest.approx(8.0)
 
+    def test_steps_are_capped_in_decades(self, cycles_cfg, monkeypatch):
+        # from the defaults, the first Gauss-Newton step on these two points
+        # is 6 decades long uncapped; such a step once ended in a run that
+        # stalled for 68 497 steps.  Capped, every point the fit scores lies
+        # within MAX_STEP_DECADES of the one before, plus the Jacobian's step
+        # for a column point, and every run is one of the 8 h runs of this
+        # grid (at most 567 steps measured)
+        runs, real_run = [], patina.calibration.run
+
+        def logging_run(cfg, **kwargs):
+            out = real_run(cfg, **kwargs)
+            runs.append((cfg.diffusivities, out.steps))
+            return out
+
+        monkeypatch.setattr(patina.calibration, "run", logging_run)
+        meas = [ThicknessMeasurement(4.0, 3e-4, 1e-4),
+                ThicknessMeasurement(8.0, 5e-4, 1e-4)]
+        res = calibrate(cycles_cfg.diffusivities, (1e-10, 1e-3), meas,
+                        cycles_cfg, budget=30)
+        assert res.evaluations == len(runs) == 30
+        assert res.fitted == ("d_g", "d_s")
+        points = np.log10([[d.d_g, d.d_s, d.d_o] for d, _ in runs])
+        jumps = np.max(np.abs(np.diff(points, axis=0)), axis=1)
+        assert np.all(jumps <= MAX_STEP_DECADES + JACOBIAN_STEP + 1e-12)
+        assert max(jumps) >= MAX_STEP_DECADES - 1e-12     # the cap binds
+        assert max(steps for _, steps in runs) < 1000
+
     def test_shipped_data_fit_the_amplitude_alone(self, default_cfg, table_measurements,
                                                   monkeypatch):
         # the exact totals are K*sqrt(t): the Jacobian has rank 1, d_s carries
@@ -386,14 +414,15 @@ class TestFitRules:
         assert len(points) == len(set(points)) == res.evaluations
 
     def test_a_step_that_raises_the_residual_is_not_kept(self, cycles_cfg, monkeypatch):
-        # linear below the optimum and saturating above it: from above, the
-        # first step overshoots to the lower bound, where the residual is 9
+        # linear below the optimum and saturating sharply above it: from 0.1
+        # decades above, the first step, 0.28 decades and so within
+        # MAX_STEP_DECADES, overshoots to a residual 18 times the start's
         def deviations(x):
             e = x + 7.0
-            return [e if e <= 0.0 else math.atan(3.0 * e) / 3.0]
+            return [e if e <= 0.0 else math.atan(30.0 * e) / 30.0]
 
         calls = fake_residual(monkeypatch, deviations)
-        res = calibrate(start_at(-5.5), BOUNDS, TWO_POINTS[:1], cycles_cfg)
+        res = calibrate(start_at(-6.9), BOUNDS, TWO_POINTS[:1], cycles_cfg)
         assert res.converged
         assert abs(math.log10(res.diffusivities.d_s) + 7.0) < STEP_TOL
         assert max(r for _, r in calls) > 10.0 * calls[0][1]

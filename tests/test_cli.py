@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -482,6 +483,51 @@ def test_manifest_digests_include_a_config_named_env_csv(tmp_path):
                      "--out", str(out)]) == 0
     digests = json.loads((out / "manifest.json").read_text())["input_digests"]
     assert set(digests) == {str(cfgfile), str(env)}
+
+
+def test_manifest_digests_are_the_sha256_of_the_files(tmp_path):
+    # the digests come from the interpreter's builtin sha256, not hashlib;
+    # both must give the same hex digest of each file the run read
+    env = tmp_path / "env.csv"
+    env.write_text("# station\ntime_hours,so2_ugm3,temp_c,rh_percent\n0,10,20,60\n1,12,21,55\n")
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[forcing]\nmode = timeseries\nenv_csv = env.csv\n")
+    out = tmp_path / "o"
+    assert run_main(["simulate", "--horizon-hours", "1", "--config", str(cfgfile),
+                     "--out", str(out)]) == 0
+    digests = json.loads((out / "manifest.json").read_text())["input_digests"]
+    assert digests == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in (cfgfile, env)}
+
+
+def test_import_loads_neither_scipy_nor_hashlib_nor_the_calibration_layer():
+    # scipy's LAPACK extension is loaded without scipy's package __init__,
+    # the digests take the builtin sha256, and patina.calibration is loaded
+    # on first use of one of its names on the package or by calibrate
+    code = """
+import sys, patina.cli
+loaded = [m for m in ("scipy", "hashlib", "_hashlib", "patina.calibration")
+          if m in sys.modules]
+assert not loaded, loaded
+import patina
+names = ("calibrate", "residual", "CalibrationResult", "ThicknessMeasurement")
+served = [getattr(patina, n) for n in names]
+assert served == [getattr(sys.modules["patina.calibration"], n) for n in names]
+star = {}
+exec("from patina import *", star)
+assert set(patina.__all__) <= set(star) and set(names) <= set(dir(patina))
+try:
+    patina.nope
+except AttributeError as exc:
+    assert str(exc) == "module 'patina' has no attribute 'nope'", exc
+else:
+    sys.exit("patina.nope resolved")
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _run_in_fresh_process(argv, modules):

@@ -208,3 +208,41 @@ def test_load_timeseries_negative_so2_names_its_line(tmp_path):
                          "0,10,20,50\n1,-1,20,50\n")
     with pytest.raises(ValueError, match="line 3: SO2 concentration must be non-negative"):
         load_timeseries(p)
+
+
+# comment and blank lines before the header and between data rows; a data
+# row takes the file line given with it
+INTERLEAVED_CSV = ("# station X\n"
+                   "\n"
+                   "   # indented comment\n"
+                   "time_hours,so2_ugm3,temp_c,rh_percent\n"
+                   "0,10,20,50\n"
+                   "\n"
+                   "# gap in the record\n"
+                   "1,12.5,21,55\n"
+                   "   \n"
+                   "2.5,7,19,60\n")
+
+
+def test_load_timeseries_skips_comments_and_blank_lines_anywhere(tmp_path):
+    # the samples are those of a plain parse of the lines that are neither
+    # blank nor comments
+    f = load_timeseries(_write(tmp_path, INTERLEAVED_CSV))
+    rows = [line.split(",") for line in INTERLEAVED_CSV.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")][1:]
+    assert f.times == [float(r[0]) for r in rows] == [0.0, 1.0, 2.5]
+    assert f.so2 == [so2_concentration(float(r[1]), "ugm3") for r in rows]
+
+
+def test_load_timeseries_names_the_file_line_after_skipped_lines(tmp_path):
+    # a bad row after blank and comment lines names its own line, and so
+    # does a bad header after leading comments
+    bad_row = INTERLEAVED_CSV + "\n# late comment\n3,ten,20,50\n"
+    with pytest.raises(ValueError, match="line 13: malformed row '3,ten,20,50'"):
+        load_timeseries(_write(tmp_path, bad_row))
+    late_rh = INTERLEAVED_CSV.replace("1,12.5,21,55", "1,12.5,21,101")
+    with pytest.raises(ValueError, match="line 8: relative humidity"):
+        load_timeseries(_write(tmp_path, late_rh))
+    bad_header = INTERLEAVED_CSV.replace("time_hours,", "hours,")
+    with pytest.raises(ValueError, match="line 4: bad header 'hours,"):
+        load_timeseries(_write(tmp_path, bad_header))
