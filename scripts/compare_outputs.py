@@ -35,7 +35,8 @@ fitted diffusivities, the residual, the evaluation count, the fitted
 parameters and the singular values as ``repr``.  Those notes must match
 too.  When a simulate job's records differ, the largest relative
 difference of each CSV column is printed, and whether the step and clamp
-counts match.  Exit code 0 when every job matches, 1 when any differs or
+counts match; when the calibrate job differs, the lines of its notes that
+differ.  Exit code 0 when every job matches, 1 when any differs or
 fails to run.  The reference and calibrate jobs take up to a minute per tree each,
 the whole comparison a few minutes.
 """
@@ -167,6 +168,14 @@ def record_differences(old: tuple, new: tuple) -> list[str]:
     return lines
 
 
+def note_differences(old: str, new: str) -> list[str]:
+    """The full-precision notes of a calibrate job: each line that differs,
+    and the number that match."""
+    pairs = list(zip(old.splitlines(), new.splitlines()))
+    lines = [f"  notes: {a!r} -> {b!r}" for a, b in pairs if a != b]
+    return lines + [f"  notes: {len(pairs) - len(lines)} of {len(pairs)} lines identical"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git ref to compare the working tree with")
@@ -193,6 +202,8 @@ def main() -> int:
                           f"{old[1]!r} -> {new[1]!r}")
                 if old[2] is not None and new[2] is not None:
                     print("\n".join(record_differences(old, new)))
+                else:
+                    print("\n".join(note_differences(old[1], new[1])))
                 differing += 1
             else:
                 print(f"{name}: identical ({len(old[0].splitlines())} lines; "

@@ -66,7 +66,7 @@ DEFECTS = {
         "simulation.py", "counted += not cut\n            if (not cut and counted",
         "counted += 1\n            if (counted"),
     "no step on the measurement times": (
-        "simulation.py", "kept = {t * tau_per_hour for t in record_hours if 0.0 < t < cfg.horizon_hours}",
+        "simulation.py", "kept = {t for t in record_hours if 0.0 < t < t_end}",
         "kept = set()"),
     "cuprite diffusion number at the outer width": (
         "stepper.py", "alpha_inner = h / (inner * model.dy) ** 2",
@@ -74,10 +74,10 @@ DEFECTS = {
     "diffusion numbers at the step-start widths": (
         "stepper.py", "alpha_outer = h / (outer * model.dz) ** 2",
         "alpha_outer = h / ((fs.beta - fs.gamma) * model.dz) ** 2"),
-    "half-step forcing at tau": (
-        "stepper.py", "model.forcing_hat(tau + half)", "model.forcing_hat(tau)"),
-    "end forcing at tau": (
-        "stepper.py", "model.forcing_hat(tau + dt)", "model.forcing_hat(tau)"),
+    "half-step forcing at t": (
+        "stepper.py", "forcing_at(model.forcing, t + half)", "forcing_at(model.forcing, t)"),
+    "end forcing at t": (
+        "stepper.py", "forcing_at(model.forcing, t + dt)", "forcing_at(model.forcing, t)"),
     "half-step geometry at the step start": (
         "stepper.py",
         "refresh_state(mid, fs.a + half * fs.a_dot,\n"
@@ -150,8 +150,8 @@ DEFECTS = {
         "k_b = oxide_share * amplitude / (1.0 + sw.omega_b)\n"
         "    k_a = ((1.0 - oxide_share) * amplitude + k_b)"),
     "warm start: amplitude weighted by w, not w**2": (
-        "calibration.py", "np.sum(means * np.sqrt(tau) / w**2) / np.sum(tau / w**2)",
-        "np.sum(means * np.sqrt(tau) / w) / np.sum(tau / w)"),
+        "calibration.py", "np.sum(means * np.sqrt(hours) / w**2) / np.sum(hours / w**2)",
+        "np.sum(means * np.sqrt(hours) / w) / np.sum(hours / w)"),
     "exact diffusivities: fixed point stopped after one iteration": (
         "convergence.py", "while d not in seen:", "for _ in range(1):"),
     "exact total without the omega_b*b term": (
@@ -181,7 +181,15 @@ DEFECTS = {
     "sliver split dropped": (
         "simulation.py", "elif remaining < 2.0 * step:", "elif False:"),
     "derived dt_max ignored (always 0.25)": (
-        "config.py", "else default_dt_max(forcing, scales.t_r)", "else CHAMBER_DT_MAX"),
+        "config.py", "else default_dt_max(forcing)", "else CHAMBER_DT_MAX"),
+    "diffusivities left in cm2/s": (
+        "pde_core.py",
+        "return Diffusivities(self.d_g * SECONDS_PER_HOUR, self.d_s * SECONDS_PER_HOUR,\n"
+        "                             self.d_o * SECONDS_PER_HOUR)",
+        "return self"),
+    "a row over two lines numbered by its last": (
+        "environment.py", "if first is None:\n                    first = lineno, line",
+        "first = lineno, line"),
 }
 
 

@@ -19,7 +19,7 @@ from .materials import (
     mole_balance,
     swelling_ratios,
 )
-from .pde_core import Diffusivities, FrontState, Scales, StefanConstants
+from .pde_core import Diffusivities, FrontState, StefanConstants
 from .environment import Forcing, forcing_at, load_timeseries
 from .simulation import SimulationConfig, SimulationOutput, initialize, run
 
@@ -37,7 +37,6 @@ __all__ = [
     "swelling_ratios",
     "Diffusivities",
     "FrontState",
-    "Scales",
     "StefanConstants",
     "Forcing",
     "forcing_at",

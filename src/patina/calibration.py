@@ -17,7 +17,6 @@ exact solution's fit to the data, with a configurable oxide share.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -25,9 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convergence import chamber_at_start, exact_diffusivities, exact_fronts
+from .environment import data_rows
 from .materials import swelling_ratios
 from .pde_core import Diffusivities
-from .simulation import SECONDS_PER_HOUR, SimulationConfig, SimulationError, SimulationOutput, run
+from .simulation import SimulationConfig, SimulationError, SimulationOutput, run
 
 __all__ = [
     "ThicknessMeasurement",
@@ -68,21 +68,21 @@ def load_measurements(path) -> tuple[ThicknessMeasurement, ...]:
     """Read a ``time_hours,thickness_cm,std_cm`` CSV (# comments allowed)."""
     rows: list[ThicknessMeasurement] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [(n, ln) for n, ln in enumerate(fh, start=1)
-                 if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ValueError(f"{path}: empty measurements file")
-    header = tuple(h.strip() for h in lines[0][1].strip().split(","))
-    if header != MEASUREMENTS_CSV_HEADER:
-        raise ValueError(f"{path}: bad header; expected {','.join(MEASUREMENTS_CSV_HEADER)!r}")
-    for lineno, line in lines[1:]:
-        parts = next(csv.reader([line]))
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {lineno}: expected 3 fields")
-        try:
-            rows.append(ThicknessMeasurement(*(float(p) for p in parts)))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        lines = data_rows(fh)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty measurements file")
+        header = tuple(h.strip() for h in first[1].strip().split(","))
+        if header != MEASUREMENTS_CSV_HEADER:
+            raise ValueError(f"{path}: bad header; expected "
+                             f"{','.join(MEASUREMENTS_CSV_HEADER)!r}")
+        for lineno, _, parts in lines:
+            if len(parts) != 3:
+                raise ValueError(f"{path}: line {lineno}: expected 3 fields")
+            try:
+                rows.append(ThicknessMeasurement(*(float(p) for p in parts)))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no measurement rows")
     return tuple(rows)
@@ -156,15 +156,15 @@ def _exact_residual(d: Diffusivities, measurements, cfg: SimulationConfig) -> Re
 def warm_start(measurements, cfg: SimulationConfig, oxide_share: float = 0.1) -> Diffusivities:
     """The exact solution's weighted least-squares fit; raises the ValueErrors of ``similarity``.
 
-    Its totals are K*sqrt(tau), K the sum of the cuprite layer (1+omega_p)*K_a - K_b,
+    Its totals are K*sqrt(t), K the sum of the cuprite layer (1+omega_p)*K_a - K_b,
     which takes ``oxide_share`` of K, and the brochantite layer (1+omega_b)*K_b.
     D_o keeps its configured value; non-constant forcing is taken at t = 0.
     """
     if not 0.0 < oxide_share < 1.0:
         raise ValueError("oxide_share must lie in (0, 1)")
-    tau = np.array([m.time_hours * SECONDS_PER_HOUR / cfg.scales.t_r for m in measurements])
+    hours = np.array([m.time_hours for m in measurements])
     means, w = np.array([m.mean_cm for m in measurements]), _weights(measurements)
-    amplitude = float(np.sum(means * np.sqrt(tau) / w**2) / np.sum(tau / w**2)) / cfg.scales.lam
+    amplitude = float(np.sum(means * np.sqrt(hours) / w**2) / np.sum(hours / w**2))
     sw = swelling_ratios(cfg.materials)
     k_b = (1.0 - oxide_share) * amplitude / (1.0 + sw.omega_b)
     k_a = (oxide_share * amplitude + k_b) / (1.0 + sw.omega_p)
@@ -175,10 +175,10 @@ PARAMETERS = ("d_g", "d_s", "d_o")
 
 # Directions of the starting Jacobian whose singular value is below this
 # fraction of the largest are held.  Under constant forcing the exact totals
-# are K*sqrt(tau), so every column of their Jacobian is a multiple of
-# sqrt(tau)/std: on the shipped data the singular values are 8.16, 2.4e-14
-# and 2.1e-15 (rounding).  Total thickness sees the sqrt(t) amplitude, not the split of d_g
-# and d_s, and not d_o.
+# are K*sqrt(t), so every column of their Jacobian is a multiple of
+# sqrt(t)/std: on the shipped data the singular values are 8.16, 1.3e-14
+# and 4.6e-15 (rounding).  Total thickness sees the sqrt(t) amplitude, not
+# the split of d_g and d_s, and not d_o.
 RANK_RTOL = 1e-2
 
 # Forward-difference step of the Jacobian, in decades of a diffusivity.  The

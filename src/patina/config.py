@@ -1,7 +1,7 @@
 """Plain-text configuration: ``key = value`` lines under bracketed sections.
 
-Understood sections: [scales], [diffusivities], [grid], [time],
-[forcing], [calibration], [materials].  ``#`` starts a
+Understood sections: [diffusivities], [grid], [time], [forcing],
+[calibration], [materials].  ``#`` starts a
 comment.  Every key has a default, so an empty or missing file yields the
 shipped configuration; unknown sections or keys are an error (typos should
 not pass silently), and so is a value that is not a number where a number
@@ -27,8 +27,8 @@ from .environment import (
     so2_concentration,
 )
 from .materials import DEFAULT_MATERIALS, MaterialTable
-from .pde_core import Diffusivities, Scales
-from .simulation import SECONDS_PER_HOUR, SimulationConfig
+from .pde_core import Diffusivities
+from .simulation import SimulationConfig
 
 __all__ = [
     "CalibrationSettings",
@@ -48,17 +48,10 @@ DEFAULT_DIFFUSIVITIES = {
 }
 
 DEFAULTS: dict[str, dict[str, str]] = {
-    "scales": {
-        "lambda_cm": "1e-4",
-        "t_r_s": "3600",
-        # blank entries are derived from the chamber conditions below
-        "s_r_gcm3": "",
-        "o_r_gcm3": "",
-    },
     "diffusivities": {k: f"{v:g}" for k, v in DEFAULT_DIFFUSIVITIES.items()},
     "grid": {"n_z": "25", "n_y": "25"},
     "time": {
-        "dt_max": "",                # blank: derived from the forcing (default_dt_max)
+        "dt_max": "",                # hours; blank: derived from the forcing (default_dt_max)
         "tolerance": "1e-4",         # local error of a step, relative, in a, b and a - beta
         "horizon_hours": "40",
         "output_stride": "10",
@@ -84,7 +77,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "materials": {k: repr(v) for k, v in asdict(DEFAULT_MATERIALS).items()},
 }
 
-# The step cap, non-dimensional, of a blank dt_max under chamber and cycles
+# The step cap, in hours, of a blank dt_max under chamber and cycles
 # forcing.  It stays under the error-controlled step for a measured reason:
 # without it the 480 h cycles run ends with a and b 1.7e-5 from the
 # converged run (2.4e-6 and 3.3e-6 with it), and the 48 h cycles run's b
@@ -133,7 +126,7 @@ def load_settings(path=None) -> configparser.ConfigParser:
             for key, value in seen.items(section):
                 if not cp.has_option(section, key):
                     raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-                # a number may be blank only where its default is (the derived entries)
+                # a number may be blank only where its default is (dt_max, derived)
                 if key not in _TEXT_KEYS and (value or cp.get(section, key)):
                     try:
                         _number(seen, section, key)
@@ -157,13 +150,6 @@ def _chamber_values(cp) -> tuple[float, float]:
     return so2, _number(cp, "forcing", "oxygen_gcm3")
 
 
-def _scales_from(cp) -> Scales:
-    so2, oxygen = _chamber_values(cp)
-    s_r, o_r = cp.get("scales", "s_r_gcm3"), cp.get("scales", "o_r_gcm3")
-    return Scales(lam=_number(cp, "scales", "lambda_cm"), t_r=_number(cp, "scales", "t_r_s"),
-                  s_r=float(s_r) if s_r else so2, o_r=float(o_r) if o_r else oxygen)
-
-
 def _forcing_from(cp) -> Forcing:
     mode = cp.get("forcing", "mode")
     so2, oxygen = _chamber_values(cp)
@@ -182,8 +168,8 @@ def _forcing_from(cp) -> Forcing:
     raise ValueError(f"unknown forcing mode {mode!r}")
 
 
-def default_dt_max(forcing: Forcing, t_r: float) -> float:
-    """The step cap, non-dimensional, that a blank ``[time] dt_max`` stands for.
+def default_dt_max(forcing: Forcing) -> float:
+    """The step cap, in hours, that a blank ``[time] dt_max`` stands for.
 
     A time series of two or more samples steps at most from one sample to
     the next, so its cap is the longest interval between samples (1 h for
@@ -192,16 +178,14 @@ def default_dt_max(forcing: Forcing, t_r: float) -> float:
     times = forcing.times
     if forcing.mode != "time-series" or len(times) < 2:
         return CHAMBER_DT_MAX
-    return max(later - earlier for earlier, later in zip(times, times[1:])) * SECONDS_PER_HOUR / t_r
+    return max(later - earlier for earlier, later in zip(times, times[1:]))
 
 
 def build_simulation_config(cp) -> SimulationConfig:
     """Assemble a SimulationConfig from the parsed settings alone."""
-    scales = _scales_from(cp)
     forcing = _forcing_from(cp)
     dt_max = cp.get("time", "dt_max")
     return SimulationConfig(
-        scales=scales,
         diffusivities=Diffusivities(
             d_g=_number(cp, "diffusivities", "d_g"),
             d_s=_number(cp, "diffusivities", "d_s"),
@@ -211,7 +195,7 @@ def build_simulation_config(cp) -> SimulationConfig:
         forcing=forcing,
         n_z=_number(cp, "grid", "n_z"),
         n_y=_number(cp, "grid", "n_y"),
-        dt_max=float(dt_max) if dt_max else default_dt_max(forcing, scales.t_r),
+        dt_max=float(dt_max) if dt_max else default_dt_max(forcing),
         tolerance=_number(cp, "time", "tolerance"),
         horizon_hours=_number(cp, "time", "horizon_hours"),
         output_stride=_number(cp, "time", "output_stride"),

@@ -2,10 +2,10 @@
 
 Under constant forcing the double free boundary has a similarity solution
 (Neumann's Stefan solution with two fronts; Carslaw & Jaeger, *Conduction
-of Heat in Solids*, 1959, section 11.2): a = K_a*sqrt(tau) and
-b = K_b*sqrt(tau), and the front-fixed profiles are steady.  With layer
-widths W*sqrt(tau), W = (1+omega_b)*K_b, and V*sqrt(tau),
-V = (1+omega_p)*K_a - K_b, the equations of ``pde_core`` become
+of Heat in Solids*, 1959, section 11.2): a = K_a*sqrt(t) and
+b = K_b*sqrt(t), t in hours and K in cm/sqrt(h), and the front-fixed
+profiles are steady.  With layer widths W*sqrt(t), W = (1+omega_b)*K_b, and
+V*sqrt(t), V = (1+omega_p)*K_a - K_b, the equations of ``pde_core`` become
 
     U'' = -z*W^2/(2*D)*U'                  (S and O on z in [0, 1])
     G'' = -(V^2*y + V*K_b)/(2*D_g)*G'      (G on y in [0, 1])
@@ -35,7 +35,7 @@ import numpy as np
 
 from .environment import constant_chamber_forcing, forcing_at
 from .materials import swelling_ratios
-from .pde_core import SECONDS_PER_HOUR, Diffusivities, stefan_constants
+from .pde_core import Diffusivities, stefan_constants
 
 if TYPE_CHECKING:
     from .simulation import OutputRecord, SimulationConfig
@@ -99,10 +99,10 @@ def _stefan_groups(cfg: SimulationConfig):
     forcing = cfg.forcing
     if forcing.mode != "constant-chamber":
         raise ValueError(f"the exact solution needs constant forcing, not {forcing.mode}")
-    s_a, o_a = forcing.so2[0] / cfg.scales.s_r, forcing.oxygen / cfg.scales.o_r
+    s_a, o_a = forcing.so2[0], forcing.oxygen
     if not (s_a > 0.0 and o_a > 0.0):
         raise ValueError("the exact solution needs nonzero SO2 and O2 forcing")
-    d = cfg.diffusivities.hatted(cfg.scales)
+    d = cfg.diffusivities.per_hour()
     sw = swelling_ratios(cfg.materials)
 
     def omega_s(k_b):
@@ -133,13 +133,13 @@ def _stefan_groups(cfg: SimulationConfig):
 
 
 def similarity(cfg: SimulationConfig) -> tuple[float, float]:
-    """(K_a, K_b) of the exact solution a = K_a*sqrt(tau), b = K_b*sqrt(tau), non-dimensional.
+    """(K_a, K_b) of the exact solution a = K_a*sqrt(t), b = K_b*sqrt(t), in cm/sqrt(h).
 
     Only constant forcing with SO2 and oxygen has one; any other forcing,
     or oxygen used up at beta by its reaction sink, raises ValueError.
     """
     s_a, o_a, omega_s, _, omega_g = _stefan_groups(cfg)
-    sc = stefan_constants(cfg.materials, cfg.diffusivities.hatted(cfg.scales), cfg.scales)
+    sc = stefan_constants(cfg.materials, cfg.diffusivities.per_hour())
     sw = swelling_ratios(cfg.materials)
     # omega_s(K_b) >= (1+omega_b)*K_b^2/(2*S_a) at hi, since the flux is at most 1
     k_b = _bisect(lambda k: omega_s(k) - sc.omega_s,
@@ -162,8 +162,8 @@ def exact_seed(cfg: SimulationConfig) -> tuple[np.ndarray, float, float]:
     chamber = chamber_at_start(cfg)
     k_a, k_b = similarity(chamber)
     s_a, o_a, _, oxygen, _ = _stefan_groups(chamber)
-    d, sw = cfg.diffusivities.hatted(cfg.scales), swelling_ratios(cfg.materials)
-    o_beta = oxygen(k_b, stefan_constants(cfg.materials, d, cfg.scales).gamma_o)(k_a)
+    d, sw = cfg.diffusivities.per_hour(), swelling_ratios(cfg.materials)
+    o_beta = oxygen(k_b, stefan_constants(cfg.materials, d).gamma_o)(k_a)
     w, v = (1.0 + sw.omega_b) * k_b, (1.0 + sw.omega_p) * k_a - k_b
     z, y = np.linspace(0.0, 1.0, cfg.n_z + 1), np.linspace(0.0, 1.0, cfg.n_y + 1)
     p_s, p_o = w * w / (4.0 * d.d_s), w * w / (4.0 * d.d_o)
@@ -171,7 +171,7 @@ def exact_seed(cfg: SimulationConfig) -> tuple[np.ndarray, float, float]:
     u = np.array([s_a * _falling(p_s, 0.0, zk) for zk in z]
                  + [o_beta + (o_a - o_beta) * _falling(p_o, 0.0, zk) for zk in z]
                  + [o_beta * _falling(p_g, q_g, yk) for yk in y])
-    root = math.sqrt(SEED_HOURS * SECONDS_PER_HOUR / cfg.scales.t_r)
+    root = math.sqrt(SEED_HOURS)
     return u, k_a * root, k_b * root
 
 
@@ -186,8 +186,8 @@ def exact_porosities(cfg: SimulationConfig, a_cm: float, b_cm: float,
     """
     _, _, omega_s, _, omega_g = _stefan_groups(cfg)
     unit = stefan_constants(replace(cfg.materials, n_b=1.0, n_p=1.0),
-                            cfg.diffusivities.hatted(cfg.scales), cfg.scales)
-    root = math.sqrt(hours * SECONDS_PER_HOUR / cfg.scales.t_r) * cfg.scales.lam
+                            cfg.diffusivities.per_hour())
+    root = math.sqrt(hours)
     k_a, k_b = a_cm / root, b_cm / root
     n_b = omega_s(k_b) / unit.omega_s
     return n_b, omega_g(k_b, unit.gamma_o / n_b)(k_a) / unit.omega_g
@@ -199,8 +199,7 @@ def exact_diffusivities(cfg: SimulationConfig, k_a: float, k_b: float) -> Diffus
     Omega_s is linear in d_s and Omega_g in d_g; their fluxes, taken at the
     config's diffusivities first, are updated until these stop changing.
     """
-    unit = stefan_constants(cfg.materials, Diffusivities(1.0, 1.0, 1.0).hatted(cfg.scales),
-                            cfg.scales)
+    unit = stefan_constants(cfg.materials, Diffusivities(1.0, 1.0, 1.0).per_hour())
     d, seen = cfg.diffusivities, set()
     while d not in seen:
         seen.add(d)
@@ -214,8 +213,8 @@ def exact_fronts(cfg: SimulationConfig, hours):
     """Exact a, b and total (1+omega_p)*a + omega_b*b in cm at ``hours`` (number or array)."""
     k_a, k_b = similarity(cfg)
     sw = swelling_ratios(cfg.materials)
-    root = np.sqrt(np.asarray(hours, dtype=float) * SECONDS_PER_HOUR / cfg.scales.t_r)
-    a, b = k_a * root * cfg.scales.lam, k_b * root * cfg.scales.lam
+    root = np.sqrt(np.asarray(hours, dtype=float))
+    a, b = k_a * root, k_b * root
     return a, b, (1.0 + sw.omega_p) * a + sw.omega_b * b
 
 

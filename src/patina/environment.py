@@ -34,6 +34,7 @@ __all__ = [
     "so2_concentration",
     "constant_chamber_forcing",
     "cycle_forcing",
+    "data_rows",
     "load_timeseries",
     "forcing_at",
     "breakpoints",
@@ -137,6 +138,26 @@ def cycle_forcing(wet_so2: float, oxygen: float = AMBIENT_OXYGEN,
 TIMESERIES_HEADER = ("time_hours", "so2_ugm3", "temp_c", "rh_percent")
 
 
+def data_rows(fh):
+    """(line number, line, fields) of each CSV row of ``fh``, read one line at
+    a time; blank lines and ``#`` comments are skipped.  One ``csv.reader``
+    parses every row; a row that spans lines has the number and text of its
+    first line."""
+    first = None
+
+    def kept():
+        nonlocal first
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip() and not line.lstrip().startswith("#"):
+                if first is None:
+                    first = lineno, line
+                yield line
+
+    for fields in csv.reader(kept()):
+        yield first[0], first[1], fields
+        first = None
+
+
 def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
     """Read an environment CSV into a time-series Forcing.
 
@@ -149,20 +170,18 @@ def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
     so2: list[float] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         # read line by line: no list of the file's lines is held
-        rows = ((lineno, line) for lineno, line in enumerate(fh, start=1)
-                if not line.lstrip().startswith("#") and line.strip())
+        rows = data_rows(fh)
         first = next(rows, None)
         if first is None:
             raise ValueError(f"{path}: no samples")
-        header_lineno, header_line = first
+        header_lineno, header_line, _ = first
         header = tuple(h.strip() for h in header_line.strip().split(","))
         if header != TIMESERIES_HEADER:
             raise ValueError(
                 f"{path}: line {header_lineno}: bad header {header_line.strip()!r}; "
                 f"expected {','.join(TIMESERIES_HEADER)!r}"
             )
-        for lineno, line in rows:
-            parts = next(csv.reader([line]))
+        for lineno, line, parts in rows:
             if len(parts) != 4:
                 raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
             try:
@@ -217,7 +236,7 @@ def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float]:
 
 def breakpoints(forcing: Forcing, horizon_hours: float) -> list[float]:
     """Times in (0, ``horizon_hours``), in hours and increasing, at which the
-    forcing breaks.
+    forcing breaks, as a new list that the caller may change.
 
     These are the switches of a cycle schedule, where SO2 jumps, and the
     sample times of a time series, where its slope jumps.  Constant forcing

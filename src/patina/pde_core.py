@@ -1,4 +1,4 @@
-"""Non-dimensional, front-fixed transport equations of the two-layer patina.
+"""Front-fixed transport equations of the two-layer patina.
 
 Physical picture (x grows into the metal, x = 0 at the original surface):
 
@@ -15,12 +15,12 @@ advection with the coefficients q(z) and f(y) below.
 
 Outer species u in {S, O}:
 
-    du/dtau = D/(beta-gamma)^2 u_zz - (gamma_dot/(beta-gamma) + q(z)) u_z
+    du/dt = D/(beta-gamma)^2 u_zz - (gamma_dot/(beta-gamma) + q(z)) u_z
 
 with S(0)=S_a, S(1)=0, O(0)=O_a and a Robin condition at z=1 for O carrying
 its reaction sink.  Inner oxygen:
 
-    dG/dtau = D_g/(a-beta)^2 G_yy + (omega_p*a_dot/(a-beta) - f(y)) G_y
+    dG/dt = D_g/(a-beta)^2 G_yy + (omega_p*a_dot/(a-beta) - f(y)) G_y
 
 with G(0) = O at beta, G(1) = 0.  The two Stefan conditions set the front
 speeds from one-sided boundary gradients:
@@ -31,8 +31,9 @@ speeds from one-sided boundary gradients:
 The brochantite reaction also consumes water, but water enters neither
 Stefan condition nor any other field, so it is not carried.
 
-All quantities here are dimensionless; lengths scale by lambda, time by
-t_r, concentrations by their reference values.
+The model is solved in the units of its outputs: lengths in cm, time in
+hours and concentrations in g/cm3, so the diffusivities enter in cm2/h
+(``Diffusivities.per_hour``).
 
 The functions here take flat arrays and plain floats: the front
 kinematics, the advection rates, the upwind pass, the Stefan speeds and
@@ -58,7 +59,6 @@ import numpy as np
 from .materials import MaterialTable
 
 __all__ = [
-    "Scales",
     "Diffusivities",
     "FrontState",
     "check_ordering",
@@ -88,29 +88,8 @@ SECONDS_PER_HOUR = 3600.0
 
 
 @dataclass(frozen=True)
-class Scales:
-    """Reference scales that non-dimensionalize the model.
-
-    lam: length (cm), t_r: time (s), the rest concentrations (g/cm3).
-    O and G share the scale o_r, so the oxygen handoff at beta is a plain
-    value copy.
-    """
-
-    lam: float
-    t_r: float
-    s_r: float
-    o_r: float
-
-    def __post_init__(self):
-        for name in ("lam", "t_r", "s_r", "o_r"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"scale {name} must be positive, got {value}")
-
-
-@dataclass(frozen=True)
 class Diffusivities:
-    """Dimensional diffusivities in cm2/s."""
+    """Diffusivities in cm2/s, as configured."""
 
     d_g: float
     d_s: float
@@ -122,15 +101,14 @@ class Diffusivities:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"diffusivity {name} must be positive, got {value}")
 
-    def hatted(self, scales: Scales) -> "Diffusivities":
-        """Non-dimensional forms D_hat = (t_r/lam^2) * D."""
-        factor = scales.t_r / scales.lam**2
-        return Diffusivities(self.d_g * factor, self.d_s * factor,
-                             self.d_o * factor)
+    def per_hour(self) -> "Diffusivities":
+        """The same diffusivities in cm2/h, the units the model is solved in."""
+        return Diffusivities(self.d_g * SECONDS_PER_HOUR, self.d_s * SECONDS_PER_HOUR,
+                             self.d_o * SECONDS_PER_HOUR)
 
 
 class FrontState(NamedTuple):
-    """The four moving quantities and their velocities (non-dimensional).
+    """The four moving quantities (cm) and their velocities (cm/h).
 
     a: copper consumption; b: cuprite consumption; beta = b - omega_p*a is
     the cuprite/brochantite boundary; gamma = -(omega_p*a + omega_b*b) the
@@ -160,7 +138,7 @@ def check_ordering(a: float, beta: float, gamma: float) -> None:
 
 @dataclass(frozen=True)
 class StefanConstants:
-    """Dimensionless groups of the interface conditions.
+    """The groups of the interface conditions (see ``stefan_constants``).
 
     omega_s drives the cuprite-consumption Stefan condition, omega_g the
     copper-consumption one; gamma_o is the reaction-sink coefficient of the
@@ -172,13 +150,17 @@ class StefanConstants:
     gamma_o: float
 
 
-def stefan_constants(mat: MaterialTable, d_hat: Diffusivities,
-                     scales: Scales) -> StefanConstants:
-    """Interface constants from materials, hatted diffusivities and scales."""
+def stefan_constants(mat: MaterialTable, d: Diffusivities) -> StefanConstants:
+    """Interface constants from materials and diffusivities in cm2/h.
+
+    omega_s and omega_g are in cm5/(g h): over a layer width in cm, times a
+    concentration gradient in g/cm3 per unit of the mapped coordinate, they
+    give a front speed in cm/h.  gamma_o is in g/cm3.
+    """
     return StefanConstants(
-        omega_s=2.0 * mat.n_b * d_hat.d_s * (mat.M_p / mat.M_s) * (scales.s_r / mat.rho_p),
-        omega_g=4.0 * mat.n_p * d_hat.d_g * (mat.M_c / mat.M_o) * (scales.o_r / mat.rho_c),
-        gamma_o=0.75 / mat.n_b * (mat.M_o / mat.M_p) * (mat.rho_p / scales.o_r),
+        omega_s=2.0 * mat.n_b * d.d_s * (mat.M_p / mat.M_s) / mat.rho_p,
+        omega_g=4.0 * mat.n_p * d.d_g * (mat.M_c / mat.M_o) / mat.rho_c,
+        gamma_o=0.75 / mat.n_b * (mat.M_o / mat.M_p) * mat.rho_p,
     )
 
 
@@ -206,7 +188,7 @@ def outer_advection_coeff(z, fs: FrontState):
 
 
 def inner_advection_coeff(y, fs: FrontState, omega_p: float):
-    """Inner advection speed c = y*s_i + m_i of dG/dtau + c G_y = diffusion (advection_rates)."""
+    """Inner advection speed c = y*s_i + m_i of dG/dt + c G_y = diffusion (advection_rates)."""
     _, s_i, m_i = advection_rates(fs, omega_p)
     return y * s_i + m_i
 
@@ -261,7 +243,7 @@ def front_velocities(s_3: float, s_2: float, g_3: float, g_2: float, outer: floa
 
 
 def apply_outer_bcs(o_3: float, o_2: float, outer: float, gamma_dot: float, b_dot: float,
-                    d_hat: Diffusivities, sc: StefanConstants, dz: float) -> float:
+                    d: Diffusivities, sc: StefanConstants, dz: float) -> float:
     """O(1), the outer oxygen at beta, from its Robin condition; writes nothing.
 
     The condition D/width O_z = (gamma_dot - b_dot) O - gamma_o*b_dot holds
@@ -271,7 +253,7 @@ def apply_outer_bcs(o_3: float, o_2: float, outer: float, gamma_dot: float, b_do
     k*(3 O(1) - 4 O(-2) + O(-3)) = (gamma_dot - b_dot) O(1) - gamma_o*b_dot
     with k = D/(2 dz width).  A negative solution is clamped to zero.
     """
-    k = d_hat.d_o / (2.0 * dz * outer)
+    k = d.d_o / (2.0 * dz * outer)
     denom = 3.0 * k - (gamma_dot - b_dot)
     if abs(denom) < 1e-300 or not math.isfinite(denom):
         raise BoundaryConditionError(

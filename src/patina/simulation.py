@@ -1,4 +1,4 @@
-"""Full simulation runs: seeding, the time loop, re-dimensionalized output.
+"""Full simulation runs: seeding, the time loop, output records.
 
 Every run starts on the exact solution at ``convergence.SEED_HOURS`` of its
 forcing at t = 0 (``convergence.exact_seed``), so a forcing without one is
@@ -6,9 +6,10 @@ an input error raised before any step.  A run advances the packed buffer
 of :class:`patina.stepper.PackedLayout` and a :class:`FrontState` with
 the extrapolated implicit Euler step of :mod:`patina.stepper` and emits
 one record per output row: the front positions and layer thicknesses in
-cm, exactly the columns of ``simulation.csv``.  The run totals (steps
-attempted and rejected, clamps, landings and splits) are kept once, on the
-:class:`SimulationOutput`.
+cm, exactly the columns of ``simulation.csv``.  A run is solved in the
+units of those records, cm and hours, with concentrations in g/cm3.  The
+run totals (steps attempted and rejected, clamps, landings and splits) are
+kept once, on the :class:`SimulationOutput`.
 
 Step control.  A step is accepted when its error estimate, the largest
 relative difference of a, b and the cuprite layer a - beta between its two
@@ -43,15 +44,9 @@ import numpy as np
 from .convergence import SEED_HOURS, exact_front_errors, exact_seed
 from .environment import Forcing, breakpoints, forcing_at
 from .materials import MaterialTable, swelling_ratios
-from .pde_core import (
-    SECONDS_PER_HOUR,
-    Diffusivities,
-    FrontState,
-    Scales,
-    stefan_constants,
-)
+from .pde_core import Diffusivities, FrontState, stefan_constants
 from .stepper import (
-    NondimModel,
+    Model,
     TridiagonalError,
     imex_midpoint_step,
     refresh_state,
@@ -108,7 +103,7 @@ MAX_STEP_FRACTION = 0.01
 # a dozen attempts rather than spending its whole max_steps budget.
 MIN_STEP_FRACTION = 1e-8
 
-# the step of the first rung of exact_temporal_errors' fixed-step ladder
+# the step, in hours, of the first rung of exact_temporal_errors' fixed-step ladder
 LADDER_DT = 0.05
 
 
@@ -118,9 +113,12 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything a run needs; immutable so runs can share it concurrently."""
+    """Everything a run needs; immutable so runs can share it concurrently.
 
-    scales: Scales
+    The diffusivities are in cm2/s, as configured, and ``dt_max`` is in
+    hours.
+    """
+
     diffusivities: Diffusivities
     materials: MaterialTable
     forcing: Forcing
@@ -183,36 +181,23 @@ class SimulationOutput:
         return np.interp(np.asarray(t_hours, dtype=float), times, totals)
 
 
-def _build_model(cfg: SimulationConfig) -> NondimModel:
-    d_hat = cfg.diffusivities.hatted(cfg.scales)
-    sc = stefan_constants(cfg.materials, d_hat, cfg.scales)
-    sw = swelling_ratios(cfg.materials)
-    scales = cfg.scales
-    forcing = cfg.forcing
-    hours_per_tau = scales.t_r / SECONDS_PER_HOUR
-
-    def forcing_hat(tau: float) -> tuple[float, float]:
-        s, o = forcing_at(forcing, tau * hours_per_tau)
-        return s / scales.s_r, o / scales.o_r
-
-    return NondimModel(d_hat=d_hat, sc=sc, sw=sw, n_z=cfg.n_z, n_y=cfg.n_y,
-                       forcing_hat=forcing_hat)
+def _build_model(cfg: SimulationConfig) -> Model:
+    d = cfg.diffusivities.per_hour()
+    return Model(d=d, sc=stefan_constants(cfg.materials, d), sw=swelling_ratios(cfg.materials),
+                 n_z=cfg.n_z, n_y=cfg.n_y, forcing=cfg.forcing)
 
 
-def initialize(cfg: SimulationConfig) -> tuple[np.ndarray, FrontState, NondimModel]:
+def initialize(cfg: SimulationConfig) -> tuple[np.ndarray, FrontState, Model]:
     """The packed buffer ``u`` and the fronts of ``convergence.exact_seed``, and the model."""
     model = _build_model(cfg)
     u, a0, b0 = exact_seed(cfg)
-    fronts, _ = refresh_state(u, a0, b0, model, model.forcing_hat(0.0))
+    fronts, _ = refresh_state(u, a0, b0, model, forcing_at(cfg.forcing, 0.0))
     return u, fronts, model
 
 
-def _record(cfg: SimulationConfig, tau: float, fronts: FrontState) -> OutputRecord:
-    # positions go to cm first, thicknesses are differences of the cm values
-    lam = cfg.scales.lam
-    a, b, beta, gamma = fronts.a * lam, fronts.b * lam, fronts.beta * lam, fronts.gamma * lam
-    return OutputRecord(tau * cfg.scales.t_r / SECONDS_PER_HOUR, a, b, beta, gamma,
-                        a - beta, beta - gamma, a - gamma)
+def _record(t: float, fronts: FrontState) -> OutputRecord:
+    a, beta, gamma = fronts.a, fronts.beta, fronts.gamma
+    return OutputRecord(t, a, fronts.b, beta, gamma, a - beta, beta - gamma, a - gamma)
 
 
 def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
@@ -223,30 +208,28 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
     """
     u, fronts, model = initialize(cfg)
     field_clamps = velocity_clamps = landings = splits = rejected = 0
-    tau_per_hour = SECONDS_PER_HOUR / cfg.scales.t_r
-    tau_end = cfg.horizon_hours * tau_per_hour
-    records = [_record(cfg, 0.0, fronts)]
+    t_end = cfg.horizon_hours
+    records = [_record(0.0, fronts)]
 
     # where the forcing breaks or a record is asked for, latest first, so the
     # next one is breaks[-1]; a list, as a set of a year's samples measured
     # 0.3 MB more peak RSS
-    kept = {t * tau_per_hour for t in record_hours if 0.0 < t < cfg.horizon_hours}
-    breaks = [t * tau_per_hour for t in breakpoints(cfg.forcing, cfg.horizon_hours)]
+    kept = {t for t in record_hours if 0.0 < t < t_end}
+    breaks = breakpoints(cfg.forcing, t_end)
     breaks += [t for t in kept if t not in breaks]
     breaks.sort(reverse=True)
     tol = cfg.tolerance
-    # the exposure at tau = 0, which the exposure cap and the collapse test read
-    seed_tau = SEED_HOURS * tau_per_hour
 
-    tau = 0.0
+    t = 0.0
     step_index = counted = 0
-    tau_stop = tau_end * (1.0 - 1e-12)
+    t_stop = t_end * (1.0 - 1e-12)
     dt = select_dt(fronts, model.dz, model.dy, FIRST_STEP_CFL, cfg.dt_max, model.sw.omega_p)
-    while tau < tau_stop:
-        step = min(dt, cfg.dt_max, tau_end - tau, MAX_STEP_FRACTION * (tau + seed_tau))
+    while t < t_stop:
+        # the exposure, t + SEED_HOURS, caps the step
+        step = min(dt, cfg.dt_max, t_end - t, MAX_STEP_FRACTION * (t + SEED_HOURS))
         lands = split = cut = False
         if breaks:
-            remaining = breaks[-1] - tau
+            remaining = breaks[-1] - t
             lands = remaining <= step
             if lands:
                 cut = remaining < step
@@ -263,12 +246,12 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
         failure = None
         try:
             new, fronts_new, error, fields_clamped, fronts_clamped = imex_midpoint_step(
-                u, fronts, tau, step, model)
+                u, fronts, t, step, model)
         except (ValueError, TridiagonalError) as exc:
             error, failure = math.inf, exc    # a front overshoot or a singular solve
         except Exception as exc:
             raise SimulationError(
-                f"step {step_index} at t = {tau / tau_per_hour:.6g} h (dt = {step:.3g}): {exc}"
+                f"step {step_index} at t = {t:.6g} h (dt = {step:.3g} h): {exc}"
             ) from exc
         if error <= tol:
             u, fronts = new, fronts_new
@@ -276,7 +259,7 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
             velocity_clamps += fronts_clamped
             landings += lands
             splits += split
-            tau = breaks.pop() if lands else tau + step
+            t = breaks.pop() if lands else t + step
             # the local error goes as step^2; a step cut short by a landing, a
             # split or the cap leaves dt as it was
             grown = step * (min(MAX_GROWTH, SAFETY * math.sqrt(tol / error)) if error > 0.0
@@ -286,20 +269,18 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
             # runs that agree up to a breakpoint print the same rows up to it
             counted += not cut
             if (not cut and counted % cfg.output_stride == 0
-                    or lands and tau in kept) and tau < tau_end:
-                records.append(_record(cfg, tau, fronts))
+                    or lands and t in kept) and t < t_end:
+                records.append(_record(t, fronts))
         else:
             rejected += 1
             dt = step * max(MIN_SHRINK, SAFETY * math.sqrt(tol / error))
-            if dt < MIN_STEP_FRACTION * (tau + seed_tau):
+            if dt < MIN_STEP_FRACTION * (t + SEED_HOURS):
                 raise SimulationError(
-                    f"step collapse at t = {tau / tau_per_hour:.6g} h: the step control "
-                    f"cut dt to {dt / tau_per_hour:.3g} h") from failure
+                    f"step collapse at t = {t:.6g} h: the step control "
+                    f"cut dt to {dt:.3g} h") from failure
         if step_index >= cfg.max_steps:
-            raise SimulationError(
-                f"step budget {cfg.max_steps} exhausted at t = {tau / tau_per_hour:.6g} h"
-            )
-    records.append(_record(cfg, tau, fronts))
+            raise SimulationError(f"step budget {cfg.max_steps} exhausted at t = {t:.6g} h")
+    records.append(_record(t, fronts))
     return SimulationOutput(records=records, steps=step_index, rejected=rejected,
                             velocity_clamps=velocity_clamps, field_clamps=field_clamps,
                             landings=landings, splits=splits)
@@ -320,19 +301,18 @@ def exact_temporal_errors(cfg: SimulationConfig, divisors=(1, 2, 4, 8, 16),
 
     Each rung steps ``imex_midpoint_step`` itself, without step control,
     from the seed to the horizon in equal steps, the fewest of at most
-    LADDER_DT/k (non-dimensional) that end on it.  The error is the largest
-    of ``exact_front_errors`` at the horizon.
+    LADDER_DT/k hours that end on it.  The error is the largest of
+    ``exact_front_errors`` at the horizon.
     """
     rung = replace(cfg, n_z=n, n_y=n, horizon_hours=horizon_hours)
     seed, seed_fronts, model = initialize(rung)
-    tau_end = horizon_hours * SECONDS_PER_HOUR / cfg.scales.t_r
     errors = []
     for k in divisors:
-        count = math.ceil(k * tau_end / LADDER_DT * (1.0 - 1e-12))
-        h = tau_end / count
+        count = math.ceil(k * horizon_hours / LADDER_DT * (1.0 - 1e-12))
+        h = horizon_hours / count
         u, fronts = seed, seed_fronts
         for i in range(count):
             u, fronts, *_ = imex_midpoint_step(u, fronts, i * h, h, model)
         errors.append((1.0 / k, max(map(abs, exact_front_errors(
-            rung, _record(rung, tau_end, fronts))))))
+            rung, _record(horizon_hours, fronts))))))
     return errors

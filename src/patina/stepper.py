@@ -5,11 +5,10 @@ method (LIMEX; Deuflhard, SIAM Review 27, 1985; Hairer & Wanner, *Solving
 ODEs II*, IV.9): one implicit Euler substep IE(dt) and two IE(dt/2), and
 the extrapolation 2*(two halves) - (one full).  The result is of order 2
 and L-stable, its stability function 2/(1 - z/2)^2 - 1/(1 - z) going to 0
-as z -> -oo, so neither the stiff diffusion (the hatted diffusivities are
-huge) nor the advection bounds the step; patina.convergence measures the
-order on this step.  The difference of the two results is the local error
-estimate that the step control of ``patina.simulation`` accepts or rejects
-the step on.
+as z -> -oo, so neither the stiff diffusion nor the advection bounds the
+step; patina.convergence measures the order on this step.  The difference
+of the two results is the local error estimate that the step control of
+``patina.simulation`` accepts or rejects the step on.
 
 A substep IE(h) from (u, fronts):
 
@@ -52,10 +51,10 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
+from .environment import Forcing, forcing_at
 from .pde_core import (
     CONSUMED,
     Diffusivities,
@@ -69,7 +68,7 @@ from .pde_core import (
 from .materials import SwellingRatios
 
 __all__ = [
-    "NondimModel",
+    "Model",
     "PackedLayout",
     "TridiagonalError",
     "solve_tridiagonal",
@@ -227,15 +226,20 @@ class PackedLayout:
 
 
 @dataclass(frozen=True)
-class NondimModel:
-    """Everything the stepper needs besides the state itself."""
+class Model:
+    """Everything the stepper needs besides the state itself.
 
-    d_hat: Diffusivities
+    ``d`` holds the diffusivities in cm2/h, ``sc`` the Stefan constants
+    built from them; the step reads the boundary values of ``forcing`` in
+    g/cm3 at its times in hours.
+    """
+
+    d: Diffusivities
     sc: StefanConstants
     sw: SwellingRatios          # swelling ratios used by the front kinematics
     n_z: int
     n_y: int
-    forcing_hat: Callable[[float], tuple[float, float]]
+    forcing: Forcing
 
     @cached_property
     def dz(self) -> float:
@@ -282,7 +286,7 @@ def _clamp_fields(u: np.ndarray, bounds: np.ndarray) -> int:
     return int(np.count_nonzero(mask))
 
 
-def refresh_state(u: np.ndarray, a: float, b: float, model: NondimModel,
+def refresh_state(u: np.ndarray, a: float, b: float, model: Model,
                   forcing_values: tuple[float, float]) -> tuple[FrontState, int]:
     """The one ``FrontState`` at consumptions (a, b), and a clamp count; writes u's end values.
 
@@ -304,7 +308,7 @@ def refresh_state(u: np.ndarray, a: float, b: float, model: NondimModel,
     a_dot, b_dot, clamped = front_velocities(s3, s2, g3, g2, outer, a - beta, model.sc,
                                              model.dz, model.dy)
     gamma_dot = -(omega_p * a_dot + omega_b * b_dot)
-    o_beta = apply_outer_bcs(o3, o2, outer, gamma_dot, b_dot, model.d_hat, model.sc, model.dz)
+    o_beta = apply_outer_bcs(o3, o2, outer, gamma_dot, b_dot, model.d, model.sc, model.dz)
     s_a, o_a = forcing_values
     u[lay.bounds] = (s_a, CONSUMED, o_a, o_beta, o_beta, CONSUMED)
     # positional, the fastest way to build the tuple
@@ -313,7 +317,7 @@ def refresh_state(u: np.ndarray, a: float, b: float, model: NondimModel,
 
 
 def _coefficients(h: float, fs: FrontState, rates: tuple[float, float, float],
-                  starts: tuple[float, float, float], model: NondimModel) -> list[float]:
+                  starts: tuple[float, float, float], model: Model) -> list[float]:
     """The ten coefficients of IE(h) from ``fs``, whose ``advection_rates`` are ``rates``.
 
     They are (1, alpha_s, alpha_o, alpha_g, h*s_o, h*s_i, h*m_i) and the
@@ -330,7 +334,7 @@ def _coefficients(h: float, fs: FrontState, rates: tuple[float, float, float],
     gamma = -(sw.omega_p * a + sw.omega_b * b)
     check_ordering(a, beta, gamma)
     outer, inner = beta - gamma, a - beta
-    d = model.d_hat
+    d = model.d
     s_o, s_i, m_i = rates
     h_outer = h * (fs.beta - fs.gamma) / outer
     h_inner = h * (fs.a - fs.beta) / inner
@@ -343,7 +347,7 @@ def _coefficients(h: float, fs: FrontState, rates: tuple[float, float, float],
 
 
 def _implicit_euler(u: np.ndarray, coefficients: list[float], k: int,
-                    model: NondimModel) -> np.ndarray:
+                    model: Model) -> np.ndarray:
     """The k substeps of ``coefficients`` (ten per substep) from ``u``, stacked.
 
     The k systems are solved in one dgtsv call on the k copies of u, one
@@ -359,13 +363,14 @@ def _implicit_euler(u: np.ndarray, coefficients: list[float], k: int,
                              overwrite=True)
 
 
-def imex_midpoint_step(u: np.ndarray, fs: FrontState, tau: float, dt: float,
-                       model: NondimModel) -> tuple[np.ndarray, FrontState, float, int, int]:
+def imex_midpoint_step(u: np.ndarray, fs: FrontState, t: float, dt: float,
+                       model: Model) -> tuple[np.ndarray, FrontState, float, int, int]:
     """One extrapolated linearly implicit Euler step of the coupled system.
 
-    All three species advance together in the packed buffer ``u``, which
-    is left as it is, and the fronts with them.  Returns the new buffer,
-    the new fronts, the local error estimate (the largest of |da|/a,
+    The step runs from ``t`` to ``t + dt``, in hours.  All three species
+    advance together in the packed buffer ``u``, which is left as it is,
+    and the fronts with them.  Returns the new buffer, the new fronts, the
+    local error estimate (the largest of |da|/a,
     |db|/b and |dh_p|/h_p between the two results, h_p = a - beta the
     cuprite layer) and the step's field and velocity clamp counts.  Raises
     the ValueError of ``check_ordering`` when a front advance overshoots.
@@ -378,8 +383,8 @@ def imex_midpoint_step(u: np.ndarray, fs: FrontState, tau: float, dt: float,
 
     n = u.size
     half = 0.5 * dt
-    s_mid, o_mid = forcing_mid = model.forcing_hat(tau + half)
-    s_end, o_end = forcing_end = model.forcing_hat(tau + dt)
+    s_mid, o_mid = forcing_mid = forcing_at(model.forcing, t + half)
+    s_end, o_end = forcing_end = forcing_at(model.forcing, t + dt)
     g_0 = model.layout.bounds[4]
 
     # IE(dt) and the first IE(dt/2), both from u, in one solve

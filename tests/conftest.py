@@ -16,7 +16,7 @@ def sw():
     return swelling_ratios(DEFAULT_MATERIALS)
 
 
-def assert_output_invariants(output, sw, lam):
+def assert_output_invariants(output, sw):
     """Shared contract checks for any simulation output, rows in cm.
 
     Ordering gamma < beta < a, beta = b - omega_p*a, monotone consumptions,
@@ -30,7 +30,7 @@ def assert_output_invariants(output, sw, lam):
     for r in records:
         assert r.gamma_cm < r.beta_cm < r.a_cm
         assert r.total_cm == pytest.approx(r.a_cm - r.gamma_cm, rel=0, abs=1e-18)
-        assert abs(r.beta_cm - (r.b_cm - sw.omega_p * r.a_cm)) <= 1e-12 * lam
+        assert abs(r.beta_cm - (r.b_cm - sw.omega_p * r.a_cm)) <= 1e-16   # cm
         if prev is not None:
             assert r.a_cm >= prev.a_cm
             assert r.b_cm >= prev.b_cm

@@ -180,7 +180,7 @@ def test_criterion4_scheme_order(calibrated_cfg, calibrated_run, reference_cfg,
     orders = observed_orders(exact_temporal_errors(calibrated_cfg))
     temporal_ok = min(orders) >= MIN_TEMPORAL_ORDER
     # largest relative error of a, b and the total at 40 h against the exact
-    # sqrt(tau) solution.  The bounds of the literature set and of the
+    # sqrt(t) solution.  The bounds of the literature set and of the
     # refined run were set from the 1.34e-6 and 6.23e-6 measured on the
     # linear-profile start; the calibrated run's, 6e-4 there, is set again
     # from the 2.73e-6 measured on this step (1.27e-4 on the midpoint step).
@@ -203,7 +203,7 @@ def test_criterion4_scheme_order(calibrated_cfg, calibrated_run, reference_cfg,
 
 def test_criterion5_property_suite(calibrated_cfg, calibrated_run, sw):
     out, _ = calibrated_run
-    assert_output_invariants(out, sw, calibrated_cfg.scales.lam)
+    assert_output_invariants(out, sw)
     assert report(5, True,
                   f"{len(out.records)} records checked; clamps {out.field_clamps} field, "
                   f"{out.velocity_clamps} velocity")
@@ -244,13 +244,13 @@ def test_criterion7_environment_pipeline(tmp_path_factory, calibrated_cfg,
     assert len(forcing.times) == 8760
     # the dt_max a blank config entry gives this series: its 1 h sampling
     cfg = replace(calibrated_cfg, forcing=forcing, horizon_hours=8760.0,
-                  dt_max=default_dt_max(forcing, calibrated_cfg.scales.t_r),
+                  dt_max=default_dt_max(forcing),
                   output_stride=200, max_steps=5_000_000)
     assert cfg.dt_max == 1.0
     started = time.perf_counter()
     out = run(cfg)
     wall = time.perf_counter() - started
-    assert_output_invariants(out, sw, cfg.scales.lam)
+    assert_output_invariants(out, sw)
     # one step per sample, and the shorter steps of the first hours
     # (9533 steps measured, none rejected: 1.088 per hour)
     steps_per_hour = out.steps / 8760.0

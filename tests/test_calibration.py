@@ -78,6 +78,23 @@ def test_load_rejects_bad_files(tmp_path):
         load_measurements(nan)
 
 
+def test_load_names_the_file_line_after_skipped_lines(tmp_path):
+    # comment and blank lines are skipped, and a bad row names its own line
+    path = tmp_path / "m.csv"
+    text = ("# chamber data\n"
+            "time_hours,thickness_cm,std_cm\n"
+            "\n"
+            "8,1e-4,1e-5\n"
+            "# second sample\n"
+            "24,2e-4,0\n")
+    path.write_text(text)
+    assert load_measurements(path) == (ThicknessMeasurement(8.0, 1e-4, 1e-5),
+                                       ThicknessMeasurement(24.0, 2e-4, 0.0))
+    path.write_text(text + "\n40,3e-4\n")
+    with pytest.raises(ValueError, match="line 8: expected 3 fields"):
+        load_measurements(path)
+
+
 def test_measurement_validation():
     with pytest.raises(ValueError):
         ThicknessMeasurement(8.0, -1e-4, 1e-5)

@@ -66,8 +66,8 @@ def test_a_collapsing_step_fails_fast(tmp_path, monkeypatch, capsys):
     step = patina.simulation.imex_midpoint_step
     attempts = []
 
-    def rejected(u, fs, tau, dt, model):
-        new, fs_new, _, fields, fronts = step(u, fs, tau, dt, model)
+    def rejected(u, fs, t, dt, model):
+        new, fs_new, _, fields, fronts = step(u, fs, t, dt, model)
         attempts.append(dt)
         return new, fs_new, 1.0, fields, fronts
 
@@ -81,11 +81,10 @@ def test_a_collapsing_step_fails_fast(tmp_path, monkeypatch, capsys):
 
 
 def test_manifest_records_the_settings_that_built_the_run(tmp_path):
-    # with s_r fixed, the SO2 level changes the run but no derived scale
     manifests, csvs = [], []
     for ppm in ("100", "150"):
         cfgfile = tmp_path / f"so2_{ppm}.ini"
-        cfgfile.write_text(f"[scales]\ns_r_gcm3 = 4.99e-7\n[forcing]\nso2_ppm = {ppm}\n")
+        cfgfile.write_text(f"[forcing]\nso2_ppm = {ppm}\n")
         out = tmp_path / ppm
         assert run_main(["simulate", "--chamber", "--horizon-hours", "1",
                          "--config", str(cfgfile), "--out", str(out)]) == 0
@@ -135,18 +134,18 @@ def test_simulate_env_timeseries(tmp_path):
 
 
 # configs whose forcing at t = 0 has no exact solution to seed on, and the
-# message each gives: no SO2 (s_r set, as a blank one is the chamber SO2),
-# and oxygen used up at beta by a d_o too small to resupply it
+# message each gives: no SO2, no oxygen, and oxygen used up at beta by a d_o
+# too small to resupply it
 NO_SEED = {
-    "no_so2": ("[scales]\ns_r_gcm3 = 4.99e-7\n[forcing]\nso2_ppm = 0\n",
-               "needs nonzero SO2"),
+    "no_so2": ("[forcing]\nso2_ppm = 0\n", "needs nonzero SO2 and O2 forcing"),
+    "no_oxygen": ("[forcing]\noxygen_gcm3 = 0\n", "needs nonzero SO2 and O2 forcing"),
     "oxygen_used_up": ("[diffusivities]\nd_o = 1e-10\n", "oxygen is used up at beta"),
 }
 
 
 @pytest.mark.parametrize("command, case", [
-    ("simulate", "no_so2"), ("simulate", "oxygen_used_up"),
-    ("validate", "no_so2"), ("validate", "oxygen_used_up"),
+    ("simulate", "no_so2"), ("simulate", "no_oxygen"), ("simulate", "oxygen_used_up"),
+    ("validate", "no_so2"), ("validate", "no_oxygen"), ("validate", "oxygen_used_up"),
     ("convergence", "no_so2"),
 ], ids=lambda v: v)
 def test_rejects_forcing_without_exact_solution(tmp_path, monkeypatch, capsys, command, case):
@@ -283,7 +282,7 @@ def test_unknown_config_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section, key", [
-    ("diffusivities", "d_w"), ("scales", "w_r_gcm3"), ("forcing", "rh_percent"),
+    ("diffusivities", "d_w"), ("forcing", "rh_percent"),
     ("forcing", "dry_temp_c"), ("forcing", "dry_rh_percent"),
     ("calibration", "tie_dw_ds"),
 ])
@@ -333,8 +332,10 @@ def test_forcing_flags_are_mutually_exclusive(command, flags, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+# [scales] rescaled the model, which is solved in cm, hours and g/cm3
 @pytest.mark.parametrize("section, key", [
     ("validation", "omega_p_scale"), ("validation", "omega_b_scale"),
+    ("scales", "w_r_gcm3"), ("scales", "lambda_cm"),
 ])
 def test_removed_fault_injection_keys_are_unknown(tmp_path, capsys, section, key):
     cfgfile = tmp_path / "old.ini"
@@ -357,7 +358,7 @@ def test_removed_material_key_is_unknown(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section, key", [("grid", "n_z"), ("materials", "rho_b"),
-                                          ("materials", "M_c"), ("scales", "s_r_gcm3")])
+                                          ("materials", "M_c"), ("time", "dt_max")])
 def test_bad_number_names_file_section_and_key(tmp_path, capsys, section, key):
     # configparser lowercases keys; the message spells M_c as MaterialTable does
     cfgfile = tmp_path / "bad.ini"
@@ -377,15 +378,28 @@ def test_step_budget_below_one_is_an_input_error(tmp_path, capsys):
     assert "max_steps must be at least 1" in capsys.readouterr().err
 
 
-def test_blank_scale_is_derived_and_blank_number_is_bad(tmp_path, capsys):
+def test_blank_number_is_bad(tmp_path, capsys):
+    # only a number whose default is blank (dt_max) may be left blank
     cfgfile = tmp_path / "run.ini"
-    cfgfile.write_text("[scales]\ns_r_gcm3 =\n")
-    assert run_main(["simulate", "--chamber", "--horizon-hours", "0.1",
-                     "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
     cfgfile.write_text("[time]\ntolerance =\n")
     assert run_main(["simulate", "--chamber", "--config", str(cfgfile),
                      "--out", str(tmp_path / "o")]) == 1
     assert "[time] tolerance: bad number ''" in capsys.readouterr().err
+
+
+def test_unused_chamber_so2_does_not_stop_a_time_series_run(tmp_path, monkeypatch):
+    # a time series brings its own SO2, so a zero [forcing] so2_ppm, which
+    # only chamber and cycles forcing read, changes nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "env.csv").write_text(
+        "time_hours,so2_ugm3,temp_c,rh_percent\n0,10,20,60\n1,30,20,60\n2,20,20,60\n")
+    (tmp_path / "no_so2.ini").write_text("[forcing]\nso2_ppm = 0\n")
+    assert run_main(["simulate", "--env", "env.csv", "--horizon-hours", "2",
+                     "--out", "default"]) == 0
+    assert run_main(["simulate", "--env", "env.csv", "--horizon-hours", "2",
+                     "--config", "no_so2.ini", "--out", "no_so2"]) == 0
+    assert ((tmp_path / "no_so2" / "simulation.csv").read_bytes()
+            == (tmp_path / "default" / "simulation.csv").read_bytes())
 
 
 @pytest.mark.parametrize("forcing, dt_max", [

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +9,7 @@ from patina.environment import (
     breakpoints,
     constant_chamber_forcing,
     cycle_forcing,
+    data_rows,
     forcing_at,
     load_timeseries,
     so2_concentration,
@@ -246,3 +249,22 @@ def test_load_timeseries_names_the_file_line_after_skipped_lines(tmp_path):
     bad_header = INTERLEAVED_CSV.replace("time_hours,", "hours,")
     with pytest.raises(ValueError, match="line 4: bad header 'hours,"):
         load_timeseries(_write(tmp_path, bad_header))
+
+
+def test_data_rows_parse_every_row_with_one_reader():
+    # quotes are CSV quotes, and a row whose quoted field runs over a line
+    # break is one row, numbered and shown by its first line
+    text = ('# notes\n'
+            'a,b\n'
+            '\n'
+            '"1.5",2\n'
+            '3,"four\n'
+            'five"\n'
+            '# end\n'
+            '6,7\n')
+    assert list(data_rows(io.StringIO(text))) == [
+        (2, "a,b\n", ["a", "b"]),
+        (4, '"1.5",2\n', ["1.5", "2"]),
+        (5, '3,"four\n', ["3", "four\nfive"]),
+        (8, "6,7\n", ["6", "7"]),
+    ]

@@ -1,4 +1,4 @@
-"""The exact sqrt(tau) chamber solution and the run's distance from it."""
+"""The exact sqrt(t) chamber solution and the run's distance from it."""
 
 import itertools
 import math
@@ -21,7 +21,7 @@ from patina.convergence import (
 )
 from patina.environment import Forcing, constant_chamber_forcing, cycle_forcing
 from patina.materials import swelling_ratios
-from patina.pde_core import SECONDS_PER_HOUR, Diffusivities, stefan_constants
+from patina.pde_core import Diffusivities, stefan_constants
 from patina.simulation import run
 
 REFERENCE_CONFIG = "configs/reference_diffusivities.ini"
@@ -75,19 +75,19 @@ def test_closed_forms_match_gauss_legendre(case, monkeypatch):
 
 @pytest.mark.parametrize("path", [None, REFERENCE_CONFIG], ids=["default", "literature"])
 def test_seed_is_the_exact_solution_at_seed_hours(path):
-    # the fronts K*sqrt(tau0), and on every node the profiles of the exact
+    # the fronts K*sqrt(t0), and on every node the profiles of the exact
     # solution, rebuilt here by quadrature with O(beta) from the O Robin
     # condition (measured: within 2.6e-14 of the boundary value of a species,
     # on G of the literature set; a linear S is 9e-9 off, G from O_a 4e-4)
     cfg = replace(build_simulation_config(load_settings(path)), n_z=20, n_y=15)
     u, a0, b0 = exact_seed(cfg)
     k_a, k_b = similarity(cfg)
-    root = math.sqrt(SEED_HOURS * SECONDS_PER_HOUR / cfg.scales.t_r)
+    root = math.sqrt(SEED_HOURS)
     assert (a0, b0) == (k_a * root, k_b * root)
     sw = swelling_ratios(cfg.materials)
-    d = cfg.diffusivities.hatted(cfg.scales)
-    s_a, o_a = cfg.forcing.so2[0] / cfg.scales.s_r, cfg.forcing.oxygen / cfg.scales.o_r
-    gamma_o = stefan_constants(cfg.materials, d, cfg.scales).gamma_o
+    d = cfg.diffusivities.per_hour()
+    s_a, o_a = cfg.forcing.so2[0], cfg.forcing.oxygen
+    gamma_o = stefan_constants(cfg.materials, d).gamma_o
     w, v = (1.0 + sw.omega_b) * k_b, (1.0 + sw.omega_p) * k_a - k_b
     m = 2.0 * d.d_o * gl_flux(w * w / (4.0 * d.d_o)) / w
     o_beta = (m * o_a - gamma_o * k_b) / (m + sw.omega_p * k_a + w)
@@ -102,11 +102,10 @@ def test_seed_is_the_exact_solution_at_seed_hours(path):
 
 
 def test_default_set_constants(default_cfg):
-    # a/sqrt(h) and b/sqrt(h) in cm (t_r is one hour)
+    # a/sqrt(h) and b/sqrt(h) in cm
     k_a, k_b = similarity(default_cfg)
-    lam = default_cfg.scales.lam
-    assert k_a * lam == pytest.approx(5.6314554e-5, rel=0, abs=5e-13)
-    assert k_b * lam == pytest.approx(7.4655499e-5, rel=0, abs=5e-13)
+    assert k_a == pytest.approx(5.6314554e-5, rel=0, abs=5e-13)
+    assert k_b == pytest.approx(7.4655499e-5, rel=0, abs=5e-13)
 
 
 def test_literature_set_at_40_hours():
@@ -114,7 +113,7 @@ def test_literature_set_at_40_hours():
     cfg = build_simulation_config(load_settings(REFERENCE_CONFIG))
     sw = swelling_ratios(cfg.materials)
     k_a, k_b = similarity(cfg)
-    a, b = (k * math.sqrt(40.0) * cfg.scales.lam for k in (k_a, k_b))
+    a, b = (k * math.sqrt(40.0) for k in (k_a, k_b))
     assert a == pytest.approx(3.16927e-4, rel=0, abs=5e-10)
     assert b == pytest.approx(5.28784e-4, rel=0, abs=5e-10)
     assert -(sw.omega_p * a + sw.omega_b * b) == pytest.approx(-9.48986e-4, rel=0, abs=5e-10)
@@ -131,7 +130,7 @@ def test_reference_porosities_are_the_inverse_of_the_printed_state():
 @pytest.mark.parametrize("path", [None, REFERENCE_CONFIG], ids=["default", "literature"])
 def test_exact_porosities_invert_similarity(path):
     cfg = build_simulation_config(load_settings(path))
-    a, b = (k * math.sqrt(40.0) * cfg.scales.lam for k in similarity(cfg))
+    a, b = (k * math.sqrt(40.0) for k in similarity(cfg))
     n_b, n_p = exact_porosities(cfg, a, b, 40.0)
     assert n_b == pytest.approx(cfg.materials.n_b, rel=1e-12)
     assert n_p == pytest.approx(cfg.materials.n_p, rel=1e-12)

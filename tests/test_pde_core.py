@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from patina.environment import constant_chamber_forcing
 from patina.materials import DEFAULT_MATERIALS, SwellingRatios, swelling_ratios
 from patina.pde_core import (
     BoundaryConditionError,
     Diffusivities,
     FrontState,
-    Scales,
     StefanConstants,
     advection_rates,
     apply_outer_bcs,
@@ -18,9 +18,11 @@ from patina.pde_core import (
     stefan_constants,
 )
 from conftest import consistent_fronts
-from patina.stepper import NondimModel, refresh_state, select_dt
+from patina.stepper import Model, refresh_state, select_dt
 
 SW = swelling_ratios(DEFAULT_MATERIALS)
+# the models here take their boundary values as arguments, not from a forcing
+NO_FORCING = constant_chamber_forcing(0.0, 0.0)
 
 velocities = st.floats(min_value=-10.0, max_value=10.0)
 coords = st.floats(min_value=0.0, max_value=1.0)
@@ -32,18 +34,14 @@ def synthetic_fronts(a_dot=0.0, b_dot=0.0, beta_dot=0.0, gamma_dot=0.0,
                       b_dot=b_dot, beta_dot=beta_dot, gamma_dot=gamma_dot)
 
 
-class TestScalesAndDiffusivities:
-    def test_scales_positive(self):
-        with pytest.raises(ValueError):
-            Scales(lam=0.0, t_r=1.0, s_r=1.0, o_r=1.0)
-
-    def test_hatted_diffusivities(self):
-        scales = Scales(lam=1e-4, t_r=3600.0, s_r=1.0, o_r=1.0)
+class TestDiffusivities:
+    def test_per_hour_diffusivities(self):
         d = Diffusivities(d_g=9.9e-9, d_s=3.96e-5, d_o=9.9e-6)
-        hat = d.hatted(scales)
-        # (t_r / lam^2) * D = (3600 / 1e-8) * 3.96e-5
-        assert hat.d_s == pytest.approx(1.4256e7, rel=1e-12)
-        assert hat.d_g == pytest.approx(3564.0, rel=1e-12)
+        hourly = d.per_hour()
+        # cm2/s to cm2/h: 3600 * 3.96e-5
+        assert hourly.d_s == pytest.approx(0.14256, rel=1e-12)
+        assert hourly.d_g == pytest.approx(3.564e-5, rel=1e-12)
+        assert hourly.d_o == pytest.approx(3.564e-2, rel=1e-12)
 
     def test_diffusivities_positive(self):
         with pytest.raises(ValueError):
@@ -133,8 +131,8 @@ def packed_fields(n_z, n_y, s, o, g):
 def packed_rhs(u, fs, n_z, n_y, sw=SW):
     """Advection of all three species in one pass, at the per-node rates -c/dx
     of the layout's table (the rates the stepper's matrix holds), and the model."""
-    model = NondimModel(d_hat=Diffusivities(1.0, 1.0, 1.0), sc=StefanConstants(0, 0, 0),
-                        sw=sw, n_z=n_z, n_y=n_y, forcing_hat=lambda tau: (0.0, 0.0))
+    model = Model(d=Diffusivities(1.0, 1.0, 1.0), sc=StefanConstants(0, 0, 0),
+                  sw=sw, n_z=n_z, n_y=n_y, forcing=NO_FORCING)
     return split_rhs_interior(u, node_rates(fs, model)[1:-1]), model
 
 
@@ -258,8 +256,8 @@ def refreshed(s, g, sc):
     n = len(s) - 1
     b = 1.0 / (1.0 + SW.omega_b)
     a = (1.0 + b) / (1.0 + SW.omega_p)
-    model = NondimModel(d_hat=Diffusivities(1.0, 1.0, 1.0), sc=sc, sw=SW, n_z=n, n_y=n,
-                        forcing_hat=lambda tau: (0.0, 0.0))
+    model = Model(d=Diffusivities(1.0, 1.0, 1.0), sc=sc, sw=SW, n_z=n, n_y=n,
+                  forcing=NO_FORCING)
     return refresh_state(np.concatenate((s, np.zeros(n + 1), g)), a, b, model, (0.0, 0.0))
 
 
@@ -340,8 +338,8 @@ class TestOuterBcs:
         # zero S and G keep the fronts at rest, so refresh_state makes the
         # zero-velocity Robin solve; the end nodes start at 5.0 to show that
         # it writes all six
-        model = NondimModel(d_hat=self.d, sc=self.sc, sw=SW, n_z=self.n, n_y=self.n,
-                            forcing_hat=lambda tau: (0.0, 0.0))
+        model = Model(d=self.d, sc=self.sc, sw=SW, n_z=self.n, n_y=self.n,
+                      forcing=NO_FORCING)
         lay = model.layout
         u = np.zeros(3 * (self.n + 1))
         u[lay.bounds] = 5.0
@@ -376,14 +374,11 @@ class TestOuterBcs:
 
 def test_stefan_constants_formulas():
     mat = DEFAULT_MATERIALS
-    scales = Scales(lam=1e-4, t_r=3600.0, s_r=4.99e-7, o_r=2.6e-4)
-    d_hat = Diffusivities(d_g=9.9e-9, d_s=3.96e-5, d_o=9.9e-6).hatted(scales)
-    sc = stefan_constants(mat, d_hat, scales)
+    d = Diffusivities(d_g=9.9e-9, d_s=3.96e-5, d_o=9.9e-6).per_hour()
+    sc = stefan_constants(mat, d)
     assert sc.omega_s == pytest.approx(
-        2 * mat.n_b * d_hat.d_s * (mat.M_p / mat.M_s) * (scales.s_r / mat.rho_p),
-        rel=1e-15)
+        2 * mat.n_b * d.d_s * (mat.M_p / mat.M_s) / mat.rho_p, rel=1e-15)
     assert sc.omega_g == pytest.approx(
-        4 * mat.n_p * d_hat.d_g * (mat.M_c / mat.M_o) * (scales.o_r / mat.rho_c),
-        rel=1e-15)
+        4 * mat.n_p * d.d_g * (mat.M_c / mat.M_o) / mat.rho_c, rel=1e-15)
     assert sc.gamma_o == pytest.approx(
-        0.75 / mat.n_b * (mat.M_o / mat.M_p) * (mat.rho_p / scales.o_r), rel=1e-15)
+        0.75 / mat.n_b * (mat.M_o / mat.M_p) * mat.rho_p, rel=1e-15)

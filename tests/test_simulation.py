@@ -9,9 +9,14 @@ import patina.convergence
 import patina.simulation
 from patina.config import build_simulation_config, default_dt_max, load_settings
 from patina.convergence import exact_front_errors, exact_fronts
-from patina.environment import Forcing, breakpoints, constant_chamber_forcing, cycle_forcing
+from patina.environment import (
+    Forcing,
+    breakpoints,
+    constant_chamber_forcing,
+    cycle_forcing,
+    forcing_at,
+)
 from patina.materials import DEFAULT_MATERIALS, SwellingRatios, mole_balance, swelling_ratios
-from patina.pde_core import Scales
 from patina.simulation import (
     OUTPUT_CSV_HEADER,
     OutputRecord,
@@ -27,43 +32,30 @@ def short_run(default_cfg):
     return run(replace(default_cfg, horizon_hours=4.0))
 
 
-class TestNondimensionalization:
+class TestRecords:
     def test_front_position_example(self, short_run, default_cfg):
-        # the first row is the seed state: positions are the non-dimensional
-        # fronts times lambda, thicknesses differences of those cm values; it
-        # is the exact solution at SEED_HOURS of exposure
-        lam = default_cfg.scales.lam
+        # the first row is the seed state: the fronts in cm, and thicknesses
+        # their differences; it is the exact solution at SEED_HOURS of exposure
         _, fronts, _ = initialize(default_cfg)
         first = short_run.records[0]
-        a, b, beta, gamma = (fronts.a * lam, fronts.b * lam, fronts.beta * lam,
-                             fronts.gamma * lam)
+        a, b, beta, gamma = fronts.a, fronts.b, fronts.beta, fronts.gamma
         assert first == OutputRecord(0.0, a, b, beta, gamma, a - beta, beta - gamma,
                                      a - gamma)
         exact = exact_fronts(default_cfg, patina.convergence.SEED_HOURS)
         assert (first.a_cm, first.b_cm, first.total_cm) == tuple(map(float, exact))
 
-    def test_diffusivity_rescaling_arithmetic(self):
-        # (t_r/lam^2)*D with t_r = 3600 s, lam = 1e-4 cm, D = 3.96e-5 cm2/s
-        assert 3600.0 / 1e-4**2 * 3.96e-5 == pytest.approx(1.4256e7, rel=1e-12)
-
-    def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError, match="t_r"):
-            Scales(lam=1e-4, t_r=0.0, s_r=1.0, o_r=1.0)
-        with pytest.raises(ValueError, match="s_r"):
-            Scales(lam=1e-4, t_r=1.0, s_r=-1.0, o_r=1.0)
-
 
 class TestInitialize:
     def test_default_seed_geometry(self, default_cfg, sw):
         _, fronts, _ = initialize(default_cfg)
-        assert fronts.beta == pytest.approx(6.32287e-2, abs=1e-6)
-        assert fronts.gamma == pytest.approx(-2.456376e-1, abs=1e-6)
+        assert fronts.beta == pytest.approx(6.32287e-6, abs=1e-10)
+        assert fronts.gamma == pytest.approx(-2.456376e-5, abs=1e-10)
         assert 0.0 < fronts.beta < fronts.a
         assert fronts.gamma < fronts.beta
 
     def test_field_profiles(self, default_cfg):
         u, fronts, model = initialize(default_cfg)
-        s_a, o_a = model.forcing_hat(0.0)
+        s_a, o_a = forcing_at(model.forcing, 0.0)
         n_outer = default_cfg.n_z + 1
         s, o, g = u[:n_outer], u[n_outer:2 * n_outer], u[2 * n_outer:]
         assert g.size == default_cfg.n_y + 1
@@ -107,8 +99,8 @@ class TestInitialize:
 
 
 class TestRun:
-    def test_invariants_on_chamber_run(self, short_run, sw, default_cfg):
-        assert_output_invariants(short_run, sw, default_cfg.scales.lam)
+    def test_invariants_on_chamber_run(self, short_run, sw):
+        assert_output_invariants(short_run, sw)
 
     def test_stoichiometry_at_final_record(self, short_run):
         final = short_run.records[-1]
@@ -123,7 +115,7 @@ class TestRun:
                       forcing=cycle_forcing(float(chamber.so2[0]), chamber.oxygen),
                       horizon_hours=26.0)
         out = run(cfg)
-        assert_output_invariants(out, sw, cfg.scales.lam)
+        assert_output_invariants(out, sw)
         # growth happens but less than under continuous chamber forcing
         chamber_out = run(replace(default_cfg, horizon_hours=26.0))
         assert 0.0 < (out.records[-1].total_cm - out.records[0].total_cm)
@@ -139,17 +131,6 @@ class TestRun:
             errors.append(exact_front_errors(default_cfg, run(default_cfg).records[-1]))
         assert max(abs(e1 - e2) for e1, e2 in zip(*errors)) <= 1e-6
         assert max(map(abs, errors[1])) <= 2e-4
-
-    def test_output_does_not_depend_on_the_length_scale(self, default_cfg):
-        # lambda_cm only scales the non-dimensional problem: the records in cm
-        # and the steps agree for every lambda (measured: identical, 585 steps
-        # each at 10 h; the linear-profile start moved them by 2.2e-5)
-        outs = [run(replace(default_cfg, scales=replace(default_cfg.scales, lam=lam),
-                            horizon_hours=10.0)) for lam in (5e-5, 1e-4, 2e-4)]
-        assert len({out.steps for out in outs}) == 1
-        for out in outs[::2]:
-            np.testing.assert_allclose(np.array(out.records), np.array(outs[1].records),
-                                       rtol=1e-13, atol=0.0)
 
     def test_solver_errors_carry_step_context(self, default_cfg):
         cfg = replace(default_cfg, max_steps=3, horizon_hours=40.0)
@@ -173,15 +154,15 @@ class TestRun:
 
 
 def _recorded_steps(cfg, monkeypatch, **kwargs):
-    """The run's output and the (tau, dt) of each of its accepted steps,
+    """The run's output and the (t, dt) of each of its accepted steps,
     taken where the time loop calls the stepper."""
     steps = []
     step = patina.simulation.imex_midpoint_step
 
-    def recording(u, fs, tau, dt, *args):
-        result = step(u, fs, tau, dt, *args)
+    def recording(u, fs, t, dt, *args):
+        result = step(u, fs, t, dt, *args)
         if result[2] <= cfg.tolerance:
-            steps.append((tau, dt))
+            steps.append((t, dt))
         return result
 
     monkeypatch.setattr(patina.simulation, "imex_midpoint_step", recording)
@@ -195,29 +176,27 @@ class TestStepControl:
                 [4e-11, 1e-10, 2e-11, 3e-10, 0.0, 8e-11, 5e-11, 1e-10], 2.6e-4),
     ], ids=["cycles", "time-series"])
     def test_steps_land_on_every_breakpoint(self, default_cfg, forcing, monkeypatch):
-        # t_r is one hour, so tau reads in hours
         cfg = replace(default_cfg, forcing=forcing, horizon_hours=12.0)
-        assert cfg.scales.t_r == 3600.0
         breaks = breakpoints(forcing, cfg.horizon_hours)
         assert len(breaks) >= 5
         out, steps = _recorded_steps(cfg, monkeypatch)
-        starts = [tau for tau, _ in steps]
+        starts = [t for t, _ in steps]
         for b in breaks:
             # the step that follows starts on the break itself, not near it
             k = starts.index(b)
-            tau, dt = steps[k - 1]
-            assert tau + dt == pytest.approx(b, rel=1e-14)
+            t, dt = steps[k - 1]
+            assert t + dt == pytest.approx(b, rel=1e-14)
             # no sliver: the landing step is at least half of the one before
             assert dt >= 0.5 * steps[k - 2][1]
-        assert not [(tau, dt) for tau, dt in steps for b in breaks
-                    if tau < b < (tau + dt) * (1.0 - 1e-14)]
+        assert not [(t, dt) for t, dt in steps for b in breaks
+                    if t < b < (t + dt) * (1.0 - 1e-14)]
         assert out.records[-1].t_hours == pytest.approx(12.0, rel=1e-12)
         # the run counts one landing per break, and as splits the steps
         # that cover half the distance to the next break
-        landing = [any(tau + dt == pytest.approx(b, rel=1e-14) for b in breaks)
-                   for tau, dt in steps]
-        halved = [any(tau + 2.0 * dt == pytest.approx(b, rel=1e-14) for b in breaks)
-                  for tau, dt in steps]
+        landing = [any(t + dt == pytest.approx(b, rel=1e-14) for b in breaks)
+                   for t, dt in steps]
+        halved = [any(t + 2.0 * dt == pytest.approx(b, rel=1e-14) for b in breaks)
+                  for t, dt in steps]
         assert out.landings == sum(landing) == len(breaks)
         assert out.splits == sum(halved) > 0
 
@@ -244,13 +223,13 @@ class TestStepControl:
         monkeypatch.setattr(patina.simulation, "MAX_STEP_FRACTION", math.inf)
         steps = []
 
-        def exact(u, fs, tau, dt, model):
-            steps.append((tau, dt))
+        def exact(u, fs, t, dt, model):
+            steps.append((t, dt))
             return u, fs, 0.0, 0, 0
 
         monkeypatch.setattr(patina.simulation, "imex_midpoint_step", exact)
         out = run(cfg)
-        k = [tau for tau, _ in steps].index(2.0)
+        k = [t for t, _ in steps].index(2.0)
         assert steps[k][1] == pytest.approx(0.001, rel=1e-9)
         assert steps[k + 1] == (2.001, pytest.approx(1.0))
         assert out.landings == 2 and out.rejected == 0
@@ -264,10 +243,10 @@ class TestStepControl:
         step = patina.simulation.imex_midpoint_step
         attempts = []
 
-        def recording(u, fs, tau, dt, model):
-            attempts.append((tau, dt))
+        def recording(u, fs, t, dt, model):
+            attempts.append((t, dt))
             try:
-                return step(u, fs, tau, dt, model)
+                return step(u, fs, t, dt, model)
             except ValueError as exc:
                 attempts[-1] += (str(exc),)
                 raise
@@ -277,7 +256,7 @@ class TestStepControl:
         assert attempts[0][:2] == (0.0, 2000.0) and "ordering" in attempts[0][2]
         assert attempts[1][:2] == (0.0, 400.0)
         assert out.rejected >= 1 and out.records[-1].t_hours == pytest.approx(2000.0)
-        assert_output_invariants(out, swelling_ratios(cfg.materials), cfg.scales.lam)
+        assert_output_invariants(out, swelling_ratios(cfg.materials))
 
     def test_uncapped_literature_run_keeps_the_cuprite_layer(self, monkeypatch):
         # with both caps lifted, dt_max and MAX_STEP_FRACTION, only the error
@@ -306,17 +285,16 @@ class TestStepControl:
         assert abs(shipped.a_cm / fine.a_cm - 1.0) <= 1.5e-4
         assert abs(shipped.b_cm / fine.b_cm - 1.0) <= 1e-5
 
-    @pytest.mark.parametrize("t_r, mode, csv_times, expected", [
-        ("3600", "chamber", None, 0.25),
-        ("3600", "cycles", None, 0.25),
-        ("3600", "timeseries", [0, 1, 2, 3], 1.0),
-        ("3600", "timeseries", [0, 1, 3.5, 4], 2.5),
-        ("1800", "timeseries", [0, 1, 2, 3], 2.0),   # tau counts half hours
-        ("3600", "timeseries", [0], 0.25),
+    @pytest.mark.parametrize("mode, csv_times, expected", [
+        ("chamber", None, 0.25),
+        ("cycles", None, 0.25),
+        ("timeseries", [0, 1, 2, 3], 1.0),
+        ("timeseries", [0, 1, 3.5, 4], 2.5),
+        ("timeseries", [0], 0.25),
     ])
-    def test_blank_dt_max_is_derived_from_the_forcing(self, tmp_path, t_r, mode,
-                                                      csv_times, expected):
-        text = f"[scales]\nt_r_s = {t_r}\n[forcing]\nmode = {mode}\n"
+    def test_blank_dt_max_is_derived_from_the_forcing(self, tmp_path, mode, csv_times,
+                                                      expected):
+        text = f"[forcing]\nmode = {mode}\n"
         if csv_times is not None:
             (tmp_path / "env.csv").write_text(
                 "time_hours,so2_ugm3,temp_c,rh_percent\n"
@@ -325,7 +303,7 @@ class TestStepControl:
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(text)
         cfg = build_simulation_config(load_settings(cfgfile))
-        assert cfg.dt_max == expected == default_dt_max(cfg.forcing, cfg.scales.t_r)
+        assert cfg.dt_max == expected == default_dt_max(cfg.forcing)
         # a number in the config caps every forcing
         cfgfile.write_text(text + "[time]\ndt_max = 0.1\n")
         assert build_simulation_config(load_settings(cfgfile)).dt_max == 0.1

@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import consistent_fronts
 from patina import pde_core, simulation, stepper
 from patina.convergence import observed_orders
-from patina.environment import cycle_forcing
+from patina.environment import constant_chamber_forcing, cycle_forcing
 from patina.materials import SwellingRatios
 from patina.pde_core import Diffusivities, FrontState, StefanConstants
 from patina.simulation import initialize, run
 from patina.stepper import (
-    NondimModel,
+    Model,
     PackedLayout,
     TridiagonalError,
     imex_midpoint_step,
@@ -234,8 +234,8 @@ class TestPackedStageSolve:
         # every per-step function the benchmark traces is reached through the
         # module attribute it patches, as often as the scheme needs it; a
         # path that captured one at import or went round it would miss here.
-        # The forcing is read at tau + dt/2, then at tau + dt; no other test
-        # notices either read at tau.  Each start state's rates come from
+        # The forcing is read at t + dt/2, then at t + dt; no other test
+        # notices either read at t.  Each start state's rates come from
         # advection_rates once; the explicit pass and the coefficient
         # profiles are left to the tests and are never called.
         expected = {
@@ -247,7 +247,7 @@ class TestPackedStageSolve:
             (stepper, "front_velocities"): 2,
             (stepper, "apply_outer_bcs"): 2,
             (stepper, "refresh_state"): 2,
-            (simulation, "forcing_at"): 2,
+            (stepper, "forcing_at"): 2,
         }
         u, fronts, model = initialize(default_cfg)
         calls = dict.fromkeys(expected, 0)
@@ -258,7 +258,7 @@ class TestPackedStageSolve:
 
             def wrapper(*args, **kwargs):
                 calls[key] += 1
-                if key == (simulation, "forcing_at"):
+                if key == (stepper, "forcing_at"):
                     forcing_hours.append(args[1])
                 return original(*args, **kwargs)
             return wrapper
@@ -269,12 +269,10 @@ class TestPackedStageSolve:
         rates = stepper.advection_rates
         monkeypatch.setattr(stepper, "advection_rates",
                             lambda fs, omega_p: rated.append(fs) or rates(fs, omega_p))
-        dt, tau = 0.01, 0.75
-        imex_midpoint_step(u, fronts, tau, dt, model)
+        dt, t = 0.01, 0.75
+        imex_midpoint_step(u, fronts, t, dt, model)
         assert calls == expected
-        hours_per_tau = default_cfg.scales.t_r / simulation.SECONDS_PER_HOUR
-        assert forcing_hours == [pytest.approx((tau + dt / 2) * hours_per_tau, rel=1e-15),
-                                 pytest.approx((tau + dt) * hours_per_tau, rel=1e-15)]
+        assert forcing_hours == [t + 0.5 * dt, t + dt]
         # the substeps from u advect at the start speeds, the second half
         # step at those of the refreshed half-step state
         assert rated[0] is fronts
@@ -292,7 +290,7 @@ def test_coefficients_at_the_advanced_widths(default_cfg):
     ahead = consistent_fronts(fs.a + h * fs.a_dot, fs.b + h * fs.b_dot, model.sw,
                               fs.a_dot, fs.b_dot)
     outer, inner = ahead.beta - ahead.gamma, ahead.a - ahead.beta
-    d = model.d_hat
+    d = model.d
     alphas = [h * d.d_s / (outer * model.dz) ** 2, h * d.d_o / (outer * model.dz) ** 2,
               h * d.d_g / (inner * model.dy) ** 2]
     rates = [h * r for r in pde_core.advection_rates(ahead, omega_p)]
@@ -350,12 +348,12 @@ class TestStepAlgebra:
         # is scaled by the extrapolated implicit Euler factor
         # R(z) = 2/(1 - z/2)^2 - 1/(1 - z), z = lam*dt: IE(dt) scales it by
         # 1/(1 - z), two IE(dt/2) by 1/(1 - z/2)^2
-        n, d_hat = 20, 0.3
-        model, fronts = _inert_setup(n, d_hat)
+        n, d_s = 20, 0.3
+        model, fronts = _inert_setup(n, d_s)
         z = np.linspace(0, 1, n + 1)
         mode = np.sin(np.pi * z)
         u = _packed(mode, n)
-        lam = -4.0 * d_hat * n**2 * math.sin(0.5 * math.pi / n) ** 2
+        lam = -4.0 * d_s * n**2 * math.sin(0.5 * math.pi / n) ** 2
 
         def factor(dt):
             zeta = lam * dt
@@ -410,16 +408,16 @@ class TestStepAlgebra:
             imex_midpoint_step(u, fs, 0.0, dt, model)
 
 
-def _inert_setup(n, d_hat_s, n_y=None):
+def _inert_setup(n, d_s, n_y=None):
     # zero Stefan constants, swelling and forcing: the shipped step keeps
     # the fronts still, so only the fields move
     tiny = 1e-30
-    model = NondimModel(
-        d_hat=Diffusivities(tiny, d_hat_s, tiny),
+    model = Model(
+        d=Diffusivities(tiny, d_s, tiny),
         sc=StefanConstants(0.0, 0.0, 0.0),
         sw=SwellingRatios(0.0, 0.0),
         n_z=n, n_y=n if n_y is None else n_y,
-        forcing_hat=lambda tau: (0.0, 0.0),
+        forcing=constant_chamber_forcing(0.0, 0.0),
     )
     fronts = FrontState(a=2.0, b=1.0, beta=1.0, gamma=0.0)
     return model, fronts
@@ -471,13 +469,13 @@ class TestPdeStep:
         chamber = default_cfg.forcing
         cfg = replace(default_cfg, horizon_hours=26.0,
                       forcing=cycle_forcing(float(chamber.so2[0]), chamber.oxygen))
-        switch = 8.0 * simulation.SECONDS_PER_HOUR / cfg.scales.t_r
+        switch = 8.0
         step = simulation.imex_midpoint_step
         steps = []
 
-        def recording(u, fs, tau, dt, model):
-            new, fs_new, error, field_clamps, velocity_clamps = step(u, fs, tau, dt, model)
-            steps.append((tau, new.min(), field_clamps, velocity_clamps, error))
+        def recording(u, fs, t, dt, model):
+            new, fs_new, error, field_clamps, velocity_clamps = step(u, fs, t, dt, model)
+            steps.append((t, new.min(), field_clamps, velocity_clamps, error))
             return new, fs_new, error, field_clamps, velocity_clamps
 
         monkeypatch.setattr(simulation, "imex_midpoint_step", recording)
@@ -486,7 +484,7 @@ class TestPdeStep:
         assert all(lowest >= 0.0 for _, lowest, _, _, _ in steps)
         accepted = [s for s in steps if s[4] <= cfg.tolerance]
         assert len(accepted) == out.steps - out.rejected
-        assert next(tau for tau, _, clamps, _, _ in accepted if clamps > 0) == switch
+        assert next(t for t, _, clamps, _, _ in accepted if clamps > 0) == switch
         assert out.field_clamps == sum(s[2] for s in accepted)
         assert out.velocity_clamps == sum(s[3] for s in accepted)
         # nothing is clamped before the first switch
