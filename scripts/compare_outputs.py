@@ -28,13 +28,13 @@ differing line and the number of differing lines are printed.
 The CSVs print 6 significant digits, so equal bytes do not prove equal
 numbers.  Each child therefore also notes its results at full precision:
 for a simulate job a SHA-256 of the eight CSV columns of every record,
-read by name and packed as IEEE doubles, with the step and clamp counts
-(so trees whose records carry different extra fields compare by what their
+read by name and packed as IEEE doubles, with the counts of steps,
+rejected steps, landings, splits and clamps (so trees whose records carry different extra fields compare by what their
 CSVs print); for the calibrate job the
 fitted diffusivities, the residual, the evaluation count, the fitted
 parameters and the singular values as ``repr``.  Those notes must match
 too.  When a simulate job's records differ, the largest relative
-difference of each CSV column is printed, and whether the step and clamp
+difference of each CSV column is printed, and whether the run
 counts match; when the calibrate job differs, the lines of its notes that
 differ.  Exit code 0 when every job matches, 1 when any differs or
 fails to run.  The reference and calibrate jobs take up to a minute per tree each,
@@ -78,7 +78,8 @@ def noting_write_output_csv(output, path):
     notes.append(f"records sha256 {hashlib.sha256(packed).hexdigest()}")
     with open(sys.argv[1] + ".records", "wb") as fh:
         fh.write(packed)
-    notes.append(f"{output.steps} steps, clamps {output.field_clamps} field "
+    notes.append(f"{output.steps} steps ({output.rejected} rejected, {output.landings} "
+                 f"landings, {output.splits} splits), clamps {output.field_clamps} field "
                  f"{output.velocity_clamps} velocity")
     write_output_csv(output, path)
 
@@ -151,12 +152,12 @@ def first_difference(old: bytes, new: bytes) -> str:
 
 
 def record_differences(old: tuple, new: tuple) -> list[str]:
-    """Lines on how two simulate jobs' records differ: step and clamp counts
-    (the second line of the notes) and the largest relative difference of
+    """Lines on how two simulate jobs' records differ: the run counts (the
+    second line of the notes) and the largest relative difference of
     each CSV column."""
     old_counts, new_counts = old[1].splitlines()[1:2], new[1].splitlines()[1:2]
-    lines = ["  steps and clamps: " + (f"match ({old_counts[0]})" if old_counts == new_counts
-                                       else f"DIFFER: {old_counts} -> {new_counts}")]
+    lines = ["  run counts: " + (f"match ({old_counts[0]})" if old_counts == new_counts
+                                 else f"DIFFER: {old_counts} -> {new_counts}")]
     a, b = old[2], new[2]
     if a.shape != b.shape:
         lines.append(f"  records: {len(a)} -> {len(b)} rows, not compared")

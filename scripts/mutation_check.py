@@ -177,7 +177,21 @@ DEFECTS = {
         'if forcing.mode == "cycle-schedule" or'),
     "landing skipped on samples": (
         "environment.py", "return times[bisect_right(times, 0.0):bisect_left(times, horizon_hours)]",
-        "return []"),
+        'return array("d")'),
+    "breaks walked in the forcing's own array": (
+        "environment.py", "return times[bisect_right(times, 0.0):bisect_left(times, horizon_hours)]",
+        "return times"),
+    "loader checks the SO2 sign before RH": (
+        "environment.py",
+        "                if not 0.0 <= rh <= 100.0:\n"
+        '                    raise ValueError(f"relative humidity must lie in [0, 100], got {rh}")\n'
+        '                so2.append(so2_concentration(so2_ugm3, "ugm3"))\n',
+        '                so2.append(so2_concentration(so2_ugm3, "ugm3"))\n'
+        "                if not 0.0 <= rh <= 100.0:\n"
+        '                    raise ValueError(f"relative humidity must lie in [0, 100], got {rh}")\n'),
+    "round-off singular values printed": (
+        "cli.py", "shown = [v if v > RANK_RTOL * largest else 0.0 for v in result.singular_values]",
+        "shown = list(result.singular_values)"),
     "sliver split dropped": (
         "simulation.py", "elif remaining < 2.0 * step:", "elif False:"),
     "derived dt_max ignored (always 0.25)": (

@@ -145,7 +145,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     # imported here, so that no other command loads the calibration layer
-    from .calibration import calibrate, load_measurements, warm_start
+    from .calibration import RANK_RTOL, calibrate, load_measurements, warm_start
 
     started = time.perf_counter()
     cp, cfg = _sim_config(args)
@@ -169,15 +169,21 @@ def cmd_calibrate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "calibration.csv")
     d = result.diffusivities
+    # a singular value below RANK_RTOL times the largest is round-off and
+    # prints as 0, and the condition follows the printed values (inf when one
+    # is 0), so the file does not change with the last bits of the start
+    # point; the manifest keeps the measured values
+    largest = result.singular_values[0]
+    shown = [v if v > RANK_RTOL * largest else 0.0 for v in result.singular_values]
+    condition = shown[0] / shown[-1] if shown[-1] > 0.0 else math.inf
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# d_g = {d.d_g:.6g}\n# d_s = {d.d_s:.6g}\n")
         fh.write(f"# d_o = {d.d_o:.6g}\n")
         fh.write(f"# residual = {result.residual:.6g}\n")
         fh.write(f"# evaluations = {result.evaluations}\n")
         fh.write(f"# converged = {str(result.converged).lower()}\n")
-        fh.write("# singular_values = "
-                 + " ".join(f"{v:.6g}" for v in result.singular_values) + "\n")
-        fh.write(f"# condition = {result.condition:.6g}\n")
+        fh.write("# singular_values = " + " ".join(f"{v:.6g}" for v in shown) + "\n")
+        fh.write(f"# condition = {condition:.6g}\n")
         fh.write(f"# fitted = {' '.join(result.fitted)}\n")
         fh.write("time_hours,measured_cm,std_cm,predicted_cm\n")
         for m, pred in zip(measurements, result.predicted_cm):

@@ -15,8 +15,9 @@ else.
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .environment import (
     AMBIENT_OXYGEN,
@@ -95,8 +96,7 @@ _INT_KEYS = {"n_z", "n_y", "output_stride", "max_steps", "budget"}
 _SPELLING = {f.name.lower(): f.name for f in fields(MaterialTable)}
 
 
-@dataclass(frozen=True)
-class CalibrationSettings:
+class CalibrationSettings(NamedTuple):
     bounds: tuple[float, float]
     budget: int
     oxide_share: float

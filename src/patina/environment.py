@@ -6,7 +6,7 @@ Three sources are supported:
 * ``cycle-schedule``: wet/dry cycling between chamber values and room values.
 * ``time-series``: hourly environmental monitoring data (SO2 in ug/m3,
   temperature in C, relative humidity in percent) converted to g/cm3 and
-  interpolated linearly in time.  The lookup bisects the list of sample
+  interpolated linearly in time.  The lookup bisects the array of sample
   times and reproduces ``np.interp`` bit for bit at about half its per-call
   cost.
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -72,8 +73,9 @@ def so2_concentration(value: float, unit: str, temp_c: float = 25.0,
 class Forcing:
     """Time-dependent boundary concentrations, all in g/cm3, times in hours.
 
-    SO2 is sampled as (time, so2) rows held in two parallel lists of
-    floats, which ``forcing_at`` bisects; oxygen is one constant in every
+    SO2 is sampled as (time, so2) rows held in two parallel float64
+    arrays (``array('d')``, 8 bytes a sample where a list of floats takes
+    32), which ``forcing_at`` bisects; oxygen is one constant in every
     mode.  Constant-chamber forcing is a single row; cycle-schedule keeps
     the wet-phase SO2 in that row and switches to ``dry_so2`` during the
     dry phase; time-series mode interpolates SO2 linearly and clamps to the
@@ -81,8 +83,8 @@ class Forcing:
     """
 
     mode: str
-    times: list[float]
-    so2: list[float]
+    times: array
+    so2: array
     oxygen: float
     wet_hours: float = 0.0
     dry_hours: float = 0.0
@@ -92,12 +94,12 @@ class Forcing:
         if self.mode not in ("constant-chamber", "cycle-schedule", "time-series"):
             raise ValueError(f"unknown forcing mode {self.mode!r}")
         for name in ("times", "so2"):
-            object.__setattr__(self, name, list(map(float, getattr(self, name))))
+            object.__setattr__(self, name, array("d", getattr(self, name)))
         object.__setattr__(self, "oxygen", float(self.oxygen))
         if not self.times:
             raise ValueError("no samples")
         if len(self.so2) != len(self.times):
-            raise ValueError("sample lists must have equal length")
+            raise ValueError("sample arrays must have equal length")
         for name in ("times", "so2"):
             if not all(map(math.isfinite, getattr(self, name))):
                 raise ValueError(f"non-finite {name} in samples")
@@ -166,8 +168,7 @@ def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
     non-finite values, negative SO2 and out-of-range RH are reported with
     their file line number.
     """
-    times: list[float] = []
-    so2: list[float] = []
+    times, so2 = array("d"), array("d")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         # read line by line: no list of the file's lines is held
         rows = data_rows(fh)
@@ -185,14 +186,13 @@ def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
             if len(parts) != 4:
                 raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
             try:
-                values = [float(p) for p in parts]
+                t, so2_ugm3, temp_c, rh = map(float, parts)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed row {line.strip()!r}") from exc
-            t, so2_ugm3, _, rh = values
             try:
                 if times and t <= times[-1]:
                     raise ValueError(f"non-monotone time {t}")
-                for name, value in zip(TIMESERIES_HEADER[:3], values):
+                for name, value in zip(TIMESERIES_HEADER[:3], (t, so2_ugm3, temp_c)):
                     if not math.isfinite(value):
                         raise ValueError(f"sample {name} must be finite, got {value}")
                 if not 0.0 <= rh <= 100.0:
@@ -227,16 +227,17 @@ def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float]:
     j = bisect_right(times, t_hours) - 1
     if j < 0:
         return so2[0], forcing.oxygen
-    t_j = times[j]
+    # each read of an array item builds a float, so each is read once
+    t_j, s_j = times[j], so2[j]
     if t_j == t_hours or j == len(times) - 1:
-        return so2[j], forcing.oxygen
-    slope = (so2[j + 1] - so2[j]) / (times[j + 1] - t_j)
-    return slope * (t_hours - t_j) + so2[j], forcing.oxygen
+        return s_j, forcing.oxygen
+    slope = (so2[j + 1] - s_j) / (times[j + 1] - t_j)
+    return slope * (t_hours - t_j) + s_j, forcing.oxygen
 
 
-def breakpoints(forcing: Forcing, horizon_hours: float) -> list[float]:
+def breakpoints(forcing: Forcing, horizon_hours: float) -> array:
     """Times in (0, ``horizon_hours``), in hours and increasing, at which the
-    forcing breaks, as a new list that the caller may change.
+    forcing breaks, as a new float64 array that the caller may change.
 
     These are the switches of a cycle schedule, where SO2 jumps, and the
     sample times of a time series, where its slope jumps.  Constant forcing
@@ -246,9 +247,9 @@ def breakpoints(forcing: Forcing, horizon_hours: float) -> list[float]:
         times = forcing.times
         return times[bisect_right(times, 0.0):bisect_left(times, horizon_hours)]
     if forcing.mode == "constant-chamber" or forcing.dry_hours == 0.0:
-        return []
+        return array("d")
     period = forcing.wet_hours + forcing.dry_hours
     switches = []
     for k in range(math.ceil(horizon_hours / period)):
         switches += [k * period + forcing.wet_hours, (k + 1) * period]
-    return [t for t in switches if t < horizon_hours]
+    return array("d", (t for t in switches if t < horizon_hours))

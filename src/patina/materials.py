@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "MaterialTable",
@@ -85,8 +86,7 @@ class MaterialTable:
 DEFAULT_MATERIALS = MaterialTable()
 
 
-@dataclass(frozen=True)
-class SwellingRatios:
+class SwellingRatios(NamedTuple):
     """Volume expansion ratios of the two conversions.
 
     omega_p: cuprite gained per copper consumed, mu_c/(2*mu_p) - 1.
@@ -105,8 +105,7 @@ def swelling_ratios(mat: MaterialTable) -> SwellingRatios:
     )
 
 
-@dataclass(frozen=True)
-class MoleReport:
+class MoleReport(NamedTuple):
     """Per-unit-area mole counts (mol/cm2) and the two stoichiometric ratios.
 
     Ratios are NaN when the corresponding product count is zero.

@@ -136,8 +136,7 @@ def check_ordering(a: float, beta: float, gamma: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class StefanConstants:
+class StefanConstants(NamedTuple):
     """The groups of the interface conditions (see ``stefan_constants``).
 
     omega_s drives the cuprite-consumption Stefan condition, omega_g the

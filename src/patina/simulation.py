@@ -36,6 +36,7 @@ exposure fails at once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -212,12 +213,15 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
     records = [_record(0.0, fronts)]
 
     # where the forcing breaks or a record is asked for, latest first, so the
-    # next one is breaks[-1]; a list, as a set of a year's samples measured
-    # 0.3 MB more peak RSS
+    # next one is breaks[-1]; kept in the float64 array of breakpoints, 8
+    # bytes a time, where a list or set would box each of a year's samples
     kept = {t for t in record_hours if 0.0 < t < t_end}
     breaks = breakpoints(cfg.forcing, t_end)
-    breaks += [t for t in kept if t not in breaks]
-    breaks.sort(reverse=True)
+    for t in kept:
+        i = bisect_left(breaks, t)
+        if i == len(breaks) or breaks[i] != t:
+            breaks.insert(i, t)
+    breaks.reverse()
     tol = cfg.tolerance
 
     t = 0.0

@@ -49,8 +49,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,8 +150,7 @@ def solve_tridiagonal(lower, diag, upper, rhs, overwrite: bool = False) -> np.nd
     return x
 
 
-@dataclass(frozen=True)
-class PackedLayout:
+class PackedLayout(NamedTuple):
     """The flat buffer ``u = [S | O | G]`` of the run state, and its node tables.
 
     This is the one description of the buffer.  S and O live on the outer
@@ -225,33 +223,24 @@ class PackedLayout:
                    stencils=np.stack((ends - 2, ends - 1), axis=1).ravel())
 
 
-@dataclass(frozen=True)
 class Model:
     """Everything the stepper needs besides the state itself.
 
     ``d`` holds the diffusivities in cm2/h, ``sc`` the Stefan constants
-    built from them; the step reads the boundary values of ``forcing`` in
-    g/cm3 at its times in hours.
+    built from them and ``sw`` the swelling ratios used by the front
+    kinematics; the step reads the boundary values of ``forcing`` in g/cm3
+    at its times in hours.  The grid spacings ``dz`` and ``dy`` and the
+    buffer's ``layout`` are built once, with the model.
     """
 
-    d: Diffusivities
-    sc: StefanConstants
-    sw: SwellingRatios          # swelling ratios used by the front kinematics
-    n_z: int
-    n_y: int
-    forcing: Forcing
+    __slots__ = ("d", "sc", "sw", "n_z", "n_y", "forcing", "dz", "dy", "layout")
 
-    @cached_property
-    def dz(self) -> float:
-        return 1.0 / self.n_z
-
-    @cached_property
-    def dy(self) -> float:
-        return 1.0 / self.n_y
-
-    @cached_property
-    def layout(self) -> PackedLayout:
-        return PackedLayout.build(self.n_z, self.n_y)
+    def __init__(self, d: Diffusivities, sc: StefanConstants, sw: SwellingRatios,
+                 n_z: int, n_y: int, forcing: Forcing):
+        self.d, self.sc, self.sw, self.forcing = d, sc, sw, forcing
+        self.n_z, self.n_y = n_z, n_y
+        self.dz, self.dy = 1.0 / n_z, 1.0 / n_y
+        self.layout = PackedLayout.build(n_z, n_y)
 
 
 def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,

@@ -7,7 +7,7 @@ rendered with up to 6 significant digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["Series", "PointSeries", "write_line_chart"]
 
@@ -17,8 +17,7 @@ _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 80, 24, 40, 56
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     """A polyline with a legend label."""
 
     label: str
@@ -26,8 +25,7 @@ class Series:
     y: list
 
 
-@dataclass(frozen=True)
-class PointSeries:
+class PointSeries(NamedTuple):
     """Scatter markers with optional symmetric error bars."""
 
     label: str

@@ -200,6 +200,24 @@ def test_calibrate_cli(tmp_path, capsys):
     assert len(manifest["calibration"]["singular_values"]) == 1
 
 
+def test_calibration_csv_prints_round_off_singular_values_as_zero(tmp_path):
+    # on the shipped chamber data the starting Jacobian has one direction
+    # and two round-off singular values: the CSV prints those as 0 and the
+    # condition as inf, the manifest keeps what was measured
+    out = tmp_path / "cal"
+    assert run_main(["calibrate", "--measurements", "data/thickness_measures.csv",
+                     "--out", str(out)]) == 0
+    lines = (out / "calibration.csv").read_text().splitlines()
+    header = dict(ln[2:].split(" = ") for ln in lines if ln.startswith("# "))
+    largest, *rest = header["singular_values"].split()
+    assert float(largest) > 0.0 and rest == ["0", "0"]
+    assert header["condition"] == "inf"
+    measured = json.loads((out / "calibration_manifest.json").read_text())["calibration"]
+    sv = measured["singular_values"]
+    assert float(largest) == pytest.approx(sv[0], rel=1e-5)
+    assert max(sv[1:]) < 1e-2 * sv[0] and any(sv[1:])
+
+
 def test_calibrate_oxygen_starved_start_fails_before_any_run(tmp_path, capsys, monkeypatch):
     # the warm start has no exact solution when oxygen is used up at beta,
     # so the command stops there instead of stepping a collapsing run

@@ -51,15 +51,15 @@ def test_cycle_forcing_phases():
 
 
 def test_breakpoints_are_the_switches_and_samples_inside_the_horizon():
-    assert breakpoints(constant_chamber_forcing(4.99e-7), 100.0) == []
+    assert list(breakpoints(constant_chamber_forcing(4.99e-7), 100.0)) == []
     cycles = cycle_forcing(4.99e-7, wet_hours=8.0, dry_hours=16.0)
-    assert breakpoints(cycles, 48.0) == [8.0, 24.0, 32.0]
-    assert breakpoints(cycles, 50.0) == [8.0, 24.0, 32.0, 48.0]
+    assert list(breakpoints(cycles, 48.0)) == [8.0, 24.0, 32.0]
+    assert list(breakpoints(cycles, 50.0)) == [8.0, 24.0, 32.0, 48.0]
     # without a dry phase the SO2 never switches
-    assert breakpoints(cycle_forcing(4.99e-7, wet_hours=8.0, dry_hours=0.0), 50.0) == []
+    assert list(breakpoints(cycle_forcing(4.99e-7, wet_hours=8.0, dry_hours=0.0), 50.0)) == []
     series = Forcing("time-series", [-1.0, 0.0, 0.5, 2.5, 4.0], [1e-11] * 5, 2.6e-4)
-    assert breakpoints(series, 2.5) == [0.5]
-    assert breakpoints(series, 10.0) == [0.5, 2.5, 4.0]
+    assert list(breakpoints(series, 2.5)) == [0.5]
+    assert list(breakpoints(series, 10.0)) == [0.5, 2.5, 4.0]
     # the switch times are those at which forcing_at changes value
     for t in breakpoints(cycles, 100.0):
         assert forcing_at(cycles, t * (1 - 1e-12)) != forcing_at(cycles, t * (1 + 1e-12))
@@ -166,7 +166,7 @@ def test_load_timeseries_ok(tmp_path):
                          "0,10,20,50\n1,12,21,55\n")
     f = load_timeseries(p)
     assert f.mode == "time-series"
-    assert f.times == [0.0, 1.0]
+    assert list(f.times) == [0.0, 1.0]
     assert forcing_at(f, 0.0)[0] == pytest.approx(1e-11, rel=1e-12)
     assert forcing_at(f, 1.0)[0] == pytest.approx(1.2e-11, rel=1e-12)
 
@@ -213,6 +213,26 @@ def test_load_timeseries_negative_so2_names_its_line(tmp_path):
         load_timeseries(p)
 
 
+# rows that fail two checks at once, after leading comment and blank lines
+# (the header is line 4, the first data row line 5): each reports the first
+# check in the loader's order -- field count, number, monotone time, finite
+# time/so2/temp, RH range, negative SO2 -- with its file line
+@pytest.mark.parametrize("rows, message", [
+    ("1,x,20\n", "line 5: expected 4 fields, got 3"),
+    ("0,10,20,50\n0,ten,20,50\n", "line 6: malformed row '0,ten,20,50'"),
+    ("0,10,20,50\n0,nan,20,50\n", "line 6: non-monotone time 0.0"),
+    ("nan,10,20,120\n", "line 5: sample time_hours must be finite, got nan"),
+    ("0,10,20,50\nnan,-1,20,50\n", "line 6: sample time_hours must be finite, got nan"),
+    ("0,10,inf,120\n", "line 5: sample temp_c must be finite, got inf"),
+    ("0,-1,20,120\n", "line 5: relative humidity must lie in \\[0, 100\\], got 120.0"),
+], ids=["fields-number", "number-monotone", "monotone-finite", "finite-rh",
+        "finite-so2", "finite-rh-temp", "rh-so2"])
+def test_load_timeseries_reports_the_first_failed_check(tmp_path, rows, message):
+    text = "# station X\n\n# columns\ntime_hours,so2_ugm3,temp_c,rh_percent\n" + rows
+    with pytest.raises(ValueError, match=message):
+        load_timeseries(_write(tmp_path, text))
+
+
 # comment and blank lines before the header and between data rows; a data
 # row takes the file line given with it
 INTERLEAVED_CSV = ("# station X\n"
@@ -233,8 +253,8 @@ def test_load_timeseries_skips_comments_and_blank_lines_anywhere(tmp_path):
     f = load_timeseries(_write(tmp_path, INTERLEAVED_CSV))
     rows = [line.split(",") for line in INTERLEAVED_CSV.splitlines()
             if line.strip() and not line.lstrip().startswith("#")][1:]
-    assert f.times == [float(r[0]) for r in rows] == [0.0, 1.0, 2.5]
-    assert f.so2 == [so2_concentration(float(r[1]), "ugm3") for r in rows]
+    assert list(f.times) == [float(r[0]) for r in rows] == [0.0, 1.0, 2.5]
+    assert list(f.so2) == [so2_concentration(float(r[1]), "ugm3") for r in rows]
 
 
 def test_load_timeseries_names_the_file_line_after_skipped_lines(tmp_path):

@@ -15,6 +15,7 @@ from patina.environment import (
     constant_chamber_forcing,
     cycle_forcing,
     forcing_at,
+    load_timeseries,
 )
 from patina.materials import DEFAULT_MATERIALS, SwellingRatios, mole_balance, swelling_ratios
 from patina.simulation import (
@@ -199,6 +200,26 @@ class TestStepControl:
                   for t, dt in steps]
         assert out.landings == sum(landing) == len(breaks)
         assert out.splits == sum(halved) > 0
+
+    def test_a_run_leaves_its_forcing_as_loaded(self, default_cfg, tmp_path):
+        # the run merges the record hours into its own array of breaks and
+        # reverses it in place: the forcing stays as load_timeseries returned
+        # it, and every breakpoints call returns a new array
+        path = tmp_path / "env.csv"
+        path.write_text("time_hours,so2_ugm3,temp_c,rh_percent\n"
+                        + "".join(f"{t},{10 + t % 3},20,50\n" for t in range(13)))
+        forcing = load_timeseries(path)
+        times, so2 = forcing.times.tolist(), forcing.so2.tolist()
+        cfg = replace(default_cfg, forcing=forcing, horizon_hours=12.0)
+        out = run(cfg, record_hours=(2.5, 7.25, 11.0))
+        assert [r.t_hours for r in out.records if r.t_hours in (2.5, 7.25, 11.0)] == \
+            [2.5, 7.25, 11.0]
+        assert cfg.forcing.times.tolist() == times and cfg.forcing.so2.tolist() == so2
+        first, second = breakpoints(forcing, 12.0), breakpoints(forcing, 12.0)
+        assert first is not second
+        first.reverse()
+        first[0] = -1.0
+        assert second.tolist() == times[1:-1] and forcing.times.tolist() == times
 
     def test_rows_before_the_first_switch_are_the_chamber_rows(self, default_cfg):
         # a row every output_stride steps that no breakpoint cut short: up to
