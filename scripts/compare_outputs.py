@@ -26,19 +26,21 @@ predictions) are compared byte for byte; for a job that differs the first
 differing line and the number of differing lines are printed.
 
 The CSVs print 6 significant digits, so equal bytes do not prove equal
-numbers.  Each child therefore also notes its results at full precision:
-for a simulate job a SHA-256 of the eight CSV columns of every record,
-read by name and packed as IEEE doubles, with the counts of steps,
-rejected steps, landings, splits and clamps (so trees whose records carry different extra fields compare by what their
-CSVs print); for the calibrate job the
-fitted diffusivities, the residual, the evaluation count, the fitted
-parameters and the singular values as ``repr``.  Those notes must match
-too.  When a simulate job's records differ, the largest relative
-difference of each CSV column is printed, and whether the run
-counts match; when the calibrate job differs, the lines of its notes that
-differ.  Exit code 0 when every job matches, 1 when any differs or
-fails to run.  The reference and calibrate jobs take up to a minute per tree each,
-the whole comparison a few minutes.
+numbers.  Each child therefore also notes its results at full precision.
+For a simulate job that is a SHA-256 of the eight CSV columns of every
+record, read by name and packed as IEEE doubles (so trees whose records
+carry different extra fields compare by what their CSVs print), and every
+run total of the ``SimulationOutput``, each field but the records, by
+name; a total at 0 is left out, so a total one tree lacks compares equal
+to the other's 0.  For the calibrate job it is the fitted diffusivities,
+the residual, the evaluation count, the fitted parameters and the singular
+values as ``repr``.  Those notes must match too.  When a simulate job's
+records differ, the largest relative difference of each CSV column is
+printed, and whether the run totals match; when the calibrate job
+differs, the lines of its notes that differ.  Exit code 0 when every job
+matches, 1 when any differs or fails to run.  The reference and calibrate
+jobs take up to a minute per tree each, the whole comparison a few
+minutes.
 """
 
 import argparse
@@ -63,7 +65,7 @@ from patina.simulation import OUTPUT_CSV_HEADER  # noqa: E402
 # ``cmd_calibrate`` imports it when it runs has it wrapped on
 # patina.calibration.
 RUN_CLI = """
-import hashlib, importlib, struct, sys
+import dataclasses, hashlib, importlib, struct, sys
 import patina.cli as cli
 from patina.simulation import OUTPUT_CSV_HEADER
 
@@ -78,9 +80,9 @@ def noting_write_output_csv(output, path):
     notes.append(f"records sha256 {hashlib.sha256(packed).hexdigest()}")
     with open(sys.argv[1] + ".records", "wb") as fh:
         fh.write(packed)
-    notes.append(f"{output.steps} steps ({output.rejected} rejected, {output.landings} "
-                 f"landings, {output.splits} splits), clamps {output.field_clamps} field "
-                 f"{output.velocity_clamps} velocity")
+    totals = ((f.name, getattr(output, f.name)) for f in dataclasses.fields(output))
+    notes.append(", ".join(f"{name} {value}" for name, value in totals
+                           if name != "records" and value))
     write_output_csv(output, path)
 
 def noting_calibrate(*args, **kwargs):
@@ -152,11 +154,11 @@ def first_difference(old: bytes, new: bytes) -> str:
 
 
 def record_differences(old: tuple, new: tuple) -> list[str]:
-    """Lines on how two simulate jobs' records differ: the run counts (the
+    """Lines on how two simulate jobs' records differ: the run totals (the
     second line of the notes) and the largest relative difference of
     each CSV column."""
     old_counts, new_counts = old[1].splitlines()[1:2], new[1].splitlines()[1:2]
-    lines = ["  run counts: " + (f"match ({old_counts[0]})" if old_counts == new_counts
+    lines = ["  run totals: " + (f"match ({old_counts[0]})" if old_counts == new_counts
                                  else f"DIFFER: {old_counts} -> {new_counts}")]
     a, b = old[2], new[2]
     if a.shape != b.shape:

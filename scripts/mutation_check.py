@@ -192,10 +192,10 @@ DEFECTS = {
     "round-off singular values printed": (
         "cli.py", "shown = [v if v > RANK_RTOL * largest else 0.0 for v in result.singular_values]",
         "shown = list(result.singular_values)"),
-    "sliver split dropped": (
-        "simulation.py", "elif remaining < 2.0 * step:", "elif False:"),
     "derived dt_max ignored (always 0.25)": (
-        "config.py", "else default_dt_max(forcing)", "else CHAMBER_DT_MAX"),
+        "simulation.py", 'if forcing.mode != "time-series" or len(times) < 2:', "if True:"),
+    "controller starts at dt_max": (
+        "simulation.py", "dt = MAX_STEP_FRACTION * SEED_HOURS", "dt = cfg.dt_max"),
     "diffusivities left in cm2/s": (
         "pde_core.py",
         "return Diffusivities(self.d_g * SECONDS_PER_HOUR, self.d_s * SECONDS_PER_HOUR,\n"

@@ -28,7 +28,8 @@ from .config import (
 )
 from .convergence import MIN_TEMPORAL_ORDER, exact_front_errors, observed_orders
 from .materials import mole_balance
-from .simulation import SimulationError, exact_temporal_errors, run, write_output_csv
+from .simulation import (LADDER_DT, LADDER_HOURS, LADDER_N, SimulationError,
+                         exact_temporal_errors, run, write_output_csv)
 from .svgchart import PointSeries, Series, write_line_chart
 
 STOICHIOMETRY_TOLERANCE = 5e-3   # both mole ratios must sit within 0.5% of 2
@@ -54,8 +55,8 @@ class RunManifest:
     input_digests: dict[str, str] = field(default_factory=dict)
     tool_version: str = __version__
     duration_seconds: float = 0.0
-    # simulate only: the run totals of SimulationOutput (steps, rejected
-    # steps, landings, splits and the clamp counts)
+    # simulate only: the run totals, every field of SimulationOutput but
+    # its records
     run: dict | None = None
     # calibrate only: the starting Jacobian's singular values, its condition
     # number and the fitted parameters
@@ -129,10 +130,7 @@ def cmd_simulate(args) -> int:
         command="simulate",
         resolved_config=_settings(cp),
         input_digests=_digests(_input_files(args, cp)),
-        run={"steps": output.steps, "rejected": output.rejected,
-             "landings": output.landings, "splits": output.splits,
-             "field_clamps": output.field_clamps,
-             "velocity_clamps": output.velocity_clamps},
+        run={k: v for k, v in vars(output).items() if k != "records"},
     )
     manifest.duration_seconds = time.perf_counter() - started
     manifest.write(os.path.join(args.out, "manifest.json"))
@@ -261,9 +259,9 @@ def cmd_convergence(args) -> int:
     cfg = build_simulation_config(cp)
     errors = exact_temporal_errors(cfg)
     try:
-        orders = _order_table("temporal, moving fronts (chamber run, n = 25, 4 h, "
-                              "fixed steps of 0.05/k; error of a, b, total against exact):",
-                              "1/k", errors)
+        orders = _order_table(f"temporal, moving fronts (chamber run, n = {LADDER_N}, "
+                              f"{LADDER_HOURS:g} h, fixed steps of {LADDER_DT:g}/k; "
+                              "error of a, b, total against exact):", "1/k", errors)
     except ValueError as exc:
         print(f"patina: order not measurable: {exc}", file=sys.stderr)
         return 3

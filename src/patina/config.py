@@ -29,7 +29,7 @@ from .environment import (
 )
 from .materials import DEFAULT_MATERIALS, MaterialTable
 from .pde_core import Diffusivities
-from .simulation import SimulationConfig
+from .simulation import SimulationConfig, default_dt_max
 
 __all__ = [
     "CalibrationSettings",
@@ -37,7 +37,6 @@ __all__ = [
     "load_settings",
     "build_simulation_config",
     "build_calibration_settings",
-    "default_dt_max",
 ]
 
 # Diffusivities produced by this repo's own calibration against
@@ -52,7 +51,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "diffusivities": {k: f"{v:g}" for k, v in DEFAULT_DIFFUSIVITIES.items()},
     "grid": {"n_z": "25", "n_y": "25"},
     "time": {
-        "dt_max": "",                # hours; blank: derived from the forcing (default_dt_max)
+        "dt_max": "",                # hours; blank: simulation.default_dt_max of the forcing
         "tolerance": "1e-4",         # local error of a step, relative, in a, b and a - beta
         "horizon_hours": "40",
         "output_stride": "10",
@@ -77,17 +76,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
     # repr round-trips, so the defaults are DEFAULT_MATERIALS bit for bit
     "materials": {k: repr(v) for k, v in asdict(DEFAULT_MATERIALS).items()},
 }
-
-# The step cap, in hours, of a blank dt_max under chamber and cycles
-# forcing.  It stays under the error-controlled step for a measured reason:
-# without it the 480 h cycles run ends with a and b 1.7e-5 from the
-# converged run (2.4e-6 and 3.3e-6 with it), and the 48 h cycles run's b
-# 1.02e-5 from a refined one, over the 1e-5 of
-# test_cycles_match_a_refined_run (8.7e-6 with it).  With neither this cap
-# nor simulation.MAX_STEP_FRACTION, the literature set's a ends 1.46e-5 from
-# exact, over criterion 4's 1e-5 (7.15e-6 with this cap alone); under the cap
-# by exposure, lifting this one moves it from 2.68e-6 to 3.10e-6 only.
-CHAMBER_DT_MAX = 0.25
 
 # keys read as text and keys read as int; every other key is a float
 _TEXT_KEYS = {"mode", "env_csv"}
@@ -166,19 +154,6 @@ def _forcing_from(cp) -> Forcing:
             raise ValueError("timeseries forcing needs env_csv (or --env PATH)")
         return load_timeseries(path, oxygen=oxygen)
     raise ValueError(f"unknown forcing mode {mode!r}")
-
-
-def default_dt_max(forcing: Forcing) -> float:
-    """The step cap, in hours, that a blank ``[time] dt_max`` stands for.
-
-    A time series of two or more samples steps at most from one sample to
-    the next, so its cap is the longest interval between samples (1 h for
-    hourly data); every other forcing takes CHAMBER_DT_MAX.
-    """
-    times = forcing.times
-    if forcing.mode != "time-series" or len(times) < 2:
-        return CHAMBER_DT_MAX
-    return max(later - earlier for earlier, later in zip(times, times[1:]))
 
 
 def build_simulation_config(cp) -> SimulationConfig:

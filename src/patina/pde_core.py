@@ -170,8 +170,8 @@ def advection_rates(fs: FrontState, omega_p: float) -> tuple[float, float, float
     z*s_o on S and O, and the inner speed c = -A(y) = f(y) -
     omega_p*a_dot/width is y*s_i + m_i on G.  For consistent fronts the
     inner speed runs from m_i = -b_dot/width at y=0 to s_i + m_i =
-    -(1+omega_p)*a_dot/width at y=1; these end speeds and s_o are the
-    peaks select_dt bounds.  ``fs`` is a ``FrontState``, whose ordering
+    -(1+omega_p)*a_dot/width at y=1, so each speed peaks at an end of its
+    layer, the outer one at z=1.  ``fs`` is a ``FrontState``, whose ordering
     keeps both widths positive.
     """
     outer = fs.beta - fs.gamma

@@ -8,29 +8,27 @@ the extrapolated implicit Euler step of :mod:`patina.stepper` and emits
 one record per output row: the front positions and layer thicknesses in
 cm, exactly the columns of ``simulation.csv``.  A run is solved in the
 units of those records, cm and hours, with concentrations in g/cm3.  The
-run totals (steps attempted and rejected, clamps, landings and splits) are
-kept once, on the :class:`SimulationOutput`.
+run totals (steps attempted and rejected, clamps and landings) are kept
+once, on the :class:`SimulationOutput`.
 
-Step control.  A step is accepted when its error estimate, the largest
-relative difference of a, b and the cuprite layer a - beta between its two
-results, is at most ``tolerance``; the next step is then
-dt*min(2, 0.9*(tol/err)^(1/2)).  A rejected step, or one whose fronts
-overshoot or whose solve fails, is retried at dt*max(0.2,
-0.9*(tol/err)^(1/2)).  The first step is ``select_dt``'s advective CFL
-step, and every step is capped by ``dt_max``, by ``MAX_STEP_FRACTION`` of
-the exposure and by the horizon.  No step
-crosses a breakpoint of the forcing (a cycle switch or a time-series
+Step control.  This module alone decides how long a step is.  A step is
+accepted when its error estimate, the largest relative difference of a, b
+and the cuprite layer a - beta between its two results, is at most
+``tolerance``; the next step is then dt*min(2, 0.9*(tol/err)^(1/2)).  A
+rejected step, or one whose fronts overshoot or whose solve fails, is
+retried at dt*max(0.2, 0.9*(tol/err)^(1/2)).  Every step, the first
+included, is min(dt, ``dt_max``, the horizon left, ``MAX_STEP_FRACTION``
+of the exposure), and the controller starts at that cap on the seed.  No
+step crosses a breakpoint of the forcing (a cycle switch or a time-series
 sample, :func:`patina.environment.breakpoints`) or a time the caller asks
 a record at: a step that would reach one ends on it (a landing), with time
-set to the breakpoint itself.  When the next breakpoint lies between one
-and two steps ahead, the step covers half the distance (a split), so no
-sliver step is left before it.  A step cut short by a landing, a split or
-the cap leaves the controller's dt as it was, so the controller depends on
-the run's own history, never on the breakpoints ahead.  A row is kept
-every ``output_stride`` accepted steps that no breakpoint cut short, so
-two runs that agree up to a breakpoint print the same rows up to it.  A
-run whose step control cuts dt below ``MIN_STEP_FRACTION`` of the
-exposure fails at once.
+set to the breakpoint itself.  A step cut short by a landing or a cap
+leaves the controller's dt as it was, so the controller depends on the
+run's own history, never on the breakpoints ahead.  A row is kept every
+``output_stride`` accepted steps that no landing cut short, so two runs
+that agree up to a breakpoint print the same rows up to it.  A run whose
+step control cuts dt below ``MIN_STEP_FRACTION`` of the exposure fails at
+once.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from .stepper import (
     TridiagonalError,
     imex_midpoint_step,
     refresh_state,
-    select_dt,
 )
 
 __all__ = [
@@ -64,14 +61,13 @@ __all__ = [
     "run",
     "write_output_csv",
     "exact_temporal_errors",
+    "default_dt_max",
 ]
 
 
-# Step control of ``run`` (see the module docstring).  The first step is
-# select_dt's advective CFL step at this Courant number.
-FIRST_STEP_CFL = 0.8
-# An accepted step lets the next grow by at most MAX_GROWTH, a rejected one
-# is retried at no less than MIN_SHRINK of its length.
+# Step control of ``run`` (see the module docstring).  An accepted step lets
+# the next grow by at most MAX_GROWTH, a rejected one is retried at no less
+# than MIN_SHRINK of its length.
 MAX_GROWTH = 2.0
 MIN_SHRINK = 0.2
 SAFETY = 0.9
@@ -82,7 +78,7 @@ SAFETY = 0.9
 # 1.25e-5 from exact, but is 3.6e-5 off at 8 h, and a cycles run keeps that
 # error once its first dry phase stops the growth, so the 48 h cycles run's
 # b ends 2.6e-5 from a refined run, over the 1e-5 of
-# test_cycles_match_a_refined_run.  At 1 % it ends 8.7e-6 off, the chamber
+# test_cycles_match_a_refined_run.  At 1 % it ends 8.8e-6 off, the chamber
 # run 2.7e-6, for 446 more chamber steps and 414 more on the benchmark's
 # seed-1 year.  A tolerance of 3e-5 without this cap reaches 8.4e-6 too, but
 # takes 1732 more steps on that year (18 %).  Nor does the fields' part of
@@ -96,16 +92,43 @@ SAFETY = 0.9
 # start where the halves refresh them at the midpoint, so the refined run at
 # tolerance 1e-6 collapses there.
 MAX_STEP_FRACTION = 0.01
+# The step cap, in hours, of a blank dt_max under chamber and cycles
+# forcing.  It stays under the error-controlled step for a measured reason:
+# without it the 480 h cycles run ends with a and b 1.7e-5 from the
+# converged run (2.4e-6 and 3.3e-6 with it), and the 48 h cycles run's b
+# 1.02e-5 from a refined one, over the 1e-5 of
+# test_cycles_match_a_refined_run (8.8e-6 with it).  With neither this cap
+# nor MAX_STEP_FRACTION, the literature set's a ends 1.46e-5 from exact,
+# over criterion 4's 1e-5 (7.15e-6 with this cap alone); under the cap by
+# exposure, lifting this one moves it from 2.68e-6 to 3.10e-6 only.
+CHAMBER_DT_MAX = 0.25
 # A run fails once a rejected step leaves dt below this fraction of the
-# exposure.  The shipped jobs' smallest step
-# is 1.1e-4 of it (the year runs, a landing) and their smallest rejected one
-# 8.1e-4, so this lies four decades below any step a healthy run takes; at
-# MIN_SHRINK per rejection, a run that rejects every step fails within about
-# a dozen attempts rather than spending its whole max_steps budget.
+# exposure.  The shipped jobs' smallest step is 3.7e-5 of it (the seed-1
+# year, a landing) and their smallest rejected one 8.1e-4, so this lies over
+# three decades below any step a healthy run takes; at MIN_SHRINK per
+# rejection, a run that rejects every step fails within about a dozen
+# attempts rather than spending its whole max_steps budget.
 MIN_STEP_FRACTION = 1e-8
 
-# the step, in hours, of the first rung of exact_temporal_errors' fixed-step ladder
+# exact_temporal_errors' fixed-step ladder: the step of its first rung in
+# hours, the divisors k of that step, the grid and the horizon in hours
 LADDER_DT = 0.05
+LADDER_DIVISORS = (1, 2, 4, 8, 16)
+LADDER_N = 25
+LADDER_HOURS = 4.0
+
+
+def default_dt_max(forcing: Forcing) -> float:
+    """The step cap, in hours, that a blank ``[time] dt_max`` stands for.
+
+    A time series of two or more samples steps at most from one sample to
+    the next, so its cap is the longest interval between samples (1 h for
+    hourly data); every other forcing takes CHAMBER_DT_MAX.
+    """
+    times = forcing.times
+    if forcing.mode != "time-series" or len(times) < 2:
+        return CHAMBER_DT_MAX
+    return max(later - earlier for earlier, later in zip(times, times[1:]))
 
 
 class SimulationError(RuntimeError):
@@ -173,7 +196,6 @@ class SimulationOutput:
     velocity_clamps: int
     field_clamps: int
     landings: int
-    splits: int
 
     def thickness_at(self, t_hours) -> np.ndarray:
         """Total patina thickness (cm) interpolated at the given hours."""
@@ -208,7 +230,7 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
     is kept there, so the records hold the run's own values at those times.
     """
     u, fronts, model = initialize(cfg)
-    field_clamps = velocity_clamps = landings = splits = rejected = 0
+    field_clamps = velocity_clamps = landings = rejected = 0
     t_end = cfg.horizon_hours
     records = [_record(0.0, fronts)]
 
@@ -227,25 +249,16 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
     t = 0.0
     step_index = counted = 0
     t_stop = t_end * (1.0 - 1e-12)
-    dt = select_dt(fronts, model.dz, model.dy, FIRST_STEP_CFL, cfg.dt_max, model.sw.omega_p)
+    # the first step is the cap by exposure on the seed: an L-stable step
+    # needs no stability bound, only a size on the run's own time scale
+    dt = MAX_STEP_FRACTION * SEED_HOURS
     while t < t_stop:
         # the exposure, t + SEED_HOURS, caps the step
         step = min(dt, cfg.dt_max, t_end - t, MAX_STEP_FRACTION * (t + SEED_HOURS))
-        lands = split = cut = False
-        if breaks:
-            remaining = breaks[-1] - t
-            lands = remaining <= step
-            if lands:
-                cut = remaining < step
-                step = remaining
-            elif remaining < 2.0 * step:
-                # No sliver step before the break.  The L-stable step stays
-                # stable without the split (the 480 h cycles run moves by
-                # 8e-9), but it saves rejected steps: without it the
-                # benchmark's seed-1 year takes 10 094 steps (172 rejected)
-                # against 10 047 (126).
-                step = 0.5 * remaining
-                split = cut = True
+        remaining = breaks[-1] - t if breaks else math.inf
+        lands, cut = remaining <= step, remaining < step
+        if lands:
+            step = remaining
         step_index += 1
         failure = None
         try:
@@ -262,10 +275,9 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
             field_clamps += fields_clamped
             velocity_clamps += fronts_clamped
             landings += lands
-            splits += split
             t = breaks.pop() if lands else t + step
-            # the local error goes as step^2; a step cut short by a landing, a
-            # split or the cap leaves dt as it was
+            # the local error goes as step^2; a step cut short by a landing or
+            # a cap leaves dt as it was
             grown = step * (min(MAX_GROWTH, SAFETY * math.sqrt(tol / error)) if error > 0.0
                             else MAX_GROWTH)
             dt = grown if step == dt else max(dt, grown)
@@ -287,7 +299,7 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
     records.append(_record(t, fronts))
     return SimulationOutput(records=records, steps=step_index, rejected=rejected,
                             velocity_clamps=velocity_clamps, field_clamps=field_clamps,
-                            landings=landings, splits=splits)
+                            landings=landings)
 
 
 def write_output_csv(output: SimulationOutput, path) -> None:
@@ -298,25 +310,24 @@ def write_output_csv(output: SimulationOutput, path) -> None:
             fh.write(",".join(f"{v:.6g}" for v in row) + "\n")
 
 
-def exact_temporal_errors(cfg: SimulationConfig, divisors=(1, 2, 4, 8, 16),
-                          n: int = 25, horizon_hours: float = 4.0
-                          ) -> list[tuple[float, float]]:
-    """(1/k, error) of chamber runs on an n x n grid in fixed steps of about LADDER_DT/k.
+def exact_temporal_errors(cfg: SimulationConfig) -> list[tuple[float, float]]:
+    """(1/k, error) of chamber runs in fixed steps of about LADDER_DT/k.
 
-    Each rung steps ``imex_midpoint_step`` itself, without step control,
-    from the seed to the horizon in equal steps, the fewest of at most
+    Each rung, one per k of LADDER_DIVISORS, runs on a LADDER_N x LADDER_N
+    grid and steps ``imex_midpoint_step`` itself, without step control,
+    from the seed to LADDER_HOURS in equal steps, the fewest of at most
     LADDER_DT/k hours that end on it.  The error is the largest of
-    ``exact_front_errors`` at the horizon.
+    ``exact_front_errors`` at that horizon.
     """
-    rung = replace(cfg, n_z=n, n_y=n, horizon_hours=horizon_hours)
+    rung = replace(cfg, n_z=LADDER_N, n_y=LADDER_N, horizon_hours=LADDER_HOURS)
     seed, seed_fronts, model = initialize(rung)
     errors = []
-    for k in divisors:
-        count = math.ceil(k * horizon_hours / LADDER_DT * (1.0 - 1e-12))
-        h = horizon_hours / count
+    for k in LADDER_DIVISORS:
+        count = math.ceil(k * LADDER_HOURS / LADDER_DT * (1.0 - 1e-12))
+        h = LADDER_HOURS / count
         u, fronts = seed, seed_fronts
         for i in range(count):
             u, fronts, *_ = imex_midpoint_step(u, fronts, i * h, h, model)
         errors.append((1.0 / k, max(map(abs, exact_front_errors(
-            rung, _record(horizon_hours, fronts))))))
+            rung, _record(LADDER_HOURS, fronts))))))
     return errors

@@ -230,15 +230,15 @@ class Model:
     built from them and ``sw`` the swelling ratios used by the front
     kinematics; the step reads the boundary values of ``forcing`` in g/cm3
     at its times in hours.  The grid spacings ``dz`` and ``dy`` and the
-    buffer's ``layout`` are built once, with the model.
+    buffer's ``layout`` are built once, with the model, from the interval
+    counts ``n_z`` and ``n_y``.
     """
 
-    __slots__ = ("d", "sc", "sw", "n_z", "n_y", "forcing", "dz", "dy", "layout")
+    __slots__ = ("d", "sc", "sw", "forcing", "dz", "dy", "layout")
 
     def __init__(self, d: Diffusivities, sc: StefanConstants, sw: SwellingRatios,
                  n_z: int, n_y: int, forcing: Forcing):
         self.d, self.sc, self.sw, self.forcing = d, sc, sw, forcing
-        self.n_z, self.n_y = n_z, n_y
         self.dz, self.dy = 1.0 / n_z, 1.0 / n_y
         self.layout = PackedLayout.build(n_z, n_y)
 
@@ -246,6 +246,10 @@ class Model:
 def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,
               dt_max: float, omega_p: float) -> float:
     """Advective CFL step bound, capped at ``dt_max``.
+
+    No run calls it: the L-stable step needs no CFL bound, and
+    ``patina.simulation`` sizes every step itself.  It is kept only as a
+    target the benchmark's per-layer trace (``perfbench/spans.py``) names.
 
     For ``fs`` from ``refresh_state`` (a_dot, b_dot >= 0) the outer speed
     peaks at z=1 with (beta_dot - gamma_dot)/width; the inner speed is

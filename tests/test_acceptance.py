@@ -27,12 +27,12 @@ from patina.calibration import (
     warm_start,
     weighted_residual,
 )
-from patina.config import build_simulation_config, default_dt_max, load_settings
+from patina.config import build_simulation_config, load_settings
 from patina.convergence import MIN_TEMPORAL_ORDER, exact_front_errors, observed_orders
 from patina.environment import load_timeseries
 from patina.materials import mole_balance
 from patina.pde_core import Diffusivities
-from patina.simulation import exact_temporal_errors, run
+from patina.simulation import default_dt_max, exact_temporal_errors, run
 
 REFERENCE_CONFIG = "configs/reference_diffusivities.ini"
 

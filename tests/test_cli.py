@@ -43,9 +43,9 @@ def test_simulate_chamber(tmp_path, capsys):
     assert manifest["resolved_config"]["time"]["horizon_hours"] == "2.0"
     assert manifest["duration_seconds"] > 0
     assert "calibration" not in manifest
-    # constant forcing has no breakpoint to land on or to split before
+    # constant forcing has no breakpoint to land on
     steps = int(capsys.readouterr().out.split(" in ")[1].split()[0])
-    assert manifest["run"] == {"steps": steps, "rejected": 0, "landings": 0, "splits": 0,
+    assert manifest["run"] == {"steps": steps, "rejected": 0, "landings": 0,
                                "field_clamps": 0, "velocity_clamps": 0}
 
 

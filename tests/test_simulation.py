@@ -7,7 +7,8 @@ import pytest
 from conftest import assert_output_invariants
 import patina.convergence
 import patina.simulation
-from patina.config import build_simulation_config, default_dt_max, load_settings
+import patina.stepper
+from patina.config import build_simulation_config, load_settings
 from patina.convergence import exact_front_errors, exact_fronts
 from patina.environment import (
     Forcing,
@@ -22,6 +23,7 @@ from patina.simulation import (
     OUTPUT_CSV_HEADER,
     OutputRecord,
     SimulationError,
+    default_dt_max,
     initialize,
     run,
     write_output_csv,
@@ -187,19 +189,53 @@ class TestStepControl:
             k = starts.index(b)
             t, dt = steps[k - 1]
             assert t + dt == pytest.approx(b, rel=1e-14)
-            # no sliver: the landing step is at least half of the one before
-            assert dt >= 0.5 * steps[k - 2][1]
         assert not [(t, dt) for t, dt in steps for b in breaks
                     if t < b < (t + dt) * (1.0 - 1e-14)]
         assert out.records[-1].t_hours == pytest.approx(12.0, rel=1e-12)
-        # the run counts one landing per break, and as splits the steps
-        # that cover half the distance to the next break
+        # the run counts one landing per break
         landing = [any(t + dt == pytest.approx(b, rel=1e-14) for b in breaks)
                    for t, dt in steps]
-        halved = [any(t + 2.0 * dt == pytest.approx(b, rel=1e-14) for b in breaks)
-                  for t, dt in steps]
         assert out.landings == sum(landing) == len(breaks)
-        assert out.splits == sum(halved) > 0
+
+    def test_the_first_step_is_the_exposure_cap(self, default_cfg, monkeypatch):
+        # every step, the first included, is min(dt, dt_max, horizon left,
+        # cap by exposure), and the run asks for no CFL step
+        def no_cfl(*args):
+            raise AssertionError("a run proposes no CFL step")
+
+        monkeypatch.setattr(patina.stepper, "select_dt", no_cfl)
+        monkeypatch.setattr(patina.simulation, "select_dt", no_cfl, raising=False)
+        step = patina.simulation.imex_midpoint_step
+        attempts = []
+
+        def recording(u, fs, t, dt, model):
+            attempts.append(dt)
+            return step(u, fs, t, dt, model)
+
+        monkeypatch.setattr(patina.simulation, "imex_midpoint_step", recording)
+        cap = patina.simulation.MAX_STEP_FRACTION * patina.convergence.SEED_HOURS
+        for cfg, first in ((default_cfg, cap),
+                           (replace(default_cfg, dt_max=1e-4, horizon_hours=0.01), 1e-4),
+                           (replace(default_cfg, horizon_hours=1e-4), 1e-4)):
+            attempts.clear()
+            run(cfg)
+            assert attempts[0] == first
+
+    def test_the_controller_starts_at_the_first_step(self, default_cfg, monkeypatch):
+        # a step accepted with its error at the tolerance has the next one
+        # proposed at SAFETY of it, below the cap by exposure
+        attempts = []
+
+        def at_tolerance(u, fs, t, dt, model):
+            attempts.append(dt)
+            return u, fs, default_cfg.tolerance, 0, 0
+
+        monkeypatch.setattr(patina.simulation, "imex_midpoint_step", at_tolerance)
+        with pytest.raises(SimulationError, match="budget"):
+            run(replace(default_cfg, max_steps=3))
+        safety = patina.simulation.SAFETY
+        assert attempts[1:] == pytest.approx([safety * attempts[0], safety**2 * attempts[0]],
+                                             rel=1e-12)
 
     def test_a_run_leaves_its_forcing_as_loaded(self, default_cfg, tmp_path):
         # the run merges the record hours into its own array of breaks and
@@ -224,14 +260,14 @@ class TestStepControl:
     def test_rows_before_the_first_switch_are_the_chamber_rows(self, default_cfg):
         # a row every output_stride steps that no breakpoint cut short: up to
         # its first switch a cycles run takes the chamber run's steps and
-        # prints its rows, though it splits and lands before the switch;
-        # at a stride of 1 a row on either cut step would show
+        # prints its rows, though it lands on the switch; at a stride of 1 a
+        # row on the cut step would show
         chamber = replace(default_cfg, horizon_hours=12.0, output_stride=1)
         cycles = replace(chamber, forcing=cycle_forcing(float(chamber.forcing.so2[0]),
                                                         chamber.forcing.oxygen))
         out = run(cycles)
         before = [r for r in out.records if r.t_hours <= 8.0]
-        assert len(before) > 3 and out.splits > 0
+        assert len(before) > 3 and out.landings > 0
         assert before == run(chamber).records[:len(before)]
 
     def test_a_landing_does_not_shrink_the_controllers_dt(self, default_cfg, monkeypatch):
@@ -259,7 +295,6 @@ class TestStepControl:
         # the first step, the whole 2000 h horizon, puts beta beyond a; the
         # run retries it at a fifth and goes on to the horizon
         cfg = replace(default_cfg, horizon_hours=2000.0, dt_max=1e9)
-        monkeypatch.setattr(patina.simulation, "FIRST_STEP_CFL", 1e12)
         monkeypatch.setattr(patina.simulation, "MAX_STEP_FRACTION", math.inf)
         step = patina.simulation.imex_midpoint_step
         attempts = []
@@ -295,7 +330,7 @@ class TestStepControl:
     def test_cycles_match_a_refined_run(self, default_cfg):
         # 48 h of 8 h wet / 16 h dry cycles, against the same run at a
         # hundredth of the tolerance and dt_max / 8 (3108 steps, also
-        # landing).  Measured: a -8.9e-6, b -8.7e-6 (on the midpoint step
+        # landing).  Measured: a -8.9e-6, b -8.8e-6 (on the midpoint step
         # a -9.2e-5 and b +9.99e-6; without MAX_STEP_FRACTION, b -2.6e-5)
         cfg = replace(default_cfg, forcing=cycle_forcing(float(default_cfg.forcing.so2[0]),
                                                          default_cfg.forcing.oxygen),
