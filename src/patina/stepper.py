@@ -34,13 +34,18 @@ whole buffer, whose six end nodes are identity rows that decouple the
 blocks, so every species is solved exactly as on its own.  IE(dt) and the
 first IE(dt/2) both start from u, so one LAPACK dgtsv call solves both,
 the two systems stacked; the end rows decouple them too.  All diagonals and
-right-hand-side terms of a solve are one product of a few coefficients with
-the layout's fixed ``systems`` map.  The front-fixing advection speed is
-affine in the mapped coordinate, z*s_o on S and O and y*s_i + m_i on G
-(``advection_rates``), which the rate rows -[z | y | 1]/dx of the layout's
-``table`` turn into the per-row r.  Every rate is >= 0 for the fronts a
-refresh builds (``patina.pde_core``), so the upwind difference is the
-forward one.
+right-hand-side terms of a solve are one product of its coefficients, ten
+per substep from one scalar pass (``_coefficients``), with the layout's
+fixed ``systems`` map.  The product lands in one of the model's two
+``SolveBuffer``s, whose dgtsv views are fixed when the model is built, and
+dgtsv solves in place there.  A step never writes its start state, and it
+returns a new array, never a view of a solve buffer; the buffers are
+overwritten by the next step, so a model is stepped by one run at a time.
+The front-fixing advection speed is affine in the mapped coordinate, z*s_o
+on S and O and y*s_i + m_i on G (``advection_rates``), which the rate rows
+-[z | y | 1]/dx of the layout's ``table`` turn into the per-row r.  Every
+rate is >= 0 for the fronts a refresh builds (``patina.pde_core``), so the
+upwind difference is the forward one.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .materials import SwellingRatios
 __all__ = [
     "Model",
     "PackedLayout",
+    "SolveBuffer",
     "TridiagonalError",
     "solve_tridiagonal",
     "select_dt",
@@ -180,6 +186,8 @@ class PackedLayout(NamedTuple):
     and dgtsv's elimination never swaps two rows, so the end values come
     back exactly as given.  (In the matrix, an alpha > 1 made it swap an
     end row with the row below, and the solve lost digits in proportion.)
+    The layout is read-only: the product and the solve live in a model's
+    ``SolveBuffer``, built from the layout once per model.
     """
 
     table: np.ndarray        # 7 x nodes: ones, species indicators, rate basis
@@ -223,24 +231,65 @@ class PackedLayout(NamedTuple):
                    stencils=np.stack((ends - 2, ends - 1), axis=1).ravel())
 
 
+class SolveBuffer:
+    """The storage of one tridiagonal solve of k substeps, and its fixed views.
+
+    ``parts`` takes the product of the k substeps' coefficients with the
+    layout's ``systems[k - 1]``: the diagonals, sub-diagonals,
+    super-diagonals and right-hand-side terms, each over the k copies of the
+    buffer.  ``rows`` are the (lower, diag, upper, rhs) views of it that
+    dgtsv takes, and ``starts`` the right-hand side as k rows of one buffer
+    each, into which the start state is added.  All are fixed when the
+    buffer is built, so a solve allocates no product or right-hand side of
+    its own.  dgtsv solves in ``parts`` itself: what ``solve`` returns is a
+    view of it, good until the next solve with this buffer.
+    """
+
+    __slots__ = ("system", "parts", "rows", "starts")
+
+    def __init__(self, layout: PackedLayout, k: int):
+        size = layout.table.shape[1]
+        n = k * size
+        self.system = layout.systems[k - 1]
+        self.parts = parts = np.empty(4 * n)
+        self.rows = (parts[n + 1:2 * n], parts[:n], parts[2 * n:3 * n - 1], parts[3 * n:])
+        self.starts = parts[3 * n:].reshape(k, size)
+
+    def solve(self, coefficients: list[float], u: np.ndarray) -> np.ndarray:
+        """The k substeps of ``coefficients`` (ten per substep) from ``u``, stacked.
+
+        The k systems are solved in one dgtsv call on the k copies of u, one
+        after the other; their end rows decouple them.  Returns the k results
+        one after the other in a view of ``parts``; their end values are u's.
+        """
+        np.dot(coefficients, self.system, out=self.parts)
+        self.starts += u
+        return solve_tridiagonal(*self.rows, overwrite=True)
+
+
 class Model:
     """Everything the stepper needs besides the state itself.
 
     ``d`` holds the diffusivities in cm2/h, ``sc`` the Stefan constants
     built from them and ``sw`` the swelling ratios used by the front
     kinematics; the step reads the boundary values of ``forcing`` in g/cm3
-    at its times in hours.  The grid spacings ``dz`` and ``dy`` and the
-    buffer's ``layout`` are built once, with the model, from the interval
-    counts ``n_z`` and ``n_y``.
+    at its times in hours.  The grid spacings ``dz`` and ``dy``, the
+    buffer's ``layout`` and the step's two solve buffers are built once,
+    with the model, from the interval counts ``n_z`` and ``n_y``:
+    ``stacked`` for IE(dt) and the first IE(dt/2) solved together, and
+    ``single`` for the second IE(dt/2).  A step writes its substeps into
+    them, so a model is stepped by one run at a time (``initialize`` builds
+    one per run); what a step returns is its own array.
     """
 
-    __slots__ = ("d", "sc", "sw", "forcing", "dz", "dy", "layout")
+    __slots__ = ("d", "sc", "sw", "forcing", "dz", "dy", "layout", "stacked", "single")
 
     def __init__(self, d: Diffusivities, sc: StefanConstants, sw: SwellingRatios,
                  n_z: int, n_y: int, forcing: Forcing):
         self.d, self.sc, self.sw, self.forcing = d, sc, sw, forcing
         self.dz, self.dy = 1.0 / n_z, 1.0 / n_y
-        self.layout = PackedLayout.build(n_z, n_y)
+        self.layout = layout = PackedLayout.build(n_z, n_y)
+        self.stacked, self.single = SolveBuffer(layout, 2), SolveBuffer(layout, 1)
 
 
 def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,
@@ -271,7 +320,8 @@ def _clamp_fields(u: np.ndarray, bounds: np.ndarray) -> int:
     The end values at ``bounds`` are left as they are: the refresh that
     follows writes all six.
     """
-    if not u.min() < 0.0:
+    # argmin costs a fifth of min on a buffer this short, and finds a NaN as min does
+    if not u[u.argmin()] < 0.0:
         return 0
     mask = u < 0.0
     mask[bounds] = False
@@ -309,51 +359,43 @@ def refresh_state(u: np.ndarray, a: float, b: float, model: Model,
                       gamma_dot), clamped
 
 
-def _coefficients(h: float, fs: FrontState, rates: tuple[float, float, float],
-                  starts: tuple[float, float, float], model: Model) -> list[float]:
-    """The ten coefficients of IE(h) from ``fs``, whose ``advection_rates`` are ``rates``.
+def _coefficients(fs: FrontState, rates: tuple[float, float, float],
+                  substeps: tuple[tuple[float, float, float, float], ...],
+                  model: Model) -> list[float]:
+    """The coefficients of one solve, ten per substep, in one pass.
 
-    They are (1, alpha_s, alpha_o, alpha_g, h*s_o, h*s_i, h*m_i) and the
-    terms alpha*S(0), alpha*O(0) and alpha*G(0) of the ``starts`` S(0), O(0)
-    and G(0), at the widths of the fronts advanced by h at the speeds of
-    ``fs``: alpha = h*D/(width*dx)^2, and each rate, a speed over a width,
-    scales with the inverse width.  Raises the ValueError of
-    ``check_ordering`` when the advance overshoots.
+    ``substeps`` holds one (h, S(0), O(0), G(0)) per substep IE(h) from
+    ``fs``, whose ``advection_rates`` are ``rates``: its step and the start
+    values of its species, S(0) and O(0) the forcing at its end and G(0)
+    held from the state it starts from.  A substep's ten are
+    (1, alpha_s, alpha_o, alpha_g, h*s_o, h*s_i, h*m_i) and the terms
+    alpha*S(0), alpha*O(0) and alpha*G(0), at the widths of the fronts
+    advanced by h at the speeds of ``fs``: alpha = h*D/(width*dx)^2, and
+    each rate, a speed over a width, scales with the inverse width.  Raises
+    the ValueError of ``check_ordering`` when an advance overshoots.
     """
-    sw = model.sw
-    a = fs.a + h * fs.a_dot
-    b = fs.b + h * fs.b_dot
-    beta = b - sw.omega_p * a
-    gamma = -(sw.omega_p * a + sw.omega_b * b)
-    check_ordering(a, beta, gamma)
-    outer, inner = beta - gamma, a - beta
-    d = model.d
+    a_0, b_0, beta_0, gamma_0, a_dot, b_dot, _, _ = fs
+    omega_p, omega_b = model.sw
+    d_g, d_s, d_o = model.d.d_g, model.d.d_s, model.d.d_o
+    dz, dy = model.dz, model.dy
     s_o, s_i, m_i = rates
-    h_outer = h * (fs.beta - fs.gamma) / outer
-    h_inner = h * (fs.a - fs.beta) / inner
-    alpha_outer = h / (outer * model.dz) ** 2
-    alpha_inner = h / (inner * model.dy) ** 2
-    a_s, a_o, a_g = d.d_s * alpha_outer, d.d_o * alpha_outer, d.d_g * alpha_inner
-    s_0, o_0, g_0 = starts
-    return [1.0, a_s, a_o, a_g, h_outer * s_o, h_inner * s_i, h_inner * m_i,
-            a_s * s_0, a_o * o_0, a_g * g_0]
-
-
-def _implicit_euler(u: np.ndarray, coefficients: list[float], k: int,
-                    model: Model) -> np.ndarray:
-    """The k substeps of ``coefficients`` (ten per substep) from ``u``, stacked.
-
-    The k systems are solved in one dgtsv call on the k copies of u, one
-    after the other; their end rows decouple them.  Returns the k results
-    in one new buffer, the same way; their end values are u's.
-    """
-    n = k * u.size
-    parts = np.dot(np.array(coefficients), model.layout.systems[k - 1])
-    rhs = parts[3 * n:]
-    copies = rhs.reshape(k, u.size)
-    copies += u
-    return solve_tridiagonal(parts[n + 1:2 * n], parts[:n], parts[2 * n:3 * n - 1], rhs,
-                             overwrite=True)
+    outer_0, inner_0 = beta_0 - gamma_0, a_0 - beta_0
+    coefficients = []
+    for h, s_0, o_0, g_0 in substeps:
+        a = a_0 + h * a_dot
+        b = b_0 + h * b_dot
+        beta = b - omega_p * a
+        gamma = -(omega_p * a + omega_b * b)
+        check_ordering(a, beta, gamma)
+        outer, inner = beta - gamma, a - beta
+        h_outer = h * outer_0 / outer
+        h_inner = h * inner_0 / inner
+        alpha_outer = h / (outer * dz) ** 2
+        alpha_inner = h / (inner * dy) ** 2
+        a_s, a_o, a_g = d_s * alpha_outer, d_o * alpha_outer, d_g * alpha_inner
+        coefficients += (1.0, a_s, a_o, a_g, h_outer * s_o, h_inner * s_i, h_inner * m_i,
+                         a_s * s_0, a_o * o_0, a_g * g_0)
+    return coefficients
 
 
 def imex_midpoint_step(u: np.ndarray, fs: FrontState, t: float, dt: float,
@@ -376,23 +418,23 @@ def imex_midpoint_step(u: np.ndarray, fs: FrontState, t: float, dt: float,
 
     n = u.size
     half = 0.5 * dt
+    omega_p = model.sw.omega_p
     s_mid, o_mid = forcing_mid = forcing_at(model.forcing, t + half)
     s_end, o_end = forcing_end = forcing_at(model.forcing, t + dt)
     g_0 = model.layout.bounds[4]
 
     # IE(dt) and the first IE(dt/2), both from u, in one solve
-    rates = advection_rates(fs, model.sw.omega_p)
     held = float(u[g_0])
-    x = _implicit_euler(u, _coefficients(dt, fs, rates, (s_end, o_end, held), model)
-                        + _coefficients(half, fs, rates, (s_mid, o_mid, held), model), 2, model)
+    substeps = ((dt, s_end, o_end, held), (half, s_mid, o_mid, held))
+    x = model.stacked.solve(_coefficients(fs, advection_rates(fs, omega_p), substeps, model), u)
     full, mid = x[:n], x[n:]
     fs_mid, velocity_clamps = refresh_state(mid, fs.a + half * fs.a_dot,
                                             fs.b + half * fs.b_dot, model, forcing_mid)
 
     # the second IE(dt/2), from the refreshed half-step state at its speeds
-    second = _implicit_euler(mid, _coefficients(
-        half, fs_mid, advection_rates(fs_mid, model.sw.omega_p),
-        (s_end, o_end, float(mid[g_0])), model), 1, model)
+    substeps = ((half, s_end, o_end, float(mid[g_0])),)
+    second = model.single.solve(
+        _coefficients(fs_mid, advection_rates(fs_mid, omega_p), substeps, model), mid)
 
     new = second + second
     new -= full
@@ -403,6 +445,6 @@ def imex_midpoint_step(u: np.ndarray, fs: FrontState, t: float, dt: float,
     # the second result's fronts less the first's: dt/2 * (speed(mid) - speed(start))
     d_a = half * (fs_mid.a_dot - fs.a_dot)
     d_b = half * (fs_mid.b_dot - fs.b_dot)
-    d_h = (1.0 + model.sw.omega_p) * d_a - d_b
+    d_h = (1.0 + omega_p) * d_a - d_b
     error = max(abs(d_a) / fs_new.a, abs(d_b) / fs_new.b, abs(d_h) / (fs_new.a - fs_new.beta))
     return new, fs_new, error, field_clamps, velocity_clamps + clamped

@@ -186,7 +186,7 @@ class TestPackedStageSolve:
         rows = (parts[n + 1:2 * n], parts[:n], parts[2 * n:3 * n - 1], parts[3 * n:] + u)
         for got, expect in zip(rows, _per_species_rows(coefficients, u, n_z, n_y)):
             assert np.all(np.abs(got - expect) <= 4.0 * np.spacing(np.abs(expect)))
-        packed = stepper._implicit_euler(u, coefficients, 1, model)
+        packed = model.single.solve(coefficients, u)
         # the end values come back as they were
         assert np.array_equal(packed[model.layout.bounds], u[model.layout.bounds])
         edges = [0, n_z + 1, 2 * (n_z + 1), n]
@@ -216,7 +216,7 @@ class TestPackedStageSolve:
         for k, c in enumerate((first, second)):
             alone = np.dot(np.array(c), systems[0]).reshape(4, n)
             assert np.all(np.abs(stacked[:, k] - alone) <= 4.0 * np.spacing(np.abs(alone)))
-        both = stepper._implicit_euler(u, first + second, 2, model)
+        both = model.stacked.solve(first + second, u)
         diag, lower, upper, rhs = stacked.reshape(4, 2 * n)
         lower, upper, rhs = lower[1:], upper[:-1], rhs + np.concatenate((u, u))
         for start in (0, n):
@@ -226,8 +226,8 @@ class TestPackedStageSolve:
             assert np.array_equal(both[half], alone)
         # with each system's own rows, the two agree to rounding (measured:
         # 1.9e-14 at most in 1000 draws)
-        apart = np.concatenate([stepper._implicit_euler(u, c, 1, model)
-                                for c in (first, second)])
+        # (each result copied: the next solve reuses the buffer)
+        apart = np.concatenate([model.single.solve(c, u).copy() for c in (first, second)])
         np.testing.assert_allclose(both, apart, rtol=1e-13, atol=0.0)
 
     def test_two_solves_and_two_refreshes_per_step(self, monkeypatch, default_cfg):
@@ -281,23 +281,63 @@ class TestPackedStageSolve:
 
 
 def test_coefficients_at_the_advanced_widths(default_cfg):
-    # alpha and the rates of IE(h) are taken at the fronts advanced by h at
-    # the start speeds, written out here
+    # alpha and the rates of each IE(h) of one solve are taken at the fronts
+    # advanced by that h at the start speeds, written out here
     u, fs, model = initialize(default_cfg)
-    h, omega_p = 0.05, model.sw.omega_p
-    got = stepper._coefficients(h, fs, pde_core.advection_rates(fs, omega_p),
-                                (1.0, 2.0, 3.0), model)
-    ahead = consistent_fronts(fs.a + h * fs.a_dot, fs.b + h * fs.b_dot, model.sw,
-                              fs.a_dot, fs.b_dot)
-    outer, inner = ahead.beta - ahead.gamma, ahead.a - ahead.beta
+    omega_p = model.sw.omega_p
+    substeps = ((0.05, 1.0, 2.0, 3.0), (0.025, 4.0, 5.0, 6.0))
+    got = stepper._coefficients(fs, pde_core.advection_rates(fs, omega_p), substeps, model)
+    assert len(got) == 10 * len(substeps)
     d = model.d
-    alphas = [h * d.d_s / (outer * model.dz) ** 2, h * d.d_o / (outer * model.dz) ** 2,
-              h * d.d_g / (inner * model.dy) ** 2]
-    rates = [h * r for r in pde_core.advection_rates(ahead, omega_p)]
-    expect = [1.0, *alphas, *rates, alphas[0], 2.0 * alphas[1], 3.0 * alphas[2]]
-    assert got == pytest.approx(expect, rel=1e-12)
-    # the widths grow, so the start widths would give larger numbers
-    assert outer > fs.beta - fs.gamma and inner > fs.a - fs.beta
+    for k, (h, s_0, o_0, g_0) in enumerate(substeps):
+        ahead = consistent_fronts(fs.a + h * fs.a_dot, fs.b + h * fs.b_dot, model.sw,
+                                  fs.a_dot, fs.b_dot)
+        outer, inner = ahead.beta - ahead.gamma, ahead.a - ahead.beta
+        alphas = [h * d.d_s / (outer * model.dz) ** 2, h * d.d_o / (outer * model.dz) ** 2,
+                  h * d.d_g / (inner * model.dy) ** 2]
+        rates = [h * r for r in pde_core.advection_rates(ahead, omega_p)]
+        expect = [1.0, *alphas, *rates, s_0 * alphas[0], o_0 * alphas[1], g_0 * alphas[2]]
+        assert got[10 * k:10 * (k + 1)] == pytest.approx(expect, rel=1e-12)
+        # the widths grow, so the start widths would give larger numbers
+        assert outer > fs.beta - fs.gamma and inner > fs.a - fs.beta
+
+
+class TestSolveBuffers:
+    # each model owns the buffers its step solves in; a step reads its start
+    # state and returns a new array of its own
+    @staticmethod
+    def _steps(u, fs, model, count, dt=0.01):
+        states = []
+        for i in range(count):
+            u, fs, *_ = imex_midpoint_step(u, fs, i * dt, dt, model)
+            states.append((u, fs))
+        return states
+
+    def test_a_step_leaves_its_start_state_as_it_was(self, default_cfg):
+        u, fs, model = initialize(default_cfg)
+        for start, fronts in [(u, fs)] + self._steps(u, fs, model, 2):
+            kept = start.copy()
+            imex_midpoint_step(start, fronts, 0.5, 0.01, model)
+            assert np.array_equal(start, kept)
+
+    def test_a_returned_state_outlives_later_steps(self, default_cfg):
+        u, fs, model = initialize(default_cfg)
+        (first, fronts), = self._steps(u, fs, model, 1)
+        kept = first.copy()
+        self._steps(first, fronts, model, 3)
+        assert np.array_equal(first, kept)
+        assert not any(np.shares_memory(first, buffer.parts)
+                       for buffer in (model.stacked, model.single))
+
+    def test_models_on_two_grids_stepped_in_turn(self, default_cfg):
+        cfgs = (default_cfg, replace(default_cfg, n_z=31, n_y=17))
+        alone = [self._steps(*initialize(cfg), 4) for cfg in cfgs]
+        runs = [list(initialize(cfg)) for cfg in cfgs]
+        for i in range(4):
+            for state, expect in zip(runs, alone):
+                u, fs, model = state
+                state[:2] = imex_midpoint_step(u, fs, i * 0.01, 0.01, model)[:2]
+                assert np.array_equal(state[0], expect[i][0]) and state[1] == expect[i][1]
 
 
 def test_refresh_rejects_disordered_fronts(default_cfg):
