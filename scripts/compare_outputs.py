@@ -15,7 +15,7 @@ in a fresh process that imports patina from its own tree's ``src``:
     year-seed1  simulate --env <seeded year> --horizon-hours 8760
     reference   simulate --chamber --config configs/reference_diffusivities.ini
     calibrate   calibrate --measurements data/thickness_measures.csv
-                          --config perfbench/calibrate.ini     (grid 25)
+                                                         (default grid, 25)
 
 The synthetic year is the series of scripts/run_year_synthetic.py, the
 seeded year that of the benchmark's year workload at seed 1
@@ -118,8 +118,7 @@ def jobs(inputs_dir: str) -> dict[str, list[str]]:
         "year-seed1": ["simulate", "--env", seeded, "--horizon-hours", "8760"],
         "reference": ["simulate", "--chamber", "--config",
                       "configs/reference_diffusivities.ini"],
-        "calibrate": ["calibrate", "--measurements", "data/thickness_measures.csv",
-                      "--config", "perfbench/calibrate.ini"],
+        "calibrate": ["calibrate", "--measurements", "data/thickness_measures.csv"],
     }
 
 

@@ -173,8 +173,7 @@ DEFECTS = {
         "convergence.py", "exact_fronts(cfg, record.t_hours + SEED_HOURS)",
         "exact_fronts(cfg, record.t_hours)"),
     "landing skipped on cycle switches": (
-        "environment.py", 'if forcing.mode == "constant-chamber" or',
-        'if forcing.mode == "cycle-schedule" or'),
+        "environment.py", "if not forcing.dry_hours:", "if True:"),
     "landing skipped on samples": (
         "environment.py", "return times[bisect_right(times, 0.0):bisect_left(times, horizon_hours)]",
         'return array("d")'),
@@ -185,15 +184,18 @@ DEFECTS = {
         "environment.py",
         "                if not 0.0 <= rh <= 100.0:\n"
         '                    raise ValueError(f"relative humidity must lie in [0, 100], got {rh}")\n'
-        '                so2.append(so2_concentration(so2_ugm3, "ugm3"))\n',
-        '                so2.append(so2_concentration(so2_ugm3, "ugm3"))\n'
+        '                so2.append(so2_from_ugm3(so2_ugm3))\n',
+        '                so2.append(so2_from_ugm3(so2_ugm3))\n'
         "                if not 0.0 <= rh <= 100.0:\n"
         '                    raise ValueError(f"relative humidity must lie in [0, 100], got {rh}")\n'),
     "round-off singular values printed": (
         "cli.py", "shown = [v if v > RANK_RTOL * largest else 0.0 for v in result.singular_values]",
         "shown = list(result.singular_values)"),
     "derived dt_max ignored (always 0.25)": (
-        "simulation.py", 'if forcing.mode != "time-series" or len(times) < 2:', "if True:"),
+        "simulation.py", "if len(times) < 2:", "if True:"),
+    "constant ignores the dry phase": (
+        "environment.py", "return self.dry_hours == 0.0 and len(self.times) == 1",
+        "return len(self.times) == 1"),
     "controller starts at dt_max": (
         "simulation.py", "dt = MAX_STEP_FRACTION * SEED_HOURS", "dt = cfg.dt_max"),
     "diffusivities left in cm2/s": (

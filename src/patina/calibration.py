@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convergence import chamber_at_start, exact_diffusivities, exact_fronts
-from .environment import data_rows
+from .environment import rows_after_header
 from .materials import swelling_ratios
 from .pde_core import Diffusivities
 from .simulation import SimulationConfig, SimulationError, SimulationOutput, run
@@ -68,15 +68,7 @@ def load_measurements(path) -> tuple[ThicknessMeasurement, ...]:
     """Read a ``time_hours,thickness_cm,std_cm`` CSV (# comments allowed)."""
     rows: list[ThicknessMeasurement] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = data_rows(fh)
-        first = next(lines, None)
-        if first is None:
-            raise ValueError(f"{path}: empty measurements file")
-        header = tuple(h.strip() for h in first[1].strip().split(","))
-        if header != MEASUREMENTS_CSV_HEADER:
-            raise ValueError(f"{path}: bad header; expected "
-                             f"{','.join(MEASUREMENTS_CSV_HEADER)!r}")
-        for lineno, _, parts in lines:
+        for lineno, _, parts in rows_after_header(path, fh, MEASUREMENTS_CSV_HEADER):
             if len(parts) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 fields")
             try:
@@ -84,7 +76,7 @@ def load_measurements(path) -> tuple[ThicknessMeasurement, ...]:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
-        raise ValueError(f"{path}: no measurement rows")
+        raise ValueError(f"{path}: no measurement rows; the file is empty or has only a header")
     return tuple(rows)
 
 
@@ -300,7 +292,7 @@ def calibrate(initial: Diffusivities, bounds: tuple[float, float],
     x0 = np.log10(np.array(init))
     times = np.array([m.time_hours for m in measurements])
 
-    score = _exact_residual if cfg.forcing.mode == "constant-chamber" else residual
+    score = _exact_residual if cfg.forcing.constant else residual
     vectors: dict[bytes, np.ndarray] = {}
     best, best_d = math.inf, initial
     # a point can be the result only where every held parameter keeps its start

@@ -25,7 +25,7 @@ from .environment import (
     constant_chamber_forcing,
     cycle_forcing,
     load_timeseries,
-    so2_concentration,
+    so2_from_ppm,
 )
 from .materials import DEFAULT_MATERIALS, MaterialTable
 from .pde_core import Diffusivities
@@ -133,8 +133,7 @@ def _materials_from(cp) -> MaterialTable:
 
 
 def _chamber_values(cp) -> tuple[float, float]:
-    so2 = so2_concentration(_number(cp, "forcing", "so2_ppm"), "ppm",
-                            temp_c=_number(cp, "forcing", "temp_c"))
+    so2 = so2_from_ppm(_number(cp, "forcing", "so2_ppm"), _number(cp, "forcing", "temp_c"))
     return so2, _number(cp, "forcing", "oxygen_gcm3")
 
 

@@ -97,8 +97,8 @@ def _stefan_groups(cfg: SimulationConfig):
     condition; omega_g(K_b, gamma_o), K_a -> Omega_g of the cuprite one.
     """
     forcing = cfg.forcing
-    if forcing.mode != "constant-chamber":
-        raise ValueError(f"the exact solution needs constant forcing, not {forcing.mode}")
+    if not forcing.constant:
+        raise ValueError("the exact solution needs constant forcing: one sample, no dry phase")
     s_a, o_a = forcing.so2[0], forcing.oxygen
     if not (s_a > 0.0 and o_a > 0.0):
         raise ValueError("the exact solution needs nonzero SO2 and O2 forcing")

@@ -1,14 +1,14 @@
 """Boundary forcing: SO2 and oxygen concentrations at the patina surface.
 
-Three sources are supported:
-
-* ``constant-chamber``: fixed concentrations (corrosion-cabinet conditions).
-* ``cycle-schedule``: wet/dry cycling between chamber values and room values.
-* ``time-series``: hourly environmental monitoring data (SO2 in ug/m3,
-  temperature in C, relative humidity in percent) converted to g/cm3 and
-  interpolated linearly in time.  The lookup bisects the array of sample
-  times and reproduces ``np.interp`` bit for bit at about half its per-call
-  cost.
+A forcing's data decide its shape.  A dry phase (``dry_hours > 0``) with
+one wet-phase sample is a cycle schedule: wet/dry cycling between chamber
+and room values.  Any other forcing is a sampled series, interpolated
+linearly in time; one sample is constant forcing (corrosion-cabinet
+conditions, ``Forcing.constant``, where the exact solution applies), and
+hourly monitoring data (SO2 in ug/m3, temperature in C, relative humidity
+in percent) give one sample an hour.  The lookup bisects the array of
+sample times and reproduces ``np.interp`` bit for bit at about half its
+per-call cost.
 
 SO2 comes from the ideal gas law when given in ppm, or a straight unit
 conversion when given in ug/m3.  Water takes no part in the front motion,
@@ -32,10 +32,12 @@ from .materials import DEFAULT_MATERIALS
 __all__ = [
     "Forcing",
     "AMBIENT_OXYGEN",
-    "so2_concentration",
+    "so2_from_ppm",
+    "so2_from_ugm3",
     "constant_chamber_forcing",
     "cycle_forcing",
     "data_rows",
+    "rows_after_header",
     "load_timeseries",
     "forcing_at",
     "breakpoints",
@@ -48,25 +50,24 @@ STANDARD_PRESSURE = 101325.0        # Pa
 AMBIENT_OXYGEN = 2.6e-4
 
 
-def so2_concentration(value: float, unit: str, temp_c: float = 25.0,
-                      pressure_pa: float = STANDARD_PRESSURE) -> float:
-    """SO2 mass concentration in g/cm3 from a (value, unit) pair.
+def so2_from_ppm(ppm: float, temp_c: float) -> float:
+    """SO2 mass concentration in g/cm3 of a volume mixing ratio in ppm, by
+    the ideal gas law at ``temp_c`` and standard pressure."""
+    if ppm < 0.0:
+        raise ValueError(f"SO2 concentration must be non-negative, got {ppm}")
+    t_kelvin = temp_c + 273.15
+    if t_kelvin <= 0.0:
+        raise ValueError(f"temperature below absolute zero: {temp_c} C")
+    # g/m3 by the ideal gas law, then g/cm3
+    return (ppm * 1e-6 * STANDARD_PRESSURE * DEFAULT_MATERIALS.M_s
+            / (GAS_CONSTANT * t_kelvin) * 1e-6)
 
-    ``unit`` is ``"ppm"`` (volume mixing ratio; converted with the ideal gas
-    law at ``temp_c`` and ``pressure_pa``) or ``"ugm3"`` (micrograms per
-    cubic meter; plain unit conversion).
-    """
-    if value < 0.0:
-        raise ValueError(f"SO2 concentration must be non-negative, got {value}")
-    if unit == "ppm":
-        t_kelvin = temp_c + 273.15
-        if t_kelvin <= 0.0:
-            raise ValueError(f"temperature below absolute zero: {temp_c} C")
-        grams_per_m3 = value * 1e-6 * pressure_pa * DEFAULT_MATERIALS.M_s / (GAS_CONSTANT * t_kelvin)
-        return grams_per_m3 * 1e-6
-    if unit == "ugm3":
-        return value * 1e-12
-    raise ValueError(f"unknown SO2 unit {unit!r}; expected 'ppm' or 'ugm3'")
+
+def so2_from_ugm3(ugm3: float) -> float:
+    """SO2 mass concentration in g/cm3 of one in micrograms per cubic meter."""
+    if ugm3 < 0.0:
+        raise ValueError(f"SO2 concentration must be non-negative, got {ugm3}")
+    return ugm3 * 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,13 @@ class Forcing:
 
     SO2 is sampled as (time, so2) rows held in two parallel float64
     arrays (``array('d')``, 8 bytes a sample where a list of floats takes
-    32), which ``forcing_at`` bisects; oxygen is one constant in every
-    mode.  Constant-chamber forcing is a single row; cycle-schedule keeps
-    the wet-phase SO2 in that row and switches to ``dry_so2`` during the
-    dry phase; time-series mode interpolates SO2 linearly and clamps to the
-    first/last row outside the sampled range.
+    32), which ``forcing_at`` bisects; oxygen is one constant.  With a dry
+    phase (``dry_hours > 0``) the one row is the wet-phase SO2, held for
+    ``wet_hours`` of each period and ``dry_so2`` for the rest.  Otherwise
+    the rows are interpolated linearly and clamped to the first/last row
+    outside the sampled range, and a single row is constant forcing.
     """
 
-    mode: str
     times: array
     so2: array
     oxygen: float
@@ -91,8 +91,6 @@ class Forcing:
     dry_so2: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("constant-chamber", "cycle-schedule", "time-series"):
-            raise ValueError(f"unknown forcing mode {self.mode!r}")
         for name in ("times", "so2"):
             object.__setattr__(self, name, array("d", getattr(self, name)))
         object.__setattr__(self, "oxygen", float(self.oxygen))
@@ -112,18 +110,23 @@ class Forcing:
             raise ValueError("negative so2 concentration in samples")
         if self.oxygen < 0.0:
             raise ValueError(f"negative oxygen concentration {self.oxygen}")
-        if self.mode == "cycle-schedule":
-            if self.wet_hours <= 0.0:
-                raise ValueError("wet_hours must be positive in cycle-schedule mode")
-            if self.dry_hours < 0.0:
-                raise ValueError("dry_hours must be non-negative")
+        if min(self.wet_hours, self.dry_hours) < 0.0:
+            raise ValueError("wet_hours and dry_hours must be non-negative")
+        if self.dry_hours > 0.0 and (self.wet_hours <= 0.0 or len(self.times) != 1):
+            raise ValueError("a dry phase needs positive wet_hours and one wet-phase "
+                             f"sample, got {self.wet_hours} h and {len(self.times)} samples")
         if self.dry_so2 < 0.0:
             raise ValueError("dry-phase concentrations must be non-negative")
 
+    @property
+    def constant(self) -> bool:
+        """No dry phase and one sample: the forcing of the exact solution."""
+        return self.dry_hours == 0.0 and len(self.times) == 1
+
 
 def constant_chamber_forcing(so2: float, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
-    """Fixed chamber concentrations (g/cm3)."""
-    return Forcing("constant-chamber", [0.0], [so2], oxygen)
+    """Fixed chamber concentrations (g/cm3): a one-sample series."""
+    return Forcing([0.0], [so2], oxygen)
 
 
 def cycle_forcing(wet_so2: float, oxygen: float = AMBIENT_OXYGEN,
@@ -132,8 +135,9 @@ def cycle_forcing(wet_so2: float, oxygen: float = AMBIENT_OXYGEN,
     """Wet/dry cycling: chamber SO2 for ``wet_hours``, room SO2 after.
 
     The room default is no SO2.  Oxygen is the same in both phases.
+    Without a dry phase this is constant forcing.
     """
-    return Forcing("cycle-schedule", [0.0], [wet_so2], oxygen,
+    return Forcing([0.0], [wet_so2], oxygen,
                    wet_hours=wet_hours, dry_hours=dry_hours, dry_so2=dry_so2)
 
 
@@ -160,8 +164,22 @@ def data_rows(fh):
         first = None
 
 
+def rows_after_header(path, fh, header: tuple[str, ...]):
+    """The ``data_rows`` of ``fh`` after its first row, which must be
+    ``header`` (fields compared stripped); a bad header is reported with
+    the file's line number.  A file without rows gives none."""
+    rows = data_rows(fh)
+    first = next(rows, None)
+    if first is not None:
+        lineno, line, fields = first
+        if tuple(f.strip() for f in fields) != header:
+            raise ValueError(f"{path}: line {lineno}: bad header {line.strip()!r}; "
+                             f"expected {','.join(header)!r}")
+    return rows
+
+
 def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
-    """Read an environment CSV into a time-series Forcing.
+    """Read an environment CSV into a sampled-series Forcing.
 
     Expected header: ``time_hours,so2_ugm3,temp_c,rh_percent``.  Lines
     starting with ``#`` are ignored.  Malformed rows, non-monotone times,
@@ -171,18 +189,7 @@ def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
     times, so2 = array("d"), array("d")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         # read line by line: no list of the file's lines is held
-        rows = data_rows(fh)
-        first = next(rows, None)
-        if first is None:
-            raise ValueError(f"{path}: no samples")
-        header_lineno, header_line, _ = first
-        header = tuple(h.strip() for h in header_line.strip().split(","))
-        if header != TIMESERIES_HEADER:
-            raise ValueError(
-                f"{path}: line {header_lineno}: bad header {header_line.strip()!r}; "
-                f"expected {','.join(TIMESERIES_HEADER)!r}"
-            )
-        for lineno, line, parts in rows:
+        for lineno, line, parts in rows_after_header(path, fh, TIMESERIES_HEADER):
             if len(parts) != 4:
                 raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
             try:
@@ -197,28 +204,26 @@ def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
                         raise ValueError(f"sample {name} must be finite, got {value}")
                 if not 0.0 <= rh <= 100.0:
                     raise ValueError(f"relative humidity must lie in [0, 100], got {rh}")
-                so2.append(so2_concentration(so2_ugm3, "ugm3"))
+                so2.append(so2_from_ugm3(so2_ugm3))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             times.append(t)
     if not times:
         raise ValueError(f"{path}: no samples")
-    return Forcing("time-series", times, so2, oxygen)
+    return Forcing(times, so2, oxygen)
 
 
 def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float]:
     """Boundary (SO2, oxygen) in g/cm3 at time ``t_hours``.
 
-    Time-series SO2 is found by bisection over the sample times and then
+    A series' SO2 is found by bisection over the sample times and then
     follows the rule of ``np.interp`` to the last bit: the first sample
     before the first time, the last one after the last time, a sample's own
     value at its exact time, and ``slope*(t - t_j) + s_j`` with
     ``slope = (s_{j+1} - s_j)/(t_{j+1} - t_j)`` between samples j and j+1.
     """
     so2 = forcing.so2
-    if forcing.mode == "constant-chamber":
-        return so2[0], forcing.oxygen
-    if forcing.mode == "cycle-schedule":
+    if forcing.dry_hours:
         phase = t_hours % (forcing.wet_hours + forcing.dry_hours)
         if phase < forcing.wet_hours:
             return so2[0], forcing.oxygen
@@ -240,14 +245,12 @@ def breakpoints(forcing: Forcing, horizon_hours: float) -> array:
     forcing breaks, as a new float64 array that the caller may change.
 
     These are the switches of a cycle schedule, where SO2 jumps, and the
-    sample times of a time series, where its slope jumps.  Constant forcing
-    has none, and neither has a cycle schedule without a dry phase.
+    sample times of a series, where its slope jumps; a one-sample series,
+    constant forcing, has none.
     """
-    if forcing.mode == "time-series":
+    if not forcing.dry_hours:
         times = forcing.times
         return times[bisect_right(times, 0.0):bisect_left(times, horizon_hours)]
-    if forcing.mode == "constant-chamber" or forcing.dry_hours == 0.0:
-        return array("d")
     period = forcing.wet_hours + forcing.dry_hours
     switches = []
     for k in range(math.ceil(horizon_hours / period)):

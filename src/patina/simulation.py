@@ -121,12 +121,12 @@ LADDER_HOURS = 4.0
 def default_dt_max(forcing: Forcing) -> float:
     """The step cap, in hours, that a blank ``[time] dt_max`` stands for.
 
-    A time series of two or more samples steps at most from one sample to
+    A series of two or more samples steps at most from one sample to
     the next, so its cap is the longest interval between samples (1 h for
     hourly data); every other forcing takes CHAMBER_DT_MAX.
     """
     times = forcing.times
-    if forcing.mode != "time-series" or len(times) < 2:
+    if len(times) < 2:
         return CHAMBER_DT_MAX
     return max(later - earlier for earlier, later in zip(times, times[1:]))
 

@@ -65,8 +65,9 @@ def test_load_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         load_measurements(empty)
     bad = tmp_path / "bad.csv"
-    bad.write_text("hours,thickness,std\n8,1e-4,1e-5\n")
-    with pytest.raises(ValueError, match="bad header"):
+    bad.write_text("# chamber data\nhours,thickness,std\n8,1e-4,1e-5\n")
+    with pytest.raises(ValueError, match=f"{bad}: line 2: bad header 'hours,thickness,std'; "
+                                         "expected 'time_hours,thickness_cm,std_cm'"):
         load_measurements(bad)
     neg = tmp_path / "neg.csv"
     neg.write_text("time_hours,thickness_cm,std_cm\n-8,1e-4,1e-5\n")

@@ -218,6 +218,19 @@ def test_calibration_csv_prints_round_off_singular_values_as_zero(tmp_path):
     assert max(sv[1:]) < 1e-2 * sv[0] and any(sv[1:])
 
 
+def test_cycles_without_a_dry_phase_calibrate_as_the_chamber(tmp_path):
+    # constant SO2 is scored on the exact solution whatever the config's mode
+    cfgfile = tmp_path / "cfg.ini"
+    cfgfile.write_text("[forcing]\ndry_hours = 0\n")
+    written = []
+    for flag in ("--chamber", "--cycles"):
+        out = tmp_path / flag.lstrip("-")
+        assert run_main(["calibrate", flag, "--config", str(cfgfile), "--measurements",
+                         "data/thickness_measures.csv", "--out", str(out)]) == 0
+        written.append((out / "calibration.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_calibrate_oxygen_starved_start_fails_before_any_run(tmp_path, capsys, monkeypatch):
     # the warm start has no exact solution when oxygen is used up at beta,
     # so the command stops there instead of stepping a collapsing run
@@ -463,18 +476,21 @@ def test_flags_land_in_the_built_config():
     args = patina.cli._build_parser().parse_args(
         ["simulate", "--cycles", "--horizon-hours", "0.1"])
     _, cfg = patina.cli._sim_config(args)
-    assert (cfg.forcing.mode, cfg.horizon_hours) == ("cycle-schedule", 0.1)
+    forcing = cfg.forcing
+    assert (list(forcing.times), forcing.wet_hours, forcing.dry_hours, cfg.horizon_hours) == \
+        ([0.0], 8.0, 16.0, 0.1)
 
 
 def test_convergence_runs_the_chamber_mode_of_its_config(tmp_path, monkeypatch):
     cfgfile = tmp_path / "run.ini"
     cfgfile.write_text("[forcing]\nmode = cycles\n")
-    modes = []
+    forcings = []
     errors = [(0.02, 4e-4), (0.01, 1e-4)]
     monkeypatch.setattr(patina.cli, "exact_temporal_errors",
-                        lambda cfg: modes.append(cfg.forcing.mode) or errors)
+                        lambda cfg: forcings.append(cfg.forcing) or errors)
     assert run_main(["convergence", "--config", str(cfgfile)]) == 0
-    assert modes == ["constant-chamber"]
+    [forcing] = forcings
+    assert (forcing.constant, forcing.dry_hours) == (True, 0.0)
 
 
 def test_percent_in_a_file_name_is_plain_text(tmp_path):

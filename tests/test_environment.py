@@ -12,25 +12,27 @@ from patina.environment import (
     data_rows,
     forcing_at,
     load_timeseries,
-    so2_concentration,
+    so2_from_ppm,
+    so2_from_ugm3,
 )
 
 
 def test_so2_conversions():
-    assert so2_concentration(0.0, "ppm", temp_c=40.0) == 0.0
+    assert so2_from_ppm(0.0, 40.0) == 0.0
     # ideal-gas oracle: 200e-6 * 101325 * 64.07 / (8.314 * 313.15) g/m3
-    assert so2_concentration(200.0, "ppm", temp_c=40.0) == \
-        pytest.approx(4.99e-7, rel=0.01)
-    assert so2_concentration(10.0, "ugm3") == pytest.approx(1.0e-11, rel=1e-12)
+    assert so2_from_ppm(200.0, 40.0) == pytest.approx(4.99e-7, rel=0.01)
+    assert so2_from_ugm3(10.0) == pytest.approx(1.0e-11, rel=1e-12)
 
 
 def test_so2_rejects_bad_input():
-    with pytest.raises(ValueError):
-        so2_concentration(-1.0, "ppm")
-    with pytest.raises(ValueError):
-        so2_concentration(1.0, "mol")
-    with pytest.raises(ValueError):
-        so2_concentration(1.0, "ppm", temp_c=-300.0)
+    for negative in (lambda: so2_from_ppm(-1.0, 40.0), lambda: so2_from_ugm3(-1.0)):
+        with pytest.raises(ValueError, match="SO2 concentration must be non-negative, got -1.0"):
+            negative()
+    with pytest.raises(ValueError, match="below absolute zero"):
+        so2_from_ppm(1.0, -300.0)
+    # the temperature is required: no default disagrees with the config's
+    with pytest.raises(TypeError):
+        so2_from_ppm(200.0)
 
 
 def test_constant_chamber_forcing():
@@ -57,7 +59,7 @@ def test_breakpoints_are_the_switches_and_samples_inside_the_horizon():
     assert list(breakpoints(cycles, 50.0)) == [8.0, 24.0, 32.0, 48.0]
     # without a dry phase the SO2 never switches
     assert list(breakpoints(cycle_forcing(4.99e-7, wet_hours=8.0, dry_hours=0.0), 50.0)) == []
-    series = Forcing("time-series", [-1.0, 0.0, 0.5, 2.5, 4.0], [1e-11] * 5, 2.6e-4)
+    series = Forcing([-1.0, 0.0, 0.5, 2.5, 4.0], [1e-11] * 5, 2.6e-4)
     assert list(breakpoints(series, 2.5)) == [0.5]
     assert list(breakpoints(series, 10.0)) == [0.5, 2.5, 4.0]
     # the switch times are those at which forcing_at changes value
@@ -76,8 +78,22 @@ def test_cycle_forcing_without_a_dry_phase_stays_wet(t):
 
 def test_cycle_forcing_validation():
     with pytest.raises(ValueError, match="wet_hours"):
-        Forcing("cycle-schedule", [0.0], [1e-7], 2.6e-4,
+        Forcing([0.0], [1e-7], 2.6e-4,
                 wet_hours=0.0, dry_hours=16.0)
+    # a dry phase holds its one wet sample; a second would be ignored
+    with pytest.raises(ValueError, match="one wet-phase sample, got 8.0 h and 2 samples"):
+        Forcing([0.0, 1.0], [1e-7, 2e-7], 2.6e-4, wet_hours=8.0, dry_hours=16.0)
+
+
+@pytest.mark.parametrize("forcing, constant", [
+    (constant_chamber_forcing(4.99e-7), True),
+    (Forcing([3.0], [1e-9], 2.6e-4), True),
+    (cycle_forcing(4.99e-7, wet_hours=8.0, dry_hours=0.0, dry_so2=1e-9), True),
+    (cycle_forcing(4.99e-7, wet_hours=8.0, dry_hours=16.0), False),
+    (Forcing([0.0, 1.0], [5e-7, 5e-7], 2.6e-4), False),
+], ids=["chamber", "one-sample", "cycles-without-dry", "cycles", "two-equal-samples"])
+def test_constant_is_one_sample_without_a_dry_phase(forcing, constant):
+    assert forcing.constant is constant
 
 
 @pytest.mark.parametrize("key", ["wet_hours", "dry_hours", "dry_so2"])
@@ -88,7 +104,7 @@ def test_cycle_forcing_rejects_non_finite_settings(key, value):
 
 
 def test_timeseries_interpolation_and_clamping():
-    f = Forcing("time-series", [0.0, 2.0], [0.0, 4e-7], 2.6e-4)
+    f = Forcing([0.0, 2.0], [0.0, 4e-7], 2.6e-4)
     assert forcing_at(f, 1.0)[0] == pytest.approx(2e-7, rel=1e-12)
     # exact at sample times, clamped outside
     assert forcing_at(f, 0.0)[0] == 0.0
@@ -100,22 +116,22 @@ def test_timeseries_interpolation_and_clamping():
 
 def test_forcing_validation():
     with pytest.raises(ValueError, match="non-monotone"):
-        Forcing("time-series", [0.0, 0.0], [0.0, 0.0], 0.0)
+        Forcing([0.0, 0.0], [0.0, 0.0], 0.0)
     with pytest.raises(ValueError, match="negative so2"):
-        Forcing("time-series", [0.0], [-1e-9], 0.0)
+        Forcing([0.0], [-1e-9], 0.0)
     with pytest.raises(ValueError, match="negative oxygen"):
-        Forcing("constant-chamber", [0.0], [0.0], -1e-9)
+        Forcing([0.0], [0.0], -1e-9)
     with pytest.raises(ValueError, match="no samples"):
-        Forcing("constant-chamber", [], [], 0.0)
-    with pytest.raises(ValueError, match="mode"):
-        Forcing("weekly", [0.0], [0.0], 0.0)
+        Forcing([], [], 0.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        Forcing([0.0], [0.0], 0.0, dry_hours=-1.0)
     with pytest.raises(ValueError, match="equal length"):
-        Forcing("time-series", [0.0, 1.0], [0.0], 0.0)
+        Forcing([0.0, 1.0], [0.0], 0.0)
     with pytest.raises(ValueError, match="non-finite so2"):
-        Forcing("time-series", [0.0, 1.0], [0.0, np.nan], 0.0)
+        Forcing([0.0, 1.0], [0.0, np.nan], 0.0)
     for oxygen in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite oxygen"):
-            Forcing("constant-chamber", [0.0], [0.0], oxygen)
+            Forcing([0.0], [0.0], oxygen)
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,7 +143,7 @@ def test_timeseries_lookup_equals_np_interp(data, n):
     gaps = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
     times = start + np.concatenate(([0.0], np.cumsum(gaps)))
     so2 = data.draw(st.lists(st.floats(0.0, 1e-6), min_size=n, max_size=n))
-    f = Forcing("time-series", times, so2, 2.6e-4)
+    f = Forcing(times, so2, 2.6e-4)
     inside = data.draw(st.lists(st.floats(times[0], times[-1]), max_size=20))
     for t in [*inside, *times.tolist(), times[0] - 1.0, times[-1] + 1.0]:
         assert forcing_at(f, t)[0] == float(np.interp(t, times, f.so2))
@@ -135,7 +151,7 @@ def test_timeseries_lookup_equals_np_interp(data, n):
 
 @given(t=st.floats(min_value=0.0, max_value=500.0))
 def test_forcing_at_non_negative(t):
-    f = Forcing("time-series", [0.0, 10.0, 20.0], [0.0, 4e-7, 1e-7], 2.6e-4)
+    f = Forcing([0.0, 10.0, 20.0], [0.0, 4e-7, 1e-7], 2.6e-4)
     assert all(v >= 0.0 for v in forcing_at(f, t))
 
 
@@ -165,8 +181,8 @@ def test_load_timeseries_ok(tmp_path):
     p = _write(tmp_path, "# station X\ntime_hours,so2_ugm3,temp_c,rh_percent\n"
                          "0,10,20,50\n1,12,21,55\n")
     f = load_timeseries(p)
-    assert f.mode == "time-series"
     assert list(f.times) == [0.0, 1.0]
+    assert (f.dry_hours, f.constant) == (0.0, False)
     assert forcing_at(f, 0.0)[0] == pytest.approx(1e-11, rel=1e-12)
     assert forcing_at(f, 1.0)[0] == pytest.approx(1.2e-11, rel=1e-12)
 
@@ -254,7 +270,7 @@ def test_load_timeseries_skips_comments_and_blank_lines_anywhere(tmp_path):
     rows = [line.split(",") for line in INTERLEAVED_CSV.splitlines()
             if line.strip() and not line.lstrip().startswith("#")][1:]
     assert list(f.times) == [float(r[0]) for r in rows] == [0.0, 1.0, 2.5]
-    assert list(f.so2) == [so2_concentration(float(r[1]), "ugm3") for r in rows]
+    assert list(f.so2) == [so2_from_ugm3(float(r[1])) for r in rows]
 
 
 def test_load_timeseries_names_the_file_line_after_skipped_lines(tmp_path):

@@ -153,7 +153,7 @@ def test_exact_diffusivities_invert_similarity(path):
 
 @pytest.mark.parametrize("forcing", [
     cycle_forcing(5e-7, 2.6e-4),
-    Forcing("time-series", [0.0, 1.0], [5e-7, 5e-7], 2.6e-4),
+    Forcing([0.0, 1.0], [5e-7, 5e-7], 2.6e-4),
     constant_chamber_forcing(0.0, 2.6e-4),
 ], ids=["cycles", "time-series", "zero-so2"])
 def test_no_exact_solution_is_an_error(default_cfg, forcing):

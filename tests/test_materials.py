@@ -154,8 +154,8 @@ def test_config_env_csv_is_relative_to_config(tmp_path, monkeypatch):
     cfgfile.write_text("[forcing]\nmode = timeseries\nenv_csv = env.csv\n")
     monkeypatch.chdir(tmp_path.parent)
     forcing = build_simulation_config(load_settings(cfgfile)).forcing
-    assert forcing.mode == "time-series"
     assert list(forcing.times) == [0.0, 1.0]
+    assert (forcing.dry_hours, forcing.constant) == (0.0, False)
     assert forcing.so2[1] == pytest.approx(3e-11, rel=1e-12)
 
 

@@ -78,7 +78,7 @@ class TestInitialize:
         # a cycle schedule starting dry, in effect: no SO2 at t = 0
         oxygen = default_cfg.forcing.oxygen
         for forcing in (constant_chamber_forcing(0.0, oxygen),
-                        Forcing("time-series", [0.0, 1.0], [0.0, 1e-9], oxygen)):
+                        Forcing([0.0, 1.0], [0.0, 1e-9], oxygen)):
             with pytest.raises(ValueError, match="needs nonzero SO2"):
                 initialize(replace(default_cfg, forcing=forcing))
 
@@ -175,7 +175,7 @@ def _recorded_steps(cfg, monkeypatch, **kwargs):
 class TestStepControl:
     @pytest.mark.parametrize("forcing", [
         cycle_forcing(4.99e-7, wet_hours=2.5, dry_hours=1.5),
-        Forcing("time-series", [0.0, 0.4, 1.0, 2.7, 3.0, 5.5, 9.0, 20.0],
+        Forcing([0.0, 0.4, 1.0, 2.7, 3.0, 5.5, 9.0, 20.0],
                 [4e-11, 1e-10, 2e-11, 3e-10, 0.0, 8e-11, 5e-11, 1e-10], 2.6e-4),
     ], ids=["cycles", "time-series"])
     def test_steps_land_on_every_breakpoint(self, default_cfg, forcing, monkeypatch):
@@ -275,7 +275,7 @@ class TestStepControl:
         # (the cap by exposure lifted); samples 0.001 h apart cut one step to
         # 0.001 h, and the next step is at dt_max again, not at twice the cut
         # step
-        forcing = Forcing("time-series", [0.0, 2.0, 2.001, 8.0], [1e-10] * 4, 2.6e-4)
+        forcing = Forcing([0.0, 2.0, 2.001, 8.0], [1e-10] * 4, 2.6e-4)
         cfg = replace(default_cfg, forcing=forcing, horizon_hours=8.0, dt_max=1.0)
         monkeypatch.setattr(patina.simulation, "MAX_STEP_FRACTION", math.inf)
         steps = []
