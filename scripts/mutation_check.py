@@ -101,8 +101,6 @@ DEFECTS = {
         "pde_core.py", "(bd - fs.a_dot) / inner", "(fs.a_dot - bd) / inner"),
     "substep: sub-diagonal +alpha instead of -alpha": (
         "stepper.py", "single[1:4, 1] = first - species", "single[1:4, 1] = species - first"),
-    "tridiagonal solver consumes its inputs by default": (
-        "stepper.py", "rhs, overwrite: bool = False)", "rhs, overwrite: bool = True)"),
     "Stefan and Robin stencils one node inward": (
         "stepper.py", "np.stack((ends - 2, ends - 1), axis=1)", "np.stack((ends - 3, ends - 2), axis=1)"),
     "fronts advance at the step-start a speed": (
@@ -172,6 +170,8 @@ DEFECTS = {
     "exact front errors without the seed offset": (
         "convergence.py", "exact_fronts(cfg, record.t_hours + SEED_HOURS)",
         "exact_fronts(cfg, record.t_hours)"),
+    "a constant forcing breaks at its sample": (
+        "environment.py", '    if forcing.constant:\n        return array("d")\n', ""),
     "landing skipped on cycle switches": (
         "environment.py", "if not forcing.dry_hours:", "if True:"),
     "landing skipped on samples": (
@@ -191,6 +191,8 @@ DEFECTS = {
     "round-off singular values printed": (
         "cli.py", "shown = [v if v > RANK_RTOL * largest else 0.0 for v in result.singular_values]",
         "shown = list(result.singular_values)"),
+    "ppm conversion at the default molar mass": (
+        "config.py", "materials.M_s)", "DEFAULT_MATERIALS.M_s)"),
     "derived dt_max ignored (always 0.25)": (
         "simulation.py", "if len(times) < 2:", "if True:"),
     "constant ignores the dry phase": (

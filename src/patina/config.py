@@ -132,14 +132,11 @@ def _materials_from(cp) -> MaterialTable:
                             for f in fields(MaterialTable)})
 
 
-def _chamber_values(cp) -> tuple[float, float]:
-    so2 = so2_from_ppm(_number(cp, "forcing", "so2_ppm"), _number(cp, "forcing", "temp_c"))
-    return so2, _number(cp, "forcing", "oxygen_gcm3")
-
-
-def _forcing_from(cp) -> Forcing:
+def _forcing_from(cp, materials: MaterialTable) -> Forcing:
     mode = cp.get("forcing", "mode")
-    so2, oxygen = _chamber_values(cp)
+    so2 = so2_from_ppm(_number(cp, "forcing", "so2_ppm"), _number(cp, "forcing", "temp_c"),
+                       materials.M_s)
+    oxygen = _number(cp, "forcing", "oxygen_gcm3")
     if mode == "chamber":
         return constant_chamber_forcing(so2, oxygen)
     if mode == "cycles":
@@ -157,7 +154,8 @@ def _forcing_from(cp) -> Forcing:
 
 def build_simulation_config(cp) -> SimulationConfig:
     """Assemble a SimulationConfig from the parsed settings alone."""
-    forcing = _forcing_from(cp)
+    materials = _materials_from(cp)
+    forcing = _forcing_from(cp, materials)
     dt_max = cp.get("time", "dt_max")
     return SimulationConfig(
         diffusivities=Diffusivities(
@@ -165,7 +163,7 @@ def build_simulation_config(cp) -> SimulationConfig:
             d_s=_number(cp, "diffusivities", "d_s"),
             d_o=_number(cp, "diffusivities", "d_o"),
         ),
-        materials=_materials_from(cp),
+        materials=materials,
         forcing=forcing,
         n_z=_number(cp, "grid", "n_z"),
         n_y=_number(cp, "grid", "n_y"),

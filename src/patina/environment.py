@@ -10,13 +10,13 @@ in percent) give one sample an hour.  The lookup bisects the array of
 sample times and reproduces ``np.interp`` bit for bit at about half its
 per-call cost.
 
-SO2 comes from the ideal gas law when given in ppm, or a straight unit
-conversion when given in ug/m3.  Water takes no part in the front motion,
-so the temperature and humidity columns of monitoring data are validated
-but feed no boundary value.
+SO2 comes from the ideal gas law at the caller's molar mass when given in
+ppm, or a straight unit conversion when given in ug/m3.  Water takes no
+part in the front motion, so the temperature and humidity columns of
+monitoring data are validated but feed no boundary value.
 
 :func:`breakpoints` lists where the forcing breaks (cycle switches, sample
-times), so that the time loop can end a step on each.
+times; none for constant forcing), so that the time loop can end a step on each.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-from .materials import DEFAULT_MATERIALS
 
 __all__ = [
     "Forcing",
@@ -50,17 +48,16 @@ STANDARD_PRESSURE = 101325.0        # Pa
 AMBIENT_OXYGEN = 2.6e-4
 
 
-def so2_from_ppm(ppm: float, temp_c: float) -> float:
-    """SO2 mass concentration in g/cm3 of a volume mixing ratio in ppm, by
-    the ideal gas law at ``temp_c`` and standard pressure."""
+def so2_from_ppm(ppm: float, temp_c: float, molar_mass: float) -> float:
+    """SO2 mass concentration in g/cm3 of a volume mixing ratio in ppm of SO2
+    of ``molar_mass`` g/mol, by the ideal gas law at ``temp_c`` and 1 atm."""
     if ppm < 0.0:
         raise ValueError(f"SO2 concentration must be non-negative, got {ppm}")
     t_kelvin = temp_c + 273.15
     if t_kelvin <= 0.0:
         raise ValueError(f"temperature below absolute zero: {temp_c} C")
     # g/m3 by the ideal gas law, then g/cm3
-    return (ppm * 1e-6 * STANDARD_PRESSURE * DEFAULT_MATERIALS.M_s
-            / (GAS_CONSTANT * t_kelvin) * 1e-6)
+    return ppm * 1e-6 * STANDARD_PRESSURE * molar_mass / (GAS_CONSTANT * t_kelvin) * 1e-6
 
 
 def so2_from_ugm3(ugm3: float) -> float:
@@ -248,6 +245,8 @@ def breakpoints(forcing: Forcing, horizon_hours: float) -> array:
     sample times of a series, where its slope jumps; a one-sample series,
     constant forcing, has none.
     """
+    if forcing.constant:
+        return array("d")
     if not forcing.dry_hours:
         times = forcing.times
         return times[bisect_right(times, 0.0):bisect_left(times, horizon_hours)]

@@ -131,24 +131,20 @@ class TridiagonalError(RuntimeError):
     """Raised when the tridiagonal matrix is singular."""
 
 
-def solve_tridiagonal(lower, diag, upper, rhs, overwrite: bool = False) -> np.ndarray:
-    """Solve a tridiagonal system.
+def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve a tridiagonal system in place.
 
     ``lower`` and ``upper`` are the sub- and super-diagonal, one shorter
-    than ``diag``.  Backed by LAPACK dgtsv, Gaussian elimination with
-    partial pivoting; its info code names the first row whose pivot is
-    exactly zero, which is surfaced in the error.  The inputs are left as
-    they are unless ``overwrite`` lets dgtsv consume all four; it then
-    solves in the storage of ``rhs`` if that is a contiguous float64 array.
-    dgtsv is the routine scipy.linalg.lapack exposes, taken from scipy's
-    compiled module scipy.linalg._flapack by ``_load_flapack`` so that a run
-    does not pay for importing the scipy and scipy.linalg packages.
+    than ``diag``; dgtsv's wrapper raises ValueError on any other sizes.
+    Backed by LAPACK dgtsv, Gaussian elimination with partial pivoting; its
+    info code names the first row whose pivot is exactly zero, which is
+    surfaced in the error.  dgtsv consumes all four inputs and solves in the
+    storage of ``rhs`` where that is a contiguous float64 array; anything
+    else it copies first.  dgtsv is the routine scipy.linalg.lapack exposes,
+    taken from scipy's compiled module scipy.linalg._flapack by
+    ``_load_flapack`` so that a run does not pay for importing scipy.linalg.
     """
-    n = len(diag)
-    if len(lower) != n - 1 or len(upper) != n - 1 or len(rhs) != n:
-        raise ValueError("inconsistent tridiagonal system sizes")
-    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, overwrite, overwrite, overwrite,
-                             overwrite)
+    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, True, True, True, True)
     if info != 0:
         if info > 0:
             raise TridiagonalError(f"matrix singular at row {info - 1}")
@@ -264,7 +260,7 @@ class SolveBuffer:
         """
         np.dot(coefficients, self.system, out=self.parts)
         self.starts += u
-        return solve_tridiagonal(*self.rows, overwrite=True)
+        return solve_tridiagonal(*self.rows)
 
 
 class Model:

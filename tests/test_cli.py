@@ -133,6 +133,22 @@ def test_simulate_env_timeseries(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["run"]["landings"] == 3
 
 
+def test_one_sample_series_never_lands_on_its_sample(tmp_path):
+    # one row is constant forcing wherever its time lies: no landing, and the
+    # run of a row at 5 h is the run of the same row at 0 h
+    runs = []
+    for hours in (5, 0):
+        env = tmp_path / f"env{hours}.csv"
+        env.write_text(f"time_hours,so2_ugm3,temp_c,rh_percent\n{hours},10,20,60\n")
+        out = tmp_path / f"run{hours}"
+        assert run_main(["simulate", "--env", str(env), "--horizon-hours", "10",
+                         "--out", str(out)]) == 0
+        runs.append((json.loads((out / "manifest.json").read_text())["run"],
+                     (out / "simulation.csv").read_bytes()))
+    assert runs[0][0]["landings"] == 0
+    assert runs[0] == runs[1]
+
+
 # configs whose forcing at t = 0 has no exact solution to seed on, and the
 # message each gives: no SO2, no oxygen, and oxygen used up at beta by a d_o
 # too small to resupply it

@@ -18,21 +18,23 @@ from patina.environment import (
 
 
 def test_so2_conversions():
-    assert so2_from_ppm(0.0, 40.0) == 0.0
+    assert so2_from_ppm(0.0, 40.0, 64.07) == 0.0
     # ideal-gas oracle: 200e-6 * 101325 * 64.07 / (8.314 * 313.15) g/m3
-    assert so2_from_ppm(200.0, 40.0) == pytest.approx(4.99e-7, rel=0.01)
+    assert so2_from_ppm(200.0, 40.0, 64.07) == pytest.approx(4.99e-7, rel=0.01)
     assert so2_from_ugm3(10.0) == pytest.approx(1.0e-11, rel=1e-12)
 
 
 def test_so2_rejects_bad_input():
-    for negative in (lambda: so2_from_ppm(-1.0, 40.0), lambda: so2_from_ugm3(-1.0)):
+    for negative in (lambda: so2_from_ppm(-1.0, 40.0, 64.07), lambda: so2_from_ugm3(-1.0)):
         with pytest.raises(ValueError, match="SO2 concentration must be non-negative, got -1.0"):
             negative()
     with pytest.raises(ValueError, match="below absolute zero"):
-        so2_from_ppm(1.0, -300.0)
-    # the temperature is required: no default disagrees with the config's
-    with pytest.raises(TypeError):
-        so2_from_ppm(200.0)
+        so2_from_ppm(1.0, -300.0, 64.07)
+    # the temperature and the molar mass are required: no default disagrees
+    # with the config's
+    for missing in ((200.0,), (200.0, 40.0)):
+        with pytest.raises(TypeError):
+            so2_from_ppm(*missing)
 
 
 def test_constant_chamber_forcing():
@@ -62,6 +64,8 @@ def test_breakpoints_are_the_switches_and_samples_inside_the_horizon():
     series = Forcing([-1.0, 0.0, 0.5, 2.5, 4.0], [1e-11] * 5, 2.6e-4)
     assert list(breakpoints(series, 2.5)) == [0.5]
     assert list(breakpoints(series, 10.0)) == [0.5, 2.5, 4.0]
+    # one sample is constant forcing wherever it lies: it breaks nowhere
+    assert list(breakpoints(Forcing([5.0], [1e-11], 2.6e-4), 10.0)) == []
     # the switch times are those at which forcing_at changes value
     for t in breakpoints(cycles, 100.0):
         assert forcing_at(cycles, t * (1 - 1e-12)) != forcing_at(cycles, t * (1 + 1e-12))

@@ -147,6 +147,15 @@ def test_material_override_roundtrip(tmp_path):
     assert build_simulation_config(load_settings()).materials == DEFAULT_MATERIALS
 
 
+def test_material_molar_mass_sets_the_ppm_conversion(tmp_path):
+    # S_a and the Stefan group read M_s from one table: half the molar mass
+    # is half the boundary SO2 of a ppm forcing, to the last bit
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"[materials]\nM_s = {DEFAULT_MATERIALS.M_s / 2!r}\n")
+    half = build_simulation_config(load_settings(cfgfile)).forcing.so2[0]
+    assert half == build_simulation_config(load_settings()).forcing.so2[0] / 2
+
+
 def test_config_env_csv_is_relative_to_config(tmp_path, monkeypatch):
     (tmp_path / "env.csv").write_text("time_hours,so2_ugm3,temp_c,rh_percent\n"
                                       "0,10,20,50\n1,30,21,55\n")
