@@ -40,19 +40,18 @@ DEFECTS = {
     "fronts advanced at end-of-step speeds": (
         "stepper.py",
         "    fs_new, clamped = refresh_state(new, fs.a + dt * fs_mid.a_dot, fs.b + dt * fs_mid.b_dot,\n"
-        "                                    model, forcing_end)\n",
+        "                                    model, s_end)\n",
         "    fs_new, clamped = refresh_state(new, fs.a + dt * fs_mid.a_dot, fs.b + dt * fs_mid.b_dot,\n"
-        "                                    model, forcing_end)\n"
+        "                                    model, s_end)\n"
         "    fs_new, clamped = refresh_state(new, fs.a + dt * fs_new.a_dot, fs.b + dt * fs_new.b_dot,\n"
-        "                                    model, forcing_end)\n"),
+        "                                    model, s_end)\n"),
     "advection sign flipped in the matrix": (
         "stepper.py", "h_outer * s_o, h_inner * s_i, h_inner * m_i",
         "-h_outer * s_o, -h_inner * s_i, -h_inner * m_i"),
-    # the start values of u, S(0) and O(0), are the forcing at t
+    # the start value of u, S(0), is the forcing at t
     "forcing taken at t instead of t + h": (
-        "stepper.py", "(dt, s_end, o_end, held), (half, s_mid, o_mid, held)",
-        "(dt, u[0], u[model.layout.bounds[2]], held),"
-        " (half, u[0], u[model.layout.bounds[2]], held)"),
+        "stepper.py", "(dt, s_end, held), (half, s_mid, held)",
+        "(dt, u[0], held), (half, u[0], held)"),
     "h_p dropped from the error norm": (
         "stepper.py",
         "max(abs(d_a) / fs_new.a, abs(d_b) / fs_new.b, abs(d_h) / (fs_new.a - fs_new.beta))",
@@ -88,7 +87,7 @@ DEFECTS = {
     "midpoint frozen at the step-start fronts": (
         "stepper.py",
         "    fs_mid, velocity_clamps = refresh_state(mid, fs.a + half * fs.a_dot,\n"
-        "                                            fs.b + half * fs.b_dot, model, forcing_mid)\n",
+        "                                            fs.b + half * fs.b_dot, model, s_mid)\n",
         "    fs_mid, velocity_clamps = fs, 0\n"),
     "stepper advection switched off": (
         "stepper.py", "h_outer * s_o, h_inner * s_i, h_inner * m_i", "0.0, 0.0, 0.0"),
@@ -120,11 +119,19 @@ DEFECTS = {
         "stepper.py", "-(omega_p * a + omega_b * b)\n        check_ordering(a, beta, gamma)\n",
         "-(omega_p * a + omega_b * b)\n"),
     "G(0) handed O(0) instead of O(1)": (
-        "stepper.py", "(s_a, CONSUMED, o_a, o_beta, o_beta, CONSUMED)",
-        "(s_a, CONSUMED, o_a, o_beta, o_a, CONSUMED)"),
+        "stepper.py", "model.forcing.oxygen, o_beta, o_beta, CONSUMED)",
+        "model.forcing.oxygen, o_beta, model.forcing.oxygen, CONSUMED)"),
     "S(1) pin dropped": (
-        "stepper.py", "(s_a, CONSUMED, o_a, o_beta, o_beta, CONSUMED)",
-        "(s_a, u[lay.bounds[1]], o_a, o_beta, o_beta, CONSUMED)"),
+        "stepper.py", "(s_a, CONSUMED, model.forcing.oxygen,",
+        "(s_a, u[lay.bounds[1]], model.forcing.oxygen,"),
+    # 2.6e-4 g/cm3 is environment.AMBIENT_OXYGEN, which stepper does not import.
+    # The solves take O(0) from the coefficient pass; the O(0) that
+    # refresh_state writes into u comes back from them as it went in.
+    "O(0) from the ambient constant": (
+        "stepper.py", "dz, dy, o_0 = model.dz, model.dy, model.forcing.oxygen",
+        "dz, dy, o_0 = model.dz, model.dy, 2.6e-4"),
+    "refresh writes the ambient O(0)": (
+        "stepper.py", "(s_a, CONSUMED, model.forcing.oxygen,", "(s_a, CONSUMED, 2.6e-4,"),
     "fit step not clipped to the box": (
         "calibration.py", "trial = np.clip(z + step, llo, lhi)", "trial = z + step"),
     "fit keeps a step that raises the residual": (
@@ -199,7 +206,7 @@ DEFECTS = {
         "environment.py", "return self.dry_hours == 0.0 and len(self.times) == 1",
         "return len(self.times) == 1"),
     "controller starts at dt_max": (
-        "simulation.py", "dt = MAX_STEP_FRACTION * SEED_HOURS", "dt = cfg.dt_max"),
+        "simulation.py", "dt = MAX_STEP_FRACTION * seed_hours", "dt = cfg.dt_max"),
     "diffusivities left in cm2/s": (
         "pde_core.py",
         "return Diffusivities(self.d_g * SECONDS_PER_HOUR, self.d_s * SECONDS_PER_HOUR,\n"

@@ -153,7 +153,8 @@ def similarity(cfg: SimulationConfig) -> tuple[float, float]:
 
 def chamber_at_start(cfg: SimulationConfig) -> SimulationConfig:
     """``cfg`` under constant forcing at the values its forcing has at t = 0."""
-    return replace(cfg, forcing=constant_chamber_forcing(*forcing_at(cfg.forcing, 0.0)))
+    f = cfg.forcing
+    return replace(cfg, forcing=constant_chamber_forcing(forcing_at(f, 0.0), f.oxygen))
 
 
 def exact_seed(cfg: SimulationConfig) -> tuple[np.ndarray, float, float]:

@@ -1,14 +1,14 @@
 """Boundary forcing: SO2 and oxygen concentrations at the patina surface.
 
-A forcing's data decide its shape.  A dry phase (``dry_hours > 0``) with
-one wet-phase sample is a cycle schedule: wet/dry cycling between chamber
-and room values.  Any other forcing is a sampled series, interpolated
-linearly in time; one sample is constant forcing (corrosion-cabinet
-conditions, ``Forcing.constant``, where the exact solution applies), and
-hourly monitoring data (SO2 in ug/m3, temperature in C, relative humidity
-in percent) give one sample an hour.  The lookup bisects the array of
-sample times and reproduces ``np.interp`` bit for bit at about half its
-per-call cost.
+The oxygen is one constant, ``Forcing.oxygen``; :func:`forcing_at` gives the
+SO2, whose data decide the forcing's shape.  A dry phase (``dry_hours > 0``)
+with one wet-phase sample is a cycle schedule between chamber and room
+values.  Any other forcing is a sampled series, interpolated linearly in
+time; one sample is constant forcing (corrosion-cabinet conditions,
+``Forcing.constant``, where the exact solution applies), and hourly
+monitoring data (SO2 in ug/m3, temperature in C, relative humidity in
+percent) give one sample an hour.  The lookup bisects the sample times and
+reproduces ``np.interp`` bit for bit at about half its per-call cost.
 
 SO2 comes from the ideal gas law at the caller's molar mass when given in
 ppm, or a straight unit conversion when given in ug/m3.  Water takes no
@@ -71,13 +71,14 @@ def so2_from_ugm3(ugm3: float) -> float:
 class Forcing:
     """Time-dependent boundary concentrations, all in g/cm3, times in hours.
 
-    SO2 is sampled as (time, so2) rows held in two parallel float64
-    arrays (``array('d')``, 8 bytes a sample where a list of floats takes
-    32), which ``forcing_at`` bisects; oxygen is one constant.  With a dry
-    phase (``dry_hours > 0``) the one row is the wet-phase SO2, held for
-    ``wet_hours`` of each period and ``dry_so2`` for the rest.  Otherwise
-    the rows are interpolated linearly and clamped to the first/last row
-    outside the sampled range, and a single row is constant forcing.
+    SO2 is sampled as (time, so2) rows held in two parallel float64 arrays
+    (``array('d')``, 8 bytes a sample where a list of floats takes 32),
+    which ``forcing_at`` bisects; ``oxygen`` is one constant, no sample.
+    With a dry phase (``dry_hours > 0``) the one row is the wet-phase SO2,
+    held for ``wet_hours`` of each period and ``dry_so2`` for the rest.
+    Otherwise the rows are interpolated linearly and clamped to the
+    first/last row outside the sampled range, and a single row is constant
+    forcing.
     """
 
     times: array
@@ -210,8 +211,8 @@ def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
     return Forcing(times, so2, oxygen)
 
 
-def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float]:
-    """Boundary (SO2, oxygen) in g/cm3 at time ``t_hours``.
+def forcing_at(forcing: Forcing, t_hours: float) -> float:
+    """Boundary SO2 in g/cm3 at time ``t_hours``; the oxygen is ``forcing.oxygen``.
 
     A series' SO2 is found by bisection over the sample times and then
     follows the rule of ``np.interp`` to the last bit: the first sample
@@ -222,19 +223,17 @@ def forcing_at(forcing: Forcing, t_hours: float) -> tuple[float, float]:
     so2 = forcing.so2
     if forcing.dry_hours:
         phase = t_hours % (forcing.wet_hours + forcing.dry_hours)
-        if phase < forcing.wet_hours:
-            return so2[0], forcing.oxygen
-        return forcing.dry_so2, forcing.oxygen
+        return so2[0] if phase < forcing.wet_hours else forcing.dry_so2
     times = forcing.times
     j = bisect_right(times, t_hours) - 1
     if j < 0:
-        return so2[0], forcing.oxygen
+        return so2[0]
     # each read of an array item builds a float, so each is read once
     t_j, s_j = times[j], so2[j]
     if t_j == t_hours or j == len(times) - 1:
-        return s_j, forcing.oxygen
+        return s_j
     slope = (so2[j + 1] - s_j) / (times[j + 1] - t_j)
-    return slope * (t_hours - t_j) + s_j, forcing.oxygen
+    return slope * (t_hours - t_j) + s_j
 
 
 def breakpoints(forcing: Forcing, horizon_hours: float) -> array:

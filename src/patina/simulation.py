@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convergence import SEED_HOURS, exact_front_errors, exact_seed
+from . import convergence
 from .environment import Forcing, breakpoints, forcing_at
 from .materials import MaterialTable, swelling_ratios
 from .pde_core import Diffusivities, FrontState, stefan_constants
@@ -213,7 +213,7 @@ def _build_model(cfg: SimulationConfig) -> Model:
 def initialize(cfg: SimulationConfig) -> tuple[np.ndarray, FrontState, Model]:
     """The packed buffer ``u`` and the fronts of ``convergence.exact_seed``, and the model."""
     model = _build_model(cfg)
-    u, a0, b0 = exact_seed(cfg)
+    u, a0, b0 = convergence.exact_seed(cfg)
     fronts, _ = refresh_state(u, a0, b0, model, forcing_at(cfg.forcing, 0.0))
     return u, fronts, model
 
@@ -229,6 +229,8 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
     Steps also land on each of ``record_hours`` inside the run, and a record
     is kept there, so the records hold the run's own values at those times.
     """
+    # the seed's exposure, read once: the seed and the step caps share it
+    seed_hours = convergence.SEED_HOURS
     u, fronts, model = initialize(cfg)
     field_clamps = velocity_clamps = landings = rejected = 0
     t_end = cfg.horizon_hours
@@ -251,10 +253,10 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
     t_stop = t_end * (1.0 - 1e-12)
     # the first step is the cap by exposure on the seed: an L-stable step
     # needs no stability bound, only a size on the run's own time scale
-    dt = MAX_STEP_FRACTION * SEED_HOURS
+    dt = MAX_STEP_FRACTION * seed_hours
     while t < t_stop:
-        # the exposure, t + SEED_HOURS, caps the step
-        step = min(dt, cfg.dt_max, t_end - t, MAX_STEP_FRACTION * (t + SEED_HOURS))
+        # the exposure, t + seed_hours, caps the step
+        step = min(dt, cfg.dt_max, t_end - t, MAX_STEP_FRACTION * (t + seed_hours))
         remaining = breaks[-1] - t if breaks else math.inf
         lands, cut = remaining <= step, remaining < step
         if lands:
@@ -290,7 +292,7 @@ def run(cfg: SimulationConfig, record_hours=()) -> SimulationOutput:
         else:
             rejected += 1
             dt = step * max(MIN_SHRINK, SAFETY * math.sqrt(tol / error))
-            if dt < MIN_STEP_FRACTION * (t + SEED_HOURS):
+            if dt < MIN_STEP_FRACTION * (t + seed_hours):
                 raise SimulationError(
                     f"step collapse at t = {t:.6g} h: the step control "
                     f"cut dt to {dt:.3g} h") from failure
@@ -317,7 +319,7 @@ def exact_temporal_errors(cfg: SimulationConfig) -> list[tuple[float, float]]:
     grid and steps ``imex_midpoint_step`` itself, without step control,
     from the seed to LADDER_HOURS in equal steps, the fewest of at most
     LADDER_DT/k hours that end on it.  The error is the largest of
-    ``exact_front_errors`` at that horizon.
+    ``convergence.exact_front_errors`` at that horizon.
     """
     rung = replace(cfg, n_z=LADDER_N, n_y=LADDER_N, horizon_hours=LADDER_HOURS)
     seed, seed_fronts, model = initialize(rung)
@@ -328,6 +330,6 @@ def exact_temporal_errors(cfg: SimulationConfig) -> list[tuple[float, float]]:
         u, fronts = seed, seed_fronts
         for i in range(count):
             u, fronts, *_ = imex_midpoint_step(u, fronts, i * h, h, model)
-        errors.append((1.0 / k, max(map(abs, exact_front_errors(
+        errors.append((1.0 / k, max(map(abs, convergence.exact_front_errors(
             rung, _record(LADDER_HOURS, fronts))))))
     return errors

@@ -19,8 +19,8 @@ A substep IE(h) from (u, fronts):
   -alpha - h*r, where alpha = h*D/(width*dx)^2 and r = -c/dx >= 0 is the
   advection rate at the advanced widths and the start speeds.  The matrix
   is an M-matrix, so a substep keeps the fields non-negative;
-* the end values are Dirichlet data: S(0) and O(0) the forcing at t + h,
-  S(1) = G(1) = CONSUMED, and O(1) and G(0) held from u.
+* the end values are Dirichlet data: S(0) the SO2 at t + h, O(0) the
+  oxygen, S(1) = G(1) = CONSUMED, and O(1) and G(0) held from u.
 
 The fronts of the two results are a + dt*a_dot and a + dt/2*(a_dot +
 a_dot(mid)), so the extrapolated fronts are a + dt*a_dot(mid), the explicit
@@ -268,9 +268,9 @@ class Model:
 
     ``d`` holds the diffusivities in cm2/h, ``sc`` the Stefan constants
     built from them and ``sw`` the swelling ratios used by the front
-    kinematics; the step reads the boundary values of ``forcing`` in g/cm3
-    at its times in hours.  The grid spacings ``dz`` and ``dy``, the
-    buffer's ``layout`` and the step's two solve buffers are built once,
+    kinematics; the step reads the SO2 of ``forcing`` in g/cm3 at its times
+    in hours, and its constant oxygen.  The grid spacings ``dz`` and ``dy``,
+    the buffer's ``layout`` and the step's two solve buffers are built once,
     with the model, from the interval counts ``n_z`` and ``n_y``:
     ``stacked`` for IE(dt) and the first IE(dt/2) solved together, and
     ``single`` for the second IE(dt/2).  A step writes its substeps into
@@ -326,15 +326,15 @@ def _clamp_fields(u: np.ndarray, bounds: np.ndarray) -> int:
 
 
 def refresh_state(u: np.ndarray, a: float, b: float, model: Model,
-                  forcing_values: tuple[float, float]) -> tuple[FrontState, int]:
+                  s_a: float) -> tuple[FrontState, int]:
     """The one ``FrontState`` at consumptions (a, b), and a clamp count; writes u's end values.
 
     Checks the ordering gamma < beta < a once, then reads the interior
     stencil nodes of the Stefan and Robin conditions.  Order matters: the
     pins S(1) = G(1) = CONSUMED enter the Stefan speeds, the speeds feed
     the Robin solve for O(1), and O(1) is handed to G(0).  The end values
-    go in one assignment, in ``lay.bounds`` order: the forcing S, CONSUMED,
-    the forcing O, O(1), G(0) = O(1), CONSUMED.
+    go in one assignment, in ``lay.bounds`` order: the boundary SO2
+    ``s_a``, CONSUMED, the forcing's oxygen, O(1), G(0) = O(1), CONSUMED.
     """
     sw = model.sw
     omega_p, omega_b = sw.omega_p, sw.omega_b
@@ -348,22 +348,21 @@ def refresh_state(u: np.ndarray, a: float, b: float, model: Model,
                                              model.dz, model.dy)
     gamma_dot = -(omega_p * a_dot + omega_b * b_dot)
     o_beta = apply_outer_bcs(o3, o2, outer, gamma_dot, b_dot, model.d, model.sc, model.dz)
-    s_a, o_a = forcing_values
-    u[lay.bounds] = (s_a, CONSUMED, o_a, o_beta, o_beta, CONSUMED)
+    u[lay.bounds] = (s_a, CONSUMED, model.forcing.oxygen, o_beta, o_beta, CONSUMED)
     # positional, the fastest way to build the tuple
     return FrontState(a, b, beta, gamma, a_dot, b_dot, b_dot - omega_p * a_dot,
                       gamma_dot), clamped
 
 
 def _coefficients(fs: FrontState, rates: tuple[float, float, float],
-                  substeps: tuple[tuple[float, float, float, float], ...],
+                  substeps: tuple[tuple[float, float, float], ...],
                   model: Model) -> list[float]:
     """The coefficients of one solve, ten per substep, in one pass.
 
-    ``substeps`` holds one (h, S(0), O(0), G(0)) per substep IE(h) from
-    ``fs``, whose ``advection_rates`` are ``rates``: its step and the start
-    values of its species, S(0) and O(0) the forcing at its end and G(0)
-    held from the state it starts from.  A substep's ten are
+    ``substeps`` holds one (h, S(0), G(0)) per substep IE(h) from ``fs``,
+    whose ``advection_rates`` are ``rates``: its step and two start values,
+    S(0) the forcing's SO2 at its end and G(0) held from the state it starts
+    from; O(0) is the forcing's oxygen.  A substep's ten are
     (1, alpha_s, alpha_o, alpha_g, h*s_o, h*s_i, h*m_i) and the terms
     alpha*S(0), alpha*O(0) and alpha*G(0), at the widths of the fronts
     advanced by h at the speeds of ``fs``: alpha = h*D/(width*dx)^2, and
@@ -373,11 +372,11 @@ def _coefficients(fs: FrontState, rates: tuple[float, float, float],
     a_0, b_0, beta_0, gamma_0, a_dot, b_dot, _, _ = fs
     omega_p, omega_b = model.sw
     d_g, d_s, d_o = model.d.d_g, model.d.d_s, model.d.d_o
-    dz, dy = model.dz, model.dy
+    dz, dy, o_0 = model.dz, model.dy, model.forcing.oxygen
     s_o, s_i, m_i = rates
     outer_0, inner_0 = beta_0 - gamma_0, a_0 - beta_0
     coefficients = []
-    for h, s_0, o_0, g_0 in substeps:
+    for h, s_0, g_0 in substeps:
         a = a_0 + h * a_dot
         b = b_0 + h * b_dot
         beta = b - omega_p * a
@@ -415,20 +414,20 @@ def imex_midpoint_step(u: np.ndarray, fs: FrontState, t: float, dt: float,
     n = u.size
     half = 0.5 * dt
     omega_p = model.sw.omega_p
-    s_mid, o_mid = forcing_mid = forcing_at(model.forcing, t + half)
-    s_end, o_end = forcing_end = forcing_at(model.forcing, t + dt)
+    s_mid = forcing_at(model.forcing, t + half)
+    s_end = forcing_at(model.forcing, t + dt)
     g_0 = model.layout.bounds[4]
 
     # IE(dt) and the first IE(dt/2), both from u, in one solve
     held = float(u[g_0])
-    substeps = ((dt, s_end, o_end, held), (half, s_mid, o_mid, held))
+    substeps = ((dt, s_end, held), (half, s_mid, held))
     x = model.stacked.solve(_coefficients(fs, advection_rates(fs, omega_p), substeps, model), u)
     full, mid = x[:n], x[n:]
     fs_mid, velocity_clamps = refresh_state(mid, fs.a + half * fs.a_dot,
-                                            fs.b + half * fs.b_dot, model, forcing_mid)
+                                            fs.b + half * fs.b_dot, model, s_mid)
 
     # the second IE(dt/2), from the refreshed half-step state at its speeds
-    substeps = ((half, s_end, o_end, float(mid[g_0])),)
+    substeps = ((half, s_end, float(mid[g_0])),)
     second = model.single.solve(
         _coefficients(fs_mid, advection_rates(fs_mid, omega_p), substeps, model), mid)
 
@@ -436,7 +435,7 @@ def imex_midpoint_step(u: np.ndarray, fs: FrontState, t: float, dt: float,
     new -= full
     field_clamps = _clamp_fields(new, model.layout.bounds)
     fs_new, clamped = refresh_state(new, fs.a + dt * fs_mid.a_dot, fs.b + dt * fs_mid.b_dot,
-                                    model, forcing_end)
+                                    model, s_end)
 
     # the second result's fronts less the first's: dt/2 * (speed(mid) - speed(start))
     d_a = half * (fs_mid.a_dot - fs.a_dot)

@@ -43,7 +43,8 @@ def cheap_cfg(default_cfg):
 def cycles_cfg(cheap_cfg):
     # the SO2 stops at 6 h, within the 8 h horizon: no exact solution, so
     # every point calibrate scores is a solver run
-    return replace(cheap_cfg, forcing=cycle_forcing(*forcing_at(cheap_cfg.forcing, 0.0),
+    f = cheap_cfg.forcing
+    return replace(cheap_cfg, forcing=cycle_forcing(forcing_at(f, 0.0), f.oxygen,
                                                     wet_hours=6.0, dry_hours=18.0))
 
 

@@ -40,18 +40,18 @@ def test_so2_rejects_bad_input():
 def test_constant_chamber_forcing():
     f = constant_chamber_forcing(4.99e-7, 2.6e-4)
     for t in (0.0, 3.7, 1000.0):
-        assert forcing_at(f, t) == (4.99e-7, 2.6e-4)
+        assert forcing_at(f, t) == 4.99e-7
+    assert f.oxygen == 2.6e-4
 
 
 def test_cycle_forcing_phases():
     f = cycle_forcing(4.99e-7, 2.6e-4, wet_hours=8.0, dry_hours=16.0)
     # 24 h period: t = 8.5 falls in the first dry phase, 24.5 in the next wet
-    s, o = forcing_at(f, 8.5)
-    assert s == f.dry_so2 == 0.0 and o == 2.6e-4
-    s, o = forcing_at(f, 24.5)
-    assert s == 4.99e-7 and o == 2.6e-4
-    s, _ = forcing_at(f, 7.999)
-    assert s == 4.99e-7
+    assert forcing_at(f, 8.5) == f.dry_so2 == 0.0
+    assert forcing_at(f, 24.5) == 4.99e-7
+    assert forcing_at(f, 7.999) == 4.99e-7
+    # the oxygen is the same in both phases
+    assert f.oxygen == 2.6e-4
 
 
 def test_breakpoints_are_the_switches_and_samples_inside_the_horizon():
@@ -77,7 +77,7 @@ def test_breakpoints_are_the_switches_and_samples_inside_the_horizon():
 def test_cycle_forcing_without_a_dry_phase_stays_wet(t):
     # the period is wet_hours, which validation keeps positive
     f = cycle_forcing(4.99e-7, 2.6e-4, wet_hours=8.0, dry_hours=0.0, dry_so2=1e-9)
-    assert forcing_at(f, t) == (4.99e-7, 2.6e-4)
+    assert forcing_at(f, t) == 4.99e-7
 
 
 def test_cycle_forcing_validation():
@@ -109,13 +109,14 @@ def test_cycle_forcing_rejects_non_finite_settings(key, value):
 
 def test_timeseries_interpolation_and_clamping():
     f = Forcing([0.0, 2.0], [0.0, 4e-7], 2.6e-4)
-    assert forcing_at(f, 1.0)[0] == pytest.approx(2e-7, rel=1e-12)
+    assert forcing_at(f, 1.0) == pytest.approx(2e-7, rel=1e-12)
     # exact at sample times, clamped outside
-    assert forcing_at(f, 0.0)[0] == 0.0
-    assert forcing_at(f, 2.0)[0] == 4e-7
-    assert forcing_at(f, 5.0)[0] == 4e-7
-    # oxygen is one constant, returned as given at every time
-    assert all(forcing_at(f, t)[1] == 2.6e-4 for t in (0.0, 1.0, 5.0))
+    assert forcing_at(f, 0.0) == 0.0
+    assert forcing_at(f, 2.0) == 4e-7
+    assert forcing_at(f, 5.0) == 4e-7
+    # the lookup gives the SO2 alone, a float; the oxygen is one constant
+    assert all(type(forcing_at(f, t)) is float for t in (-1.0, 0.0, 1.0, 2.0, 5.0))
+    assert f.oxygen == 2.6e-4
 
 
 def test_forcing_validation():
@@ -150,13 +151,13 @@ def test_timeseries_lookup_equals_np_interp(data, n):
     f = Forcing(times, so2, 2.6e-4)
     inside = data.draw(st.lists(st.floats(times[0], times[-1]), max_size=20))
     for t in [*inside, *times.tolist(), times[0] - 1.0, times[-1] + 1.0]:
-        assert forcing_at(f, t)[0] == float(np.interp(t, times, f.so2))
+        assert forcing_at(f, t) == float(np.interp(t, times, f.so2))
 
 
 @given(t=st.floats(min_value=0.0, max_value=500.0))
 def test_forcing_at_non_negative(t):
     f = Forcing([0.0, 10.0, 20.0], [0.0, 4e-7, 1e-7], 2.6e-4)
-    assert all(v >= 0.0 for v in forcing_at(f, t))
+    assert forcing_at(f, t) >= 0.0
 
 
 def _write(tmp_path, text):
@@ -176,9 +177,8 @@ def test_env_sample_validation(tmp_path):
 def test_timeseries_forcing_converts_units(tmp_path):
     f = load_timeseries(_write(tmp_path, "time_hours,so2_ugm3,temp_c,rh_percent\n"
                                          "0,10,20,50\n"))
-    s, o = forcing_at(f, 0.0)
-    assert s == pytest.approx(1e-11, rel=1e-12)
-    assert o == 2.6e-4
+    assert forcing_at(f, 0.0) == pytest.approx(1e-11, rel=1e-12)
+    assert f.oxygen == 2.6e-4
 
 
 def test_load_timeseries_ok(tmp_path):
@@ -187,8 +187,8 @@ def test_load_timeseries_ok(tmp_path):
     f = load_timeseries(p)
     assert list(f.times) == [0.0, 1.0]
     assert (f.dry_hours, f.constant) == (0.0, False)
-    assert forcing_at(f, 0.0)[0] == pytest.approx(1e-11, rel=1e-12)
-    assert forcing_at(f, 1.0)[0] == pytest.approx(1.2e-11, rel=1e-12)
+    assert forcing_at(f, 0.0) == pytest.approx(1e-11, rel=1e-12)
+    assert forcing_at(f, 1.0) == pytest.approx(1.2e-11, rel=1e-12)
 
 
 def test_load_timeseries_empty(tmp_path):

@@ -210,3 +210,14 @@ def test_refined_run_meets_the_exact_solution_and_advection_matters(default_cfg,
     assert max(map(abs, exact_front_errors(cfg, run(cfg).records[-1]))) <= 2e-6
     monkeypatch.setattr(stepper, "advection_rates", lambda fs, omega_p: (0.0, 0.0, 0.0))
     assert max(map(abs, exact_front_errors(cfg, run(cfg).records[-1]))) > 2e-5
+
+
+def test_a_run_at_half_the_ambient_oxygen_meets_its_own_exact_solution(default_cfg):
+    # every other run steps at AMBIENT_OXYGEN; at 1.3e-4 g/cm3 the 40 h run
+    # ends -2.69e-6 from its own exact solution (737 steps) and 9.4e-2 from
+    # the ambient one, so a step that read the ambient constant fails here
+    f = default_cfg.forcing
+    cfg = replace(default_cfg, forcing=constant_chamber_forcing(f.so2[0], 1.3e-4))
+    final = run(cfg).records[-1]
+    assert max(map(abs, exact_front_errors(cfg, final))) <= 3e-6
+    assert max(map(abs, exact_front_errors(default_cfg, final))) > 9e-2

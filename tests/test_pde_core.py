@@ -258,7 +258,7 @@ def refreshed(s, g, sc):
     a = (1.0 + b) / (1.0 + SW.omega_p)
     model = Model(d=Diffusivities(1.0, 1.0, 1.0), sc=sc, sw=SW, n_z=n, n_y=n,
                   forcing=NO_FORCING)
-    return refresh_state(np.concatenate((s, np.zeros(n + 1), g)), a, b, model, (0.0, 0.0))
+    return refresh_state(np.concatenate((s, np.zeros(n + 1), g)), a, b, model, 0.0)
 
 
 class TestBoundaryGradient:
@@ -337,14 +337,14 @@ class TestOuterBcs:
     def test_dirichlet_and_homogeneous_robin(self):
         # zero S and G keep the fronts at rest, so refresh_state makes the
         # zero-velocity Robin solve; the end nodes start at 5.0 to show that
-        # it writes all six
+        # it writes all six, O(0) from the forcing's oxygen
         model = Model(d=self.d, sc=self.sc, sw=SW, n_z=self.n, n_y=self.n,
-                      forcing=NO_FORCING)
+                      forcing=constant_chamber_forcing(0.0, 0.8))
         lay = model.layout
         u = np.zeros(3 * (self.n + 1))
         u[lay.bounds] = 5.0
         u[lay.stencils[2:4]] = 0.7, 0.9     # O(-3), O(-2)
-        fs, _ = refresh_state(u, 2.0, 1.0, model, (0.42, 0.8))
+        fs, _ = refresh_state(u, 2.0, 1.0, model, 0.42)
         assert fs == consistent_fronts(2.0, 1.0, SW)
         o_beta = apply_outer_bcs(0.7, 0.9, fs.beta - fs.gamma, 0.0, 0.0, self.d, self.sc,
                                  self.dz)

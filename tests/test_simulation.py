@@ -58,7 +58,7 @@ class TestInitialize:
 
     def test_field_profiles(self, default_cfg):
         u, fronts, model = initialize(default_cfg)
-        s_a, o_a = forcing_at(model.forcing, 0.0)
+        s_a, o_a = forcing_at(model.forcing, 0.0), model.forcing.oxygen
         n_outer = default_cfg.n_z + 1
         s, o, g = u[:n_outer], u[n_outer:2 * n_outer], u[2 * n_outer:]
         assert g.size == default_cfg.n_y + 1
@@ -128,11 +128,9 @@ class TestRun:
         # the 40 h error against exact is the step's, not the seed's: seeded
         # at 0.01 h (847 steps) and at 0.03 h (737 steps) it reads -2.73e-6,
         # the two 1.1e-10 apart (largest of a, b and the total; a gives it).
-        # The seed and the exposure caps read SEED_HOURS from two modules.
         errors = []
         for hours in (0.01, 0.03):
             monkeypatch.setattr(patina.convergence, "SEED_HOURS", hours)
-            monkeypatch.setattr(patina.simulation, "SEED_HOURS", hours)
             errors.append(exact_front_errors(default_cfg, run(default_cfg).records[-1]))
         assert max(abs(e1 - e2) for e1, e2 in zip(*errors)) <= 5e-10
         assert max(map(abs, errors[1])) <= 3e-6
