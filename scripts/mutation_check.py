@@ -40,18 +40,18 @@ DEFECTS = {
     "fronts advanced at end-of-step speeds": (
         "stepper.py",
         "    fs_new, clamped = refresh_state(new, fs.a + dt * fs_mid.a_dot, fs.b + dt * fs_mid.b_dot,\n"
-        "                                    model, s_end)\n",
+        "                                    model)\n",
         "    fs_new, clamped = refresh_state(new, fs.a + dt * fs_mid.a_dot, fs.b + dt * fs_mid.b_dot,\n"
-        "                                    model, s_end)\n"
+        "                                    model)\n"
         "    fs_new, clamped = refresh_state(new, fs.a + dt * fs_new.a_dot, fs.b + dt * fs_new.b_dot,\n"
-        "                                    model, s_end)\n"),
+        "                                    model)\n"),
     "advection sign flipped in the matrix": (
         "stepper.py", "h_outer * s_o, h_inner * s_i, h_inner * m_i",
         "-h_outer * s_o, -h_inner * s_i, -h_inner * m_i"),
-    # the start value of u, S(0), is the forcing at t
+    # S(0) of both substeps from u read at the step start
     "forcing taken at t instead of t + h": (
         "stepper.py", "(dt, s_end, held), (half, s_mid, held)",
-        "(dt, u[0], held), (half, u[0], held)"),
+        "(dt, forcing_at(model.forcing, t), held), (half, forcing_at(model.forcing, t), held)"),
     "h_p dropped from the error norm": (
         "stepper.py",
         "max(abs(d_a) / fs_new.a, abs(d_b) / fs_new.b, abs(d_h) / (fs_new.a - fs_new.beta))",
@@ -87,15 +87,15 @@ DEFECTS = {
     "midpoint frozen at the step-start fronts": (
         "stepper.py",
         "    fs_mid, velocity_clamps = refresh_state(mid, fs.a + half * fs.a_dot,\n"
-        "                                            fs.b + half * fs.b_dot, model, s_mid)\n",
+        "                                            fs.b + half * fs.b_dot, model)\n",
         "    fs_mid, velocity_clamps = fs, 0\n"),
     "stepper advection switched off": (
         "stepper.py", "h_outer * s_o, h_inner * s_i, h_inner * m_i", "0.0, 0.0, 0.0"),
     "inner constant rate m_i dropped": (
-        "stepper.py", "table[6, 2 * n_outer + k_inner] = -n_y", "table[6, 2 * n_outer + k_inner] = 0.0"),
+        "stepper.py", "table[6, g] = -n_y", "table[6, g] = 0.0"),
     "outer basis divided by the inner dx": (
-        "stepper.py", "table[4, k_outer] = table[4, n_outer + k_outer] = -k_outer",
-        "table[4, k_outer] = table[4, n_outer + k_outer] = -k_outer * n_y / n_z"),
+        "stepper.py", "table[4, s] = table[4, o] = -k_outer",
+        "table[4, s] = table[4, o] = -k_outer * n_y / n_z"),
     "inner slope sign flipped in the rates": (
         "pde_core.py", "(bd - fs.a_dot) / inner", "(fs.a_dot - bd) / inner"),
     "substep: sub-diagonal +alpha instead of -alpha": (
@@ -119,19 +119,18 @@ DEFECTS = {
         "stepper.py", "-(omega_p * a + omega_b * b)\n        check_ordering(a, beta, gamma)\n",
         "-(omega_p * a + omega_b * b)\n"),
     "G(0) handed O(0) instead of O(1)": (
-        "stepper.py", "model.forcing.oxygen, o_beta, o_beta, CONSUMED)",
-        "model.forcing.oxygen, o_beta, model.forcing.oxygen, CONSUMED)"),
+        "stepper.py", "held = float(u[o_end])", "held = model.forcing.oxygen"),
+    # the seed owns the pin; S(1) then keeps the value of the node before it
     "S(1) pin dropped": (
-        "stepper.py", "(s_a, CONSUMED, model.forcing.oxygen,",
-        "(s_a, u[lay.bounds[1]], model.forcing.oxygen,"),
+        "convergence.py", "[s_a * _falling(p_s, 0.0, zk) for zk in z]",
+        "[s_a * _falling(p_s, 0.0, zk) for zk in z[:-1]] + [s_a * _falling(p_s, 0.0, z[-2])]"),
+    "refresh skips the O(1) write": (
+        "stepper.py", "    u[lay.o_end] = o_beta\n", ""),
     # 2.6e-4 g/cm3 is environment.AMBIENT_OXYGEN, which stepper does not import.
-    # The solves take O(0) from the coefficient pass; the O(0) that
-    # refresh_state writes into u comes back from them as it went in.
+    # The coefficient pass is the one place the solves take O(0) from.
     "O(0) from the ambient constant": (
         "stepper.py", "dz, dy, o_0 = model.dz, model.dy, model.forcing.oxygen",
         "dz, dy, o_0 = model.dz, model.dy, 2.6e-4"),
-    "refresh writes the ambient O(0)": (
-        "stepper.py", "(s_a, CONSUMED, model.forcing.oxygen,", "(s_a, CONSUMED, 2.6e-4,"),
     "fit step not clipped to the box": (
         "calibration.py", "trial = np.clip(z + step, llo, lhi)", "trial = z + step"),
     "fit keeps a step that raises the residual": (

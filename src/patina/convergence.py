@@ -54,11 +54,13 @@ __all__ = [
 ]
 
 # Exposure, in hours, at which every run starts on the exact solution.  Row
-# t of a run is the exposure t + SEED_HOURS.  Earlier starts cost a few
-# steps, as the front speeds grow like 1/sqrt(t): at 0.003 h and 0.01 h the
-# 40 h chamber run takes 751 and 737 steps, against 737 here.  Later starts
-# shift the rows: at 0.1 h criterion 2d's a reads +1.2e-3 from the printed
-# state, over its 1e-3 tolerance.
+# t of a run is the exposure t + SEED_HOURS.  The step caps follow the
+# exposure, so earlier starts cost steps: at 0.003 h and 0.01 h the 40 h
+# chamber run takes 968 and 847 steps, against 737 here, and its a ends
+# -2.7330e-6 and -2.7320e-6 from exact, against -2.7321e-6.  Later starts
+# save steps (616 at 0.1 h, 506 at 0.3 h) but shift the rows: at 0.1 h
+# criterion 2d's a reads +1.2e-3 from the printed state, over its 1e-3
+# tolerance.
 SEED_HOURS = 0.03
 
 
@@ -158,15 +160,16 @@ def chamber_at_start(cfg: SimulationConfig) -> SimulationConfig:
 
 
 def exact_seed(cfg: SimulationConfig) -> tuple[np.ndarray, float, float]:
-    """The packed ``[S | O | G]`` buffer, a0 and b0 of ``chamber_at_start(cfg)``'s
-    exact solution at SEED_HOURS; raises the ValueErrors of ``similarity``."""
+    """The packed ``[S | O | G]`` buffer (``stepper.PackedLayout``), a0 and b0 of
+    ``chamber_at_start(cfg)``'s exact solution at SEED_HOURS, with S(1) = G(1)
+    = 0 exactly; raises the ValueErrors of ``similarity``."""
     chamber = chamber_at_start(cfg)
     k_a, k_b = similarity(chamber)
     s_a, o_a, _, oxygen, _ = _stefan_groups(chamber)
     d, sw = cfg.diffusivities.per_hour(), swelling_ratios(cfg.materials)
     o_beta = oxygen(k_b, stefan_constants(cfg.materials, d).gamma_o)(k_a)
     w, v = (1.0 + sw.omega_b) * k_b, (1.0 + sw.omega_p) * k_a - k_b
-    z, y = np.linspace(0.0, 1.0, cfg.n_z + 1), np.linspace(0.0, 1.0, cfg.n_y + 1)
+    z, y = np.linspace(0.0, 1.0, cfg.n_z + 1)[1:], np.linspace(0.0, 1.0, cfg.n_y + 1)[1:]
     p_s, p_o = w * w / (4.0 * d.d_s), w * w / (4.0 * d.d_o)
     p_g, q_g = v * v / (4.0 * d.d_g), v * k_b / (2.0 * d.d_g)
     u = np.array([s_a * _falling(p_s, 0.0, zk) for zk in z]

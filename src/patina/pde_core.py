@@ -38,8 +38,8 @@ hours and concentrations in g/cm3, so the diffusivities enter in cm2/h
 The functions here take flat arrays and plain floats: the front
 kinematics, the advection rates, the upwind pass, the Stefan speeds and
 the Robin solve for O(1).  None of them writes a boundary node.  How the
-three species share one buffer, and where its end values sit, is
-described once, by ``stepper.PackedLayout``.
+three species share one buffer, which holds no start value S(0), O(0) or
+G(0), is described once, by ``stepper.PackedLayout``.
 
 For consistent fronts with clamped speeds a_dot, b_dot >= 0 every
 advection speed is <= 0: z*s_o with s_o = -(1+omega_b)*b_dot/width outside,
@@ -71,7 +71,6 @@ __all__ = [
     "front_velocities",
     "apply_outer_bcs",
     "BoundaryConditionError",
-    "CONSUMED",
     "SECONDS_PER_HOUR",
 ]
 
@@ -79,10 +78,6 @@ __all__ = [
 class BoundaryConditionError(RuntimeError):
     """Raised when a Robin boundary solve degenerates."""
 
-
-# S at beta and G at a: each species is used up at the front that consumes
-# it, the Dirichlet conditions S(1) = G(1) = 0
-CONSUMED = 0.0
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -195,8 +190,8 @@ def inner_advection_coeff(y, fs: FrontState, omega_p: float):
 def split_rhs_interior(u: np.ndarray, rate: np.ndarray) -> np.ndarray:
     """Explicit upwind advection right-hand side -c*u_x at the interior nodes of u.
 
-    ``u`` is one flat buffer, usually the packed ``[S | O | G]`` of
-    ``stepper.PackedLayout``; the result covers nodes 1..N-2.  ``rate`` is
+    ``u`` is one flat buffer, such as ``[S | O | G]`` at every grid point,
+    start values included; the result covers nodes 1..N-2.  ``rate`` is
     -c/dx at each of those nodes, the advection speed over the grid
     spacing, so blocks on different grids go through one pass.  Every rate
     must be >= 0 (c <= 0, see the module docstring), so the upwind
@@ -222,7 +217,7 @@ def front_velocities(s_3: float, s_2: float, g_3: float, g_2: float, outer: floa
     b_dot comes from the SO2 gradient at beta, a_dot from the inner oxygen
     gradient at a; both use the one-sided second-order stencil, exact for
     quadratics, on the last three nodes of a species.  The last node is the
-    Dirichlet pin S(1) = G(1) = CONSUMED, so only the two before it are
+    Dirichlet pin S(1) = G(1) = 0, so only the two before it are
     passed: (s_3, s_2) = (S(-3), S(-2)) and (g_3, g_2) = (G(-3), G(-2)).
     ``outer`` and ``inner`` are the layer widths beta - gamma and a - beta.
     Transiently negative speeds (discretization noise; the reactions are

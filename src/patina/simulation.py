@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import convergence
-from .environment import Forcing, breakpoints, forcing_at
+from .environment import Forcing, breakpoints
 from .materials import MaterialTable, swelling_ratios
 from .pde_core import Diffusivities, FrontState, stefan_constants
 from .stepper import (
@@ -214,7 +214,7 @@ def initialize(cfg: SimulationConfig) -> tuple[np.ndarray, FrontState, Model]:
     """The packed buffer ``u`` and the fronts of ``convergence.exact_seed``, and the model."""
     model = _build_model(cfg)
     u, a0, b0 = convergence.exact_seed(cfg)
-    fronts, _ = refresh_state(u, a0, b0, model, forcing_at(cfg.forcing, 0.0))
+    fronts, _ = refresh_state(u, a0, b0, model)
     return u, fronts, model
 
 

@@ -20,7 +20,7 @@ A substep IE(h) from (u, fronts):
   advection rate at the advanced widths and the start speeds.  The matrix
   is an M-matrix, so a substep keeps the fields non-negative;
 * the end values are Dirichlet data: S(0) the SO2 at t + h, O(0) the
-  oxygen, S(1) = G(1) = CONSUMED, and O(1) and G(0) held from u.
+  oxygen, G(0) the O(1) of u, and S(1) = G(1) = 0 and O(1) held from u.
 
 The fronts of the two results are a + dt*a_dot and a + dt/2*(a_dot +
 a_dot(mid)), so the extrapolated fronts are a + dt*a_dot(mid), the explicit
@@ -30,17 +30,18 @@ half-step state and the end of the step are refreshed.
 The run state is a plain float64 buffer holding the three species, laid out
 as ``PackedLayout`` describes, and a ``FrontState``.  The species advance
 together in that buffer: one substep is one tridiagonal solve over the
-whole buffer, whose six end nodes are identity rows that decouple the
-blocks, so every species is solved exactly as on its own.  IE(dt) and the
-first IE(dt/2) both start from u, so one LAPACK dgtsv call solves both,
-the two systems stacked; the end rows decouple them too.  All diagonals and
-right-hand-side terms of a solve are one product of its coefficients, ten
-per substep from one scalar pass (``_coefficients``), with the layout's
-fixed ``systems`` map.  The product lands in one of the model's two
-``SolveBuffer``s, whose dgtsv views are fixed when the model is built, and
-dgtsv solves in place there.  A step never writes its start state, and it
-returns a new array, never a view of a solve buffer; the buffers are
-overwritten by the next step, so a model is stepped by one run at a time.
+whole buffer, whose far-end identity rows and first interior rows without
+a sub-diagonal decouple the blocks, so every species is solved exactly as
+on its own.  IE(dt) and the first IE(dt/2) both start from u, so one LAPACK
+dgtsv call solves both, the two systems stacked and decoupled alike.  All
+diagonals and right-hand-side terms of a solve are one product of its
+coefficients, ten per substep from one scalar pass (``_coefficients``),
+with the layout's fixed ``systems`` map.  The product lands in one of the
+model's two ``SolveBuffer``s, whose dgtsv views are fixed when the model is
+built, and dgtsv solves in place there.  A step never writes its start
+state, and it returns a new array, never a view of a solve buffer; the
+buffers are overwritten by the next step, so a model is stepped by one run
+at a time.
 The front-fixing advection speed is affine in the mapped coordinate, z*s_o
 on S and O and y*s_i + m_i on G (``advection_rates``), which the rate rows
 -[z | y | 1]/dx of the layout's ``table`` turn into the per-row r.  Every
@@ -60,7 +61,6 @@ import numpy as np
 
 from .environment import Forcing, forcing_at
 from .pde_core import (
-    CONSUMED,
     Diffusivities,
     FrontState,
     StefanConstants,
@@ -155,19 +155,19 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
 class PackedLayout(NamedTuple):
     """The flat buffer ``u = [S | O | G]`` of the run state, and its node tables.
 
-    This is the one description of the buffer.  S and O live on the outer
-    grid, n_z+1 nodes each from z=0 to z=1, and G on the inner grid, n_y+1
-    nodes from y=0 to y=1; each block follows the one before it.  ``bounds``
-    holds the flat nodes of the six end values S(0), S(1), O(0), O(1),
-    G(0), G(1).  The four where two blocks meet, S(1) | O(0) and
-    O(1) | G(0), are boundary nodes of their own species: no operator
-    couples them across the block edge.  ``refresh_state`` writes all six
-    in one assignment.
+    This is the one description of the buffer.  Each species block runs from
+    its first interior node to its far end, one block after the other: S and
+    O on the outer grid, n_z nodes each, and G on the inner grid, n_y nodes.
+    The start values S(0), O(0) and G(0) are Dirichlet data that
+    ``_coefficients`` hands to the solves, so the buffer does not hold them.
+    ``ends`` holds the flat nodes of S(1), O(1) and G(1), and ``o_end`` that
+    of O(1), which a solve reads as G(0) and ``refresh_state`` writes; the
+    seed's S(1) = G(1) = 0 come back from every solve unchanged.
 
     ``table`` has one column per node and seven rows: ones; the S, O and G
     indicators of the interior nodes; and the rate basis -z/dz on S and O,
     -y/dy and -1/dy on G (at node k of a block on n cells, the exact -k and
-    -n).  The end nodes are zero in all but the first row.
+    -n).  The far-end nodes are zero in all but the first row.
     ``rates @ table[4:]`` is the per-node advection rate -c/dx for the
     three ``advection_rates``.
 
@@ -177,37 +177,36 @@ class PackedLayout(NamedTuple):
     four parts, each over the k copies of the buffer one after the other:
     the diagonals, the sub-diagonals, the super-diagonals and the terms that
     the start values S(0), O(0) and G(0) add to the first interior row of
-    their species.  Those three couplings go to the right-hand side: then no
-    row couples to an end row above it, every row is diagonally dominant,
-    and dgtsv's elimination never swaps two rows, so the end values come
-    back exactly as given.  (In the matrix, an alpha > 1 made it swap an
-    end row with the row below, and the solve lost digits in proportion.)
+    their species.  Those three couplings are on the right-hand side, so a
+    first interior row has no sub-diagonal: no row couples to the block
+    above it, every row is diagonally dominant, and dgtsv's elimination
+    never swaps two rows, so the far-end values come back exactly as given.
     The layout is read-only: the product and the solve live in a model's
     ``SolveBuffer``, built from the layout once per model.
     """
 
     table: np.ndarray        # 7 x nodes: ones, species indicators, rate basis
     systems: tuple[np.ndarray, ...]   # 10k x 4k*nodes, for k = 1 and 2
-    bounds: np.ndarray       # flat nodes S(0), S(1), O(0), O(1), G(0), G(1)
+    ends: np.ndarray         # flat nodes S(1), O(1), G(1)
+    o_end: int               # flat node O(1)
     stencils: np.ndarray     # flat nodes S(-3), S(-2), O(-3), O(-2), G(-3), G(-2)
 
     @classmethod
     def build(cls, n_z: int, n_y: int) -> "PackedLayout":
-        n_outer = n_z + 1
-        starts = np.array((0, n_outer, 2 * n_outer))
-        ends = starts + (n_z, n_z, n_y)
-        bounds = np.stack((starts, ends), axis=1).ravel()
+        starts = np.array((0, n_z, 2 * n_z))
+        ends = starts + (n_z - 1, n_z - 1, n_y - 1)
         size = int(ends[-1]) + 1
         table = np.zeros((7, size))
         table[0] = 1.0
+        # the interior k of each grid, at flat node start + k - 1
         k_outer, k_inner = np.arange(1, n_z), np.arange(1, n_y)
-        for species, (start, k) in enumerate(zip(starts, (k_outer, k_outer, k_inner))):
-            table[1 + species, start + k] = 1.0
-        table[4, k_outer] = table[4, n_outer + k_outer] = -k_outer
-        table[5, 2 * n_outer + k_inner] = -k_inner
-        table[6, 2 * n_outer + k_inner] = -n_y
+        s, o, g = k_outer - 1, n_z - 1 + k_outer, 2 * n_z - 1 + k_inner
+        table[1, s] = table[2, o] = table[3, g] = 1.0
+        table[4, s] = table[4, o] = -k_outer
+        table[5, g] = -k_inner
+        table[6, g] = -n_y
         first = np.zeros((3, size))
-        first[[0, 1, 2], starts + 1] = 1.0
+        first[[0, 1, 2], starts] = 1.0
         species, rates = table[1:4], table[4:]
         # coefficient rows by diagonal, sub-diagonal, super-diagonal and
         # right-hand-side term of one substep
@@ -223,7 +222,7 @@ class PackedLayout(NamedTuple):
             for j in range(k):
                 stacked[j, :, :, j] = single
             systems.append(stacked.reshape(10 * k, 4 * k * size))
-        return cls(table=table, systems=tuple(systems), bounds=bounds,
+        return cls(table=table, systems=tuple(systems), ends=ends, o_end=int(ends[1]),
                    stencils=np.stack((ends - 2, ends - 1), axis=1).ravel())
 
 
@@ -255,8 +254,8 @@ class SolveBuffer:
         """The k substeps of ``coefficients`` (ten per substep) from ``u``, stacked.
 
         The k systems are solved in one dgtsv call on the k copies of u, one
-        after the other; their end rows decouple them.  Returns the k results
-        one after the other in a view of ``parts``; their end values are u's.
+        after the other; their block edges decouple them.  Returns the k results
+        one after the other in a view of ``parts``; their far ends are u's.
         """
         np.dot(coefficients, self.system, out=self.parts)
         self.starts += u
@@ -269,9 +268,10 @@ class Model:
     ``d`` holds the diffusivities in cm2/h, ``sc`` the Stefan constants
     built from them and ``sw`` the swelling ratios used by the front
     kinematics; the step reads the SO2 of ``forcing`` in g/cm3 at its times
-    in hours, and its constant oxygen.  The grid spacings ``dz`` and ``dy``,
-    the buffer's ``layout`` and the step's two solve buffers are built once,
-    with the model, from the interval counts ``n_z`` and ``n_y``:
+    in hours, and its constant oxygen, as S(0) and O(0).  The grid spacings
+    ``dz`` and ``dy``, the buffer's ``layout`` and the step's two solve
+    buffers are built once, with the model, from the interval counts ``n_z``
+    and ``n_y``:
     ``stacked`` for IE(dt) and the first IE(dt/2) solved together, and
     ``single`` for the second IE(dt/2).  A step writes its substeps into
     them, so a model is stepped by one run at a time (``initialize`` builds
@@ -310,31 +310,29 @@ def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,
     return dt
 
 
-def _clamp_fields(u: np.ndarray, bounds: np.ndarray) -> int:
+def _clamp_fields(u: np.ndarray, ends: np.ndarray) -> int:
     """Floor negative interior concentrations at zero; returns how many nodes clipped.
 
-    The end values at ``bounds`` are left as they are: the refresh that
-    follows writes all six.
+    The far ends at ``ends`` are left as they are: S(1) = G(1) = 0 come back
+    from every solve unchanged, and the refresh that follows writes O(1).
     """
     # argmin costs a fifth of min on a buffer this short, and finds a NaN as min does
     if not u[u.argmin()] < 0.0:
         return 0
     mask = u < 0.0
-    mask[bounds] = False
+    mask[ends] = False
     u[mask] = 0.0
     return int(np.count_nonzero(mask))
 
 
-def refresh_state(u: np.ndarray, a: float, b: float, model: Model,
-                  s_a: float) -> tuple[FrontState, int]:
-    """The one ``FrontState`` at consumptions (a, b), and a clamp count; writes u's end values.
+def refresh_state(u: np.ndarray, a: float, b: float, model: Model) -> tuple[FrontState, int]:
+    """The one ``FrontState`` at consumptions (a, b), and a clamp count; writes u's O(1).
 
     Checks the ordering gamma < beta < a once, then reads the interior
     stencil nodes of the Stefan and Robin conditions.  Order matters: the
-    pins S(1) = G(1) = CONSUMED enter the Stefan speeds, the speeds feed
-    the Robin solve for O(1), and O(1) is handed to G(0).  The end values
-    go in one assignment, in ``lay.bounds`` order: the boundary SO2
-    ``s_a``, CONSUMED, the forcing's oxygen, O(1), G(0) = O(1), CONSUMED.
+    pins S(1) = G(1) = 0 enter the Stefan speeds, and the speeds feed the
+    Robin solve for O(1), the one node of ``u`` written; the next solve
+    reads it as G(0).
     """
     sw = model.sw
     omega_p, omega_b = sw.omega_p, sw.omega_b
@@ -348,7 +346,7 @@ def refresh_state(u: np.ndarray, a: float, b: float, model: Model,
                                              model.dz, model.dy)
     gamma_dot = -(omega_p * a_dot + omega_b * b_dot)
     o_beta = apply_outer_bcs(o3, o2, outer, gamma_dot, b_dot, model.d, model.sc, model.dz)
-    u[lay.bounds] = (s_a, CONSUMED, model.forcing.oxygen, o_beta, o_beta, CONSUMED)
+    u[lay.o_end] = o_beta
     # positional, the fastest way to build the tuple
     return FrontState(a, b, beta, gamma, a_dot, b_dot, b_dot - omega_p * a_dot,
                       gamma_dot), clamped
@@ -361,8 +359,8 @@ def _coefficients(fs: FrontState, rates: tuple[float, float, float],
 
     ``substeps`` holds one (h, S(0), G(0)) per substep IE(h) from ``fs``,
     whose ``advection_rates`` are ``rates``: its step and two start values,
-    S(0) the forcing's SO2 at its end and G(0) held from the state it starts
-    from; O(0) is the forcing's oxygen.  A substep's ten are
+    S(0) the forcing's SO2 at its end and G(0) the O(1) of the state it
+    starts from; O(0) is the forcing's oxygen.  A substep's ten are
     (1, alpha_s, alpha_o, alpha_g, h*s_o, h*s_i, h*m_i) and the terms
     alpha*S(0), alpha*O(0) and alpha*G(0), at the widths of the fronts
     advanced by h at the speeds of ``fs``: alpha = h*D/(width*dx)^2, and
@@ -416,26 +414,26 @@ def imex_midpoint_step(u: np.ndarray, fs: FrontState, t: float, dt: float,
     omega_p = model.sw.omega_p
     s_mid = forcing_at(model.forcing, t + half)
     s_end = forcing_at(model.forcing, t + dt)
-    g_0 = model.layout.bounds[4]
+    o_end = model.layout.o_end
 
-    # IE(dt) and the first IE(dt/2), both from u, in one solve
-    held = float(u[g_0])
+    # IE(dt) and the first IE(dt/2), both from u, in one solve; G(0) is u's O(1)
+    held = float(u[o_end])
     substeps = ((dt, s_end, held), (half, s_mid, held))
     x = model.stacked.solve(_coefficients(fs, advection_rates(fs, omega_p), substeps, model), u)
     full, mid = x[:n], x[n:]
     fs_mid, velocity_clamps = refresh_state(mid, fs.a + half * fs.a_dot,
-                                            fs.b + half * fs.b_dot, model, s_mid)
+                                            fs.b + half * fs.b_dot, model)
 
     # the second IE(dt/2), from the refreshed half-step state at its speeds
-    substeps = ((half, s_end, float(mid[g_0])),)
+    substeps = ((half, s_end, float(mid[o_end])),)
     second = model.single.solve(
         _coefficients(fs_mid, advection_rates(fs_mid, omega_p), substeps, model), mid)
 
     new = second + second
     new -= full
-    field_clamps = _clamp_fields(new, model.layout.bounds)
+    field_clamps = _clamp_fields(new, model.layout.ends)
     fs_new, clamped = refresh_state(new, fs.a + dt * fs_mid.a_dot, fs.b + dt * fs_mid.b_dot,
-                                    model, s_end)
+                                    model)
 
     # the second result's fronts less the first's: dt/2 * (speed(mid) - speed(start))
     d_a = half * (fs_mid.a_dot - fs.a_dot)

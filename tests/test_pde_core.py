@@ -121,8 +121,10 @@ class TestRescaleCoefficients:
 
 
 def packed_fields(n_z, n_y, s, o, g):
-    """The packed buffer [S | O | G] on unequal grids from per-species profiles
-    of the grid coordinate."""
+    """[S | O | G] at every grid point, start values included, on unequal grids
+    from per-species profiles of the grid coordinate: the buffer TestSplitRhs
+    passes through ``split_rhs_interior`` (the run buffer of
+    ``stepper.PackedLayout`` does not hold the start values)."""
     z = np.linspace(0, 1, n_z + 1)
     y = np.linspace(0, 1, n_y + 1)
     return np.concatenate((s(z), o(z), g(y)))
@@ -136,14 +138,22 @@ def packed_rhs(u, fs, n_z, n_y, sw=SW):
     return split_rhs_interior(u, node_rates(fs, model)[1:-1]), model
 
 
+def at_grid_points(row, model):
+    """A row over the layout's nodes, spread over every grid point of
+    ``packed_fields``: 0 at the start values, which the layout does not hold."""
+    ends = model.layout.ends
+    return np.insert(row, np.concatenate(([0], ends[:-1] + 1)), 0)
+
+
 def node_rates(fs, model):
-    """The per-node advection rate -c/dx of the layout's table."""
-    return np.dot(advection_rates(fs, model.sw.omega_p), model.layout.table[4:])
+    """The per-node advection rate -c/dx of the layout's table, at every grid point."""
+    return at_grid_points(np.dot(advection_rates(fs, model.sw.omega_p),
+                                 model.layout.table[4:]), model)
 
 
 def interior_rows(model):
-    """The rows 1..N-2 that are interior nodes of their species."""
-    return model.layout.table[1:4].any(axis=0)[1:-1]
+    """The rows 1..N-2 of ``packed_fields`` that are interior nodes of their species."""
+    return at_grid_points(model.layout.table[1:4].any(axis=0), model)[1:-1]
 
 
 def per_block_reference(u, fs, n_z, n_y, omega_p=SW.omega_p):
@@ -252,13 +262,14 @@ def speeds(s, g, sc):
 
 def refreshed(s, g, sc):
     """``refresh_state`` on S = s, O = 0 and G = g for fronts of unit layer
-    widths (to rounding): the new fronts and the clamp count."""
+    widths (to rounding): the new fronts and the clamp count.  s and g are
+    given at every grid point; the buffer takes all but the first."""
     n = len(s) - 1
     b = 1.0 / (1.0 + SW.omega_b)
     a = (1.0 + b) / (1.0 + SW.omega_p)
     model = Model(d=Diffusivities(1.0, 1.0, 1.0), sc=sc, sw=SW, n_z=n, n_y=n,
                   forcing=NO_FORCING)
-    return refresh_state(np.concatenate((s, np.zeros(n + 1), g)), a, b, model, 0.0)
+    return refresh_state(np.concatenate((s[1:], np.zeros(n), g[1:])), a, b, model)
 
 
 class TestBoundaryGradient:
@@ -336,23 +347,22 @@ class TestOuterBcs:
 
     def test_dirichlet_and_homogeneous_robin(self):
         # zero S and G keep the fronts at rest, so refresh_state makes the
-        # zero-velocity Robin solve; the end nodes start at 5.0 to show that
-        # it writes all six, O(0) from the forcing's oxygen
+        # zero-velocity Robin solve; the far ends start at 5.0 to show that
+        # it writes O(1) alone
         model = Model(d=self.d, sc=self.sc, sw=SW, n_z=self.n, n_y=self.n,
                       forcing=constant_chamber_forcing(0.0, 0.8))
         lay = model.layout
-        u = np.zeros(3 * (self.n + 1))
-        u[lay.bounds] = 5.0
+        u = np.zeros(3 * self.n)
+        u[lay.ends] = 5.0
         u[lay.stencils[2:4]] = 0.7, 0.9     # O(-3), O(-2)
-        fs, _ = refresh_state(u, 2.0, 1.0, model, 0.42)
+        fs, _ = refresh_state(u, 2.0, 1.0, model)
         assert fs == consistent_fronts(2.0, 1.0, SW)
         o_beta = apply_outer_bcs(0.7, 0.9, fs.beta - fs.gamma, 0.0, 0.0, self.d, self.sc,
                                  self.dz)
         # zero-velocity Robin reduces to a zero-gradient extrapolation
         assert o_beta == pytest.approx((4 * 0.9 - 0.7) / 3.0, rel=1e-12)
-        # S(0), S(1), O(0), O(1), G(0), G(1): the forcing, S(1) = 0, the Robin
-        # value handed to G(0), G(1) = 0
-        assert u[lay.bounds].tolist() == [0.42, 0.0, 0.8, o_beta, o_beta, 0.0]
+        # S(1), O(1), G(1): the Robin value at O(1), S(1) and G(1) as they were
+        assert u[lay.ends].tolist() == [5.0, o_beta, 5.0]
 
     def test_uniform_field_with_matched_velocities(self):
         # gamma_dot = b_dot = v: the (gamma_dot - b_dot)*O term drops and the

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import consistent_fronts
 from patina import pde_core, simulation, stepper
 from patina.convergence import observed_orders
-from patina.environment import constant_chamber_forcing, cycle_forcing
-from patina.materials import SwellingRatios
-from patina.pde_core import Diffusivities, FrontState, StefanConstants
+from patina.environment import Forcing, constant_chamber_forcing, cycle_forcing, forcing_at
+from patina.materials import DEFAULT_MATERIALS, SwellingRatios, swelling_ratios
+from patina.pde_core import Diffusivities, FrontState, StefanConstants, apply_outer_bcs
 from patina.simulation import initialize, run
 from patina.stepper import (
     Model,
@@ -116,8 +116,8 @@ def test_rate_basis_gives_minus_c_over_dx(signs):
         rates = pde_core.advection_rates(fs, omega_p)
         assert np.all(np.sign(rates) == signs)
         rate = np.dot(rates, lay.table[4:])
-        # zero on the six end nodes, so their rows stay identity rows
-        assert np.array_equal(rate[lay.bounds], np.zeros(6))
+        # zero on the three far-end nodes, so their rows stay identity rows
+        assert np.array_equal(rate[lay.ends], np.zeros(3))
         c_out = -pde_core.outer_advection_coeff(z, fs) / (1.0 / n_z)
         c_in = -pde_core.inner_advection_coeff(y, fs, omega_p) / (1.0 / n_y)
         # within 2 ulps of the block's largest rate (measured: 2)
@@ -130,25 +130,26 @@ def _per_species_rows(coefficients, u, n_z, n_y):
     """The (lower, diag, upper, rhs) of one IE substep from u, written out
     species by species (the reference), over the whole buffer.
 
-    Each block has identity rows at both ends, and interior rows (-alpha,
-    1 + 2*alpha + r, -alpha - r) with the rate r = -c/dx of the speeds
-    z*s_o and y*s_i + m_i, the coefficients holding h times them.  The
-    coupling of the first interior row to the start value S(0), O(0) or
-    G(0) is on the right-hand side, as alpha times that value.
+    Each block has interior rows (-alpha, 1 + 2*alpha + r, -alpha - r) with
+    the rate r = -c/dx of the speeds z*s_o and y*s_i + m_i, the
+    coefficients holding h times them, and an identity row at its far end.
+    The first interior row has no sub-diagonal: its coupling to the start
+    value S(0), O(0) or G(0), which the buffer does not hold, is on the
+    right-hand side, as alpha times that value.
     """
     _, *alphas, p, q, m = coefficients[:7]
     grids = ((n_z, lambda k: -p * k), (n_z, lambda k: -p * k),
              (n_y, lambda k: -q * k - m * n_y))
     rows = []
     for block, alpha, start_term, (n, rate) in zip(
-            np.split(u, [n_z + 1, 2 * (n_z + 1)]), alphas, coefficients[7:], grids):
-        r = np.concatenate(([0.0], rate(np.arange(1, n)), [0.0]))
-        a = np.full(n + 1, alpha)
-        a[[0, -1]] = 0.0
+            np.split(u, [n_z, 2 * n_z]), alphas, coefficients[7:], grids):
+        r = np.concatenate((rate(np.arange(1, n)), [0.0]))
+        a = np.full(n, alpha)
+        a[-1] = 0.0
         lower = -a
-        lower[1] = 0.0
+        lower[0] = 0.0
         rhs = block.copy()
-        rhs[1] += start_term
+        rhs[0] += start_term
         rows.append((lower, 1.0 + 2.0 * a + r, -a - r, rhs))
     lower, diag, upper, rhs = (np.concatenate(parts) for parts in zip(*rows))
     return lower[1:], diag, upper[:-1], rhs
@@ -157,13 +158,13 @@ def _per_species_rows(coefficients, u, n_z, n_y):
 def _random_coefficients(rng, alphas, u, n_z=30, n_y=17):
     # rates r >= 0 need s_o <= 0 and s_i + m_i, m_i <= 0 (see pde_core); a
     # cell Peclet number h*r/alpha of up to 1 (the shipped runs stay below
-    # 1.4e-5); start values S(0) and O(0) of some forcing, G(0) held from u
+    # 1.4e-5); start values S(0) and O(0) of some forcing, G(0) the O(1) of u
     a_s, a_o, a_g = alphas
     p = -min(a_s, a_o) / n_z * 10.0 ** rng.uniform(-6, 0)
     m = -a_g / (2 * n_y) * 10.0 ** rng.uniform(-6, 0)
     q = rng.uniform(-1, 1) * abs(m) * n_y / (n_y - 1)
     s_0, o_0 = rng.uniform(0, 1, 2)
-    return [1.0, *alphas, p, q, m, a_s * s_0, a_o * o_0, a_g * u[2 * (n_z + 1)]]
+    return [1.0, *alphas, p, q, m, a_s * s_0, a_o * o_0, a_g * u[2 * n_z - 1]]
 
 
 class TestPackedStageSolve:
@@ -173,11 +174,11 @@ class TestPackedStageSolve:
     def test_matches_per_species_solves_bit_for_bit(self, seed, alphas):
         # the rows of one substep are those of each species, to the rounding
         # of sums taken in another order; and the packed solve of them equals
-        # each species' block solved on its own bit for bit: the end rows
-        # decouple the blocks
+        # each species' block solved on its own bit for bit: the far-end rows
+        # and the first interior rows' zero sub-diagonals decouple the blocks
         n_z, n_y = 30, 17
         rng = np.random.default_rng(seed)
-        u = rng.uniform(0, 1, 2 * (n_z + 1) + n_y + 1)
+        u = rng.uniform(0, 1, 2 * n_z + n_y)
         coefficients = _random_coefficients(rng, alphas, u)
         model = _inert_setup(n_z, 1.0, n_y)[0]
         n = u.size
@@ -186,9 +187,9 @@ class TestPackedStageSolve:
         for got, expect in zip(rows, _per_species_rows(coefficients, u, n_z, n_y)):
             assert np.all(np.abs(got - expect) <= 4.0 * np.spacing(np.abs(expect)))
         packed = model.single.solve(coefficients, u)
-        # the end values come back as they were
-        assert np.array_equal(packed[model.layout.bounds], u[model.layout.bounds])
-        edges = [0, n_z + 1, 2 * (n_z + 1), n]
+        # the far-end values come back as they were
+        assert np.array_equal(packed[model.layout.ends], u[model.layout.ends])
+        edges = [0, n_z, 2 * n_z, n]
         lower, diag, upper, rhs = rows
         for start, end in zip(edges, edges[1:]):
             alone = solve_tridiagonal(lower[start:end - 1], diag[start:end],
@@ -207,7 +208,7 @@ class TestPackedStageSolve:
         rng = np.random.default_rng(seed)
         model = _inert_setup(n_z, 1.0, n_y)[0]
         systems = model.layout.systems
-        u = rng.uniform(0, 1, 2 * (n_z + 1) + n_y + 1)
+        u = rng.uniform(0, 1, 2 * n_z + n_y)
         n = u.size
         first = _random_coefficients(rng, alphas[:3], u)
         second = _random_coefficients(rng, alphas[3:], u)
@@ -340,6 +341,58 @@ class TestSolveBuffers:
                 assert np.array_equal(state[0], expect[i][0]) and state[1] == expect[i][1]
 
 
+def test_substeps_take_g0_from_o1(monkeypatch, default_cfg):
+    # G(0) of each substep is the O(1) node of the state it starts from: u's
+    # for the two from u, the refreshed half-step state's for the second
+    # half step; S(0) is the SO2 at the substep's end, here on a rising series
+    s_a = default_cfg.forcing.so2[0]
+    cfg = replace(default_cfg, forcing=Forcing([0.0, 2.0], [s_a, 2.0 * s_a],
+                                               default_cfg.forcing.oxygen))
+    u, fs, model = initialize(cfg)
+    o_end = model.layout.o_end
+    handed, refreshed = [], []
+    coefficients, refresh = stepper._coefficients, stepper.refresh_state
+
+    def recording(v, a, b, model):
+        out = refresh(v, a, b, model)
+        refreshed.append(float(v[o_end]))
+        return out
+
+    monkeypatch.setattr(stepper, "_coefficients", lambda fs, rates, substeps, model:
+                        handed.append(substeps) or coefficients(fs, rates, substeps, model))
+    monkeypatch.setattr(stepper, "refresh_state", recording)
+    dt, t = 0.01, 0.75
+    imex_midpoint_step(u, fs, t, dt, model)
+    s_mid, s_end = forcing_at(cfg.forcing, t + 0.5 * dt), forcing_at(cfg.forcing, t + dt)
+    held = float(u[o_end])
+    assert s_mid != s_end and refreshed[0] != held
+    assert handed == [((dt, s_end, held), (0.5 * dt, s_mid, held)),
+                      ((0.5 * dt, s_end, refreshed[0]),)]
+
+
+@pytest.mark.parametrize("n_z, n_y", [(3, 3), (25, 25), (30, 17), (4, 40)])
+def test_refresh_writes_o1_alone(n_z, n_y):
+    # the buffer holds the 2*n_z + n_y nodes the solves read; a refresh
+    # writes the Robin value O(1), which the next solve reads as G(0), and
+    # leaves every other node exactly as it was
+    sw = swelling_ratios(DEFAULT_MATERIALS)
+    d, sc = Diffusivities(1.0, 2.0, 3.0), StefanConstants(0.5, 0.25, 0.125)
+    model = Model(d=d, sc=sc, sw=sw, n_z=n_z, n_y=n_y,
+                  forcing=constant_chamber_forcing(0.7, 0.8))
+    lay = model.layout
+    assert lay.table.shape[1] == 2 * n_z + n_y
+    rng = np.random.default_rng(n_z * n_y)
+    for _ in range(20):
+        u = rng.uniform(0.0, 1.0, 2 * n_z + n_y)
+        before = u.copy()
+        fs, _ = stepper.refresh_state(u, 2.0, 1.0, model)
+        o_3, o_2 = before[lay.stencils[2:4]]
+        o_beta = apply_outer_bcs(o_3, o_2, fs.beta - fs.gamma, fs.gamma_dot, fs.b_dot, d, sc,
+                                 model.dz)
+        assert u[lay.o_end] == o_beta != before[lay.o_end]
+        assert np.flatnonzero(u != before).tolist() == [lay.o_end]
+
+
 def test_refresh_rejects_disordered_fronts(default_cfg):
     # b = 0 leaves no brochantite (beta == gamma), b = (1 + omega_p)*a no
     # cuprite (a == beta, to rounding), b above that puts beta beyond a
@@ -347,7 +400,7 @@ def test_refresh_rejects_disordered_fronts(default_cfg):
     omega_p = model.sw.omega_p
     for b in (0.0, (1.0 + omega_p) * fronts.a, 2.0 * (1.0 + omega_p) * fronts.a):
         with pytest.raises(ValueError, match="ordering"):
-            stepper.refresh_state(u.copy(), fronts.a, b, model, 0.0)
+            stepper.refresh_state(u.copy(), fronts.a, b, model)
 
 
 class TestSelectDt:
@@ -390,8 +443,9 @@ class TestStepAlgebra:
         # 1/(1 - z), two IE(dt/2) by 1/(1 - z/2)^2
         n, d_s = 20, 0.3
         model, fronts = _inert_setup(n, d_s)
-        z = np.linspace(0, 1, n + 1)
+        z = np.linspace(0, 1, n + 1)[1:]
         mode = np.sin(np.pi * z)
+        mode[-1] = 0.0      # the pin S(1), not sin(pi) in floating point
         u = _packed(mode, n)
         lam = -4.0 * d_s * n**2 * math.sin(0.5 * math.pi / n) ** 2
 
@@ -400,8 +454,8 @@ class TestStepAlgebra:
             return 2.0 / (1.0 - zeta / 2) ** 2 - 1.0 / (1.0 - zeta)
 
         new, fs, error, clamps, _ = imex_midpoint_step(u, fronts, 0.0, 0.05, model)
-        assert np.allclose(new[:n + 1], mode * factor(0.05), rtol=0, atol=1e-14)
-        assert not np.allclose(new[:n + 1], mode * math.exp(lam * 0.05), rtol=0, atol=1e-6)
+        assert np.allclose(new[:n], mode * factor(0.05), rtol=0, atol=1e-14)
+        assert not np.allclose(new[:n], mode * math.exp(lam * 0.05), rtol=0, atol=1e-6)
         # the inert interfaces keep the fronts in place at zero speed, so
         # the error estimate of the fronts is zero
         assert (fs.a, fs.b, error, clamps) == (fronts.a, fronts.b, 0.0, 0)
@@ -411,7 +465,7 @@ class TestStepAlgebra:
         # the clamp floors that small undershoot at zero on every interior node
         assert -1e-3 < factor(1e3) < 0.0
         new, _, _, clamps, _ = imex_midpoint_step(u, fronts, 0.0, 1e3, model)
-        assert np.array_equal(new[:n + 1], np.zeros(n + 1)) and clamps == n - 1
+        assert np.array_equal(new[:n], np.zeros(n)) and clamps == n - 1
 
     def test_error_estimate_is_the_front_difference_of_the_two_results(self, default_cfg):
         # the first result's fronts are a + dt*a_dot, the second's
@@ -464,30 +518,32 @@ def _inert_setup(n, d_s, n_y=None):
 
 
 def _packed(s, n):
-    """The buffer [S | O | G] on n cells per layer with S = s and O = G = 0."""
-    return np.concatenate((s, np.zeros(2 * (n + 1))))
+    """The buffer [S | O | G] on n cells per layer with S = s and O = G = 0;
+    s is given at z = 1/n, ..., 1, the nodes of the S block."""
+    return np.concatenate((s, np.zeros(2 * n)))
 
 
 class TestPdeStep:
     def test_zero_rhs_leaves_state_unchanged(self):
         n = 40
         model, fronts = _inert_setup(n, 1e-30)
-        z = np.linspace(0, 1, n + 1)
+        z = np.linspace(0, 1, n + 1)[1:]
         bump = np.exp(-((z - 0.5) / 0.2) ** 2)
-        bump[0] = bump[-1] = 0.0
+        bump[-1] = 0.0
         new, *_ = imex_midpoint_step(_packed(bump, n), fronts, 0.0, 0.05, model)
-        assert np.allclose(new[:n + 1], bump, atol=1e-25)
+        assert np.allclose(new[:n], bump, atol=1e-25)
 
     def test_unconditional_stability_of_diffusion(self):
         # stiff diffusion, huge dt, no advection: norm must not grow
         n = 50
         model, fronts = _inert_setup(n, 1e6)
-        z = np.linspace(0, 1, n + 1)
+        z = np.linspace(0, 1, n + 1)[1:]
         u = _packed(np.sin(np.pi * z), n)
-        norm0 = np.linalg.norm(u[:n + 1])
+        u[n - 1] = 0.0      # the pin S(1)
+        norm0 = np.linalg.norm(u[:n])
         for k in range(5):
             u, *_ = imex_midpoint_step(u, fronts, 0.0, 10.0, model)
-            norm = np.linalg.norm(u[:n + 1])
+            norm = np.linalg.norm(u[:n])
             assert norm <= norm0 + 1e-12
             norm0 = norm
 
@@ -495,7 +551,7 @@ class TestPdeStep:
         n = 10
         model, fronts = _inert_setup(n, 1.0)
         with pytest.raises(ValueError):
-            imex_midpoint_step(np.zeros(3 * (n + 1)), fronts, 0.0, 0.0, model)
+            imex_midpoint_step(np.zeros(3 * n), fronts, 0.0, 0.0, model)
 
     def test_counters_accumulate_field_clamps(self, default_cfg, monkeypatch):
         # at the switch to the dry phase (8 h) the SO2 at z = 0 drops to zero
