@@ -92,16 +92,16 @@ DEFECTS = {
     "stepper advection switched off": (
         "stepper.py", "h_outer * s_o, h_inner * s_i, h_inner * m_i", "0.0, 0.0, 0.0"),
     "inner constant rate m_i dropped": (
-        "stepper.py", "table[6, g] = -n_y", "table[6, g] = 0.0"),
+        "stepper.py", "table[5, g] = -n_y", "table[5, g] = 0.0"),
     "outer basis divided by the inner dx": (
-        "stepper.py", "table[4, s] = table[4, o] = -k_outer",
-        "table[4, s] = table[4, o] = -k_outer * n_y / n_z"),
+        "stepper.py", "table[3, s] = table[3, o] = -k_outer",
+        "table[3, s] = table[3, o] = -k_outer * n_y / n_z"),
     "inner slope sign flipped in the rates": (
         "pde_core.py", "(bd - fs.a_dot) / inner", "(fs.a_dot - bd) / inner"),
     "substep: sub-diagonal +alpha instead of -alpha": (
         "stepper.py", "single[1:4, 1] = first - species", "single[1:4, 1] = species - first"),
     "Stefan and Robin stencils one node inward": (
-        "stepper.py", "np.stack((ends - 2, ends - 1), axis=1)", "np.stack((ends - 3, ends - 2), axis=1)"),
+        "stepper.py", "np.stack((tails - 1, tails), axis=1)", "np.stack((tails - 2, tails - 1), axis=1)"),
     "fronts advance at the step-start a speed": (
         "stepper.py", "fs.a + dt * fs_mid.a_dot,", "fs.a + dt * fs.a_dot,"),
     # every rate is >= 0, so the downwind difference is the backward one
@@ -120,10 +120,9 @@ DEFECTS = {
         "-(omega_p * a + omega_b * b)\n"),
     "G(0) handed O(0) instead of O(1)": (
         "stepper.py", "held = float(u[o_end])", "held = model.forcing.oxygen"),
-    # the seed owns the pin; S(1) then keeps the value of the node before it
-    "S(1) pin dropped": (
-        "convergence.py", "[s_a * _falling(p_s, 0.0, zk) for zk in z]",
-        "[s_a * _falling(p_s, 0.0, zk) for zk in z[:-1]] + [s_a * _falling(p_s, 0.0, z[-2])]"),
+    # S(-2) then couples to O's first node, as if it were S(1)
+    "S's last row keeps its super-diagonal": (
+        "stepper.py", "above[:, lasts] = 0.0", "above[:, lasts[1:]] = 0.0"),
     "refresh skips the O(1) write": (
         "stepper.py", "    u[lay.o_end] = o_beta\n", ""),
     # 2.6e-4 g/cm3 is environment.AMBIENT_OXYGEN, which stepper does not import.
@@ -165,14 +164,14 @@ DEFECTS = {
         "predicted_cm=tuple(float(p) for p in (best.output.thickness_at(times) if score is residual"
         " else exact_fronts(replace(cfg, diffusivities=best_d), times)[2])),"),
     "seed: G from O_a instead of O(beta)": (
-        "convergence.py", "[o_beta * _falling(p_g, q_g, yk) for yk in y]",
-        "[o_a * _falling(p_g, q_g, yk) for yk in y]"),
+        "convergence.py", "lambda y: o_beta * _falling(p_g, q_g, y)",
+        "lambda y: o_a * _falling(p_g, q_g, y)"),
     "seed: outer profiles linear": (
         "convergence.py",
-        "[s_a * _falling(p_s, 0.0, zk) for zk in z]\n"
-        "                 + [o_beta + (o_a - o_beta) * _falling(p_o, 0.0, zk) for zk in z]",
-        "[s_a * (1.0 - zk) for zk in z]\n"
-        "                 + [o_beta + (o_a - o_beta) * (1.0 - zk) for zk in z]"),
+        "(lambda z: s_a * _falling(p_s, 0.0, z),\n"
+        "                lambda z: o_beta + (o_a - o_beta) * _falling(p_o, 0.0, z),",
+        "(lambda z: s_a * (1.0 - z),\n"
+        "                lambda z: o_beta + (o_a - o_beta) * (1.0 - z),"),
     "exact front errors without the seed offset": (
         "convergence.py", "exact_fronts(cfg, record.t_hours + SEED_HOURS)",
         "exact_fronts(cfg, record.t_hours)"),

@@ -249,12 +249,6 @@ class CalibrationResult:
     singular_values: tuple[float, ...]
     fitted: tuple[str, ...]
 
-    @property
-    def condition(self) -> float:
-        """Largest over smallest singular value (inf when one is zero)."""
-        smallest = self.singular_values[-1]
-        return self.singular_values[0] / smallest if smallest > 0.0 else math.inf
-
 
 class _BudgetExhausted(Exception):
     pass

@@ -58,8 +58,8 @@ class RunManifest:
     # simulate only: the run totals, every field of SimulationOutput but
     # its records
     run: dict | None = None
-    # calibrate only: the starting Jacobian's singular values, its condition
-    # number and the fitted parameters
+    # calibrate only: the starting Jacobian's singular values, which give its
+    # condition number, and the fitted parameters
     calibration: dict | None = None
 
     def write(self, path) -> None:
@@ -204,7 +204,6 @@ def cmd_calibrate(args) -> int:
         resolved_config=_settings(cp),
         input_digests=_digests(_input_files(args, cp) + [args.measurements]),
         calibration={"singular_values": list(result.singular_values),
-                     "condition": result.condition,
                      "fitted": list(result.fitted)},
     )
     manifest.duration_seconds = time.perf_counter() - started

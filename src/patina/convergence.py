@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -159,24 +159,26 @@ def chamber_at_start(cfg: SimulationConfig) -> SimulationConfig:
     return replace(cfg, forcing=constant_chamber_forcing(forcing_at(f, 0.0), f.oxygen))
 
 
-def exact_seed(cfg: SimulationConfig) -> tuple[np.ndarray, float, float]:
-    """The packed ``[S | O | G]`` buffer (``stepper.PackedLayout``), a0 and b0 of
-    ``chamber_at_start(cfg)``'s exact solution at SEED_HOURS, with S(1) = G(1)
-    = 0 exactly; raises the ValueErrors of ``similarity``."""
+def exact_seed(cfg: SimulationConfig) -> tuple[tuple[Callable, ...], float, float]:
+    """The exact solution of ``chamber_at_start(cfg)`` at SEED_HOURS.
+
+    Returns its profiles S(z), O(z) and G(y) as functions of the mapped
+    coordinate, which ``stepper.PackedLayout.sample`` puts at the nodes of
+    the run buffer, and a0 and b0; raises the ValueErrors of ``similarity``.
+    """
     chamber = chamber_at_start(cfg)
     k_a, k_b = similarity(chamber)
     s_a, o_a, _, oxygen, _ = _stefan_groups(chamber)
     d, sw = cfg.diffusivities.per_hour(), swelling_ratios(cfg.materials)
     o_beta = oxygen(k_b, stefan_constants(cfg.materials, d).gamma_o)(k_a)
     w, v = (1.0 + sw.omega_b) * k_b, (1.0 + sw.omega_p) * k_a - k_b
-    z, y = np.linspace(0.0, 1.0, cfg.n_z + 1)[1:], np.linspace(0.0, 1.0, cfg.n_y + 1)[1:]
     p_s, p_o = w * w / (4.0 * d.d_s), w * w / (4.0 * d.d_o)
     p_g, q_g = v * v / (4.0 * d.d_g), v * k_b / (2.0 * d.d_g)
-    u = np.array([s_a * _falling(p_s, 0.0, zk) for zk in z]
-                 + [o_beta + (o_a - o_beta) * _falling(p_o, 0.0, zk) for zk in z]
-                 + [o_beta * _falling(p_g, q_g, yk) for yk in y])
+    profiles = (lambda z: s_a * _falling(p_s, 0.0, z),
+                lambda z: o_beta + (o_a - o_beta) * _falling(p_o, 0.0, z),
+                lambda y: o_beta * _falling(p_g, q_g, y))
     root = math.sqrt(SEED_HOURS)
-    return u, k_a * root, k_b * root
+    return profiles, k_a * root, k_b * root
 
 
 def exact_porosities(cfg: SimulationConfig, a_cm: float, b_cm: float,

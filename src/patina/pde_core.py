@@ -39,7 +39,8 @@ The functions here take flat arrays and plain floats: the front
 kinematics, the advection rates, the upwind pass, the Stefan speeds and
 the Robin solve for O(1).  None of them writes a boundary node.  How the
 three species share one buffer, which holds no start value S(0), O(0) or
-G(0), is described once, by ``stepper.PackedLayout``.
+G(0) and no pin S(1) or G(1), is described once, by
+``stepper.PackedLayout``.
 
 For consistent fronts with clamped speeds a_dot, b_dot >= 0 every
 advection speed is <= 0: z*s_o with s_o = -(1+omega_b)*b_dot/width outside,
@@ -217,8 +218,9 @@ def front_velocities(s_3: float, s_2: float, g_3: float, g_2: float, outer: floa
     b_dot comes from the SO2 gradient at beta, a_dot from the inner oxygen
     gradient at a; both use the one-sided second-order stencil, exact for
     quadratics, on the last three nodes of a species.  The last node is the
-    Dirichlet pin S(1) = G(1) = 0, so only the two before it are
-    passed: (s_3, s_2) = (S(-3), S(-2)) and (g_3, g_2) = (G(-3), G(-2)).
+    Dirichlet pin S(1) = G(1) = 0, which is not stored, so only the two
+    before it are passed: (s_3, s_2) = (S(-3), S(-2)) and (g_3, g_2) =
+    (G(-3), G(-2)).
     ``outer`` and ``inner`` are the layer widths beta - gamma and a - beta.
     Transiently negative speeds (discretization noise; the reactions are
     irreversible) are clamped to zero and counted.

@@ -213,7 +213,8 @@ def _build_model(cfg: SimulationConfig) -> Model:
 def initialize(cfg: SimulationConfig) -> tuple[np.ndarray, FrontState, Model]:
     """The packed buffer ``u`` and the fronts of ``convergence.exact_seed``, and the model."""
     model = _build_model(cfg)
-    u, a0, b0 = convergence.exact_seed(cfg)
+    profiles, a0, b0 = convergence.exact_seed(cfg)
+    u = model.layout.sample(*profiles)
     fronts, _ = refresh_state(u, a0, b0, model)
     return u, fronts, model
 

@@ -20,20 +20,22 @@ A substep IE(h) from (u, fronts):
   advection rate at the advanced widths and the start speeds.  The matrix
   is an M-matrix, so a substep keeps the fields non-negative;
 * the end values are Dirichlet data: S(0) the SO2 at t + h, O(0) the
-  oxygen, G(0) the O(1) of u, and S(1) = G(1) = 0 and O(1) held from u.
+  oxygen, G(0) the O(1) of u, O(1) held from u, and the pins
+  S(1) = G(1) = 0, which add nothing to a row.
 
 The fronts of the two results are a + dt*a_dot and a + dt/2*(a_dot +
 a_dot(mid)), so the extrapolated fronts are a + dt*a_dot(mid), the explicit
 midpoint rule, with the speeds of the refreshed half-step state.  Only the
 half-step state and the end of the step are refreshed.
 
-The run state is a plain float64 buffer holding the three species, laid out
-as ``PackedLayout`` describes, and a ``FrontState``.  The species advance
-together in that buffer: one substep is one tridiagonal solve over the
-whole buffer, whose far-end identity rows and first interior rows without
-a sub-diagonal decouple the blocks, so every species is solved exactly as
-on its own.  IE(dt) and the first IE(dt/2) both start from u, so one LAPACK
-dgtsv call solves both, the two systems stacked and decoupled alike.  All
+The run state is a plain float64 buffer holding the unknowns of the three
+species and O(1), laid out as ``PackedLayout`` describes, and a
+``FrontState``.  The species advance together in that buffer: one substep
+is one tridiagonal solve over the whole buffer, whose block edges, a first
+row without a sub-diagonal and a last row without a super-diagonal,
+decouple the blocks, so every species is solved exactly as on its own.
+IE(dt) and the first IE(dt/2) both start from u, so one LAPACK dgtsv call
+solves both, the two systems stacked and decoupled alike.  All
 diagonals and right-hand-side terms of a solve are one product of its
 coefficients, ten per substep from one scalar pass (``_coefficients``),
 with the layout's fixed ``systems`` map.  The product lands in one of the
@@ -44,7 +46,7 @@ buffers are overwritten by the next step, so a model is stepped by one run
 at a time.
 The front-fixing advection speed is affine in the mapped coordinate, z*s_o
 on S and O and y*s_i + m_i on G (``advection_rates``), which the rate rows
--[z | y | 1]/dx of the layout's ``table`` turn into the per-row r.  Every
+-[z | y | 1]/dx of the layout's ``systems`` turn into the per-row r.  Every
 rate is >= 0 for the fronts a refresh builds (``patina.pde_core``), so the
 upwind difference is the forward one.
 """
@@ -153,23 +155,20 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
 
 
 class PackedLayout(NamedTuple):
-    """The flat buffer ``u = [S | O | G]`` of the run state, and its node tables.
+    """The flat buffer ``u = [S | O | G]`` of the run state, and its solve map.
 
-    This is the one description of the buffer.  Each species block runs from
-    its first interior node to its far end, one block after the other: S and
-    O on the outer grid, n_z nodes each, and G on the inner grid, n_y nodes.
-    The start values S(0), O(0) and G(0) are Dirichlet data that
-    ``_coefficients`` hands to the solves, so the buffer does not hold them.
-    ``ends`` holds the flat nodes of S(1), O(1) and G(1), and ``o_end`` that
-    of O(1), which a solve reads as G(0) and ``refresh_state`` writes; the
-    seed's S(1) = G(1) = 0 come back from every solve unchanged.
-
-    ``table`` has one column per node and seven rows: ones; the S, O and G
-    indicators of the interior nodes; and the rate basis -z/dz on S and O,
-    -y/dy and -1/dy on G (at node k of a block on n cells, the exact -k and
-    -n).  The far-end nodes are zero in all but the first row.
-    ``rates @ table[4:]`` is the per-node advection rate -c/dx for the
-    three ``advection_rates``.
+    This is the one description of the buffer.  It holds the unknowns and
+    O(1), one block per species after the other: S its n_z - 1 interior
+    nodes, O its interior nodes and O(1), and G its n_y - 1 interior nodes,
+    2*n_z + n_y - 2 in all.  The start values S(0), O(0) and G(0) are
+    Dirichlet data that ``_coefficients`` hands to the solves, and the pins
+    S(1) = G(1) = 0 add nothing to a row, so the buffer holds none of them.
+    ``o_end`` is the flat node of O(1), the one end node: its row is an
+    identity row, a solve reads it as G(0) and ``refresh_state`` writes it.
+    ``stencils`` are the nodes the Stefan and Robin conditions read: the
+    last two of S and G, and the two before O(1).  ``sample`` puts profiles
+    of the mapped coordinate at the nodes the blocks hold, on the grids of
+    ``n_z`` and ``n_y`` intervals.
 
     ``systems[k - 1]`` turns the ten coefficients of each of k substeps
     (see ``_coefficients``), one substep after the other, into all of their
@@ -177,44 +176,50 @@ class PackedLayout(NamedTuple):
     four parts, each over the k copies of the buffer one after the other:
     the diagonals, the sub-diagonals, the super-diagonals and the terms that
     the start values S(0), O(0) and G(0) add to the first interior row of
-    their species.  Those three couplings are on the right-hand side, so a
-    first interior row has no sub-diagonal: no row couples to the block
-    above it, every row is diagonally dominant, and dgtsv's elimination
-    never swaps two rows, so the far-end values come back exactly as given.
-    The layout is read-only: the product and the solve live in a model's
-    ``SolveBuffer``, built from the layout once per model.
+    their species.  The advection rate of a node is -c/dx of the affine
+    speeds of ``advection_rates``: -z/dz times s_o on S and O, and -y/dy
+    times s_i and -1/dy times m_i on G (at node k of a block on n cells,
+    the exact -k and -n).  A block's first row has no sub-diagonal and its
+    last row no super-diagonal, so no row couples to another block, every
+    row is diagonally dominant, and dgtsv's elimination never swaps two
+    rows.  The layout is read-only: the product and the solve live in a
+    model's ``SolveBuffer``, built from the layout once per model.
     """
 
-    table: np.ndarray        # 7 x nodes: ones, species indicators, rate basis
+    n_z: int
+    n_y: int
     systems: tuple[np.ndarray, ...]   # 10k x 4k*nodes, for k = 1 and 2
-    ends: np.ndarray         # flat nodes S(1), O(1), G(1)
     o_end: int               # flat node O(1)
     stencils: np.ndarray     # flat nodes S(-3), S(-2), O(-3), O(-2), G(-3), G(-2)
 
     @classmethod
     def build(cls, n_z: int, n_y: int) -> "PackedLayout":
-        starts = np.array((0, n_z, 2 * n_z))
-        ends = starts + (n_z - 1, n_z - 1, n_y - 1)
-        size = int(ends[-1]) + 1
-        table = np.zeros((7, size))
-        table[0] = 1.0
-        # the interior k of each grid, at flat node start + k - 1
+        starts = np.array((0, n_z - 1, 2 * n_z - 1))
+        lasts = starts + (n_z - 2, n_z - 1, n_y - 2)
+        size = int(lasts[-1]) + 1
+        # by node: the S, O and G indicators of the interior nodes, and the
+        # rate basis.  Interior k of each grid at flat node start + k - 1
+        table = np.zeros((6, size))
         k_outer, k_inner = np.arange(1, n_z), np.arange(1, n_y)
-        s, o, g = k_outer - 1, n_z - 1 + k_outer, 2 * n_z - 1 + k_inner
-        table[1, s] = table[2, o] = table[3, g] = 1.0
-        table[4, s] = table[4, o] = -k_outer
-        table[5, g] = -k_inner
-        table[6, g] = -n_y
+        s, o, g = k_outer - 1, n_z - 2 + k_outer, 2 * n_z - 2 + k_inner
+        table[0, s] = table[1, o] = table[2, g] = 1.0
+        table[3, s] = table[3, o] = -k_outer
+        table[4, g] = -k_inner
+        table[5, g] = -n_y
         first = np.zeros((3, size))
         first[[0, 1, 2], starts] = 1.0
-        species, rates = table[1:4], table[4:]
+        species, rates = table[:3], table[3:]
+        # a first row has no sub-diagonal (first - species) and a last row
+        # no super-diagonal, so no row couples to another block
+        above = table.copy()
+        above[:, lasts] = 0.0
         # coefficient rows by diagonal, sub-diagonal, super-diagonal and
         # right-hand-side term of one substep
         single = np.zeros((10, 4, size))
-        single[0, 0] = table[0]
+        single[0, 0] = 1.0
         single[1:4, 0], single[4:7, 0] = 2.0 * species, rates
         single[1:4, 1] = first - species
-        single[1:4, 2], single[4:7, 2] = -species, -rates
+        single[1:7, 2] = -above
         single[7:10, 3] = first
         systems = []
         for k in (1, 2):
@@ -222,8 +227,22 @@ class PackedLayout(NamedTuple):
             for j in range(k):
                 stacked[j, :, :, j] = single
             systems.append(stacked.reshape(10 * k, 4 * k * size))
-        return cls(table=table, systems=tuple(systems), ends=ends, o_end=int(ends[1]),
-                   stencils=np.stack((ends - 2, ends - 1), axis=1).ravel())
+        # the stencils are the two nodes before each far end: the last two of
+        # S and G, whose pins are not held, and the two before O(1)
+        tails = lasts - (0, 1, 0)
+        return cls(n_z=n_z, n_y=n_y, systems=tuple(systems), o_end=int(lasts[1]),
+                   stencils=np.stack((tails - 1, tails), axis=1).ravel())
+
+    def sample(self, s, o, g) -> np.ndarray:
+        """The buffer of the profiles s(z), o(z) and g(y), each called at the nodes of its block.
+
+        z and y are the mapped coordinates, k/n_z and k/n_y at node k, and
+        1 exactly at O(1).
+        """
+        z = np.linspace(0.0, 1.0, self.n_z + 1)[1:]
+        y = np.linspace(0.0, 1.0, self.n_y + 1)[1:-1]
+        return np.array([s(zk) for zk in z[:-1]] + [o(zk) for zk in z]
+                        + [g(yk) for yk in y])
 
 
 class SolveBuffer:
@@ -243,19 +262,18 @@ class SolveBuffer:
     __slots__ = ("system", "parts", "rows", "starts")
 
     def __init__(self, layout: PackedLayout, k: int):
-        size = layout.table.shape[1]
-        n = k * size
-        self.system = layout.systems[k - 1]
+        self.system = system = layout.systems[k - 1]
+        n = system.shape[1] // 4
         self.parts = parts = np.empty(4 * n)
         self.rows = (parts[n + 1:2 * n], parts[:n], parts[2 * n:3 * n - 1], parts[3 * n:])
-        self.starts = parts[3 * n:].reshape(k, size)
+        self.starts = parts[3 * n:].reshape(k, -1)
 
     def solve(self, coefficients: list[float], u: np.ndarray) -> np.ndarray:
         """The k substeps of ``coefficients`` (ten per substep) from ``u``, stacked.
 
         The k systems are solved in one dgtsv call on the k copies of u, one
         after the other; their block edges decouple them.  Returns the k results
-        one after the other in a view of ``parts``; their far ends are u's.
+        one after the other in a view of ``parts``; their O(1) is u's.
         """
         np.dot(coefficients, self.system, out=self.parts)
         self.starts += u
@@ -310,17 +328,17 @@ def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,
     return dt
 
 
-def _clamp_fields(u: np.ndarray, ends: np.ndarray) -> int:
+def _clamp_fields(u: np.ndarray, o_end: int) -> int:
     """Floor negative interior concentrations at zero; returns how many nodes clipped.
 
-    The far ends at ``ends`` are left as they are: S(1) = G(1) = 0 come back
-    from every solve unchanged, and the refresh that follows writes O(1).
+    O(1), at ``o_end``, is left as it is and not counted: the refresh that
+    follows writes it.
     """
     # argmin costs a fifth of min on a buffer this short, and finds a NaN as min does
     if not u[u.argmin()] < 0.0:
         return 0
     mask = u < 0.0
-    mask[ends] = False
+    mask[o_end] = False
     u[mask] = 0.0
     return int(np.count_nonzero(mask))
 
@@ -330,9 +348,9 @@ def refresh_state(u: np.ndarray, a: float, b: float, model: Model) -> tuple[Fron
 
     Checks the ordering gamma < beta < a once, then reads the interior
     stencil nodes of the Stefan and Robin conditions.  Order matters: the
-    pins S(1) = G(1) = 0 enter the Stefan speeds, and the speeds feed the
-    Robin solve for O(1), the one node of ``u`` written; the next solve
-    reads it as G(0).
+    Stefan speeds, whose stencils take the pins S(1) = G(1) = 0 as zero,
+    feed the Robin solve for O(1), the one node of ``u`` written; the next
+    solve reads it as G(0).
     """
     sw = model.sw
     omega_p, omega_b = sw.omega_p, sw.omega_b
@@ -431,7 +449,7 @@ def imex_midpoint_step(u: np.ndarray, fs: FrontState, t: float, dt: float,
 
     new = second + second
     new -= full
-    field_clamps = _clamp_fields(new, model.layout.ends)
+    field_clamps = _clamp_fields(new, o_end)
     fs_new, clamped = refresh_state(new, fs.a + dt * fs_mid.a_dot, fs.b + dt * fs_mid.b_dot,
                                     model)
 

@@ -48,3 +48,12 @@ def consistent_fronts(a: float, b: float, sw: SwellingRatios,
     check_ordering(a, beta, gamma)
     return FrontState(a, b, beta, gamma, a_dot, b_dot, b_dot - sw.omega_p * a_dot,
                       -(sw.omega_p * a_dot + sw.omega_b * b_dot))
+
+
+def layout_rates(layout, rates) -> np.ndarray:
+    """The per-node advection rate -c/dx that the layout's solve map puts on
+    the diagonal for the ``advection_rates`` ``rates``: the diagonal of the
+    coefficients (0, 0, 0, 0, s_o, s_i, m_i, 0, 0, 0), a substep of h = 1
+    without its identity and diffusion."""
+    diagonal = np.dot([0.0] * 4 + list(rates) + [0.0] * 3, layout.systems[0])
+    return diagonal[:diagonal.size // 4]

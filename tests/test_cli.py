@@ -11,6 +11,8 @@ import pytest
 import patina
 import patina.calibration
 import patina.cli
+import patina.config
+import patina.convergence
 import patina.simulation
 from patina.cli import run_main
 from patina.convergence import MIN_TEMPORAL_ORDER
@@ -232,6 +234,31 @@ def test_calibration_csv_prints_round_off_singular_values_as_zero(tmp_path):
     sv = measured["singular_values"]
     assert float(largest) == pytest.approx(sv[0], rel=1e-5)
     assert max(sv[1:]) < 1e-2 * sv[0] and any(sv[1:])
+
+
+def test_calibration_manifest_is_strict_json_when_a_jacobian_column_fails(tmp_path,
+                                                                           monkeypatch):
+    # no exact solution off the default d_o: the starting Jacobian's d_o
+    # column fails and is zero, its smallest singular value exactly 0; the
+    # manifest still parses without the non-standard Infinity or NaN
+    d_o = patina.config.build_simulation_config(patina.config.load_settings()).diffusivities.d_o
+    similarity = patina.convergence.similarity
+
+    def failing(cfg):
+        if cfg.diffusivities.d_o != d_o:
+            raise ValueError("no similarity solution off the default d_o")
+        return similarity(cfg)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    monkeypatch.setattr(patina.convergence, "similarity", failing)
+    out = tmp_path / "cal"
+    assert run_main(["calibrate", "--measurements", "data/thickness_measures.csv",
+                     "--out", str(out)]) == 0
+    text = (out / "calibration_manifest.json").read_text()
+    calibration = json.loads(text, parse_constant=reject)["calibration"]
+    assert calibration["singular_values"][-1] == 0.0
 
 
 def test_cycles_without_a_dry_phase_calibrate_as_the_chamber(tmp_path):

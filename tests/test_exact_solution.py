@@ -23,6 +23,7 @@ from patina.environment import Forcing, constant_chamber_forcing, cycle_forcing
 from patina.materials import swelling_ratios
 from patina.pde_core import Diffusivities, stefan_constants
 from patina.simulation import run
+from patina.stepper import PackedLayout
 
 REFERENCE_CONFIG = "configs/reference_diffusivities.ini"
 # the paper's printed 40 h chamber state, cm; b is reconstructed from the
@@ -75,13 +76,13 @@ def test_closed_forms_match_gauss_legendre(case, monkeypatch):
 
 @pytest.mark.parametrize("path", [None, REFERENCE_CONFIG], ids=["default", "literature"])
 def test_seed_is_the_exact_solution_at_seed_hours(path):
-    # the fronts K*sqrt(t0), and on every node of the buffer (each grid but
-    # its first point) the profiles of the exact solution, rebuilt here by
-    # quadrature with O(beta) from the O Robin
-    # condition (measured: within 2.6e-14 of the boundary value of a species,
-    # on G of the literature set; a linear S is 9e-9 off, G from O_a 4e-4)
+    # the fronts K*sqrt(t0), and on every node of the buffer the profiles of
+    # the exact solution, rebuilt here by quadrature with O(beta) from the O
+    # Robin condition and sampled by the same layout (measured: within
+    # 2.6e-14 of the boundary value of a species, on G of the literature
+    # set; a linear S is 9e-9 off, G from O_a 4e-4)
     cfg = replace(build_simulation_config(load_settings(path)), n_z=20, n_y=15)
-    u, a0, b0 = exact_seed(cfg)
+    profiles, a0, b0 = exact_seed(cfg)
     k_a, k_b = similarity(cfg)
     root = math.sqrt(SEED_HOURS)
     assert (a0, b0) == (k_a * root, k_b * root)
@@ -92,12 +93,13 @@ def test_seed_is_the_exact_solution_at_seed_hours(path):
     w, v = (1.0 + sw.omega_b) * k_b, (1.0 + sw.omega_p) * k_a - k_b
     m = 2.0 * d.d_o * gl_flux(w * w / (4.0 * d.d_o)) / w
     o_beta = (m * o_a - gamma_o * k_b) / (m + sw.omega_p * k_a + w)
-    z, y = np.linspace(0.0, 1.0, cfg.n_z + 1)[1:], np.linspace(0.0, 1.0, cfg.n_y + 1)[1:]
-    expected = np.concatenate((
-        [s_a * gl_falling(w * w / (4.0 * d.d_s), 0.0, zk) for zk in z],
-        [o_beta + (o_a - o_beta) * gl_falling(w * w / (4.0 * d.d_o), 0.0, zk) for zk in z],
-        [o_beta * gl_falling(v * v / (4.0 * d.d_g), v * k_b / (2.0 * d.d_g), yk) for yk in y]))
-    blocks = np.split(np.abs(u - expected), [z.size, 2 * z.size])
+    layout = PackedLayout.build(cfg.n_z, cfg.n_y)
+    u = layout.sample(*profiles)
+    expected = layout.sample(
+        lambda z: s_a * gl_falling(w * w / (4.0 * d.d_s), 0.0, z),
+        lambda z: o_beta + (o_a - o_beta) * gl_falling(w * w / (4.0 * d.d_o), 0.0, z),
+        lambda y: o_beta * gl_falling(v * v / (4.0 * d.d_g), v * k_b / (2.0 * d.d_g), y))
+    blocks = np.split(np.abs(u - expected), [cfg.n_z - 1, 2 * cfg.n_z - 1])
     for deviation, scale in zip(blocks, (s_a, o_a, o_a)):
         assert np.max(deviation) <= 1e-13 * scale
 

@@ -17,7 +17,7 @@ from patina.pde_core import (
     split_rhs_interior,
     stefan_constants,
 )
-from conftest import consistent_fronts
+from conftest import consistent_fronts, layout_rates
 from patina.stepper import Model, refresh_state, select_dt
 
 SW = swelling_ratios(DEFAULT_MATERIALS)
@@ -121,10 +121,10 @@ class TestRescaleCoefficients:
 
 
 def packed_fields(n_z, n_y, s, o, g):
-    """[S | O | G] at every grid point, start values included, on unequal grids
+    """[S | O | G] at every grid point, end values included, on unequal grids
     from per-species profiles of the grid coordinate: the buffer TestSplitRhs
     passes through ``split_rhs_interior`` (the run buffer of
-    ``stepper.PackedLayout`` does not hold the start values)."""
+    ``stepper.PackedLayout`` holds no start value and no pin)."""
     z = np.linspace(0, 1, n_z + 1)
     y = np.linspace(0, 1, n_y + 1)
     return np.concatenate((s(z), o(z), g(y)))
@@ -132,7 +132,7 @@ def packed_fields(n_z, n_y, s, o, g):
 
 def packed_rhs(u, fs, n_z, n_y, sw=SW):
     """Advection of all three species in one pass, at the per-node rates -c/dx
-    of the layout's table (the rates the stepper's matrix holds), and the model."""
+    of the layout's solve map (the rates the stepper's matrix holds), and the model."""
     model = Model(d=Diffusivities(1.0, 1.0, 1.0), sc=StefanConstants(0, 0, 0),
                   sw=sw, n_z=n_z, n_y=n_y, forcing=NO_FORCING)
     return split_rhs_interior(u, node_rates(fs, model)[1:-1]), model
@@ -140,20 +140,30 @@ def packed_rhs(u, fs, n_z, n_y, sw=SW):
 
 def at_grid_points(row, model):
     """A row over the layout's nodes, spread over every grid point of
-    ``packed_fields``: 0 at the start values, which the layout does not hold."""
-    ends = model.layout.ends
-    return np.insert(row, np.concatenate(([0], ends[:-1] + 1)), 0)
+    ``packed_fields``: 0 at the start values and the pins, which the layout
+    does not hold.  The layout samples each node's grid point, its index in
+    the buffer of ``packed_fields``."""
+    lay = model.layout
+    n_z, n_y = lay.n_z, lay.n_y
+    points = lay.sample(lambda z: round(z * n_z), lambda z: n_z + 1 + round(z * n_z),
+                        lambda y: 2 * n_z + 2 + round(y * n_y)).astype(int)
+    spread = np.zeros(2 * n_z + n_y + 3, dtype=row.dtype)
+    spread[points] = row
+    return spread
 
 
 def node_rates(fs, model):
-    """The per-node advection rate -c/dx of the layout's table, at every grid point."""
-    return at_grid_points(np.dot(advection_rates(fs, model.sw.omega_p),
-                                 model.layout.table[4:]), model)
+    """The per-node advection rate -c/dx of the layout's solve map, at every grid point."""
+    return at_grid_points(layout_rates(model.layout, advection_rates(fs, model.sw.omega_p)),
+                          model)
 
 
 def interior_rows(model):
-    """The rows 1..N-2 of ``packed_fields`` that are interior nodes of their species."""
-    return at_grid_points(model.layout.table[1:4].any(axis=0), model)[1:-1]
+    """The rows 1..N-2 of ``packed_fields`` that are interior nodes of their
+    species: every node the layout holds but O(1)."""
+    lay = model.layout
+    nodes = np.arange(lay.systems[0].shape[1] // 4)
+    return at_grid_points(nodes != lay.o_end, model)[1:-1]
 
 
 def per_block_reference(u, fs, n_z, n_y, omega_p=SW.omega_p):
@@ -260,16 +270,15 @@ def speeds(s, g, sc):
     return front_velocities(s[-3], s[-2], g[-3], g[-2], 1.0, 1.0, sc, 1 / n, 1 / n)
 
 
-def refreshed(s, g, sc):
-    """``refresh_state`` on S = s, O = 0 and G = g for fronts of unit layer
-    widths (to rounding): the new fronts and the clamp count.  s and g are
-    given at every grid point; the buffer takes all but the first."""
-    n = len(s) - 1
+def refreshed(s, g, sc, n):
+    """``refresh_state`` on S = s(z), O = 0 and G = g(y) on n cells per layer,
+    for fronts of unit layer widths (to rounding): the new fronts and the
+    clamp count."""
     b = 1.0 / (1.0 + SW.omega_b)
     a = (1.0 + b) / (1.0 + SW.omega_p)
     model = Model(d=Diffusivities(1.0, 1.0, 1.0), sc=sc, sw=SW, n_z=n, n_y=n,
                   forcing=NO_FORCING)
-    return refresh_state(np.concatenate((s[1:], np.zeros(n), g[1:])), a, b, model)
+    return refresh_state(model.layout.sample(s, lambda z: 0.0, g), a, b, model)
 
 
 class TestBoundaryGradient:
@@ -289,15 +298,14 @@ class TestFrontVelocities:
     def test_zero_fields_zero_velocities(self):
         zeros = np.zeros(101)
         assert speeds(zeros, zeros, StefanConstants(1.0, 1.0, 1.0)) == (0.0, 0.0, 0)
-        moved, clamped = refreshed(zeros, zeros, StefanConstants(1.0, 1.0, 1.0))
+        moved, clamped = refreshed(lambda z: 0.0, lambda y: 0.0,
+                                   StefanConstants(1.0, 1.0, 1.0), 100)
         assert moved[4:] == (0.0, 0.0, 0.0, 0.0)
         assert clamped == 0
 
     def test_linear_profile_unit_velocity(self):
         # S falling 1 -> 0 over unit width with Omega_s = 1 gives b_dot = 1
-        n = 100
-        z = np.linspace(0, 1, n + 1)
-        moved, _ = refreshed(1.0 - z, np.zeros(n + 1), UNIT)
+        moved, _ = refreshed(lambda z: 1.0 - z, lambda y: 0.0, UNIT, 100)
         assert moved.b_dot == pytest.approx(1.0, rel=1e-12)
         assert moved.a_dot == 0.0
         assert moved.gamma_dot == pytest.approx(-SW.omega_b, rel=1e-12)
@@ -312,9 +320,7 @@ class TestFrontVelocities:
         assert clamped == 0
 
     def test_each_speed_lands_in_its_field(self):
-        n = 100
-        x = np.linspace(0, 1, n + 1)
-        moved, _ = refreshed(2.0 * (1.0 - x), 1.0 - x**2, UNIT)
+        moved, _ = refreshed(lambda z: 2.0 * (1.0 - z), lambda y: 1.0 - y**2, UNIT, 100)
         assert moved.b_dot == pytest.approx(2.0, rel=1e-12)
         assert moved.a_dot == pytest.approx(2.0, rel=1e-12)
         assert moved.beta_dot == moved.b_dot - SW.omega_p * moved.a_dot
@@ -330,10 +336,9 @@ class TestFrontVelocities:
 
     @given(s_amp=st.floats(0.1, 2.0), g_amp=st.floats(0.1, 2.0))
     def test_kinematic_identity(self, s_amp, g_amp):
-        n = 50
-        x = np.linspace(0, 1, n + 1)
         sc = StefanConstants(0.9, 0.4, 0.0)
-        moved, _ = refreshed(s_amp * (1 - x) * (1 + 0.3 * x), g_amp * (1 - x**2), sc)
+        moved, _ = refreshed(lambda z: s_amp * (1 - z) * (1 + 0.3 * z),
+                             lambda y: g_amp * (1 - y**2), sc, 50)
         assert abs(moved.gamma_dot + SW.omega_p * moved.a_dot
                    + SW.omega_b * moved.b_dot) <= 1e-12
 
@@ -347,22 +352,24 @@ class TestOuterBcs:
 
     def test_dirichlet_and_homogeneous_robin(self):
         # zero S and G keep the fronts at rest, so refresh_state makes the
-        # zero-velocity Robin solve; the far ends start at 5.0 to show that
-        # it writes O(1) alone
+        # zero-velocity Robin solve; O(1) starts at 5.0 to show that it
+        # writes O(1) alone
         model = Model(d=self.d, sc=self.sc, sw=SW, n_z=self.n, n_y=self.n,
                       forcing=constant_chamber_forcing(0.0, 0.8))
         lay = model.layout
-        u = np.zeros(3 * self.n)
-        u[lay.ends] = 5.0
+        u = lay.sample(lambda z: 0.0, lambda z: 0.0, lambda y: 0.0)
+        u[lay.o_end] = 5.0
         u[lay.stencils[2:4]] = 0.7, 0.9     # O(-3), O(-2)
+        before = u.copy()
         fs, _ = refresh_state(u, 2.0, 1.0, model)
         assert fs == consistent_fronts(2.0, 1.0, SW)
         o_beta = apply_outer_bcs(0.7, 0.9, fs.beta - fs.gamma, 0.0, 0.0, self.d, self.sc,
                                  self.dz)
         # zero-velocity Robin reduces to a zero-gradient extrapolation
         assert o_beta == pytest.approx((4 * 0.9 - 0.7) / 3.0, rel=1e-12)
-        # S(1), O(1), G(1): the Robin value at O(1), S(1) and G(1) as they were
-        assert u[lay.ends].tolist() == [5.0, o_beta, 5.0]
+        # the Robin value at O(1), every other node as it was
+        assert u[lay.o_end] == o_beta
+        assert np.flatnonzero(u != before).tolist() == [lay.o_end]
 
     def test_uniform_field_with_matched_velocities(self):
         # gamma_dot = b_dot = v: the (gamma_dot - b_dot)*O term drops and the

@@ -57,20 +57,20 @@ class TestInitialize:
         assert fronts.gamma < fronts.beta
 
     def test_field_profiles(self, default_cfg):
-        # each block runs from its first interior node to its far end; the
-        # start values S(0) = S_a, O(0) = O_a and G(0) = O(1) are not stored
-        # (the step hands them to the solves: test_substeps_take_g0_from_o1)
+        # S and G hold their interior nodes, O its interior nodes and O(1);
+        # the start values S(0) = S_a, O(0) = O_a and G(0) = O(1) are not
+        # stored (the step hands them to the solves:
+        # test_substeps_take_g0_from_o1), nor the pins S(1) = G(1) = 0
         u, fronts, model = initialize(default_cfg)
         s_a, o_a = forcing_at(model.forcing, 0.0), model.forcing.oxygen
         n_z = default_cfg.n_z
-        s, o, g = u[:n_z], u[n_z:2 * n_z], u[2 * n_z:]
-        assert g.size == default_cfg.n_y
-        assert s[-1] == 0.0
-        assert np.all(np.diff(np.concatenate(([s_a], s))) < 0)    # falls to the consumed end
+        s, o, g = u[:n_z - 1], u[n_z - 1:2 * n_z - 1], u[2 * n_z - 1:]
+        assert g.size == default_cfg.n_y - 1
+        # S falls to the consumed end
+        assert np.all(np.diff(np.concatenate(([s_a], s, [0.0]))) < 0)
         assert np.all(np.diff(np.concatenate(([o_a], o))) < 0) and o[-1] > 0.0
-        assert g[-1] == 0.0
         # G falls from the interface value O(1) to the consumed end
-        assert np.all(np.diff(np.concatenate(([o[-1]], g))) < 0)
+        assert np.all(np.diff(np.concatenate(([o[-1]], g, [0.0]))) < 0)
 
     def test_rejects_oxygen_used_up_at_beta(self, default_cfg):
         d = replace(default_cfg.diffusivities, d_o=1e-10)

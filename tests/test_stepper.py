@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import consistent_fronts
+from conftest import consistent_fronts, layout_rates
 from patina import pde_core, simulation, stepper
 from patina.convergence import observed_orders
 from patina.environment import Forcing, constant_chamber_forcing, cycle_forcing, forcing_at
@@ -106,7 +106,9 @@ def test_rate_basis_gives_minus_c_over_dx(signs):
     n_z, n_y, omega_p = 30, 17, 0.67
     lay = PackedLayout.build(n_z, n_y)
     z, y = np.arange(1, n_z) / n_z, np.arange(1, n_y) / n_y
-    species = [np.flatnonzero(row) for row in lay.table[1:4]]
+    # the interior nodes of each species: the diagonal entries its diffusion number reaches
+    size = lay.systems[0].shape[1] // 4
+    species = [np.flatnonzero(lay.systems[0][k, :size]) for k in (1, 2, 3)]
     rng = np.random.default_rng(18)
     for _ in range(100):
         s_o, s_i, m_i = np.array(signs) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
@@ -115,9 +117,9 @@ def test_rate_basis_gives_minus_c_over_dx(signs):
                         beta_dot=beta_dot, gamma_dot=beta_dot + s_o)
         rates = pde_core.advection_rates(fs, omega_p)
         assert np.all(np.sign(rates) == signs)
-        rate = np.dot(rates, lay.table[4:])
-        # zero on the three far-end nodes, so their rows stay identity rows
-        assert np.array_equal(rate[lay.ends], np.zeros(3))
+        rate = layout_rates(lay, rates)
+        # zero on O(1), so its row stays an identity row
+        assert rate[lay.o_end] == 0.0
         c_out = -pde_core.outer_advection_coeff(z, fs) / (1.0 / n_z)
         c_in = -pde_core.inner_advection_coeff(y, fs, omega_p) / (1.0 / n_y)
         # within 2 ulps of the block's largest rate (measured: 2)
@@ -132,25 +134,31 @@ def _per_species_rows(coefficients, u, n_z, n_y):
 
     Each block has interior rows (-alpha, 1 + 2*alpha + r, -alpha - r) with
     the rate r = -c/dx of the speeds z*s_o and y*s_i + m_i, the
-    coefficients holding h times them, and an identity row at its far end.
-    The first interior row has no sub-diagonal: its coupling to the start
-    value S(0), O(0) or G(0), which the buffer does not hold, is on the
-    right-hand side, as alpha times that value.
+    coefficients holding h times them.  The first interior row has no
+    sub-diagonal: its coupling to the start value S(0), O(0) or G(0), which
+    the buffer does not hold, is on the right-hand side, as alpha times that
+    value.  The last interior row of S and G has no super-diagonal: it
+    couples to the pin S(1) = G(1) = 0, which adds nothing.  O ends in the
+    identity row of O(1).
     """
     _, *alphas, p, q, m = coefficients[:7]
-    grids = ((n_z, lambda k: -p * k), (n_z, lambda k: -p * k),
-             (n_y, lambda k: -q * k - m * n_y))
+    grids = ((n_z, lambda k: -p * k, False), (n_z, lambda k: -p * k, True),
+             (n_y, lambda k: -q * k - m * n_y, False))
     rows = []
-    for block, alpha, start_term, (n, rate) in zip(
-            np.split(u, [n_z, 2 * n_z]), alphas, coefficients[7:], grids):
-        r = np.concatenate((rate(np.arange(1, n)), [0.0]))
-        a = np.full(n, alpha)
-        a[-1] = 0.0
-        lower = -a
+    for block, alpha, start_term, (n, rate, holds_end) in zip(
+            np.split(u, [n_z - 1, 2 * n_z - 1]), alphas, coefficients[7:], grids):
+        r = rate(np.arange(1, n))
+        a = np.full(n - 1, alpha)
+        lower, diag, upper = -a, 1.0 + 2.0 * a + r, -a - r
         lower[0] = 0.0
+        if holds_end:
+            lower, diag, upper = (np.append(v, e) for v, e in
+                                  ((lower, 0.0), (diag, 1.0), (upper, 0.0)))
+        else:
+            upper[-1] = 0.0
         rhs = block.copy()
         rhs[0] += start_term
-        rows.append((lower, 1.0 + 2.0 * a + r, -a - r, rhs))
+        rows.append((lower, diag, upper, rhs))
     lower, diag, upper, rhs = (np.concatenate(parts) for parts in zip(*rows))
     return lower[1:], diag, upper[:-1], rhs
 
@@ -164,7 +172,7 @@ def _random_coefficients(rng, alphas, u, n_z=30, n_y=17):
     m = -a_g / (2 * n_y) * 10.0 ** rng.uniform(-6, 0)
     q = rng.uniform(-1, 1) * abs(m) * n_y / (n_y - 1)
     s_0, o_0 = rng.uniform(0, 1, 2)
-    return [1.0, *alphas, p, q, m, a_s * s_0, a_o * o_0, a_g * u[2 * n_z - 1]]
+    return [1.0, *alphas, p, q, m, a_s * s_0, a_o * o_0, a_g * u[2 * n_z - 2]]
 
 
 class TestPackedStageSolve:
@@ -174,11 +182,11 @@ class TestPackedStageSolve:
     def test_matches_per_species_solves_bit_for_bit(self, seed, alphas):
         # the rows of one substep are those of each species, to the rounding
         # of sums taken in another order; and the packed solve of them equals
-        # each species' block solved on its own bit for bit: the far-end rows
-        # and the first interior rows' zero sub-diagonals decouple the blocks
+        # each species' block solved on its own bit for bit: a block's first
+        # row has no sub-diagonal and its last no super-diagonal
         n_z, n_y = 30, 17
         rng = np.random.default_rng(seed)
-        u = rng.uniform(0, 1, 2 * n_z + n_y)
+        u = rng.uniform(0, 1, 2 * n_z + n_y - 2)
         coefficients = _random_coefficients(rng, alphas, u)
         model = _inert_setup(n_z, 1.0, n_y)[0]
         n = u.size
@@ -187,9 +195,10 @@ class TestPackedStageSolve:
         for got, expect in zip(rows, _per_species_rows(coefficients, u, n_z, n_y)):
             assert np.all(np.abs(got - expect) <= 4.0 * np.spacing(np.abs(expect)))
         packed = model.single.solve(coefficients, u)
-        # the far-end values come back as they were
-        assert np.array_equal(packed[model.layout.ends], u[model.layout.ends])
-        edges = [0, n_z, 2 * n_z, n]
+        # O(1) comes back as it was
+        o_end = model.layout.o_end
+        assert packed[o_end] == u[o_end]
+        edges = [0, n_z - 1, 2 * n_z - 1, n]
         lower, diag, upper, rhs = rows
         for start, end in zip(edges, edges[1:]):
             alone = solve_tridiagonal(lower[start:end - 1], diag[start:end],
@@ -208,7 +217,7 @@ class TestPackedStageSolve:
         rng = np.random.default_rng(seed)
         model = _inert_setup(n_z, 1.0, n_y)[0]
         systems = model.layout.systems
-        u = rng.uniform(0, 1, 2 * n_z + n_y)
+        u = rng.uniform(0, 1, 2 * n_z + n_y - 2)
         n = u.size
         first = _random_coefficients(rng, alphas[:3], u)
         second = _random_coefficients(rng, alphas[3:], u)
@@ -370,20 +379,41 @@ def test_substeps_take_g0_from_o1(monkeypatch, default_cfg):
                       ((0.5 * dt, s_end, refreshed[0]),)]
 
 
-@pytest.mark.parametrize("n_z, n_y", [(3, 3), (25, 25), (30, 17), (4, 40)])
+GRIDS = [(3, 3), (25, 25), (30, 17), (4, 40)]
+
+
+@pytest.mark.parametrize("n_z, n_y", GRIDS)
+def test_layout_holds_the_unknowns_and_o1(n_z, n_y):
+    # S and G their interior nodes, O its interior nodes and O(1): 2*n_z +
+    # n_y - 2 nodes, each profile sampled at its block's nodes in order, the
+    # Stefan and Robin stencils on the last two of S and G and the two
+    # before O(1)
+    lay = PackedLayout.build(n_z, n_y)
+    size = 2 * n_z + n_y - 2
+    assert [system.shape[1] for system in lay.systems] == [4 * size, 8 * size]
+    u = lay.sample(lambda z: 10.0 + z, lambda z: 20.0 + z, lambda y: 30.0 + y)
+    z, y = np.arange(1, n_z + 1) / n_z, np.arange(1, n_y) / n_y
+    expect = np.concatenate((10.0 + z[:-1], 20.0 + z, 30.0 + y))
+    assert u.shape == (size,) and np.allclose(u, expect, rtol=0.0, atol=1e-14)
+    assert lay.o_end == 2 * n_z - 2 and u[lay.o_end] == 21.0
+    # the two nodes before a far end, at k = n - 2 and n - 1 of n cells
+    stencil = [offset + np.array((n - 2, n - 1)) / n for offset, n in ((10.0, n_z), (20.0, n_z),
+                                                                      (30.0, n_y))]
+    assert np.allclose(u[lay.stencils], np.concatenate(stencil), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_z, n_y", GRIDS)
 def test_refresh_writes_o1_alone(n_z, n_y):
-    # the buffer holds the 2*n_z + n_y nodes the solves read; a refresh
-    # writes the Robin value O(1), which the next solve reads as G(0), and
-    # leaves every other node exactly as it was
+    # a refresh writes the Robin value O(1), which the next solve reads as
+    # G(0), and leaves every other node exactly as it was
     sw = swelling_ratios(DEFAULT_MATERIALS)
     d, sc = Diffusivities(1.0, 2.0, 3.0), StefanConstants(0.5, 0.25, 0.125)
     model = Model(d=d, sc=sc, sw=sw, n_z=n_z, n_y=n_y,
                   forcing=constant_chamber_forcing(0.7, 0.8))
     lay = model.layout
-    assert lay.table.shape[1] == 2 * n_z + n_y
     rng = np.random.default_rng(n_z * n_y)
     for _ in range(20):
-        u = rng.uniform(0.0, 1.0, 2 * n_z + n_y)
+        u = rng.uniform(0.0, 1.0, 2 * n_z + n_y - 2)
         before = u.copy()
         fs, _ = stepper.refresh_state(u, 2.0, 1.0, model)
         o_3, o_2 = before[lay.stencils[2:4]]
@@ -443,10 +473,8 @@ class TestStepAlgebra:
         # 1/(1 - z), two IE(dt/2) by 1/(1 - z/2)^2
         n, d_s = 20, 0.3
         model, fronts = _inert_setup(n, d_s)
-        z = np.linspace(0, 1, n + 1)[1:]
-        mode = np.sin(np.pi * z)
-        mode[-1] = 0.0      # the pin S(1), not sin(pi) in floating point
-        u = _packed(mode, n)
+        u = _packed(lambda z: np.sin(np.pi * z), model)
+        mode = u[:n - 1]
         lam = -4.0 * d_s * n**2 * math.sin(0.5 * math.pi / n) ** 2
 
         def factor(dt):
@@ -454,8 +482,8 @@ class TestStepAlgebra:
             return 2.0 / (1.0 - zeta / 2) ** 2 - 1.0 / (1.0 - zeta)
 
         new, fs, error, clamps, _ = imex_midpoint_step(u, fronts, 0.0, 0.05, model)
-        assert np.allclose(new[:n], mode * factor(0.05), rtol=0, atol=1e-14)
-        assert not np.allclose(new[:n], mode * math.exp(lam * 0.05), rtol=0, atol=1e-6)
+        assert np.allclose(new[:n - 1], mode * factor(0.05), rtol=0, atol=1e-14)
+        assert not np.allclose(new[:n - 1], mode * math.exp(lam * 0.05), rtol=0, atol=1e-6)
         # the inert interfaces keep the fronts in place at zero speed, so
         # the error estimate of the fronts is zero
         assert (fs.a, fs.b, error, clamps) == (fronts.a, fronts.b, 0.0, 0)
@@ -465,7 +493,7 @@ class TestStepAlgebra:
         # the clamp floors that small undershoot at zero on every interior node
         assert -1e-3 < factor(1e3) < 0.0
         new, _, _, clamps, _ = imex_midpoint_step(u, fronts, 0.0, 1e3, model)
-        assert np.array_equal(new[:n], np.zeros(n)) and clamps == n - 1
+        assert np.array_equal(new[:n - 1], np.zeros(n - 1)) and clamps == n - 1
 
     def test_error_estimate_is_the_front_difference_of_the_two_results(self, default_cfg):
         # the first result's fronts are a + dt*a_dot, the second's
@@ -517,33 +545,29 @@ def _inert_setup(n, d_s, n_y=None):
     return model, fronts
 
 
-def _packed(s, n):
-    """The buffer [S | O | G] on n cells per layer with S = s and O = G = 0;
-    s is given at z = 1/n, ..., 1, the nodes of the S block."""
-    return np.concatenate((s, np.zeros(2 * n)))
+def _packed(s, model):
+    """The buffer [S | O | G] of ``model`` with S = s(z) and O = G = 0; the S
+    block is its first n - 1 nodes, n the cells per layer."""
+    return model.layout.sample(s, lambda z: 0.0, lambda y: 0.0)
 
 
 class TestPdeStep:
     def test_zero_rhs_leaves_state_unchanged(self):
         n = 40
         model, fronts = _inert_setup(n, 1e-30)
-        z = np.linspace(0, 1, n + 1)[1:]
-        bump = np.exp(-((z - 0.5) / 0.2) ** 2)
-        bump[-1] = 0.0
-        new, *_ = imex_midpoint_step(_packed(bump, n), fronts, 0.0, 0.05, model)
-        assert np.allclose(new[:n], bump, atol=1e-25)
+        u = _packed(lambda z: np.exp(-((z - 0.5) / 0.2) ** 2), model)
+        new, *_ = imex_midpoint_step(u, fronts, 0.0, 0.05, model)
+        assert np.allclose(new[:n - 1], u[:n - 1], atol=1e-25)
 
     def test_unconditional_stability_of_diffusion(self):
         # stiff diffusion, huge dt, no advection: norm must not grow
         n = 50
         model, fronts = _inert_setup(n, 1e6)
-        z = np.linspace(0, 1, n + 1)[1:]
-        u = _packed(np.sin(np.pi * z), n)
-        u[n - 1] = 0.0      # the pin S(1)
-        norm0 = np.linalg.norm(u[:n])
+        u = _packed(lambda z: np.sin(np.pi * z), model)
+        norm0 = np.linalg.norm(u[:n - 1])
         for k in range(5):
             u, *_ = imex_midpoint_step(u, fronts, 0.0, 10.0, model)
-            norm = np.linalg.norm(u[:n])
+            norm = np.linalg.norm(u[:n - 1])
             assert norm <= norm0 + 1e-12
             norm0 = norm
 
@@ -551,7 +575,7 @@ class TestPdeStep:
         n = 10
         model, fronts = _inert_setup(n, 1.0)
         with pytest.raises(ValueError):
-            imex_midpoint_step(np.zeros(3 * n), fronts, 0.0, 0.0, model)
+            imex_midpoint_step(_packed(lambda z: 0.0, model), fronts, 0.0, 0.0, model)
 
     def test_counters_accumulate_field_clamps(self, default_cfg, monkeypatch):
         # at the switch to the dry phase (8 h) the SO2 at z = 0 drops to zero
