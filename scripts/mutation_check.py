@@ -194,8 +194,19 @@ DEFECTS = {
         "                if not 0.0 <= rh <= 100.0:\n"
         '                    raise ValueError(f"relative humidity must lie in [0, 100], got {rh}")\n'),
     "round-off singular values printed": (
-        "cli.py", "shown = [v if v > RANK_RTOL * largest else 0.0 for v in result.singular_values]",
+        "cli.py", "shown = [v if i < rank else 0.0 for i, v in enumerate(result.singular_values)]",
         "shown = list(result.singular_values)"),
+    "config syntax errors escape as configparser's": (
+        "config.py", "except configparser.Error as exc:", "except KeyError as exc:"),
+    "environment CSV byte-order mark read as text": (
+        "environment.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
+    "measurements byte-order mark read as text": (
+        "calibration.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
+    "config byte-order mark read as text": (
+        "config.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
+    # 2e-3 relative off the shipped-data fit's d_s = 4.98099e-6
+    "default d_s off the shipped-data fit": (
+        "config.py", '"d_s": 4.98071e-06,', '"d_s": 4.99095e-06,'),
     "ppm conversion at the default molar mass": (
         "config.py", "materials.M_s)", "DEFAULT_MATERIALS.M_s)"),
     "derived dt_max ignored (always 0.25)": (

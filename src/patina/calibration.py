@@ -67,7 +67,8 @@ class ThicknessMeasurement:
 def load_measurements(path) -> tuple[ThicknessMeasurement, ...]:
     """Read a ``time_hours,thickness_cm,std_cm`` CSV (# comments allowed)."""
     rows: list[ThicknessMeasurement] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig: a byte-order mark, as spreadsheet exports write, is not text
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, _, parts in rows_after_header(path, fh, MEASUREMENTS_CSV_HEADER):
             if len(parts) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 fields")

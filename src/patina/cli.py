@@ -143,7 +143,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_calibrate(args) -> int:
     # imported here, so that no other command loads the calibration layer
-    from .calibration import RANK_RTOL, calibrate, load_measurements, warm_start
+    from .calibration import calibrate, load_measurements, warm_start
 
     started = time.perf_counter()
     cp, cfg = _sim_config(args)
@@ -167,12 +167,13 @@ def cmd_calibrate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "calibration.csv")
     d = result.diffusivities
-    # a singular value below RANK_RTOL times the largest is round-off and
-    # prints as 0, and the condition follows the printed values (inf when one
-    # is 0), so the file does not change with the last bits of the start
-    # point; the manifest keeps the measured values
-    largest = result.singular_values[0]
-    shown = [v if v > RANK_RTOL * largest else 0.0 for v in result.singular_values]
+    # the fit moves one parameter per singular value the data determine, the
+    # largest first; the rest are round-off and print as 0, and the condition
+    # follows the printed values (inf when one is 0), so the file does not
+    # change with the last bits of the start point; the manifest keeps the
+    # measured values
+    rank = len(result.fitted)
+    shown = [v if i < rank else 0.0 for i, v in enumerate(result.singular_values)]
     condition = shown[0] / shown[-1] if shown[-1] > 0.0 else math.inf
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# d_g = {d.d_g:.6g}\n# d_s = {d.d_s:.6g}\n")

@@ -40,7 +40,10 @@ __all__ = [
 ]
 
 # Diffusivities produced by this repo's own calibration against
-# data/thickness_measures.csv (scripts/calibrate_defaults.py regenerates them).
+# data/thickness_measures.csv: `patina calibrate --measurements
+# data/thickness_measures.csv` regenerates them, and
+# tests/test_calibration.py::TestCalibrate::test_shipped_data_fit_the_amplitude_alone
+# fails when they lie 1e-3 or more from that fit.
 DEFAULT_DIFFUSIVITIES = {
     "d_g": 6.71051e-10,
     "d_s": 4.98071e-06,
@@ -101,13 +104,23 @@ def _number(cp, section: str, key: str):
 
 
 def load_settings(path=None) -> configparser.ConfigParser:
-    """Parse a config file over the defaults; validate names and numbers."""
+    """Parse a config file over the defaults; validate syntax, names and numbers.
+
+    A malformed file, an unknown section or key and a bad number are each a
+    ValueError that names the file.
+    """
     cp = _parser()
     cp.read_dict(DEFAULTS)
     if path is not None:
         seen = _parser()
-        with open(path, "r", encoding="utf-8") as fh:
-            seen.read_file(fh, source=str(path))
+        # utf-8-sig: a byte-order mark, as spreadsheet exports write, is not text
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            try:
+                seen.read_file(fh, source=str(path))
+            except configparser.Error as exc:
+                # configparser's message may span lines; a CLI message is one
+                flat = " ".join(str(exc).split())
+                raise ValueError(f"{path}: bad config file: {flat}") from None
         for section in seen.sections():
             if section not in DEFAULTS:
                 raise ValueError(f"{path}: unknown config section [{section}]")

@@ -185,7 +185,8 @@ def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
     their file line number.
     """
     times, so2 = array("d"), array("d")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig: a byte-order mark, as spreadsheet exports write, is not text
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         # read line by line: no list of the file's lines is held
         for lineno, line, parts in rows_after_header(path, fh, TIMESERIES_HEADER):
             if len(parts) != 4:

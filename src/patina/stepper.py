@@ -328,17 +328,16 @@ def select_dt(fs: FrontState, dz: float, dy: float, cfl_target: float,
     return dt
 
 
-def _clamp_fields(u: np.ndarray, o_end: int) -> int:
-    """Floor negative interior concentrations at zero; returns how many nodes clipped.
+def _clamp_fields(u: np.ndarray) -> int:
+    """Floor negative concentrations at zero; returns how many nodes clipped.
 
-    O(1), at ``o_end``, is left as it is and not counted: the refresh that
-    follows writes it.
+    O(1) is floored and counted like every other node, although the refresh
+    that follows writes it anew.
     """
     # argmin costs a fifth of min on a buffer this short, and finds a NaN as min does
     if not u[u.argmin()] < 0.0:
         return 0
     mask = u < 0.0
-    mask[o_end] = False
     u[mask] = 0.0
     return int(np.count_nonzero(mask))
 
@@ -449,7 +448,7 @@ def imex_midpoint_step(u: np.ndarray, fs: FrontState, t: float, dt: float,
 
     new = second + second
     new -= full
-    field_clamps = _clamp_fields(new, o_end)
+    field_clamps = _clamp_fields(new)
     fs_new, clamped = refresh_state(new, fs.a + dt * fs_mid.a_dot, fs.b + dt * fs_mid.b_dot,
                                     model)
 

@@ -21,6 +21,7 @@ from patina.calibration import (
     warm_start,
     weighted_residual,
 )
+from patina.config import DEFAULT_DIFFUSIVITIES
 from patina.environment import cycle_forcing, forcing_at
 from patina.pde_core import Diffusivities
 from patina.simulation import SimulationError, run
@@ -294,6 +295,15 @@ class TestCalibrate:
             assert res.diffusivities == start
             assert res.diffusivities.d_s == pytest.approx(4.980994e-6, rel=1e-6)
             assert res.diffusivities.d_g == pytest.approx(6.712671e-10, rel=1e-6)
+            # the shipped defaults are this fit; `patina calibrate --measurements
+            # data/thickness_measures.csv` regenerates them, and on a miss the
+            # message gives the lines to paste into config.py
+            fitted = {name: getattr(res.diffusivities, name) for name in DEFAULT_DIFFUSIVITIES}
+            assert all(abs(value / DEFAULT_DIFFUSIVITIES[name] - 1.0) < 1e-3
+                       for name, value in fitted.items()), (
+                "DEFAULT_DIFFUSIVITIES differs from the shipped-data fit by 1e-3 or more; "
+                "the fit gives\n" + "\n".join(f'    "{name}": {value:.6g},'
+                                               for name, value in fitted.items()))
             # predictions and residual come from the one solver run
             predicted = res.output.thickness_at([m.time_hours for m in table_measurements])
             assert res.predicted_cm == tuple(float(p) for p in predicted)

@@ -355,6 +355,23 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "tolerance = 1e-4\n[time]\n",
+    "[time]\ntolerance = 1e-4\n[time]\n",
+    "[time]\ntolerance = 1e-4\ntolerance = 1e-5\n",
+    "[time]\ntolerance 1e-4\n",
+], ids=["key-before-any-section", "section-twice", "key-twice", "line-without-equals"])
+def test_malformed_config_is_an_input_error(tmp_path, capsys, text):
+    # configparser's own errors end in a one-line message, not a traceback
+    cfgfile = tmp_path / "bad.ini"
+    cfgfile.write_text(text)
+    code = run_main(["simulate", "--chamber", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"patina: {cfgfile}: bad config file: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("section, key", [
     ("diffusivities", "d_w"), ("forcing", "rh_percent"),
     ("forcing", "dry_temp_c"), ("forcing", "dry_rh_percent"),
@@ -547,6 +564,28 @@ def test_percent_in_a_file_name_is_plain_text(tmp_path):
         assert run_main(["simulate", "--horizon-hours", "1", "--out", str(out)] + argv) == 0
         digests = json.loads((out / "manifest.json").read_text())["input_digests"]
         assert str(env) in digests
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    ("simulate", "--env",
+     "time_hours,so2_ugm3,temp_c,rh_percent\n0,10,20,60\n1,30,20,60\n2,10,20,60\n"),
+    ("calibrate", "--measurements",
+     "time_hours,thickness_cm,std_cm\n8,5.4418e-4,1.7331e-4\n40,13.2522e-4,2.4102e-4\n"),
+    ("simulate", "--config", "[grid]\nn_z = 13\n[forcing]\nmode = cycles\n"),
+], ids=["env", "measurements", "config"])
+def test_a_byte_order_mark_reads_as_the_plain_file(tmp_path, command, flag, text):
+    # spreadsheet exports start a UTF-8 file with a byte-order mark; the
+    # config's settings differ from the defaults, so its CSVs show it was read
+    csv = "calibration.csv" if command == "calibrate" else "simulation.csv"
+    horizon = ["--horizon-hours", "2"] if command == "simulate" else []
+    written = []
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        path = tmp_path / f"{name}.in"
+        path.write_text(prefix + text, encoding="utf-8")
+        out = tmp_path / name
+        assert run_main([command, flag, str(path), "--out", str(out)] + horizon) == 0
+        written.append((out / csv).read_bytes())
+    assert written[1] == written[0]
 
 
 @pytest.mark.parametrize("argv", [
