@@ -185,25 +185,26 @@ DEFECTS = {
     "breaks walked in the forcing's own array": (
         "environment.py", "return times[bisect_right(times, 0.0):bisect_left(times, horizon_hours)]",
         "return times"),
-    "loader checks the SO2 sign before RH": (
-        "environment.py",
-        "                if not 0.0 <= rh <= 100.0:\n"
-        '                    raise ValueError(f"relative humidity must lie in [0, 100], got {rh}")\n'
-        '                so2.append(so2_from_ugm3(so2_ugm3))\n',
-        '                so2.append(so2_from_ugm3(so2_ugm3))\n'
-        "                if not 0.0 <= rh <= 100.0:\n"
-        '                    raise ValueError(f"relative humidity must lie in [0, 100], got {rh}")\n'),
     "round-off singular values printed": (
         "cli.py", "shown = [v if i < rank else 0.0 for i, v in enumerate(result.singular_values)]",
         "shown = list(result.singular_values)"),
     "config syntax errors escape as configparser's": (
         "config.py", "except configparser.Error as exc:", "except KeyError as exc:"),
-    "environment CSV byte-order mark read as text": (
-        "environment.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
-    "measurements byte-order mark read as text": (
-        "calibration.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
-    "config byte-order mark read as text": (
-        "config.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
+    "byte-order mark read as text": (
+        "environment.py", '"utf-8-sig" if lineno == 1 else "utf-8"', '"utf-8"'),
+    "a lone CR ends no line": (
+        "environment.py", 'errors="surrogateescape", newline=""',
+        'errors="surrogateescape", newline="\\n"'),
+    "a decode error reports line 1": (
+        "environment.py", 'raise ValueError(f"{path}: line {lineno}: {exc}") from None',
+        'raise ValueError(f"{path}: line 1: {exc}") from None'),
+    "the header is compared on every column": (
+        "environment.py", "tuple(f.strip() for f in fields[:n]) != header",
+        "tuple(f.strip() for f in fields) != header"),
+    "a short row is read": (
+        "environment.py", "if len(fields) < n:", "if False:"),
+    "[DEFAULT] is configparser's default section": (
+        "config.py", 'interpolation=None, default_section=""', "interpolation=None"),
     # 2e-3 relative off the shipped-data fit's d_s = 4.98099e-6
     "default d_s off the shipped-data fit": (
         "config.py", '"d_s": 4.98071e-06,', '"d_s": 4.99095e-06,'),
@@ -222,8 +223,7 @@ DEFECTS = {
         "                             self.d_o * SECONDS_PER_HOUR)",
         "return self"),
     "a row over two lines numbered by its last": (
-        "environment.py", "if first is None:\n                    first = lineno, line",
-        "first = lineno, line"),
+        "environment.py", "first = first or lineno", "first = lineno"),
 }
 
 

@@ -4,7 +4,10 @@
 Generates a deterministic hourly CSV (seasonal and daily temperature and
 humidity cycles, low ambient SO2) under out/year/, then runs the model on
 it.  Useful as a template when real monitoring data are at hand: replace
-the generated CSV with a file in the same format.
+the generated CSV with a file in the same format.  The model reads the
+``time_hours`` and ``so2_ugm3`` columns alone; the temperature and humidity
+columns are written so that older versions of the reader, which required
+them, read the same file.
 """
 
 import os

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convergence import chamber_at_start, exact_diffusivities, exact_fronts
-from .environment import rows_after_header
+from .environment import read_rows
 from .materials import swelling_ratios
 from .pde_core import Diffusivities
 from .simulation import SimulationConfig, SimulationError, SimulationOutput, run
@@ -65,17 +65,13 @@ class ThicknessMeasurement:
 
 
 def load_measurements(path) -> tuple[ThicknessMeasurement, ...]:
-    """Read a ``time_hours,thickness_cm,std_cm`` CSV (# comments allowed)."""
+    """Read a ``time_hours,thickness_cm,std_cm`` CSV, as ``environment.read_rows`` does."""
     rows: list[ThicknessMeasurement] = []
-    # utf-8-sig: a byte-order mark, as spreadsheet exports write, is not text
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        for lineno, _, parts in rows_after_header(path, fh, MEASUREMENTS_CSV_HEADER):
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields")
-            try:
-                rows.append(ThicknessMeasurement(*(float(p) for p in parts)))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, values in read_rows(path, MEASUREMENTS_CSV_HEADER):
+        try:
+            rows.append(ThicknessMeasurement(*values))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no measurement rows; the file is empty or has only a header")
     return tuple(rows)

@@ -26,6 +26,7 @@ from .environment import (
     cycle_forcing,
     load_timeseries,
     so2_from_ppm,
+    text_lines,
 )
 from .materials import DEFAULT_MATERIALS, MaterialTable
 from .pde_core import Diffusivities
@@ -94,9 +95,11 @@ class CalibrationSettings(NamedTuple):
 
 
 def _parser() -> configparser.ConfigParser:
-    # no interpolation: a '%' in a value (a file name, say) is plain text
-    return configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                     comment_prefixes=("#",), interpolation=None)
+    # no interpolation: a '%' in a value (a file name, say) is plain text;
+    # no header matches the default section "", so [DEFAULT] is a section
+    # like any other, and an unknown one
+    return configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",),
+                                     interpolation=None, default_section="")
 
 
 def _number(cp, section: str, key: str):
@@ -106,21 +109,19 @@ def _number(cp, section: str, key: str):
 def load_settings(path=None) -> configparser.ConfigParser:
     """Parse a config file over the defaults; validate syntax, names and numbers.
 
-    A malformed file, an unknown section or key and a bad number are each a
-    ValueError that names the file.
+    A malformed file, an unknown section (``[DEFAULT]`` too) or key and a bad
+    number are each a ValueError that names the file.
     """
     cp = _parser()
     cp.read_dict(DEFAULTS)
     if path is not None:
         seen = _parser()
-        # utf-8-sig: a byte-order mark, as spreadsheet exports write, is not text
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            try:
-                seen.read_file(fh, source=str(path))
-            except configparser.Error as exc:
-                # configparser's message may span lines; a CLI message is one
-                flat = " ".join(str(exc).split())
-                raise ValueError(f"{path}: bad config file: {flat}") from None
+        try:
+            seen.read_file(text_lines(path), source=str(path))
+        except configparser.Error as exc:
+            # configparser's message may span lines; a CLI message is one
+            flat = " ".join(str(exc).split())
+            raise ValueError(f"{path}: bad config file: {flat}") from None
         for section in seen.sections():
             if section not in DEFAULTS:
                 raise ValueError(f"{path}: unknown config section [{section}]")

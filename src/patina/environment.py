@@ -6,14 +6,15 @@ with one wet-phase sample is a cycle schedule between chamber and room
 values.  Any other forcing is a sampled series, interpolated linearly in
 time; one sample is constant forcing (corrosion-cabinet conditions,
 ``Forcing.constant``, where the exact solution applies), and hourly
-monitoring data (SO2 in ug/m3, temperature in C, relative humidity in
-percent) give one sample an hour.  The lookup bisects the sample times and
-reproduces ``np.interp`` bit for bit at about half its per-call cost.
+monitoring data give one sample an hour.  The lookup bisects the sample
+times and reproduces ``np.interp`` bit for bit at about half its per-call
+cost.
 
 SO2 comes from the ideal gas law at the caller's molar mass when given in
 ppm, or a straight unit conversion when given in ug/m3.  Water takes no
-part in the front motion, so the temperature and humidity columns of
-monitoring data are validated but feed no boundary value.
+part in the front motion, so an environment CSV needs only the columns
+``time_hours,so2_ugm3``; further ones (temperature, humidity) are ignored.
+:func:`text_lines` decodes every input file, :func:`read_rows` every CSV.
 
 :func:`breakpoints` lists where the forcing breaks (cycle switches, sample
 times; none for constant forcing), so that the time loop can end a step on each.
@@ -34,8 +35,8 @@ __all__ = [
     "so2_from_ugm3",
     "constant_chamber_forcing",
     "cycle_forcing",
-    "data_rows",
-    "rows_after_header",
+    "text_lines",
+    "read_rows",
     "load_timeseries",
     "forcing_at",
     "breakpoints",
@@ -139,74 +140,79 @@ def cycle_forcing(wet_so2: float, oxygen: float = AMBIENT_OXYGEN,
                    wet_hours=wet_hours, dry_hours=dry_hours, dry_so2=dry_so2)
 
 
-TIMESERIES_HEADER = ("time_hours", "so2_ugm3", "temp_c", "rh_percent")
+TIMESERIES_HEADER = ("time_hours", "so2_ugm3")
 
 
-def data_rows(fh):
-    """(line number, line, fields) of each CSV row of ``fh``, read one line at
-    a time; blank lines and ``#`` comments are skipped.  One ``csv.reader``
-    parses every row; a row that spans lines has the number and text of its
-    first line."""
-    first = None
+def text_lines(path):
+    """Lines of the UTF-8 file ``path``, BOM dropped; a non-UTF-8 line is a ValueError naming it."""
+    # newline="": a line ends at LF, CRLF or a lone CR, and keeps its end.
+    # surrogateescape keeps a byte that is not UTF-8 as a lone surrogate; a
+    # line that is not all ASCII (a BOM, an accent, such a byte) is decoded
+    # again from its own bytes, strictly, so that an error names its line
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line = line.encode("utf-8", "surrogateescape").decode(
+                        "utf-8-sig" if lineno == 1 else "utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            yield line
+
+
+def read_rows(path, header: tuple[str, ...]):
+    """(line number, floats of the first ``len(header)`` fields) of each data
+    row of the CSV file ``path``, parsed a line at a time by one ``csv.reader``
+    past blank and ``#`` lines; a row over several lines has the number of its
+    first.  The first row must begin with ``header``; further columns are
+    ignored.  A bad header, short row or non-number is a ValueError naming its line."""
+    first = 0
 
     def kept():
         nonlocal first
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(text_lines(path), start=1):
             if line.strip() and not line.lstrip().startswith("#"):
-                if first is None:
-                    first = lineno, line
+                first = first or lineno
                 yield line
 
-    for fields in csv.reader(kept()):
-        yield first[0], first[1], fields
-        first = None
-
-
-def rows_after_header(path, fh, header: tuple[str, ...]):
-    """The ``data_rows`` of ``fh`` after its first row, which must be
-    ``header`` (fields compared stripped); a bad header is reported with
-    the file's line number.  A file without rows gives none."""
-    rows = data_rows(fh)
-    first = next(rows, None)
-    if first is not None:
-        lineno, line, fields = first
-        if tuple(f.strip() for f in fields) != header:
-            raise ValueError(f"{path}: line {lineno}: bad header {line.strip()!r}; "
-                             f"expected {','.join(header)!r}")
-    return rows
+    n = len(header)
+    rows = csv.reader(kept())
+    fields = next(rows, None)
+    if fields is not None and tuple(f.strip() for f in fields[:n]) != header:
+        raise ValueError(f"{path}: line {first}: bad header {','.join(fields)!r}; "
+                         f"expected {','.join(header)!r}")
+    first = 0
+    for fields in rows:
+        lineno, first = first, 0
+        if len(fields) < n:
+            raise ValueError(f"{path}: line {lineno}: expected {n} fields, got {len(fields)}")
+        try:
+            values = tuple(map(float, fields[:n]))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed row {','.join(fields)!r}") from None
+        yield lineno, values
 
 
 def load_timeseries(path, oxygen: float = AMBIENT_OXYGEN) -> Forcing:
     """Read an environment CSV into a sampled-series Forcing.
 
-    Expected header: ``time_hours,so2_ugm3,temp_c,rh_percent``.  Lines
-    starting with ``#`` are ignored.  Malformed rows, non-monotone times,
-    non-finite values, negative SO2 and out-of-range RH are reported with
-    their file line number.
+    Expected header: ``time_hours,so2_ugm3``, further columns ignored (see
+    ``read_rows``).  Non-monotone times, non-finite values and negative SO2
+    are reported with their file line number.
     """
     times, so2 = array("d"), array("d")
-    # utf-8-sig: a byte-order mark, as spreadsheet exports write, is not text
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        # read line by line: no list of the file's lines is held
-        for lineno, line, parts in rows_after_header(path, fh, TIMESERIES_HEADER):
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                t, so2_ugm3, temp_c, rh = map(float, parts)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed row {line.strip()!r}") from exc
-            try:
-                if times and t <= times[-1]:
-                    raise ValueError(f"non-monotone time {t}")
-                for name, value in zip(TIMESERIES_HEADER[:3], (t, so2_ugm3, temp_c)):
-                    if not math.isfinite(value):
-                        raise ValueError(f"sample {name} must be finite, got {value}")
-                if not 0.0 <= rh <= 100.0:
-                    raise ValueError(f"relative humidity must lie in [0, 100], got {rh}")
-                so2.append(so2_from_ugm3(so2_ugm3))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            times.append(t)
+    # read line by line: no list of the file's lines is held
+    for lineno, (t, so2_ugm3) in read_rows(path, TIMESERIES_HEADER):
+        try:
+            if times and t <= times[-1]:
+                raise ValueError(f"non-monotone time {t}")
+            for name, value in zip(TIMESERIES_HEADER, (t, so2_ugm3)):
+                if not math.isfinite(value):
+                    raise ValueError(f"sample {name} must be finite, got {value}")
+            so2.append(so2_from_ugm3(so2_ugm3))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        times.append(t)
     if not times:
         raise ValueError(f"{path}: no samples")
     return Forcing(times, so2, oxygen)

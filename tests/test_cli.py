@@ -355,6 +355,20 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+# configparser's own default section would drop the first file's horizon
+# and read the second's n_z into [grid]
+@pytest.mark.parametrize("text", ["[DEFAULT]\nhorizon_hours = 1\n",
+                                  "[DEFAULT]\nn_z = 13\n[grid]\n"],
+                         ids=["alone", "before-grid"])
+def test_a_default_section_is_unknown(tmp_path, capsys, text):
+    cfgfile = tmp_path / "bad.ini"
+    cfgfile.write_text(text)
+    code = run_main(["simulate", "--chamber", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     "tolerance = 1e-4\n[time]\n",
     "[time]\ntolerance = 1e-4\n[time]\n",
@@ -566,26 +580,61 @@ def test_percent_in_a_file_name_is_plain_text(tmp_path):
         assert str(env) in digests
 
 
-@pytest.mark.parametrize("command, flag, text", [
+# one small file of each input; the config's settings differ from the
+# defaults, so its CSVs show it was read
+INPUT_FILES = pytest.mark.parametrize("command, flag, text", [
     ("simulate", "--env",
      "time_hours,so2_ugm3,temp_c,rh_percent\n0,10,20,60\n1,30,20,60\n2,10,20,60\n"),
     ("calibrate", "--measurements",
      "time_hours,thickness_cm,std_cm\n8,5.4418e-4,1.7331e-4\n40,13.2522e-4,2.4102e-4\n"),
     ("simulate", "--config", "[grid]\nn_z = 13\n[forcing]\nmode = cycles\n"),
 ], ids=["env", "measurements", "config"])
-def test_a_byte_order_mark_reads_as_the_plain_file(tmp_path, command, flag, text):
-    # spreadsheet exports start a UTF-8 file with a byte-order mark; the
-    # config's settings differ from the defaults, so its CSVs show it was read
+
+
+def _written(tmp_path, name, command, flag, data: bytes):
+    # the CSV that a run on an input file of bytes ``data`` writes
     csv = "calibration.csv" if command == "calibrate" else "simulation.csv"
     horizon = ["--horizon-hours", "2"] if command == "simulate" else []
-    written = []
-    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
-        path = tmp_path / f"{name}.in"
-        path.write_text(prefix + text, encoding="utf-8")
-        out = tmp_path / name
-        assert run_main([command, flag, str(path), "--out", str(out)] + horizon) == 0
-        written.append((out / csv).read_bytes())
-    assert written[1] == written[0]
+    path = tmp_path / f"{name}.in"
+    path.write_bytes(data)
+    out = tmp_path / name
+    assert run_main([command, flag, str(path), "--out", str(out)] + horizon) == 0
+    return (out / csv).read_bytes()
+
+
+@INPUT_FILES
+def test_a_byte_order_mark_reads_as_the_plain_file(tmp_path, command, flag, text):
+    # spreadsheet exports start a UTF-8 file with a byte-order mark
+    plain = _written(tmp_path, "plain", command, flag, text.encode("utf-8"))
+    assert _written(tmp_path, "bom", command, flag, ("\ufeff" + text).encode("utf-8")) == plain
+
+
+@INPUT_FILES
+def test_crlf_and_cr_line_ends_read_as_the_plain_file(tmp_path, command, flag, text):
+    # Windows exports end lines in CRLF, old Mac ones in a lone CR
+    plain = _written(tmp_path, "plain", command, flag, text.encode("utf-8"))
+    for name, end in (("crlf", "\r\n"), ("cr", "\r")):
+        data = text.replace("\n", end).encode("utf-8")
+        assert _written(tmp_path, name, command, flag, data) == plain
+
+
+@INPUT_FILES
+def test_a_line_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys, command, flag,
+                                                          text):
+    # a Latin-1 comment on line 2 of a file that is otherwise plain ASCII
+    first, rest = text.split("\n", 1)
+    path = tmp_path / "latin1.in"
+    path.write_bytes(f"{first}\n# café\n{rest}".encode("latin-1"))
+    assert run_main([command, flag, str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"patina: {path}: line 2: 'utf-8' codec")
+
+
+def test_a_two_column_series_runs_as_the_four_column_file(tmp_path):
+    # the environment CSV is read for time and SO2 alone
+    four = "time_hours,so2_ugm3,temp_c,rh_percent\n0,10,20,60\n1,30,21,55\n2,10,22,50\n"
+    two = "".join(",".join(line.split(",")[:2]) + "\n" for line in four.splitlines())
+    assert _written(tmp_path, "two", "simulate", "--env", two.encode()) == \
+        _written(tmp_path, "four", "simulate", "--env", four.encode())
 
 
 @pytest.mark.parametrize("argv", [

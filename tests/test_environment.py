@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,9 +7,9 @@ from patina.environment import (
     breakpoints,
     constant_chamber_forcing,
     cycle_forcing,
-    data_rows,
     forcing_at,
     load_timeseries,
+    read_rows,
     so2_from_ppm,
     so2_from_ugm3,
 )
@@ -167,11 +165,22 @@ def _write(tmp_path, text):
 
 
 def test_env_sample_validation(tmp_path):
-    # each row is checked as it is read: RH within [0, 100], a finite time
-    for row in ("0,1,20,150\n", "nan,1,20,50\n"):
-        p = _write(tmp_path, "time_hours,so2_ugm3,temp_c,rh_percent\n" + row)
-        with pytest.raises(ValueError, match="line 2: (relative humidity|sample time_hours)"):
-            load_timeseries(p)
+    # each row is checked as it is read: a finite time, with or without the
+    # columns that are not read
+    for text in ("time_hours,so2_ugm3\nnan,1\n",
+                 "time_hours,so2_ugm3,temp_c,rh_percent\nnan,1,20,50\n"):
+        with pytest.raises(ValueError, match="line 2: sample time_hours must be finite"):
+            load_timeseries(_write(tmp_path, text))
+
+
+def test_columns_after_so2_are_not_read(tmp_path):
+    # a two-column file is the four-column one; text, a blank or an
+    # out-of-range humidity in a further column is no error
+    two = load_timeseries(_write(tmp_path, "time_hours,so2_ugm3\n0,10\n1,12\n"))
+    for extra in ("temp_c,rh_percent\n0,10,20,50\n1,12,21,55\n",
+                  "rh_percent,notes\n0,10,150,dry\n1,12,,\n"):
+        p = _write(tmp_path, "time_hours,so2_ugm3," + extra)
+        assert load_timeseries(p) == two
 
 
 def test_timeseries_forcing_converts_units(tmp_path):
@@ -208,8 +217,8 @@ def test_load_timeseries_non_monotone(tmp_path):
 
 
 def test_load_timeseries_bad_rows(tmp_path):
-    p = _write(tmp_path, "time_hours,so2_ugm3,temp_c,rh_percent\n0,10,20,150\n")
-    with pytest.raises(ValueError, match="line 2"):
+    p = _write(tmp_path, "time_hours,so2_ugm3,temp_c,rh_percent\n0\n")
+    with pytest.raises(ValueError, match="line 2: expected 2 fields, got 1"):
         load_timeseries(p)
     p2 = _write(tmp_path, "time_hours,so2_ugm3,temp_c,rh_percent\n0,ten,20,50\n")
     with pytest.raises(ValueError, match="line 2: malformed"):
@@ -217,8 +226,8 @@ def test_load_timeseries_bad_rows(tmp_path):
     p3 = _write(tmp_path, "hours,so2,temp,rh\n0,10,20,50\n")
     with pytest.raises(ValueError, match="bad header"):
         load_timeseries(p3)
-    # non-finite SO2 or temperature, in the first data row and in a later one
-    for row, line in (("0,nan,20,50\n", 2), ("0,10,inf,50\n", 2),
+    # non-finite SO2, in the first data row and in a later one
+    for row, line in (("0,nan,20,50\n", 2),
                       ("0,10,20,50\n1,nan,20,50\n", 3),
                       ("0,10,20,50\n1,-inf,20,50\n", 3)):
         p4 = _write(tmp_path, "time_hours,so2_ugm3,temp_c,rh_percent\n" + row)
@@ -236,17 +245,15 @@ def test_load_timeseries_negative_so2_names_its_line(tmp_path):
 # rows that fail two checks at once, after leading comment and blank lines
 # (the header is line 4, the first data row line 5): each reports the first
 # check in the loader's order -- field count, number, monotone time, finite
-# time/so2/temp, RH range, negative SO2 -- with its file line
+# time/so2, negative SO2 -- with its file line
 @pytest.mark.parametrize("rows, message", [
-    ("1,x,20\n", "line 5: expected 4 fields, got 3"),
+    ("x\n", "line 5: expected 2 fields, got 1"),
     ("0,10,20,50\n0,ten,20,50\n", "line 6: malformed row '0,ten,20,50'"),
     ("0,10,20,50\n0,nan,20,50\n", "line 6: non-monotone time 0.0"),
-    ("nan,10,20,120\n", "line 5: sample time_hours must be finite, got nan"),
     ("0,10,20,50\nnan,-1,20,50\n", "line 6: sample time_hours must be finite, got nan"),
-    ("0,10,inf,120\n", "line 5: sample temp_c must be finite, got inf"),
-    ("0,-1,20,120\n", "line 5: relative humidity must lie in \\[0, 100\\], got 120.0"),
-], ids=["fields-number", "number-monotone", "monotone-finite", "finite-rh",
-        "finite-so2", "finite-rh-temp", "rh-so2"])
+    ("0,-inf,20,50\n", "line 5: sample so2_ugm3 must be finite, got -inf"),
+], ids=["fields-number", "number-monotone", "monotone-finite", "finite-so2",
+        "finite-sign"])
 def test_load_timeseries_reports_the_first_failed_check(tmp_path, rows, message):
     text = "# station X\n\n# columns\ntime_hours,so2_ugm3,temp_c,rh_percent\n" + rows
     with pytest.raises(ValueError, match=message):
@@ -283,28 +290,28 @@ def test_load_timeseries_names_the_file_line_after_skipped_lines(tmp_path):
     bad_row = INTERLEAVED_CSV + "\n# late comment\n3,ten,20,50\n"
     with pytest.raises(ValueError, match="line 13: malformed row '3,ten,20,50'"):
         load_timeseries(_write(tmp_path, bad_row))
-    late_rh = INTERLEAVED_CSV.replace("1,12.5,21,55", "1,12.5,21,101")
-    with pytest.raises(ValueError, match="line 8: relative humidity"):
-        load_timeseries(_write(tmp_path, late_rh))
+    late_sign = INTERLEAVED_CSV.replace("1,12.5,21,55", "1,-12.5,21,55")
+    with pytest.raises(ValueError, match="line 8: SO2 concentration must be non-negative"):
+        load_timeseries(_write(tmp_path, late_sign))
     bad_header = INTERLEAVED_CSV.replace("time_hours,", "hours,")
     with pytest.raises(ValueError, match="line 4: bad header 'hours,"):
         load_timeseries(_write(tmp_path, bad_header))
 
 
-def test_data_rows_parse_every_row_with_one_reader():
+def test_read_rows_parse_every_row_with_one_reader(tmp_path):
     # quotes are CSV quotes, and a row whose quoted field runs over a line
-    # break is one row, numbered and shown by its first line
+    # break is one row, numbered by its first line; columns after the
+    # header's are not read
     text = ('# notes\n'
             'a,b\n'
             '\n'
             '"1.5",2\n'
-            '3,"four\n'
+            '3,4,"four\n'
             'five"\n'
             '# end\n'
-            '6,7\n')
-    assert list(data_rows(io.StringIO(text))) == [
-        (2, "a,b\n", ["a", "b"]),
-        (4, '"1.5",2\n', ["1.5", "2"]),
-        (5, '3,"four\n', ["3", "four\nfive"]),
-        (8, "6,7\n", ["6", "7"]),
+            '6,7,x\n')
+    assert list(read_rows(_write(tmp_path, text), ("a", "b"))) == [
+        (4, (1.5, 2.0)),
+        (5, (3.0, 4.0)),
+        (8, (6.0, 7.0)),
     ]
